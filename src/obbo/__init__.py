@@ -34,7 +34,6 @@ from .hypergrad import (
     inner_sgd,
     itd_hypergradient,
     stochastic_hypergradient,
-    window_average,
 )
 from .optimizers import (
     ObboConfig,

@@ -73,14 +73,6 @@ class DistanceGenerator:
             raise ValueError(f"generator has dimension {self.diag.size}, expected {d}")
         return self.diag
 
-    def value(self, x) -> float:
-        x = _as_vector("x", x)
-        return 0.5 * float(x @ (self.scaling(x.size) * x))
-
-    def grad(self, x) -> np.ndarray:
-        x = _as_vector("x", x)
-        return self.scaling(x.size) * x
-
 
 @dataclass(frozen=True)
 class AdaptiveDiagState:
@@ -105,9 +97,6 @@ class AdaptiveDiagState:
 
     def diag(self) -> np.ndarray:
         return np.sqrt(self.avg_sq) + self.epsilon
-
-    def generator(self) -> DistanceGenerator:
-        return DistanceGenerator.diagonal(self.diag())
 
 
 def adaptive_update(state: AdaptiveDiagState, grad) -> AdaptiveDiagState:

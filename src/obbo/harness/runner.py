@@ -29,7 +29,6 @@ from ..optimizers import (
     ObboConfig,
     RunTrace,
     SobboConfig,
-    default_neumann_bound,
     run_oagd,
     run_obbo,
     run_single_level,
@@ -153,25 +152,23 @@ def _feasible_from_spec(spec: dict | None) -> FeasibleSet:
 
 
 def build_optimizer_config(spec: dict) -> ObboConfig:
+    """Optimizer config from a spec; keys the spec omits keep the defaults."""
+    keys = ("alpha", "eta", "K", "w", "clip_threshold", "estimator")
+    fields = {key: spec[key] for key in keys if key in spec}
     phi = spec.get("phi", {})
-    common = dict(
-        alpha=spec.get("alpha"),
-        eta=spec.get("eta"),
-        K=spec.get("K"),
-        w=spec.get("w", 1),
-        phi_mode=phi.get("mode", "euclidean"),
-        adapt_beta=phi.get("beta", 0.9),
-        adapt_epsilon=phi.get("epsilon", 1e-8),
-        regularizer=_regularizer_from_spec(spec.get("regularizer")),
-        feasible=_feasible_from_spec(spec.get("feasible")),
-        clip_threshold=spec.get("clip_threshold"),
-        lambda0=None if spec.get("lambda0") is None else np.asarray(spec["lambda0"], dtype=float),
-        beta0=None if spec.get("beta0") is None else np.asarray(spec["beta0"], dtype=float),
-        estimator=spec.get("estimator", "itd"),
-    )
+    phi_keys = {"mode": "phi_mode", "beta": "adapt_beta", "epsilon": "adapt_epsilon"}
+    fields.update({name: phi[key] for key, name in phi_keys.items() if key in phi})
+    if "regularizer" in spec:
+        fields["regularizer"] = _regularizer_from_spec(spec["regularizer"])
+    if "feasible" in spec:
+        fields["feasible"] = _feasible_from_spec(spec["feasible"])
+    for key in ("lambda0", "beta0"):
+        if spec.get(key) is not None:
+            fields[key] = np.asarray(spec[key], dtype=float)
     if spec["kind"] == "sobbo":
-        return SobboConfig(**common, s=spec.get("s"), m=spec.get("m"))
-    return ObboConfig(**common)
+        fields.update({key: spec[key] for key in ("s", "m") if key in spec})
+        return SobboConfig(**fields)
+    return ObboConfig(**fields)
 
 
 def execute_run(exp: ExperimentSpec, seed: int) -> tuple[RunTrace, list]:
@@ -304,14 +301,8 @@ def run_cell(exp: ExperimentSpec, seed: int, out_dir: str) -> dict:
         if regret is not None:
             terminal["final_blr_cum"] = float(regret.cumulative[-1])
             terminal["final_blr_eucl_cum"] = float(regret.euclidean_cumulative[-1])
-        if isinstance(trace.config, SobboConfig):
-            first = stream[0]
-            terminal["s"] = trace.config.s if trace.config.s is not None else trace.w
-            terminal["m"] = (
-                trace.config.m
-                if trace.config.m is not None
-                else default_neumann_bound(trace.w, first.mu_g, first.l_g1)
-            )
+        if trace.s is not None:
+            terminal["s"], terminal["m"] = trace.s, trace.m
         if options["variations"]:
             grid = _variation_grid(trace, options["grid_size"])
             report = variation_report(stream, grid)

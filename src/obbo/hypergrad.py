@@ -28,7 +28,6 @@ __all__ = [
     "exact_hypergradient",
     "itd_hypergradient",
     "stochastic_hypergradient",
-    "window_average",
 ]
 
 
@@ -49,29 +48,34 @@ class InnerSolveResult:
         return self.trajectory[-1]
 
 
-def inner_gd(
-    instant: ProblemInstant, lam, beta0, eta: float, K: int
-) -> InnerSolveResult:
-    """K gradient-descent steps on g_t(lam, .) from the warm start beta0."""
-    lam = np.asarray(lam, dtype=float)
-    beta0 = np.asarray(beta0, dtype=float)
+def _descend(t: int, grad, lam, beta0, eta: float, K: int, *extra) -> InnerSolveResult:
+    """K steps omega <- omega - eta * grad(lam, omega, *extra) from beta0."""
     if eta <= 0:
         raise ValueError("inner step size must be positive")
     if K < 1:
         raise ValueError("inner iteration count must be at least 1")
+    lam = np.asarray(lam, dtype=float)
+    beta0 = np.asarray(beta0, dtype=float)
     traj = np.empty((K + 1, beta0.size))
     traj[0] = beta0
     omega = beta0
     for k in range(1, K + 1):
         with np.errstate(over="ignore", invalid="ignore"):
-            omega = omega - eta * instant.grad_g_beta(lam, omega)
+            omega = omega - eta * grad(lam, omega, *extra)
         if not np.all(np.isfinite(omega)):
             raise DivergenceError(
-                f"inner iterate diverged at k={k} (t={instant.t}); "
+                f"inner iterate diverged at k={k} (t={t}); "
                 f"eta={eta} likely violates the step size condition"
             )
         traj[k] = omega
     return InnerSolveResult(trajectory=traj, eta=eta, K=K)
+
+
+def inner_gd(
+    instant: ProblemInstant, lam, beta0, eta: float, K: int
+) -> InnerSolveResult:
+    """K gradient-descent steps on g_t(lam, .) from the warm start beta0."""
+    return _descend(instant.t, instant.grad_g_beta, lam, beta0, eta, K)
 
 
 def inner_sgd(
@@ -84,25 +88,9 @@ def inner_sgd(
     rng: np.random.Generator,
 ) -> InnerSolveResult:
     """K stochastic gradient steps with batch size s per step."""
-    lam = np.asarray(lam, dtype=float)
-    beta0 = np.asarray(beta0, dtype=float)
-    if eta <= 0:
-        raise ValueError("inner step size must be positive")
-    if K < 1 or s < 1:
-        raise ValueError("K and s must be at least 1")
-    traj = np.empty((K + 1, beta0.size))
-    traj[0] = beta0
-    omega = beta0
-    for k in range(1, K + 1):
-        with np.errstate(over="ignore", invalid="ignore"):
-            omega = omega - eta * instant.grad_g_beta_sampled(lam, omega, s, rng)
-        if not np.all(np.isfinite(omega)):
-            raise DivergenceError(
-                f"inner iterate diverged at k={k} (t={instant.t}); "
-                f"eta={eta} likely violates the step size condition"
-            )
-        traj[k] = omega
-    return InnerSolveResult(trajectory=traj, eta=eta, K=K)
+    if s < 1:
+        raise ValueError("batch size s must be at least 1")
+    return _descend(instant.t, instant.grad_g_beta_sampled, lam, beta0, eta, K, s, rng)
 
 
 def _materialize_inner_hessian(instant: ProblemInstant, lam, beta) -> np.ndarray:
@@ -238,8 +226,3 @@ class WindowBuffer:
         for e in self._entries:
             total = total + e
         return total / self.capacity
-
-
-def window_average(buffer: WindowBuffer) -> np.ndarray:
-    """Zero-padded window mean of the stored estimates."""
-    return buffer.average()

@@ -1,18 +1,18 @@
 """Outer-loop optimizers over problem streams.
 
-``run_obbo`` / ``run_sobbo`` are the Bregman bilevel optimizers: warm-started
-inner descent, a windowed average of stored hypergradient estimates, optional
-clipping, and a proximal step under a per-round distance generator.
-``run_oagd`` re-evaluates the window's objectives at the current iterate pair
-every round (the expensive baseline), ``run_sobow`` is the Euclidean
-unconstrained reduction, and ``run_single_level`` drives Adam or SGDM with
-the same windowed estimates.
+Every optimizer runs the round written once in ``_run``: estimate, clip the
+window average on its squared norm, check it, step, check the new iterate,
+record. Two strategies vary. The estimate is inner GD with the ITD, implicit
+or a caller-supplied estimator, the closed-form ``exact`` solve, or inner SGD
+with the Neumann estimator, each averaged over a ``WindowBuffer``; OAGD
+re-evaluates the last w objectives at the current pair instead. The step is
+a prox under the round's Euclidean or adaptive diagonal generator, or an
+Adam/SGDM step plus projection.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -37,7 +37,6 @@ from .hypergrad import (
     inner_sgd,
     itd_hypergradient,
     stochastic_hypergradient,
-    window_average,
 )
 from .problems.base import (
     ProblemInstant,
@@ -130,7 +129,8 @@ class RunTrace:
     ``lambdas[t]`` is the iterate the round-t estimate was formed at;
     ``betas[t]`` is the final inner iterate handed to round t+1. ``smoothed``
     stores the window average after clipping, ``phi_diags`` the diagonal of
-    the distance generator used for the round's step.
+    the distance generator used for the round's step. ``s`` and ``m`` are the
+    batch size and Neumann bound a stochastic run resolved (None otherwise).
     """
 
     lambdas: np.ndarray
@@ -141,55 +141,18 @@ class RunTrace:
     phi_diags: np.ndarray
     outer_loss: np.ndarray
     inner_residual: np.ndarray
-    step_ms: np.ndarray
     lambda_final: np.ndarray
     beta_final: np.ndarray
     alpha: float
     eta: float
     w: int
     config: ObboConfig
+    s: int | None = None
+    m: int | None = None
 
     @property
     def T(self) -> int:
         return self.lambdas.shape[0]
-
-
-class _TraceBuilder:
-    def __init__(self):
-        self.rows = {
-            "lambdas": [],
-            "betas": [],
-            "estimates": [],
-            "smoothed": [],
-            "gen_proj_norm_sq": [],
-            "phi_diags": [],
-            "outer_loss": [],
-            "inner_residual": [],
-            "step_ms": [],
-        }
-
-    def add(self, **kwargs):
-        for key, value in kwargs.items():
-            self.rows[key].append(value)
-
-    def build(self, lam, beta, alpha, eta, w, config) -> RunTrace:
-        return RunTrace(
-            lambdas=np.asarray(self.rows["lambdas"]),
-            betas=np.asarray(self.rows["betas"]),
-            estimates=np.asarray(self.rows["estimates"]),
-            smoothed=np.asarray(self.rows["smoothed"]),
-            gen_proj_norm_sq=np.asarray(self.rows["gen_proj_norm_sq"]),
-            phi_diags=np.asarray(self.rows["phi_diags"]),
-            outer_loss=np.asarray(self.rows["outer_loss"]),
-            inner_residual=np.asarray(self.rows["inner_residual"]),
-            step_ms=np.asarray(self.rows["step_ms"]),
-            lambda_final=lam,
-            beta_final=beta,
-            alpha=alpha,
-            eta=eta,
-            w=w,
-            config=config,
-        )
 
 
 def default_neumann_bound(w: int, mu_g: float, l_g1: float) -> int:
@@ -201,8 +164,11 @@ def default_neumann_bound(w: int, mu_g: float, l_g1: float) -> int:
 
 
 def _resolve_steps(
-    instant: ProblemInstant, config: ObboConfig, algorithm: str
+    stream: Stream, config: ObboConfig, algorithm: str
 ) -> tuple[float, float, int]:
+    if len(stream) == 0:
+        raise ValueError("empty stream")
+    instant = stream[0]
     eta = config.eta
     if eta is None:
         if algorithm == "oagd":
@@ -261,37 +227,103 @@ def _check_finite(name: str, x: np.ndarray, t: int) -> None:
         raise DivergenceError(f"{name} became non-finite at t={t}; aborting run")
 
 
-class _PhiSchedule:
-    """Per-round distance generator; adaptive state updates before each step."""
+def _run(
+    stream: Stream, config: ObboConfig, alpha: float, eta: float, estimate, step
+) -> RunTrace:
+    """The shared round, one pass over the stream.
 
-    def __init__(self, config: ObboConfig, d1: int):
-        self.mode = config.phi_mode
-        self.d1 = d1
-        if self.mode == "adaptive":
-            self.state = AdaptiveDiagState.fresh(
-                d1, beta=config.adapt_beta, epsilon=config.adapt_epsilon
-            )
+    ``estimate(instant, lam, beta)`` returns (beta_next, raw estimate, window
+    average); ``step(q, lam)`` returns (lam_next, the generator's diagonal).
+    """
+    lam, beta = _initial_iterates(stream, config)
+    T, d1, d2 = len(stream), lam.size, beta.size
+    lambdas, estimates, smoothed, phi_diags = (np.empty((T, d1)) for _ in range(4))
+    betas = np.empty((T, d2))
+    gen_proj_norm_sq, outer_loss, inner_residual = (np.empty(T) for _ in range(3))
 
-    def step_generator(self, q: np.ndarray) -> tuple[DistanceGenerator, np.ndarray]:
-        if self.mode == "euclidean":
-            return DistanceGenerator.euclidean(), np.ones(self.d1)
-        self.state = adaptive_update(self.state, q)
-        diag = self.state.diag()
-        return DistanceGenerator.diagonal(diag), diag
+    for i, instant in enumerate(stream):
+        beta_next, est, average = estimate(instant, lam, beta)
+        q = _clip(average, config.clip_threshold)
+        _check_finite("hypergradient estimate", q, instant.t)
+        lam_next, phi_diags[i] = step(q, lam)
+        _check_finite("outer iterate", lam_next, instant.t)
+        lambdas[i], betas[i], estimates[i], smoothed[i] = lam, beta_next, est, q
+        gen_proj_norm_sq[i] = np.sum(((lam - lam_next) / alpha) ** 2)
+        outer_loss[i] = instant.f_value(lam, beta_next)
+        inner_residual[i] = np.linalg.norm(instant.grad_g_beta(lam, beta_next))
+        lam, beta = lam_next, beta_next
+    return RunTrace(
+        lambdas=lambdas,
+        betas=betas,
+        estimates=estimates,
+        smoothed=smoothed,
+        gen_proj_norm_sq=gen_proj_norm_sq,
+        phi_diags=phi_diags,
+        outer_loss=outer_loss,
+        inner_residual=inner_residual,
+        lambda_final=lam,
+        beta_final=beta,
+        alpha=alpha,
+        eta=eta,
+        w=config.w,
+        config=config,
+    )
 
 
-def _resolve_estimator(
-    config: ObboConfig, estimator: Estimator | None
-) -> tuple[str, Estimator | None]:
-    if estimator is not None:
-        return "custom", estimator
-    if config.estimator == "itd":
-        return "itd", lambda inst, lam, solve: itd_hypergradient(inst, lam, solve)
-    if config.estimator == "implicit":
-        return "implicit", lambda inst, lam, solve: implicit_hypergradient(
-            inst, lam, solve.final
+def _windowed(w: int, solve_and_estimate: Callable) -> Callable:
+    """Push each round's estimate into a window buffer and return its average."""
+    buffer = WindowBuffer(w)
+
+    def estimate(instant, lam, beta):
+        beta_next, est = solve_and_estimate(instant, lam, beta)
+        buffer.push(est)
+        return beta_next, est, buffer.average()
+
+    return estimate
+
+
+def _gd_estimate(
+    config: ObboConfig, eta: float, K: int, estimator: Estimator | None
+) -> Callable:
+    """Inner GD plus the configured (or caller-supplied) estimator, windowed.
+
+    The ``exact`` estimator replaces inner GD by the closed-form inner solve.
+    """
+    mode = "custom" if estimator is not None else config.estimator
+
+    def solve_and_estimate(instant, lam, beta):
+        if mode == "exact":
+            if instant.inner_opt is None:
+                raise ValueError("exact estimator requires the inner_opt oracle")
+            beta_next = instant.inner_opt(lam)
+            return beta_next, implicit_hypergradient(instant, lam, beta_next)
+        solve = inner_gd(instant, lam, beta, eta, K)
+        if mode == "itd":
+            return solve.final, itd_hypergradient(instant, lam, solve)
+        if mode == "implicit":
+            return solve.final, implicit_hypergradient(instant, lam, solve.final)
+        return solve.final, estimator(instant, lam, solve)
+
+    return _windowed(config.w, solve_and_estimate)
+
+
+def _bregman_step(config: ObboConfig, alpha: float, d1: int) -> Callable:
+    """Prox step under the round's Euclidean or adaptive diagonal generator."""
+    phi, diag, state = DistanceGenerator.euclidean(), np.ones(d1), None
+    if config.phi_mode == "adaptive":
+        state = AdaptiveDiagState.fresh(
+            d1, beta=config.adapt_beta, epsilon=config.adapt_epsilon
         )
-    return "exact", None
+
+    def step(q, lam):
+        nonlocal phi, diag, state
+        if state is not None:
+            state = adaptive_update(state, q)
+            diag = state.diag()
+            phi = DistanceGenerator.diagonal(diag)
+        return prox_step(q, lam, alpha, phi, config.regularizer, config.feasible), diag
+
+    return step
 
 
 def run_obbo(
@@ -305,47 +337,10 @@ def run_obbo(
     distance generator. In ``exact`` estimator mode the inner loop is replaced
     by the closed-form inner solve.
     """
-    if len(stream) == 0:
-        raise ValueError("empty stream")
-    mode, est_fn = _resolve_estimator(config, estimator)
-    alpha, eta, K = _resolve_steps(stream[0], config, "obbo")
-    lam, beta = _initial_iterates(stream, config)
-    phi_sched = _PhiSchedule(config, stream[0].d1)
-    buffer = WindowBuffer(config.w)
-    builder = _TraceBuilder()
-
-    for instant in stream:
-        t0 = time.perf_counter()
-        if mode == "exact":
-            if instant.inner_opt is None:
-                raise ValueError("exact estimator requires the inner_opt oracle")
-            beta_next = instant.inner_opt(lam)
-            est = implicit_hypergradient(instant, lam, beta_next)
-        else:
-            solve = inner_gd(instant, lam, beta, eta, K)
-            beta_next = solve.final
-            est = est_fn(instant, lam, solve)
-        _check_finite("hypergradient estimate", est, instant.t)
-        buffer.push(est)
-        q = _clip(window_average(buffer), config.clip_threshold)
-        phi, diag = phi_sched.step_generator(q)
-        lam_next = prox_step(q, lam, alpha, phi, config.regularizer, config.feasible)
-        _check_finite("outer iterate", lam_next, instant.t)
-        builder.add(
-            lambdas=lam.copy(),
-            betas=beta_next.copy(),
-            estimates=est.copy(),
-            smoothed=q.copy(),
-            gen_proj_norm_sq=float(np.sum(((lam - lam_next) / alpha) ** 2)),
-            phi_diags=diag.copy(),
-            outer_loss=instant.f_value(lam, beta_next),
-            inner_residual=float(
-                np.linalg.norm(instant.grad_g_beta(lam, beta_next))
-            ),
-            step_ms=(time.perf_counter() - t0) * 1e3,
-        )
-        lam, beta = lam_next, beta_next
-    return builder.build(lam, beta, alpha, eta, config.w, config)
+    alpha, eta, K = _resolve_steps(stream, config, "obbo")
+    estimate = _gd_estimate(config, eta, K, estimator)
+    step = _bregman_step(config, alpha, stream[0].d1)
+    return _run(stream, config, alpha, eta, estimate, step)
 
 
 def run_sobbo(
@@ -355,51 +350,27 @@ def run_sobbo(
 
     Same skeleton as the deterministic loop with a batched stochastic inner
     solver and the randomized Neumann estimator evaluated at (lam_t, beta_{t+1}).
+    Unset ``s`` and ``m`` resolve to s = w and ``default_neumann_bound``; the
+    trace records the values used.
     """
-    if len(stream) == 0:
-        raise ValueError("empty stream")
+    alpha, eta, K = _resolve_steps(stream, config, "sobbo")
     first = stream[0]
     if not isinstance(first, StochasticInstant):
         raise ValueError("stochastic optimizer requires a stochastic stream")
-    alpha, eta, K = _resolve_steps(first, config, "sobbo")
     s = config.s if config.s is not None else config.w
-    m = (
-        config.m
-        if config.m is not None
-        else default_neumann_bound(config.w, first.mu_g, first.l_g1)
-    )
-    lam, beta = _initial_iterates(stream, config)
-    phi_sched = _PhiSchedule(config, first.d1)
-    buffer = WindowBuffer(config.w)
-    builder = _TraceBuilder()
+    m = config.m
+    if m is None:
+        m = default_neumann_bound(config.w, first.mu_g, first.l_g1)
 
-    for instant in stream:
-        t0 = time.perf_counter()
-        solve = inner_sgd(instant, lam, beta, eta, K, s, rng)
-        beta_next = solve.final
+    def solve_and_estimate(instant, lam, beta):
+        beta_next = inner_sgd(instant, lam, beta, eta, K, s, rng).final
         params = NeumannParams(m=m, l_g1=instant.l_g1)
         est = stochastic_hypergradient(instant, lam, beta_next, params, rng)
-        _check_finite("hypergradient estimate", est, instant.t)
-        buffer.push(est)
-        q = _clip(window_average(buffer), config.clip_threshold)
-        phi, diag = phi_sched.step_generator(q)
-        lam_next = prox_step(q, lam, alpha, phi, config.regularizer, config.feasible)
-        _check_finite("outer iterate", lam_next, instant.t)
-        builder.add(
-            lambdas=lam.copy(),
-            betas=beta_next.copy(),
-            estimates=est.copy(),
-            smoothed=q.copy(),
-            gen_proj_norm_sq=float(np.sum(((lam - lam_next) / alpha) ** 2)),
-            phi_diags=diag.copy(),
-            outer_loss=instant.f_value(lam, beta_next),
-            inner_residual=float(
-                np.linalg.norm(instant.grad_g_beta(lam, beta_next))
-            ),
-            step_ms=(time.perf_counter() - t0) * 1e3,
-        )
-        lam, beta = lam_next, beta_next
-    return builder.build(lam, beta, alpha, eta, config.w, config)
+        return beta_next, est
+
+    estimate = _windowed(config.w, solve_and_estimate)
+    step = _bregman_step(config, alpha, first.d1)
+    return replace(_run(stream, config, alpha, eta, estimate, step), s=s, m=m)
 
 
 def run_oagd(stream: Stream, config: ObboConfig) -> RunTrace:
@@ -410,42 +381,21 @@ def run_oagd(stream: Stream, config: ObboConfig) -> RunTrace:
     evaluations per step), then takes a Euclidean proximal step. Defaults to a
     single inner step with eta = 2 / (l_g1 + mu_g).
     """
-    if len(stream) == 0:
-        raise ValueError("empty stream")
-    alpha, eta, K = _resolve_steps(stream[0], config, "oagd")
-    lam, beta = _initial_iterates(stream, config)
+    alpha, eta, K = _resolve_steps(stream, config, "oagd")
     window: deque[ProblemInstant] = deque(maxlen=config.w)
-    builder = _TraceBuilder()
-    euclid = DistanceGenerator.euclidean()
-    ones = np.ones(stream[0].d1)
 
-    for instant in stream:
-        t0 = time.perf_counter()
-        solve = inner_gd(instant, lam, beta, eta, K)
-        beta_next = solve.final
+    def estimate(instant, lam, beta):
+        beta_next = inner_gd(instant, lam, beta, eta, K).final
         window.append(instant)
         total = np.zeros(instant.d1)
         for past in window:
-            total = total + implicit_hypergradient(past, lam, beta_next)
-        q = _clip(total / config.w, config.clip_threshold)
-        _check_finite("hypergradient estimate", q, instant.t)
-        lam_next = prox_step(q, lam, alpha, euclid, config.regularizer, config.feasible)
-        _check_finite("outer iterate", lam_next, instant.t)
-        builder.add(
-            lambdas=lam.copy(),
-            betas=beta_next.copy(),
-            estimates=implicit_hypergradient(instant, lam, beta_next),
-            smoothed=q.copy(),
-            gen_proj_norm_sq=float(np.sum(((lam - lam_next) / alpha) ** 2)),
-            phi_diags=ones.copy(),
-            outer_loss=instant.f_value(lam, beta_next),
-            inner_residual=float(
-                np.linalg.norm(instant.grad_g_beta(lam, beta_next))
-            ),
-            step_ms=(time.perf_counter() - t0) * 1e3,
-        )
-        lam, beta = lam_next, beta_next
-    return builder.build(lam, beta, alpha, eta, config.w, config)
+            est = implicit_hypergradient(past, lam, beta_next)
+            total = total + est
+        # The loop ends on the current instant, so est is this round's own.
+        return beta_next, est, total / config.w
+
+    step = _bregman_step(replace(config, phi_mode="euclidean"), alpha, stream[0].d1)
+    return _run(stream, config, alpha, eta, estimate, step)
 
 
 def run_sobow(stream: Stream, config: ObboConfig) -> RunTrace:
@@ -475,35 +425,14 @@ def run_single_level(
     """
     if method not in ("adam", "sgdm"):
         raise ValueError(f"unknown single-level method {method!r}")
-    if len(stream) == 0:
-        raise ValueError("empty stream")
-    mode, est_fn = _resolve_estimator(config, None)
-    alpha, eta, K = _resolve_steps(stream[0], config, "single")
-    lam, beta = _initial_iterates(stream, config)
-    buffer = WindowBuffer(config.w)
-    builder = _TraceBuilder()
+    alpha, eta, K = _resolve_steps(stream, config, "single")
     d1 = stream[0].d1
-    ones = np.ones(d1)
-
     beta1, beta2, eps_adam = 0.9, 0.999, 1e-8
-    m_state = np.zeros(d1)
-    v_state = np.zeros(d1)
+    m_state, v_state, ones = np.zeros(d1), np.zeros(d1), np.ones(d1)
     step_idx = 0
 
-    for instant in stream:
-        t0 = time.perf_counter()
-        if mode == "exact":
-            if instant.inner_opt is None:
-                raise ValueError("exact estimator requires the inner_opt oracle")
-            beta_next = instant.inner_opt(lam)
-            est = implicit_hypergradient(instant, lam, beta_next)
-        else:
-            solve = inner_gd(instant, lam, beta, eta, K)
-            beta_next = solve.final
-            est = est_fn(instant, lam, solve)
-        _check_finite("hypergradient estimate", est, instant.t)
-        buffer.push(est)
-        q = _clip(window_average(buffer), config.clip_threshold)
+    def step(q, lam):
+        nonlocal m_state, v_state, step_idx
         step_idx += 1
         if method == "adam":
             m_state = beta1 * m_state + (1.0 - beta1) * q
@@ -514,20 +443,7 @@ def run_single_level(
         else:
             m_state = momentum * m_state + q
             delta = m_state
-        lam_next = config.feasible.project(lam - alpha * delta)
-        _check_finite("outer iterate", lam_next, instant.t)
-        builder.add(
-            lambdas=lam.copy(),
-            betas=beta_next.copy(),
-            estimates=est.copy(),
-            smoothed=q.copy(),
-            gen_proj_norm_sq=float(np.sum(((lam - lam_next) / alpha) ** 2)),
-            phi_diags=ones.copy(),
-            outer_loss=instant.f_value(lam, beta_next),
-            inner_residual=float(
-                np.linalg.norm(instant.grad_g_beta(lam, beta_next))
-            ),
-            step_ms=(time.perf_counter() - t0) * 1e3,
-        )
-        lam, beta = lam_next, beta_next
-    return builder.build(lam, beta, alpha, eta, config.w, config)
+        return config.feasible.project(lam - alpha * delta), ones
+
+    estimate = _gd_estimate(config, eta, K, None)
+    return _run(stream, config, alpha, eta, estimate, step)

@@ -67,10 +67,6 @@ class SplineTask:
     def T(self) -> int:
         return len(self.train_batches)
 
-    @property
-    def n_coef(self) -> int:
-        return len(self.knots)
-
 
 def linear_spline_basis(x, knots) -> np.ndarray:
     """Dense design matrix of linear B-splines (hat functions) at the knots.

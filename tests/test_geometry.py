@@ -226,7 +226,7 @@ class TestAdaptiveDiag:
     def test_emitted_diag_floor(self):
         state = AdaptiveDiagState.fresh(3, epsilon=1e-8)
         assert np.all(state.diag() >= 1e-8)
-        gen = state.generator()
+        gen = DistanceGenerator.diagonal(state.diag())
         assert gen.rho == pytest.approx(1e-8)
 
     def test_non_finite_grad_raises(self):

@@ -1,0 +1,98 @@
+"""Golden-output regression test for the experiment harness.
+
+Runs shipped configs (and ``golden/paths.config.json``, which reaches the
+optimizer paths the shipped configs leave out: OAGD with a window, the
+implicit estimator with L1 + box + adaptive geometry, SGDM with the exact
+estimator, SOBBO with adaptive geometry and active clipping, and SOBOW)
+through ``cli_run`` and compares every CSV value and manifest summary with
+the recorded fixture at rtol 1e-12, atol 1e-14. The tolerance absorbs BLAS
+differences across platforms; any change to the arithmetic shows up.
+
+Re-record (only when a change to the numbers is intended) with::
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from obbo.harness.config import parse_config
+from obbo.harness.runner import cli_run
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+CONFIGS = {
+    "reference": ROOT / "configs" / "reference.json",
+    "spline": ROOT / "configs" / "spline.json",
+    "paths": GOLDEN_DIR / "paths.config.json",
+}
+RTOL, ATOL = 1e-12, 1e-14
+
+
+def collect(config_path: Path, out_dir: Path) -> dict:
+    """Run a config and gather its CSV values and manifest summaries."""
+    manifest = cli_run(parse_config(config_path), out_dir)
+    runs = {}
+    for entry in manifest["outputs"]:
+        run = {"status": entry["status"]}
+        if entry["status"] == "ok":
+            lines = (out_dir / entry["file"]).read_text().splitlines()
+            run["columns"] = lines[1].split(",")[1:]
+            run["rows"] = [
+                [float(cell) if cell else None for cell in line.split(",")[1:]]
+                for line in lines[2:]
+            ]
+            run["terminal"] = entry["terminal"]
+            if "variations" in entry:
+                run["variations"] = entry["variations"]
+        runs[entry["run_id"]] = run
+    return runs
+
+
+def _assert_close(got, want, where: str) -> None:
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), where
+        for key in want:
+            _assert_close(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_close(g, w, f"{where}[{i}]")
+    elif isinstance(want, float):
+        assert isinstance(got, (int, float)) and math.isclose(
+            got, want, rel_tol=RTOL, abs_tol=ATOL
+        ), f"{where}: got {got!r}, want {want!r}"
+    else:
+        assert got == want, f"{where}: got {got!r}, want {want!r}"
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_outputs_match_golden(name, tmp_path):
+    want = json.loads((GOLDEN_DIR / f"{name}.golden.json").read_text())
+    got = collect(CONFIGS[name], tmp_path)
+    _assert_close(got, want, name)
+
+
+def record() -> None:
+    for name, config_path in CONFIGS.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            runs = collect(config_path, Path(tmp))
+        # One run per line keeps the file small and its diffs per run.
+        body = ",\n".join(
+            f"{json.dumps(run_id)}: {json.dumps(run, sort_keys=True)}"
+            for run_id, run in sorted(runs.items())
+        )
+        path = GOLDEN_DIR / f"{name}.golden.json"
+        path.write_text("{\n" + body + "\n}\n")
+        print(f"recorded {len(runs)} run(s) to {path}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    record()

@@ -11,7 +11,6 @@ from obbo.hypergrad import (
     inner_sgd,
     itd_hypergradient,
     stochastic_hypergradient,
-    window_average,
 )
 from obbo.problems import StreamConfig, quadratic_instant, quadratic_stream
 
@@ -316,13 +315,13 @@ class TestWindowBuffer:
         buf = WindowBuffer(1)
         buf.push([1.0, 2.0])
         buf.push([3.0, -1.0])
-        np.testing.assert_array_equal(window_average(buf), [3.0, -1.0])
+        np.testing.assert_array_equal(buf.average(), [3.0, -1.0])
 
     def test_zero_padding_before_full(self):
         buf = WindowBuffer(3)
         buf.push([1.0, 0.0])
         buf.push([0.0, 1.0])
-        np.testing.assert_allclose(window_average(buf), [1 / 3, 1 / 3])
+        np.testing.assert_allclose(buf.average(), [1 / 3, 1 / 3])
         assert len(buf) == 2
 
     def test_full_buffer_of_identical_vectors(self):
@@ -330,13 +329,13 @@ class TestWindowBuffer:
         v = np.array([0.5, -2.0, 1.0])
         for _ in range(4):
             buf.push(v)
-        np.testing.assert_allclose(window_average(buf), v)
+        np.testing.assert_allclose(buf.average(), v)
 
     def test_eviction_oldest_first(self):
         buf = WindowBuffer(2)
         for v in ([1.0], [2.0], [3.0]):
             buf.push(v)
-        np.testing.assert_allclose(window_average(buf), [2.5])
+        np.testing.assert_allclose(buf.average(), [2.5])
 
     def test_linearity(self):
         rng = np.random.default_rng(20)
@@ -346,11 +345,11 @@ class TestWindowBuffer:
         for e in entries:
             buf1.push(e)
             buf2.push(a * e)
-        np.testing.assert_allclose(a * window_average(buf1), window_average(buf2))
+        np.testing.assert_allclose(a * buf1.average(), buf2.average())
 
     def test_empty_average_raises(self):
         with pytest.raises(ValueError):
-            window_average(WindowBuffer(2))
+            WindowBuffer(2).average()
 
 
 class TestImplicitHypergradient:

@@ -148,6 +148,13 @@ class TestRunObbo:
         with pytest.raises(DivergenceError, match="t=1"):
             run_obbo(stream, config)
 
+    def test_overflowing_window_average_aborts(self):
+        # Each estimate is finite, but the window sum of two overflows.
+        stream = static_stream(T=5)
+        config = ObboConfig(alpha=0.1, eta=0.1, K=2, w=2)
+        with pytest.raises(DivergenceError, match="t=2"):
+            run_obbo(stream, config, estimator=lambda *_: np.full(2, 1e308))
+
     def test_infeasible_lambda0_rejected(self):
         stream = static_stream(T=5)
         box = FeasibleSet.box([-1.0, -1.0], [1.0, 1.0])
