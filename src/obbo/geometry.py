@@ -30,7 +30,7 @@ def _as_vector(name: str, x, d: int | None = None) -> np.ndarray:
         raise ValueError(f"{name} must be a vector, got shape {x.shape}")
     if d is not None and x.size != d:
         raise ValueError(f"{name} has length {x.size}, expected {d}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError(f"{name} contains non-finite entries")
     return x
 
@@ -166,7 +166,7 @@ class FeasibleSet:
 
     def contains(self, x, tol: float = 0.0) -> bool:
         x = np.asarray(x, dtype=float)
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             return False
         if self.kind == "full":
             return True

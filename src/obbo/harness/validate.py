@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from ..optimizers import default_neumann_bound
+from ..optimizers import default_inner_step, default_neumann_bound
 from ..problems.base import outer_grad_lipschitz
 from .config import HarnessConfig
 from .runner import build_optimizer_config, build_stream
@@ -84,7 +84,7 @@ def validate_experiment(exp) -> list[str]:
                 )
 
     if kind in ("obbo", "sobow") and horizon and config.K is not None:
-        eta_eff = eta if eta is not None else 1.0 / (2.0 * ell)
+        eta_eff = eta if eta is not None else default_inner_step(kind, mu, ell)
         contraction = 1.0 - eta_eff * mu
         if 0.0 < contraction < 1.0:
             recommended = math.log(horizon) / math.log(1.0 / contraction) + 1.0

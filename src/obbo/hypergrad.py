@@ -49,7 +49,14 @@ class InnerSolveResult:
 
 
 def _descend(t: int, grad, lam, beta0, eta: float, K: int, *extra) -> InnerSolveResult:
-    """K steps omega <- omega - eta * grad(lam, omega, *extra) from beta0."""
+    """K steps omega <- omega - eta * grad(lam, omega, *extra) from beta0.
+
+    Finiteness is checked once, after the loop, and is equivalent to a check
+    after every step: non-finite rows are found by scanning the whole
+    trajectory, not only the last iterate, and the error names the first one.
+    The steps after it still run under the ignored floating-point warnings,
+    but the error discards their results.
+    """
     if eta <= 0:
         raise ValueError("inner step size must be positive")
     if K < 1:
@@ -59,15 +66,16 @@ def _descend(t: int, grad, lam, beta0, eta: float, K: int, *extra) -> InnerSolve
     traj = np.empty((K + 1, beta0.size))
     traj[0] = beta0
     omega = beta0
-    for k in range(1, K + 1):
-        with np.errstate(over="ignore", invalid="ignore"):
-            omega = omega - eta * grad(lam, omega, *extra)
-        if not np.all(np.isfinite(omega)):
-            raise DivergenceError(
-                f"inner iterate diverged at k={k} (t={t}); "
-                f"eta={eta} likely violates the step size condition"
-            )
-        traj[k] = omega
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, K + 1):
+            omega = traj[k] = omega - eta * grad(lam, omega, *extra)
+    steps = traj[1:]
+    if not np.isfinite(steps).all():
+        k = 1 + int(np.argmin(np.isfinite(steps).all(axis=1)))
+        raise DivergenceError(
+            f"inner iterate diverged at k={k} (t={t}); "
+            f"eta={eta} likely violates the step size condition"
+        )
     return InnerSolveResult(trajectory=traj, eta=eta, K=K)
 
 

@@ -109,12 +109,12 @@ def compute_regret_series(stream: Stream, trace: RunTrace) -> RegretSeries:
         raise ValueError("stream shorter than trace")
     w, alpha = trace.w, trace.alpha
     h, X = trace.config.regularizer, trace.config.feasible
-    grads = [exact_grad(stream[t], trace.lambdas[t]) for t in range(T)]
+    grads = np.array([exact_grad(stream[t], trace.lambdas[t]) for t in range(T)])
     terms = np.empty(T)
     eucl = np.empty(T)
     for t in range(T):
         lo = max(0, t - w + 1)
-        smoothed = np.sum(grads[lo : t + 1], axis=0) / w
+        smoothed = grads[lo : t + 1].sum(axis=0) / w
         eucl[t] = float(smoothed @ smoothed)
         g = generalized_projection(
             trace.lambdas[t], smoothed, alpha, _phi_for_row(trace, t), h, X

@@ -55,6 +55,7 @@ __all__ = [
     "run_sobow",
     "run_single_level",
     "default_neumann_bound",
+    "default_inner_step",
 ]
 
 Estimator = Callable[[ProblemInstant, np.ndarray, InnerSolveResult | None], np.ndarray]
@@ -163,6 +164,17 @@ def default_neumann_bound(w: int, mu_g: float, l_g1: float) -> int:
     return int(math.ceil(math.log(w) / math.log(1.0 / ratio))) + 1
 
 
+def default_inner_step(algorithm: str, mu_g: float, l_g1: float) -> float:
+    """Inner step size when the config leaves ``eta`` unset.
+
+    OAGD takes the contraction-optimal 2 / (l_g1 + mu_g); every other
+    optimizer the conservative 1 / (2 l_g1).
+    """
+    if algorithm == "oagd":
+        return 2.0 / (l_g1 + mu_g)
+    return 1.0 / (2.0 * l_g1)
+
+
 def _resolve_steps(
     stream: Stream, config: ObboConfig, algorithm: str
 ) -> tuple[float, float, int]:
@@ -171,10 +183,7 @@ def _resolve_steps(
     instant = stream[0]
     eta = config.eta
     if eta is None:
-        if algorithm == "oagd":
-            eta = 2.0 / (instant.l_g1 + instant.mu_g)
-        else:
-            eta = 1.0 / (2.0 * instant.l_g1)
+        eta = default_inner_step(algorithm, instant.mu_g, instant.l_g1)
     alpha = config.alpha
     if alpha is None:
         if instant.l_f1 is None:
@@ -223,7 +232,7 @@ def _clip(q: np.ndarray, threshold: float | None) -> np.ndarray:
 
 
 def _check_finite(name: str, x: np.ndarray, t: int) -> None:
-    if not np.all(np.isfinite(np.atleast_1d(x))):
+    if not np.isfinite(x).all():
         raise DivergenceError(f"{name} became non-finite at t={t}; aborting run")
 
 
@@ -248,7 +257,7 @@ def _run(
         lam_next, phi_diags[i] = step(q, lam)
         _check_finite("outer iterate", lam_next, instant.t)
         lambdas[i], betas[i], estimates[i], smoothed[i] = lam, beta_next, est, q
-        gen_proj_norm_sq[i] = np.sum(((lam - lam_next) / alpha) ** 2)
+        gen_proj_norm_sq[i] = (((lam - lam_next) / alpha) ** 2).sum()
         outer_loss[i] = instant.f_value(lam, beta_next)
         inner_residual[i] = np.linalg.norm(instant.grad_g_beta(lam, beta_next))
         lam, beta = lam_next, beta_next
@@ -308,7 +317,12 @@ def _gd_estimate(
 
 
 def _bregman_step(config: ObboConfig, alpha: float, d1: int) -> Callable:
-    """Prox step under the round's Euclidean or adaptive diagonal generator."""
+    """Prox step under the round's Euclidean or adaptive diagonal generator.
+
+    The adaptive generator is built directly: its diagonal sqrt(avg) + eps is
+    positive, and only an overflowing average makes it non-finite, which is
+    the one case ``DistanceGenerator.diagonal`` would reject.
+    """
     phi, diag, state = DistanceGenerator.euclidean(), np.ones(d1), None
     if config.phi_mode == "adaptive":
         state = AdaptiveDiagState.fresh(
@@ -320,7 +334,9 @@ def _bregman_step(config: ObboConfig, alpha: float, d1: int) -> Callable:
         if state is not None:
             state = adaptive_update(state, q)
             diag = state.diag()
-            phi = DistanceGenerator.diagonal(diag)
+            if not math.isfinite(diag.max()):
+                raise ValueError("diag contains non-finite entries")
+            phi = DistanceGenerator("diagonal", diag, float(diag.min()))
         return prox_step(q, lam, alpha, phi, config.regularizer, config.feasible), diag
 
     return step

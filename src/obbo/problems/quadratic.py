@@ -46,39 +46,69 @@ def quadratic_instant(
     d2, d1 = A.shape
     if Q.shape != (d2, d2) or b.shape != (d2,) or c.shape != (d2,):
         raise ValueError("inconsistent quadratic instant dimensions")
-    if not np.allclose(Q, Q.T):
-        raise ValueError("Q must be symmetric")
     phases = np.zeros(d1) if phases is None else np.asarray(phases, dtype=float)
     if phases.shape != (d1,):
         raise ValueError("phases must have length d1")
+    mu_g, l_g1 = _spectrum_bounds(Q)
+    return _build_instant(t, A, b, Q, c, amp, phases, noise, stochastic, mu_g, l_g1)
+
+
+def _spectrum_bounds(Q: np.ndarray) -> tuple[float, float]:
+    """(mu_g, l_g1) of a symmetric positive definite Q; rejects any other Q."""
+    if not np.allclose(Q, Q.T):
+        raise ValueError("Q must be symmetric")
     evals = np.linalg.eigvalsh(Q)
     mu_g, l_g1 = float(evals[0]), float(evals[-1])
     if mu_g <= 0:
         raise ValueError("Q must be positive definite")
+    return mu_g, l_g1
 
-    def residual(lam, beta):
-        return beta - A @ lam - b
+
+def _build_instant(
+    t: int,
+    A: np.ndarray,
+    b: np.ndarray,
+    Q: np.ndarray,
+    c: np.ndarray,
+    amp: float,
+    phases: np.ndarray,
+    noise: tuple[float, float],
+    stochastic: bool,
+    mu_g: float,
+    l_g1: float,
+) -> ProblemInstant:
+    """The oracle bundle for validated data and the spectrum bounds of Q.
+
+    Each oracle is one flat closure over the data; the sampled variants
+    repeat the deterministic formulas rather than calling them, and
+    ``-A'`` is formed once (negation is exact, so the products match
+    ``-A.T @ x`` bit for bit).
+    """
+    d2, d1 = A.shape
+    At = A.T
+    neg_At = -At
+    neg_amp = -amp
 
     def f_value(lam, beta):
-        return 0.5 * float(np.sum((beta - c) ** 2)) + amp * float(
-            np.sum(np.cos(lam + phases))
+        return 0.5 * float(((beta - c) ** 2).sum()) + amp * float(
+            np.cos(lam + phases).sum()
         )
 
     def grad_f_lambda(lam, beta):
-        return -amp * np.sin(lam + phases)
+        return neg_amp * np.sin(lam + phases)
 
     def grad_f_beta(lam, beta):
         return beta - c
 
     def g_value(lam, beta):
-        r = residual(lam, beta)
+        r = beta - A @ lam - b
         return 0.5 * float(r @ (Q @ r))
 
     def grad_g_beta(lam, beta):
-        return Q @ residual(lam, beta)
+        return Q @ (beta - A @ lam - b)
 
     def hvp_g_lambdabeta(lam, beta, v):
-        return -A.T @ (Q @ v)
+        return neg_At @ (Q @ v)
 
     def hvp_g_betabeta(lam, beta, v):
         return Q @ v
@@ -87,7 +117,7 @@ def quadratic_instant(
         return A @ lam + b
 
     def exact_hypergradient(lam):
-        return -amp * np.sin(lam + phases) + A.T @ (A @ lam + b - c)
+        return neg_amp * np.sin(lam + phases) + At @ (A @ lam + b - c)
 
     common = dict(
         t=t,
@@ -120,38 +150,35 @@ def quadratic_instant(
 
         def grad_g_beta_sampled(lam, beta, s, rng):
             xi = rng.standard_normal(d2) * (sigma_g / np.sqrt(d2 * s))
-            return grad_g_beta(lam, beta) + xi
+            return Q @ (beta - A @ lam - b) + xi
 
     else:
 
         def grad_g_beta_sampled(lam, beta, s, rng):
-            return grad_g_beta(lam, beta)
+            return Q @ (beta - A @ lam - b)
 
     if sigma_f > 0:
+        scale_f1, scale_f2 = sigma_f / np.sqrt(d1), sigma_f / np.sqrt(d2)
 
         def grad_f_lambda_sampled(lam, beta, rng):
-            return grad_f_lambda(lam, beta) + rng.standard_normal(d1) * (
-                sigma_f / np.sqrt(d1)
-            )
+            return neg_amp * np.sin(lam + phases) + rng.standard_normal(d1) * scale_f1
 
         def grad_f_beta_sampled(lam, beta, rng):
-            return grad_f_beta(lam, beta) + rng.standard_normal(d2) * (
-                sigma_f / np.sqrt(d2)
-            )
+            return beta - c + rng.standard_normal(d2) * scale_f2
 
     else:
 
         def grad_f_lambda_sampled(lam, beta, rng):
-            return grad_f_lambda(lam, beta)
+            return neg_amp * np.sin(lam + phases)
 
         def grad_f_beta_sampled(lam, beta, rng):
-            return grad_f_beta(lam, beta)
+            return beta - c
 
     def hvp_g_lambdabeta_sampled(lam, beta, v, rng):
-        return hvp_g_lambdabeta(lam, beta, v)
+        return neg_At @ (Q @ v)
 
     def hvp_g_betabeta_sampled(lam, beta, v, rng):
-        return hvp_g_betabeta(lam, beta, v)
+        return Q @ v
 
     return StochasticInstant(
         **common,
@@ -202,20 +229,17 @@ def quadratic_stream(
 
     if stochastic is None:
         stochastic = max(config.noise) > 0
+    mu_g, l_g1 = _spectrum_bounds(Q)
 
+    # Q is fixed, so it is checked once above rather than per instant. The
+    # drift rebinds b and c and never writes them in place, so instants can
+    # share the arrays they were built with.
     instants: list[ProblemInstant] = []
     for t in range(1, T + 1):
         instants.append(
-            quadratic_instant(
-                t=t,
-                A=A,
-                b=b.copy(),
-                Q=Q,
-                c=c.copy(),
-                amp=config.cos_amplitude,
-                phases=phases,
-                noise=config.noise,
-                stochastic=stochastic,
+            _build_instant(
+                t, A, b, Q, c, config.cos_amplitude, phases, config.noise,
+                stochastic, mu_g, l_g1,
             )
         )
         if t < T:

@@ -106,13 +106,16 @@ def _spline_instant(
     B_val: np.ndarray,
     y_val: np.ndarray,
     omega: np.ndarray,
+    omega_norm: float,
+    ridge: np.ndarray,
     lam_lower: float,
     lam_upper: float,
 ) -> ProblemInstant:
+    """One round's oracles; ``omega_norm`` (= ||omega||_2) and ``ridge``
+    (= RIDGE_FLOOR * I) are fixed across the stream and passed in."""
     BtB = B_tr.T @ B_tr
     Bty = B_tr.T @ y_tr
     n = omega.shape[0]
-    ridge = RIDGE_FLOOR * np.eye(n)
 
     mu_g = 2.0 * float(np.linalg.eigvalsh(BtB + lam_lower * omega + ridge)[0])
     l_g1 = 2.0 * float(np.linalg.eigvalsh(BtB + lam_upper * omega + ridge)[-1])
@@ -121,7 +124,6 @@ def _spline_instant(
             "inner problem is not strongly convex over the lam box; "
             "raise the lower bound or the ridge floor"
         )
-    omega_norm = float(np.linalg.norm(omega, 2))
 
     def _lam_scalar(lam):
         lam = np.atleast_1d(np.asarray(lam, dtype=float))
@@ -200,6 +202,8 @@ def _spline_instant(
 def spline_stream(task: SplineTask) -> list[ProblemInstant]:
     """Materialize the per-round oracle bundles for a spline task."""
     omega = roughness_penalty(task.knots)
+    omega_norm = float(np.linalg.norm(omega, 2))
+    ridge = RIDGE_FLOOR * np.eye(omega.shape[0])
     instants = []
     for i, ((x_tr, y_tr), (x_val, y_val)) in enumerate(
         zip(task.train_batches, task.val_batches)
@@ -214,6 +218,8 @@ def spline_stream(task: SplineTask) -> list[ProblemInstant]:
                 B_val=B_val,
                 y_val=np.asarray(y_val, dtype=float),
                 omega=omega,
+                omega_norm=omega_norm,
+                ridge=ridge,
                 lam_lower=task.lambda_lower,
                 lam_upper=task.lambda_upper,
             )

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -76,9 +78,18 @@ class TestInnerGd:
                     assert cur / prev <= ratio_bound + 1e-12
 
     def test_divergent_step_size_raises(self):
+        # The error names the first non-finite step, as a check after every
+        # step would; k=106 is what that per-step check reported.
         inst = one_dim_instant(q=4.0)
-        with pytest.raises(DivergenceError):
+        with pytest.raises(DivergenceError, match=r"diverged at k=106 \(t=1\)"):
             inner_gd(inst, np.array([0.0]), np.array([1e3]), 200.0, 400)
+
+    def test_divergence_is_not_a_floating_point_warning(self):
+        inst = one_dim_instant(q=4.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError):
+                inner_gd(inst, np.array([0.0]), np.array([1e3]), 200.0, 400)
 
 
 class TestInnerSgd:

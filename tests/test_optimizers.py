@@ -155,6 +155,14 @@ class TestRunObbo:
         with pytest.raises(DivergenceError, match="t=2"):
             run_obbo(stream, config, estimator=lambda *_: np.full(2, 1e308))
 
+    def test_overflowing_adaptive_diagonal_rejected(self):
+        # A finite estimate whose square overflows gives the adaptive
+        # generator an infinite diagonal entry, which is rejected.
+        stream = static_stream(T=5)
+        config = ObboConfig(alpha=0.1, eta=0.1, K=2, w=1, phi_mode="adaptive")
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+            run_obbo(stream, config, estimator=lambda *_: np.full(2, 1e200))
+
     def test_infeasible_lambda0_rejected(self):
         stream = static_stream(T=5)
         box = FeasibleSet.box([-1.0, -1.0], [1.0, 1.0])

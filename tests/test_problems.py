@@ -128,8 +128,41 @@ class TestQuadraticStream:
         np.testing.assert_array_equal(
             inst.grad_f_beta_sampled(lam, beta, rng), inst.grad_f_beta(lam, beta)
         )
+        np.testing.assert_array_equal(
+            inst.grad_f_lambda_sampled(lam, beta, rng), inst.grad_f_lambda(lam, beta)
+        )
+        v = np.array([0.3, -1.2, 0.7])
+        np.testing.assert_array_equal(
+            inst.hvp_g_lambdabeta_sampled(lam, beta, v, rng),
+            inst.hvp_g_lambdabeta(lam, beta, v),
+        )
+        np.testing.assert_array_equal(
+            inst.hvp_g_betabeta_sampled(lam, beta, v, rng),
+            inst.hvp_g_betabeta(lam, beta, v),
+        )
         # zero-noise oracles must not consume random state
         assert rng.bit_generator.state["state"]["state"] == state_before
+
+    def test_stream_constants_match_a_standalone_instant(self):
+        # The stream computes Q's spectrum once; each instant must carry what
+        # quadratic_instant computes from that instant's own data.
+        for inst in quadratic_stream(drifting_config(d1=3, d2=5, kappa_target=30.0)):
+            d1, d2 = inst.d1, inst.d2
+            Q = np.column_stack(
+                [inst.hvp_g_betabeta(np.zeros(d1), np.zeros(d2), e) for e in np.eye(d2)]
+            )
+            b = inst.inner_opt(np.zeros(d1))
+            A = np.column_stack([inst.inner_opt(e) - b for e in np.eye(d1)])
+            c = -inst.grad_f_beta(np.zeros(d1), np.zeros(d2))
+            alone = quadratic_instant(t=inst.t, A=A, b=b, Q=Q, c=c)
+            assert (inst.mu_g, inst.l_g1) == (alone.mu_g, alone.l_g1)
+
+    def test_instant_rejects_asymmetric_or_indefinite_q(self):
+        data = dict(t=1, A=[[1.0], [0.0]], b=[0.0, 0.0], c=[0.0, 0.0])
+        with pytest.raises(ValueError, match="symmetric"):
+            quadratic_instant(Q=[[2.0, 0.5], [0.0, 2.0]], **data)
+        with pytest.raises(ValueError, match="positive definite"):
+            quadratic_instant(Q=[[1.0, 0.0], [0.0, -1.0]], **data)
 
     def test_sampled_gradients_unbiased(self):
         stream = quadratic_stream(drifting_config(noise=(0.5, 0.4)))
