@@ -14,11 +14,9 @@ Library layout:
 """
 
 from .geometry import (
-    AdaptiveDiagState,
     DistanceGenerator,
     FeasibleSet,
     Regularizer,
-    adaptive_update,
     bregman_divergence,
     generalized_projection,
     prox_step,

@@ -8,19 +8,17 @@ constraint), so every operation has a closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "DistanceGenerator",
-    "AdaptiveDiagState",
     "Regularizer",
     "FeasibleSet",
     "bregman_divergence",
     "prox_step",
     "generalized_projection",
-    "adaptive_update",
 ]
 
 
@@ -72,38 +70,6 @@ class DistanceGenerator:
         if self.diag.size != d:
             raise ValueError(f"generator has dimension {self.diag.size}, expected {d}")
         return self.diag
-
-
-@dataclass(frozen=True)
-class AdaptiveDiagState:
-    """Running average of squared gradient coordinates backing an adaptive
-    diagonal generator.
-
-    The emitted diagonal is sqrt(avg_sq) + epsilon, so every entry stays at or
-    above epsilon and the per-step generator keeps a positive modulus.
-    """
-
-    avg_sq: np.ndarray
-    beta: float = 0.9
-    epsilon: float = 1e-8
-
-    @staticmethod
-    def fresh(d: int, beta: float = 0.9, epsilon: float = 1e-8) -> "AdaptiveDiagState":
-        if not 0.0 < beta < 1.0:
-            raise ValueError("beta must lie in (0, 1)")
-        if epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        return AdaptiveDiagState(avg_sq=np.zeros(d), beta=beta, epsilon=epsilon)
-
-    def diag(self) -> np.ndarray:
-        return np.sqrt(self.avg_sq) + self.epsilon
-
-
-def adaptive_update(state: AdaptiveDiagState, grad) -> AdaptiveDiagState:
-    """Fold a new gradient into the running average of squared coordinates."""
-    grad = _as_vector("grad", grad, state.avg_sq.size)
-    avg = state.beta * state.avg_sq + (1.0 - state.beta) * grad**2
-    return replace(state, avg_sq=avg)
 
 
 @dataclass(frozen=True)

@@ -62,75 +62,51 @@ MANIFEST_SCHEMA = "obbo-manifest-v1"
 MAX_LAMBDA_COLUMNS = 8
 
 
-def _drift_from_spec(spec: dict | None) -> DriftSpec:
-    if spec is None:
-        return DriftSpec.static()
-    return DriftSpec(
-        kind=spec.get("kind", "static"),
-        rate=spec.get("rate", 1.0),
-        scale=spec.get("scale", 1.0),
-    )
+# The keyword arguments of make_drifting_spline_task a stream spec may set.
+_SPLINE_TASK_KEYS = (
+    "n_knots", "n_train", "n_val", "noise_std", "lambda_lower", "lambda_upper",
+    "freq_start", "freq_end", "amp_start", "amp_end",
+)
+
+
+def _given(spec: dict, keys) -> dict:
+    return {key: spec[key] for key in keys if key in spec}
 
 
 def build_stream(spec: dict, run_seed: int):
     """Materialize the stream for one run.
 
     The spec may pin its own structural ``seed``; otherwise the run seed is
-    used, so repetitions see different problem realizations.
+    used, so repetitions see different problem realizations. Keys the spec
+    omits keep the stream builder's defaults.
     """
     kind = spec["kind"]
-    seed = spec.get("seed", run_seed)
+    fields = {"seed": spec.get("seed", run_seed)}
+    if spec.get("drift") is not None:
+        fields["drift"] = DriftSpec(**spec["drift"])
     if kind == "quadratic":
-        config = StreamConfig(
-            d1=spec["d1"],
-            d2=spec["d2"],
-            T=spec["T"],
-            kappa_target=spec.get("kappa_target", 10.0),
-            drift=_drift_from_spec(spec.get("drift")),
-            noise=tuple(spec.get("noise", (0.0, 0.0))),
-            seed=seed,
-            cos_amplitude=spec.get("cos_amplitude", 0.5),
-        )
-        return quadratic_stream(config, stochastic=spec.get("stochastic"))
+        fields.update(_given(spec, ("kappa_target", "cos_amplitude")))
+        if "noise" in spec:
+            fields["noise"] = tuple(spec["noise"])
+        config = StreamConfig(d1=spec["d1"], d2=spec["d2"], T=spec["T"], **fields)
+        return quadratic_stream(config, **_given(spec, ("stochastic",)))
     if kind == "spline_synthetic":
         task = make_drifting_spline_task(
-            seed=seed,
-            T=spec["T"],
-            n_knots=spec.get("n_knots", 12),
-            n_train=spec.get("n_train", 60),
-            n_val=spec.get("n_val", 30),
-            noise_std=spec.get("noise_std", 0.25),
-            lambda_lower=spec.get("lambda_lower", 1e-4),
-            lambda_upper=spec.get("lambda_upper", 10.0),
-            freq_start=spec.get("freq_start", 0.5),
-            freq_end=spec.get("freq_end", 4.0),
-            amp_start=spec.get("amp_start", 0.2),
-            amp_end=spec.get("amp_end", 1.5),
+            seed=fields["seed"], T=spec["T"], **_given(spec, _SPLINE_TASK_KEYS)
         )
         return spline_stream(task)
     if kind == "spline_csv":
         task = load_spline_task_csv(
             spec["path"],
             knots=spec["knots"],
-            lambda_lower=spec.get("lambda_lower", 1e-4),
-            lambda_upper=spec.get("lambda_upper", 10.0),
+            **_given(spec, ("lambda_lower", "lambda_upper")),
         )
         return spline_stream(task)
     if kind == "meta":
         d = spec.get("d", spec.get("d1"))
-        config = StreamConfig(
-            d1=d,
-            d2=d,
-            T=spec["T"],
-            drift=_drift_from_spec(spec.get("drift")),
-            seed=seed,
-        )
+        config = StreamConfig(d1=d, d2=d, T=spec["T"], **fields)
         return meta_toy_stream(
-            config,
-            gamma=spec.get("gamma", 1.0),
-            n_train=spec.get("n_train", 16),
-            n_val=spec.get("n_val", 16),
-            task_noise=spec.get("task_noise", 0.1),
+            config, **_given(spec, ("gamma", "n_train", "n_val", "task_noise"))
         )
     raise ValueError(f"unknown stream kind {kind!r}")
 
@@ -154,7 +130,7 @@ def _feasible_from_spec(spec: dict | None) -> FeasibleSet:
 def build_optimizer_config(spec: dict) -> ObboConfig:
     """Optimizer config from a spec; keys the spec omits keep the defaults."""
     keys = ("alpha", "eta", "K", "w", "clip_threshold", "estimator")
-    fields = {key: spec[key] for key in keys if key in spec}
+    fields = _given(spec, keys)
     phi = spec.get("phi", {})
     phi_keys = {"mode": "phi_mode", "beta": "adapt_beta", "epsilon": "adapt_epsilon"}
     fields.update({name: phi[key] for key, name in phi_keys.items() if key in phi})
@@ -166,7 +142,7 @@ def build_optimizer_config(spec: dict) -> ObboConfig:
         if spec.get(key) is not None:
             fields[key] = np.asarray(spec[key], dtype=float)
     if spec["kind"] == "sobbo":
-        fields.update({key: spec[key] for key in ("s", "m") if key in spec})
+        fields.update(_given(spec, ("s", "m")))
         return SobboConfig(**fields)
     return ObboConfig(**fields)
 

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from ..optimizers import default_inner_step, default_neumann_bound
-from ..problems.base import outer_grad_lipschitz
+from ..problems.base import StochasticInstant, outer_grad_lipschitz
 from .config import HarnessConfig
 from .runner import build_optimizer_config, build_stream
 
@@ -108,9 +108,7 @@ def validate_experiment(exp) -> list[str]:
                 f"{prefix} Neumann bound m={config.m} is below the default "
                 f"m = ceil(log(w)/log(1/(1-mu_g/l_g1))) + 1 = {m_default}"
             )
-        if max(tuple(exp.stream.get("noise", (0.0, 0.0)))) == 0.0 and not exp.stream.get(
-            "stochastic"
-        ):
+        if not isinstance(inst, StochasticInstant):
             notes.append(
                 f"{prefix} sobbo on a stream without sampled oracles; set "
                 "noise > 0 or stochastic=true in the stream spec"

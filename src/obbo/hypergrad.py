@@ -129,14 +129,19 @@ def implicit_hypergradient(instant: ProblemInstant, lam, beta) -> np.ndarray:
 def exact_hypergradient(instant: ProblemInstant, lam) -> np.ndarray:
     """True gradient of the induced outer objective at lam.
 
-    Requires the inner-solution oracle; the Hessian solve is guaranteed
-    nonsingular by the strong convexity of g.
+    Uses the instant's closed form when it has one, otherwise the implicit
+    form at the inner-solution oracle's optimum; the Hessian solve is
+    guaranteed nonsingular by the strong convexity of g.
     """
-    if instant.inner_opt is None:
-        raise ValueError("instant provides no inner_opt oracle")
     lam = np.asarray(lam, dtype=float)
-    beta_hat = instant.inner_opt(lam)
-    return implicit_hypergradient(instant, lam, beta_hat)
+    if instant.exact_hypergradient is not None:
+        return instant.exact_hypergradient(lam)
+    if instant.inner_opt is None:
+        raise ValueError(
+            f"instant t={instant.t} exposes no exact-solution oracle; "
+            "regret metrics need inner_opt or exact_hypergradient"
+        )
+    return implicit_hypergradient(instant, lam, instant.inner_opt(lam))
 
 
 def itd_hypergradient(

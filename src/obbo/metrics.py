@@ -16,16 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import qmc
 
-from .geometry import DistanceGenerator, FeasibleSet, Regularizer, generalized_projection
-from .hypergrad import exact_hypergradient as _solve_exact_hypergradient
+from .geometry import DistanceGenerator, generalized_projection
+from .hypergrad import exact_hypergradient
 from .optimizers import RunTrace
 from .problems.base import ProblemInstant, Stream
 
 __all__ = [
     "RegretSeries",
     "VariationReport",
-    "exact_grad",
-    "blr_term",
     "compute_regret_series",
     "path_variation",
     "path_variation_terms",
@@ -35,18 +33,6 @@ __all__ = [
     "hypergradient_error",
     "build_grid",
 ]
-
-
-def exact_grad(instant: ProblemInstant, lam) -> np.ndarray:
-    """True hypergradient at lam, via the instant's closed form if it has one."""
-    if instant.exact_hypergradient is not None:
-        return instant.exact_hypergradient(np.asarray(lam, dtype=float))
-    if instant.inner_opt is not None:
-        return _solve_exact_hypergradient(instant, lam)
-    raise ValueError(
-        f"instant t={instant.t} exposes no exact-solution oracle; "
-        "regret metrics need inner_opt or exact_hypergradient"
-    )
 
 
 @dataclass
@@ -65,34 +51,12 @@ class RegretSeries:
     euclidean_cumulative: np.ndarray
 
 
-def blr_term(
-    window: list[tuple[ProblemInstant, np.ndarray]],
-    alpha: float,
-    phi: DistanceGenerator,
-    h: Regularizer,
-    X: FeasibleSet,
-    w: int,
-) -> float:
-    """Single local-regret term for a window of (instant, iterate) pairs.
-
-    ``window`` is ordered newest first and may be shorter than w; missing
-    history contributes zero to the smoothed gradient (divisor stays w).
-    """
-    if not window:
-        raise ValueError("window must contain at least the current round")
-    newest_lam = window[0][1]
-    total = np.zeros_like(np.asarray(newest_lam, dtype=float))
-    for instant, lam in window[:w]:
-        total = total + exact_grad(instant, lam)
-    smoothed = total / w
-    g = generalized_projection(newest_lam, smoothed, alpha, phi, h, X)
-    return float(g @ g)
-
-
-def _phi_for_row(trace: RunTrace, t: int) -> DistanceGenerator:
-    if trace.config.phi_mode == "euclidean":
-        return DistanceGenerator.euclidean()
-    return DistanceGenerator.diagonal(trace.phi_diags[t])
+def _exact_grads(stream: Stream, trace: RunTrace) -> np.ndarray:
+    """True hypergradient of each round's objective at that round's iterate."""
+    T = trace.T
+    if len(stream) < T:
+        raise ValueError("stream shorter than trace")
+    return np.array([exact_hypergradient(stream[t], trace.lambdas[t]) for t in range(T)])
 
 
 def compute_regret_series(stream: Stream, trace: RunTrace) -> RegretSeries:
@@ -102,23 +66,21 @@ def compute_regret_series(stream: Stream, trace: RunTrace) -> RegretSeries:
     the w most recent objectives at their historical iterates (zero-padded
     before the start), and each term is the squared generalized projection of
     that average under the round's distance generator, step size, regularizer
-    and feasible set.
+    and feasible set. The generator is the diagonal the run recorded for the
+    round (ones for a Euclidean step), which the run checked to be finite.
     """
-    T = trace.T
-    if len(stream) < T:
-        raise ValueError("stream shorter than trace")
-    w, alpha = trace.w, trace.alpha
+    grads = _exact_grads(stream, trace)
+    T, w, alpha = trace.T, trace.w, trace.alpha
     h, X = trace.config.regularizer, trace.config.feasible
-    grads = np.array([exact_grad(stream[t], trace.lambdas[t]) for t in range(T)])
     terms = np.empty(T)
     eucl = np.empty(T)
     for t in range(T):
         lo = max(0, t - w + 1)
         smoothed = grads[lo : t + 1].sum(axis=0) / w
         eucl[t] = float(smoothed @ smoothed)
-        g = generalized_projection(
-            trace.lambdas[t], smoothed, alpha, _phi_for_row(trace, t), h, X
-        )
+        diag = trace.phi_diags[t]
+        phi = DistanceGenerator("diagonal", diag, float(diag.min()))
+        g = generalized_projection(trace.lambdas[t], smoothed, alpha, phi, h, X)
         terms[t] = float(g @ g)
     return RegretSeries(
         terms=terms,
@@ -130,12 +92,10 @@ def compute_regret_series(stream: Stream, trace: RunTrace) -> RegretSeries:
 
 def hypergradient_error(trace: RunTrace, stream: Stream) -> np.ndarray:
     """Squared error of the stored per-round estimates against exact gradients."""
-    T = trace.T
-    if len(stream) < T:
-        raise ValueError("stream shorter than trace")
-    out = np.empty(T)
-    for t in range(T):
-        diff = trace.estimates[t] - exact_grad(stream[t], trace.lambdas[t])
+    grads = _exact_grads(stream, trace)
+    out = np.empty(trace.T)
+    for t in range(trace.T):
+        diff = trace.estimates[t] - grads[t]
         out[t] = float(diff @ diff)
     return out
 

@@ -1,13 +1,13 @@
 """Outer-loop optimizers over problem streams.
 
 Every optimizer runs the round written once in ``_run``: estimate, clip the
-window average on its squared norm, check it, step, check the new iterate,
-record. Two strategies vary. The estimate is inner GD with the ITD, implicit
-or a caller-supplied estimator, the closed-form ``exact`` solve, or inner SGD
-with the Neumann estimator, each averaged over a ``WindowBuffer``; OAGD
-re-evaluates the last w objectives at the current pair instead. The step is
-a prox under the round's Euclidean or adaptive diagonal generator, or an
-Adam/SGDM step plus projection.
+window average on its squared norm, check it, step, check the new iterate
+and the generator's diagonal, record. Two strategies vary. The estimate is
+inner GD with the ITD, implicit or a caller-supplied estimator, the
+closed-form ``exact`` solve, or inner SGD with the Neumann estimator, each
+averaged over a ``WindowBuffer``; OAGD re-evaluates the last w objectives at
+the current pair instead. The step is a prox under the round's Euclidean or
+adaptive diagonal generator, or an Adam/SGDM step plus projection.
 """
 
 from __future__ import annotations
@@ -19,14 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import (
-    AdaptiveDiagState,
-    DistanceGenerator,
-    FeasibleSet,
-    Regularizer,
-    adaptive_update,
-    prox_step,
-)
+from .geometry import DistanceGenerator, FeasibleSet, Regularizer, prox_step
 from .hypergrad import (
     DivergenceError,
     InnerSolveResult,
@@ -98,6 +91,10 @@ class ObboConfig:
             raise ValueError("eta must be positive")
         if self.phi_mode not in ("euclidean", "adaptive"):
             raise ValueError(f"unknown phi mode {self.phi_mode!r}")
+        if not 0.0 < self.adapt_beta < 1.0:
+            raise ValueError("adapt_beta must lie in (0, 1)")
+        if self.adapt_epsilon <= 0:
+            raise ValueError("adapt_epsilon must be positive")
         if self.clip_threshold is not None and self.clip_threshold <= 0:
             raise ValueError("clip threshold must be positive")
         if self.estimator not in ("itd", "implicit", "exact"):
@@ -256,6 +253,7 @@ def _run(
         _check_finite("hypergradient estimate", q, instant.t)
         lam_next, phi_diags[i] = step(q, lam)
         _check_finite("outer iterate", lam_next, instant.t)
+        _check_finite("adaptive diagonal", phi_diags[i], instant.t)
         lambdas[i], betas[i], estimates[i], smoothed[i] = lam, beta_next, est, q
         gen_proj_norm_sq[i] = (((lam - lam_next) / alpha) ** 2).sum()
         outer_loss[i] = instant.f_value(lam, beta_next)
@@ -319,23 +317,19 @@ def _gd_estimate(
 def _bregman_step(config: ObboConfig, alpha: float, d1: int) -> Callable:
     """Prox step under the round's Euclidean or adaptive diagonal generator.
 
-    The adaptive generator is built directly: its diagonal sqrt(avg) + eps is
-    positive, and only an overflowing average makes it non-finite, which is
-    the one case ``DistanceGenerator.diagonal`` would reject.
+    The adaptive diagonal is sqrt(avg) + eps, where avg is the running average
+    of the squared steps q. It is positive, and only an overflowing average
+    makes it non-finite, which ``_run`` rejects.
     """
-    phi, diag, state = DistanceGenerator.euclidean(), np.ones(d1), None
-    if config.phi_mode == "adaptive":
-        state = AdaptiveDiagState.fresh(
-            d1, beta=config.adapt_beta, epsilon=config.adapt_epsilon
-        )
+    phi, diag = DistanceGenerator.euclidean(), np.ones(d1)
+    adaptive = config.phi_mode == "adaptive"
+    b, eps, avg = config.adapt_beta, config.adapt_epsilon, np.zeros(d1)
 
     def step(q, lam):
-        nonlocal phi, diag, state
-        if state is not None:
-            state = adaptive_update(state, q)
-            diag = state.diag()
-            if not math.isfinite(diag.max()):
-                raise ValueError("diag contains non-finite entries")
+        nonlocal phi, diag, avg
+        if adaptive:
+            avg = b * avg + (1.0 - b) * q**2
+            diag = np.sqrt(avg) + eps
             phi = DistanceGenerator("diagonal", diag, float(diag.min()))
         return prox_step(q, lam, alpha, phi, config.regularizer, config.feasible), diag
 

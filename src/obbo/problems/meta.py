@@ -89,7 +89,7 @@ def _meta_instant(
 
 def meta_toy_stream(
     config: StreamConfig,
-    gamma: float,
+    gamma: float = 1.0,
     n_train: int = 16,
     n_val: int = 16,
     task_noise: float = 0.1,
@@ -116,14 +116,9 @@ def meta_toy_stream(
         return X_tr, y_tr, X_val, y_val
 
     instants = []
-    if config.drift.kind == "static":
-        X_tr, y_tr, X_val, y_val = draw_task(theta)
-        for t in range(1, T + 1):
-            instants.append(_meta_instant(t, X_tr, y_tr, X_val, y_val, gamma))
-        return instants
-
     for t in range(1, T + 1):
-        X_tr, y_tr, X_val, y_val = draw_task(theta)
+        if t == 1 or config.drift.kind != "static":
+            X_tr, y_tr, X_val, y_val = draw_task(theta)
         instants.append(_meta_instant(t, X_tr, y_tr, X_val, y_val, gamma))
         if t < T:
             step = config.drift.step_size(t)

@@ -35,6 +35,8 @@ __all__ = [
 ]
 
 RIDGE_FLOOR = 1e-8
+# Default (lower, upper) box of the smoothing weight lam for both task builders.
+LAMBDA_BOX = (1e-4, 10.0)
 
 Batch = tuple[np.ndarray, np.ndarray]
 
@@ -234,8 +236,8 @@ def make_drifting_spline_task(
     n_train: int = 60,
     n_val: int = 30,
     noise_std: float = 0.25,
-    lambda_lower: float = 1e-4,
-    lambda_upper: float = 10.0,
+    lambda_lower: float = LAMBDA_BOX[0],
+    lambda_upper: float = LAMBDA_BOX[1],
     freq_start: float = 0.5,
     freq_end: float = 4.0,
     amp_start: float = 0.2,
@@ -276,8 +278,8 @@ def make_drifting_spline_task(
 def load_spline_task_csv(
     path,
     knots,
-    lambda_lower: float,
-    lambda_upper: float,
+    lambda_lower: float = LAMBDA_BOX[0],
+    lambda_upper: float = LAMBDA_BOX[1],
 ) -> SplineTask:
     """Read per-round batches from a CSV of (t, split, x, y) rows.
 

@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 
 from obbo.geometry import (
-    AdaptiveDiagState,
     DistanceGenerator,
     FeasibleSet,
     Regularizer,
-    adaptive_update,
     bregman_divergence,
     generalized_projection,
     prox_step,
 )
+from obbo.hypergrad import DivergenceError
+from obbo.optimizers import ObboConfig, run_obbo
+from obbo.problems import DriftSpec, StreamConfig, quadratic_stream
 
 from oracles import prox_grid_oracle
 
@@ -204,35 +205,46 @@ class TestGeneralizedProjection:
             assert np.linalg.norm(g1 - g2) <= np.linalg.norm(q1 - q2) / phi.rho + 1e-9
 
 
+def adaptive_diags(estimates, epsilon=1e-8):
+    """The per-round adaptive diagonals of an OBBO run fed the given estimates.
+
+    Round t's estimate is estimates[t - 1]; with w = 1 and no clipping it is
+    the step's q, so the run's diagonals follow the running average of q**2.
+    """
+    estimates = [np.asarray(g, dtype=float) for g in estimates]
+    cfg = StreamConfig(d1=2, d2=3, T=len(estimates), drift=DriftSpec.static(), seed=0)
+    stream = quadratic_stream(cfg)
+    config = ObboConfig(
+        alpha=1e-3, eta=0.1, K=1, w=1, phi_mode="adaptive", adapt_epsilon=epsilon
+    )
+    trace = run_obbo(stream, config, estimator=lambda inst, lam, solve: estimates[inst.t - 1])
+    return trace.phi_diags
+
+
 class TestAdaptiveDiag:
     def test_single_update(self):
-        state = AdaptiveDiagState.fresh(2)
-        new = adaptive_update(state, [1.0, 2.0])
-        np.testing.assert_allclose(new.avg_sq, [0.1, 0.4])
+        diags = adaptive_diags([[1.0, 2.0]])
+        np.testing.assert_allclose(diags[0], np.sqrt([0.1, 0.4]) + 1e-8, rtol=1e-14)
 
     def test_zero_gradient_scales_by_beta(self):
-        state = AdaptiveDiagState(avg_sq=np.array([1.0, 4.0]), beta=0.9)
-        new = adaptive_update(state, [0.0, 0.0])
-        np.testing.assert_allclose(new.avg_sq, [0.9, 3.6])
+        diags = adaptive_diags([[1.0, 2.0], [0.0, 0.0]])
+        np.testing.assert_allclose(diags[1], np.sqrt([0.09, 0.36]) + 1e-8, rtol=1e-14)
 
     def test_constant_gradient_geometric_limit(self):
-        # closed form: avg_sq after n steps is g^2 (1 - beta^n); 0.9^200 ~ 7e-10
-        state = AdaptiveDiagState.fresh(2)
+        # closed form: the average after n rounds is g^2 (1 - beta^n)
         g = np.array([1.5, -0.5])
-        for _ in range(200):
-            state = adaptive_update(state, g)
-        np.testing.assert_allclose(state.avg_sq, g**2, atol=1e-6)
+        diags = adaptive_diags([g] * 200)
+        for n in (1, 2, 10, 200):
+            expected = np.sqrt(g**2 * (1.0 - 0.9**n)) + 1e-8
+            np.testing.assert_allclose(diags[n - 1], expected, rtol=1e-13)
 
     def test_emitted_diag_floor(self):
-        state = AdaptiveDiagState.fresh(3, epsilon=1e-8)
-        assert np.all(state.diag() >= 1e-8)
-        gen = DistanceGenerator.diagonal(state.diag())
-        assert gen.rho == pytest.approx(1e-8)
+        diags = adaptive_diags([[0.0, 0.0]] * 3, epsilon=1e-8)
+        np.testing.assert_array_equal(diags, np.full((3, 2), 1e-8))
 
     def test_non_finite_grad_raises(self):
-        state = AdaptiveDiagState.fresh(2)
-        with pytest.raises(ValueError):
-            adaptive_update(state, [np.inf, 0.0])
+        with pytest.raises(DivergenceError, match="t=1"):
+            adaptive_diags([[np.inf, 0.0]])
 
 
 class TestInvariantsOfTypes:

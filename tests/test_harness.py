@@ -14,7 +14,7 @@ from obbo.harness.config import (
     write_config,
 )
 from obbo.harness.report import cli_report, median_abs_deviation
-from obbo.harness.runner import cli_run, write_trace_csv
+from obbo.harness.runner import build_stream, cli_run, write_trace_csv
 from obbo.harness.validate import cli_validate
 from obbo.optimizers import ObboConfig, run_obbo
 from obbo.problems import StreamConfig, quadratic_stream
@@ -159,6 +159,87 @@ class TestCliRun:
         terminal = manifest["outputs"][0]["terminal"]
         assert terminal["s"] == 4
         assert terminal["m"] >= 1
+
+
+def oracle_outputs(instant):
+    """Every deterministic oracle and constant of an instant at one fixed point."""
+    lam = np.linspace(0.5, 1.5, instant.d1)
+    beta = np.linspace(-1.0, 1.0, instant.d2)
+    v = np.linspace(0.25, 2.0, instant.d2)
+    return [
+        instant.mu_g, instant.l_g1, instant.l_f0, instant.l_f1, instant.l_g2,
+        instant.f_value(lam, beta), instant.g_value(lam, beta),
+        instant.grad_f_lambda(lam, beta), instant.grad_f_beta(lam, beta),
+        instant.grad_g_beta(lam, beta), instant.hvp_g_lambdabeta(lam, beta, v),
+        instant.hvp_g_betabeta(lam, beta, v), instant.inner_opt(lam),
+        instant.exact_hypergradient(lam),
+    ]
+
+
+def spline_csv(tmp_path):
+    rng = np.random.default_rng(3)
+    rows = ["t,split,x,y"]
+    for t in (1, 2):
+        for split, n in (("train", 8), ("val", 5)):
+            rows += [f"{t},{split},{x},{np.sin(6.0 * x)}" for x in rng.uniform(size=n)]
+    path = tmp_path / "spline.csv"
+    path.write_text("\n".join(rows) + "\n")
+    return str(path)
+
+
+class TestBuildStreamDefaults:
+    """A spec that omits a key gets the same stream as one spelling out the
+    values the harness used to fill in itself."""
+
+    @pytest.mark.parametrize(
+        "minimal, spelled_out",
+        [
+            (
+                {"kind": "quadratic", "d1": 2, "d2": 3, "T": 3},
+                {
+                    "kappa_target": 10.0, "cos_amplitude": 0.5, "noise": [0.0, 0.0],
+                    "stochastic": None, "drift": {"kind": "static", "rate": 1.0, "scale": 1.0},
+                },
+            ),
+            (
+                {"kind": "quadratic", "d1": 2, "d2": 3, "T": 3, "drift": {"kind": "decaying"}},
+                {"drift": {"kind": "decaying", "rate": 1.0, "scale": 1.0}},
+            ),
+            ({"kind": "quadratic", "d1": 2, "d2": 3, "T": 3}, {"drift": None}),
+            (
+                {"kind": "spline_synthetic", "T": 2},
+                {
+                    "n_knots": 12, "n_train": 60, "n_val": 30, "noise_std": 0.25,
+                    "lambda_lower": 1e-4, "lambda_upper": 10.0, "freq_start": 0.5,
+                    "freq_end": 4.0, "amp_start": 0.2, "amp_end": 1.5,
+                },
+            ),
+            (
+                {"kind": "spline_csv", "knots": [0.0, 0.3, 0.6, 1.0]},
+                {"lambda_lower": 1e-4, "lambda_upper": 10.0},
+            ),
+            (
+                {"kind": "meta", "d": 2, "T": 3, "drift": {"kind": "decaying"}},
+                {"gamma": 1.0, "n_train": 16, "n_val": 16, "task_noise": 0.1},
+            ),
+            (
+                {"kind": "meta", "d": 2, "T": 3},
+                {"drift": {"kind": "static", "rate": 1.0, "scale": 1.0}},
+            ),
+        ],
+        ids=["quadratic", "quadratic-drift", "quadratic-null-drift", "spline_synthetic",
+             "spline_csv", "meta", "meta-static"],
+    )
+    def test_minimal_spec_matches_spelled_out_defaults(self, tmp_path, minimal, spelled_out):
+        if minimal["kind"] == "spline_csv":
+            minimal = {**minimal, "path": spline_csv(tmp_path)}
+        got = build_stream(minimal, 4)
+        want = build_stream({**minimal, **spelled_out}, 4)
+        assert len(got) == len(want) > 1
+        for a, b in zip(got, want):
+            assert type(a) is type(b)
+            for x, y in zip(oracle_outputs(a), oracle_outputs(b)):
+                np.testing.assert_array_equal(x, y)
 
 
 class TestCsvSchema:
@@ -359,6 +440,11 @@ class TestCliValidate:
         cfg.experiments[0].stream["noise"] = [0.1, 0.1]
         notes = cli_validate(cfg)
         assert any("s = w" in n for n in notes)
+        assert not any("without sampled oracles" in n for n in notes)
+        cfg.experiments[0].stream.update(noise=[0.0, 0.0], stochastic=True)
+        assert not any("without sampled oracles" in n for n in cli_validate(cfg))
+        del cfg.experiments[0].stream["stochastic"]
+        assert any("without sampled oracles" in n for n in cli_validate(cfg))
 
     def test_never_blocks(self):
         cfg = self.base_experiment({"kind": "obbo", "alpha": 99.0, "eta": 2.0, "K": 1, "w": 1})

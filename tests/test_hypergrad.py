@@ -175,6 +175,7 @@ class TestExactHypergradient:
         rng = np.random.default_rng(12)
         inst = random_instant(rng, 2, 3, amp=0.7)
         inst.grad_f_beta = lambda lam, beta: np.zeros(3)
+        inst.exact_hypergradient = None  # take the implicit route
         lam = rng.standard_normal(2)
         got = exact_hypergradient(inst, lam)
         np.testing.assert_allclose(got, inst.grad_f_lambda(lam, None), atol=1e-12)
@@ -185,16 +186,21 @@ class TestExactHypergradient:
             inst = random_instant(rng, 3, 4)
             lam = rng.standard_normal(3)
             np.testing.assert_allclose(
-                exact_hypergradient(inst, lam),
+                implicit_hypergradient(inst, lam, inst.inner_opt(lam)),
                 inst.exact_hypergradient(lam),
                 rtol=1e-10,
                 atol=1e-12,
+            )
+            # The closed form, when an instant has one, is what is returned.
+            np.testing.assert_array_equal(
+                exact_hypergradient(inst, lam), inst.exact_hypergradient(lam)
             )
 
     def test_missing_oracle_raises(self):
         inst = one_dim_instant()
         inst.inner_opt = None
-        with pytest.raises(ValueError):
+        inst.exact_hypergradient = None
+        with pytest.raises(ValueError, match="no exact-solution oracle"):
             exact_hypergradient(inst, np.array([0.0]))
 
 
@@ -384,7 +390,7 @@ class TestImplicitHypergradient:
             for lam_val in (1e-3, 0.2, 2.0):
                 lam = np.array([lam_val])
                 np.testing.assert_allclose(
-                    exact_hypergradient(inst, lam),
+                    implicit_hypergradient(inst, lam, inst.inner_opt(lam)),
                     inst.exact_hypergradient(lam),
                     rtol=1e-9,
                     atol=1e-12,

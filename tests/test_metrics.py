@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from obbo.geometry import DistanceGenerator, FeasibleSet, Regularizer
+from obbo.geometry import FeasibleSet, Regularizer
 from obbo.metrics import (
-    blr_term,
     build_grid,
     compute_regret_series,
     function_variation,
@@ -14,11 +13,6 @@ from obbo.metrics import (
 )
 from obbo.optimizers import ObboConfig, run_obbo
 from obbo.problems import DriftSpec, StreamConfig, quadratic_instant, quadratic_stream
-
-EUCLID = DistanceGenerator.euclidean()
-ZERO = Regularizer.zero()
-FULL = FeasibleSet.full_space()
-
 
 def make_stream(T=25, drift=None, amp=0.3, seed=21, d1=2, d2=3, kappa=6.0):
     cfg = StreamConfig(
@@ -38,25 +32,30 @@ def grid_for(stream, n=64, extra=None):
     return build_grid(-np.ones(d1), np.ones(d1), n=n, extra=extra)
 
 
+def first_term(stream, lam, alpha, w):
+    """Round 1's regret term of a one-round OBBO run started at lam."""
+    config = ObboConfig(alpha=alpha, w=w, lambda0=np.asarray(lam, dtype=float))
+    trace = run_obbo(stream[:1], config)
+    return compute_regret_series(stream, trace).terms[0]
+
+
 class TestBlrTerm:
     def test_zero_at_stationary_point(self):
         inst = quadratic_instant(t=1, A=[[2.0]], b=[0.5], Q=[[1.0]], c=[0.5])
         # stationary point of F(lam) = (2 lam)^2 / 2: lam = 0
-        term = blr_term([(inst, np.zeros(1))], 0.5, EUCLID, ZERO, FULL, w=1)
-        assert term == 0.0
+        assert first_term([inst], np.zeros(1), 0.5, w=1) == 0.0
 
     def test_w1_reduction_is_squared_gradient_norm(self):
         stream = make_stream(T=1)
         lam = np.array([0.3, -0.8])
-        term = blr_term([(stream[0], lam)], 0.4, EUCLID, ZERO, FULL, w=1)
         g = stream[0].exact_hypergradient(lam)
-        assert term == float(g @ g)
+        assert first_term(stream, lam, 0.4, w=1) == float(g @ g)
 
     def test_zero_padding_divides_by_w(self):
         stream = make_stream(T=1)
         lam = np.array([0.3, -0.8])
-        term_w1 = blr_term([(stream[0], lam)], 0.4, EUCLID, ZERO, FULL, w=1)
-        term_w4 = blr_term([(stream[0], lam)], 0.4, EUCLID, ZERO, FULL, w=4)
+        term_w1 = first_term(stream, lam, 0.4, w=1)
+        term_w4 = first_term(stream, lam, 0.4, w=4)
         assert term_w4 == pytest.approx(term_w1 / 16.0)
 
 

@@ -157,10 +157,10 @@ class TestRunObbo:
 
     def test_overflowing_adaptive_diagonal_rejected(self):
         # A finite estimate whose square overflows gives the adaptive
-        # generator an infinite diagonal entry, which is rejected.
+        # generator an infinite diagonal entry, which aborts the run.
         stream = static_stream(T=5)
         config = ObboConfig(alpha=0.1, eta=0.1, K=2, w=1, phi_mode="adaptive")
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+        with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="t=1"):
             run_obbo(stream, config, estimator=lambda *_: np.full(2, 1e200))
 
     def test_infeasible_lambda0_rejected(self):
@@ -344,6 +344,9 @@ class TestConfigValidation:
             ObboConfig(estimator="autodiff")
         with pytest.raises(ValueError):
             SobboConfig(s=0)
+        for bad in ({"adapt_beta": 0.0}, {"adapt_beta": 1.0}, {"adapt_epsilon": 0.0}):
+            with pytest.raises(ValueError, match="adapt_"):
+                ObboConfig(**bad)
 
     def test_trace_records_resolved_steps(self):
         stream = static_stream(T=5)
