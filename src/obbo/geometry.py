@@ -214,13 +214,10 @@ def generalized_projection(
     Unconstrained and unregularized it reduces to q in the Euclidean case and
     to q / diag for a diagonal generator; that reduction is returned exactly.
     """
-    q = _as_vector("q", q)
-    u = _as_vector("u", u, q.size)
-    if not np.isfinite(alpha) or alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
     if X.kind == "full" and (h.kind == "zero" or h.weight == 0):
-        if not X.contains(u):
-            raise ValueError("reference point u lies outside the feasible set")
+        q = _as_vector("q", q)
+        _as_vector("u", u, q.size)
+        if not np.isfinite(alpha) or alpha <= 0:
+            raise ValueError(f"alpha must be positive, got {alpha}")
         return q / phi.scaling(q.size)
-    lam_plus = prox_step(q, u, alpha, phi, h, X)
-    return (u - lam_plus) / alpha
+    return (np.asarray(u, dtype=float) - prox_step(q, u, alpha, phi, h, X)) / alpha

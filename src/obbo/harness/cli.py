@@ -79,12 +79,11 @@ def main(argv: list[str] | None = None) -> int:
         config = _load_config(args.config)
         out = _resolve_out(args.out, config, args.config)
         manifest = cli_run(config, out, _parse_seeds(args.seeds), jobs=args.jobs)
-        n_ok = sum(1 for e in manifest["outputs"] if e["status"] == "ok")
-        n_bad = len(manifest["outputs"]) - n_ok
-        print(f"wrote {n_ok} run(s) to {out}" + (f", {n_bad} aborted" if n_bad else ""))
-        for entry in manifest["outputs"]:
-            if entry["status"] != "ok":
-                print(f"  aborted: {entry['run_id']}: {entry.get('error')}")
+        bad = [e for e in manifest["outputs"] if e["status"] != "ok"]
+        n_ok = len(manifest["outputs"]) - len(bad)
+        print(f"wrote {n_ok} run(s) to {out}" + (f", {len(bad)} not ok" if bad else ""))
+        for entry in bad:
+            print(f"  {entry['status']}: {entry['run_id']}: {entry['error']}")
         return 0
 
     if args.command == "report":

@@ -1,7 +1,7 @@
 """Experiment configuration: a single JSON document, canonically serialized.
 
 The file holds a list of experiments, each pairing a stream spec with an
-optimizer spec, a seed list, and metric toggles. Stream and optimizer specs
+optimizer spec, a seed list, and variation options. Stream and optimizer specs
 are kept as plain key/value maps validated at build time, so a parsed config
 re-serializes to exactly the bytes it was written with (canonical form:
 sorted keys, two-space indent, trailing newline).
@@ -26,12 +26,8 @@ __all__ = [
 
 CONFIG_SCHEMA = "obbo-config-v1"
 
-DEFAULT_METRICS = {
-    "regret": True,
-    "hypergradient_error": True,
-    "variations": False,
-    "grid_size": 64,
-}
+# Regret and estimator error always run; these are the only metric keys.
+DEFAULT_METRICS = {"variations": False, "grid_size": 64}
 
 
 class ConfigError(ValueError):
@@ -45,11 +41,6 @@ class ExperimentSpec:
     stream: dict
     optimizer: dict
     metrics: dict = field(default_factory=dict)
-
-    def metric_options(self) -> dict:
-        merged = dict(DEFAULT_METRICS)
-        merged.update(self.metrics)
-        return merged
 
     def to_dict(self) -> dict:
         out = {
@@ -112,13 +103,20 @@ def parse_config_text(text: str) -> HarnessConfig:
                 raise ConfigError(
                     f"{where} ({name}): '{label}' must be an object with a 'kind'"
                 )
+        metrics = raw.get("metrics", {})
+        unknown = sorted(set(metrics) - set(DEFAULT_METRICS))
+        if unknown:
+            raise ConfigError(
+                f"{where} ({name}): unknown metrics key(s) {unknown}; "
+                f"accepted keys are {sorted(DEFAULT_METRICS)}"
+            )
         experiments.append(
             ExperimentSpec(
                 name=name,
                 seeds=list(seeds),
                 stream=stream,
                 optimizer=optimizer,
-                metrics=raw.get("metrics", {}),
+                metrics=metrics,
             )
         )
     return HarnessConfig(experiments=experiments, output_dir=data.get("output_dir"))

@@ -20,6 +20,7 @@ from .. import __version__
 from ..geometry import FeasibleSet, Regularizer
 from ..hypergrad import DivergenceError
 from ..metrics import (
+    RegretSeries,
     build_grid,
     compute_regret_series,
     hypergradient_error,
@@ -44,7 +45,7 @@ from ..problems import (
     quadratic_stream,
     spline_stream,
 )
-from .config import ExperimentSpec, HarnessConfig, serialize_config
+from .config import DEFAULT_METRICS, ExperimentSpec, HarnessConfig, serialize_config
 
 __all__ = [
     "RESULTS_SCHEMA",
@@ -172,11 +173,7 @@ def _fmt(x) -> str:
 
 
 def write_trace_csv(
-    path: Path,
-    run_id: str,
-    trace: RunTrace,
-    regret=None,
-    hg_error=None,
+    path: Path, run_id: str, trace: RunTrace, regret: RegretSeries, hg_error: np.ndarray
 ) -> None:
     d1 = trace.lambdas.shape[1]
     lam_cols = (
@@ -211,18 +208,13 @@ def write_trace_csv(
                 _fmt(trace.inner_residual[t]),
                 _fmt(trace.gen_proj_norm_sq[t]),
                 _fmt(float(trace.smoothed[t] @ trace.smoothed[t])),
-            ]
-        )
-        if regret is not None:
-            row += [
                 _fmt(regret.terms[t]),
                 _fmt(regret.cumulative[t]),
                 _fmt(regret.euclidean_terms[t]),
                 _fmt(regret.euclidean_cumulative[t]),
+                _fmt(hg_error[t]),
             ]
-        else:
-            row += ["", "", "", ""]
-        row.append(_fmt(hg_error[t]) if hg_error is not None else "")
+        )
         lines.append(",".join(row))
     path.write_text("\n".join(lines) + "\n", newline="\n")
 
@@ -240,29 +232,19 @@ def _variation_grid(trace: RunTrace, grid_size: int) -> np.ndarray:
 def run_cell(exp: ExperimentSpec, seed: int, out_dir: str) -> dict:
     """Execute one (experiment, seed) cell and write its CSV.
 
-    Returns the manifest entry; a numerical abort is recorded rather than
-    propagated so sibling cells are unaffected.
+    Returns the manifest entry; a numerical abort or any other failure is
+    recorded rather than propagated so sibling cells are unaffected.
     """
     run_id = f"{exp.name}__seed{seed}"
     entry: dict = {"experiment": exp.name, "seed": seed, "run_id": run_id}
     t0 = time.perf_counter()
     try:
         trace, stream = execute_run(exp, seed)
-        options = exp.metric_options()
-        has_oracle = all(
-            inst.exact_hypergradient is not None or inst.inner_opt is not None
-            for inst in stream[: trace.T]
-        )
-        regret = (
-            compute_regret_series(stream, trace)
-            if options["regret"] and has_oracle
-            else None
-        )
-        hg_err = (
-            hypergradient_error(trace, stream)
-            if options["hypergradient_error"] and has_oracle
-            else None
-        )
+        regret = compute_regret_series(stream, trace)
+        hg_err = hypergradient_error(trace, regret.exact_grads)
+        options = {**DEFAULT_METRICS, **exp.metrics}
+        if options["variations"]:
+            report = variation_report(stream, _variation_grid(trace, options["grid_size"]))
         csv_path = Path(out_dir) / f"{run_id}.csv"
         write_trace_csv(csv_path, run_id, trace, regret, hg_err)
         entry["status"] = "ok"
@@ -273,21 +255,18 @@ def run_cell(exp: ExperimentSpec, seed: int, out_dir: str) -> dict:
             "final_outer_loss": float(trace.outer_loss[-1]),
             "alpha": trace.alpha,
             "eta": trace.eta,
+            "final_blr_cum": float(regret.cumulative[-1]),
+            "final_blr_eucl_cum": float(regret.euclidean_cumulative[-1]),
         }
-        if regret is not None:
-            terminal["final_blr_cum"] = float(regret.cumulative[-1])
-            terminal["final_blr_eucl_cum"] = float(regret.euclidean_cumulative[-1])
         if trace.s is not None:
             terminal["s"], terminal["m"] = trace.s, trace.m
         if options["variations"]:
-            grid = _variation_grid(trace, options["grid_size"])
-            report = variation_report(stream, grid)
             entry["variations"] = {"h1": report.h1, "h2": report.h2, "v1": report.v1}
         entry["terminal"] = terminal
     except DivergenceError as exc:
-        entry["status"] = "aborted"
-        entry["file"] = None
-        entry["error"] = str(exc)
+        entry.update(status="aborted", file=None, error=str(exc))
+    except Exception as exc:
+        entry.update(status="error", file=None, error=f"{type(exc).__name__}: {exc}")
     entry["wall_ms"] = (time.perf_counter() - t0) * 1e3
     return entry
 

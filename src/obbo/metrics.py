@@ -19,15 +19,13 @@ from scipy.stats import qmc
 from .geometry import DistanceGenerator, generalized_projection
 from .hypergrad import exact_hypergradient
 from .optimizers import RunTrace
-from .problems.base import ProblemInstant, Stream
+from .problems.base import Stream
 
 __all__ = [
     "RegretSeries",
     "VariationReport",
     "compute_regret_series",
-    "path_variation",
     "path_variation_terms",
-    "function_variation",
     "function_variation_terms",
     "variation_report",
     "hypergradient_error",
@@ -42,21 +40,16 @@ class RegretSeries:
     ``terms`` uses the generalized projection under the run's own geometry;
     ``euclidean_terms`` is the companion squared norm of the smoothed true
     hypergradient. Under the Euclidean / unregularized / unconstrained
-    reduction the two series coincide term by term.
+    reduction the two series coincide term by term. ``exact_grads`` (T x d1)
+    holds the true hypergradient of each round's objective at that round's
+    iterate, which ``hypergradient_error`` reads too.
     """
 
     terms: np.ndarray
     cumulative: np.ndarray
     euclidean_terms: np.ndarray
     euclidean_cumulative: np.ndarray
-
-
-def _exact_grads(stream: Stream, trace: RunTrace) -> np.ndarray:
-    """True hypergradient of each round's objective at that round's iterate."""
-    T = trace.T
-    if len(stream) < T:
-        raise ValueError("stream shorter than trace")
-    return np.array([exact_hypergradient(stream[t], trace.lambdas[t]) for t in range(T)])
+    exact_grads: np.ndarray
 
 
 def compute_regret_series(stream: Stream, trace: RunTrace) -> RegretSeries:
@@ -69,8 +62,10 @@ def compute_regret_series(stream: Stream, trace: RunTrace) -> RegretSeries:
     and feasible set. The generator is the diagonal the run recorded for the
     round (ones for a Euclidean step), which the run checked to be finite.
     """
-    grads = _exact_grads(stream, trace)
     T, w, alpha = trace.T, trace.w, trace.alpha
+    if len(stream) < T:
+        raise ValueError("stream shorter than trace")
+    grads = np.array([exact_hypergradient(stream[t], trace.lambdas[t]) for t in range(T)])
     h, X = trace.config.regularizer, trace.config.feasible
     terms = np.empty(T)
     eucl = np.empty(T)
@@ -87,50 +82,55 @@ def compute_regret_series(stream: Stream, trace: RunTrace) -> RegretSeries:
         cumulative=np.cumsum(terms),
         euclidean_terms=eucl,
         euclidean_cumulative=np.cumsum(eucl),
+        exact_grads=grads,
     )
 
 
-def hypergradient_error(trace: RunTrace, stream: Stream) -> np.ndarray:
-    """Squared error of the stored per-round estimates against exact gradients."""
-    grads = _exact_grads(stream, trace)
+def hypergradient_error(trace: RunTrace, exact_grads: np.ndarray) -> np.ndarray:
+    """Squared error of the stored per-round estimates against the exact
+    hypergradients ``compute_regret_series`` returned for the same run."""
+    if np.shape(exact_grads) != trace.estimates.shape:
+        raise ValueError(
+            f"exact_grads has shape {np.shape(exact_grads)}, "
+            f"expected the estimates' {trace.estimates.shape}"
+        )
     out = np.empty(trace.T)
     for t in range(trace.T):
-        diff = trace.estimates[t] - grads[t]
+        diff = trace.estimates[t] - exact_grads[t]
         out[t] = float(diff @ diff)
     return out
 
 
-def _inner_opt_on_grid(instant: ProblemInstant, grid: np.ndarray) -> np.ndarray:
-    if instant.inner_opt is None:
-        raise ValueError(f"instant t={instant.t} provides no inner_opt oracle")
-    return np.asarray([instant.inner_opt(lam) for lam in grid])
+def _grid_sweep(stream: Stream, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One pass over the stream: per instant, the inner optimum at each grid
+    point and the outer objective there. Returns, per transition, the sup
+    over the grid of the optimum's displacement and of the objective change."""
+    grid = np.atleast_2d(np.asarray(grid, dtype=float))
+    n = len(stream) - 1
+    sup_disp, sup_change = np.empty(n), np.empty(n)
+    for i in range(len(stream)):
+        instant = stream[i]
+        if instant.inner_opt is None:
+            raise ValueError(f"instant t={instant.t} provides no inner_opt oracle")
+        betas = [instant.inner_opt(lam) for lam in grid]
+        cur_val = np.asarray([instant.f_value(lam, b) for lam, b in zip(grid, betas)])
+        cur_opt = np.asarray(betas)
+        if i:
+            sup_disp[i - 1] = np.max(np.linalg.norm(prev_opt - cur_opt, axis=1))
+            sup_change[i - 1] = np.max(np.abs(cur_val - prev_val))
+        prev_opt, prev_val = cur_opt, cur_val
+    return sup_disp, sup_change
+
+
+def _powers(sup_disp: np.ndarray, p: int) -> np.ndarray:
+    return np.array([float(d ** p) for d in sup_disp])
 
 
 def path_variation_terms(stream: Stream, p: int, grid: np.ndarray) -> np.ndarray:
     """Per-transition sup (over the grid) of the inner-optimum displacement^p."""
     if p not in (1, 2):
         raise ValueError("path variation order p must be 1 or 2")
-    grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    prev = _inner_opt_on_grid(stream[0], grid)
-    terms = np.empty(len(stream) - 1)
-    for i in range(1, len(stream)):
-        cur = _inner_opt_on_grid(stream[i], grid)
-        dist = np.linalg.norm(prev - cur, axis=1)
-        terms[i - 1] = float(np.max(dist) ** p)
-        prev = cur
-    return terms
-
-
-def path_variation(stream: Stream, p: int, grid: np.ndarray) -> float:
-    return float(np.sum(path_variation_terms(stream, p, grid))) if len(stream) > 1 else 0.0
-
-
-def _objective_on_grid(instant: ProblemInstant, grid: np.ndarray) -> np.ndarray:
-    if instant.inner_opt is None:
-        raise ValueError(f"instant t={instant.t} provides no inner_opt oracle")
-    return np.asarray(
-        [instant.f_value(lam, instant.inner_opt(lam)) for lam in grid]
-    )
+    return _powers(_grid_sweep(stream, grid)[0], p)
 
 
 def function_variation_terms(stream: Stream, grid: np.ndarray) -> np.ndarray:
@@ -138,22 +138,7 @@ def function_variation_terms(stream: Stream, grid: np.ndarray) -> np.ndarray:
 
     The sum runs over the T-1 transitions realized inside the stream.
     """
-    grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    prev = _objective_on_grid(stream[0], grid)
-    terms = np.empty(len(stream) - 1)
-    for i in range(1, len(stream)):
-        cur = _objective_on_grid(stream[i], grid)
-        terms[i - 1] = float(np.max(np.abs(cur - prev)))
-        prev = cur
-    return terms
-
-
-def function_variation(stream: Stream, grid: np.ndarray) -> float:
-    return (
-        float(np.sum(function_variation_terms(stream, grid)))
-        if len(stream) > 1
-        else 0.0
-    )
+    return _grid_sweep(stream, grid)[1]
 
 
 @dataclass
@@ -168,10 +153,11 @@ class VariationReport:
 
 
 def variation_report(stream: Stream, grid: np.ndarray) -> VariationReport:
+    sup_disp, sup_change = _grid_sweep(stream, grid)
     return VariationReport(
-        h1=path_variation(stream, 1, grid),
-        h2=path_variation(stream, 2, grid),
-        v1=function_variation(stream, grid),
+        h1=float(np.sum(_powers(sup_disp, 1))),
+        h2=float(np.sum(_powers(sup_disp, 2))),
+        v1=float(np.sum(sup_change)),
         grid=np.atleast_2d(np.asarray(grid, dtype=float)),
     )
 

@@ -14,8 +14,10 @@ from obbo.harness.config import (
     write_config,
 )
 from obbo.harness.report import cli_report, median_abs_deviation
-from obbo.harness.runner import build_stream, cli_run, write_trace_csv
+import obbo.harness.runner as runner
+from obbo.harness.runner import build_stream, cli_run, run_cell, write_trace_csv
 from obbo.harness.validate import cli_validate
+from obbo.metrics import compute_regret_series, hypergradient_error
 from obbo.optimizers import ObboConfig, run_obbo
 from obbo.problems import StreamConfig, quadratic_stream
 
@@ -80,6 +82,20 @@ class TestConfigRoundTrip:
         with pytest.raises(ConfigError, match="schema"):
             parse_config_text(json.dumps({"schema": "v999", "experiments": []}))
 
+    @pytest.mark.parametrize(
+        "metrics, key",
+        [({"variatons": True}, "variatons"), ({"regret": False}, "regret")],
+        ids=["typo", "removed-toggle"],
+    )
+    def test_unknown_metrics_key_rejected(self, metrics, key):
+        doc = json.loads(serialize_config(small_config()))
+        doc["experiments"][0]["metrics"] = metrics
+        with pytest.raises(ConfigError) as info:
+            parse_config_text(json.dumps(doc))
+        message = str(info.value)
+        for part in ("tiny-obbo", repr(key), "'grid_size'", "'variations'"):
+            assert part in message
+
 
 class TestCliRun:
     def test_empty_experiment_list(self, tmp_path):
@@ -127,6 +143,26 @@ class TestCliRun:
         assert all(e["status"] == "aborted" for e in by_name["diverges"])
         assert all(e["file"] is None for e in by_name["diverges"])
         assert all((tmp_path / e["file"]).exists() for e in by_name["tiny-obbo"])
+
+    def test_failing_cell_is_recorded_and_manifest_written(self, tmp_path, capsys):
+        cfg = small_config()
+        cfg.experiments[0].seeds = [1]
+        cfg.experiments.append(
+            ExperimentSpec(
+                name="broken",
+                seeds=[1],
+                stream=dict(cfg.experiments[0].stream),
+                optimizer={"kind": "nope"},
+            )
+        )
+        path = tmp_path / "cfg.json"
+        write_config(cfg, path)
+        assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        outputs = json.loads((tmp_path / "out" / "manifest.json").read_text())["outputs"]
+        assert [e["status"] for e in outputs] == ["ok", "error"]
+        assert outputs[1]["file"] is None
+        assert outputs[1]["error"] == "ValueError: unknown optimizer kind 'nope'"
+        assert "error: broken__seed1: ValueError" in capsys.readouterr().out
 
     def test_seed_override(self, tmp_path):
         manifest = cli_run(small_config(), tmp_path, seeds_override=[9])
@@ -243,37 +279,66 @@ class TestBuildStreamDefaults:
 
 
 class TestCsvSchema:
-    def make_trace(self, d1=2, T=6):
+    def write(self, path, d1=2, T=6):
         stream = quadratic_stream(
             StreamConfig(d1=d1, d2=d1 + 1, T=T, kappa_target=3.0, seed=8)
         )
-        return run_obbo(stream, ObboConfig(alpha=0.05, eta=0.1, K=3, w=2))
+        trace = run_obbo(stream, ObboConfig(alpha=0.05, eta=0.1, K=3, w=2))
+        regret = compute_regret_series(stream, trace)
+        hg_error = hypergradient_error(trace, regret.exact_grads)
+        write_trace_csv(path, "rid", trace, regret, hg_error)
+        return trace, regret, hg_error
 
     def test_float_round_trip_17_digits(self, tmp_path):
-        trace = self.make_trace()
         path = tmp_path / "run.csv"
-        write_trace_csv(path, "rid", trace)
+        trace, regret, hg_error = self.write(path)
         lines = path.read_text().splitlines()
         assert lines[0] == "# schema=obbo-results-v1"
         header = lines[1].split(",")
         i_loss = header.index("outer_loss")
-        parsed = [float(row.split(",")[i_loss]) for row in lines[2:]]
-        np.testing.assert_array_equal(parsed, trace.outer_loss)
+        rows = [row.split(",") for row in lines[2:]]
+        for column, values in (
+            ("outer_loss", trace.outer_loss),
+            ("blr_term", regret.terms),
+            ("blr_eucl_cum", regret.euclidean_cumulative),
+            ("hypergrad_err_sq", hg_error),
+        ):
+            i = header.index(column)
+            np.testing.assert_array_equal([float(row[i]) for row in rows], values)
 
     def test_lambda_norm_for_wide_problems(self, tmp_path):
-        trace = self.make_trace(d1=9)
         path = tmp_path / "wide.csv"
-        write_trace_csv(path, "rid", trace)
+        self.write(path, d1=9)
         header = path.read_text().splitlines()[1]
         assert "lambda_norm" in header
         assert "lambda_0" not in header
 
-    def test_missing_metrics_leave_empty_cells(self, tmp_path):
-        trace = self.make_trace()
-        path = tmp_path / "bare.csv"
-        write_trace_csv(path, "rid", trace, regret=None, hg_error=None)
-        row = path.read_text().splitlines()[2].split(",")
-        assert row[-1] == "" and row[-2] == ""
+
+class TestExactOracleCalls:
+    def test_each_exact_oracle_evaluated_once(self, tmp_path, monkeypatch):
+        calls = {"exact_hypergradient": 0, "inner_opt": 0}
+
+        def counting(name, fn):
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+            return counted
+
+        def counted_stream(spec, seed):
+            stream = build_stream(spec, seed)
+            for inst in stream:
+                for name in calls:
+                    setattr(inst, name, counting(name, getattr(inst, name)))
+            return stream
+
+        monkeypatch.setattr(runner, "build_stream", counted_stream)
+        exp = small_config().experiments[0]
+        exp.metrics = {"variations": True, "grid_size": 8}
+        entry = run_cell(exp, 1, str(tmp_path))
+        assert entry["status"] == "ok" and "variations" in entry
+        T, d1 = exp.stream["T"], exp.stream["d1"]
+        grid_rows = 8 + 2**d1 + T  # Sobol points, box corners, visited iterates
+        assert calls == {"exact_hypergradient": T, "inner_opt": T * grid_rows}
 
 
 class TestCliReport:

@@ -1,18 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obbo.geometry import FeasibleSet, Regularizer
 from obbo.metrics import (
     build_grid,
     compute_regret_series,
-    function_variation,
     hypergradient_error,
-    path_variation,
     path_variation_terms,
     variation_report,
 )
 from obbo.optimizers import ObboConfig, run_obbo
-from obbo.problems import DriftSpec, StreamConfig, quadratic_instant, quadratic_stream
+from obbo.problems import (
+    DriftSpec,
+    StreamConfig,
+    meta_toy_stream,
+    quadratic_instant,
+    quadratic_stream,
+)
 
 def make_stream(T=25, drift=None, amp=0.3, seed=21, d1=2, d2=3, kappa=6.0):
     cfg = StreamConfig(
@@ -37,6 +43,10 @@ def first_term(stream, lam, alpha, w):
     config = ObboConfig(alpha=alpha, w=w, lambda0=np.asarray(lam, dtype=float))
     trace = run_obbo(stream[:1], config)
     return compute_regret_series(stream, trace).terms[0]
+
+
+def estimator_error(stream, trace):
+    return hypergradient_error(trace, compute_regret_series(stream, trace).exact_grads)
 
 
 class TestBlrTerm:
@@ -110,21 +120,20 @@ class TestRegretSeries:
 class TestPathVariation:
     def test_static_stream_is_zero(self):
         stream = make_stream(T=15, drift=DriftSpec.static())
-        grid = grid_for(stream)
-        assert path_variation(stream, 1, grid) == 0.0
-        assert path_variation(stream, 2, grid) == 0.0
+        report = variation_report(stream, grid_for(stream))
+        assert report.h1 == 0.0
+        assert report.h2 == 0.0
 
     def test_quadratic_stream_matches_offset_path(self):
         stream = make_stream(T=40)
-        grid = grid_for(stream)
+        report = variation_report(stream, grid_for(stream))
         zero = np.zeros(2)
         offsets = [inst.inner_opt(zero) for inst in stream]
-        for p in (1, 2):
+        for p, got in ((1, report.h1), (2, report.h2)):
             expected = sum(
                 np.linalg.norm(offsets[i] - offsets[i - 1]) ** p
                 for i in range(1, len(stream))
             )
-            got = path_variation(stream, p, grid)
             assert got == pytest.approx(expected, rel=1e-9)
 
     def test_decaying_drift_p2_partial_sums_bounded(self):
@@ -147,13 +156,13 @@ class TestPathVariation:
         stream = make_stream(T=3)
         stream[1].inner_opt = None
         with pytest.raises(ValueError):
-            path_variation(stream, 1, grid_for(stream))
+            variation_report(stream, grid_for(stream))
 
 
 class TestFunctionVariation:
     def test_static_stream_is_zero(self):
         stream = make_stream(T=10, drift=DriftSpec.static())
-        assert function_variation(stream, grid_for(stream)) == 0.0
+        assert variation_report(stream, grid_for(stream)).v1 == 0.0
 
     def test_pure_offset_shift_sums_exactly(self):
         stream = make_stream(T=12, drift=DriftSpec.static())
@@ -163,25 +172,21 @@ class TestFunctionVariation:
             inst.f_value = (
                 lambda lam, beta, _orig=orig, _t=inst.t: _orig(lam, beta) + _t * delta
             )
-        got = function_variation(stream, grid_for(stream))
+        got = variation_report(stream, grid_for(stream)).v1
         assert got == pytest.approx((len(stream) - 1) * delta, rel=1e-12)
 
     def test_grid_refinement_self_consistency(self):
         stream = make_stream(T=40, amp=0.4)
-        coarse = function_variation(stream, grid_for(stream, n=64))
-        fine = function_variation(stream, grid_for(stream, n=1024))
+        coarse = variation_report(stream, grid_for(stream, n=64)).v1
+        fine = variation_report(stream, grid_for(stream, n=1024)).v1
         assert abs(coarse - fine) <= 0.05 * fine
 
     def test_grid_monotonicity(self):
         stream = make_stream(T=25)
-        g_small = grid_for(stream, n=16)
-        g_large = grid_for(stream, n=256)
-        assert function_variation(stream, g_small) <= function_variation(
-            stream, g_large
-        ) + 1e-12
-        assert path_variation(stream, 2, g_small) <= path_variation(
-            stream, 2, g_large
-        ) + 1e-12
+        small = variation_report(stream, grid_for(stream, n=16))
+        large = variation_report(stream, grid_for(stream, n=256))
+        assert small.v1 <= large.v1 + 1e-12
+        assert small.h2 <= large.h2 + 1e-12
 
     def test_variation_report_bundles_all(self):
         stream = make_stream(T=20, drift=DriftSpec.sublinear(0.4))
@@ -195,7 +200,7 @@ class TestHypergradientError:
         stream = make_stream(T=15)
         config = ObboConfig(alpha=0.05, eta=0.1, K=4, w=2, estimator="exact")
         trace = run_obbo(stream, config)
-        errs = hypergradient_error(trace, stream)
+        errs = estimator_error(stream, trace)
         np.testing.assert_allclose(errs, 0.0, atol=1e-22)
 
     def test_itd_error_decays_toward_warm_start_floor(self):
@@ -204,7 +209,7 @@ class TestHypergradientError:
         # must fall monotonically onto a positive floor and then stay there
         config = ObboConfig(alpha=1e-9, eta=0.15, K=4, w=1)
         trace = run_obbo(stream, config)
-        errs = hypergradient_error(trace, stream)
+        errs = estimator_error(stream, trace)
         floor = errs[-1]
         assert floor > 0.0
         assert np.all(np.diff(errs[:30]) <= 1e-12)
@@ -219,16 +224,74 @@ class TestHypergradientError:
         eta, K = 0.15, 6
         cfg_k = ObboConfig(alpha=1e-9, eta=eta, K=K, w=1)
         cfg_2k = ObboConfig(alpha=1e-9, eta=eta, K=2 * K, w=1)
-        err_k = hypergradient_error(run_obbo(stream_k, cfg_k), stream_k)
-        err_2k = hypergradient_error(run_obbo(stream_k, cfg_2k), stream_k)
+        err_k = estimator_error(stream_k, run_obbo(stream_k, cfg_k))
+        err_2k = estimator_error(stream_k, run_obbo(stream_k, cfg_2k))
         floor_ratio = np.sqrt(err_2k[-1] / err_k[-1])
         assert floor_ratio == pytest.approx((1.0 - eta) ** K, rel=0.05)
 
     def test_stream_shorter_than_trace_rejected(self):
         stream = make_stream(T=10)
         trace = run_obbo(stream, ObboConfig(alpha=0.05, eta=0.1, K=3, w=1))
-        with pytest.raises(ValueError):
-            hypergradient_error(trace, stream[:5])
+        with pytest.raises(ValueError, match="shorter"):
+            compute_regret_series(stream[:5], trace)
+
+    def test_shape_mismatch_rejected(self):
+        stream = make_stream(T=10)
+        trace = run_obbo(stream, ObboConfig(alpha=0.05, eta=0.1, K=3, w=1))
+        grads = compute_regret_series(stream, trace).exact_grads
+        with pytest.raises(ValueError, match="shape"):
+            hypergradient_error(trace, grads[:5])
+        with pytest.raises(ValueError, match="shape"):
+            hypergradient_error(trace, grads[:, :1])
+
+
+def small_stream(kind, T, d, seed):
+    config = StreamConfig(
+        d1=d, d2=d + 1 if kind == "quadratic" else d, T=T, kappa_target=4.0,
+        drift=DriftSpec.sublinear(0.5), seed=seed,
+    )
+    return quadratic_stream(config) if kind == "quadratic" else meta_toy_stream(config)
+
+
+small_streams = st.builds(
+    small_stream,
+    kind=st.sampled_from(["quadratic", "meta"]),
+    T=st.integers(1, 6),
+    d=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+)
+
+
+class TestSingleEvaluation:
+    """The shared oracle evaluations give what a direct evaluation gives."""
+
+    @settings(derandomize=True, deadline=None, max_examples=12)
+    @given(stream=small_streams, n=st.integers(1, 12))
+    def test_variation_report_matches_double_loop(self, stream, n):
+        grid = grid_for(stream, n=n)
+        h1 = h2 = v1 = 0.0
+        for prev, cur in zip(stream, stream[1:]):
+            disp, change = 0.0, 0.0
+            for lam in grid:
+                b_prev, b_cur = prev.inner_opt(lam), cur.inner_opt(lam)
+                disp = max(disp, float(np.linalg.norm(b_prev - b_cur)))
+                change = max(change, abs(cur.f_value(lam, b_cur) - prev.f_value(lam, b_prev)))
+            h1, h2, v1 = h1 + disp, h2 + disp**2, v1 + change
+        report = variation_report(stream, grid)
+        assert report.h1 == pytest.approx(h1, rel=1e-12, abs=0.0)
+        assert report.h2 == pytest.approx(h2, rel=1e-12, abs=0.0)
+        assert report.v1 == pytest.approx(v1, rel=1e-12, abs=0.0)
+
+    @settings(derandomize=True, deadline=None, max_examples=12)
+    @given(stream=small_streams, K=st.integers(1, 4), w=st.integers(1, 3))
+    def test_error_matches_direct_exact_gradients(self, stream, K, w):
+        trace = run_obbo(stream, ObboConfig(K=K, w=w))
+        errs = hypergradient_error(trace, compute_regret_series(stream, trace).exact_grads)
+        expected = []
+        for t in range(trace.T):
+            diff = trace.estimates[t] - stream[t].exact_hypergradient(trace.lambdas[t])
+            expected.append(float(diff @ diff))
+        np.testing.assert_array_equal(errs, expected)
 
 
 class TestBuildGrid:
