@@ -17,7 +17,6 @@ from .geometry import (
     DistanceGenerator,
     FeasibleSet,
     Regularizer,
-    bregman_divergence,
     generalized_projection,
     prox_step,
 )

@@ -16,7 +16,6 @@ __all__ = [
     "DistanceGenerator",
     "Regularizer",
     "FeasibleSet",
-    "bregman_divergence",
     "prox_step",
     "generalized_projection",
 ]
@@ -124,12 +123,6 @@ class FeasibleSet:
         if self.kind not in ("full", "box"):
             raise ValueError(f"unknown feasible set kind {self.kind!r}")
 
-    @property
-    def diameter(self) -> float:
-        if self.kind == "full":
-            return np.inf
-        return float(np.linalg.norm(self.upper - self.lower))
-
     def contains(self, x, tol: float = 0.0) -> bool:
         x = np.asarray(x, dtype=float)
         if not np.isfinite(x).all():
@@ -150,20 +143,6 @@ class FeasibleSet:
         if self.kind == "full":
             return None
         return 0.5 * (self.lower + self.upper)
-
-
-def bregman_divergence(phi: DistanceGenerator, x, y) -> float:
-    """D_phi(x, y) = phi(x) - phi(y) - <grad phi(y), x - y>.
-
-    For the generators used here this is the squared distance in the
-    h-weighted metric, 0.5 * sum_i h_i (x_i - y_i)^2, and is bounded below by
-    (rho / 2) ||x - y||^2.
-    """
-    x = _as_vector("x", x)
-    y = _as_vector("y", y, x.size)
-    h = phi.scaling(x.size)
-    diff = x - y
-    return 0.5 * float(diff @ (h * diff))
 
 
 def _soft_threshold(z: np.ndarray, tau) -> np.ndarray:

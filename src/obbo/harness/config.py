@@ -42,6 +42,14 @@ class ExperimentSpec:
     optimizer: dict
     metrics: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        unknown = sorted(set(self.metrics) - set(DEFAULT_METRICS))
+        if unknown:
+            raise ConfigError(
+                f"experiment {self.name!r}: unknown metrics key(s) {unknown}; "
+                f"accepted keys are {sorted(DEFAULT_METRICS)}"
+            )
+
     def to_dict(self) -> dict:
         out = {
             "name": self.name,
@@ -103,20 +111,13 @@ def parse_config_text(text: str) -> HarnessConfig:
                 raise ConfigError(
                     f"{where} ({name}): '{label}' must be an object with a 'kind'"
                 )
-        metrics = raw.get("metrics", {})
-        unknown = sorted(set(metrics) - set(DEFAULT_METRICS))
-        if unknown:
-            raise ConfigError(
-                f"{where} ({name}): unknown metrics key(s) {unknown}; "
-                f"accepted keys are {sorted(DEFAULT_METRICS)}"
-            )
         experiments.append(
             ExperimentSpec(
                 name=name,
                 seeds=list(seeds),
                 stream=stream,
                 optimizer=optimizer,
-                metrics=metrics,
+                metrics=raw.get("metrics", {}),
             )
         )
     return HarnessConfig(experiments=experiments, output_dir=data.get("output_dir"))

@@ -229,14 +229,18 @@ def _variation_grid(trace: RunTrace, grid_size: int) -> np.ndarray:
     return build_grid(lower, upper, n=grid_size, extra=trace.lambdas)
 
 
+def _cell_entry(exp: ExperimentSpec, seed: int) -> dict:
+    return {"experiment": exp.name, "seed": seed, "run_id": f"{exp.name}__seed{seed}"}
+
+
 def run_cell(exp: ExperimentSpec, seed: int, out_dir: str) -> dict:
     """Execute one (experiment, seed) cell and write its CSV.
 
     Returns the manifest entry; a numerical abort or any other failure is
     recorded rather than propagated so sibling cells are unaffected.
     """
-    run_id = f"{exp.name}__seed{seed}"
-    entry: dict = {"experiment": exp.name, "seed": seed, "run_id": run_id}
+    entry = _cell_entry(exp, seed)
+    run_id = entry["run_id"]
     t0 = time.perf_counter()
     try:
         trace, stream = execute_run(exp, seed)
@@ -271,6 +275,17 @@ def run_cell(exp: ExperimentSpec, seed: int, out_dir: str) -> dict:
     return entry
 
 
+def _collect(future, exp: ExperimentSpec, seed: int) -> dict:
+    """The worker's manifest entry, or an error entry when the worker failed
+    outright (one that dies breaks the pool for every cell not yet finished)."""
+    try:
+        return future.result()
+    except Exception as exc:
+        entry = _cell_entry(exp, seed)
+        entry.update(status="error", file=None, error=f"{type(exc).__name__}: {exc}")
+        return entry
+
+
 def cli_run(
     config: HarnessConfig,
     out_dir,
@@ -288,7 +303,7 @@ def cli_run(
     if jobs > 1 and len(cells) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(run_cell, exp, seed, str(out)) for exp, seed in cells]
-            entries = [f.result() for f in futures]
+            entries = [_collect(f, *cell) for f, cell in zip(futures, cells)]
     else:
         entries = [run_cell(exp, seed, str(out)) for exp, seed in cells]
     manifest = {

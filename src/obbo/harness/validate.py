@@ -64,24 +64,19 @@ def validate_experiment(exp) -> list[str]:
                 )
 
     if config.alpha is not None and inst.l_f1 is not None:
-        try:
-            l_F1 = outer_grad_lipschitz(mu, ell, inst.l_f1, inst.l_f0, inst.l_g2)
-        except ValueError:
-            l_F1 = None
-        if l_F1 is not None:
-            rho = 1.0
-            bound = 3.0 * rho / (4.0 * l_F1)
-            if config.alpha > bound:
-                suffix = ""
-                if config.phi_mode == "adaptive":
-                    suffix = (
-                        " (bound assumes modulus 1; the adaptive generator's "
-                        "per-round modulus is only known at run time)"
-                    )
-                notes.append(
-                    f"{prefix} outer step alpha={config.alpha:g} exceeds "
-                    f"3*rho/(4*l_F1) = {bound:g}{suffix}"
+        rho = 1.0
+        bound = 3.0 * rho / (4.0 * outer_grad_lipschitz(mu, ell, inst.l_f1))
+        if config.alpha > bound:
+            suffix = ""
+            if config.phi_mode == "adaptive":
+                suffix = (
+                    " (bound assumes modulus 1; the adaptive generator's "
+                    "per-round modulus is only known at run time)"
                 )
+            notes.append(
+                f"{prefix} outer step alpha={config.alpha:g} exceeds "
+                f"3*rho/(4*l_F1) = {bound:g}{suffix}"
+            )
 
     if kind in ("obbo", "sobow") and horizon and config.K is not None:
         eta_eff = eta if eta is not None else default_inner_step(kind, mu, ell)

@@ -166,7 +166,6 @@ def build_grid(
     lower,
     upper,
     n: int = 64,
-    include_corners: bool = True,
     extra: np.ndarray | None = None,
 ) -> np.ndarray:
     """Deterministic evaluation grid inside a box.
@@ -186,7 +185,7 @@ def build_grid(
         points = qmc.Sobol(d, scramble=False).random(n)
     grid = lower + points * (upper - lower)
     parts = [grid]
-    if include_corners and d <= 4:
+    if d <= 4:
         corners = np.array(
             np.meshgrid(*[(lo, hi) for lo, hi in zip(lower, upper)], indexing="ij")
         ).reshape(d, -1).T

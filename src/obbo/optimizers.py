@@ -187,9 +187,7 @@ def _resolve_steps(
             raise ValueError(
                 "stream declares no outer smoothness constants; set alpha explicitly"
             )
-        l_F1 = outer_grad_lipschitz(
-            instant.mu_g, instant.l_g1, instant.l_f1, instant.l_f0, instant.l_g2
-        )
+        l_F1 = outer_grad_lipschitz(instant.mu_g, instant.l_g1, instant.l_f1)
         alpha = 3.0 / (8.0 * l_F1)
     K = config.K
     if K is None:
@@ -240,6 +238,10 @@ def _run(
 
     ``estimate(instant, lam, beta)`` returns (beta_next, raw estimate, window
     average); ``step(q, lam)`` returns (lam_next, the generator's diagonal).
+    The rounds run with floating-point warnings ignored: the estimate, the
+    iterate and the diagonal are checked every round, and the recorded
+    per-round quantities once after the loop, so a finite run never records
+    inf.
     """
     lam, beta = _initial_iterates(stream, config)
     T, d1, d2 = len(stream), lam.size, beta.size
@@ -247,18 +249,25 @@ def _run(
     betas = np.empty((T, d2))
     gen_proj_norm_sq, outer_loss, inner_residual = (np.empty(T) for _ in range(3))
 
-    for i, instant in enumerate(stream):
-        beta_next, est, average = estimate(instant, lam, beta)
-        q = _clip(average, config.clip_threshold)
-        _check_finite("hypergradient estimate", q, instant.t)
-        lam_next, phi_diags[i] = step(q, lam)
-        _check_finite("outer iterate", lam_next, instant.t)
-        _check_finite("adaptive diagonal", phi_diags[i], instant.t)
-        lambdas[i], betas[i], estimates[i], smoothed[i] = lam, beta_next, est, q
-        gen_proj_norm_sq[i] = (((lam - lam_next) / alpha) ** 2).sum()
-        outer_loss[i] = instant.f_value(lam, beta_next)
-        inner_residual[i] = np.linalg.norm(instant.grad_g_beta(lam, beta_next))
-        lam, beta = lam_next, beta_next
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, instant in enumerate(stream):
+            beta_next, est, average = estimate(instant, lam, beta)
+            q = _clip(average, config.clip_threshold)
+            _check_finite("hypergradient estimate", q, instant.t)
+            lam_next, phi_diags[i] = step(q, lam)
+            _check_finite("outer iterate", lam_next, instant.t)
+            _check_finite("adaptive diagonal", phi_diags[i], instant.t)
+            lambdas[i], betas[i], estimates[i], smoothed[i] = lam, beta_next, est, q
+            gen_proj_norm_sq[i] = (((lam - lam_next) / alpha) ** 2).sum()
+            outer_loss[i] = instant.f_value(lam, beta_next)
+            inner_residual[i] = np.linalg.norm(instant.grad_g_beta(lam, beta_next))
+            lam, beta = lam_next, beta_next
+    finite = np.isfinite((gen_proj_norm_sq, outer_loss, inner_residual)).all(axis=0)
+    if not finite.all():
+        t = stream[int(np.argmin(finite))].t
+        raise DivergenceError(
+            f"recorded round quantities became non-finite at t={t}; aborting run"
+        )
     return RunTrace(
         lambdas=lambdas,
         betas=betas,

@@ -1,8 +1,8 @@
 """Time-indexed bilevel problem oracles.
 
 A stream is a sequence of per-round oracle bundles. Each bundle exposes the
-outer objective f_t, the strongly convex inner objective g_t, their first
-derivatives, and Hessian-vector products of g_t. Exact-solution oracles
+outer objective f_t, the first derivatives of f_t and of the strongly convex
+inner objective g_t, and Hessian-vector products of g_t. Exact-solution oracles
 (``inner_opt`` and ``exact_hypergradient``) are optional and reserved for
 metrics and tests; solvers work from the gradient and HVP oracles alone.
 """
@@ -35,6 +35,13 @@ class ProblemInstant:
     multiply. ``hvp_g_lambdabeta(lam, beta, v)`` maps a d2-vector through the
     mixed second derivative of g into a d1-vector; ``hvp_g_betabeta`` stays in
     d2. ``mu_g`` and ``l_g1`` bound the spectrum of the inner Hessian.
+
+    ``l_f1``, the smoothness constant of f, sets the default outer step
+    through ``outer_grad_lipschitz``, whose bound holds only when g has
+    constant second derivatives. A stream declares ``l_f1`` only then: the
+    quadratic and meta streams do; the spline stream does not, because its
+    cross Hessian 2 Omega beta depends on beta, so a spline run needs an
+    explicit ``alpha``.
     """
 
     t: int
@@ -43,7 +50,6 @@ class ProblemInstant:
     f_value: Callable[[Vector, Vector], Scalar]
     grad_f_lambda: Callable[[Vector, Vector], Vector]
     grad_f_beta: Callable[[Vector, Vector], Vector]
-    g_value: Callable[[Vector, Vector], Scalar]
     grad_g_beta: Callable[[Vector, Vector], Vector]
     hvp_g_lambdabeta: Callable[[Vector, Vector, Vector], Vector]
     hvp_g_betabeta: Callable[[Vector, Vector, Vector], Vector]
@@ -51,11 +57,7 @@ class ProblemInstant:
     l_g1: float
     inner_opt: Callable[[Vector], Vector] | None = None
     exact_hypergradient: Callable[[Vector], Vector] | None = None
-    # Smoothness constants used for default step sizes and config validation;
-    # optional because hand-built instants may not know them.
-    l_f0: float | None = None
     l_f1: float | None = None
-    l_g2: float | None = None
 
     def __post_init__(self):
         if self.t < 1:
@@ -64,10 +66,6 @@ class ProblemInstant:
             raise ValueError("mu_g must be positive")
         if self.l_g1 < self.mu_g:
             raise ValueError("l_g1 must be at least mu_g")
-
-    @property
-    def kappa_g(self) -> float:
-        return self.l_g1 / self.mu_g
 
 
 @dataclass
@@ -171,25 +169,12 @@ class StreamConfig:
             raise ValueError("cos_amplitude must be nonnegative")
 
 
-def outer_grad_lipschitz(
-    mu_g: float,
-    l_g1: float,
-    l_f1: float,
-    l_f0: float | None = None,
-    l_g2: float | None = None,
-) -> float:
+def outer_grad_lipschitz(mu_g: float, l_g1: float, l_f1: float) -> float:
     """Smoothness constant of the reparameterized outer objective.
 
     Combines the declared constants of f and g through the implicit solution
-    map; the cross term involving the Hessian Lipschitz constant of g drops
-    out when g is quadratic in beta (l_g2 = 0).
+    map of an inner problem with constant second derivatives.
     """
     kappa = l_g1 / mu_g
-    if l_g2 is None or l_g2 == 0.0:
-        extra = 0.0
-    else:
-        if l_f0 is None:
-            raise ValueError("l_f0 is required when l_g2 > 0")
-        extra = (l_f0 * l_g2 / mu_g) * (1.0 + kappa)
-    m_f = l_f1 * (1.0 + kappa) + extra
-    return l_f1 * (1.0 + kappa) + extra + m_f * kappa
+    m_f = l_f1 * (1.0 + kappa)
+    return m_f + m_f * kappa

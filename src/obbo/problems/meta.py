@@ -44,10 +44,6 @@ def _meta_instant(
     def grad_f_beta(lam, beta):
         return X_val.T @ (X_val @ beta - y_val)
 
-    def g_value(lam, beta):
-        r = X_tr @ beta - y_tr
-        return 0.5 * float(r @ r) + 0.5 * gamma * float(np.sum((lam - beta) ** 2))
-
     def grad_g_beta(lam, beta):
         return X_tr.T @ (X_tr @ beta - y_tr) + gamma * (beta - lam)
 
@@ -73,7 +69,6 @@ def _meta_instant(
         f_value=f_value,
         grad_f_lambda=grad_f_lambda,
         grad_f_beta=grad_f_beta,
-        g_value=g_value,
         grad_g_beta=grad_g_beta,
         hvp_g_lambdabeta=hvp_g_lambdabeta,
         hvp_g_betabeta=hvp_g_betabeta,
@@ -81,9 +76,7 @@ def _meta_instant(
         l_g1=l_g1,
         inner_opt=inner_opt,
         exact_hypergradient=exact_hypergradient,
-        l_f0=None,
         l_f1=float(np.linalg.norm(X_val.T @ X_val, 2)),
-        l_g2=0.0,
     )
 
 

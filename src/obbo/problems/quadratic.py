@@ -100,10 +100,6 @@ def _build_instant(
     def grad_f_beta(lam, beta):
         return beta - c
 
-    def g_value(lam, beta):
-        r = beta - A @ lam - b
-        return 0.5 * float(r @ (Q @ r))
-
     def grad_g_beta(lam, beta):
         return Q @ (beta - A @ lam - b)
 
@@ -126,7 +122,6 @@ def _build_instant(
         f_value=f_value,
         grad_f_lambda=grad_f_lambda,
         grad_f_beta=grad_f_beta,
-        g_value=g_value,
         grad_g_beta=grad_g_beta,
         hvp_g_lambdabeta=hvp_g_lambdabeta,
         hvp_g_betabeta=hvp_g_betabeta,
@@ -134,9 +129,7 @@ def _build_instant(
         l_g1=l_g1,
         inner_opt=inner_opt,
         exact_hypergradient=exact_hypergradient,
-        l_f0=None,
         l_f1=max(1.0, amp),
-        l_g2=0.0,
     )
 
     sigma_g, sigma_f = float(noise[0]), float(noise[1])

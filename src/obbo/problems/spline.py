@@ -50,7 +50,6 @@ class SplineTask:
     val_batches: tuple[Batch, ...]
     lambda_lower: float
     lambda_upper: float
-    basis_order: int = 2
 
     def __post_init__(self):
         knots = np.asarray(self.knots, dtype=float)
@@ -58,8 +57,6 @@ class SplineTask:
             raise ValueError("need at least three sorted knots")
         if np.any(np.diff(knots) <= 0):
             raise ValueError("knots must be strictly increasing")
-        if self.basis_order != 2:
-            raise ValueError("only linear (order 2) B-splines are supported")
         if not 0 < self.lambda_lower < self.lambda_upper:
             raise ValueError("lam box must satisfy 0 < lower < upper")
         if len(self.train_batches) != len(self.val_batches):
@@ -82,8 +79,8 @@ def linear_spline_basis(x, knots) -> np.ndarray:
     return BSpline.design_matrix(xc, padded, k=1).toarray()
 
 
-def roughness_penalty(knots, floor: float = 0.0) -> np.ndarray:
-    """Second-divided-difference penalty, optionally floored by a ridge.
+def roughness_penalty(knots) -> np.ndarray:
+    """Second-divided-difference penalty on the spline coefficients.
 
     Annihilates coefficient vectors sampled from affine functions, so heavily
     penalized fits approach the best straight line.
@@ -97,8 +94,7 @@ def roughness_penalty(knots, floor: float = 0.0) -> np.ndarray:
         D[i, i + 1] = -(1.0 / h[i] + 1.0 / h[i + 1])
         D[i, i + 2] = 1.0 / h[i + 1]
     weights = 0.5 * (h[:-1] + h[1:])
-    omega = D.T @ (weights[:, None] * D)
-    return omega + floor * np.eye(n)
+    return D.T @ (weights[:, None] * D)
 
 
 def _spline_instant(
@@ -108,13 +104,12 @@ def _spline_instant(
     B_val: np.ndarray,
     y_val: np.ndarray,
     omega: np.ndarray,
-    omega_norm: float,
     ridge: np.ndarray,
     lam_lower: float,
     lam_upper: float,
 ) -> ProblemInstant:
-    """One round's oracles; ``omega_norm`` (= ||omega||_2) and ``ridge``
-    (= RIDGE_FLOOR * I) are fixed across the stream and passed in."""
+    """One round's oracles; ``ridge`` (= RIDGE_FLOOR * I) is fixed across the
+    stream and passed in."""
     BtB = B_tr.T @ B_tr
     Bty = B_tr.T @ y_tr
     n = omega.shape[0]
@@ -142,15 +137,6 @@ def _spline_instant(
 
     def grad_f_beta(lam, beta):
         return 2.0 * (B_val.T @ (B_val @ beta - y_val))
-
-    def g_value(lam, beta):
-        lv = _lam_scalar(lam)
-        r = B_tr @ beta - y_tr
-        return (
-            float(r @ r)
-            + lv * float(beta @ (omega @ beta))
-            + RIDGE_FLOOR * float(beta @ beta)
-        )
 
     def grad_g_beta(lam, beta):
         lv = _lam_scalar(lam)
@@ -187,7 +173,6 @@ def _spline_instant(
         f_value=f_value,
         grad_f_lambda=grad_f_lambda,
         grad_f_beta=grad_f_beta,
-        g_value=g_value,
         grad_g_beta=grad_g_beta,
         hvp_g_lambdabeta=hvp_g_lambdabeta,
         hvp_g_betabeta=hvp_g_betabeta,
@@ -195,16 +180,12 @@ def _spline_instant(
         l_g1=l_g1,
         inner_opt=inner_opt,
         exact_hypergradient=exact_hypergradient,
-        l_f0=None,
-        l_f1=2.0 * float(np.linalg.norm(B_val.T @ B_val, 2)),
-        l_g2=2.0 * omega_norm,
     )
 
 
 def spline_stream(task: SplineTask) -> list[ProblemInstant]:
     """Materialize the per-round oracle bundles for a spline task."""
     omega = roughness_penalty(task.knots)
-    omega_norm = float(np.linalg.norm(omega, 2))
     ridge = RIDGE_FLOOR * np.eye(omega.shape[0])
     instants = []
     for i, ((x_tr, y_tr), (x_val, y_val)) in enumerate(
@@ -220,7 +201,6 @@ def spline_stream(task: SplineTask) -> list[ProblemInstant]:
                 B_val=B_val,
                 y_val=np.asarray(y_val, dtype=float),
                 omega=omega,
-                omega_norm=omega_norm,
                 ridge=ridge,
                 lam_lower=task.lambda_lower,
                 lam_upper=task.lambda_upper,

@@ -5,7 +5,6 @@ from obbo.geometry import (
     DistanceGenerator,
     FeasibleSet,
     Regularizer,
-    bregman_divergence,
     generalized_projection,
     prox_step,
 )
@@ -42,44 +41,18 @@ def sample_point(rng, X, d):
     return rng.uniform(-2.0, 2.0, d)
 
 
-class TestBregmanDivergence:
-    def test_euclidean_value(self):
-        assert bregman_divergence(EUCLID, [1.0, 2.0], [0.0, 0.0]) == pytest.approx(2.5)
-
-    def test_identity_is_zero(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            d = rng.integers(1, 6)
-            phi, _, _ = random_geometry(rng, d)
-            x = rng.standard_normal(d)
-            assert bregman_divergence(phi, x, x) == 0.0
-
-    def test_diagonal_value(self):
-        phi = DistanceGenerator.diagonal([2.0, 4.0])
-        assert bregman_divergence(phi, [1.0, 1.0], [0.0, 0.0]) == pytest.approx(3.0)
-
-    def test_strong_convexity_lower_bound(self):
-        rng = np.random.default_rng(1)
-        for _ in range(500):
-            d = int(rng.integers(1, 6))
-            phi, _, _ = random_geometry(rng, d)
-            x, y = rng.standard_normal(d), rng.standard_normal(d)
-            lower = 0.5 * phi.rho * float(np.sum((x - y) ** 2))
-            assert bregman_divergence(phi, x, y) >= lower - 1e-12
-
+class TestProxStep:
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ValueError):
-            bregman_divergence(EUCLID, [1.0, 2.0], [1.0])
+            prox_step([1.0, 2.0], [1.0], 0.5, EUCLID, ZERO, FULL)
         phi = DistanceGenerator.diagonal([1.0, 2.0])
         with pytest.raises(ValueError):
-            bregman_divergence(phi, [1.0], [0.0])
+            prox_step([1.0], [0.0], 0.5, phi, ZERO, FULL)
 
     def test_non_finite_raises(self):
         with pytest.raises(ValueError):
-            bregman_divergence(EUCLID, [np.nan, 0.0], [0.0, 0.0])
+            prox_step([np.nan, 0.0], [0.0, 0.0], 0.5, EUCLID, ZERO, FULL)
 
-
-class TestProxStep:
     def test_euclidean_gradient_step(self):
         out = prox_step([1.0, -2.0], [0.0, 0.0], 0.5, EUCLID, ZERO, FULL)
         np.testing.assert_array_equal(out, [-0.5, 1.0])
@@ -268,8 +241,3 @@ class TestInvariantsOfTypes:
     def test_box_requires_ordered_bounds(self):
         with pytest.raises(ValueError):
             FeasibleSet.box([1.0], [1.0])
-
-    def test_box_diameter(self):
-        box = FeasibleSet.box([0.0, 0.0], [3.0, 4.0])
-        assert box.diameter == pytest.approx(5.0)
-        assert FULL.diameter == np.inf

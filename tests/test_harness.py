@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+import os
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +50,14 @@ def small_config(**stream_overrides):
     )
 
 
+def exit_in_worker(exp, seed, out_dir):
+    """Stands in for run_cell: the pool worker dies without returning."""
+    # Never exit the test process itself if the cell runs serially.
+    if multiprocessing.parent_process() is None:
+        raise RuntimeError("expected to run in a pool worker")
+    os._exit(1)
+
+
 class TestConfigRoundTrip:
     @pytest.mark.parametrize(
         "name", ["reference.json", "window_sweep.json", "spline.json"]
@@ -95,6 +105,17 @@ class TestConfigRoundTrip:
         message = str(info.value)
         for part in ("tiny-obbo", repr(key), "'grid_size'", "'variations'"):
             assert part in message
+
+    def test_unknown_metrics_key_rejected_in_code(self):
+        exp = small_config().experiments[0]
+        with pytest.raises(ConfigError, match="tiny-obbo.*'variatons'"):
+            ExperimentSpec(
+                name=exp.name,
+                seeds=exp.seeds,
+                stream=exp.stream,
+                optimizer=exp.optimizer,
+                metrics={"variatons": True},
+            )
 
 
 class TestCliRun:
@@ -164,6 +185,17 @@ class TestCliRun:
         assert outputs[1]["error"] == "ValueError: unknown optimizer kind 'nope'"
         assert "error: broken__seed1: ValueError" in capsys.readouterr().out
 
+    def test_dead_worker_is_recorded_and_manifest_written(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(runner, "run_cell", exit_in_worker)
+        manifest = cli_run(small_config(), tmp_path, jobs=2)
+        outputs = json.loads((tmp_path / "manifest.json").read_text())["outputs"]
+        assert outputs == manifest["outputs"]
+        assert [e["run_id"] for e in outputs] == ["tiny-obbo__seed1", "tiny-obbo__seed2"]
+        for entry in outputs:
+            assert entry["status"] == "error"
+            assert entry["file"] is None
+            assert entry["error"].startswith("BrokenProcessPool: ")
+
     def test_seed_override(self, tmp_path):
         manifest = cli_run(small_config(), tmp_path, seeds_override=[9])
         assert [e["seed"] for e in manifest["outputs"]] == [9]
@@ -203,8 +235,7 @@ def oracle_outputs(instant):
     beta = np.linspace(-1.0, 1.0, instant.d2)
     v = np.linspace(0.25, 2.0, instant.d2)
     return [
-        instant.mu_g, instant.l_g1, instant.l_f0, instant.l_f1, instant.l_g2,
-        instant.f_value(lam, beta), instant.g_value(lam, beta),
+        instant.mu_g, instant.l_g1, instant.l_f1, instant.f_value(lam, beta),
         instant.grad_f_lambda(lam, beta), instant.grad_f_beta(lam, beta),
         instant.grad_g_beta(lam, beta), instant.hvp_g_lambdabeta(lam, beta, v),
         instant.hvp_g_betabeta(lam, beta, v), instant.inner_opt(lam),

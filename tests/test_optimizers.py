@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,9 @@ from obbo.problems import (
     DriftSpec,
     ProblemInstant,
     StreamConfig,
+    make_drifting_spline_task,
     quadratic_stream,
+    spline_stream,
 )
 
 
@@ -56,7 +59,6 @@ def constant_gradient_instant(t, g):
         f_value=lambda lam, beta: float(g @ lam),
         grad_f_lambda=lambda lam, beta: g.copy(),
         grad_f_beta=lambda lam, beta: np.zeros(1),
-        g_value=lambda lam, beta: 0.5 * float(beta @ beta),
         grad_g_beta=lambda lam, beta: beta.copy(),
         hvp_g_lambdabeta=lambda lam, beta, v: np.zeros(d1),
         hvp_g_betabeta=lambda lam, beta, v: v.copy(),
@@ -155,6 +157,16 @@ class TestRunObbo:
         with pytest.raises(DivergenceError, match="t=2"):
             run_obbo(stream, config, estimator=lambda *_: np.full(2, 1e308))
 
+    def test_overflowing_recorded_quantity_aborts(self):
+        # The estimate and the iterate stay finite, but the squared
+        # generalized projection norm of the first step overflows.
+        stream = static_stream(T=3)
+        config = ObboConfig(alpha=0.1, eta=0.1, K=2, w=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match="t=1"):
+                run_obbo(stream, config, estimator=lambda *_: np.full(2, 1e200))
+
     def test_overflowing_adaptive_diagonal_rejected(self):
         # A finite estimate whose square overflows gives the adaptive
         # generator an infinite diagonal entry, which aborts the run.
@@ -162,6 +174,12 @@ class TestRunObbo:
         config = ObboConfig(alpha=0.1, eta=0.1, K=2, w=1, phi_mode="adaptive")
         with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="t=1"):
             run_obbo(stream, config, estimator=lambda *_: np.full(2, 1e200))
+
+    def test_spline_stream_requires_explicit_alpha(self):
+        # The spline declares no l_f1, so no default outer step exists.
+        stream = spline_stream(make_drifting_spline_task(seed=0, T=2))
+        with pytest.raises(ValueError, match="set alpha explicitly"):
+            run_obbo(stream, ObboConfig(estimator="exact"))
 
     def test_infeasible_lambda0_rejected(self):
         stream = static_stream(T=5)

@@ -73,7 +73,8 @@ class TestQuadraticStream:
         for _ in range(50):
             l1, l2 = rng.standard_normal(2), rng.standard_normal(2)
             lhs = np.linalg.norm(inst.inner_opt(l1) - inst.inner_opt(l2))
-            assert lhs <= inst.kappa_g * np.linalg.norm(l1 - l2) + 1e-12
+            kappa = inst.l_g1 / inst.mu_g
+            assert lhs <= kappa * np.linalg.norm(l1 - l2) + 1e-12
 
     def test_hessian_spectrum_within_declared_bounds(self):
         stream = quadratic_stream(drifting_config())
@@ -226,7 +227,7 @@ class TestSplineStream:
 
     def test_roughness_annihilates_affine(self):
         knots = np.sort(np.random.default_rng(8).uniform(0.0, 1.0, 8))
-        omega = roughness_penalty(knots, floor=0.0)
+        omega = roughness_penalty(knots)
         affine = 2.0 * knots - 0.7
         np.testing.assert_allclose(omega @ affine, 0.0, atol=1e-10)
 
@@ -331,7 +332,9 @@ class TestMetaStream:
         v0 = stream[0].f_value(lam, stream[0].inner_opt(lam))
         for inst in stream[1:]:
             assert inst.f_value(lam, inst.inner_opt(lam)) == v0
-            assert inst.g_value(lam, beta) == stream[0].g_value(lam, beta)
+            np.testing.assert_array_equal(
+                inst.grad_g_beta(lam, beta), stream[0].grad_g_beta(lam, beta)
+            )
 
     def test_first_order_optimality_at_inner_opt(self):
         cfg = StreamConfig(d1=3, d2=3, T=3, drift=DriftSpec.decaying(1.0), seed=14)
