@@ -229,6 +229,15 @@ def _variation_grid(trace: RunTrace, grid_size: int) -> np.ndarray:
     return build_grid(lower, upper, n=grid_size, extra=trace.lambdas)
 
 
+def _check_squared_columns(trace: RunTrace, hg_error: np.ndarray) -> None:
+    """Abort a run whose CSV would square a finite estimate past the float range."""
+    smoothed_sq = np.einsum("ij,ij->i", trace.smoothed, trace.smoothed)
+    for name, values in (("smoothed_norm_sq", smoothed_sq), ("hypergrad_err_sq", hg_error)):
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise DivergenceError(f"{name} became non-finite at t={bad[0] + 1}; aborting run")
+
+
 def _cell_entry(exp: ExperimentSpec, seed: int) -> dict:
     return {"experiment": exp.name, "seed": seed, "run_id": f"{exp.name}__seed{seed}"}
 
@@ -245,7 +254,9 @@ def run_cell(exp: ExperimentSpec, seed: int, out_dir: str) -> dict:
     try:
         trace, stream = execute_run(exp, seed)
         regret = compute_regret_series(stream, trace)
-        hg_err = hypergradient_error(trace, regret.exact_grads)
+        with np.errstate(over="ignore"):
+            hg_err = hypergradient_error(trace, regret.exact_grads)
+        _check_squared_columns(trace, hg_err)
         options = {**DEFAULT_METRICS, **exp.metrics}
         if options["variations"]:
             report = variation_report(stream, _variation_grid(trace, options["grid_size"]))

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from ..optimizers import default_inner_step, default_neumann_bound
+from ..optimizers import _resolve_steps, default_inner_step, default_neumann_bound
 from ..problems.base import StochasticInstant, outer_grad_lipschitz
 from .config import HarnessConfig
 from .runner import build_optimizer_config, build_stream
@@ -44,6 +44,10 @@ def validate_experiment(exp) -> list[str]:
         config = build_optimizer_config(exp.optimizer)
     except Exception as exc:
         return [f"{prefix} optimizer spec invalid: {exc}"]
+    try:
+        _resolve_steps(stream, config, kind)
+    except ValueError as exc:
+        notes.append(f"{prefix} {exc}")
 
     horizon = exp.stream.get("T")
     eta = config.eta

@@ -10,7 +10,6 @@ the desk-scale direct solves of the implicit form.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -212,30 +211,35 @@ def stochastic_hypergradient(
 
 
 class WindowBuffer:
-    """Ring buffer of the w most recent hypergradient estimates.
+    """The w most recent hypergradient estimates.
 
     The average always divides by the capacity w: early rounds with fewer than
     w entries are implicitly zero-padded, matching the convention that
     objectives before the start of the stream are zero.
+
+    Row 0 stays zero and rows 1..w hold the estimates oldest first, so
+    ``np.add.accumulate`` adds 0 + e_1 + ... + e_w in order, as a loop would;
+    ``sum(axis=0)`` sums a single column pairwise.
     """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("window capacity must be at least 1")
         self.capacity = capacity
-        self._entries: deque[np.ndarray] = deque(maxlen=capacity)
+        self._pushed = 0
+        self._rows: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return min(self._pushed, self.capacity)
 
     def push(self, estimate) -> None:
-        estimate = np.asarray(estimate, dtype=float)
-        self._entries.append(estimate)
+        if self._rows is None:
+            self._rows = np.zeros((self.capacity + 1, *np.shape(estimate)))
+        self._rows[1:-1] = self._rows[2:]
+        self._rows[-1] = estimate
+        self._pushed += 1
 
     def average(self) -> np.ndarray:
-        if not self._entries:
+        if self._rows is None:
             raise ValueError("window buffer is empty")
-        total = np.zeros_like(self._entries[0])
-        for e in self._entries:
-            total = total + e
-        return total / self.capacity
+        return np.add.accumulate(self._rows)[-1] / self.capacity

@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from .geometry import DistanceGenerator, generalized_projection
 from .hypergrad import exact_hypergradient
@@ -180,6 +179,7 @@ def build_grid(
     d = lower.size
     if upper.size != d or np.any(lower >= upper):
         raise ValueError("grid bounds must satisfy lower < upper")
+    from scipy.stats import qmc  # imported here: it costs ~0.5 s, and only variations need it
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         points = qmc.Sobol(d, scramble=False).random(n)

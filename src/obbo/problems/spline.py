@@ -21,7 +21,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import BSpline
 
 from .base import ProblemInstant
 
@@ -53,10 +52,8 @@ class SplineTask:
 
     def __post_init__(self):
         knots = np.asarray(self.knots, dtype=float)
-        if knots.ndim != 1 or knots.size < 3:
-            raise ValueError("need at least three sorted knots")
-        if np.any(np.diff(knots) <= 0):
-            raise ValueError("knots must be strictly increasing")
+        if knots.ndim != 1 or knots.size < 3 or np.any(np.diff(knots) <= 0):
+            raise ValueError("need at least three strictly increasing knots")
         if not 0 < self.lambda_lower < self.lambda_upper:
             raise ValueError("lam box must satisfy 0 < lower < upper")
         if len(self.train_batches) != len(self.val_batches):
@@ -70,13 +67,21 @@ class SplineTask:
 def linear_spline_basis(x, knots) -> np.ndarray:
     """Dense design matrix of linear B-splines (hat functions) at the knots.
 
-    Rows sum to one for x inside the knot span (partition of unity).
+    x is clipped to the knot span, so rows sum to one (partition of unity).
+    The weights use scipy's k=1 ``design_matrix`` arithmetic, bit for bit.
     """
     x = np.asarray(x, dtype=float)
     knots = np.asarray(knots, dtype=float)
-    padded = np.r_[knots[0], knots, knots[-1]]
+    if knots.ndim != 1 or knots.size < 2 or not (knots[1:] > knots[:-1]).all():
+        raise ValueError("need at least two strictly increasing knots")
     xc = np.clip(x, knots[0], knots[-1])
-    return BSpline.design_matrix(xc, padded, k=1).toarray()
+    left = np.searchsorted(knots[1:-1], xc, side="right")  # knots[left] <= xc <= knots[left+1]
+    lo, hi = knots[left], knots[left + 1]
+    f = 1.0 / (hi - lo)
+    basis = np.zeros((xc.size, knots.size))
+    at = np.arange(0, basis.size, knots.size) + left
+    np.put(basis, [at, at + 1], [f * (hi - xc), f * (xc - lo)])
+    return basis
 
 
 def roughness_penalty(knots) -> np.ndarray:

@@ -6,11 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from obbo.geometry import FeasibleSet
 from obbo.harness.cli import main as cli_main
 from obbo.harness.config import (
     ConfigError,
     ExperimentSpec,
     HarnessConfig,
+    parse_config,
     parse_config_text,
     serialize_config,
     write_config,
@@ -195,6 +197,21 @@ class TestCliRun:
             assert entry["status"] == "error"
             assert entry["file"] is None
             assert entry["error"].startswith("BrokenProcessPool: ")
+
+    def test_squared_column_overflow_aborts_cell(self, tmp_path, monkeypatch):
+        # The box keeps the step and the run's recorded quantities finite, but
+        # the constant 1e200 estimate squares to inf in the CSV's columns.
+        def overflowing_run(exp, seed):
+            stream = build_stream(exp.stream, seed)
+            box = FeasibleSet.box([-1.0, -1.0], [1.0, 1.0])
+            config = ObboConfig(alpha=0.05, eta=0.1, K=2, w=1, feasible=box)
+            return run_obbo(stream, config, estimator=lambda *_: np.full(2, 1e200)), stream
+
+        monkeypatch.setattr(runner, "execute_run", overflowing_run)
+        entry = run_cell(small_config().experiments[0], 1, str(tmp_path))
+        assert entry["status"] == "aborted" and entry["file"] is None
+        assert entry["error"] == "smoothed_norm_sq became non-finite at t=1; aborting run"
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_seed_override(self, tmp_path):
         manifest = cli_run(small_config(), tmp_path, seeds_override=[9])
@@ -541,6 +558,16 @@ class TestCliValidate:
         assert not any("without sampled oracles" in n for n in cli_validate(cfg))
         del cfg.experiments[0].stream["stochastic"]
         assert any("without sampled oracles" in n for n in cli_validate(cfg))
+
+    def test_unresolvable_alpha_noted(self):
+        # The spline declares no outer smoothness constants, so a run without
+        # alpha fails in every cell; validate says so up front.
+        cfg = parse_config(CONFIG_DIR / "spline.json")
+        del cfg.experiments[0].optimizer["alpha"]
+        assert cli_validate(cfg) == [
+            "[spline-obbo] stream declares no outer smoothness constants; "
+            "set alpha explicitly"
+        ]
 
     def test_never_blocks(self):
         cfg = self.base_experiment({"kind": "obbo", "alpha": 99.0, "eta": 2.0, "K": 1, "w": 1})

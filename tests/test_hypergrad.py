@@ -368,6 +368,25 @@ class TestWindowBuffer:
         with pytest.raises(ValueError):
             WindowBuffer(2).average()
 
+    @pytest.mark.parametrize("w", [1, 3, 10, 25])
+    @pytest.mark.parametrize("d", [1, 4])
+    def test_average_matches_loop_from_zero_bitwise(self, w, d):
+        # Reference: add the window oldest first onto zeros, then divide.
+        rng = np.random.default_rng(w * 10 + d)
+        entries = rng.standard_normal((40, d)) * 10.0 ** rng.uniform(-8, 8, (40, d))
+        entries[rng.random((40, d)) < 0.1] = -0.0
+        buf = WindowBuffer(w)
+        for i, e in enumerate(entries):
+            buf.push(e)
+            total = np.zeros(d)
+            for past in entries[max(0, i - w + 1) : i + 1]:
+                total = total + past
+            expected = total / w
+            got = buf.average()
+            assert np.array_equal(got, expected)
+            assert np.array_equal(np.signbit(got), np.signbit(expected))
+            assert len(buf) == min(i + 1, w)
+
 
 class TestImplicitHypergradient:
     def test_equals_exact_at_inner_optimum(self):

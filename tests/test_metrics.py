@@ -1,8 +1,15 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import obbo
 from obbo.geometry import FeasibleSet, Regularizer
 from obbo.metrics import (
     build_grid,
@@ -313,3 +320,24 @@ class TestBuildGrid:
     def test_bad_bounds_rejected(self):
         with pytest.raises(ValueError):
             build_grid([1.0], [1.0])
+
+    def test_scipy_imported_only_by_build_grid(self):
+        # Importing the library must not pay for scipy; build_grid imports
+        # its Sobol generator on first use and still gives the pinned grid.
+        script = (
+            "import json, sys\n"
+            "import obbo.problems, obbo.metrics, obbo.harness\n"
+            "before = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+            "grid = obbo.metrics.build_grid([-1.0, 0.0], [1.0, 2.0], n=8, extra=[[3.0, 1.0]])\n"
+            "print(json.dumps({'before': before, 'grid': grid.tolist()}))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(obbo.__file__).resolve().parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        result = json.loads(out.stdout)
+        assert result["before"] == []
+        sobol = [[-1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [-0.5, 1.5],
+                 [-0.25, 0.75], [0.75, 1.75], [0.25, 0.25], [-0.75, 1.25]]
+        corners = [[-1.0, 0.0], [-1.0, 2.0], [1.0, 0.0], [1.0, 2.0]]
+        assert result["grid"] == sobol + corners + [[1.0, 1.0]]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from obbo.problems import (
     DriftSpec,
@@ -224,6 +226,31 @@ class TestSplineStream:
         x = np.random.default_rng(7).uniform(0.0, 1.0, 200)
         B = linear_spline_basis(x, knots)
         np.testing.assert_allclose(B.sum(axis=1), 1.0, atol=1e-12)
+
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(
+        gaps=st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=15),
+        start=st.floats(-100.0, 100.0),
+        inside=st.lists(st.floats(0.0, 1.0), max_size=20),
+    )
+    def test_basis_equals_scipy_design_matrix(self, gaps, start, inside):
+        from scipy.interpolate import BSpline
+
+        knots = start + np.cumsum([0.0, *gaps])
+        assume(np.all(np.diff(knots) > 0))
+        lo, hi = knots[0], knots[-1]
+        x = np.concatenate(
+            [knots, lo + np.asarray(inside) * (hi - lo), [lo - 1.0, hi + 1.0, -1e300, 1e300]]
+        )
+        padded = np.r_[lo, knots, hi]
+        expected = BSpline.design_matrix(np.clip(x, lo, hi), padded, k=1).toarray()
+        assert np.array_equal(linear_spline_basis(x, knots), expected)
+
+    def test_basis_rejects_unsorted_or_too_few_knots(self):
+        x = np.array([0.2, 0.5])
+        for knots in ([0.0, 1.0, 0.5], [0.0, 0.5, 0.5, 1.0], [0.0]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                linear_spline_basis(x, knots)
 
     def test_roughness_annihilates_affine(self):
         knots = np.sort(np.random.default_rng(8).uniform(0.0, 1.0, 8))
