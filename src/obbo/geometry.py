@@ -123,7 +123,7 @@ class FeasibleSet:
         if self.kind not in ("full", "box"):
             raise ValueError(f"unknown feasible set kind {self.kind!r}")
 
-    def contains(self, x, tol: float = 0.0) -> bool:
+    def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
         if not np.isfinite(x).all():
             return False
@@ -131,7 +131,7 @@ class FeasibleSet:
             return True
         if x.size != self.lower.size:
             return False
-        return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
+        return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
 
     def project(self, x) -> np.ndarray:
         x = _as_vector("x", x)

@@ -40,7 +40,10 @@ class InnerSolveResult:
 
     trajectory: np.ndarray
     eta: float
-    K: int
+
+    @property
+    def K(self) -> int:
+        return self.trajectory.shape[0] - 1
 
     @property
     def final(self) -> np.ndarray:
@@ -75,7 +78,7 @@ def _descend(t: int, grad, lam, beta0, eta: float, K: int, *extra) -> InnerSolve
             f"inner iterate diverged at k={k} (t={t}); "
             f"eta={eta} likely violates the step size condition"
         )
-    return InnerSolveResult(trajectory=traj, eta=eta, K=K)
+    return InnerSolveResult(trajectory=traj, eta=eta)
 
 
 def inner_gd(
@@ -155,8 +158,6 @@ def itd_hypergradient(
     """
     lam = np.asarray(lam, dtype=float)
     traj = solve.trajectory
-    if traj.shape[0] != solve.K + 1:
-        raise ValueError("trajectory length does not match K")
     eta, K = solve.eta, solve.K
     omega_K = traj[K]
     v = instant.grad_f_beta(lam, omega_K)
@@ -194,19 +195,20 @@ def stochastic_hypergradient(
 
     Draws a truncation level uniformly from {0, ..., m-1}, propagates the
     sampled outer gradient through that many (I - H/l_g1) factors, scales by
-    m / l_g1, and applies the sampled mixed HVP. The empty product (level 0)
-    is the identity.
+    m / l_g1, and applies the mixed HVP. The empty product (level 0) is the
+    identity. Only the gradients are sampled; the HVPs are exact.
     """
     lam = np.asarray(lam, dtype=float)
     beta = np.asarray(beta, dtype=float)
     m, ell = params.m, params.l_g1
-    m_trunc = int(rng.integers(m))
+    m_trunc = rng.integers(m)
     v = instant.grad_f_beta_sampled(lam, beta, rng)
     inv_ell = 1.0 / ell
+    hvp_betabeta = instant.hvp_g_betabeta
     for _ in range(m_trunc):
-        v = v - inv_ell * instant.hvp_g_betabeta_sampled(lam, beta, v, rng)
+        v = v - inv_ell * hvp_betabeta(lam, beta, v)
     v = (m * inv_ell) * v
-    correction = instant.hvp_g_lambdabeta_sampled(lam, beta, v, rng)
+    correction = instant.hvp_g_lambdabeta(lam, beta, v)
     return instant.grad_f_lambda_sampled(lam, beta, rng) - correction
 
 

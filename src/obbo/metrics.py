@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import DistanceGenerator, generalized_projection
-from .hypergrad import exact_hypergradient
+from .hypergrad import DivergenceError, exact_hypergradient
 from .optimizers import RunTrace
 from .problems.base import Stream
 
@@ -87,16 +87,29 @@ def compute_regret_series(stream: Stream, trace: RunTrace) -> RegretSeries:
 
 def hypergradient_error(trace: RunTrace, exact_grads: np.ndarray) -> np.ndarray:
     """Squared error of the stored per-round estimates against the exact
-    hypergradients ``compute_regret_series`` returned for the same run."""
+    hypergradients ``compute_regret_series`` returned for the same run.
+
+    Raises ``DivergenceError`` naming the first round whose squared error is
+    not finite, such as a finite estimate so far off that its square overflows.
+    """
     if np.shape(exact_grads) != trace.estimates.shape:
         raise ValueError(
             f"exact_grads has shape {np.shape(exact_grads)}, "
             f"expected the estimates' {trace.estimates.shape}"
         )
-    out = np.empty(trace.T)
-    for t in range(trace.T):
-        diff = trace.estimates[t] - exact_grads[t]
-        out[t] = float(diff @ diff)
+    with np.errstate(over="ignore", invalid="ignore"):
+        diffs = trace.estimates - exact_grads
+    return _squared_norms("hypergrad_err_sq", diffs)
+
+
+def _squared_norms(name: str, rows: np.ndarray) -> np.ndarray:
+    """``row @ row`` for the row of each round t = 1, 2, ...; raises
+    ``DivergenceError`` naming ``name`` and the first t that is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.array([float(row @ row) for row in rows])
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        raise DivergenceError(f"{name} became non-finite at t={bad[0] + 1}; aborting run")
     return out
 
 

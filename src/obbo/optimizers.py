@@ -3,11 +3,11 @@
 Every optimizer runs the round written once in ``_run``: estimate, clip the
 window average on its squared norm, check it, step, check the new iterate
 and the generator's diagonal, record. Two strategies vary. The estimate is
-inner GD with the ITD, implicit or a caller-supplied estimator, the
-closed-form ``exact`` solve, or inner SGD with the Neumann estimator, each
-averaged over a ``WindowBuffer``; OAGD re-evaluates the last w objectives at
-the current pair instead. The step is a prox under the round's Euclidean or
-adaptive diagonal generator, or an Adam/SGDM step plus projection.
+inner GD with the ITD or implicit estimator, the closed-form ``exact`` solve,
+or inner SGD with the Neumann estimator, each averaged over a
+``WindowBuffer``; OAGD re-evaluates the last w objectives at the current pair
+instead. The step is a prox under the round's Euclidean or adaptive diagonal
+generator, or an Adam/SGDM step plus projection.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import numpy as np
 from .geometry import DistanceGenerator, FeasibleSet, Regularizer, prox_step
 from .hypergrad import (
     DivergenceError,
-    InnerSolveResult,
     NeumannParams,
     WindowBuffer,
     implicit_hypergradient,
@@ -50,9 +49,6 @@ __all__ = [
     "default_neumann_bound",
     "default_inner_step",
 ]
-
-Estimator = Callable[[ProblemInstant, np.ndarray, InnerSolveResult | None], np.ndarray]
-
 
 @dataclass
 class ObboConfig:
@@ -298,14 +294,12 @@ def _windowed(w: int, solve_and_estimate: Callable) -> Callable:
     return estimate
 
 
-def _gd_estimate(
-    config: ObboConfig, eta: float, K: int, estimator: Estimator | None
-) -> Callable:
-    """Inner GD plus the configured (or caller-supplied) estimator, windowed.
+def _gd_estimate(config: ObboConfig, eta: float, K: int) -> Callable:
+    """Inner GD plus the configured estimator, windowed.
 
     The ``exact`` estimator replaces inner GD by the closed-form inner solve.
     """
-    mode = "custom" if estimator is not None else config.estimator
+    mode = config.estimator
 
     def solve_and_estimate(instant, lam, beta):
         if mode == "exact":
@@ -316,9 +310,7 @@ def _gd_estimate(
         solve = inner_gd(instant, lam, beta, eta, K)
         if mode == "itd":
             return solve.final, itd_hypergradient(instant, lam, solve)
-        if mode == "implicit":
-            return solve.final, implicit_hypergradient(instant, lam, solve.final)
-        return solve.final, estimator(instant, lam, solve)
+        return solve.final, implicit_hypergradient(instant, lam, solve.final)
 
     return _windowed(config.w, solve_and_estimate)
 
@@ -345,9 +337,7 @@ def _bregman_step(config: ObboConfig, alpha: float, d1: int) -> Callable:
     return step
 
 
-def run_obbo(
-    stream: Stream, config: ObboConfig, estimator: Estimator | None = None
-) -> RunTrace:
+def run_obbo(stream: Stream, config: ObboConfig) -> RunTrace:
     """Deterministic online Bregman bilevel optimizer.
 
     Per round: warm-started inner gradient descent, a hypergradient estimate
@@ -357,7 +347,7 @@ def run_obbo(
     by the closed-form inner solve.
     """
     alpha, eta, K = _resolve_steps(stream, config, "obbo")
-    estimate = _gd_estimate(config, eta, K, estimator)
+    estimate = _gd_estimate(config, eta, K)
     step = _bregman_step(config, alpha, stream[0].d1)
     return _run(stream, config, alpha, eta, estimate, step)
 
@@ -432,21 +422,18 @@ def run_sobow(stream: Stream, config: ObboConfig) -> RunTrace:
     return run_obbo(stream, restricted)
 
 
-def run_single_level(
-    stream: Stream, method: str, config: ObboConfig, momentum: float = 0.9
-) -> RunTrace:
+def run_single_level(stream: Stream, method: str, config: ObboConfig) -> RunTrace:
     """Adam or SGDM applied to the windowed hypergradient estimates.
 
     Uses the same inner solve / estimate / window pipeline as the bilevel
     loops, then takes the named first-order step and projects back onto the
-    feasible set. Adam uses (0.9, 0.999, eps 1e-8); SGDM defaults to momentum
-    0.9 (momentum 0 is plain gradient descent).
+    feasible set. Adam uses (0.9, 0.999, eps 1e-8); SGDM momentum 0.9.
     """
     if method not in ("adam", "sgdm"):
         raise ValueError(f"unknown single-level method {method!r}")
     alpha, eta, K = _resolve_steps(stream, config, "single")
     d1 = stream[0].d1
-    beta1, beta2, eps_adam = 0.9, 0.999, 1e-8
+    beta1, beta2, eps_adam, momentum = 0.9, 0.999, 1e-8, 0.9
     m_state, v_state, ones = np.zeros(d1), np.zeros(d1), np.ones(d1)
     step_idx = 0
 
@@ -464,5 +451,5 @@ def run_single_level(
             delta = m_state
         return config.feasible.project(lam - alpha * delta), ones
 
-    estimate = _gd_estimate(config, eta, K, None)
+    estimate = _gd_estimate(config, eta, K)
     return _run(stream, config, alpha, eta, estimate, step)

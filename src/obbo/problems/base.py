@@ -9,7 +9,7 @@ metrics and tests; solvers work from the gradient and HVP oracles alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -70,22 +70,49 @@ class ProblemInstant:
 
 @dataclass
 class StochasticInstant(ProblemInstant):
-    """Problem instant with sampled oracle variants.
+    """Problem instant with sampled gradient oracles.
 
-    Sampled gradients are unbiased for their deterministic counterparts;
-    ``sigma_g_beta`` and ``sigma_f`` are the total noise scales, in the sense
-    E||sampled - exact||^2 = sigma^2 (per draw, batch size 1). With zero noise
-    the sampled oracles return the deterministic values bit-for-bit and do not
-    consume random state.
+    The sampled gradients add Gaussian noise to the deterministic ones, so they
+    are unbiased with E||sampled - exact||^2 = sigma^2 / s for a batch of s
+    (``grad_g_beta_sampled(lam, beta, s, rng)``; the outer gradients take no
+    batch, s = 1). At zero noise they return the deterministic values bit for
+    bit and draw nothing. The Hessian-vector products stay exact.
     """
 
-    grad_g_beta_sampled: Callable[..., Vector] | None = None
-    grad_f_lambda_sampled: Callable[..., Vector] | None = None
-    grad_f_beta_sampled: Callable[..., Vector] | None = None
-    hvp_g_lambdabeta_sampled: Callable[..., Vector] | None = None
-    hvp_g_betabeta_sampled: Callable[..., Vector] | None = None
     sigma_g_beta: float = 0.0
     sigma_f: float = 0.0
+    grad_g_beta_sampled: Callable[..., Vector] = field(init=False, repr=False)
+    grad_f_lambda_sampled: Callable[..., Vector] = field(init=False, repr=False)
+    grad_f_beta_sampled: Callable[..., Vector] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.sigma_g_beta < 0 or self.sigma_f < 0:
+            raise ValueError("noise scales must be nonnegative")
+        # The oracles the instant was built with: reassigning or wrapping a
+        # deterministic field later does not reach the sampled ones.
+        g_beta, f_lambda, f_beta = self.grad_g_beta, self.grad_f_lambda, self.grad_f_beta
+        d1, d2, sigma_g, sigma_f = self.d1, self.d2, self.sigma_g_beta, self.sigma_f
+        if sigma_g == 0.0:
+            self.grad_g_beta_sampled = lambda lam, beta, s, rng: g_beta(lam, beta)
+        else:
+
+            def grad_g_beta_sampled(lam, beta, s, rng):
+                xi = rng.standard_normal(d2) * (sigma_g / np.sqrt(d2 * s))
+                return g_beta(lam, beta) + xi
+
+            self.grad_g_beta_sampled = grad_g_beta_sampled
+        if sigma_f == 0.0:
+            self.grad_f_lambda_sampled = lambda lam, beta, rng: f_lambda(lam, beta)
+            self.grad_f_beta_sampled = lambda lam, beta, rng: f_beta(lam, beta)
+        else:
+            scale_1, scale_2 = sigma_f / np.sqrt(d1), sigma_f / np.sqrt(d2)
+            self.grad_f_lambda_sampled = (
+                lambda lam, beta, rng: f_lambda(lam, beta) + rng.standard_normal(d1) * scale_1
+            )
+            self.grad_f_beta_sampled = (
+                lambda lam, beta, rng: f_beta(lam, beta) + rng.standard_normal(d2) * scale_2
+            )
 
 
 Stream = Sequence[ProblemInstant]

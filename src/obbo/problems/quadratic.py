@@ -79,10 +79,10 @@ def _build_instant(
 ) -> ProblemInstant:
     """The oracle bundle for validated data and the spectrum bounds of Q.
 
-    Each oracle is one flat closure over the data; the sampled variants
-    repeat the deterministic formulas rather than calling them, and
-    ``-A'`` is formed once (negation is exact, so the products match
-    ``-A.T @ x`` bit for bit).
+    Each oracle is one flat closure over the data, and ``-A'`` is formed
+    once (negation is exact, so the products match ``-A.T @ x`` bit for
+    bit). A noisy or ``stochastic`` instant gets its sampled gradients from
+    ``StochasticInstant``.
     """
     d2, d1 = A.shape
     At = A.T
@@ -135,54 +135,7 @@ def _build_instant(
     sigma_g, sigma_f = float(noise[0]), float(noise[1])
     if not stochastic and sigma_g == 0.0 and sigma_f == 0.0:
         return ProblemInstant(**common)
-
-    # Additive Gaussian gradient noise with E||xi||^2 = sigma^2 per unit batch.
-    # Zero-noise oracles skip drawing entirely so they reproduce the
-    # deterministic path bit-for-bit.
-    if sigma_g > 0:
-
-        def grad_g_beta_sampled(lam, beta, s, rng):
-            xi = rng.standard_normal(d2) * (sigma_g / np.sqrt(d2 * s))
-            return Q @ (beta - A @ lam - b) + xi
-
-    else:
-
-        def grad_g_beta_sampled(lam, beta, s, rng):
-            return Q @ (beta - A @ lam - b)
-
-    if sigma_f > 0:
-        scale_f1, scale_f2 = sigma_f / np.sqrt(d1), sigma_f / np.sqrt(d2)
-
-        def grad_f_lambda_sampled(lam, beta, rng):
-            return neg_amp * np.sin(lam + phases) + rng.standard_normal(d1) * scale_f1
-
-        def grad_f_beta_sampled(lam, beta, rng):
-            return beta - c + rng.standard_normal(d2) * scale_f2
-
-    else:
-
-        def grad_f_lambda_sampled(lam, beta, rng):
-            return neg_amp * np.sin(lam + phases)
-
-        def grad_f_beta_sampled(lam, beta, rng):
-            return beta - c
-
-    def hvp_g_lambdabeta_sampled(lam, beta, v, rng):
-        return neg_At @ (Q @ v)
-
-    def hvp_g_betabeta_sampled(lam, beta, v, rng):
-        return Q @ v
-
-    return StochasticInstant(
-        **common,
-        grad_g_beta_sampled=grad_g_beta_sampled,
-        grad_f_lambda_sampled=grad_f_lambda_sampled,
-        grad_f_beta_sampled=grad_f_beta_sampled,
-        hvp_g_lambdabeta_sampled=hvp_g_lambdabeta_sampled,
-        hvp_g_betabeta_sampled=hvp_g_betabeta_sampled,
-        sigma_g_beta=sigma_g,
-        sigma_f=sigma_f,
-    )
+    return StochasticInstant(**common, sigma_g_beta=sigma_g, sigma_f=sigma_f)
 
 
 def _orthonormal_columns(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:

@@ -3,12 +3,39 @@
 These deliberately avoid the library's own code paths: gradients come from
 central finite differences, prox solutions from dense 1-D grid minimization
 of the raw objective, and inner-loop sensitivities from re-running the
-forward recursion at perturbed inputs.
+forward recursion at perturbed inputs. ``constant_gradient_instant`` is a
+hand-built instant whose every hypergradient estimate is a chosen vector.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from obbo.problems import ProblemInstant
+
+
+def constant_gradient_instant(t, g):
+    """f has constant outer gradient g; the inner problem is a decoupled quadratic.
+
+    The cross HVP is zero, so the ITD, implicit and exact estimates all
+    return g itself, bit for bit.
+    """
+    g = np.asarray(g, dtype=float)
+    d1 = g.size
+    return ProblemInstant(
+        t=t,
+        d1=d1,
+        d2=1,
+        f_value=lambda lam, beta: float(g @ lam),
+        grad_f_lambda=lambda lam, beta: g.copy(),
+        grad_f_beta=lambda lam, beta: np.zeros(1),
+        grad_g_beta=lambda lam, beta: beta.copy(),
+        hvp_g_lambdabeta=lambda lam, beta, v: np.zeros(d1),
+        hvp_g_betabeta=lambda lam, beta, v: v.copy(),
+        mu_g=1.0,
+        l_g1=1.0,
+        inner_opt=lambda lam: np.zeros(1),
+    )
 
 
 def central_diff_grad(fun, x, base_step: float = 1e-6) -> np.ndarray:

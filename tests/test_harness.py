@@ -6,7 +6,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from obbo.geometry import FeasibleSet
 from obbo.harness.cli import main as cli_main
 from obbo.harness.config import (
     ConfigError,
@@ -19,7 +18,14 @@ from obbo.harness.config import (
 )
 from obbo.harness.report import cli_report, median_abs_deviation
 import obbo.harness.runner as runner
-from obbo.harness.runner import build_stream, cli_run, run_cell, write_trace_csv
+from obbo.harness.runner import (
+    build_optimizer_config,
+    build_stream,
+    cli_run,
+    execute_run,
+    run_cell,
+    write_trace_csv,
+)
 from obbo.harness.validate import cli_validate
 from obbo.metrics import compute_regret_series, hypergradient_error
 from obbo.optimizers import ObboConfig, run_obbo
@@ -120,6 +126,74 @@ class TestConfigRoundTrip:
             )
 
 
+def set_key(doc: dict, where: str, key: str, value) -> None:
+    """Set ``key`` in the part of a config document that ``where`` names."""
+    exp = doc["experiments"][0]
+    target = {
+        "top-level": doc,
+        "experiment": exp,
+        "stream": exp["stream"],
+        "optimizer": exp["optimizer"],
+    }.get(where)
+    if target is None:
+        section = "stream" if where == "drift" else "optimizer"
+        nested = {
+            "drift": {"kind": "decaying", "rate": 1.0},
+            "phi": {"mode": "adaptive"},
+            "regularizer": {"kind": "l1", "weight": 0.1},
+            "feasible": {"kind": "box", "lower": [-1.0, -1.0], "upper": [1.0, 1.0]},
+        }[where]
+        target = exp[section][where] = nested
+    target[key] = value
+
+
+class TestUnknownKeys:
+    @pytest.mark.parametrize(
+        "where, key",
+        [
+            ("top-level", "ouput_dir"),
+            ("experiment", "metric"),
+            ("stream", "kapa_target"),
+            ("optimizer", "alhpa"),
+            ("optimizer", "s"),
+            ("drift", "rat"),
+            ("phi", "mod"),
+            ("regularizer", "wieght"),
+            ("feasible", "lowr"),
+        ],
+        ids=["top-level", "experiment", "stream", "optimizer", "optimizer-kind",
+             "drift", "phi", "regularizer", "feasible"],
+    )
+    def test_rejected_at_parse_time(self, where, key):
+        doc = json.loads(serialize_config(small_config()))
+        set_key(doc, where, key, 1.0)
+        with pytest.raises(ConfigError, match=f"unknown .*key.*'{key}'"):
+            parse_config_text(json.dumps(doc))
+
+    def test_builders_reject_them_too(self):
+        exp = small_config().experiments[0]
+        with pytest.raises(ConfigError, match="'kapa_target'"):
+            build_stream({**exp.stream, "kapa_target": 3.0}, 1)
+        with pytest.raises(ConfigError, match="'mod'"):
+            build_optimizer_config({**exp.optimizer, "phi": {"mod": "adaptive"}})
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_cli_exits_2_before_any_cell(self, tmp_path, capsys, command):
+        doc = json.loads(serialize_config(small_config()))
+        set_key(doc, "stream", "kapa_target", 30.0)
+        set_key(doc, "optimizer", "alhpa", 0.2)
+        set_key(doc, "phi", "mod", "adaptive")
+        path = tmp_path / "typos.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        args = ["--out", str(out)] if command == "run" else []
+        with pytest.raises(SystemExit) as exc:
+            cli_main([command, "--config", str(path), *args])
+        assert exc.value.code == 2
+        assert "unknown obbo optimizer key(s) ['alhpa']" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestCliRun:
     def test_empty_experiment_list(self, tmp_path):
         manifest = cli_run(HarnessConfig(experiments=[]), tmp_path)
@@ -199,13 +273,12 @@ class TestCliRun:
             assert entry["error"].startswith("BrokenProcessPool: ")
 
     def test_squared_column_overflow_aborts_cell(self, tmp_path, monkeypatch):
-        # The box keeps the step and the run's recorded quantities finite, but
-        # the constant 1e200 estimate squares to inf in the CSV's columns.
+        # A finite smoothed row and estimate that square to inf in the CSV's
+        # columns; smoothed_norm_sq is checked first.
         def overflowing_run(exp, seed):
-            stream = build_stream(exp.stream, seed)
-            box = FeasibleSet.box([-1.0, -1.0], [1.0, 1.0])
-            config = ObboConfig(alpha=0.05, eta=0.1, K=2, w=1, feasible=box)
-            return run_obbo(stream, config, estimator=lambda *_: np.full(2, 1e200)), stream
+            trace, stream = execute_run(exp, seed)
+            trace.smoothed[0] = trace.estimates[0] = 1e200
+            return trace, stream
 
         monkeypatch.setattr(runner, "execute_run", overflowing_run)
         entry = run_cell(small_config().experiments[0], 1, str(tmp_path))
@@ -334,7 +407,8 @@ class TestCsvSchema:
         trace = run_obbo(stream, ObboConfig(alpha=0.05, eta=0.1, K=3, w=2))
         regret = compute_regret_series(stream, trace)
         hg_error = hypergradient_error(trace, regret.exact_grads)
-        write_trace_csv(path, "rid", trace, regret, hg_error)
+        smoothed_sq = np.array([float(row @ row) for row in trace.smoothed])
+        write_trace_csv(path, "rid", trace, regret, hg_error, smoothed_sq)
         return trace, regret, hg_error
 
     def test_float_round_trip_17_digits(self, tmp_path):

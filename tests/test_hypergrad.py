@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obbo.hypergrad import (
     DivergenceError,
@@ -249,13 +251,6 @@ class TestItdHypergradient:
             got = itd_hypergradient(inst, lam, res)
             np.testing.assert_array_equal(got, inst.grad_f_lambda(lam, beta_hat))
 
-    def test_trajectory_mismatch_raises(self):
-        inst = one_dim_instant()
-        res = inner_gd(inst, np.array([1.0]), np.array([0.0]), 0.5, 3)
-        res.K = 5
-        with pytest.raises(ValueError):
-            itd_hypergradient(inst, np.array([1.0]), res)
-
     def test_error_decays_geometrically_in_k(self):
         # d2=1 instant: single contraction mode, slope = log(1 - eta*mu)
         inst = one_dim_instant(q=1.0, a=1.3, b=0.4, c=0.2, amp=0.3)
@@ -302,6 +297,48 @@ class TestStochasticHypergradient:
         expected = inst.grad_f_lambda(lam, beta)[0] - series_weight * corr
         stderr = draws.std(ddof=1) / np.sqrt(n)
         assert abs(draws.mean() - expected) <= 4.0 * stderr
+
+    @settings(derandomize=True, deadline=None, max_examples=20)
+    @given(
+        d1=st.integers(1, 3),
+        d2=st.integers(1, 3),
+        m=st.integers(1, 20),
+        ell_factor=st.floats(1.0, 3.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_mean_over_truncation_levels_is_neumann_sum(self, d1, d2, m, ell_factor, seed):
+        # Averaged over every level k = 0..m-1 the estimate is
+        # grad_f_lambda - J ((1/l) sum_{k<m} (I - H/l)^k grad_f_beta), with the
+        # inner Hessian H = Q and the cross Jacobian J = -A'Q as matrices.
+        rng = np.random.default_rng(seed)
+        R, _ = np.linalg.qr(rng.standard_normal((d2, d2)))
+        Q = R @ np.diag(np.geomspace(1.0, 6.0, d2)) @ R.T
+        Q = 0.5 * (Q + Q.T)
+        A = rng.standard_normal((d2, d1))
+        inst = quadratic_instant(
+            t=1, A=A, b=rng.standard_normal(d2), Q=Q, c=rng.standard_normal(d2),
+            amp=0.5, phases=rng.uniform(0, 2 * np.pi, d1), stochastic=True,
+        )
+        lam, beta = rng.standard_normal(d1), rng.standard_normal(d2)
+        ell = inst.l_g1 * ell_factor
+        params = NeumannParams(m, ell)
+
+        class Level:
+            def __init__(self, k):
+                self.k = k
+
+            def integers(self, high):
+                assert high == m
+                return self.k
+
+        mean = sum(
+            stochastic_hypergradient(inst, lam, beta, params, Level(k)) for k in range(m)
+        ) / m
+        step = np.eye(d2) - Q / ell
+        series = sum(np.linalg.matrix_power(step, k) for k in range(m)) / ell
+        u = series @ inst.grad_f_beta(lam, beta)
+        expected = inst.grad_f_lambda(lam, beta) - (-A.T @ Q) @ u
+        np.testing.assert_allclose(mean, expected, rtol=1e-10)
 
     def test_bias_decays_geometrically_in_m(self):
         q, ell = 0.1, 1.0

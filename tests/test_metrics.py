@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 import obbo
 from obbo.geometry import FeasibleSet, Regularizer
+from obbo.hypergrad import DivergenceError
 from obbo.metrics import (
     build_grid,
     compute_regret_series,
@@ -250,6 +252,19 @@ class TestHypergradientError:
             hypergradient_error(trace, grads[:5])
         with pytest.raises(ValueError, match="shape"):
             hypergradient_error(trace, grads[:, :1])
+
+    def test_overflowing_error_aborts_without_warning(self):
+        # A finite estimate far enough from the exact one that its squared
+        # error overflows, outside any caller's errstate.
+        stream = make_stream(T=5)
+        trace = run_obbo(stream, ObboConfig(alpha=0.05, eta=0.1, K=3, w=1))
+        grads = compute_regret_series(stream, trace).exact_grads
+        trace.estimates[2] = 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as info:
+                hypergradient_error(trace, grads)
+        assert str(info.value) == "hypergrad_err_sq became non-finite at t=3; aborting run"
 
 
 def small_stream(kind, T, d, seed):

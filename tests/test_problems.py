@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from obbo.problems import (
     DriftSpec,
+    ProblemInstant,
     SplineTask,
     StochasticInstant,
     StreamConfig,
@@ -134,17 +137,31 @@ class TestQuadraticStream:
         np.testing.assert_array_equal(
             inst.grad_f_lambda_sampled(lam, beta, rng), inst.grad_f_lambda(lam, beta)
         )
-        v = np.array([0.3, -1.2, 0.7])
-        np.testing.assert_array_equal(
-            inst.hvp_g_lambdabeta_sampled(lam, beta, v, rng),
-            inst.hvp_g_lambdabeta(lam, beta, v),
-        )
-        np.testing.assert_array_equal(
-            inst.hvp_g_betabeta_sampled(lam, beta, v, rng),
-            inst.hvp_g_betabeta(lam, beta, v),
-        )
         # zero-noise oracles must not consume random state
         assert rng.bit_generator.state["state"]["state"] == state_before
+
+    def test_sampled_gradients_derived_from_deterministic(self):
+        # The sampled oracles are built by StochasticInstant, not passed in,
+        # and add sigma / sqrt(d s) times one standard normal draw per entry.
+        inst = quadratic_stream(drifting_config(noise=(0.3, 0.2)))[0]
+        lam, beta = np.array([0.2, -0.4]), np.array([0.1, 0.0, 1.0])
+        draws = np.random.default_rng(7)
+        expected = [
+            inst.grad_g_beta(lam, beta) + draws.standard_normal(3) * (0.3 / np.sqrt(3 * 4)),
+            inst.grad_f_lambda(lam, beta) + draws.standard_normal(2) * (0.2 / np.sqrt(2)),
+            inst.grad_f_beta(lam, beta) + draws.standard_normal(3) * (0.2 / np.sqrt(3)),
+        ]
+        rng = np.random.default_rng(7)
+        got = [
+            inst.grad_g_beta_sampled(lam, beta, 4, rng),
+            inst.grad_f_lambda_sampled(lam, beta, rng),
+            inst.grad_f_beta_sampled(lam, beta, rng),
+        ]
+        for a, b in zip(got, expected):
+            np.testing.assert_array_equal(a, b)
+        fields = {f.name: getattr(inst, f.name) for f in dataclasses.fields(ProblemInstant)}
+        with pytest.raises(TypeError):
+            StochasticInstant(**fields, grad_g_beta_sampled=inst.grad_g_beta_sampled)
 
     def test_stream_constants_match_a_standalone_instant(self):
         # The stream computes Q's spectrum once; each instant must carry what
