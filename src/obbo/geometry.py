@@ -8,6 +8,7 @@ constraint), so every operation has a closed form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,9 +167,13 @@ def prox_step(
     """
     q = _as_vector("q", q)
     u = _as_vector("u", u, q.size)
-    if not np.isfinite(alpha) or alpha <= 0:
+    if not math.isfinite(alpha) or alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    if not X.contains(u):
+    # u is a finite vector now, so it lies in the full space; in a box only
+    # the bounds are left to compare.
+    if X.kind == "box" and not (
+        u.size == X.lower.size and (u >= X.lower).all() and (u <= X.upper).all()
+    ):
         raise ValueError("reference point u lies outside the feasible set")
     scale = phi.scaling(q.size)
     z = u - alpha * q / scale
@@ -196,7 +201,7 @@ def generalized_projection(
     if X.kind == "full" and (h.kind == "zero" or h.weight == 0):
         q = _as_vector("q", q)
         _as_vector("u", u, q.size)
-        if not np.isfinite(alpha) or alpha <= 0:
+        if not math.isfinite(alpha) or alpha <= 0:
             raise ValueError(f"alpha must be positive, got {alpha}")
         return q / phi.scaling(q.size)
     return (np.asarray(u, dtype=float) - prox_step(q, u, alpha, phi, h, X)) / alpha

@@ -5,7 +5,8 @@ optimizer spec, a seed list, and variation options. Stream and optimizer specs
 are kept as plain key/value maps, so a parsed config re-serializes to exactly
 the bytes it was written with (canonical form: sorted keys, two-space indent,
 trailing newline). Every key is checked against ``SPEC_KEYS`` when the config
-is parsed; the values are checked when the builders run.
+is parsed, and so is every ``kind``; the other values are checked when the
+builders run.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ _OPTIMIZER_KEYS = (
 )
 
 # The keys each part of a config accepts. A part with kinds accepts "kind"
-# plus its kind's keys; a kind missing here is left for its builder to reject.
-# The builders in runner.py read their arguments through ``spec_args``, so a
-# key is accepted exactly when a builder reads it.
+# plus its kind's keys, and a kind missing here is rejected. The builders in
+# runner.py read their arguments through ``spec_args``, so a kind or key is
+# accepted exactly when a builder reads it.
 SPEC_KEYS = {
     "top-level": ("schema", "output_dir", "experiments"),
     "experiment": ("name", "seeds", "stream", "optimizer", "metrics"),
@@ -61,7 +62,7 @@ SPEC_KEYS = {
         "oagd": _OPTIMIZER_KEYS,
         "sobbo": (*_OPTIMIZER_KEYS, "s", "m"),
     },
-    "drift": ("kind", "rate", "scale"),
+    "drift": dict.fromkeys(("static", "decaying", "sublinear"), ("rate", "scale")),
     "phi": ("mode", "beta", "epsilon"),
     "regularizer": {"zero": (), "l1": ("weight",)},
     "feasible": {"full": (), "box": ("lower", "upper")},
@@ -73,19 +74,22 @@ class ConfigError(ValueError):
 
 
 def spec_args(part: str, spec: dict, where: str) -> dict:
-    """The entries of ``spec`` other than "kind", once every key is accepted.
+    """The entries of ``spec`` other than "kind", once its kind and every key
+    are accepted.
 
     ``part`` names an entry of ``SPEC_KEYS``; the parts nested in ``spec``
     (an experiment's stream, a stream's drift, ...) are checked too. Raises
-    ``ConfigError`` naming ``where`` and the unknown keys.
+    ``ConfigError`` naming ``where`` and the unknown kind or keys.
     """
     accepted, what = SPEC_KEYS[part], part
     if isinstance(accepted, dict):
-        kind = spec.get("kind", {"regularizer": "zero", "feasible": "full"}.get(part))
-        if kind in accepted:
-            accepted, what = ("kind", *accepted[kind]), f"{kind} {part}"
-        else:
-            accepted = spec
+        default = {"drift": "static", "regularizer": "zero", "feasible": "full"}.get(part)
+        kind = spec.get("kind", default)
+        if not isinstance(kind, str) or kind not in accepted:
+            raise ConfigError(
+                f"{where}: unknown {part} kind {kind!r}; accepted kinds are {sorted(accepted)}"
+            )
+        accepted, what = ("kind", *accepted[kind]), f"{kind} {part}"
     unknown = sorted(set(spec) - set(accepted))
     if unknown:
         raise ConfigError(
@@ -167,7 +171,7 @@ def parse_config_text(text: str) -> HarnessConfig:
         stream = _require(raw, "stream", f"{where} ({name})")
         optimizer = _require(raw, "optimizer", f"{where} ({name})")
         for spec, label in ((stream, "stream"), (optimizer, "optimizer")):
-            if not isinstance(spec, dict) or "kind" not in spec:
+            if not isinstance(spec, dict):
                 raise ConfigError(
                     f"{where} ({name}): '{label}' must be an object with a 'kind'"
                 )

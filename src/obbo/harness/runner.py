@@ -75,11 +75,11 @@ def build_stream(spec: dict, run_seed: int):
 
     The spec may pin its own structural ``seed``; otherwise the run seed is
     used, so repetitions see different problem realizations. Keys the spec
-    omits keep the stream builder's defaults; a key its kind does not accept
-    raises ``ConfigError``.
+    omits keep the stream builder's defaults; an unknown kind, or a key its
+    kind does not accept, raises ``ConfigError``.
     """
-    kind = spec["kind"]
     args = spec_args("stream", spec, "stream spec")
+    kind = spec["kind"]
     if kind != "spline_csv":
         args.setdefault("seed", run_seed)
     if args.get("drift") is not None:
@@ -95,32 +95,27 @@ def build_stream(spec: dict, run_seed: int):
         return spline_stream(make_drifting_spline_task(**args))
     if kind == "spline_csv":
         return spline_stream(load_spline_task_csv(**args))
-    if kind == "meta":
-        d = args.pop("d")
-        structure = {key: args.pop(key) for key in ("T", "seed", "drift") if key in args}
-        return meta_toy_stream(StreamConfig(d1=d, d2=d, **structure), **args)
-    raise ValueError(f"unknown stream kind {kind!r}")
+    d = args.pop("d")  # kind == "meta", the last one spec_args accepts
+    structure = {key: args.pop(key) for key in ("T", "seed", "drift") if key in args}
+    return meta_toy_stream(StreamConfig(d1=d, d2=d, **structure), **args)
 
 
 def _regularizer_from_spec(spec: dict | None) -> Regularizer:
     if spec is None or spec.get("kind", "zero") == "zero":
         return Regularizer.zero()
-    if spec["kind"] == "l1":
-        return Regularizer.l1(spec.get("weight", 0.0))
-    raise ValueError(f"unknown regularizer kind {spec['kind']!r}")
+    return Regularizer.l1(spec.get("weight", 0.0))
 
 
 def _feasible_from_spec(spec: dict | None) -> FeasibleSet:
     if spec is None or spec.get("kind", "full") == "full":
         return FeasibleSet.full_space()
-    if spec["kind"] == "box":
-        return FeasibleSet.box(spec["lower"], spec["upper"])
-    raise ValueError(f"unknown feasible set kind {spec['kind']!r}")
+    return FeasibleSet.box(spec["lower"], spec["upper"])
 
 
 def build_optimizer_config(spec: dict) -> ObboConfig:
     """Optimizer config from a spec; keys the spec omits keep the defaults,
-    and a key its kind does not accept raises ``ConfigError``."""
+    and an unknown kind, or a key its kind does not accept, raises
+    ``ConfigError``."""
     args = spec_args("optimizer", spec, "optimizer spec")
     phi = args.pop("phi", None) or {}
     phi_keys = {"mode": "phi_mode", "beta": "adapt_beta", "epsilon": "adapt_epsilon"}
@@ -150,10 +145,8 @@ def execute_run(exp: ExperimentSpec, seed: int) -> tuple[RunTrace, list]:
         trace = run_oagd(stream, config)
     elif kind == "sobow":
         trace = run_sobow(stream, config)
-    elif kind in ("adam", "sgdm"):
-        trace = run_single_level(stream, kind, config)
     else:
-        raise ValueError(f"unknown optimizer kind {kind!r}")
+        trace = run_single_level(stream, kind, config)
     return trace, stream
 
 

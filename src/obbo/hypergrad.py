@@ -5,7 +5,9 @@ optimum (requires the inner-solution oracle), backpropagation through the
 unrolled inner gradient-descent trajectory, and a randomized truncated
 Neumann-series estimate for stochastic oracles. All second-order information
 enters through Hessian-vector products; no Hessian is materialized except in
-the desk-scale direct solves of the implicit form.
+the desk-scale direct solves of the implicit form. On an instant with
+``quadratic`` data, inner GD and the ITD estimator multiply by its matrices
+directly instead, bit for bit as the oracles would.
 """
 
 from __future__ import annotations
@@ -84,8 +86,19 @@ def _descend(t: int, grad, lam, beta0, eta: float, K: int, *extra) -> InnerSolve
 def inner_gd(
     instant: ProblemInstant, lam, beta0, eta: float, K: int
 ) -> InnerSolveResult:
-    """K gradient-descent steps on g_t(lam, .) from the warm start beta0."""
-    return _descend(instant.t, instant.grad_g_beta, lam, beta0, eta, K)
+    """K gradient-descent steps on g_t(lam, .) from the warm start beta0.
+
+    On an instant with ``quadratic`` data, A lam is formed once per solve and
+    the gradient is Q @ ((omega - A lam) - b), the operations of the
+    quadratic's ``grad_g_beta`` in the same order.
+    """
+    quad = instant.quadratic
+    if quad is None:
+        return _descend(instant.t, instant.grad_g_beta, lam, beta0, eta, K)
+    a_lam, b, Q = quad.A @ np.asarray(lam, dtype=float), quad.b, quad.Q
+    return _descend(
+        instant.t, lambda lam, omega: Q @ ((omega - a_lam) - b), lam, beta0, eta, K
+    )
 
 
 def inner_sgd(
@@ -154,7 +167,9 @@ def itd_hypergradient(
     Runs the reverse pass with HVPs on a single propagated vector; for each k
     the cross HVP at omega^k is accumulated, then the vector is multiplied by
     (I - eta * H_betabeta(lam, omega^k)). Algebraically identical to the
-    matrix-product form of the unrolled derivative.
+    matrix-product form of the unrolled derivative. On an instant with
+    ``quadratic`` data both HVPs share one product Qv = Q @ v per step:
+    acc += (-A') @ Qv, then v - eta * Qv, as the HVP oracles compute them.
     """
     lam = np.asarray(lam, dtype=float)
     traj = solve.trajectory
@@ -162,11 +177,20 @@ def itd_hypergradient(
     omega_K = traj[K]
     v = instant.grad_f_beta(lam, omega_K)
     acc = np.zeros(instant.d1)
-    for k in range(K - 1, -1, -1):
-        omega_k = traj[k]
-        acc += instant.hvp_g_lambdabeta(lam, omega_k, v)
-        if k > 0:
-            v = v - eta * instant.hvp_g_betabeta(lam, omega_k, v)
+    quad = instant.quadratic
+    if quad is None:
+        for k in range(K - 1, -1, -1):
+            omega_k = traj[k]
+            acc += instant.hvp_g_lambdabeta(lam, omega_k, v)
+            if k > 0:
+                v = v - eta * instant.hvp_g_betabeta(lam, omega_k, v)
+    else:
+        Q, neg_At = quad.Q, quad.neg_At
+        for _ in range(K - 1):
+            Qv = Q @ v
+            acc += neg_At @ Qv
+            v = v - eta * Qv
+        acc += neg_At @ (Q @ v)
     return instant.grad_f_lambda(lam, omega_K) - eta * acc
 
 

@@ -4,17 +4,19 @@ A stream is a sequence of per-round oracle bundles. Each bundle exposes the
 outer objective f_t, the first derivatives of f_t and of the strongly convex
 inner objective g_t, and Hessian-vector products of g_t. Exact-solution oracles
 (``inner_opt`` and ``exact_hypergradient``) are optional and reserved for
-metrics and tests; solvers work from the gradient and HVP oracles alone.
+metrics and tests; solvers work from the gradient and HVP oracles, except that
+inner GD and ITD read a quadratic instant's matrices directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 __all__ = [
+    "QuadraticData",
     "ProblemInstant",
     "StochasticInstant",
     "DriftSpec",
@@ -25,6 +27,19 @@ __all__ = [
 
 Vector = np.ndarray
 Scalar = float
+
+
+class QuadraticData(NamedTuple):
+    """The data of g_t(lam, beta) = (beta - A lam - b)' Q (beta - A lam - b) / 2.
+
+    ``neg_At`` is ``-A.T``, formed once: negation is exact, so products with it
+    match ``-A.T @ x`` bit for bit.
+    """
+
+    A: np.ndarray
+    b: np.ndarray
+    Q: np.ndarray
+    neg_At: np.ndarray
 
 
 @dataclass
@@ -42,6 +57,14 @@ class ProblemInstant:
     quadratic and meta streams do; the spline stream does not, because its
     cross Hessian 2 Omega beta depends on beta, so a spline run needs an
     explicit ``alpha``.
+
+    ``quadratic`` holds the matrices of an inner objective of the form
+    ``QuadraticData`` documents; only the quadratic stream sets it. Inner GD
+    and the ITD estimator then multiply by them directly, with the oracles'
+    floating-point operations in the same order, so wrapping or reassigning
+    ``grad_g_beta`` or an HVP field of such an instant does not reach them.
+    Inner SGD, the Neumann and implicit estimators and the metrics still call
+    the fields.
     """
 
     t: int
@@ -58,6 +81,7 @@ class ProblemInstant:
     inner_opt: Callable[[Vector], Vector] | None = None
     exact_hypergradient: Callable[[Vector], Vector] | None = None
     l_f1: float | None = None
+    quadratic: QuadraticData | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.t < 1:

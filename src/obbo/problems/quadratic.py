@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import ProblemInstant, StochasticInstant, StreamConfig
+from .base import ProblemInstant, QuadraticData, StochasticInstant, StreamConfig
 
 __all__ = ["quadratic_instant", "quadratic_stream"]
 
@@ -81,7 +81,8 @@ def _build_instant(
 
     Each oracle is one flat closure over the data, and ``-A'`` is formed
     once (negation is exact, so the products match ``-A.T @ x`` bit for
-    bit). A noisy or ``stochastic`` instant gets its sampled gradients from
+    bit). The instant also carries that data as its ``quadratic`` field. A
+    noisy or ``stochastic`` instant gets its sampled gradients from
     ``StochasticInstant``.
     """
     d2, d1 = A.shape
@@ -130,6 +131,7 @@ def _build_instant(
         inner_opt=inner_opt,
         exact_hypergradient=exact_hypergradient,
         l_f1=max(1.0, amp),
+        quadratic=QuadraticData(A, b, Q, neg_At),
     )
 
     sigma_g, sigma_f = float(noise[0]), float(noise[1])

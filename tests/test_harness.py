@@ -89,8 +89,8 @@ class TestConfigRoundTrip:
                 json.dumps(
                     {
                         "experiments": [
-                            {"name": "x", "seeds": [1], "stream": {"kind": "a"}, "optimizer": {"kind": "b"}},
-                            {"name": "x", "seeds": [1], "stream": {"kind": "a"}, "optimizer": {"kind": "b"}},
+                            {"name": "x", "seeds": [1], "stream": {"kind": "meta"}, "optimizer": {"kind": "obbo"}},
+                            {"name": "x", "seeds": [1], "stream": {"kind": "meta"}, "optimizer": {"kind": "obbo"}},
                         ]
                     }
                 )
@@ -170,6 +170,22 @@ class TestUnknownKeys:
         with pytest.raises(ConfigError, match=f"unknown .*key.*'{key}'"):
             parse_config_text(json.dumps(doc))
 
+    @pytest.mark.parametrize("kind", ["nope", ["obbo"]], ids=["typo", "not-a-string"])
+    @pytest.mark.parametrize("where", ["stream", "optimizer", "drift", "regularizer", "feasible"])
+    def test_unknown_kind_rejected_at_parse_time(self, where, kind):
+        doc = json.loads(serialize_config(small_config()))
+        set_key(doc, where, "kind", kind)
+        with pytest.raises(ConfigError) as info:
+            parse_config_text(json.dumps(doc))
+        assert f"(tiny-obbo): unknown {where} kind {kind!r}; accepted kinds" in str(info.value)
+
+    @pytest.mark.parametrize("where", ["stream", "optimizer"])
+    def test_missing_kind_rejected_at_parse_time(self, where):
+        doc = json.loads(serialize_config(small_config()))
+        del doc["experiments"][0][where]["kind"]
+        with pytest.raises(ConfigError, match=f"unknown {where} kind None"):
+            parse_config_text(json.dumps(doc))
+
     def test_builders_reject_them_too(self):
         exp = small_config().experiments[0]
         with pytest.raises(ConfigError, match="'kapa_target'"):
@@ -191,6 +207,24 @@ class TestUnknownKeys:
             cli_main([command, "--config", str(path), *args])
         assert exc.value.code == 2
         assert "unknown obbo optimizer key(s) ['alhpa']" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_unknown_kind_in_last_experiment_exits_2_before_any_cell(
+        self, tmp_path, capsys, command
+    ):
+        doc = json.loads(serialize_config(small_config()))
+        doc["experiments"].append(
+            {**doc["experiments"][0], "name": "last", "optimizer": {"kind": "nope"}}
+        )
+        path = tmp_path / "kinds.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        args = ["--out", str(out)] if command == "run" else []
+        with pytest.raises(SystemExit) as exc:
+            cli_main([command, "--config", str(path), *args])
+        assert exc.value.code == 2
+        assert "(last): unknown optimizer kind 'nope'" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -242,14 +276,16 @@ class TestCliRun:
         assert all((tmp_path / e["file"]).exists() for e in by_name["tiny-obbo"])
 
     def test_failing_cell_is_recorded_and_manifest_written(self, tmp_path, capsys):
+        # A valid config whose data file is missing fails only inside its cell.
         cfg = small_config()
         cfg.experiments[0].seeds = [1]
+        missing = tmp_path / "missing.csv"
         cfg.experiments.append(
             ExperimentSpec(
                 name="broken",
                 seeds=[1],
-                stream=dict(cfg.experiments[0].stream),
-                optimizer={"kind": "nope"},
+                stream={"kind": "spline_csv", "path": str(missing), "knots": [0.0, 0.5, 1.0]},
+                optimizer={"kind": "obbo", "alpha": 0.05},
             )
         )
         path = tmp_path / "cfg.json"
@@ -258,8 +294,9 @@ class TestCliRun:
         outputs = json.loads((tmp_path / "out" / "manifest.json").read_text())["outputs"]
         assert [e["status"] for e in outputs] == ["ok", "error"]
         assert outputs[1]["file"] is None
-        assert outputs[1]["error"] == "ValueError: unknown optimizer kind 'nope'"
-        assert "error: broken__seed1: ValueError" in capsys.readouterr().out
+        assert outputs[1]["error"].startswith("FileNotFoundError: ")
+        assert str(missing) in outputs[1]["error"]
+        assert "error: broken__seed1: FileNotFoundError" in capsys.readouterr().out
 
     def test_dead_worker_is_recorded_and_manifest_written(self, tmp_path, monkeypatch):
         monkeypatch.setattr(runner, "run_cell", exit_in_worker)

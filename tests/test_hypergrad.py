@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -266,6 +267,66 @@ class TestItdHypergradient:
         slope = np.polyfit(ks, np.log(errs), 1)[0]
         target = 0.5 * np.log(1.0 - eta * inst.mu_g)
         assert abs(slope - target) <= 0.05
+
+
+def unused_oracle(*args):
+    raise AssertionError("the matrix path called an oracle closure")
+
+
+class TestQuadraticMatrixPath:
+    """Inner GD and ITD on an instant with ``quadratic`` data multiply by its
+    matrices directly; a copy without the data takes the oracle (HVP) path.
+    The two must agree bit for bit."""
+
+    @staticmethod
+    def both_paths(seed, d1, d2):
+        rng = np.random.default_rng(seed)
+        inst = random_instant(rng, d1, d2, kappa=float(rng.uniform(1.0, 20.0)))
+        matrix = dataclasses.replace(
+            inst,
+            grad_g_beta=unused_oracle,
+            hvp_g_lambdabeta=unused_oracle,
+            hvp_g_betabeta=unused_oracle,
+        )
+        oracles = dataclasses.replace(inst, quadratic=None)
+        return rng, matrix, oracles
+
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(
+        d1=st.integers(1, 4),
+        d2=st.integers(1, 8),
+        K=st.integers(1, 12),
+        eta_factor=st.floats(0.05, 1.9),
+        seed=st.integers(0, 2**16),
+    )
+    def test_trajectory_and_itd_equal_the_oracle_path(self, d1, d2, K, eta_factor, seed):
+        rng, matrix, oracles = self.both_paths(seed, d1, d2)
+        eta = eta_factor / matrix.l_g1
+        lam, beta0 = rng.standard_normal(d1), rng.standard_normal(d2)
+        solve = inner_gd(matrix, lam, beta0, eta, K)
+        reference = inner_gd(oracles, lam, beta0, eta, K)
+        assert np.array_equal(solve.trajectory, reference.trajectory)
+        assert np.array_equal(
+            itd_hypergradient(matrix, lam, solve), itd_hypergradient(oracles, lam, reference)
+        )
+
+    @settings(derandomize=True, deadline=None, max_examples=10)
+    @given(
+        d1=st.integers(1, 4),
+        d2=st.integers(1, 8),
+        log_eta=st.floats(60.0, 150.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_divergence_reported_alike(self, d1, d2, log_eta, seed):
+        rng, matrix, oracles = self.both_paths(seed, d1, d2)
+        lam, beta0 = rng.standard_normal(d1), rng.standard_normal(d2)
+        messages = []
+        for inst in (matrix, oracles):
+            with pytest.raises(DivergenceError) as info:
+                inner_gd(inst, lam, beta0, 10.0**log_eta, 12)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("inner iterate diverged at k=")
 
 
 class TestStochasticHypergradient:
