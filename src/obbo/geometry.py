@@ -169,11 +169,8 @@ def prox_step(
     u = _as_vector("u", u, q.size)
     if not math.isfinite(alpha) or alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    # u is a finite vector now, so it lies in the full space; in a box only
-    # the bounds are left to compare.
-    if X.kind == "box" and not (
-        u.size == X.lower.size and (u >= X.lower).all() and (u <= X.upper).all()
-    ):
+    # u is a finite vector now, so it lies in the full space.
+    if X.kind == "box" and not X.contains(u):
         raise ValueError("reference point u lies outside the feasible set")
     scale = phi.scaling(q.size)
     z = u - alpha * q / scale

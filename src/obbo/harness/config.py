@@ -15,6 +15,8 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..problems.base import DriftSpec
+
 __all__ = [
     "CONFIG_SCHEMA",
     "SPEC_KEYS",
@@ -62,7 +64,7 @@ SPEC_KEYS = {
         "oagd": _OPTIMIZER_KEYS,
         "sobbo": (*_OPTIMIZER_KEYS, "s", "m"),
     },
-    "drift": dict.fromkeys(("static", "decaying", "sublinear"), ("rate", "scale")),
+    "drift": dict.fromkeys(DriftSpec.KINDS, ("rate", "scale")),
     "phi": ("mode", "beta", "epsilon"),
     "regularizer": {"zero": (), "l1": ("weight",)},
     "feasible": {"full": (), "box": ("lower", "upper")},

@@ -95,7 +95,8 @@ def build_stream(spec: dict, run_seed: int):
         return spline_stream(make_drifting_spline_task(**args))
     if kind == "spline_csv":
         return spline_stream(load_spline_task_csv(**args))
-    d = args.pop("d")  # kind == "meta", the last one spec_args accepts
+    assert kind == "meta", f"no builder for stream kind {kind!r}"
+    d = args.pop("d")
     structure = {key: args.pop(key) for key in ("T", "seed", "drift") if key in args}
     return meta_toy_stream(StreamConfig(d1=d, d2=d, **structure), **args)
 
@@ -103,12 +104,14 @@ def build_stream(spec: dict, run_seed: int):
 def _regularizer_from_spec(spec: dict | None) -> Regularizer:
     if spec is None or spec.get("kind", "zero") == "zero":
         return Regularizer.zero()
+    assert spec["kind"] == "l1", f"no builder for regularizer kind {spec['kind']!r}"
     return Regularizer.l1(spec.get("weight", 0.0))
 
 
 def _feasible_from_spec(spec: dict | None) -> FeasibleSet:
     if spec is None or spec.get("kind", "full") == "full":
         return FeasibleSet.full_space()
+    assert spec["kind"] == "box", f"no builder for feasible kind {spec['kind']!r}"
     return FeasibleSet.box(spec["lower"], spec["upper"])
 
 
@@ -145,7 +148,7 @@ def execute_run(exp: ExperimentSpec, seed: int) -> tuple[RunTrace, list]:
         trace = run_oagd(stream, config)
     elif kind == "sobow":
         trace = run_sobow(stream, config)
-    else:
+    else:  # run_single_level rejects a kind other than "adam" and "sgdm"
         trace = run_single_level(stream, kind, config)
     return trace, stream
 

@@ -6,8 +6,8 @@ unrolled inner gradient-descent trajectory, and a randomized truncated
 Neumann-series estimate for stochastic oracles. All second-order information
 enters through Hessian-vector products; no Hessian is materialized except in
 the desk-scale direct solves of the implicit form. On an instant with
-``quadratic`` data, inner GD and the ITD estimator multiply by its matrices
-directly instead, bit for bit as the oracles would.
+``quadratic`` data, inner GD and the ITD estimator run that data's kernels
+instead, which compute bit for bit what the oracles would.
 """
 
 from __future__ import annotations
@@ -88,17 +88,15 @@ def inner_gd(
 ) -> InnerSolveResult:
     """K gradient-descent steps on g_t(lam, .) from the warm start beta0.
 
-    On an instant with ``quadratic`` data, A lam is formed once per solve and
-    the gradient is Q @ ((omega - A lam) - b), the operations of the
-    quadratic's ``grad_g_beta`` in the same order.
+    On an instant with ``quadratic`` data the gradient comes from its
+    ``grad_g_beta_at`` kernel, which forms A lam once per solve.
     """
     quad = instant.quadratic
     if quad is None:
-        return _descend(instant.t, instant.grad_g_beta, lam, beta0, eta, K)
-    a_lam, b, Q = quad.A @ np.asarray(lam, dtype=float), quad.b, quad.Q
-    return _descend(
-        instant.t, lambda lam, omega: Q @ ((omega - a_lam) - b), lam, beta0, eta, K
-    )
+        grad = instant.grad_g_beta
+    else:
+        grad = quad.grad_g_beta_at(np.asarray(lam, dtype=float))
+    return _descend(instant.t, grad, lam, beta0, eta, K)
 
 
 def inner_sgd(
@@ -168,29 +166,23 @@ def itd_hypergradient(
     the cross HVP at omega^k is accumulated, then the vector is multiplied by
     (I - eta * H_betabeta(lam, omega^k)). Algebraically identical to the
     matrix-product form of the unrolled derivative. On an instant with
-    ``quadratic`` data both HVPs share one product Qv = Q @ v per step:
-    acc += (-A') @ Qv, then v - eta * Qv, as the HVP oracles compute them.
+    ``quadratic`` data its ``itd_correction`` kernel runs the reverse pass,
+    with one product Q @ v per step shared by both HVPs.
     """
     lam = np.asarray(lam, dtype=float)
     traj = solve.trajectory
     eta, K = solve.eta, solve.K
     omega_K = traj[K]
     v = instant.grad_f_beta(lam, omega_K)
-    acc = np.zeros(instant.d1)
-    quad = instant.quadratic
-    if quad is None:
+    if instant.quadratic is not None:
+        acc = instant.quadratic.itd_correction(v, eta, K)
+    else:
+        acc = np.zeros(instant.d1)
         for k in range(K - 1, -1, -1):
             omega_k = traj[k]
             acc += instant.hvp_g_lambdabeta(lam, omega_k, v)
             if k > 0:
                 v = v - eta * instant.hvp_g_betabeta(lam, omega_k, v)
-    else:
-        Q, neg_At = quad.Q, quad.neg_At
-        for _ in range(K - 1):
-            Qv = Q @ v
-            acc += neg_At @ Qv
-            v = v - eta * Qv
-        acc += neg_At @ (Q @ v)
     return instant.grad_f_lambda(lam, omega_K) - eta * acc
 
 

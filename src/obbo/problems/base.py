@@ -11,12 +11,14 @@ inner GD and ITD read a quadratic instant's matrices directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, ClassVar, Sequence
 
 import numpy as np
 
+if TYPE_CHECKING:
+    from .quadratic import QuadraticData
+
 __all__ = [
-    "QuadraticData",
     "ProblemInstant",
     "StochasticInstant",
     "DriftSpec",
@@ -27,19 +29,6 @@ __all__ = [
 
 Vector = np.ndarray
 Scalar = float
-
-
-class QuadraticData(NamedTuple):
-    """The data of g_t(lam, beta) = (beta - A lam - b)' Q (beta - A lam - b) / 2.
-
-    ``neg_At`` is ``-A.T``, formed once: negation is exact, so products with it
-    match ``-A.T @ x`` bit for bit.
-    """
-
-    A: np.ndarray
-    b: np.ndarray
-    Q: np.ndarray
-    neg_At: np.ndarray
 
 
 @dataclass
@@ -58,13 +47,14 @@ class ProblemInstant:
     cross Hessian 2 Omega beta depends on beta, so a spline run needs an
     explicit ``alpha``.
 
-    ``quadratic`` holds the matrices of an inner objective of the form
-    ``QuadraticData`` documents; only the quadratic stream sets it. Inner GD
-    and the ITD estimator then multiply by them directly, with the oracles'
-    floating-point operations in the same order, so wrapping or reassigning
-    ``grad_g_beta`` or an HVP field of such an instant does not reach them.
-    Inner SGD, the Neumann and implicit estimators and the metrics still call
-    the fields.
+    ``quadratic`` is not a constructor argument: the quadratic stream sets it
+    to the data A, b, Q of its inner objective
+    g_t(lam, beta) = (beta - A lam - b)' Q (beta - A lam - b) / 2, and it is
+    None on every other instant. Inner GD and the ITD estimator then run the
+    data's own kernels, with the oracles' floating-point operations in the
+    same order, so wrapping or reassigning ``grad_g_beta`` or an HVP field of
+    such an instant does not reach them. Inner SGD, the Neumann and implicit
+    estimators and the metrics still call the fields.
     """
 
     t: int
@@ -81,7 +71,9 @@ class ProblemInstant:
     inner_opt: Callable[[Vector], Vector] | None = None
     exact_hypergradient: Callable[[Vector], Vector] | None = None
     l_f1: float | None = None
-    quadratic: QuadraticData | None = field(default=None, repr=False, compare=False)
+    quadratic: QuadraticData | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.t < 1:
@@ -152,12 +144,14 @@ class DriftSpec:
     like T^rate: unbounded but slower than T.
     """
 
+    KINDS: ClassVar[tuple[str, ...]] = ("static", "decaying", "sublinear")
+
     kind: str = "static"
     rate: float = 1.0
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("static", "decaying", "sublinear"):
+        if self.kind not in self.KINDS:
             raise ValueError(f"unknown drift kind {self.kind!r}")
         if self.kind == "decaying" and self.rate <= 0:
             raise ValueError("decaying drift requires rate > 0")

@@ -16,11 +16,49 @@ deterministic function of the seed.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-from .base import ProblemInstant, QuadraticData, StochasticInstant, StreamConfig
+from .base import ProblemInstant, StochasticInstant, StreamConfig
 
-__all__ = ["quadratic_instant", "quadratic_stream"]
+__all__ = ["QuadraticData", "quadratic_instant", "quadratic_stream"]
+
+
+class QuadraticData(NamedTuple):
+    """The data of g_t(lam, beta) = (beta - A lam - b)' Q (beta - A lam - b) / 2
+    and the two kernels inner GD and ITD run on it.
+
+    ``neg_At`` is ``-A.T``, formed once: negation is exact, so products with it
+    match ``-A.T @ x`` bit for bit. The kernels perform the floating-point
+    operations of the oracle closures ``_build_instant`` makes, in the same
+    order, so their results equal the oracle path's bit for bit.
+    """
+
+    A: np.ndarray
+    b: np.ndarray
+    Q: np.ndarray
+    neg_At: np.ndarray
+
+    def grad_g_beta_at(self, lam: np.ndarray):
+        """``grad_g_beta(lam, .)`` for a fixed lam, with A lam formed once."""
+        a_lam, b, Q = self.A @ lam, self.b, self.Q
+        return lambda lam, beta: Q @ ((beta - a_lam) - b)
+
+    def itd_correction(self, v: np.ndarray, eta: float, K: int) -> np.ndarray:
+        """The sum of the cross HVPs of an ITD reverse pass of K steps from v.
+
+        Each step's two HVPs share one product Qv = Q @ v: the sum gains
+        (-A') @ Qv, then v becomes v - eta * Qv (not after the last step).
+        """
+        Q, neg_At = self.Q, self.neg_At
+        acc = np.zeros(neg_At.shape[0])
+        for _ in range(K - 1):
+            Qv = Q @ v
+            acc += neg_At @ Qv
+            v = v - eta * Qv
+        acc += neg_At @ (Q @ v)
+        return acc
 
 
 def quadratic_instant(
@@ -81,9 +119,9 @@ def _build_instant(
 
     Each oracle is one flat closure over the data, and ``-A'`` is formed
     once (negation is exact, so the products match ``-A.T @ x`` bit for
-    bit). The instant also carries that data as its ``quadratic`` field. A
-    noisy or ``stochastic`` instant gets its sampled gradients from
-    ``StochasticInstant``.
+    bit). The instant also carries that data as its ``quadratic`` field,
+    whose kernels repeat the closures' operations. A noisy or ``stochastic``
+    instant gets its sampled gradients from ``StochasticInstant``.
     """
     d2, d1 = A.shape
     At = A.T
@@ -102,7 +140,7 @@ def _build_instant(
         return beta - c
 
     def grad_g_beta(lam, beta):
-        return Q @ (beta - A @ lam - b)
+        return Q @ ((beta - A @ lam) - b)
 
     def hvp_g_lambdabeta(lam, beta, v):
         return neg_At @ (Q @ v)
@@ -131,13 +169,15 @@ def _build_instant(
         inner_opt=inner_opt,
         exact_hypergradient=exact_hypergradient,
         l_f1=max(1.0, amp),
-        quadratic=QuadraticData(A, b, Q, neg_At),
     )
 
     sigma_g, sigma_f = float(noise[0]), float(noise[1])
     if not stochastic and sigma_g == 0.0 and sigma_f == 0.0:
-        return ProblemInstant(**common)
-    return StochasticInstant(**common, sigma_g_beta=sigma_g, sigma_f=sigma_f)
+        instant = ProblemInstant(**common)
+    else:
+        instant = StochasticInstant(**common, sigma_g_beta=sigma_g, sigma_f=sigma_f)
+    instant.quadratic = QuadraticData(A, b, Q, neg_At)
+    return instant
 
 
 def _orthonormal_columns(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:

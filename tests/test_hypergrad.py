@@ -1,4 +1,4 @@
-import dataclasses
+import copy
 import warnings
 
 import numpy as np
@@ -274,21 +274,19 @@ def unused_oracle(*args):
 
 
 class TestQuadraticMatrixPath:
-    """Inner GD and ITD on an instant with ``quadratic`` data multiply by its
-    matrices directly; a copy without the data takes the oracle (HVP) path.
-    The two must agree bit for bit."""
+    """Inner GD and ITD on an instant with ``quadratic`` data run its kernels;
+    a copy without the data takes the oracle (HVP) path. The two must agree
+    bit for bit."""
 
     @staticmethod
     def both_paths(seed, d1, d2):
         rng = np.random.default_rng(seed)
         inst = random_instant(rng, d1, d2, kappa=float(rng.uniform(1.0, 20.0)))
-        matrix = dataclasses.replace(
-            inst,
-            grad_g_beta=unused_oracle,
-            hvp_g_lambdabeta=unused_oracle,
-            hvp_g_betabeta=unused_oracle,
-        )
-        oracles = dataclasses.replace(inst, quadratic=None)
+        matrix, oracles = copy.copy(inst), copy.copy(inst)
+        matrix.grad_g_beta = unused_oracle
+        matrix.hvp_g_lambdabeta = unused_oracle
+        matrix.hvp_g_betabeta = unused_oracle
+        oracles.quadratic = None
         return rng, matrix, oracles
 
     @settings(derandomize=True, deadline=None, max_examples=25)

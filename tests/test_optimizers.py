@@ -239,13 +239,14 @@ class TestRunOagd:
             stream = static_stream(T=30, amp=0.3, seed=seed)
             counts = {"hvp": 0}
             for inst in stream:
-                orig = inst.hvp_g_betabeta
+                inst.quadratic = None  # inner GD and ITD call the HVP fields
+                for name in ("hvp_g_betabeta", "hvp_g_lambdabeta"):
 
-                def wrapped(lam, beta, v, _orig=orig):
-                    counts["hvp"] += 1
-                    return _orig(lam, beta, v)
+                    def wrapped(lam, beta, v, _orig=getattr(inst, name)):
+                        counts["hvp"] += 1
+                        return _orig(lam, beta, v)
 
-                inst.hvp_g_betabeta = wrapped
+                    setattr(inst, name, wrapped)
             return stream, counts
 
         totals = {}
@@ -260,6 +261,7 @@ class TestRunOagd:
         stream, counts = counting_stream(seed=11)
         run_obbo(stream, ObboConfig(alpha=0.05, eta=0.2, K=1, w=1))
         obbo_w1 = counts["hvp"]
+        assert obbo_w1 > 0
         stream, counts = counting_stream(seed=11)
         run_obbo(stream, ObboConfig(alpha=0.05, eta=0.2, K=1, w=10))
         assert counts["hvp"] == obbo_w1  # window size is free for stored estimates
