@@ -44,24 +44,30 @@ class DistanceGenerator:
 
     kind: str
     diag: np.ndarray | None = None
-    rho: float = 1.0
 
     @staticmethod
     def euclidean() -> "DistanceGenerator":
-        return DistanceGenerator(kind="euclidean", diag=None, rho=1.0)
+        return DistanceGenerator(kind="euclidean")
 
     @staticmethod
     def diagonal(diag) -> "DistanceGenerator":
         diag = _as_vector("diag", diag)
         if np.any(diag <= 0):
             raise ValueError("diag entries must be strictly positive")
-        return DistanceGenerator(kind="diagonal", diag=diag, rho=float(diag.min()))
+        return DistanceGenerator(kind="diagonal", diag=diag)
+
+    @property
+    def rho(self) -> float:
+        """Strong-convexity modulus: 1, or min(h) for a diagonal generator."""
+        return 1.0 if self.diag is None else float(self.diag.min())
 
     def __post_init__(self):
         if self.kind not in ("euclidean", "diagonal"):
             raise ValueError(f"unknown distance generator kind {self.kind!r}")
         if self.kind == "diagonal" and self.diag is None:
             raise ValueError("diagonal generator requires a diag vector")
+        if self.kind == "euclidean" and self.diag is not None:
+            raise ValueError("euclidean generator takes no diag vector")
 
     def scaling(self, d: int) -> np.ndarray | float:
         """Coordinate scaling h with phi(x) = sum_i h_i x_i^2 / 2."""

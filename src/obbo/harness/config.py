@@ -5,8 +5,8 @@ optimizer spec, a seed list, and variation options. Stream and optimizer specs
 are kept as plain key/value maps, so a parsed config re-serializes to exactly
 the bytes it was written with (canonical form: sorted keys, two-space indent,
 trailing newline). Every key is checked against ``SPEC_KEYS`` when the config
-is parsed, and so is every ``kind``; the other values are checked when the
-builders run.
+is parsed, and so is every kind (a phi ``mode`` is its kind); the other values
+are checked when the builders run.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..optimizers import ObboConfig
 from ..problems.base import DriftSpec
 
 __all__ = [
@@ -34,15 +35,16 @@ CONFIG_SCHEMA = "obbo-config-v1"
 # Regret and estimator error always run; these are the only metric keys.
 DEFAULT_METRICS = {"variations": False, "grid_size": 64}
 
-_OPTIMIZER_KEYS = (
-    "alpha", "eta", "K", "w", "clip_threshold", "phi", "regularizer", "feasible",
-    "lambda0", "beta0",
-)
+# Keys every optimizer reads, then the composite objective's parts.
+_OPTIMIZER_KEYS = ("alpha", "eta", "K", "w", "clip_threshold", "lambda0", "beta0")
+_COMPOSITE_KEYS = ("regularizer", "feasible")
 
-# The keys each part of a config accepts. A part with kinds accepts "kind"
-# plus its kind's keys, and a kind missing here is rejected. The builders in
-# runner.py read their arguments through ``spec_args``, so a kind or key is
-# accepted exactly when a builder reads it.
+# The keys each part of a config accepts. A part with kinds accepts its kind
+# key plus its kind's keys, and a kind missing here is rejected. The builders
+# in runner.py read their arguments through ``spec_args``, and a key is
+# listed only where the run reads it:
+# SOBOW is the Euclidean, unregularized, unconstrained reduction, and only
+# OBBO and SOBBO take an adaptive generator.
 SPEC_KEYS = {
     "top-level": ("schema", "output_dir", "experiments"),
     "experiment": ("name", "seeds", "stream", "optimizer", "metrics"),
@@ -60,38 +62,52 @@ SPEC_KEYS = {
         "meta": ("d", "T", "seed", "drift", "gamma", "n_train", "n_val", "task_noise"),
     },
     "optimizer": {
-        **dict.fromkeys(("obbo", "sobow", "adam", "sgdm"), (*_OPTIMIZER_KEYS, "estimator")),
-        "oagd": _OPTIMIZER_KEYS,
-        "sobbo": (*_OPTIMIZER_KEYS, "s", "m"),
+        "obbo": (*_OPTIMIZER_KEYS, *_COMPOSITE_KEYS, "phi", "estimator"),
+        "sobbo": (*_OPTIMIZER_KEYS, *_COMPOSITE_KEYS, "phi", "s", "m"),
+        "oagd": (*_OPTIMIZER_KEYS, *_COMPOSITE_KEYS),
+        "sobow": (*_OPTIMIZER_KEYS, "estimator"),
+        **dict.fromkeys(("adam", "sgdm"), (*_OPTIMIZER_KEYS, *_COMPOSITE_KEYS, "estimator")),
     },
-    "drift": dict.fromkeys(DriftSpec.KINDS, ("rate", "scale")),
-    "phi": ("mode", "beta", "epsilon"),
+    "drift": {k: ("rate", "scale") if rate else () for k, rate in DriftSpec.RATES.items()},
+    "phi": {"euclidean": (), "adaptive": ("beta", "epsilon")},
     "regularizer": {"zero": (), "l1": ("weight",)},
     "feasible": {"full": (), "box": ("lower", "upper")},
 }
+
+# The kind a part takes when its spec names none: the library's own defaults.
+# A phi spec names its kind "mode".
+_LIBRARY = ObboConfig()
+DEFAULT_KINDS = {"drift": DriftSpec().kind, "phi": _LIBRARY.phi_mode,
+                 "regularizer": _LIBRARY.regularizer.kind, "feasible": _LIBRARY.feasible.kind}
+_KIND_KEY = {"phi": "mode"}
 
 
 class ConfigError(ValueError):
     """Config file is syntactically valid JSON but semantically malformed."""
 
 
+def spec_kind(part: str, spec: dict | None):
+    """The kind ``spec`` names for ``part``, else the part's default kind."""
+    return (spec or {}).get(_KIND_KEY.get(part, "kind"), DEFAULT_KINDS.get(part))
+
+
 def spec_args(part: str, spec: dict, where: str) -> dict:
-    """The entries of ``spec`` other than "kind", once its kind and every key
-    are accepted.
+    """The entries of ``spec`` other than its kind, once its kind and every
+    key are accepted.
 
     ``part`` names an entry of ``SPEC_KEYS``; the parts nested in ``spec``
     (an experiment's stream, a stream's drift, ...) are checked too. Raises
     ``ConfigError`` naming ``where`` and the unknown kind or keys.
     """
-    accepted, what = SPEC_KEYS[part], part
+    accepted, what, kind_key = SPEC_KEYS[part], part, _KIND_KEY.get(part, "kind")
     if isinstance(accepted, dict):
-        default = {"drift": "static", "regularizer": "zero", "feasible": "full"}.get(part)
-        kind = spec.get("kind", default)
+        kind = spec_kind(part, spec)
         if not isinstance(kind, str) or kind not in accepted:
             raise ConfigError(
-                f"{where}: unknown {part} kind {kind!r}; accepted kinds are {sorted(accepted)}"
+                f"{where}: unknown {part} {kind_key} {kind!r}; "
+                f"accepted {kind_key}s are {sorted(accepted)}"
             )
-        accepted, what = ("kind", *accepted[kind]), f"{kind} {part}"
+        accepted, what = (kind_key, *accepted[kind]), f"{kind} {part}"
     unknown = sorted(set(spec) - set(accepted))
     if unknown:
         raise ConfigError(
@@ -100,7 +116,7 @@ def spec_args(part: str, spec: dict, where: str) -> dict:
     for key, value in spec.items():
         if key in SPEC_KEYS and isinstance(value, dict):
             spec_args(key, value, where)
-    return {key: value for key, value in spec.items() if key != "kind"}
+    return {key: value for key, value in spec.items() if key != kind_key}
 
 
 @dataclass

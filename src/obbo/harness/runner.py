@@ -52,6 +52,7 @@ from .config import (
     HarnessConfig,
     serialize_config,
     spec_args,
+    spec_kind,
 )
 
 __all__ = [
@@ -82,36 +83,35 @@ def build_stream(spec: dict, run_seed: int):
     kind = spec["kind"]
     if kind != "spline_csv":
         args.setdefault("seed", run_seed)
-    if args.get("drift") is not None:
-        args["drift"] = DriftSpec(**args["drift"])
-    else:
-        args.pop("drift", None)
+    drift = args.pop("drift", None)
+    if drift is not None:
+        args["drift"] = DriftSpec(**drift)
     if kind == "quadratic":
         if "noise" in args:
             args["noise"] = tuple(args["noise"])
-        stochastic = args.pop("stochastic", None)
+        stochastic = args.pop("stochastic", False)
         return quadratic_stream(StreamConfig(**args), stochastic)
     if kind == "spline_synthetic":
         return spline_stream(make_drifting_spline_task(**args))
     if kind == "spline_csv":
         return spline_stream(load_spline_task_csv(**args))
     assert kind == "meta", f"no builder for stream kind {kind!r}"
-    d = args.pop("d")
-    structure = {key: args.pop(key) for key in ("T", "seed", "drift") if key in args}
-    return meta_toy_stream(StreamConfig(d1=d, d2=d, **structure), **args)
+    return meta_toy_stream(**args)
 
 
 def _regularizer_from_spec(spec: dict | None) -> Regularizer:
-    if spec is None or spec.get("kind", "zero") == "zero":
+    kind = spec_kind("regularizer", spec)
+    if kind == "zero":
         return Regularizer.zero()
-    assert spec["kind"] == "l1", f"no builder for regularizer kind {spec['kind']!r}"
+    assert kind == "l1", f"no builder for regularizer kind {kind!r}"
     return Regularizer.l1(spec.get("weight", 0.0))
 
 
 def _feasible_from_spec(spec: dict | None) -> FeasibleSet:
-    if spec is None or spec.get("kind", "full") == "full":
+    kind = spec_kind("feasible", spec)
+    if kind == "full":
         return FeasibleSet.full_space()
-    assert spec["kind"] == "box", f"no builder for feasible kind {spec['kind']!r}"
+    assert kind == "box", f"no builder for feasible kind {kind!r}"
     return FeasibleSet.box(spec["lower"], spec["upper"])
 
 
@@ -127,9 +127,6 @@ def build_optimizer_config(spec: dict) -> ObboConfig:
         args["regularizer"] = _regularizer_from_spec(args["regularizer"])
     if "feasible" in args:
         args["feasible"] = _feasible_from_spec(args["feasible"])
-    for key in ("lambda0", "beta0"):
-        if args.get(key) is not None:
-            args[key] = np.asarray(args[key], dtype=float)
     if spec["kind"] == "sobbo":
         return SobboConfig(**args)
     return ObboConfig(**args)
@@ -166,46 +163,25 @@ def write_trace_csv(
     smoothed_sq: np.ndarray,
 ) -> None:
     d1 = trace.lambdas.shape[1]
-    lam_cols = (
-        [f"lambda_{i}" for i in range(d1)] if d1 <= MAX_LAMBDA_COLUMNS else ["lambda_norm"]
-    )
-    header = (
-        ["run_id", "t"]
-        + lam_cols
-        + [
-            "outer_loss",
-            "inner_residual",
-            "gen_proj_norm_sq",
-            "smoothed_norm_sq",
-            "blr_term",
-            "blr_cum",
-            "blr_eucl_term",
-            "blr_eucl_cum",
-            "hypergrad_err_sq",
-        ]
-    )
-    lines = [f"# schema={RESULTS_SCHEMA}", ",".join(header)]
-    for t in range(trace.T):
-        if d1 <= MAX_LAMBDA_COLUMNS:
-            lam_vals = [_fmt(v) for v in trace.lambdas[t]]
-        else:
-            lam_vals = [_fmt(np.linalg.norm(trace.lambdas[t]))]
-        row = (
-            [run_id, str(t + 1)]
-            + lam_vals
-            + [
-                _fmt(trace.outer_loss[t]),
-                _fmt(trace.inner_residual[t]),
-                _fmt(trace.gen_proj_norm_sq[t]),
-                _fmt(smoothed_sq[t]),
-                _fmt(regret.terms[t]),
-                _fmt(regret.cumulative[t]),
-                _fmt(regret.euclidean_terms[t]),
-                _fmt(regret.euclidean_cumulative[t]),
-                _fmt(hg_error[t]),
-            ]
-        )
-        lines.append(",".join(row))
+    if d1 <= MAX_LAMBDA_COLUMNS:
+        columns = [(f"lambda_{i}", trace.lambdas[:, i]) for i in range(d1)]
+    else:
+        columns = [("lambda_norm", [np.linalg.norm(lam) for lam in trace.lambdas])]
+    columns += [
+        ("outer_loss", trace.outer_loss),
+        ("inner_residual", trace.inner_residual),
+        ("gen_proj_norm_sq", trace.gen_proj_norm_sq),
+        ("smoothed_norm_sq", smoothed_sq),
+        ("blr_term", regret.terms),
+        ("blr_cum", regret.cumulative),
+        ("blr_eucl_term", regret.euclidean_terms),
+        ("blr_eucl_cum", regret.euclidean_cumulative),
+        ("hypergrad_err_sq", hg_error),
+    ]
+    header = ",".join(["run_id", "t", *(name for name, _ in columns)])
+    lines = [f"# schema={RESULTS_SCHEMA}", header]
+    for t, row in enumerate(zip(*(values for _, values in columns)), start=1):
+        lines.append(",".join([run_id, str(t), *map(_fmt, row)]))
     path.write_text("\n".join(lines) + "\n", newline="\n")
 
 

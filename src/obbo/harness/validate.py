@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from ..optimizers import _resolve_steps, default_inner_step, default_neumann_bound
+from ..optimizers import _resolve_steps, default_neumann_bound
 from ..problems.base import StochasticInstant, outer_grad_lipschitz
 from .config import HarnessConfig
 from .runner import build_optimizer_config, build_stream
@@ -45,31 +45,24 @@ def validate_experiment(exp) -> list[str]:
     except Exception as exc:
         return [f"{prefix} optimizer spec invalid: {exc}"]
     try:
-        _resolve_steps(stream, config, kind)
+        eta = _resolve_steps(stream, config, kind)[1]
     except ValueError as exc:
         notes.append(f"{prefix} {exc}")
+        eta = None
 
     horizon = exp.stream.get("T")
-    eta = config.eta
-    if eta is not None:
-        if kind in ("obbo", "sobow", "oagd", "adam", "sgdm"):
-            bound = min(1.0 / ell, 1.0 / mu)
-            if eta >= bound:
-                notes.append(
-                    f"{prefix} inner step eta={eta:g} violates "
-                    f"eta < min(1/l_g1, 1/mu_g) = {bound:g}"
-                )
+    if config.eta is not None:
         if kind == "sobbo":
-            bound = 2.0 / (ell + mu)
-            if eta > bound:
-                notes.append(
-                    f"{prefix} inner step eta={eta:g} violates "
-                    f"eta <= 2/(l_g1 + mu_g) = {bound:g}"
-                )
+            bound, rule = 2.0 / (ell + mu), "eta <= 2/(l_g1 + mu_g)"
+            violated = config.eta > bound
+        else:
+            bound, rule = min(1.0 / ell, 1.0 / mu), "eta < min(1/l_g1, 1/mu_g)"
+            violated = config.eta >= bound
+        if violated:
+            notes.append(f"{prefix} inner step eta={config.eta:g} violates {rule} = {bound:g}")
 
     if config.alpha is not None and inst.l_f1 is not None:
-        rho = 1.0
-        bound = 3.0 * rho / (4.0 * outer_grad_lipschitz(mu, ell, inst.l_f1))
+        bound = 3.0 / (4.0 * outer_grad_lipschitz(mu, ell, inst.l_f1))  # rho = 1
         if config.alpha > bound:
             suffix = ""
             if config.phi_mode == "adaptive":
@@ -82,9 +75,8 @@ def validate_experiment(exp) -> list[str]:
                 f"3*rho/(4*l_F1) = {bound:g}{suffix}"
             )
 
-    if kind in ("obbo", "sobow") and horizon and config.K is not None:
-        eta_eff = eta if eta is not None else default_inner_step(kind, mu, ell)
-        contraction = 1.0 - eta_eff * mu
+    if kind in ("obbo", "sobow") and horizon and config.K is not None and eta is not None:
+        contraction = 1.0 - eta * mu
         if 0.0 < contraction < 1.0:
             recommended = math.log(horizon) / math.log(1.0 / contraction) + 1.0
             if config.K < recommended:

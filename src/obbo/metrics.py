@@ -73,7 +73,7 @@ def compute_regret_series(stream: Stream, trace: RunTrace) -> RegretSeries:
         smoothed = grads[lo : t + 1].sum(axis=0) / w
         eucl[t] = float(smoothed @ smoothed)
         diag = trace.phi_diags[t]
-        phi = DistanceGenerator("diagonal", diag, float(diag.min()))
+        phi = DistanceGenerator("diagonal", diag)
         g = generalized_projection(trace.lambdas[t], smoothed, alpha, phi, h, X)
         terms[t] = float(g @ g)
     return RegretSeries(

@@ -331,7 +331,7 @@ def _bregman_step(config: ObboConfig, alpha: float, d1: int) -> Callable:
         if adaptive:
             avg = b * avg + (1.0 - b) * q**2
             diag = np.sqrt(avg) + eps
-            phi = DistanceGenerator("diagonal", diag, float(diag.min()))
+            phi = DistanceGenerator("diagonal", diag)
         return prox_step(q, lam, alpha, phi, config.regularizer, config.feasible), diag
 
     return step

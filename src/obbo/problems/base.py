@@ -138,21 +138,30 @@ Stream = Sequence[ProblemInstant]
 class DriftSpec:
     """How inner minimizers move over time.
 
-    ``static`` keeps the round-t data fixed. ``decaying`` moves it by
-    scale * t^(-rate) at the transition from round t to t+1. ``sublinear``
-    moves it by scale * t^(rate-1) for rate < 1, so the cumulative path grows
-    like T^rate: unbounded but slower than T.
+    ``static`` keeps the round-t data fixed and takes no rate or scale.
+    ``decaying`` moves it by scale * t^(-rate) at the transition from round t
+    to t+1. ``sublinear`` moves it by scale * t^(rate-1) for rate < 1, so the
+    cumulative path grows like T^rate: unbounded but slower than T. An unset
+    rate takes its kind's entry in ``RATES`` and an unset scale is 1.
     """
 
-    KINDS: ClassVar[tuple[str, ...]] = ("static", "decaying", "sublinear")
+    RATES: ClassVar[dict] = {"static": None, "decaying": 1.0, "sublinear": 0.5}
 
     kind: str = "static"
-    rate: float = 1.0
-    scale: float = 1.0
+    rate: float | None = None
+    scale: float | None = None
 
     def __post_init__(self):
-        if self.kind not in self.KINDS:
+        if self.kind not in self.RATES:
             raise ValueError(f"unknown drift kind {self.kind!r}")
+        if self.kind == "static":
+            if self.rate is not None or self.scale is not None:
+                raise ValueError("static drift takes no rate or scale")
+            return
+        if self.rate is None:
+            object.__setattr__(self, "rate", self.RATES[self.kind])
+        if self.scale is None:
+            object.__setattr__(self, "scale", 1.0)
         if self.kind == "decaying" and self.rate <= 0:
             raise ValueError("decaying drift requires rate > 0")
         if self.kind == "sublinear" and not 0.0 < self.rate < 1.0:
@@ -162,15 +171,16 @@ class DriftSpec:
 
     @staticmethod
     def static() -> "DriftSpec":
-        return DriftSpec(kind="static")
+        return DriftSpec()
+
+    # The constructors take the fields after ``kind``: rate, then scale.
+    @staticmethod
+    def decaying(*args, **kwargs) -> "DriftSpec":
+        return DriftSpec("decaying", *args, **kwargs)
 
     @staticmethod
-    def decaying(rate: float = 1.0, scale: float = 1.0) -> "DriftSpec":
-        return DriftSpec(kind="decaying", rate=rate, scale=scale)
-
-    @staticmethod
-    def sublinear(rate: float = 0.5, scale: float = 1.0) -> "DriftSpec":
-        return DriftSpec(kind="sublinear", rate=rate, scale=scale)
+    def sublinear(*args, **kwargs) -> "DriftSpec":
+        return DriftSpec("sublinear", *args, **kwargs)
 
     def step_size(self, t: int) -> float:
         """Drift step magnitude applied between rounds t and t+1 (t >= 1)."""

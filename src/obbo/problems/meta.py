@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import ProblemInstant, StreamConfig
+from .base import DriftSpec, ProblemInstant
 
 __all__ = ["meta_toy_stream"]
 
@@ -81,24 +81,26 @@ def _meta_instant(
 
 
 def meta_toy_stream(
-    config: StreamConfig,
+    d: int,
+    T: int,
+    seed: int = 0,
+    drift: DriftSpec = DriftSpec(),
     gamma: float = 1.0,
     n_train: int = 16,
     n_val: int = 16,
     task_noise: float = 0.1,
 ) -> list[ProblemInstant]:
-    """Generate the meta-learning task sequence.
+    """Generate the meta-learning task sequence: T rounds in dimension d.
 
     Static drift repeats one task verbatim every round; otherwise the task's
-    true regression vector follows the configured drift path and fresh
-    samples arrive each round.
+    true regression vector follows the drift path and fresh samples arrive
+    each round.
     """
+    if d < 1 or T < 1:
+        raise ValueError("dimension and horizon must be positive")
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    if config.d1 != config.d2:
-        raise ValueError("meta stream requires d1 == d2 (shared parameter space)")
-    rng = np.random.default_rng(config.seed)
-    d, T = config.d1, config.T
+    rng = np.random.default_rng(seed)
     theta = rng.standard_normal(d)
 
     def draw_task(theta_t):
@@ -110,11 +112,11 @@ def meta_toy_stream(
 
     instants = []
     for t in range(1, T + 1):
-        if t == 1 or config.drift.kind != "static":
+        if t == 1 or drift.kind != "static":
             X_tr, y_tr, X_val, y_val = draw_task(theta)
         instants.append(_meta_instant(t, X_tr, y_tr, X_val, y_val, gamma))
         if t < T:
-            step = config.drift.step_size(t)
+            step = drift.step_size(t)
             if step > 0:
                 u = rng.standard_normal(d)
                 theta = theta + step * (u / np.linalg.norm(u))

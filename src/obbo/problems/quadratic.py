@@ -185,9 +185,7 @@ def _orthonormal_columns(rng: np.random.Generator, rows: int, cols: int) -> np.n
     return q[:, :cols]
 
 
-def quadratic_stream(
-    config: StreamConfig, stochastic: bool | None = None
-) -> list[ProblemInstant]:
+def quadratic_stream(config: StreamConfig, stochastic: bool = False) -> list[ProblemInstant]:
     """Generate the full sequence of quadratic instants for a config.
 
     The inner Hessian Q has spectrum geomspace(1, kappa_target, d2). The
@@ -195,7 +193,7 @@ def quadratic_stream(
     s = sqrt(geomspace(1, kappa_target, r)), which makes the induced outer
     curvature A'A axis-aligned with the same spread; this is what lets the
     inner conditioning knob shape the outer geometry. Returns stochastic
-    instants when any noise scale is positive (or when forced).
+    instants when any noise scale is positive or ``stochastic`` is set.
     """
     rng = np.random.default_rng(config.seed)
     d1, d2, T = config.d1, config.d2, config.T
@@ -215,8 +213,6 @@ def quadratic_stream(
     c = rng.standard_normal(d2)
     phases = rng.uniform(0.0, 2.0 * np.pi, d1)
 
-    if stochastic is None:
-        stochastic = max(config.noise) > 0
     mu_g, l_g1 = _spectrum_bounds(Q)
 
     # Q is fixed, so it is checked once above rather than per instant. The

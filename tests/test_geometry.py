@@ -225,6 +225,12 @@ class TestInvariantsOfTypes:
         assert gen.rho == pytest.approx(0.7)
         assert np.all(gen.diag >= gen.rho)
 
+    def test_rho_is_derived_from_diag(self):
+        d = np.array([2.0, 0.7, 1.1])
+        assert DistanceGenerator("diagonal", d).rho == d.min()
+        with pytest.raises(ValueError, match="takes no diag"):
+            DistanceGenerator("euclidean", d)
+
     def test_diagonal_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             DistanceGenerator.diagonal([1.0, 0.0])

@@ -8,6 +8,7 @@ import pytest
 
 from obbo.harness.cli import main as cli_main
 from obbo.harness.config import (
+    SPEC_KEYS,
     ConfigError,
     ExperimentSpec,
     HarnessConfig,
@@ -227,6 +228,113 @@ class TestUnknownKeys:
         assert "(last): unknown optimizer kind 'nope'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize(
+        "optimizer, drift, named",
+        [
+            *(
+                ({"kind": kind, "phi": {"mode": "adaptive"}}, None,
+                 f"unknown {kind} optimizer key(s) ['phi']")
+                for kind in ("oagd", "sobow", "adam", "sgdm")
+            ),
+            ({"kind": "sobow", "regularizer": {"kind": "l1", "weight": 0.1}}, None,
+             "unknown sobow optimizer key(s) ['regularizer']"),
+            ({"kind": "sobow", "feasible": {"kind": "box", "lower": [-1, -1], "upper": [1, 1]}},
+             None, "unknown sobow optimizer key(s) ['feasible']"),
+            ({"kind": "obbo"}, {"kind": "static", "rate": 0.5},
+             "unknown static drift key(s) ['rate']"),
+            ({"kind": "obbo"}, {"scale": 2.0}, "unknown static drift key(s) ['scale']"),
+            ({"kind": "obbo", "phi": {"mode": "euclidean", "beta": 0.8}}, None,
+             "unknown euclidean phi key(s) ['beta']"),
+            ({"kind": "obbo", "phi": {"mode": "adaptiv"}}, None,
+             "unknown phi mode 'adaptiv'; accepted modes are ['adaptive', 'euclidean']"),
+        ],
+        ids=["phi-oagd", "phi-sobow", "phi-adam", "phi-sgdm", "regularizer-sobow",
+             "feasible-sobow", "rate-static", "scale-static", "beta-euclidean", "mode-typo"],
+    )
+    def test_values_no_run_reads_exit_2_before_any_cell(
+        self, tmp_path, capsys, command, optimizer, drift, named
+    ):
+        doc = json.loads(serialize_config(small_config()))
+        exp = doc["experiments"][0]
+        exp["optimizer"] = {"alpha": 0.05, "eta": 0.1, "K": 4, "w": 2, **optimizer}
+        if drift is not None:
+            exp["stream"]["drift"] = drift
+        path = tmp_path / "ignored.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        args = ["--out", str(out)] if command == "run" else []
+        with pytest.raises(SystemExit) as exc:
+            cli_main([command, "--config", str(path), *args])
+        assert exc.value.code == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+
+# A value for each optimizer key that takes effect on GUARD_STREAM (d1 = 2,
+# d2 = 3): the clip threshold clips every round, the box binds, and s differs
+# from the default s = w on the noisy stream.
+EFFECTIVE_VALUES = {
+    "alpha": 0.03,
+    "eta": 0.07,
+    "K": 3,
+    "w": 3,
+    "clip_threshold": 1e-4,
+    "phi": {"mode": "adaptive"},
+    "regularizer": {"kind": "l1", "weight": 0.5},
+    "feasible": {"kind": "box", "lower": [-0.01, -0.01], "upper": [0.01, 0.01]},
+    "lambda0": [0.3, -0.2],
+    "beta0": [0.5, -0.5, 0.2],
+    "estimator": "implicit",
+    "s": 5,
+    "m": 4,
+}
+GUARD_STREAM = {
+    "kind": "quadratic", "d1": 2, "d2": 3, "T": 8, "kappa_target": 4.0,
+    "drift": {"kind": "decaying"}, "noise": [0.3, 0.2], "seed": 5, "cos_amplitude": 0.3,
+}
+
+
+def csv_sha(tmp_path, label, stream, optimizer) -> str:
+    """The CSV hash of one cell, run in its own directory, after checking it
+    ran ok. Every cell has the same run id, which the CSV records."""
+    exp = ExperimentSpec(name="cell", seeds=[1], stream=stream, optimizer=optimizer)
+    out = tmp_path / label
+    out.mkdir()
+    entry = run_cell(exp, 1, str(out))
+    assert entry["status"] == "ok", entry.get("error")
+    return entry["sha256"]
+
+
+class TestEveryKeyChangesTheRun:
+    """Every optimizer key a kind accepts changes that kind's CSV, so no
+    accepted value is silently ignored. A key without an entry in
+    EFFECTIVE_VALUES fails here."""
+
+    @pytest.mark.parametrize(
+        "kind, key",
+        [
+            (kind, key)
+            for kind, keys in SPEC_KEYS["optimizer"].items()
+            for key in keys
+        ],
+    )
+    def test_key_changes_the_csv(self, tmp_path, kind, key):
+        without = csv_sha(tmp_path, "without", GUARD_STREAM, {"kind": kind})
+        optimizer = {"kind": kind, key: EFFECTIVE_VALUES[key]}
+        assert csv_sha(tmp_path, "with", GUARD_STREAM, optimizer) != without
+
+    def test_sublinear_drift_defaults_to_rate_one_half(self, tmp_path):
+        shas = [
+            csv_sha(tmp_path, label, {**GUARD_STREAM, "drift": drift}, {"kind": "obbo"})
+            for label, drift in (
+                ("default", {"kind": "sublinear"}),
+                ("half", {"kind": "sublinear", "rate": 0.5}),
+                ("decaying", {"kind": "decaying"}),
+            )
+        ]
+        assert shas[0] == shas[1] != shas[2]
+
 
 class TestCliRun:
     def test_empty_experiment_list(self, tmp_path):
@@ -392,7 +500,7 @@ class TestBuildStreamDefaults:
                 {"kind": "quadratic", "d1": 2, "d2": 3, "T": 3},
                 {
                     "kappa_target": 10.0, "cos_amplitude": 0.5, "noise": [0.0, 0.0],
-                    "stochastic": None, "drift": {"kind": "static", "rate": 1.0, "scale": 1.0},
+                    "stochastic": False, "drift": {"kind": "static"},
                 },
             ),
             (
@@ -418,7 +526,7 @@ class TestBuildStreamDefaults:
             ),
             (
                 {"kind": "meta", "d": 2, "T": 3},
-                {"drift": {"kind": "static", "rate": 1.0, "scale": 1.0}},
+                {"drift": {"kind": "static"}},
             ),
         ],
         ids=["quadratic", "quadratic-drift", "quadratic-null-drift", "spline_synthetic",

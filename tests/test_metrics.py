@@ -268,11 +268,11 @@ class TestHypergradientError:
 
 
 def small_stream(kind, T, d, seed):
-    config = StreamConfig(
-        d1=d, d2=d + 1 if kind == "quadratic" else d, T=T, kappa_target=4.0,
-        drift=DriftSpec.sublinear(0.5), seed=seed,
-    )
-    return quadratic_stream(config) if kind == "quadratic" else meta_toy_stream(config)
+    drift = DriftSpec.sublinear(0.5)
+    if kind == "meta":
+        return meta_toy_stream(d, T, seed, drift)
+    config = StreamConfig(d1=d, d2=d + 1, T=T, kappa_target=4.0, drift=drift, seed=seed)
+    return quadratic_stream(config)
 
 
 small_streams = st.builds(

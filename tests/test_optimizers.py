@@ -33,7 +33,7 @@ from obbo.problems import (
 from oracles import constant_gradient_instant
 
 
-def static_stream(T=60, d1=2, d2=3, kappa=4.0, amp=0.0, seed=0, stochastic=None, **kw):
+def static_stream(T=60, d1=2, d2=3, kappa=4.0, amp=0.0, seed=0, stochastic=False, **kw):
     cfg = StreamConfig(
         d1=d1, d2=d2, T=T, kappa_target=kappa, drift=DriftSpec.static(),
         seed=seed, cos_amplitude=amp, **kw,
@@ -218,7 +218,7 @@ class TestRunSobbo:
         assert trace.T == 3
 
     def test_requires_stochastic_stream(self):
-        stream = static_stream(T=5, stochastic=None)
+        stream = static_stream(T=5, stochastic=False)
         config = SobboConfig(alpha=0.05, eta=0.05, K=2)
         with pytest.raises(ValueError):
             run_sobbo(stream, config, np.random.default_rng(0))

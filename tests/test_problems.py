@@ -231,6 +231,15 @@ class TestQuadraticStream:
             StreamConfig(d1=1, d2=1, T=5, kappa_target=0.5)
         with pytest.raises(ValueError):
             DriftSpec.sublinear(rate=1.5)
+        for extra in ({"rate": 0.5}, {"scale": 2.0}):
+            with pytest.raises(ValueError, match="static drift takes no rate or scale"):
+                DriftSpec("static", **extra)
+
+    def test_each_drift_kind_has_one_default_rate(self):
+        assert DriftSpec("sublinear") == DriftSpec.sublinear() == DriftSpec.sublinear(0.5, 1.0)
+        assert DriftSpec("decaying") == DriftSpec.decaying() == DriftSpec.decaying(1.0, 1.0)
+        assert DriftSpec() == DriftSpec.static()
+        assert DriftSpec.static().step_size(1) == 0.0
 
 
 class TestSplineStream:
@@ -358,8 +367,7 @@ class TestSplineStream:
 
 class TestMetaStream:
     def test_large_gamma_recovers_single_level_gradient(self):
-        cfg = StreamConfig(d1=3, d2=3, T=2, seed=12)
-        stream = meta_toy_stream(cfg, gamma=1e6)
+        stream = meta_toy_stream(3, 2, seed=12, gamma=1e6)
         inst = stream[0]
         lam = np.array([0.3, -0.2, 0.5])
         hg = inst.exact_hypergradient(lam)
@@ -369,8 +377,7 @@ class TestMetaStream:
         )
 
     def test_static_task_repeats_identically(self):
-        cfg = StreamConfig(d1=2, d2=2, T=5, drift=DriftSpec.static(), seed=13)
-        stream = meta_toy_stream(cfg, gamma=2.0)
+        stream = meta_toy_stream(2, 5, seed=13, drift=DriftSpec.static(), gamma=2.0)
         lam = np.array([0.1, 0.2])
         beta = np.array([-0.3, 0.5])
         v0 = stream[0].f_value(lam, stream[0].inner_opt(lam))
@@ -381,8 +388,7 @@ class TestMetaStream:
             )
 
     def test_first_order_optimality_at_inner_opt(self):
-        cfg = StreamConfig(d1=3, d2=3, T=3, drift=DriftSpec.decaying(1.0), seed=14)
-        stream = meta_toy_stream(cfg, gamma=1.5)
+        stream = meta_toy_stream(3, 3, seed=14, drift=DriftSpec.decaying(1.0), gamma=1.5)
         rng = np.random.default_rng(15)
         for inst in stream:
             lam = rng.standard_normal(3)
@@ -390,14 +396,12 @@ class TestMetaStream:
             assert np.linalg.norm(res) <= 1e-10
 
     def test_hypergradient_matches_finite_differences(self):
-        cfg = StreamConfig(d1=2, d2=2, T=1, seed=16)
-        stream = meta_toy_stream(cfg, gamma=0.8)
+        stream = meta_toy_stream(2, 1, seed=16, gamma=0.8)
         inst = stream[0]
         lam = np.array([0.4, -0.6])
         fd = central_diff_grad(induced_objective(inst), lam)
         np.testing.assert_allclose(inst.exact_hypergradient(lam), fd, rtol=1e-6)
 
     def test_invalid_gamma_rejected(self):
-        cfg = StreamConfig(d1=2, d2=2, T=1, seed=17)
         with pytest.raises(ValueError):
-            meta_toy_stream(cfg, gamma=0.0)
+            meta_toy_stream(2, 1, seed=17, gamma=0.0)
