@@ -5,8 +5,9 @@ optimizer spec, a seed list, and variation options. Stream and optimizer specs
 are kept as plain key/value maps, so a parsed config re-serializes to exactly
 the bytes it was written with (canonical form: sorted keys, two-space indent,
 trailing newline). Every key is checked against ``SPEC_KEYS`` when the config
-is parsed, and so is every kind (a phi ``mode`` is its kind); the other values
-are checked when the builders run.
+is parsed, and so is every kind (a phi ``mode`` is its kind) and the presence
+of each key in ``REQUIRED_KEYS``; the other values are checked when the
+builders run.
 """
 
 from __future__ import annotations
@@ -74,6 +75,9 @@ SPEC_KEYS = {
     "feasible": {"full": (), "box": ("lower", "upper")},
 }
 
+# The keys a kind cannot run without; every other key has a default.
+REQUIRED_KEYS = {"regularizer": {"l1": ("weight",)}, "feasible": {"box": ("lower", "upper")}}
+
 # The kind a part takes when its spec names none: the library's own defaults.
 # A phi spec names its kind "mode".
 _LIBRARY = ObboConfig()
@@ -93,13 +97,15 @@ def spec_kind(part: str, spec: dict | None):
 
 def spec_args(part: str, spec: dict, where: str) -> dict:
     """The entries of ``spec`` other than its kind, once its kind and every
-    key are accepted.
+    key are accepted and its kind's required keys are present.
 
     ``part`` names an entry of ``SPEC_KEYS``; the parts nested in ``spec``
     (an experiment's stream, a stream's drift, ...) are checked too. Raises
-    ``ConfigError`` naming ``where`` and the unknown kind or keys.
+    ``ConfigError`` naming ``where`` and the unknown kind or keys, or the
+    missing ones.
     """
     accepted, what, kind_key = SPEC_KEYS[part], part, _KIND_KEY.get(part, "kind")
+    required = ()
     if isinstance(accepted, dict):
         kind = spec_kind(part, spec)
         if not isinstance(kind, str) or kind not in accepted:
@@ -108,11 +114,15 @@ def spec_args(part: str, spec: dict, where: str) -> dict:
                 f"accepted {kind_key}s are {sorted(accepted)}"
             )
         accepted, what = (kind_key, *accepted[kind]), f"{kind} {part}"
+        required = REQUIRED_KEYS.get(part, {}).get(kind, ())
     unknown = sorted(set(spec) - set(accepted))
     if unknown:
         raise ConfigError(
             f"{where}: unknown {what} key(s) {unknown}; accepted keys are {sorted(accepted)}"
         )
+    missing = [key for key in required if key not in spec]
+    if missing:
+        raise ConfigError(f"{where}: missing required {what} key(s) {missing}")
     for key, value in spec.items():
         if key in SPEC_KEYS and isinstance(value, dict):
             spec_args(key, value, where)

@@ -104,7 +104,7 @@ def _regularizer_from_spec(spec: dict | None) -> Regularizer:
     if kind == "zero":
         return Regularizer.zero()
     assert kind == "l1", f"no builder for regularizer kind {kind!r}"
-    return Regularizer.l1(spec.get("weight", 0.0))
+    return Regularizer.l1(spec["weight"])
 
 
 def _feasible_from_spec(spec: dict | None) -> FeasibleSet:

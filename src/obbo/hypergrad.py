@@ -6,8 +6,10 @@ unrolled inner gradient-descent trajectory, and a randomized truncated
 Neumann-series estimate for stochastic oracles. All second-order information
 enters through Hessian-vector products; no Hessian is materialized except in
 the desk-scale direct solves of the implicit form. On an instant with
-``quadratic`` data, inner GD and the ITD estimator run that data's kernels
-instead, which compute bit for bit what the oracles would.
+``quadratic`` data, inner GD, the ITD estimator and the Neumann estimator run
+that data's kernels instead. The inner-GD and ITD kernels compute bit for bit
+what the oracles would; the Neumann kernel applies a cached matrix per
+truncation level, equal to the HVP path up to rounding.
 """
 
 from __future__ import annotations
@@ -213,12 +215,21 @@ def stochastic_hypergradient(
     sampled outer gradient through that many (I - H/l_g1) factors, scales by
     m / l_g1, and applies the mixed HVP. The empty product (level 0) is the
     identity. Only the gradients are sampled; the HVPs are exact.
+
+    On an instant with ``quadratic`` data the level's factors, scale and
+    mixed HVP are one product with a matrix its ``neumann_correction``
+    kernel caches per (l_g1, m); the HVP fields are not called. The draws
+    are the same, in the same order.
     """
     lam = np.asarray(lam, dtype=float)
     beta = np.asarray(beta, dtype=float)
     m, ell = params.m, params.l_g1
     m_trunc = rng.integers(m)
     v = instant.grad_f_beta_sampled(lam, beta, rng)
+    quad = instant.quadratic
+    if quad is not None:
+        correction = quad.neumann_correction(v, ell, m, m_trunc)
+        return instant.grad_f_lambda_sampled(lam, beta, rng) - correction
     inv_ell = 1.0 / ell
     hvp_betabeta = instant.hvp_g_betabeta
     for _ in range(m_trunc):

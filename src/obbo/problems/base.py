@@ -5,11 +5,13 @@ outer objective f_t, the first derivatives of f_t and of the strongly convex
 inner objective g_t, and Hessian-vector products of g_t. Exact-solution oracles
 (``inner_opt`` and ``exact_hypergradient``) are optional and reserved for
 metrics and tests; solvers work from the gradient and HVP oracles, except that
-inner GD and ITD read a quadratic instant's matrices directly.
+inner GD, ITD and the Neumann estimator read a quadratic instant's matrices
+directly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, ClassVar, Sequence
 
@@ -50,11 +52,13 @@ class ProblemInstant:
     ``quadratic`` is not a constructor argument: the quadratic stream sets it
     to the data A, b, Q of its inner objective
     g_t(lam, beta) = (beta - A lam - b)' Q (beta - A lam - b) / 2, and it is
-    None on every other instant. Inner GD and the ITD estimator then run the
-    data's own kernels, with the oracles' floating-point operations in the
-    same order, so wrapping or reassigning ``grad_g_beta`` or an HVP field of
-    such an instant does not reach them. Inner SGD, the Neumann and implicit
-    estimators and the metrics still call the fields.
+    None on every other instant. Inner GD, the ITD estimator and the Neumann
+    estimator then run the data's own kernels, so wrapping or reassigning
+    ``grad_g_beta`` or an HVP field of such an instant does not reach them.
+    The inner-GD and ITD kernels repeat the oracles' floating-point
+    operations in the same order; the Neumann kernel is one product with a
+    matrix cached per truncation level. Inner SGD, the implicit estimator and
+    the metrics still call the fields.
     """
 
     t: int
@@ -114,7 +118,7 @@ class StochasticInstant(ProblemInstant):
         else:
 
             def grad_g_beta_sampled(lam, beta, s, rng):
-                xi = rng.standard_normal(d2) * (sigma_g / np.sqrt(d2 * s))
+                xi = rng.standard_normal(d2) * (sigma_g / math.sqrt(d2 * s))
                 return g_beta(lam, beta) + xi
 
             self.grad_g_beta_sampled = grad_g_beta_sampled
@@ -122,7 +126,7 @@ class StochasticInstant(ProblemInstant):
             self.grad_f_lambda_sampled = lambda lam, beta, rng: f_lambda(lam, beta)
             self.grad_f_beta_sampled = lambda lam, beta, rng: f_beta(lam, beta)
         else:
-            scale_1, scale_2 = sigma_f / np.sqrt(d1), sigma_f / np.sqrt(d2)
+            scale_1, scale_2 = sigma_f / math.sqrt(d1), sigma_f / math.sqrt(d2)
             self.grad_f_lambda_sampled = (
                 lambda lam, beta, rng: f_lambda(lam, beta) + rng.standard_normal(d1) * scale_1
             )

@@ -27,18 +27,24 @@ __all__ = ["QuadraticData", "quadratic_instant", "quadratic_stream"]
 
 class QuadraticData(NamedTuple):
     """The data of g_t(lam, beta) = (beta - A lam - b)' Q (beta - A lam - b) / 2
-    and the two kernels inner GD and ITD run on it.
+    and the kernels inner GD, ITD and the Neumann estimator run on it.
 
     ``neg_At`` is ``-A.T``, formed once: negation is exact, so products with it
-    match ``-A.T @ x`` bit for bit. The kernels perform the floating-point
-    operations of the oracle closures ``_build_instant`` makes, in the same
-    order, so their results equal the oracle path's bit for bit.
+    match ``-A.T @ x`` bit for bit. The inner-GD and ITD kernels perform the
+    floating-point operations of the oracle closures ``_build_instant`` makes,
+    in the same order, so their results equal the oracle path's bit for bit.
+    The Neumann kernel reassociates them into one matrix product.
+
+    ``neumann`` holds the Neumann kernel's matrices per (l, m). Every instant
+    of a stream shares A, Q and this dict, so the matrices are formed once
+    per stream; ``quadratic_instant`` gives each instant a dict of its own.
     """
 
     A: np.ndarray
     b: np.ndarray
     Q: np.ndarray
     neg_At: np.ndarray
+    neumann: dict
 
     def grad_g_beta_at(self, lam: np.ndarray):
         """``grad_g_beta(lam, .)`` for a fixed lam, with A lam formed once."""
@@ -59,6 +65,23 @@ class QuadraticData(NamedTuple):
             v = v - eta * Qv
         acc += neg_At @ (Q @ v)
         return acc
+
+    def neumann_correction(self, v: np.ndarray, ell: float, m: int, k: int) -> np.ndarray:
+        """(m/l) (-A') Q (I - Q/l)^k v: the mixed HVP of a Neumann estimate at
+        truncation level k < m, as one product with a matrix cached per (l, m).
+        """
+        levels = self.neumann.get((ell, m))
+        if levels is None:
+            levels = self.neumann[ell, m] = self._neumann_levels(ell, m)
+        return levels[k] @ v
+
+    def _neumann_levels(self, ell: float, m: int) -> list[np.ndarray]:
+        """C_k = (m/l) (-A') Q (I - Q/l)^k for k < m, each C_k a (d1, d2) matrix."""
+        step = np.eye(self.Q.shape[0]) - self.Q / ell
+        levels = [(m / ell) * (self.neg_At @ self.Q)]
+        for _ in range(m - 1):
+            levels.append(levels[-1] @ step)
+        return levels
 
 
 def quadratic_instant(
@@ -88,7 +111,7 @@ def quadratic_instant(
     if phases.shape != (d1,):
         raise ValueError("phases must have length d1")
     mu_g, l_g1 = _spectrum_bounds(Q)
-    return _build_instant(t, A, b, Q, c, amp, phases, noise, stochastic, mu_g, l_g1)
+    return _build_instant(t, A, b, Q, {}, c, amp, phases, noise, stochastic, mu_g, l_g1)
 
 
 def _spectrum_bounds(Q: np.ndarray) -> tuple[float, float]:
@@ -107,6 +130,7 @@ def _build_instant(
     A: np.ndarray,
     b: np.ndarray,
     Q: np.ndarray,
+    neumann: dict,
     c: np.ndarray,
     amp: float,
     phases: np.ndarray,
@@ -119,8 +143,8 @@ def _build_instant(
 
     Each oracle is one flat closure over the data, and ``-A'`` is formed
     once (negation is exact, so the products match ``-A.T @ x`` bit for
-    bit). The instant also carries that data as its ``quadratic`` field,
-    whose kernels repeat the closures' operations. A noisy or ``stochastic``
+    bit). The instant also carries that data and the Neumann cache
+    ``neumann`` as its ``quadratic`` field. A noisy or ``stochastic``
     instant gets its sampled gradients from ``StochasticInstant``.
     """
     d2, d1 = A.shape
@@ -176,7 +200,7 @@ def _build_instant(
         instant = ProblemInstant(**common)
     else:
         instant = StochasticInstant(**common, sigma_g_beta=sigma_g, sigma_f=sigma_f)
-    instant.quadratic = QuadraticData(A, b, Q, neg_At)
+    instant.quadratic = QuadraticData(A, b, Q, neg_At, neumann)
     return instant
 
 
@@ -214,16 +238,17 @@ def quadratic_stream(config: StreamConfig, stochastic: bool = False) -> list[Pro
     phases = rng.uniform(0.0, 2.0 * np.pi, d1)
 
     mu_g, l_g1 = _spectrum_bounds(Q)
+    neumann: dict = {}
 
     # Q is fixed, so it is checked once above rather than per instant. The
     # drift rebinds b and c and never writes them in place, so instants can
-    # share the arrays they were built with.
+    # share the arrays they were built with, and one Neumann cache.
     instants: list[ProblemInstant] = []
     for t in range(1, T + 1):
         instants.append(
             _build_instant(
-                t, A, b, Q, c, config.cos_amplitude, phases, config.noise,
-                stochastic, mu_g, l_g1,
+                t, A, b, Q, neumann, c, config.cos_amplitude, phases,
+                config.noise, stochastic, mu_g, l_g1,
             )
         )
         if t < T:

@@ -271,6 +271,48 @@ class TestUnknownKeys:
         assert not out.exists()
 
 
+MISSING_REQUIRED = [
+    ("regularizer", {"kind": "l1"}, "missing required l1 regularizer key(s) ['weight']"),
+    ("feasible", {"kind": "box"}, "missing required box feasible key(s) ['lower', 'upper']"),
+    ("feasible", {"kind": "box", "lower": [-1.0, -1.0]},
+     "missing required box feasible key(s) ['upper']"),
+    ("feasible", {"kind": "box", "upper": [1.0, 1.0]},
+     "missing required box feasible key(s) ['lower']"),
+]
+MISSING_IDS = ["l1-weight", "box-bounds", "box-upper", "box-lower"]
+
+
+class TestRequiredKeys:
+    @pytest.mark.parametrize("where, spec, named", MISSING_REQUIRED, ids=MISSING_IDS)
+    def test_rejected_at_parse_time(self, where, spec, named):
+        doc = json.loads(serialize_config(small_config()))
+        doc["experiments"][0]["optimizer"][where] = spec
+        with pytest.raises(ConfigError) as info:
+            parse_config_text(json.dumps(doc))
+        assert f"(tiny-obbo): {named}" in str(info.value)
+        with pytest.raises(ConfigError) as info:
+            build_optimizer_config(doc["experiments"][0]["optimizer"])
+        assert f"optimizer spec: {named}" in str(info.value)
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("where, spec, named", MISSING_REQUIRED, ids=MISSING_IDS)
+    def test_cli_exits_2_before_any_cell(self, tmp_path, capsys, command, where, spec, named):
+        doc = json.loads(serialize_config(small_config()))
+        doc["experiments"].append(
+            {**doc["experiments"][0], "name": "last",
+             "optimizer": {**doc["experiments"][0]["optimizer"], where: spec}}
+        )
+        path = tmp_path / "required.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        args = ["--out", str(out)] if command == "run" else []
+        with pytest.raises(SystemExit) as exc:
+            cli_main([command, "--config", str(path), *args])
+        assert exc.value.code == 2
+        assert f"(last): {named}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 # A value for each optimizer key that takes effect on GUARD_STREAM (d1 = 2,
 # d2 = 3): the clip threshold clips every round, the box binds, and s differs
 # from the default s = w on the noisy stream.

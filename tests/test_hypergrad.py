@@ -17,6 +17,7 @@ from obbo.hypergrad import (
     itd_hypergradient,
     stochastic_hypergradient,
 )
+from obbo.optimizers import SobboConfig, run_sobbo
 from obbo.problems import StreamConfig, quadratic_instant, quadratic_stream
 
 from oracles import central_diff_grad, induced_objective, unrolled_inner_objective
@@ -31,7 +32,7 @@ def one_dim_instant(q=1.0, a=2.0, b=0.0, c=0.0, amp=0.0, l_g1=None, noise=(0.0, 
     return inst
 
 
-def random_instant(rng, d1, d2, amp=0.4, kappa=5.0):
+def random_instant(rng, d1, d2, amp=0.4, kappa=5.0, stochastic=False):
     evals = np.geomspace(1.0, kappa, d2)
     R, _ = np.linalg.qr(rng.standard_normal((d2, d2)))
     Q = R @ np.diag(evals) @ R.T
@@ -43,6 +44,7 @@ def random_instant(rng, d1, d2, amp=0.4, kappa=5.0):
         c=rng.standard_normal(d2),
         amp=amp,
         phases=rng.uniform(0, 2 * np.pi, d1),
+        stochastic=stochastic,
     )
 
 
@@ -273,21 +275,24 @@ def unused_oracle(*args):
     raise AssertionError("the matrix path called an oracle closure")
 
 
+def both_paths(seed, d1, d2):
+    """A random stochastic instant at zero noise as two copies: one whose
+    oracle closures fail if called, so only its ``quadratic`` kernels can
+    run, and one without ``quadratic`` data, which takes the oracle path."""
+    rng = np.random.default_rng(seed)
+    inst = random_instant(rng, d1, d2, kappa=float(rng.uniform(1.0, 20.0)), stochastic=True)
+    matrix, oracles = copy.copy(inst), copy.copy(inst)
+    matrix.grad_g_beta = unused_oracle
+    matrix.hvp_g_lambdabeta = unused_oracle
+    matrix.hvp_g_betabeta = unused_oracle
+    oracles.quadratic = None
+    return rng, matrix, oracles
+
+
 class TestQuadraticMatrixPath:
     """Inner GD and ITD on an instant with ``quadratic`` data run its kernels;
     a copy without the data takes the oracle (HVP) path. The two must agree
     bit for bit."""
-
-    @staticmethod
-    def both_paths(seed, d1, d2):
-        rng = np.random.default_rng(seed)
-        inst = random_instant(rng, d1, d2, kappa=float(rng.uniform(1.0, 20.0)))
-        matrix, oracles = copy.copy(inst), copy.copy(inst)
-        matrix.grad_g_beta = unused_oracle
-        matrix.hvp_g_lambdabeta = unused_oracle
-        matrix.hvp_g_betabeta = unused_oracle
-        oracles.quadratic = None
-        return rng, matrix, oracles
 
     @settings(derandomize=True, deadline=None, max_examples=25)
     @given(
@@ -298,7 +303,7 @@ class TestQuadraticMatrixPath:
         seed=st.integers(0, 2**16),
     )
     def test_trajectory_and_itd_equal_the_oracle_path(self, d1, d2, K, eta_factor, seed):
-        rng, matrix, oracles = self.both_paths(seed, d1, d2)
+        rng, matrix, oracles = both_paths(seed, d1, d2)
         eta = eta_factor / matrix.l_g1
         lam, beta0 = rng.standard_normal(d1), rng.standard_normal(d2)
         solve = inner_gd(matrix, lam, beta0, eta, K)
@@ -316,7 +321,7 @@ class TestQuadraticMatrixPath:
         seed=st.integers(0, 2**16),
     )
     def test_divergence_reported_alike(self, d1, d2, log_eta, seed):
-        rng, matrix, oracles = self.both_paths(seed, d1, d2)
+        rng, matrix, oracles = both_paths(seed, d1, d2)
         lam, beta0 = rng.standard_normal(d1), rng.standard_normal(d2)
         messages = []
         for inst in (matrix, oracles):
@@ -325,6 +330,18 @@ class TestQuadraticMatrixPath:
             messages.append(str(info.value))
         assert messages[0] == messages[1]
         assert messages[0].startswith("inner iterate diverged at k=")
+
+
+class Level:
+    """Stands in for the generator at zero noise: the truncation level is
+    its only draw, and it is k."""
+
+    def __init__(self, k, m):
+        self.k, self.m = k, m
+
+    def integers(self, high):
+        assert high == self.m
+        return self.k
 
 
 class TestStochasticHypergradient:
@@ -381,17 +398,8 @@ class TestStochasticHypergradient:
         lam, beta = rng.standard_normal(d1), rng.standard_normal(d2)
         ell = inst.l_g1 * ell_factor
         params = NeumannParams(m, ell)
-
-        class Level:
-            def __init__(self, k):
-                self.k = k
-
-            def integers(self, high):
-                assert high == m
-                return self.k
-
         mean = sum(
-            stochastic_hypergradient(inst, lam, beta, params, Level(k)) for k in range(m)
+            stochastic_hypergradient(inst, lam, beta, params, Level(k, m)) for k in range(m)
         ) / m
         step = np.eye(d2) - Q / ell
         series = sum(np.linalg.matrix_power(step, k) for k in range(m)) / ell
@@ -421,6 +429,82 @@ class TestStochasticHypergradient:
     def test_invalid_m_rejected(self):
         with pytest.raises(ValueError):
             NeumannParams(0, 1.0)
+
+
+class TestNeumannMatrixPath:
+    """On an instant with ``quadratic`` data the Neumann estimator applies a
+    matrix cached per (l, m); a copy without the data takes the HVP path.
+    The two reassociate the same products, so they agree to rounding."""
+
+    @staticmethod
+    def assert_same_estimate(matrix, oracles, lam, beta, params, k):
+        # The estimate is grad_f_lambda minus the correction; an entry where
+        # the two nearly cancel is judged on the scale of its terms.
+        got = stochastic_hypergradient(matrix, lam, beta, params, Level(k, params.m))
+        want = stochastic_hypergradient(oracles, lam, beta, params, Level(k, params.m))
+        grad = oracles.grad_f_lambda(lam, beta)
+        scale = max(np.abs(grad).max(), np.abs(want - grad).max())
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+
+    @settings(derandomize=True, deadline=None, max_examples=15)
+    @given(
+        d1=st.integers(1, 4),
+        d2=st.integers(1, 8),
+        m=st.integers(1, 25),
+        ell_factor=st.floats(1.0, 3.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_every_level_matches_the_hvp_path(self, d1, d2, m, ell_factor, seed):
+        rng, matrix, oracles = both_paths(seed, d1, d2)
+        lam, beta = rng.standard_normal(d1), rng.standard_normal(d2)
+        params = NeumannParams(m, matrix.l_g1 * ell_factor)
+        for k in range(m):
+            self.assert_same_estimate(matrix, oracles, lam, beta, params, k)
+
+    def test_cache_is_keyed_on_the_curvature_scale(self):
+        # Two scales on one instant, then a reassigned l_g1: each call uses
+        # the matrices of its own (l, m), not those cached first.
+        rng, matrix, oracles = both_paths(22, 2, 3)
+        lam, beta = rng.standard_normal(2), rng.standard_normal(3)
+
+        def check(ell):
+            self.assert_same_estimate(matrix, oracles, lam, beta, NeumannParams(6, ell), 5)
+
+        ell = matrix.l_g1
+        check(ell)
+        check(2.5 * ell)
+        matrix.l_g1 = oracles.l_g1 = 4.0 * ell
+        check(matrix.l_g1)
+        assert list(matrix.quadratic.neumann) == [(ell, 6), (2.5 * ell, 6), (4.0 * ell, 6)]
+
+    def test_one_cache_entry_per_stream(self):
+        stream = quadratic_stream(
+            StreamConfig(d1=2, d2=3, T=15, noise=(0.3, 0.2), seed=4), stochastic=True
+        )
+        trace = run_sobbo(stream, SobboConfig(alpha=0.05, eta=0.1, K=3, w=4), np.random.default_rng(5))
+        neumann = stream[0].quadratic.neumann
+        assert all(inst.quadratic.neumann is neumann for inst in stream)
+        assert list(neumann) == [(stream[0].l_g1, trace.m)]
+        assert len(neumann[stream[0].l_g1, trace.m]) == trace.m
+        # A separately built instant gets a cache of its own.
+        assert one_dim_instant().quadratic.neumann is not one_dim_instant().quadratic.neumann
+
+    def test_hvp_fields_are_called_without_quadratic_data(self):
+        inst = one_dim_instant(q=0.5, a=2.0, l_g1=1.0)
+        counts = {"hvp_g_betabeta": 0, "hvp_g_lambdabeta": 0}
+        for name in counts:
+
+            def counted(lam, beta, v, _name=name, _orig=getattr(inst, name)):
+                counts[_name] += 1
+                return _orig(lam, beta, v)
+
+            setattr(inst, name, counted)
+        lam, beta, params = np.array([0.4]), np.array([0.8]), NeumannParams(5, 1.0)
+        stochastic_hypergradient(inst, lam, beta, params, Level(3, 5))
+        assert counts == {"hvp_g_betabeta": 0, "hvp_g_lambdabeta": 0}
+        inst.quadratic = None
+        stochastic_hypergradient(inst, lam, beta, params, Level(3, 5))
+        assert counts == {"hvp_g_betabeta": 3, "hvp_g_lambdabeta": 1}
 
 
 class TestWindowBuffer:
