@@ -33,9 +33,15 @@ from .hypergrad import (
     stochastic_hypergradient,
 )
 from .optimizers import (
+    Adaptive,
+    Euclidean,
+    OagdConfig,
     ObboConfig,
     RunTrace,
+    SingleLevelConfig,
     SobboConfig,
+    SobowConfig,
+    StepConfig,
     run_oagd,
     run_obbo,
     run_single_level,

@@ -4,26 +4,41 @@ The file holds a list of experiments, each pairing a stream spec with an
 optimizer spec, a seed list, and variation options. Stream and optimizer specs
 are kept as plain key/value maps, so a parsed config re-serializes to exactly
 the bytes it was written with (canonical form: sorted keys, two-space indent,
-trailing newline). Every key is checked against ``SPEC_KEYS`` when the config
-is parsed, and so is every kind (a phi ``mode`` is its kind) and the presence
-of each key in ``REQUIRED_KEYS``; the other values are checked when the
-builders run.
+trailing newline).
+
+Each kind of a stream, optimizer, drift, phi, regularizer or feasible spec
+feeds one constructor in ``CONSTRUCTORS``, and ``SPEC_KEYS`` reads the keys a
+kind accepts, and an experiment's keys, from the constructor's parameters: a
+parameter without a default is a required key. ``build`` calls a spec's
+constructor, nested parts first. Parsing checks every key, kind (a phi
+``mode`` is its kind) and required key, and builds every optimizer config, so
+a bad optimizer value fails before any cell runs; each cell builds its stream.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..optimizers import ObboConfig
-from ..problems.base import DriftSpec
+from ..geometry import FeasibleSet, Regularizer
+from ..optimizers import CONFIGS, Adaptive, Euclidean
+from ..problems import (
+    DriftSpec,
+    StreamConfig,
+    load_spline_task_csv,
+    make_drifting_spline_task,
+    meta_toy_stream,
+)
 
 __all__ = [
     "CONFIG_SCHEMA",
+    "CONSTRUCTORS",
     "SPEC_KEYS",
     "ExperimentSpec",
     "HarnessConfig",
+    "build",
     "parse_config",
     "parse_config_text",
     "serialize_config",
@@ -36,97 +51,9 @@ CONFIG_SCHEMA = "obbo-config-v1"
 # Regret and estimator error always run; these are the only metric keys.
 DEFAULT_METRICS = {"variations": False, "grid_size": 64}
 
-# Keys every optimizer reads, then the composite objective's parts.
-_OPTIMIZER_KEYS = ("alpha", "eta", "K", "w", "clip_threshold", "lambda0", "beta0")
-_COMPOSITE_KEYS = ("regularizer", "feasible")
-
-# The keys each part of a config accepts. A part with kinds accepts its kind
-# key plus its kind's keys, and a kind missing here is rejected. The builders
-# in runner.py read their arguments through ``spec_args``, and a key is
-# listed only where the run reads it:
-# SOBOW is the Euclidean, unregularized, unconstrained reduction, and only
-# OBBO and SOBBO take an adaptive generator.
-SPEC_KEYS = {
-    "top-level": ("schema", "output_dir", "experiments"),
-    "experiment": ("name", "seeds", "stream", "optimizer", "metrics"),
-    "metrics": tuple(DEFAULT_METRICS),
-    "stream": {
-        "quadratic": (
-            "d1", "d2", "T", "seed", "drift", "noise", "kappa_target",
-            "cos_amplitude", "stochastic",
-        ),
-        "spline_synthetic": (
-            "T", "seed", "n_knots", "n_train", "n_val", "noise_std", "lambda_lower",
-            "lambda_upper", "freq_start", "freq_end", "amp_start", "amp_end",
-        ),
-        "spline_csv": ("path", "knots", "lambda_lower", "lambda_upper"),
-        "meta": ("d", "T", "seed", "drift", "gamma", "n_train", "n_val", "task_noise"),
-    },
-    "optimizer": {
-        "obbo": (*_OPTIMIZER_KEYS, *_COMPOSITE_KEYS, "phi", "estimator"),
-        "sobbo": (*_OPTIMIZER_KEYS, *_COMPOSITE_KEYS, "phi", "s", "m"),
-        "oagd": (*_OPTIMIZER_KEYS, *_COMPOSITE_KEYS),
-        "sobow": (*_OPTIMIZER_KEYS, "estimator"),
-        **dict.fromkeys(("adam", "sgdm"), (*_OPTIMIZER_KEYS, *_COMPOSITE_KEYS, "estimator")),
-    },
-    "drift": {k: ("rate", "scale") if rate else () for k, rate in DriftSpec.RATES.items()},
-    "phi": {"euclidean": (), "adaptive": ("beta", "epsilon")},
-    "regularizer": {"zero": (), "l1": ("weight",)},
-    "feasible": {"full": (), "box": ("lower", "upper")},
-}
-
-# The keys a kind cannot run without; every other key has a default.
-REQUIRED_KEYS = {"regularizer": {"l1": ("weight",)}, "feasible": {"box": ("lower", "upper")}}
-
-# The kind a part takes when its spec names none: the library's own defaults.
-# A phi spec names its kind "mode".
-_LIBRARY = ObboConfig()
-DEFAULT_KINDS = {"drift": DriftSpec().kind, "phi": _LIBRARY.phi_mode,
-                 "regularizer": _LIBRARY.regularizer.kind, "feasible": _LIBRARY.feasible.kind}
-_KIND_KEY = {"phi": "mode"}
-
 
 class ConfigError(ValueError):
     """Config file is syntactically valid JSON but semantically malformed."""
-
-
-def spec_kind(part: str, spec: dict | None):
-    """The kind ``spec`` names for ``part``, else the part's default kind."""
-    return (spec or {}).get(_KIND_KEY.get(part, "kind"), DEFAULT_KINDS.get(part))
-
-
-def spec_args(part: str, spec: dict, where: str) -> dict:
-    """The entries of ``spec`` other than its kind, once its kind and every
-    key are accepted and its kind's required keys are present.
-
-    ``part`` names an entry of ``SPEC_KEYS``; the parts nested in ``spec``
-    (an experiment's stream, a stream's drift, ...) are checked too. Raises
-    ``ConfigError`` naming ``where`` and the unknown kind or keys, or the
-    missing ones.
-    """
-    accepted, what, kind_key = SPEC_KEYS[part], part, _KIND_KEY.get(part, "kind")
-    required = ()
-    if isinstance(accepted, dict):
-        kind = spec_kind(part, spec)
-        if not isinstance(kind, str) or kind not in accepted:
-            raise ConfigError(
-                f"{where}: unknown {part} {kind_key} {kind!r}; "
-                f"accepted {kind_key}s are {sorted(accepted)}"
-            )
-        accepted, what = (kind_key, *accepted[kind]), f"{kind} {part}"
-        required = REQUIRED_KEYS.get(part, {}).get(kind, ())
-    unknown = sorted(set(spec) - set(accepted))
-    if unknown:
-        raise ConfigError(
-            f"{where}: unknown {what} key(s) {unknown}; accepted keys are {sorted(accepted)}"
-        )
-    missing = [key for key in required if key not in spec]
-    if missing:
-        raise ConfigError(f"{where}: missing required {what} key(s) {missing}")
-    for key, value in spec.items():
-        if key in SPEC_KEYS and isinstance(value, dict):
-            spec_args(key, value, where)
-    return {key: value for key, value in spec.items() if key != kind_key}
 
 
 @dataclass
@@ -138,7 +65,14 @@ class ExperimentSpec:
     metrics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        spec_args("experiment", self.to_dict(), f"experiment {self.name!r}")
+        """Check every key, and build the optimizer config, which needs no
+        stream; a value it rejects raises ``ConfigError``."""
+        where = f"experiment {self.name!r}"
+        spec_args("experiment", self.to_dict(), where)
+        try:
+            build("optimizer", self.optimizer, where)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
 
     def to_dict(self) -> dict:
         out = {
@@ -165,10 +99,105 @@ class HarnessConfig:
         return out
 
 
-def _require(mapping: dict, key: str, where: str):
-    if key not in mapping:
-        raise ConfigError(f"{where}: missing required key {key!r}")
-    return mapping[key]
+# The constructor each kind of a part feeds; a quadratic stream spec builds
+# the ``StreamConfig`` that ``quadratic_stream`` takes.
+CONSTRUCTORS = {
+    "stream": {
+        "quadratic": StreamConfig,
+        "spline_synthetic": make_drifting_spline_task,
+        "spline_csv": load_spline_task_csv,
+        "meta": meta_toy_stream,
+    },
+    "optimizer": CONFIGS,
+    "drift": {kind: getattr(DriftSpec, kind) for kind in DriftSpec.RATES},
+    "phi": {"euclidean": Euclidean, "adaptive": Adaptive},
+    "regularizer": {"zero": Regularizer.zero, "l1": Regularizer.l1},
+    "feasible": {"full": FeasibleSet.full_space, "box": FeasibleSet.box},
+}
+
+
+def _keys(constructor) -> dict:
+    """Each parameter of ``constructor``, mapped to whether a spec must give
+    it: one without a default is required, except a stream's ``seed``, which
+    the run seed fills in."""
+    params = inspect.signature(constructor).parameters.values()
+    return {p.name: p.default is p.empty and p.name != "seed" for p in params}
+
+
+# The keys each part of a config accepts, each mapped to whether it is
+# required. A part with kinds accepts its kind key plus its kind's keys, and a
+# kind missing here is rejected. The drift constructors take their fields
+# positionally, so ``DriftSpec.RATES`` says which kinds take a rate and scale.
+SPEC_KEYS = {
+    "top-level": dict.fromkeys(("schema", "output_dir", "experiments"), False),
+    "experiment": _keys(ExperimentSpec),
+    "metrics": dict.fromkeys(DEFAULT_METRICS, False),
+    **{part: {kind: _keys(make) for kind, make in kinds.items()}
+       for part, kinds in CONSTRUCTORS.items() if part != "drift"},
+    "drift": {kind: dict.fromkeys(("rate", "scale") if rate else (), False)
+              for kind, rate in DriftSpec.RATES.items()},
+}
+# The quadratic stream also takes ``quadratic_stream``'s ``stochastic``.
+SPEC_KEYS["stream"]["quadratic"]["stochastic"] = False
+
+# The kind a part takes when its spec names none: the library's own defaults.
+# A phi spec names its kind "mode".
+DEFAULT_KINDS = {
+    "drift": DriftSpec().kind,
+    "phi": next(mode for mode, cls in CONSTRUCTORS["phi"].items()
+                if isinstance(CONFIGS["obbo"].phi, cls)),
+    "regularizer": CONFIGS["obbo"].regularizer.kind,
+    "feasible": CONFIGS["obbo"].feasible.kind,
+}
+_KIND_KEY = {"phi": "mode"}
+
+
+def spec_kind(part: str, spec: dict | None):
+    """The kind ``spec`` names for ``part``, else the part's default kind."""
+    return (spec or {}).get(_KIND_KEY.get(part, "kind"), DEFAULT_KINDS.get(part))
+
+
+def spec_args(part: str, spec: dict, where: str) -> dict:
+    """The entries of ``spec`` other than its kind, once its kind and every
+    key are accepted and its kind's required keys are present.
+
+    ``part`` names an entry of ``SPEC_KEYS``; the parts nested in ``spec``
+    (an experiment's stream, a stream's drift, ...) are checked too. Raises
+    ``ConfigError`` naming ``where`` and the unknown kind or keys, or the
+    missing ones.
+    """
+    accepted, what, kind_key = SPEC_KEYS[part], part, _KIND_KEY.get(part, "kind")
+    if part in CONSTRUCTORS:
+        kind = spec_kind(part, spec)
+        if not isinstance(kind, str) or kind not in accepted:
+            raise ConfigError(
+                f"{where}: unknown {part} {kind_key} {kind!r}; "
+                f"accepted {kind_key}s are {sorted(accepted)}"
+            )
+        accepted, what = {kind_key: False, **accepted[kind]}, f"{kind} {part}"
+    unknown = sorted(set(spec) - set(accepted))
+    if unknown:
+        raise ConfigError(
+            f"{where}: unknown {what} key(s) {unknown}; accepted keys are {sorted(accepted)}"
+        )
+    missing = [key for key, required in accepted.items() if required and key not in spec]
+    if missing:
+        raise ConfigError(f"{where}: missing required {what} key(s) {missing}")
+    for key, value in spec.items():
+        if key in SPEC_KEYS and isinstance(value, dict):
+            spec_args(key, value, where)
+    return {key: value for key, value in spec.items() if key != kind_key}
+
+
+def build(part: str, spec: dict | None, where: str):
+    """What ``spec`` describes: its kind's constructor called with its other
+    entries, after ``spec_args`` accepts them. Each nested part is built the
+    same way first, and a null one takes its part's default kind."""
+    args = spec_args(part, spec or {}, where)
+    for key, value in args.items():
+        if key in CONSTRUCTORS and (value is None or isinstance(value, dict)):
+            args[key] = build(key, value, where)
+    return CONSTRUCTORS[part][spec_kind(part, spec)](**args)
 
 
 def parse_config_text(text: str) -> HarnessConfig:
@@ -185,33 +214,20 @@ def parse_config_text(text: str) -> HarnessConfig:
     experiments = []
     seen_names = set()
     for i, raw in enumerate(raw_experiments):
-        where = f"experiments[{i}]"
         if not isinstance(raw, dict):
-            raise ConfigError(f"{where}: must be an object")
-        name = _require(raw, "name", where)
-        spec_args("experiment", raw, f"{where} ({name})")
-        if name in seen_names:
-            raise ConfigError(f"{where}: duplicate experiment name {name!r}")
-        seen_names.add(name)
-        seeds = _require(raw, "seeds", f"{where} ({name})")
+            raise ConfigError(f"experiments[{i}]: must be an object")
+        where = f"experiments[{i}] ({raw.get('name')})"
+        spec_args("experiment", raw, where)
+        if raw["name"] in seen_names:
+            raise ConfigError(f"{where}: duplicate experiment name {raw['name']!r}")
+        seen_names.add(raw["name"])
+        seeds = raw["seeds"]
         if not isinstance(seeds, list) or not all(isinstance(s, int) for s in seeds):
-            raise ConfigError(f"{where} ({name}): 'seeds' must be a list of integers")
-        stream = _require(raw, "stream", f"{where} ({name})")
-        optimizer = _require(raw, "optimizer", f"{where} ({name})")
-        for spec, label in ((stream, "stream"), (optimizer, "optimizer")):
-            if not isinstance(spec, dict):
-                raise ConfigError(
-                    f"{where} ({name}): '{label}' must be an object with a 'kind'"
-                )
-        experiments.append(
-            ExperimentSpec(
-                name=name,
-                seeds=list(seeds),
-                stream=stream,
-                optimizer=optimizer,
-                metrics=raw.get("metrics", {}),
-            )
-        )
+            raise ConfigError(f"{where}: 'seeds' must be a list of integers")
+        for label in ("stream", "optimizer"):
+            if not isinstance(raw[label], dict):
+                raise ConfigError(f"{where}: '{label}' must be an object with a 'kind'")
+        experiments.append(ExperimentSpec(**raw))
     return HarnessConfig(experiments=experiments, output_dir=data.get("output_dir"))
 
 

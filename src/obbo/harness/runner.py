@@ -17,7 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from .. import __version__
-from ..geometry import FeasibleSet, Regularizer
 from ..hypergrad import DivergenceError
 from ..metrics import (
     RegretSeries,
@@ -28,31 +27,23 @@ from ..metrics import (
     variation_report,
 )
 from ..optimizers import (
-    ObboConfig,
     RunTrace,
-    SobboConfig,
+    StepConfig,
     run_oagd,
     run_obbo,
     run_single_level,
     run_sobbo,
     run_sobow,
 )
-from ..problems import (
-    DriftSpec,
-    StreamConfig,
-    load_spline_task_csv,
-    make_drifting_spline_task,
-    meta_toy_stream,
-    quadratic_stream,
-    spline_stream,
-)
+from ..problems import quadratic_stream, spline_stream
 from .config import (
     DEFAULT_METRICS,
+    SPEC_KEYS,
     ExperimentSpec,
     HarnessConfig,
+    build,
     serialize_config,
     spec_args,
-    spec_kind,
 )
 
 __all__ = [
@@ -81,55 +72,20 @@ def build_stream(spec: dict, run_seed: int):
     """
     args = spec_args("stream", spec, "stream spec")
     kind = spec["kind"]
-    if kind != "spline_csv":
+    if "seed" in SPEC_KEYS["stream"][kind]:
         args.setdefault("seed", run_seed)
-    drift = args.pop("drift", None)
-    if drift is not None:
-        args["drift"] = DriftSpec(**drift)
+    stochastic = args.pop("stochastic", False)
+    made = build("stream", {"kind": kind, **args}, "stream spec")
     if kind == "quadratic":
-        if "noise" in args:
-            args["noise"] = tuple(args["noise"])
-        stochastic = args.pop("stochastic", False)
-        return quadratic_stream(StreamConfig(**args), stochastic)
-    if kind == "spline_synthetic":
-        return spline_stream(make_drifting_spline_task(**args))
-    if kind == "spline_csv":
-        return spline_stream(load_spline_task_csv(**args))
-    assert kind == "meta", f"no builder for stream kind {kind!r}"
-    return meta_toy_stream(**args)
+        return quadratic_stream(made, stochastic)
+    return made if kind == "meta" else spline_stream(made)
 
 
-def _regularizer_from_spec(spec: dict | None) -> Regularizer:
-    kind = spec_kind("regularizer", spec)
-    if kind == "zero":
-        return Regularizer.zero()
-    assert kind == "l1", f"no builder for regularizer kind {kind!r}"
-    return Regularizer.l1(spec["weight"])
-
-
-def _feasible_from_spec(spec: dict | None) -> FeasibleSet:
-    kind = spec_kind("feasible", spec)
-    if kind == "full":
-        return FeasibleSet.full_space()
-    assert kind == "box", f"no builder for feasible kind {kind!r}"
-    return FeasibleSet.box(spec["lower"], spec["upper"])
-
-
-def build_optimizer_config(spec: dict) -> ObboConfig:
+def build_optimizer_config(spec: dict) -> StepConfig:
     """Optimizer config from a spec; keys the spec omits keep the defaults,
     and an unknown kind, or a key its kind does not accept, raises
     ``ConfigError``."""
-    args = spec_args("optimizer", spec, "optimizer spec")
-    phi = args.pop("phi", None) or {}
-    phi_keys = {"mode": "phi_mode", "beta": "adapt_beta", "epsilon": "adapt_epsilon"}
-    args.update({name: phi[key] for key, name in phi_keys.items() if key in phi})
-    if "regularizer" in args:
-        args["regularizer"] = _regularizer_from_spec(args["regularizer"])
-    if "feasible" in args:
-        args["feasible"] = _feasible_from_spec(args["feasible"])
-    if spec["kind"] == "sobbo":
-        return SobboConfig(**args)
-    return ObboConfig(**args)
+    return build("optimizer", spec, "optimizer spec")
 
 
 def execute_run(exp: ExperimentSpec, seed: int) -> tuple[RunTrace, list]:

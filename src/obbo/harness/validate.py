@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from ..optimizers import _resolve_steps, default_neumann_bound
+from ..optimizers import Adaptive, _resolve_steps, default_neumann_bound
 from ..problems.base import StochasticInstant, outer_grad_lipschitz
 from .config import HarnessConfig
 from .runner import build_optimizer_config, build_stream
@@ -40,10 +40,7 @@ def validate_experiment(exp) -> list[str]:
     inst = stream[0]
     mu, ell = inst.mu_g, inst.l_g1
     kind = exp.optimizer["kind"]
-    try:
-        config = build_optimizer_config(exp.optimizer)
-    except Exception as exc:
-        return [f"{prefix} optimizer spec invalid: {exc}"]
+    config = build_optimizer_config(exp.optimizer)
     try:
         eta = _resolve_steps(stream, config, kind)[1]
     except ValueError as exc:
@@ -65,7 +62,7 @@ def validate_experiment(exp) -> list[str]:
         bound = 3.0 / (4.0 * outer_grad_lipschitz(mu, ell, inst.l_f1))  # rho = 1
         if config.alpha > bound:
             suffix = ""
-            if config.phi_mode == "adaptive":
+            if isinstance(config.phi, Adaptive):
                 suffix = (
                     " (bound assumes modulus 1; the adaptive generator's "
                     "per-round modulus is only known at run time)"

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
-from typing import Callable
+from dataclasses import dataclass, replace
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -38,8 +38,15 @@ from .problems.base import (
 )
 
 __all__ = [
+    "CONFIGS",
+    "Euclidean",
+    "Adaptive",
+    "StepConfig",
     "ObboConfig",
     "SobboConfig",
+    "OagdConfig",
+    "SobowConfig",
+    "SingleLevelConfig",
     "RunTrace",
     "run_obbo",
     "run_sobbo",
@@ -47,34 +54,49 @@ __all__ = [
     "run_sobow",
     "run_single_level",
     "default_neumann_bound",
-    "default_inner_step",
 ]
 
-@dataclass
-class ObboConfig:
-    """Outer/inner step sizes, window, geometry mode, and initial iterates.
+@dataclass(frozen=True)
+class Euclidean:
+    """The generator ||x||^2 / 2 on every round."""
 
-    ``alpha`` and ``eta`` may be left unset to derive conservative defaults
-    from the stream's declared smoothness constants. ``estimator`` selects how
-    per-round hypergradients are formed: ``itd`` (default) backpropagates the
-    inner trajectory, ``implicit`` solves the inner Hessian system at the
-    current pair, and ``exact`` uses the inner-solution oracle directly
-    (closed-form mode, skips the inner loop).
+
+@dataclass(frozen=True)
+class Adaptive:
+    """The round's diagonal generator sqrt(avg) + epsilon, where avg is the
+    running average of the squared steps with weight ``beta`` on the past."""
+
+    beta: float = 0.9
+    epsilon: float = 1e-8
+
+    def __post_init__(self):
+        if not 0.0 < self.beta < 1.0:
+            raise ValueError("adaptive beta must lie in (0, 1)")
+        if self.epsilon <= 0:
+            raise ValueError("adaptive epsilon must be positive")
+
+
+@dataclass
+class StepConfig:
+    """The fields every optimizer reads. An unset ``alpha`` or ``eta`` is
+    derived from the stream's declared smoothness constants.
+
+    Each kind's config adds the fields its run reads. What a kind fixes is a
+    class constant, read like a field: the Euclidean generator, no
+    regularizer and the full space.
     """
 
     alpha: float | None = None
     eta: float | None = None
     K: int | None = None
     w: int = 1
-    phi_mode: str = "euclidean"
-    adapt_beta: float = 0.9
-    adapt_epsilon: float = 1e-8
-    regularizer: Regularizer = field(default_factory=Regularizer.zero)
-    feasible: FeasibleSet = field(default_factory=FeasibleSet.full_space)
     clip_threshold: float | None = None
     lambda0: np.ndarray | None = None
     beta0: np.ndarray | None = None
-    estimator: str = "itd"
+
+    phi: ClassVar[Euclidean | Adaptive] = Euclidean()
+    regularizer: ClassVar[Regularizer] = Regularizer.zero()
+    feasible: ClassVar[FeasibleSet] = FeasibleSet.full_space()
 
     def __post_init__(self):
         if self.w < 1:
@@ -85,26 +107,36 @@ class ObboConfig:
             raise ValueError("alpha must be positive")
         if self.eta is not None and self.eta <= 0:
             raise ValueError("eta must be positive")
-        if self.phi_mode not in ("euclidean", "adaptive"):
-            raise ValueError(f"unknown phi mode {self.phi_mode!r}")
-        if not 0.0 < self.adapt_beta < 1.0:
-            raise ValueError("adapt_beta must lie in (0, 1)")
-        if self.adapt_epsilon <= 0:
-            raise ValueError("adapt_epsilon must be positive")
         if self.clip_threshold is not None and self.clip_threshold <= 0:
             raise ValueError("clip threshold must be positive")
-        if self.estimator not in ("itd", "implicit", "exact"):
-            raise ValueError(f"unknown estimator {self.estimator!r}")
+        if not isinstance(self.phi, (Euclidean, Adaptive)):
+            raise TypeError(f"phi must be Euclidean() or Adaptive(...), got {self.phi!r}")
+        # Only the kinds that read an estimator have the field.
+        estimator = getattr(self, "estimator", "itd")
+        if estimator not in ("itd", "implicit", "exact"):
+            raise ValueError(f"unknown estimator {estimator!r}")
 
 
 @dataclass
-class SobboConfig(ObboConfig):
-    """Stochastic variant: inner batch size s and Neumann bound m.
+class ObboConfig(StepConfig):
+    """OBBO. ``estimator`` is ``itd`` (backpropagate the inner trajectory),
+    ``implicit`` (solve the inner Hessian system at the current pair) or
+    ``exact`` (the closed-form inner solution, which skips the inner loop)."""
 
-    Defaults follow the analysis-guided choices s = w and
-    m = ceil(log(w) / log(1 / (1 - mu_g / l_g1))) + 1.
-    """
+    phi: Euclidean | Adaptive = StepConfig.phi
+    regularizer: Regularizer = StepConfig.regularizer
+    feasible: FeasibleSet = StepConfig.feasible
+    estimator: str = "itd"
 
+
+@dataclass
+class SobboConfig(StepConfig):
+    """SOBBO: inner batch size s and Neumann bound m, by default s = w and
+    m = ceil(log(w) / log(1 / (1 - mu_g / l_g1))) + 1."""
+
+    phi: Euclidean | Adaptive = StepConfig.phi
+    regularizer: Regularizer = StepConfig.regularizer
+    feasible: FeasibleSet = StepConfig.feasible
     s: int | None = None
     m: int | None = None
 
@@ -114,6 +146,40 @@ class SobboConfig(ObboConfig):
             raise ValueError("batch size s must be at least 1")
         if self.m is not None and self.m < 1:
             raise ValueError("Neumann bound m must be at least 1")
+
+
+@dataclass
+class OagdConfig(StepConfig):
+    """OAGD: Euclidean steps, the implicit estimator at every window pair."""
+
+    regularizer: Regularizer = StepConfig.regularizer
+    feasible: FeasibleSet = StepConfig.feasible
+
+
+@dataclass
+class SobowConfig(StepConfig):
+    """SOBOW: the Euclidean, unregularized, unconstrained reduction of OBBO."""
+
+    estimator: str = "itd"
+
+
+@dataclass
+class SingleLevelConfig(StepConfig):
+    """Adam and SGDM: a first-order step, projected onto the feasible set."""
+
+    regularizer: Regularizer = StepConfig.regularizer
+    feasible: FeasibleSet = StepConfig.feasible
+    estimator: str = "itd"
+
+
+# The config of each optimizer kind.
+CONFIGS = {
+    "obbo": ObboConfig,
+    "sobbo": SobboConfig,
+    "oagd": OagdConfig,
+    "sobow": SobowConfig,
+    **dict.fromkeys(("adam", "sgdm"), SingleLevelConfig),
+}
 
 
 @dataclass
@@ -140,7 +206,7 @@ class RunTrace:
     alpha: float
     eta: float
     w: int
-    config: ObboConfig
+    config: StepConfig
     s: int | None = None
     m: int | None = None
 
@@ -157,42 +223,41 @@ def default_neumann_bound(w: int, mu_g: float, l_g1: float) -> int:
     return int(math.ceil(math.log(w) / math.log(1.0 / ratio))) + 1
 
 
-def default_inner_step(algorithm: str, mu_g: float, l_g1: float) -> float:
-    """Inner step size when the config leaves ``eta`` unset.
-
-    OAGD takes the contraction-optimal 2 / (l_g1 + mu_g); every other
-    optimizer the conservative 1 / (2 l_g1).
-    """
-    if algorithm == "oagd":
-        return 2.0 / (l_g1 + mu_g)
-    return 1.0 / (2.0 * l_g1)
-
-
 def _resolve_steps(
-    stream: Stream, config: ObboConfig, algorithm: str
+    stream: Stream, config: StepConfig, kind: str
 ) -> tuple[float, float, int]:
+    """Alpha, eta and K for an optimizer ``kind``, once ``config`` is its
+    kind's config; a config of another kind raises ``TypeError``.
+
+    Unset, OAGD takes the contraction-optimal eta = 2 / (l_g1 + mu_g) and
+    K = 1; every other optimizer the conservative 1 / (2 l_g1) and K = 10.
+    """
+    expected = CONFIGS[kind]
+    if not isinstance(config, expected):
+        raise TypeError(f"{kind} takes a {expected.__name__}, got a {type(config).__name__}")
     if len(stream) == 0:
         raise ValueError("empty stream")
     instant = stream[0]
+    mu_g, l_g1 = instant.mu_g, instant.l_g1
     eta = config.eta
     if eta is None:
-        eta = default_inner_step(algorithm, instant.mu_g, instant.l_g1)
+        eta = 2.0 / (l_g1 + mu_g) if kind == "oagd" else 1.0 / (2.0 * l_g1)
     alpha = config.alpha
     if alpha is None:
         if instant.l_f1 is None:
             raise ValueError(
                 "stream declares no outer smoothness constants; set alpha explicitly"
             )
-        l_F1 = outer_grad_lipschitz(instant.mu_g, instant.l_g1, instant.l_f1)
+        l_F1 = outer_grad_lipschitz(mu_g, l_g1, instant.l_f1)
         alpha = 3.0 / (8.0 * l_F1)
     K = config.K
     if K is None:
-        K = 1 if algorithm == "oagd" else 10
+        K = 1 if kind == "oagd" else 10
     return alpha, eta, K
 
 
 def _initial_iterates(
-    stream: Stream, config: ObboConfig
+    stream: Stream, config: StepConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     d1, d2 = stream[0].d1, stream[0].d2
     if config.lambda0 is None:
@@ -228,7 +293,7 @@ def _check_finite(name: str, x: np.ndarray, t: int) -> None:
 
 
 def _run(
-    stream: Stream, config: ObboConfig, alpha: float, eta: float, estimate, step
+    stream: Stream, config: StepConfig, alpha: float, eta: float, estimate, step
 ) -> RunTrace:
     """The shared round, one pass over the stream.
 
@@ -256,7 +321,8 @@ def _run(
             lambdas[i], betas[i], estimates[i], smoothed[i] = lam, beta_next, est, q
             gen_proj_norm_sq[i] = (((lam - lam_next) / alpha) ** 2).sum()
             outer_loss[i] = instant.f_value(lam, beta_next)
-            inner_residual[i] = np.linalg.norm(instant.grad_g_beta(lam, beta_next))
+            r = instant.grad_g_beta(lam, beta_next)
+            inner_residual[i] = math.sqrt(r @ r)
             lam, beta = lam_next, beta_next
     finite = np.isfinite((gen_proj_norm_sq, outer_loss, inner_residual)).all(axis=0)
     if not finite.all():
@@ -294,7 +360,7 @@ def _windowed(w: int, solve_and_estimate: Callable) -> Callable:
     return estimate
 
 
-def _gd_estimate(config: ObboConfig, eta: float, K: int) -> Callable:
+def _gd_estimate(config: StepConfig, eta: float, K: int) -> Callable:
     """Inner GD plus the configured estimator, windowed.
 
     The ``exact`` estimator replaces inner GD by the closed-form inner solve.
@@ -315,22 +381,22 @@ def _gd_estimate(config: ObboConfig, eta: float, K: int) -> Callable:
     return _windowed(config.w, solve_and_estimate)
 
 
-def _bregman_step(config: ObboConfig, alpha: float, d1: int) -> Callable:
+def _bregman_step(config: StepConfig, alpha: float, d1: int) -> Callable:
     """Prox step under the round's Euclidean or adaptive diagonal generator.
 
     The adaptive diagonal is sqrt(avg) + eps, where avg is the running average
     of the squared steps q. It is positive, and only an overflowing average
     makes it non-finite, which ``_run`` rejects.
     """
-    phi, diag = DistanceGenerator.euclidean(), np.ones(d1)
-    adaptive = config.phi_mode == "adaptive"
-    b, eps, avg = config.adapt_beta, config.adapt_epsilon, np.zeros(d1)
+    phi, diag, avg = DistanceGenerator.euclidean(), np.ones(d1), np.zeros(d1)
+    gen = config.phi
+    adaptive = isinstance(gen, Adaptive)
 
     def step(q, lam):
         nonlocal phi, diag, avg
         if adaptive:
-            avg = b * avg + (1.0 - b) * q**2
-            diag = np.sqrt(avg) + eps
+            avg = gen.beta * avg + (1.0 - gen.beta) * q**2
+            diag = np.sqrt(avg) + gen.epsilon
             phi = DistanceGenerator("diagonal", diag)
         return prox_step(q, lam, alpha, phi, config.regularizer, config.feasible), diag
 
@@ -346,7 +412,11 @@ def run_obbo(stream: Stream, config: ObboConfig) -> RunTrace:
     distance generator. In ``exact`` estimator mode the inner loop is replaced
     by the closed-form inner solve.
     """
-    alpha, eta, K = _resolve_steps(stream, config, "obbo")
+    return _windowed_bregman(stream, config, "obbo")
+
+
+def _windowed_bregman(stream: Stream, config: StepConfig, kind: str) -> RunTrace:
+    alpha, eta, K = _resolve_steps(stream, config, kind)
     estimate = _gd_estimate(config, eta, K)
     step = _bregman_step(config, alpha, stream[0].d1)
     return _run(stream, config, alpha, eta, estimate, step)
@@ -382,7 +452,7 @@ def run_sobbo(
     return replace(_run(stream, config, alpha, eta, estimate, step), s=s, m=m)
 
 
-def run_oagd(stream: Stream, config: ObboConfig) -> RunTrace:
+def run_oagd(stream: Stream, config: OagdConfig) -> RunTrace:
     """Alternating gradient descent baseline with window re-evaluation.
 
     Keeps handles to the last w instants and re-evaluates their implicit
@@ -403,26 +473,20 @@ def run_oagd(stream: Stream, config: ObboConfig) -> RunTrace:
         # The loop ends on the current instant, so est is this round's own.
         return beta_next, est, total / config.w
 
-    step = _bregman_step(replace(config, phi_mode="euclidean"), alpha, stream[0].d1)
+    step = _bregman_step(config, alpha, stream[0].d1)
     return _run(stream, config, alpha, eta, estimate, step)
 
 
-def run_sobow(stream: Stream, config: ObboConfig) -> RunTrace:
+def run_sobow(stream: Stream, config: SobowConfig) -> RunTrace:
     """Window-averaging baseline: the Euclidean unconstrained reduction.
 
     Identical to ``run_obbo`` with the Euclidean generator, no regularizer,
-    and the full space; the config is normalized to that restriction.
+    and the full space, which ``SobowConfig`` fixes.
     """
-    restricted = replace(
-        config,
-        phi_mode="euclidean",
-        regularizer=Regularizer.zero(),
-        feasible=FeasibleSet.full_space(),
-    )
-    return run_obbo(stream, restricted)
+    return _windowed_bregman(stream, config, "sobow")
 
 
-def run_single_level(stream: Stream, method: str, config: ObboConfig) -> RunTrace:
+def run_single_level(stream: Stream, method: str, config: SingleLevelConfig) -> RunTrace:
     """Adam or SGDM applied to the windowed hypergradient estimates.
 
     Uses the same inner solve / estimate / window pipeline as the bilevel
@@ -431,7 +495,7 @@ def run_single_level(stream: Stream, method: str, config: ObboConfig) -> RunTrac
     """
     if method not in ("adam", "sgdm"):
         raise ValueError(f"unknown single-level method {method!r}")
-    alpha, eta, K = _resolve_steps(stream, config, "single")
+    alpha, eta, K = _resolve_steps(stream, config, method)
     d1 = stream[0].d1
     beta1, beta2, eps_adam, momentum = 0.9, 0.999, 1e-8, 0.9
     m_state, v_state, ones = np.zeros(d1), np.zeros(d1), np.ones(d1)

@@ -30,7 +30,17 @@ from obbo.metrics import (
     function_variation_terms,
     path_variation_terms,
 )
-from obbo.optimizers import ObboConfig, SobboConfig, run_oagd, run_obbo, run_sobbo, run_sobow
+from obbo.optimizers import (
+    Adaptive,
+    OagdConfig,
+    ObboConfig,
+    SobboConfig,
+    SobowConfig,
+    run_oagd,
+    run_obbo,
+    run_sobbo,
+    run_sobow,
+)
 from obbo.problems import (
     DriftSpec,
     StreamConfig,
@@ -268,8 +278,8 @@ def test_07_adaptive_geometry_benefit():
         )
         stream = quadratic_stream(cfg)
         base = dict(alpha=0.01, eta=None, K=15, w=10, clip_threshold=1000.0)
-        tr_a = run_obbo(stream, ObboConfig(phi_mode="adaptive", **base))
-        tr_e = run_sobow(stream, ObboConfig(**base))
+        tr_a = run_obbo(stream, ObboConfig(phi=Adaptive(), **base))
+        tr_e = run_sobow(stream, SobowConfig(**base))
         adaptive.append(compute_regret_series(stream, tr_a).euclidean_cumulative[-1])
         euclid.append(compute_regret_series(stream, tr_e).euclidean_cumulative[-1])
     med_a, med_e = float(np.median(adaptive)), float(np.median(euclid))
@@ -311,15 +321,15 @@ def test_09_reduction_identities():
     )
     stream = quadratic_stream(cfg)
 
-    config = ObboConfig(alpha=0.05, eta=0.1, K=5, w=4)
-    tr_sobow = run_sobow(stream, config)
-    tr_obbo = run_obbo(stream, config)
+    step = dict(alpha=0.05, eta=0.1, K=5, w=4)
+    tr_sobow = run_sobow(stream, SobowConfig(**step))
+    tr_obbo = run_obbo(stream, ObboConfig(**step))
     np.testing.assert_array_equal(tr_sobow.lambdas, tr_obbo.lambdas)
     np.testing.assert_array_equal(tr_sobow.betas, tr_obbo.betas)
     np.testing.assert_array_equal(tr_sobow.smoothed, tr_obbo.smoothed)
 
     kwargs = dict(alpha=0.05, eta=0.2, K=1, w=1)
-    tr_oagd = run_oagd(stream, ObboConfig(**kwargs))
+    tr_oagd = run_oagd(stream, OagdConfig(**kwargs))
     tr_impl = run_obbo(stream, ObboConfig(estimator="implicit", **kwargs))
     np.testing.assert_array_equal(tr_oagd.lambdas, tr_impl.lambdas)
     np.testing.assert_array_equal(tr_oagd.betas, tr_impl.betas)
@@ -353,7 +363,7 @@ def test_10_spline_end_to_end():
         task = make_drifting_spline_task(seed=seed, T=150, **SPLINE_STREAM_KW)
         stream = spline_stream(task)
         config = ObboConfig(
-            alpha=0.02, w=5, estimator="exact", phi_mode="adaptive",
+            alpha=0.02, w=5, estimator="exact", phi=Adaptive(),
             feasible=FeasibleSet.box([1e-4], [10.0]),
             lambda0=np.array([0.5]), clip_threshold=1000.0,
         )

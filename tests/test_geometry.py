@@ -9,7 +9,7 @@ from obbo.geometry import (
     prox_step,
 )
 from obbo.hypergrad import DivergenceError
-from obbo.optimizers import ObboConfig, run_obbo
+from obbo.optimizers import Adaptive, ObboConfig, run_obbo
 
 from oracles import constant_gradient_instant, prox_grid_oracle
 
@@ -184,9 +184,7 @@ def adaptive_diags(estimates, epsilon=1e-8):
     the step's q, so the run's diagonals follow the running average of q**2.
     """
     stream = [constant_gradient_instant(t, g) for t, g in enumerate(estimates, 1)]
-    config = ObboConfig(
-        alpha=1e-3, eta=0.1, K=1, w=1, phi_mode="adaptive", adapt_epsilon=epsilon
-    )
+    config = ObboConfig(alpha=1e-3, eta=0.1, K=1, w=1, phi=Adaptive(epsilon=epsilon))
     return run_obbo(stream, config).phi_diags
 
 

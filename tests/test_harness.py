@@ -59,6 +59,9 @@ def small_config(**stream_overrides):
     )
 
 
+META = {"kind": "meta", "d": 2, "T": 3}
+
+
 def exit_in_worker(exp, seed, out_dir):
     """Stands in for run_cell: the pool worker dies without returning."""
     # Never exit the test process itself if the cell runs serially.
@@ -90,8 +93,8 @@ class TestConfigRoundTrip:
                 json.dumps(
                     {
                         "experiments": [
-                            {"name": "x", "seeds": [1], "stream": {"kind": "meta"}, "optimizer": {"kind": "obbo"}},
-                            {"name": "x", "seeds": [1], "stream": {"kind": "meta"}, "optimizer": {"kind": "obbo"}},
+                            {"name": "x", "seeds": [1], "stream": META, "optimizer": {"kind": "obbo"}},
+                            {"name": "x", "seeds": [1], "stream": META, "optimizer": {"kind": "obbo"}},
                         ]
                     }
                 )
@@ -280,6 +283,33 @@ MISSING_REQUIRED = [
      "missing required box feasible key(s) ['lower']"),
 ]
 MISSING_IDS = ["l1-weight", "box-bounds", "box-upper", "box-lower"]
+MISSING_STREAM_KEYS = [
+    ({"kind": "quadratic", "T": 5}, "missing required quadratic stream key(s) ['d1', 'd2']"),
+    ({"kind": "meta", "T": 5}, "missing required meta stream key(s) ['d']"),
+    ({"kind": "spline_synthetic"}, "missing required spline_synthetic stream key(s) ['T']"),
+    ({"kind": "spline_csv"}, "missing required spline_csv stream key(s) ['path', 'knots']"),
+]
+MISSING_STREAM_IDS = ["quadratic-d1-d2", "meta-d", "spline_synthetic-T", "spline_csv-path-knots"]
+
+
+def write_with_last(tmp_path, last: dict) -> Path:
+    """A config file whose second and last experiment updates the first with
+    ``last``."""
+    doc = json.loads(serialize_config(small_config()))
+    doc["experiments"].append({**doc["experiments"][0], "name": "last", **last})
+    path = tmp_path / "last.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def assert_cli_exits_2(tmp_path, capsys, command, path, named):
+    out = tmp_path / "out"
+    args = ["--out", str(out)] if command == "run" else []
+    with pytest.raises(SystemExit) as exc:
+        cli_main([command, "--config", str(path), *args])
+    assert exc.value.code == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestRequiredKeys:
@@ -311,6 +341,53 @@ class TestRequiredKeys:
         assert exc.value.code == 2
         assert f"(last): {named}" in capsys.readouterr().err
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("stream, named", MISSING_STREAM_KEYS, ids=MISSING_STREAM_IDS)
+    def test_stream_rejected_at_parse_time(self, stream, named):
+        doc = json.loads(serialize_config(small_config()))
+        doc["experiments"][0]["stream"] = stream
+        with pytest.raises(ConfigError) as info:
+            parse_config_text(json.dumps(doc))
+        assert f"(tiny-obbo): {named}" in str(info.value)
+        with pytest.raises(ConfigError) as info:
+            build_stream(stream, 1)
+        assert f"stream spec: {named}" in str(info.value)
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("stream, named", MISSING_STREAM_KEYS, ids=MISSING_STREAM_IDS)
+    def test_stream_cli_exits_2_before_any_cell(self, tmp_path, capsys, command, stream, named):
+        path = write_with_last(tmp_path, {"stream": stream})
+        assert_cli_exits_2(tmp_path, capsys, command, path, f"(last): {named}")
+
+
+BAD_OPTIMIZER_VALUES = [
+    ({"kind": "obbo", "w": 0}, "window size must be at least 1"),
+    ({"kind": "obbo", "phi": {"mode": "adaptive", "beta": 1.5}},
+     "adaptive beta must lie in (0, 1)"),
+    ({"kind": "sobow", "estimator": "autodiff"}, "unknown estimator 'autodiff'"),
+    ({"kind": "obbo", "regularizer": {"kind": "l1", "weight": -1}},
+     "l1 weight must be nonnegative"),
+    ({"kind": "oagd", "feasible": {"kind": "box", "lower": [0.0, 1.0], "upper": [1.0, 1.0]}},
+     "box requires lower < upper coordinate-wise"),
+]
+BAD_VALUE_IDS = ["w-0", "adaptive-beta", "sobow-estimator", "l1-negative", "box-empty"]
+
+
+class TestBadOptimizerValues:
+    """Every optimizer config is built when its experiment is parsed, so a
+    value the config rejects fails before any cell runs."""
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("optimizer, named", BAD_OPTIMIZER_VALUES, ids=BAD_VALUE_IDS)
+    def test_cli_exits_2_before_any_cell(self, tmp_path, capsys, command, optimizer, named):
+        path = write_with_last(tmp_path, {"optimizer": {"alpha": 0.05, **optimizer}})
+        assert_cli_exits_2(tmp_path, capsys, command, path, f"experiment 'last': {named}")
+
+    def test_rejected_in_code(self):
+        exp = small_config().experiments[0]
+        with pytest.raises(ConfigError, match="experiment 'tiny-obbo': unknown estimator"):
+            ExperimentSpec(exp.name, exp.seeds, exp.stream, {"kind": "obbo", "estimator": "ad"})
 
 
 # A value for each optimizer key that takes effect on GUARD_STREAM (d1 = 2,

@@ -20,7 +20,7 @@ from obbo.metrics import (
     path_variation_terms,
     variation_report,
 )
-from obbo.optimizers import ObboConfig, run_obbo
+from obbo.optimizers import Adaptive, ObboConfig, run_obbo
 from obbo.problems import (
     DriftSpec,
     StreamConfig,
@@ -89,7 +89,7 @@ class TestRegretSeries:
 
     def test_series_diverge_with_geometry(self):
         stream = make_stream(T=30)
-        config = ObboConfig(alpha=0.05, eta=0.1, K=6, w=5, phi_mode="adaptive")
+        config = ObboConfig(alpha=0.05, eta=0.1, K=6, w=5, phi=Adaptive())
         trace = run_obbo(stream, config)
         series = compute_regret_series(stream, trace)
         assert not np.allclose(series.terms, series.euclidean_terms)

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obbo.geometry import FeasibleSet, Regularizer
 from obbo.hypergrad import (
@@ -13,8 +15,12 @@ from obbo.hypergrad import (
     stochastic_hypergradient,
 )
 from obbo.optimizers import (
+    Adaptive,
+    OagdConfig,
     ObboConfig,
+    SingleLevelConfig,
     SobboConfig,
+    SobowConfig,
     default_neumann_bound,
     run_oagd,
     run_obbo,
@@ -114,7 +120,7 @@ class TestRunObbo:
             w=4,
             feasible=box,
             regularizer=Regularizer.l1(0.05),
-            phi_mode="adaptive",
+            phi=Adaptive(),
             lambda0=rng.uniform(-0.5, 0.5, 2),
         )
         trace = run_obbo(stream, config)
@@ -124,7 +130,7 @@ class TestRunObbo:
 
     def test_determinism_bitwise(self):
         stream = static_stream(T=25, amp=0.4, seed=5)
-        config = ObboConfig(alpha=0.1, eta=0.1, K=4, w=3, phi_mode="adaptive")
+        config = ObboConfig(alpha=0.1, eta=0.1, K=4, w=3, phi=Adaptive())
         t1 = run_obbo(stream, config)
         t2 = run_obbo(stream, config)
         np.testing.assert_array_equal(t1.lambdas, t2.lambdas)
@@ -158,7 +164,7 @@ class TestRunObbo:
         # A finite estimate whose square overflows gives the adaptive
         # generator an infinite diagonal entry, which aborts the run.
         stream = [constant_gradient_instant(t, [1e200, 1e200]) for t in range(1, 6)]
-        config = ObboConfig(alpha=0.1, eta=0.1, K=2, w=1, phi_mode="adaptive")
+        config = ObboConfig(alpha=0.1, eta=0.1, K=2, w=1, phi=Adaptive())
         with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="t=1"):
             run_obbo(stream, config)
 
@@ -228,7 +234,7 @@ class TestRunOagd:
     def test_w1_identical_to_obbo_with_implicit_estimator(self):
         stream = static_stream(T=25, amp=0.4, seed=10)
         kwargs = dict(alpha=0.1, eta=0.2, K=1, w=1)
-        trace_oagd = run_oagd(stream, ObboConfig(**kwargs))
+        trace_oagd = run_oagd(stream, OagdConfig(**kwargs))
         trace_obbo = run_obbo(stream, ObboConfig(estimator="implicit", **kwargs))
         np.testing.assert_array_equal(trace_oagd.lambdas, trace_obbo.lambdas)
         np.testing.assert_array_equal(trace_oagd.betas, trace_obbo.betas)
@@ -252,7 +258,7 @@ class TestRunOagd:
         totals = {}
         for w in (1, 5, 10):
             stream, counts = counting_stream(seed=11)
-            run_oagd(stream, ObboConfig(alpha=0.05, eta=0.2, K=1, w=w))
+            run_oagd(stream, OagdConfig(alpha=0.05, eta=0.2, K=1, w=w))
             totals[w] = counts["hvp"]
         # re-evaluating the window costs ~w Hessian solves per round
         assert totals[5] > 3 * totals[1] / 2
@@ -269,42 +275,69 @@ class TestRunOagd:
     def test_static_stream_same_limit_as_obbo(self):
         # alternating updates with K=1 need a small outer step to stay stable
         stream = static_stream(T=1200, amp=0.0, seed=12)
-        trace_oagd = run_oagd(stream, ObboConfig(alpha=0.03, eta=None, K=1, w=1))
+        trace_oagd = run_oagd(stream, OagdConfig(alpha=0.03, eta=None, K=1, w=1))
         trace_obbo = run_obbo(stream, ObboConfig(alpha=0.03, eta=0.2, K=60, w=1))
         assert np.linalg.norm(trace_oagd.lambda_final - trace_obbo.lambda_final) <= 1e-4
 
 
 class TestRunSobow:
-    def test_equals_obbo_euclidean_bitwise(self):
-        stream = static_stream(T=30, amp=0.5, seed=13)
-        config = ObboConfig(alpha=0.08, eta=0.1, K=4, w=5)
-        t_sobow = run_sobow(stream, config)
-        t_obbo = run_obbo(stream, config)
-        np.testing.assert_array_equal(t_sobow.lambdas, t_obbo.lambdas)
-        np.testing.assert_array_equal(t_sobow.smoothed, t_obbo.smoothed)
+    @settings(derandomize=True, deadline=None, max_examples=12)
+    @given(
+        alpha=st.floats(0.01, 0.1),
+        eta=st.floats(0.02, 0.2),
+        K=st.integers(1, 6),
+        w=st.integers(1, 8),
+        clip_threshold=st.none() | st.floats(1e-3, 10.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_equals_obbo_euclidean_bitwise(self, alpha, eta, K, w, clip_threshold, seed):
+        """SOBOW is Euclidean OBBO bit for bit, and OBBO with w = 1 and no
+        clipping steps on each round's own estimate."""
+        stream = static_stream(T=20, amp=0.5, seed=seed)
+        step = dict(alpha=alpha, eta=eta, K=K, w=w, clip_threshold=clip_threshold)
+        t_sobow = run_sobow(stream, SobowConfig(**step))
+        t_obbo = run_obbo(stream, ObboConfig(**step))
+        for name in ("lambdas", "smoothed", "phi_diags"):
+            np.testing.assert_array_equal(getattr(t_sobow, name), getattr(t_obbo, name))
+        t_w1 = run_obbo(stream, ObboConfig(**{**step, "w": 1, "clip_threshold": None}))
+        np.testing.assert_array_equal(t_w1.smoothed, t_w1.estimates)
 
-    def test_normalizes_geometry_to_reduction(self):
-        stream = static_stream(T=10, amp=0.2, seed=14)
-        config = ObboConfig(
-            alpha=0.08,
-            eta=0.1,
-            K=3,
-            w=2,
-            phi_mode="adaptive",
-            regularizer=Regularizer.l1(0.1),
-            feasible=FeasibleSet.box([-5.0, -5.0], [5.0, 5.0]),
-        )
-        trace = run_sobow(stream, config)
-        assert trace.config.phi_mode == "euclidean"
-        assert trace.config.regularizer.kind == "zero"
-        assert trace.config.feasible.kind == "full"
-        np.testing.assert_array_equal(trace.phi_diags, np.ones_like(trace.phi_diags))
+    @pytest.mark.parametrize(
+        "kind, key, value",
+        [
+            (SobowConfig, "phi", Adaptive()),
+            (SobowConfig, "regularizer", Regularizer.l1(0.1)),
+            (SobowConfig, "feasible", FeasibleSet.box([-5.0, -5.0], [5.0, 5.0])),
+            (OagdConfig, "estimator", "exact"),
+            (OagdConfig, "phi", Adaptive()),
+        ],
+        ids=["sobow-phi", "sobow-regularizer", "sobow-feasible", "oagd-estimator", "oagd-phi"],
+    )
+    def test_fixed_geometry_is_not_a_field(self, kind, key, value):
+        with pytest.raises(TypeError, match=f"'{key}'"):
+            kind(**{key: value})
+
+    @pytest.mark.parametrize(
+        "run, config",
+        [
+            (run_sobow, ObboConfig()),
+            (run_obbo, SobowConfig()),
+            (run_oagd, ObboConfig()),
+            (lambda stream, config: run_sobbo(stream, config, np.random.default_rng(0)),
+             ObboConfig()),
+            (lambda stream, config: run_single_level(stream, "adam", config), ObboConfig()),
+        ],
+        ids=["sobow", "obbo", "oagd", "sobbo", "single-level"],
+    )
+    def test_other_kinds_config_rejected(self, run, config):
+        with pytest.raises(TypeError, match=f"got a {type(config).__name__}"):
+            run(static_stream(T=3), config)
 
 
 class TestRunSingleLevel:
     def test_zero_gradient_stream_keeps_lambda(self):
         stream = [constant_gradient_instant(t, [0.0, 0.0]) for t in range(1, 15)]
-        config = ObboConfig(alpha=0.1, eta=0.5, K=1, w=2, lambda0=np.array([0.3, 0.4]))
+        config = SingleLevelConfig(alpha=0.1, eta=0.5, K=1, w=2, lambda0=np.array([0.3, 0.4]))
         for method in ("adam", "sgdm"):
             trace = run_single_level(stream, method, config)
             np.testing.assert_array_equal(trace.lambda_final, [0.3, 0.4])
@@ -313,7 +346,7 @@ class TestRunSingleLevel:
         g = np.array([2.0, -0.5])
         stream = [constant_gradient_instant(t, g) for t in range(1, 1001)]
         alpha = 1e-3
-        config = ObboConfig(alpha=alpha, eta=0.5, K=1, w=1)
+        config = SingleLevelConfig(alpha=alpha, eta=0.5, K=1, w=1)
         trace = run_single_level(stream, "adam", config)
         step = trace.lambdas[-1] - trace.lambdas[-2]
         np.testing.assert_allclose(np.abs(step), alpha, rtol=1e-3)
@@ -321,7 +354,7 @@ class TestRunSingleLevel:
 
     def test_sgdm_follows_heavy_ball_recursion(self):
         stream = static_stream(T=20, amp=0.4, seed=15)
-        config = ObboConfig(alpha=0.07, eta=0.1, K=4, w=1)
+        config = SingleLevelConfig(alpha=0.07, eta=0.1, K=4, w=1)
         trace = run_single_level(stream, "sgdm", config)
         velocity = np.zeros(2)
         for t in range(trace.T - 1):
@@ -332,7 +365,7 @@ class TestRunSingleLevel:
     def test_projection_keeps_iterates_feasible(self):
         box = FeasibleSet.box([-0.2, -0.2], [0.2, 0.2])
         stream = static_stream(T=30, amp=0.0, seed=16)
-        config = ObboConfig(alpha=0.5, eta=0.1, K=3, w=1, feasible=box)
+        config = SingleLevelConfig(alpha=0.5, eta=0.1, K=3, w=1, feasible=box)
         for method in ("adam", "sgdm"):
             trace = run_single_level(stream, method, config)
             for row in trace.lambdas:
@@ -341,7 +374,7 @@ class TestRunSingleLevel:
     def test_unknown_method_rejected(self):
         stream = static_stream(T=3)
         with pytest.raises(ValueError):
-            run_single_level(stream, "rmsprop", ObboConfig(alpha=0.1, eta=0.1, K=1))
+            run_single_level(stream, "rmsprop", SingleLevelConfig(alpha=0.1, eta=0.1, K=1))
 
 
 class TestConfigValidation:
@@ -350,15 +383,15 @@ class TestConfigValidation:
             ObboConfig(w=0)
         with pytest.raises(ValueError):
             ObboConfig(alpha=-1.0)
-        with pytest.raises(ValueError):
-            ObboConfig(phi_mode="fancy")
+        with pytest.raises(TypeError, match="phi must be"):
+            ObboConfig(phi="adaptive")
         with pytest.raises(ValueError):
             ObboConfig(estimator="autodiff")
         with pytest.raises(ValueError):
             SobboConfig(s=0)
-        for bad in ({"adapt_beta": 0.0}, {"adapt_beta": 1.0}, {"adapt_epsilon": 0.0}):
-            with pytest.raises(ValueError, match="adapt_"):
-                ObboConfig(**bad)
+        for bad in ({"beta": 0.0}, {"beta": 1.0}, {"epsilon": 0.0}):
+            with pytest.raises(ValueError, match="adaptive "):
+                Adaptive(**bad)
 
     def test_trace_records_resolved_steps(self):
         stream = static_stream(T=5)
