@@ -137,8 +137,6 @@ SPEC_KEYS = {
     "drift": {kind: dict.fromkeys(("rate", "scale") if rate else (), False)
               for kind, rate in DriftSpec.RATES.items()},
 }
-# The quadratic stream also takes ``quadratic_stream``'s ``stochastic``.
-SPEC_KEYS["stream"]["quadratic"]["stochastic"] = False
 
 # The kind a part takes when its spec names none: the library's own defaults.
 # A phi spec names its kind "mode".

@@ -43,7 +43,6 @@ from .config import (
     HarnessConfig,
     build,
     serialize_config,
-    spec_args,
 )
 
 __all__ = [
@@ -70,14 +69,12 @@ def build_stream(spec: dict, run_seed: int):
     omits keep the stream builder's defaults; an unknown kind, or a key its
     kind does not accept, raises ``ConfigError``.
     """
-    args = spec_args("stream", spec, "stream spec")
-    kind = spec["kind"]
-    if "seed" in SPEC_KEYS["stream"][kind]:
-        args.setdefault("seed", run_seed)
-    stochastic = args.pop("stochastic", False)
-    made = build("stream", {"kind": kind, **args}, "stream spec")
+    kind = spec.get("kind")
+    if isinstance(kind, str) and "seed" in SPEC_KEYS["stream"].get(kind, ()):
+        spec = {"seed": run_seed, **spec}
+    made = build("stream", spec, "stream spec")
     if kind == "quadratic":
-        return quadratic_stream(made, stochastic)
+        return quadratic_stream(made)
     return made if kind == "meta" else spline_stream(made)
 
 

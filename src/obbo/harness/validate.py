@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from ..optimizers import Adaptive, _resolve_steps, default_neumann_bound
-from ..problems.base import StochasticInstant, outer_grad_lipschitz
+from ..problems.base import outer_grad_lipschitz
 from .config import HarnessConfig
 from .runner import build_optimizer_config, build_stream
 
@@ -95,11 +95,6 @@ def validate_experiment(exp) -> list[str]:
             notes.append(
                 f"{prefix} Neumann bound m={config.m} is below the default "
                 f"m = ceil(log(w)/log(1/(1-mu_g/l_g1))) + 1 = {m_default}"
-            )
-        if not isinstance(inst, StochasticInstant):
-            notes.append(
-                f"{prefix} sobbo on a stream without sampled oracles; set "
-                "noise > 0 or stochastic=true in the stream spec"
             )
 
     if config.lambda0 is not None and not config.feasible.contains(

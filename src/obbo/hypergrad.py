@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems.base import ProblemInstant, StochasticInstant
+from .problems.base import ProblemInstant
 
 __all__ = [
     "DivergenceError",
@@ -102,7 +102,7 @@ def inner_gd(
 
 
 def inner_sgd(
-    instant: StochasticInstant,
+    instant: ProblemInstant,
     lam,
     beta0,
     eta: float,
@@ -203,7 +203,7 @@ class NeumannParams:
 
 
 def stochastic_hypergradient(
-    instant: StochasticInstant,
+    instant: ProblemInstant,
     lam,
     beta,
     params: NeumannParams,

@@ -30,12 +30,7 @@ from .hypergrad import (
     itd_hypergradient,
     stochastic_hypergradient,
 )
-from .problems.base import (
-    ProblemInstant,
-    StochasticInstant,
-    Stream,
-    outer_grad_lipschitz,
-)
+from .problems.base import ProblemInstant, Stream, outer_grad_lipschitz
 
 __all__ = [
     "CONFIGS",
@@ -434,8 +429,6 @@ def run_sobbo(
     """
     alpha, eta, K = _resolve_steps(stream, config, "sobbo")
     first = stream[0]
-    if not isinstance(first, StochasticInstant):
-        raise ValueError("stochastic optimizer requires a stochastic stream")
     s = config.s if config.s is not None else config.w
     m = config.m
     if m is None:

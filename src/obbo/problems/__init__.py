@@ -3,7 +3,6 @@
 from .base import (
     DriftSpec,
     ProblemInstant,
-    StochasticInstant,
     Stream,
     StreamConfig,
     outer_grad_lipschitz,
@@ -22,7 +21,6 @@ from .spline import (
 __all__ = [
     "DriftSpec",
     "ProblemInstant",
-    "StochasticInstant",
     "Stream",
     "StreamConfig",
     "outer_grad_lipschitz",

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Callable, ClassVar, Sequence
 
 import numpy as np
@@ -22,7 +23,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "ProblemInstant",
-    "StochasticInstant",
     "DriftSpec",
     "StreamConfig",
     "Stream",
@@ -48,6 +48,16 @@ class ProblemInstant:
     quadratic and meta streams do; the spline stream does not, because its
     cross Hessian 2 Omega beta depends on beta, so a spline run needs an
     explicit ``alpha``.
+
+    The sampled gradients are derived, not passed in. They add Gaussian noise
+    of scale ``sigma_g_beta`` or ``sigma_f`` to the deterministic ones, so they
+    are unbiased with E||sampled - exact||^2 = sigma^2 / s for a batch of s
+    (``grad_g_beta_sampled(lam, beta, s, rng)``; the outer gradients take no
+    batch, s = 1). At zero noise, the default, they return the deterministic
+    values bit for bit and draw nothing, so every stream runs the stochastic
+    solvers. They bind the oracles the instant was built with: reassigning or
+    wrapping a deterministic field later does not reach them. The
+    Hessian-vector products have no sampled form.
 
     ``quadratic`` is not a constructor argument: the quadratic stream sets it
     to the data A, b, Q of its inner objective
@@ -75,6 +85,11 @@ class ProblemInstant:
     inner_opt: Callable[[Vector], Vector] | None = None
     exact_hypergradient: Callable[[Vector], Vector] | None = None
     l_f1: float | None = None
+    sigma_g_beta: float = 0.0
+    sigma_f: float = 0.0
+    grad_g_beta_sampled: Callable[..., Vector] = field(init=False, repr=False)
+    grad_f_lambda_sampled: Callable[..., Vector] = field(init=False, repr=False)
+    grad_f_beta_sampled: Callable[..., Vector] = field(init=False, repr=False)
     quadratic: QuadraticData | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -86,53 +101,46 @@ class ProblemInstant:
             raise ValueError("mu_g must be positive")
         if self.l_g1 < self.mu_g:
             raise ValueError("l_g1 must be at least mu_g")
-
-
-@dataclass
-class StochasticInstant(ProblemInstant):
-    """Problem instant with sampled gradient oracles.
-
-    The sampled gradients add Gaussian noise to the deterministic ones, so they
-    are unbiased with E||sampled - exact||^2 = sigma^2 / s for a batch of s
-    (``grad_g_beta_sampled(lam, beta, s, rng)``; the outer gradients take no
-    batch, s = 1). At zero noise they return the deterministic values bit for
-    bit and draw nothing. The Hessian-vector products stay exact.
-    """
-
-    sigma_g_beta: float = 0.0
-    sigma_f: float = 0.0
-    grad_g_beta_sampled: Callable[..., Vector] = field(init=False, repr=False)
-    grad_f_lambda_sampled: Callable[..., Vector] = field(init=False, repr=False)
-    grad_f_beta_sampled: Callable[..., Vector] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.sigma_g_beta < 0 or self.sigma_f < 0:
-            raise ValueError("noise scales must be nonnegative")
-        # The oracles the instant was built with: reassigning or wrapping a
-        # deterministic field later does not reach the sampled ones.
-        g_beta, f_lambda, f_beta = self.grad_g_beta, self.grad_f_lambda, self.grad_f_beta
         d1, d2, sigma_g, sigma_f = self.d1, self.d2, self.sigma_g_beta, self.sigma_f
+        if not (_is_scale(sigma_g) and _is_scale(sigma_f)):
+            raise ValueError(
+                "noise scales must be finite and nonnegative, got "
+                f"sigma_g_beta={sigma_g}, sigma_f={sigma_f}"
+            )
+        # Partials of module-level functions, not closures: each instant adds
+        # fewer objects for the garbage collector to traverse.
         if sigma_g == 0.0:
-            self.grad_g_beta_sampled = lambda lam, beta, s, rng: g_beta(lam, beta)
+            self.grad_g_beta_sampled = partial(_exact, self.grad_g_beta)
         else:
-
-            def grad_g_beta_sampled(lam, beta, s, rng):
-                xi = rng.standard_normal(d2) * (sigma_g / math.sqrt(d2 * s))
-                return g_beta(lam, beta) + xi
-
-            self.grad_g_beta_sampled = grad_g_beta_sampled
+            self.grad_g_beta_sampled = partial(_noisy_inner, self.grad_g_beta, d2, sigma_g)
         if sigma_f == 0.0:
-            self.grad_f_lambda_sampled = lambda lam, beta, rng: f_lambda(lam, beta)
-            self.grad_f_beta_sampled = lambda lam, beta, rng: f_beta(lam, beta)
+            self.grad_f_lambda_sampled = partial(_exact, self.grad_f_lambda)
+            self.grad_f_beta_sampled = partial(_exact, self.grad_f_beta)
         else:
-            scale_1, scale_2 = sigma_f / math.sqrt(d1), sigma_f / math.sqrt(d2)
-            self.grad_f_lambda_sampled = (
-                lambda lam, beta, rng: f_lambda(lam, beta) + rng.standard_normal(d1) * scale_1
+            self.grad_f_lambda_sampled = partial(
+                _noisy_outer, self.grad_f_lambda, d1, sigma_f / math.sqrt(d1)
             )
-            self.grad_f_beta_sampled = (
-                lambda lam, beta, rng: f_beta(lam, beta) + rng.standard_normal(d2) * scale_2
+            self.grad_f_beta_sampled = partial(
+                _noisy_outer, self.grad_f_beta, d2, sigma_f / math.sqrt(d2)
             )
+
+
+def _is_scale(sigma: float) -> bool:
+    """Whether ``sigma`` is a valid noise scale: finite and nonnegative."""
+    return math.isfinite(sigma) and sigma >= 0
+
+
+def _exact(grad, lam, beta, *batch_and_rng):
+    return grad(lam, beta)
+
+
+def _noisy_inner(grad, d, sigma, lam, beta, s, rng):
+    xi = rng.standard_normal(d) * (sigma / math.sqrt(d * s))
+    return grad(lam, beta) + xi
+
+
+def _noisy_outer(grad, d, scale, lam, beta, rng):
+    return grad(lam, beta) + rng.standard_normal(d) * scale
 
 
 Stream = Sequence[ProblemInstant]
@@ -222,8 +230,11 @@ class StreamConfig:
             raise ValueError("horizon must be positive")
         if self.kappa_target < 1.0:
             raise ValueError("kappa_target must be at least 1")
-        if len(self.noise) != 2 or min(self.noise) < 0:
-            raise ValueError("noise must be a nonnegative pair (sigma_g_beta, sigma_f)")
+        if len(self.noise) != 2 or not all(map(_is_scale, self.noise)):
+            raise ValueError(
+                "noise must be a finite nonnegative pair (sigma_g_beta, sigma_f), "
+                f"got {self.noise}"
+            )
         if self.cos_amplitude < 0:
             raise ValueError("cos_amplitude must be nonnegative")
 

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .base import ProblemInstant, StochasticInstant, StreamConfig
+from .base import ProblemInstant, StreamConfig
 
 __all__ = ["QuadraticData", "quadratic_instant", "quadratic_stream"]
 
@@ -93,7 +93,6 @@ def quadratic_instant(
     amp: float = 0.0,
     phases=None,
     noise: tuple[float, float] = (0.0, 0.0),
-    stochastic: bool = False,
 ) -> ProblemInstant:
     """Build a single quadratic bilevel instant from explicit data.
 
@@ -111,7 +110,7 @@ def quadratic_instant(
     if phases.shape != (d1,):
         raise ValueError("phases must have length d1")
     mu_g, l_g1 = _spectrum_bounds(Q)
-    return _build_instant(t, A, b, Q, {}, c, amp, phases, noise, stochastic, mu_g, l_g1)
+    return _build_instant(t, A, b, Q, {}, c, amp, phases, noise, mu_g, l_g1)
 
 
 def _spectrum_bounds(Q: np.ndarray) -> tuple[float, float]:
@@ -135,7 +134,6 @@ def _build_instant(
     amp: float,
     phases: np.ndarray,
     noise: tuple[float, float],
-    stochastic: bool,
     mu_g: float,
     l_g1: float,
 ) -> ProblemInstant:
@@ -144,8 +142,8 @@ def _build_instant(
     Each oracle is one flat closure over the data, and ``-A'`` is formed
     once (negation is exact, so the products match ``-A.T @ x`` bit for
     bit). The instant also carries that data and the Neumann cache
-    ``neumann`` as its ``quadratic`` field. A noisy or ``stochastic``
-    instant gets its sampled gradients from ``StochasticInstant``.
+    ``neumann`` as its ``quadratic`` field; ``noise`` sets the scales of its
+    sampled gradients.
     """
     d2, d1 = A.shape
     At = A.T
@@ -178,7 +176,7 @@ def _build_instant(
     def exact_hypergradient(lam):
         return neg_amp * np.sin(lam + phases) + At @ (A @ lam + b - c)
 
-    common = dict(
+    instant = ProblemInstant(
         t=t,
         d1=d1,
         d2=d2,
@@ -193,13 +191,9 @@ def _build_instant(
         inner_opt=inner_opt,
         exact_hypergradient=exact_hypergradient,
         l_f1=max(1.0, amp),
+        sigma_g_beta=float(noise[0]),
+        sigma_f=float(noise[1]),
     )
-
-    sigma_g, sigma_f = float(noise[0]), float(noise[1])
-    if not stochastic and sigma_g == 0.0 and sigma_f == 0.0:
-        instant = ProblemInstant(**common)
-    else:
-        instant = StochasticInstant(**common, sigma_g_beta=sigma_g, sigma_f=sigma_f)
     instant.quadratic = QuadraticData(A, b, Q, neg_At, neumann)
     return instant
 
@@ -209,15 +203,15 @@ def _orthonormal_columns(rng: np.random.Generator, rows: int, cols: int) -> np.n
     return q[:, :cols]
 
 
-def quadratic_stream(config: StreamConfig, stochastic: bool = False) -> list[ProblemInstant]:
+def quadratic_stream(config: StreamConfig) -> list[ProblemInstant]:
     """Generate the full sequence of quadratic instants for a config.
 
     The inner Hessian Q has spectrum geomspace(1, kappa_target, d2). The
     coupling A = V diag(s) uses orthonormal columns V and singular values
     s = sqrt(geomspace(1, kappa_target, r)), which makes the induced outer
     curvature A'A axis-aligned with the same spread; this is what lets the
-    inner conditioning knob shape the outer geometry. Returns stochastic
-    instants when any noise scale is positive or ``stochastic`` is set.
+    inner conditioning knob shape the outer geometry. ``config.noise`` sets
+    the scales of the instants' sampled gradients.
     """
     rng = np.random.default_rng(config.seed)
     d1, d2, T = config.d1, config.d2, config.T
@@ -248,7 +242,7 @@ def quadratic_stream(config: StreamConfig, stochastic: bool = False) -> list[Pro
         instants.append(
             _build_instant(
                 t, A, b, Q, neumann, c, config.cos_amplitude, phases,
-                config.noise, stochastic, mu_g, l_g1,
+                config.noise, mu_g, l_g1,
             )
         )
         if t < T:

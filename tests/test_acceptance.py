@@ -152,9 +152,7 @@ def test_04_stochastic_bias_decay():
     m with ratio within 10% of (1 - mu_g / l_g1); 1e5 draws per m in
     {1, ..., 20}, zero outer noise, runtime < 60 s."""
     t0 = time.perf_counter()
-    inst = quadratic_instant(
-        t=1, A=[[1.5]], b=[0.3], Q=[[0.1]], c=[0.4], stochastic=True
-    )
+    inst = quadratic_instant(t=1, A=[[1.5]], b=[0.3], Q=[[0.1]], c=[0.4])
     inst.l_g1 = 1.0  # valid (loose) curvature bound: contraction ratio 0.9
     lam = np.array([0.2])
     beta = inst.inner_opt(lam)

@@ -158,6 +158,7 @@ class TestUnknownKeys:
             ("top-level", "ouput_dir"),
             ("experiment", "metric"),
             ("stream", "kapa_target"),
+            ("stream", "stochastic"),
             ("optimizer", "alhpa"),
             ("optimizer", "s"),
             ("drift", "rat"),
@@ -165,8 +166,8 @@ class TestUnknownKeys:
             ("regularizer", "wieght"),
             ("feasible", "lowr"),
         ],
-        ids=["top-level", "experiment", "stream", "optimizer", "optimizer-kind",
-             "drift", "phi", "regularizer", "feasible"],
+        ids=["top-level", "experiment", "stream", "stream-stochastic", "optimizer",
+             "optimizer-kind", "drift", "phi", "regularizer", "feasible"],
     )
     def test_rejected_at_parse_time(self, where, key):
         doc = json.loads(serialize_config(small_config()))
@@ -212,6 +213,15 @@ class TestUnknownKeys:
         assert exc.value.code == 2
         assert "unknown obbo optimizer key(s) ['alhpa']" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_stochastic_stream_key_exits_2_before_any_cell(self, tmp_path, capsys, command):
+        # Every stream has sampled gradients; the key that forced them is gone.
+        stream = {**small_config().experiments[0].stream, "stochastic": True}
+        path = write_with_last(tmp_path, {"stream": stream})
+        assert_cli_exits_2(
+            tmp_path, capsys, command, path, "(last): unknown quadratic stream key(s) ['stochastic']"
+        )
 
     @pytest.mark.parametrize("command", ["run", "validate"])
     def test_unknown_kind_in_last_experiment_exits_2_before_any_cell(
@@ -525,6 +535,19 @@ class TestCliRun:
         assert str(missing) in outputs[1]["error"]
         assert "error: broken__seed1: FileNotFoundError" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "noise",
+        [[float("nan"), 0.0], [0.0, float("nan")], [float("inf"), 0.0], [0.0, float("inf")]],
+        ids=["nan-g", "nan-f", "inf-g", "inf-f"],
+    )
+    def test_non_finite_noise_errors_the_cell(self, tmp_path, noise):
+        # JSON's NaN and Infinity parse; the cell's stream build rejects them.
+        doc = json.loads(serialize_config(small_config(noise=noise)))
+        doc["experiments"][0]["optimizer"] = {"kind": "sobbo", "alpha": 0.05, "eta": 0.05, "w": 2}
+        entry = run_cell(parse_config_text(json.dumps(doc)).experiments[0], 1, str(tmp_path))
+        assert entry["status"] == "error" and entry["file"] is None
+        assert entry["error"].startswith("ValueError: noise must be a finite nonnegative pair")
+
     def test_dead_worker_is_recorded_and_manifest_written(self, tmp_path, monkeypatch):
         monkeypatch.setattr(runner, "run_cell", exit_in_worker)
         manifest = cli_run(small_config(), tmp_path, jobs=2)
@@ -619,7 +642,7 @@ class TestBuildStreamDefaults:
                 {"kind": "quadratic", "d1": 2, "d2": 3, "T": 3},
                 {
                     "kappa_target": 10.0, "cos_amplitude": 0.5, "noise": [0.0, 0.0],
-                    "stochastic": False, "drift": {"kind": "static"},
+                    "drift": {"kind": "static"},
                 },
             ),
             (
@@ -891,11 +914,6 @@ class TestCliValidate:
         cfg.experiments[0].stream["noise"] = [0.1, 0.1]
         notes = cli_validate(cfg)
         assert any("s = w" in n for n in notes)
-        assert not any("without sampled oracles" in n for n in notes)
-        cfg.experiments[0].stream.update(noise=[0.0, 0.0], stochastic=True)
-        assert not any("without sampled oracles" in n for n in cli_validate(cfg))
-        del cfg.experiments[0].stream["stochastic"]
-        assert any("without sampled oracles" in n for n in cli_validate(cfg))
 
     def test_unresolvable_alpha_noted(self):
         # The spline declares no outer smoothness constants, so a run without

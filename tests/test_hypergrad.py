@@ -18,21 +18,26 @@ from obbo.hypergrad import (
     stochastic_hypergradient,
 )
 from obbo.optimizers import SobboConfig, run_sobbo
-from obbo.problems import StreamConfig, quadratic_instant, quadratic_stream
+from obbo.problems import (
+    StreamConfig,
+    make_drifting_spline_task,
+    meta_toy_stream,
+    quadratic_instant,
+    quadratic_stream,
+    spline_stream,
+)
 
 from oracles import central_diff_grad, induced_objective, unrolled_inner_objective
 
 
 def one_dim_instant(q=1.0, a=2.0, b=0.0, c=0.0, amp=0.0, l_g1=None, noise=(0.0, 0.0)):
-    inst = quadratic_instant(
-        t=1, A=[[a]], b=[b], Q=[[q]], c=[c], amp=amp, noise=noise, stochastic=True
-    )
+    inst = quadratic_instant(t=1, A=[[a]], b=[b], Q=[[q]], c=[c], amp=amp, noise=noise)
     if l_g1 is not None:
         inst.l_g1 = float(l_g1)
     return inst
 
 
-def random_instant(rng, d1, d2, amp=0.4, kappa=5.0, stochastic=False):
+def random_instant(rng, d1, d2, amp=0.4, kappa=5.0):
     evals = np.geomspace(1.0, kappa, d2)
     R, _ = np.linalg.qr(rng.standard_normal((d2, d2)))
     Q = R @ np.diag(evals) @ R.T
@@ -44,7 +49,6 @@ def random_instant(rng, d1, d2, amp=0.4, kappa=5.0, stochastic=False):
         c=rng.standard_normal(d2),
         amp=amp,
         phases=rng.uniform(0, 2 * np.pi, d1),
-        stochastic=stochastic,
     )
 
 
@@ -99,16 +103,21 @@ class TestInnerGd:
 
 class TestInnerSgd:
     def test_zero_noise_matches_inner_gd_bitwise(self):
-        stream = quadratic_stream(
-            StreamConfig(d1=2, d2=3, T=1, seed=3), stochastic=True
-        )
-        inst = stream[0]
-        lam = np.array([0.2, -0.1])
-        beta0 = np.array([0.5, 0.0, -0.3])
-        rng = np.random.default_rng(9)
-        det = inner_gd(inst, lam, beta0, 0.05, 7)
-        sto = inner_sgd(inst, lam, beta0, 0.05, 7, 3, rng)
-        np.testing.assert_array_equal(det.trajectory, sto.trajectory)
+        # Inner GD runs the quadratic instant's matrix kernel, and calls
+        # grad_g_beta on the meta and spline instants.
+        instants = [
+            quadratic_stream(StreamConfig(d1=2, d2=3, T=1, seed=3))[0],
+            meta_toy_stream(d=3, T=1, seed=3)[0],
+            spline_stream(make_drifting_spline_task(T=1, seed=3, n_knots=6))[0],
+        ]
+        for inst in instants:
+            lam = np.linspace(0.2, -0.1, inst.d1)
+            beta0 = np.linspace(0.5, -0.3, inst.d2)
+            eta = 0.5 / inst.l_g1
+            rng = np.random.default_rng(9)
+            det = inner_gd(inst, lam, beta0, eta, 7)
+            sto = inner_sgd(inst, lam, beta0, eta, 7, 3, rng)
+            np.testing.assert_array_equal(det.trajectory, sto.trajectory)
 
     def test_large_batch_approaches_deterministic(self):
         sigma = 1.0
@@ -276,11 +285,11 @@ def unused_oracle(*args):
 
 
 def both_paths(seed, d1, d2):
-    """A random stochastic instant at zero noise as two copies: one whose
+    """A random instant at zero noise as two copies: one whose
     oracle closures fail if called, so only its ``quadratic`` kernels can
     run, and one without ``quadratic`` data, which takes the oracle path."""
     rng = np.random.default_rng(seed)
-    inst = random_instant(rng, d1, d2, kappa=float(rng.uniform(1.0, 20.0)), stochastic=True)
+    inst = random_instant(rng, d1, d2, kappa=float(rng.uniform(1.0, 20.0)))
     matrix, oracles = copy.copy(inst), copy.copy(inst)
     matrix.grad_g_beta = unused_oracle
     matrix.hvp_g_lambdabeta = unused_oracle
@@ -393,7 +402,7 @@ class TestStochasticHypergradient:
         A = rng.standard_normal((d2, d1))
         inst = quadratic_instant(
             t=1, A=A, b=rng.standard_normal(d2), Q=Q, c=rng.standard_normal(d2),
-            amp=0.5, phases=rng.uniform(0, 2 * np.pi, d1), stochastic=True,
+            amp=0.5, phases=rng.uniform(0, 2 * np.pi, d1),
         )
         lam, beta = rng.standard_normal(d1), rng.standard_normal(d2)
         ell = inst.l_g1 * ell_factor
@@ -478,9 +487,7 @@ class TestNeumannMatrixPath:
         assert list(matrix.quadratic.neumann) == [(ell, 6), (2.5 * ell, 6), (4.0 * ell, 6)]
 
     def test_one_cache_entry_per_stream(self):
-        stream = quadratic_stream(
-            StreamConfig(d1=2, d2=3, T=15, noise=(0.3, 0.2), seed=4), stochastic=True
-        )
+        stream = quadratic_stream(StreamConfig(d1=2, d2=3, T=15, noise=(0.3, 0.2), seed=4))
         trace = run_sobbo(stream, SobboConfig(alpha=0.05, eta=0.1, K=3, w=4), np.random.default_rng(5))
         neumann = stream[0].quadratic.neumann
         assert all(inst.quadratic.neumann is neumann for inst in stream)

@@ -32,6 +32,7 @@ from obbo.problems import (
     DriftSpec,
     StreamConfig,
     make_drifting_spline_task,
+    meta_toy_stream,
     quadratic_stream,
     spline_stream,
 )
@@ -39,12 +40,12 @@ from obbo.problems import (
 from oracles import constant_gradient_instant
 
 
-def static_stream(T=60, d1=2, d2=3, kappa=4.0, amp=0.0, seed=0, stochastic=False, **kw):
+def static_stream(T=60, d1=2, d2=3, kappa=4.0, amp=0.0, seed=0, **kw):
     cfg = StreamConfig(
         d1=d1, d2=d2, T=T, kappa_target=kappa, drift=DriftSpec.static(),
         seed=seed, cos_amplitude=amp, **kw,
     )
-    return quadratic_stream(cfg, stochastic=stochastic)
+    return quadratic_stream(cfg)
 
 
 def stationary_point(stream):
@@ -184,7 +185,7 @@ class TestRunObbo:
 
 class TestRunSobbo:
     def test_zero_noise_matches_obbo_with_neumann_estimator(self):
-        stream = static_stream(T=30, amp=0.4, seed=7, stochastic=True)
+        stream = static_stream(T=30, amp=0.4, seed=7)
         m, w, alpha, eta, K = 4, 3, 0.1, 0.1, 5
         sobbo = SobboConfig(alpha=alpha, eta=eta, K=K, w=w, s=1, m=m)
         trace = run_sobbo(stream, sobbo, np.random.default_rng(99))
@@ -218,16 +219,29 @@ class TestRunSobbo:
         assert default_neumann_bound(1, 1.0, 10.0) == 1
         # kappa = 10: ceil(log(16)/log(1/0.9)) + 1 = ceil(26.32) + 1 = 28
         assert default_neumann_bound(16, 1.0, 10.0) == 28
-        stream = static_stream(T=3, seed=9, stochastic=True)
+        stream = static_stream(T=3, seed=9)
         config = SobboConfig(alpha=0.05, eta=0.05, K=2, w=2)
         trace = run_sobbo(stream, config, np.random.default_rng(0))
         assert trace.T == 3
 
-    def test_requires_stochastic_stream(self):
-        stream = static_stream(T=5, stochastic=False)
-        config = SobboConfig(alpha=0.05, eta=0.05, K=2)
-        with pytest.raises(ValueError):
-            run_sobbo(stream, config, np.random.default_rng(0))
+    def test_runs_on_meta_and_spline_streams(self):
+        # Neither stream has quadratic data, so the Neumann estimator runs on
+        # the HVP oracles; at zero noise the sampled gradients are exact.
+        box = FeasibleSet.box([1e-4], [10.0])
+        runs = [
+            (meta_toy_stream(d=3, T=12, seed=1), SobboConfig(alpha=0.05, K=3, w=3)),
+            (
+                spline_stream(make_drifting_spline_task(seed=1, T=12, n_knots=8)),
+                SobboConfig(alpha=0.02, K=3, w=3, feasible=box, lambda0=[0.5]),
+            ),
+        ]
+        for stream, config in runs:
+            assert stream[0].quadratic is None
+            t1 = run_sobbo(stream, config, np.random.default_rng(3))
+            t2 = run_sobbo(stream, config, np.random.default_rng(3))
+            assert t1.T == len(stream) and np.all(np.isfinite(t1.lambdas))
+            for name in ("lambdas", "betas", "estimates", "smoothed", "outer_loss"):
+                assert getattr(t1, name).tobytes() == getattr(t2, name).tobytes()
 
 
 class TestRunOagd:

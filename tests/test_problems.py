@@ -9,7 +9,6 @@ from obbo.problems import (
     DriftSpec,
     ProblemInstant,
     SplineTask,
-    StochasticInstant,
     StreamConfig,
     linear_spline_basis,
     load_spline_task_csv,
@@ -122,26 +121,32 @@ class TestQuadraticStream:
             )
 
     def test_zero_noise_sampled_equals_deterministic(self):
-        stream = quadratic_stream(drifting_config(), stochastic=True)
-        inst = stream[0]
-        assert isinstance(inst, StochasticInstant)
-        rng = np.random.default_rng(3)
-        lam, beta = np.array([0.2, -0.4]), np.array([0.1, 0.0, 1.0])
-        state_before = rng.bit_generator.state["state"]["state"]
-        np.testing.assert_array_equal(
-            inst.grad_g_beta_sampled(lam, beta, 1, rng), inst.grad_g_beta(lam, beta)
-        )
-        np.testing.assert_array_equal(
-            inst.grad_f_beta_sampled(lam, beta, rng), inst.grad_f_beta(lam, beta)
-        )
-        np.testing.assert_array_equal(
-            inst.grad_f_lambda_sampled(lam, beta, rng), inst.grad_f_lambda(lam, beta)
-        )
-        # zero-noise oracles must not consume random state
-        assert rng.bit_generator.state["state"]["state"] == state_before
+        # Every stream's instants carry sampled gradients; at zero noise they
+        # are the deterministic ones.
+        instants = [
+            quadratic_stream(drifting_config())[0],
+            meta_toy_stream(d=3, T=1, seed=2)[0],
+            spline_stream(make_drifting_spline_task(T=1, seed=2, n_knots=6))[0],
+        ]
+        for inst in instants:
+            rng = np.random.default_rng(3)
+            lam = np.linspace(0.2, -0.4, inst.d1)
+            beta = np.linspace(0.1, 1.0, inst.d2)
+            state_before = rng.bit_generator.state["state"]["state"]
+            np.testing.assert_array_equal(
+                inst.grad_g_beta_sampled(lam, beta, 1, rng), inst.grad_g_beta(lam, beta)
+            )
+            np.testing.assert_array_equal(
+                inst.grad_f_beta_sampled(lam, beta, rng), inst.grad_f_beta(lam, beta)
+            )
+            np.testing.assert_array_equal(
+                inst.grad_f_lambda_sampled(lam, beta, rng), inst.grad_f_lambda(lam, beta)
+            )
+            # zero-noise oracles must not consume random state
+            assert rng.bit_generator.state["state"]["state"] == state_before
 
     def test_sampled_gradients_derived_from_deterministic(self):
-        # The sampled oracles are built by StochasticInstant, not passed in,
+        # The sampled oracles are built by ProblemInstant, not passed in,
         # and add sigma / sqrt(d s) times one standard normal draw per entry.
         inst = quadratic_stream(drifting_config(noise=(0.3, 0.2)))[0]
         lam, beta = np.array([0.2, -0.4]), np.array([0.1, 0.0, 1.0])
@@ -159,9 +164,11 @@ class TestQuadraticStream:
         ]
         for a, b in zip(got, expected):
             np.testing.assert_array_equal(a, b)
-        fields = {f.name: getattr(inst, f.name) for f in dataclasses.fields(ProblemInstant)}
+        fields = {
+            f.name: getattr(inst, f.name) for f in dataclasses.fields(ProblemInstant) if f.init
+        }
         with pytest.raises(TypeError):
-            StochasticInstant(**fields, grad_g_beta_sampled=inst.grad_g_beta_sampled)
+            ProblemInstant(**fields, grad_g_beta_sampled=inst.grad_g_beta_sampled)
 
     def test_stream_constants_match_a_standalone_instant(self):
         # The stream computes Q's spectrum once; each instant must carry what
@@ -234,6 +241,17 @@ class TestQuadraticStream:
         for extra in ({"rate": 0.5}, {"scale": 2.0}):
             with pytest.raises(ValueError, match="static drift takes no rate or scale"):
                 DriftSpec("static", **extra)
+
+    @pytest.mark.parametrize(
+        "noise",
+        [(np.nan, 0.0), (0.0, np.nan), (np.inf, 0.0), (0.0, np.inf)],
+        ids=["nan-g", "nan-f", "inf-g", "inf-f"],
+    )
+    def test_non_finite_noise_rejected(self, noise):
+        with pytest.raises(ValueError, match="noise"):
+            StreamConfig(d1=1, d2=1, T=5, noise=noise)
+        with pytest.raises(ValueError, match="noise"):
+            quadratic_instant(t=1, A=[[1.0]], b=[0.0], Q=[[1.0]], c=[0.0], noise=noise)
 
     def test_each_drift_kind_has_one_default_rate(self):
         assert DriftSpec("sublinear") == DriftSpec.sublinear() == DriftSpec.sublinear(0.5, 1.0)
