@@ -8,8 +8,8 @@ enters through Hessian-vector products; no Hessian is materialized except in
 the desk-scale direct solves of the implicit form. On an instant with
 ``quadratic`` data, inner GD, the ITD estimator and the Neumann estimator run
 that data's kernels instead. The inner-GD and ITD kernels compute bit for bit
-what the oracles would; the Neumann kernel applies a cached matrix per
-truncation level, equal to the HVP path up to rounding.
+what the oracles would, with ``.dot`` products (see ``QuadraticData``); the
+Neumann kernel applies one cached matrix per level, equal up to rounding.
 """
 
 from __future__ import annotations
@@ -169,7 +169,7 @@ def itd_hypergradient(
     (I - eta * H_betabeta(lam, omega^k)). Algebraically identical to the
     matrix-product form of the unrolled derivative. On an instant with
     ``quadratic`` data its ``itd_correction`` kernel runs the reverse pass,
-    with one product Q @ v per step shared by both HVPs.
+    with one product ``Q.dot(v)`` per step shared by both HVPs.
     """
     lam = np.asarray(lam, dtype=float)
     traj = solve.trajectory

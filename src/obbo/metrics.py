@@ -71,11 +71,11 @@ def compute_regret_series(stream: Stream, trace: RunTrace) -> RegretSeries:
     for t in range(T):
         lo = max(0, t - w + 1)
         smoothed = grads[lo : t + 1].sum(axis=0) / w
-        eucl[t] = float(smoothed @ smoothed)
+        eucl[t] = float(smoothed.dot(smoothed))
         diag = trace.phi_diags[t]
         phi = DistanceGenerator("diagonal", diag)
         g = generalized_projection(trace.lambdas[t], smoothed, alpha, phi, h, X)
-        terms[t] = float(g @ g)
+        terms[t] = float(g.dot(g))
     return RegretSeries(
         terms=terms,
         cumulative=np.cumsum(terms),
@@ -103,10 +103,10 @@ def hypergradient_error(trace: RunTrace, exact_grads: np.ndarray) -> np.ndarray:
 
 
 def _squared_norms(name: str, rows: np.ndarray) -> np.ndarray:
-    """``row @ row`` for the row of each round t = 1, 2, ...; raises
+    """``row.dot(row)`` for the row of each round t = 1, 2, ...; raises
     ``DivergenceError`` naming ``name`` and the first t that is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.array([float(row @ row) for row in rows])
+        out = np.array([float(row.dot(row)) for row in rows])
     bad = np.flatnonzero(~np.isfinite(out))
     if bad.size:
         raise DivergenceError(f"{name} became non-finite at t={bad[0] + 1}; aborting run")

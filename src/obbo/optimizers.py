@@ -276,7 +276,7 @@ def _initial_iterates(
 def _clip(q: np.ndarray, threshold: float | None) -> np.ndarray:
     if threshold is None:
         return q
-    norm_sq = float(q @ q)
+    norm_sq = float(q.dot(q))
     if norm_sq > threshold:
         return q * math.sqrt(threshold / norm_sq)
     return q
@@ -317,7 +317,7 @@ def _run(
             gen_proj_norm_sq[i] = (((lam - lam_next) / alpha) ** 2).sum()
             outer_loss[i] = instant.f_value(lam, beta_next)
             r = instant.grad_g_beta(lam, beta_next)
-            inner_residual[i] = math.sqrt(r @ r)
+            inner_residual[i] = math.sqrt(r.dot(r))
             lam, beta = lam_next, beta_next
     finite = np.isfinite((gen_proj_norm_sq, outer_loss, inner_residual)).all(axis=0)
     if not finite.all():

@@ -35,20 +35,20 @@ def _meta_instant(
     l_g1 = gamma + float(evals[-1])
 
     def f_value(lam, beta):
-        r = X_val @ beta - y_val
-        return 0.5 * float(r @ r)
+        r = X_val.dot(beta) - y_val
+        return 0.5 * float(r.dot(r))
 
     def grad_f_lambda(lam, beta):
         return np.zeros(d)
 
     def grad_f_beta(lam, beta):
-        return X_val.T @ (X_val @ beta - y_val)
+        return X_val.T.dot(X_val.dot(beta) - y_val)
 
     def grad_g_beta(lam, beta):
-        return X_tr.T @ (X_tr @ beta - y_tr) + gamma * (beta - lam)
+        return X_tr.T.dot(X_tr.dot(beta) - y_tr) + gamma * (beta - lam)
 
     def hvp_g_betabeta(lam, beta, v):
-        return G @ v + gamma * v
+        return G.dot(v) + gamma * v
 
     def hvp_g_lambdabeta(lam, beta, v):
         return -gamma * v

@@ -30,10 +30,12 @@ class QuadraticData(NamedTuple):
     and the kernels inner GD, ITD and the Neumann estimator run on it.
 
     ``neg_At`` is ``-A.T``, formed once: negation is exact, so products with it
-    match ``-A.T @ x`` bit for bit. The inner-GD and ITD kernels perform the
-    floating-point operations of the oracle closures ``_build_instant`` makes,
-    in the same order, so their results equal the oracle path's bit for bit.
-    The Neumann kernel reassociates them into one matrix product.
+    match ``-(A.T.dot(x))`` bit for bit. Per-round products, here and in the
+    closures, are ``M.dot(x)``: the BLAS call of ``M @ x`` at half the call
+    overhead, with the same bits while M is contiguous (``quadratic_instant``
+    copies A and Q to contiguous arrays). The inner-GD and ITD kernels repeat
+    the closures' operations in order, so they equal the oracle path bit for
+    bit; the Neumann kernel reassociates them into one matrix product.
 
     ``neumann`` holds the Neumann kernel's matrices per (l, m). Every instant
     of a stream shares A, Q and this dict, so the matrices are formed once
@@ -48,22 +50,22 @@ class QuadraticData(NamedTuple):
 
     def grad_g_beta_at(self, lam: np.ndarray):
         """``grad_g_beta(lam, .)`` for a fixed lam, with A lam formed once."""
-        a_lam, b, Q = self.A @ lam, self.b, self.Q
-        return lambda lam, beta: Q @ ((beta - a_lam) - b)
+        a_lam, b, Q = self.A.dot(lam), self.b, self.Q
+        return lambda lam, beta: Q.dot((beta - a_lam) - b)
 
     def itd_correction(self, v: np.ndarray, eta: float, K: int) -> np.ndarray:
         """The sum of the cross HVPs of an ITD reverse pass of K steps from v.
 
-        Each step's two HVPs share one product Qv = Q @ v: the sum gains
-        (-A') @ Qv, then v becomes v - eta * Qv (not after the last step).
+        Each step's two HVPs share one product Qv = Q v: the sum gains
+        (-A') Qv, then v becomes v - eta * Qv (not after the last step).
         """
         Q, neg_At = self.Q, self.neg_At
         acc = np.zeros(neg_At.shape[0])
         for _ in range(K - 1):
-            Qv = Q @ v
-            acc += neg_At @ Qv
+            Qv = Q.dot(v)
+            acc += neg_At.dot(Qv)
             v = v - eta * Qv
-        acc += neg_At @ (Q @ v)
+        acc += neg_At.dot(Q.dot(v))
         return acc
 
     def neumann_correction(self, v: np.ndarray, ell: float, m: int, k: int) -> np.ndarray:
@@ -73,7 +75,7 @@ class QuadraticData(NamedTuple):
         levels = self.neumann.get((ell, m))
         if levels is None:
             levels = self.neumann[ell, m] = self._neumann_levels(ell, m)
-        return levels[k] @ v
+        return levels[k].dot(v)
 
     def _neumann_levels(self, ell: float, m: int) -> list[np.ndarray]:
         """C_k = (m/l) (-A') Q (I - Q/l)^k for k < m, each C_k a (d1, d2) matrix."""
@@ -99,8 +101,8 @@ def quadratic_instant(
     A is (d2, d1), Q a symmetric positive definite (d2, d2) matrix, b and c
     are d2-vectors, and phases (optional) a d1-vector for the cosine term.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    Q = np.atleast_2d(np.asarray(Q, dtype=float))
+    A = np.atleast_2d(np.ascontiguousarray(A, dtype=float))
+    Q = np.atleast_2d(np.ascontiguousarray(Q, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
     c = np.atleast_1d(np.asarray(c, dtype=float))
     d2, d1 = A.shape
@@ -139,11 +141,9 @@ def _build_instant(
 ) -> ProblemInstant:
     """The oracle bundle for validated data and the spectrum bounds of Q.
 
-    Each oracle is one flat closure over the data, and ``-A'`` is formed
-    once (negation is exact, so the products match ``-A.T @ x`` bit for
-    bit). The instant also carries that data and the Neumann cache
-    ``neumann`` as its ``quadratic`` field; ``noise`` sets the scales of its
-    sampled gradients.
+    Each oracle is one flat closure over the data (``-A'`` is formed once;
+    products as in ``QuadraticData``). Its ``quadratic`` field carries that
+    data and the Neumann cache; ``noise`` sets its sampled gradients' scales.
     """
     d2, d1 = A.shape
     At = A.T
@@ -162,19 +162,19 @@ def _build_instant(
         return beta - c
 
     def grad_g_beta(lam, beta):
-        return Q @ ((beta - A @ lam) - b)
+        return Q.dot((beta - A.dot(lam)) - b)
 
     def hvp_g_lambdabeta(lam, beta, v):
-        return neg_At @ (Q @ v)
+        return neg_At.dot(Q.dot(v))
 
     def hvp_g_betabeta(lam, beta, v):
-        return Q @ v
+        return Q.dot(v)
 
     def inner_opt(lam):
-        return A @ lam + b
+        return A.dot(lam) + b
 
     def exact_hypergradient(lam):
-        return neg_amp * np.sin(lam + phases) + At @ (A @ lam + b - c)
+        return neg_amp * np.sin(lam + phases) + At.dot(A.dot(lam) + b - c)
 
     instant = ProblemInstant(
         t=t,

@@ -134,25 +134,25 @@ def _spline_instant(
         return float(lam[0])
 
     def f_value(lam, beta):
-        r = B_val @ beta - y_val
-        return float(r @ r)
+        r = B_val.dot(beta) - y_val
+        return float(r.dot(r))
 
     def grad_f_lambda(lam, beta):
         return np.zeros(1)
 
     def grad_f_beta(lam, beta):
-        return 2.0 * (B_val.T @ (B_val @ beta - y_val))
+        return 2.0 * (B_val.T.dot(B_val.dot(beta) - y_val))
 
     def grad_g_beta(lam, beta):
         lv = _lam_scalar(lam)
-        return 2.0 * (BtB @ beta - Bty + lv * (omega @ beta) + RIDGE_FLOOR * beta)
+        return 2.0 * (BtB.dot(beta) - Bty + lv * omega.dot(beta) + RIDGE_FLOOR * beta)
 
     def hvp_g_betabeta(lam, beta, v):
         lv = _lam_scalar(lam)
-        return 2.0 * (BtB @ v + lv * (omega @ v) + RIDGE_FLOOR * v)
+        return 2.0 * (BtB.dot(v) + lv * omega.dot(v) + RIDGE_FLOOR * v)
 
     def hvp_g_lambdabeta(lam, beta, v):
-        return np.array([2.0 * float(beta @ (omega @ v))])
+        return np.array([2.0 * float(beta.dot(omega.dot(v)))])
 
     def inner_opt(lam):
         lv = _lam_scalar(lam)
@@ -169,7 +169,7 @@ def _spline_instant(
         beta_hat = inner_opt(lam)
         rhs = grad_f_beta(lam, beta_hat)
         x = np.linalg.solve(2.0 * (BtB + lv * omega + ridge), rhs)
-        return np.array([-2.0 * float(beta_hat @ (omega @ x))])
+        return np.array([-2.0 * float(beta_hat.dot(omega.dot(x)))])
 
     return ProblemInstant(
         t=t,

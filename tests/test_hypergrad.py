@@ -341,6 +341,99 @@ class TestQuadraticMatrixPath:
         assert messages[0].startswith("inner iterate diverged at k=")
 
 
+def quadratic_outputs(inst, lam, beta, v, eta, K, ell, m):
+    """Every closure and kernel of a quadratic instant, at one set of inputs."""
+    quad = inst.quadratic
+    return {
+        "grad_g_beta": inst.grad_g_beta(lam, beta),
+        "hvp_g_lambdabeta": inst.hvp_g_lambdabeta(lam, beta, v),
+        "hvp_g_betabeta": inst.hvp_g_betabeta(lam, beta, v),
+        "inner_opt": inst.inner_opt(lam),
+        "exact_hypergradient": inst.exact_hypergradient(lam),
+        "grad_g_beta_at": quad.grad_g_beta_at(lam)(lam, beta),
+        "itd_correction": quad.itd_correction(v, eta, K),
+        **{f"neumann_correction[{k}]": quad.neumann_correction(v, ell, m, k) for k in range(m)},
+    }
+
+
+class TestDotProducts:
+    """The quadratic closures and kernels form their matrix-vector products
+    with ``ndarray.dot``, which has less call overhead than ``@``. On
+    contiguous matrices the two give the same bits, for contiguous and
+    strided vectors alike; on strided matrices they need not, so an instant
+    stores contiguous copies of A and Q."""
+
+    dims = dict(
+        d1=st.integers(1, 4),
+        d2=st.integers(1, 12),
+        K=st.integers(1, 6),
+        m=st.integers(1, 6),
+        seed=st.integers(0, 2**16),
+    )
+
+    @staticmethod
+    def strided_views(rng, *shapes):
+        """Arrays of the given shapes as every-other-entry views of larger ones."""
+        views = []
+        for shape in shapes:
+            big = rng.standard_normal(tuple(2 * n for n in shape))
+            views.append(big[tuple(slice(None, None, 2) for _ in shape)])
+        return views
+
+    @settings(derandomize=True, deadline=None, max_examples=20)
+    @given(strided=st.booleans(), **dims)
+    def test_each_product_equals_its_matmul_form(self, d1, d2, K, m, seed, strided):
+        rng = np.random.default_rng(seed)
+        R, _ = np.linalg.qr(rng.standard_normal((d2, d2)))
+        Q = R @ np.diag(np.geomspace(1.0, 5.0, d2)) @ R.T
+        A, b, c = rng.standard_normal((d2, d1)), rng.standard_normal(d2), rng.standard_normal(d2)
+        amp, phases = 0.4, rng.uniform(0, 2 * np.pi, d1)
+        inst = quadratic_instant(t=1, A=A, b=b, Q=0.5 * (Q + Q.T), c=c, amp=amp, phases=phases)
+        if strided:
+            lam, beta, v = self.strided_views(rng, (d1,), (d2,), (d2,))
+        else:
+            lam, beta, v = rng.standard_normal(d1), rng.standard_normal(d2), rng.standard_normal(d2)
+        eta, ell = 0.5 / inst.l_g1, 1.5 * inst.l_g1
+        Q = inst.quadratic.Q
+        itd, w = np.zeros(d1), v
+        for _ in range(K - 1):
+            itd += -A.T @ (Q @ w)
+            w = w - eta * (Q @ w)
+        itd += -A.T @ (Q @ w)
+        got = quadratic_outputs(inst, lam, beta, v, eta, K, ell, m)
+        levels = inst.quadratic.neumann[ell, m]
+        want = {
+            "grad_g_beta": Q @ ((beta - A @ lam) - b),
+            "hvp_g_lambdabeta": -A.T @ (Q @ v),
+            "hvp_g_betabeta": Q @ v,
+            "inner_opt": A @ lam + b,
+            "exact_hypergradient": -amp * np.sin(lam + phases) + A.T @ (A @ lam + b - c),
+            "grad_g_beta_at": Q @ ((beta - A @ lam) - b),
+            "itd_correction": itd,
+            **{f"neumann_correction[{k}]": levels[k] @ v for k in range(m)},
+        }
+        for name, value in want.items():
+            assert np.array_equal(got[name], value), name
+
+    @settings(derandomize=True, deadline=None, max_examples=20)
+    @given(**{**dims, "d2": st.integers(2, 12)})
+    def test_strided_data_gives_the_bits_of_contiguous_data(self, d1, d2, K, m, seed):
+        rng = np.random.default_rng(seed)
+        A, R = self.strided_views(rng, (d2, d1), (d2, d2))
+        Q = np.zeros((2 * d2, 2 * d2))[::2, ::2]
+        Q[...] = R @ R.T + d2 * np.eye(d2)
+        assert not (A.flags.c_contiguous or Q.flags.c_contiguous)
+        b, c = rng.standard_normal(d2), rng.standard_normal(d2)
+        views = quadratic_instant(t=1, A=A, b=b, Q=Q, c=c, amp=0.3)
+        copies = quadratic_instant(t=1, A=A.copy(), b=b, Q=Q.copy(), c=c, amp=0.3)
+        lam, beta, v = rng.standard_normal(d1), rng.standard_normal(d2), rng.standard_normal(d2)
+        eta, ell = 0.5 / views.l_g1, 1.5 * views.l_g1
+        got = quadratic_outputs(views, lam, beta, v, eta, K, ell, m)
+        want = quadratic_outputs(copies, lam, beta, v, eta, K, ell, m)
+        for name, value in want.items():
+            assert np.array_equal(got[name], value), name
+
+
 class Level:
     """Stands in for the generator at zero noise: the truncation level is
     its only draw, and it is k."""
