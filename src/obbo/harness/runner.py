@@ -195,6 +195,17 @@ def run_cell(exp: ExperimentSpec, seed: int, out_dir: str) -> dict:
     return entry
 
 
+def _submit(pool, exp: ExperimentSpec, seed: int, out_dir: str):
+    """Submit one cell. A worker that dies before every cell is submitted
+    breaks the pool at once, so the error goes in the cell's future."""
+    try:
+        return pool.submit(run_cell, exp, seed, out_dir)
+    except concurrent.futures.BrokenExecutor as exc:
+        failed = concurrent.futures.Future()
+        failed.set_exception(exc)
+        return failed
+
+
 def _collect(future, exp: ExperimentSpec, seed: int) -> dict:
     """The worker's manifest entry, or an error entry when the worker failed
     outright (one that dies breaks the pool for every cell not yet finished)."""
@@ -222,7 +233,7 @@ def cli_run(
             cells.append((exp, seed))
     if jobs > 1 and len(cells) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(run_cell, exp, seed, str(out)) for exp, seed in cells]
+            futures = [_submit(pool, exp, seed, str(out)) for exp, seed in cells]
             entries = [_collect(f, *cell) for f, cell in zip(futures, cells)]
     else:
         entries = [run_cell(exp, seed, str(out)) for exp, seed in cells]

@@ -3,13 +3,14 @@
 Three estimators are provided: the exact implicit gradient through the inner
 optimum (requires the inner-solution oracle), backpropagation through the
 unrolled inner gradient-descent trajectory, and a randomized truncated
-Neumann-series estimate for stochastic oracles. All second-order information
-enters through Hessian-vector products; no Hessian is materialized except in
-the desk-scale direct solves of the implicit form. On an instant with
-``quadratic`` data, inner GD, the ITD estimator and the Neumann estimator run
-that data's kernels instead. The inner-GD and ITD kernels compute bit for bit
-what the oracles would, with ``.dot`` products (see ``QuadraticData``); the
-Neumann kernel applies one cached matrix per level, equal up to rounding.
+Neumann-series estimate for stochastic oracles. ITD and the Neumann series
+take second-order information through Hessian-vector products; the implicit
+form solves with the instant's inner Hessian, a desk-scale direct solve. On
+an instant with ``quadratic`` data, inner GD, the ITD estimator and the
+Neumann estimator run that data's kernels instead. The inner-GD and ITD
+kernels compute bit for bit what the oracles would, with ``.dot`` products
+(see ``QuadraticData``); the Neumann kernel applies one cached matrix per
+level, equal up to rounding.
 """
 
 from __future__ import annotations
@@ -116,27 +117,17 @@ def inner_sgd(
     return _descend(instant.t, instant.grad_g_beta_sampled, lam, beta0, eta, K, s, rng)
 
 
-def _materialize_inner_hessian(instant: ProblemInstant, lam, beta) -> np.ndarray:
-    d2 = instant.d2
-    H = np.empty((d2, d2))
-    e = np.zeros(d2)
-    for j in range(d2):
-        e[j] = 1.0
-        H[:, j] = instant.hvp_g_betabeta(lam, beta, e)
-        e[j] = 0.0
-    return H
-
-
 def implicit_hypergradient(instant: ProblemInstant, lam, beta) -> np.ndarray:
     """Implicit-form estimate at an arbitrary pair (lam, beta).
 
-    Solves the inner Hessian system directly (desk-scale dimensions) and
-    applies the mixed HVP; equals the true hypergradient when beta is the
-    inner optimum.
+    Solves the system of ``hess_g_betabeta(lam, beta)`` directly (desk-scale
+    dimensions) and applies the mixed HVP: one call of each, and no call of
+    ``hvp_g_betabeta``. Equals the true hypergradient when beta is the inner
+    optimum.
     """
     lam = np.asarray(lam, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    H = _materialize_inner_hessian(instant, lam, beta)
+    H = instant.hess_g_betabeta(lam, beta)
     v = np.linalg.solve(H, instant.grad_f_beta(lam, beta))
     return instant.grad_f_lambda(lam, beta) - instant.hvp_g_lambdabeta(lam, beta, v)
 

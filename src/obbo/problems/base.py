@@ -2,11 +2,11 @@
 
 A stream is a sequence of per-round oracle bundles. Each bundle exposes the
 outer objective f_t, the first derivatives of f_t and of the strongly convex
-inner objective g_t, and Hessian-vector products of g_t. Exact-solution oracles
-(``inner_opt`` and ``exact_hypergradient``) are optional and reserved for
-metrics and tests; solvers work from the gradient and HVP oracles, except that
-inner GD, ITD and the Neumann estimator read a quadratic instant's matrices
-directly.
+inner objective g_t, its Hessian-vector products and its inner Hessian.
+Exact-solution oracles (``inner_opt`` and ``exact_hypergradient``) are
+optional and reserved for metrics and tests; solvers work from the gradient,
+HVP and Hessian oracles, except that inner GD, ITD and the Neumann estimator
+read a quadratic instant's matrices directly.
 """
 
 from __future__ import annotations
@@ -40,7 +40,12 @@ class ProblemInstant:
     Gradient and HVP callables take (lam, beta) plus, for HVPs, the vector to
     multiply. ``hvp_g_lambdabeta(lam, beta, v)`` maps a d2-vector through the
     mixed second derivative of g into a d1-vector; ``hvp_g_betabeta`` stays in
-    d2. ``mu_g`` and ``l_g1`` bound the spectrum of the inner Hessian.
+    d2. ``hess_g_betabeta(lam, beta)`` is its (d2, d2) matrix, which the
+    implicit estimator solves with; callers must not write to it, since the
+    quadratic and meta streams return the matrix they store. Every shipped
+    stream's g is quadratic in beta, so its Hessian ignores ``beta``;
+    hand-built instants may use it. ``mu_g`` and ``l_g1`` bound the spectrum
+    of the inner Hessian.
 
     ``l_f1``, the smoothness constant of f, sets the default outer step
     through ``outer_grad_lipschitz``, whose bound holds only when g has
@@ -80,6 +85,7 @@ class ProblemInstant:
     grad_g_beta: Callable[[Vector, Vector], Vector]
     hvp_g_lambdabeta: Callable[[Vector, Vector, Vector], Vector]
     hvp_g_betabeta: Callable[[Vector, Vector, Vector], Vector]
+    hess_g_betabeta: Callable[[Vector, Vector], np.ndarray]
     mu_g: float
     l_g1: float
     inner_opt: Callable[[Vector], Vector] | None = None

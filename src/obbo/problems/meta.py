@@ -72,6 +72,7 @@ def _meta_instant(
         grad_g_beta=grad_g_beta,
         hvp_g_lambdabeta=hvp_g_lambdabeta,
         hvp_g_betabeta=hvp_g_betabeta,
+        hess_g_betabeta=lambda lam, beta: H,
         mu_g=mu_g,
         l_g1=l_g1,
         inner_opt=inner_opt,

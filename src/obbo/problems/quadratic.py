@@ -186,6 +186,7 @@ def _build_instant(
         grad_g_beta=grad_g_beta,
         hvp_g_lambdabeta=hvp_g_lambdabeta,
         hvp_g_betabeta=hvp_g_betabeta,
+        hess_g_betabeta=lambda lam, beta: Q,
         mu_g=mu_g,
         l_g1=l_g1,
         inner_opt=inner_opt,

@@ -114,24 +114,27 @@ def _spline_instant(
     lam_upper: float,
 ) -> ProblemInstant:
     """One round's oracles; ``ridge`` (= RIDGE_FLOOR * I) is fixed across the
-    stream and passed in."""
+    stream and passed in. The solves and the spectrum bounds all read the
+    inner Hessian ``hess_g_betabeta``."""
     BtB = B_tr.T @ B_tr
     Bty = B_tr.T @ y_tr
-    n = omega.shape[0]
-
-    mu_g = 2.0 * float(np.linalg.eigvalsh(BtB + lam_lower * omega + ridge)[0])
-    l_g1 = 2.0 * float(np.linalg.eigvalsh(BtB + lam_upper * omega + ridge)[-1])
-    if mu_g <= 0:
-        raise ValueError(
-            "inner problem is not strongly convex over the lam box; "
-            "raise the lower bound or the ridge floor"
-        )
 
     def _lam_scalar(lam):
         lam = np.atleast_1d(np.asarray(lam, dtype=float))
         if lam.shape != (1,):
             raise ValueError("spline hyperparameter must be a length-1 vector")
         return float(lam[0])
+
+    def hess_g_betabeta(lam, beta):
+        return 2.0 * (BtB + _lam_scalar(lam) * omega + ridge)
+
+    mu_g = float(np.linalg.eigvalsh(hess_g_betabeta(lam_lower, None))[0])
+    l_g1 = float(np.linalg.eigvalsh(hess_g_betabeta(lam_upper, None))[-1])
+    if mu_g <= 0:
+        raise ValueError(
+            "inner problem is not strongly convex over the lam box; "
+            "raise the lower bound or the ridge floor"
+        )
 
     def f_value(lam, beta):
         r = B_val.dot(beta) - y_val
@@ -155,32 +158,29 @@ def _spline_instant(
         return np.array([2.0 * float(beta.dot(omega.dot(v)))])
 
     def inner_opt(lam):
-        lv = _lam_scalar(lam)
-        H = BtB + lv * omega + ridge
         try:
-            return np.linalg.solve(H, Bty)
+            return np.linalg.solve(hess_g_betabeta(lam, None), 2.0 * Bty)
         except np.linalg.LinAlgError as exc:
             raise ValueError(
-                f"singular spline normal equations at lam={lv!r}"
+                f"singular spline normal equations at lam={_lam_scalar(lam)!r}"
             ) from exc
 
     def exact_hypergradient(lam):
-        lv = _lam_scalar(lam)
         beta_hat = inner_opt(lam)
-        rhs = grad_f_beta(lam, beta_hat)
-        x = np.linalg.solve(2.0 * (BtB + lv * omega + ridge), rhs)
+        x = np.linalg.solve(hess_g_betabeta(lam, beta_hat), grad_f_beta(lam, beta_hat))
         return np.array([-2.0 * float(beta_hat.dot(omega.dot(x)))])
 
     return ProblemInstant(
         t=t,
         d1=1,
-        d2=n,
+        d2=omega.shape[0],
         f_value=f_value,
         grad_f_lambda=grad_f_lambda,
         grad_f_beta=grad_f_beta,
         grad_g_beta=grad_g_beta,
         hvp_g_lambdabeta=hvp_g_lambdabeta,
         hvp_g_betabeta=hvp_g_betabeta,
+        hess_g_betabeta=hess_g_betabeta,
         mu_g=mu_g,
         l_g1=l_g1,
         inner_opt=inner_opt,

@@ -32,6 +32,7 @@ def constant_gradient_instant(t, g):
         grad_g_beta=lambda lam, beta: beta.copy(),
         hvp_g_lambdabeta=lambda lam, beta, v: np.zeros(d1),
         hvp_g_betabeta=lambda lam, beta, v: v.copy(),
+        hess_g_betabeta=lambda lam, beta: np.eye(1),
         mu_g=1.0,
         l_g1=1.0,
         inner_opt=lambda lam: np.zeros(1),

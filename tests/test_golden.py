@@ -1,12 +1,13 @@
 """Golden-output regression test for the experiment harness.
 
 Runs shipped configs (and ``golden/paths.config.json``, which reaches the
-optimizer paths the shipped configs leave out: OAGD with a window, the
-implicit estimator with L1 + box + adaptive geometry, SGDM with the exact
-estimator, SOBBO with adaptive geometry and active clipping, and SOBOW)
-through ``cli_run`` and compares every CSV value and manifest summary with
-the recorded fixture at rtol 1e-12, atol 1e-14. The tolerance absorbs BLAS
-differences across platforms; any change to the arithmetic shows up.
+optimizer paths the shipped configs leave out: OAGD with a window on the
+quadratic, meta and spline streams, the implicit estimator with L1 + box +
+adaptive geometry, SGDM with the exact estimator, SOBBO with adaptive
+geometry and active clipping, and SOBOW) through ``cli_run`` and compares
+every CSV value and manifest summary with the recorded fixture at rtol 1e-12,
+atol 1e-14. The tolerance absorbs BLAS differences across platforms; any
+change to the arithmetic shows up.
 
 Re-record (only when a change to the numbers is intended) with::
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import multiprocessing
 import os
@@ -557,6 +558,20 @@ class TestCliRun:
         for entry in outputs:
             assert entry["status"] == "error"
             assert entry["file"] is None
+            assert entry["error"].startswith("BrokenProcessPool: ")
+
+    def test_cell_submitted_after_a_worker_died_is_recorded(self, tmp_path, monkeypatch):
+        # A worker can die before cli_run has submitted every cell; the broken
+        # pool then refuses the submission itself, and that cell is an error.
+        monkeypatch.setattr(runner, "run_cell", exit_in_worker)
+        exp = small_config().experiments[0]
+        with concurrent.futures.ProcessPoolExecutor(max_workers=1) as pool:
+            first = runner._submit(pool, exp, 1, str(tmp_path))
+            concurrent.futures.wait([first])
+            later = runner._submit(pool, exp, 2, str(tmp_path))
+        for future, seed in ((first, 1), (later, 2)):
+            entry = runner._collect(future, exp, seed)
+            assert entry["status"] == "error"
             assert entry["error"].startswith("BrokenProcessPool: ")
 
     def test_squared_column_overflow_aborts_cell(self, tmp_path, monkeypatch):

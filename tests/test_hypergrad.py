@@ -681,6 +681,20 @@ class TestImplicitHypergradient:
             atol=1e-11,
         )
 
+    def test_one_hessian_call_and_no_hvp_probe(self):
+        inst = spline_stream(make_drifting_spline_task(seed=4, T=1, n_knots=20))[0]
+        counts = dict.fromkeys(("hess_g_betabeta", "hvp_g_lambdabeta", "hvp_g_betabeta"), 0)
+        for name in counts:
+
+            def counted(*args, _name=name, _orig=getattr(inst, name)):
+                counts[_name] += 1
+                return _orig(*args)
+
+            setattr(inst, name, counted)
+        lam = np.array([0.3])
+        implicit_hypergradient(inst, lam, inst.inner_opt(lam))
+        assert counts == {"hess_g_betabeta": 1, "hvp_g_lambdabeta": 1, "hvp_g_betabeta": 0}
+
     def test_hvp_solve_route_matches_spline_closed_form(self):
         from obbo.problems import make_drifting_spline_task, spline_stream
 

@@ -260,11 +260,13 @@ class TestRunOagd:
             counts = {"hvp": 0}
             for inst in stream:
                 inst.quadratic = None  # inner GD and ITD call the HVP fields
-                for name in ("hvp_g_betabeta", "hvp_g_lambdabeta"):
+                # The implicit estimator calls the Hessian oracle and the
+                # mixed HVP once each; count both kinds of second-order call.
+                for name in ("hvp_g_betabeta", "hvp_g_lambdabeta", "hess_g_betabeta"):
 
-                    def wrapped(lam, beta, v, _orig=getattr(inst, name)):
+                    def wrapped(*args, _orig=getattr(inst, name)):
                         counts["hvp"] += 1
-                        return _orig(lam, beta, v)
+                        return _orig(*args)
 
                     setattr(inst, name, wrapped)
             return stream, counts

@@ -36,6 +36,31 @@ def drifting_config(**kwargs):
     return StreamConfig(**defaults)
 
 
+def stacked_hvps(inst, lam, beta):
+    """The inner Hessian built column by column from HVPs with unit vectors."""
+    return np.column_stack([inst.hvp_g_betabeta(lam, beta, e) for e in np.eye(inst.d2)])
+
+
+# One instant of each shipped stream, past its first round.
+INSTANTS = {
+    "quadratic": lambda: quadratic_stream(drifting_config(d1=3, d2=5))[1],
+    "meta": lambda: meta_toy_stream(4, 2, seed=5, drift=DriftSpec.sublinear())[1],
+    "spline": lambda: spline_stream(make_drifting_spline_task(seed=3, T=2, n_knots=10))[1],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(INSTANTS))
+def test_hessian_oracle_equals_stacked_hvps(kind):
+    # Products with unit vectors are exact, so the matrix oracle and the
+    # stacked HVPs agree bit for bit, whatever (lam, beta).
+    inst = INSTANTS[kind]()
+    rng = np.random.default_rng(6)
+    for _ in range(4):
+        lam = rng.uniform(1e-4, 10.0, inst.d1)  # inside the spline's lam box
+        beta = rng.standard_normal(inst.d2)
+        assert np.array_equal(inst.hess_g_betabeta(lam, beta), stacked_hvps(inst, lam, beta))
+
+
 class TestQuadraticStream:
     def test_one_dim_hand_example(self):
         inst = quadratic_instant(t=1, A=[[2.0]], b=[0.0], Q=[[1.0]], c=[0.0])
@@ -83,12 +108,7 @@ class TestQuadraticStream:
     def test_hessian_spectrum_within_declared_bounds(self):
         stream = quadratic_stream(drifting_config())
         inst = stream[0]
-        H = np.column_stack(
-            [
-                inst.hvp_g_betabeta(np.zeros(2), np.zeros(3), e)
-                for e in np.eye(3)
-            ]
-        )
+        H = stacked_hvps(inst, np.zeros(2), np.zeros(3))
         evals = np.linalg.eigvalsh(0.5 * (H + H.T))
         assert evals[0] >= inst.mu_g - 1e-10
         assert evals[-1] <= inst.l_g1 + 1e-10
@@ -175,9 +195,7 @@ class TestQuadraticStream:
         # quadratic_instant computes from that instant's own data.
         for inst in quadratic_stream(drifting_config(d1=3, d2=5, kappa_target=30.0)):
             d1, d2 = inst.d1, inst.d2
-            Q = np.column_stack(
-                [inst.hvp_g_betabeta(np.zeros(d1), np.zeros(d2), e) for e in np.eye(d2)]
-            )
+            Q = stacked_hvps(inst, np.zeros(d1), np.zeros(d2))
             b = inst.inner_opt(np.zeros(d1))
             A = np.column_stack([inst.inner_opt(e) - b for e in np.eye(d1)])
             c = -inst.grad_f_beta(np.zeros(d1), np.zeros(d2))
@@ -306,12 +324,7 @@ class TestSplineStream:
         _, stream = self.make_stream()
         inst = stream[0]
         assert inst.mu_g > 0
-        H = np.column_stack(
-            [
-                inst.hvp_g_betabeta(np.array([1e-4]), np.zeros(inst.d2), e)
-                for e in np.eye(inst.d2)
-            ]
-        )
+        H = stacked_hvps(inst, np.array([1e-4]), np.zeros(inst.d2))
         assert np.linalg.eigvalsh(0.5 * (H + H.T))[0] > 0
 
     def test_linear_targets_fit_exactly_for_all_lam(self):
