@@ -7,10 +7,10 @@ Neumann-series estimate for stochastic oracles. ITD and the Neumann series
 take second-order information through Hessian-vector products; the implicit
 form solves with the instant's inner Hessian, a desk-scale direct solve. On
 an instant with ``quadratic`` data, inner GD, the ITD estimator and the
-Neumann estimator run that data's kernels instead. The inner-GD and ITD
-kernels compute bit for bit what the oracles would, with ``.dot`` products
-(see ``QuadraticData``); the Neumann kernel applies one cached matrix per
-level, equal up to rounding.
+Neumann estimator run that data's kernels instead of its oracle methods.
+The inner-GD and ITD kernels compute bit for bit what the oracles would,
+with ``.dot`` products (see ``QuadraticData``); the Neumann kernel applies
+one cached matrix per level, equal up to rounding.
 """
 
 from __future__ import annotations
@@ -246,18 +246,13 @@ class WindowBuffer:
         if capacity < 1:
             raise ValueError("window capacity must be at least 1")
         self.capacity = capacity
-        self._pushed = 0
         self._rows: np.ndarray | None = None
-
-    def __len__(self) -> int:
-        return min(self._pushed, self.capacity)
 
     def push(self, estimate) -> None:
         if self._rows is None:
             self._rows = np.zeros((self.capacity + 1, *np.shape(estimate)))
         self._rows[1:-1] = self._rows[2:]
         self._rows[-1] = estimate
-        self._pushed += 1
 
     def average(self) -> np.ndarray:
         if self._rows is None:

@@ -155,13 +155,11 @@ def function_variation_terms(stream: Stream, grid: np.ndarray) -> np.ndarray:
 
 @dataclass
 class VariationReport:
-    """Path variations of orders 1 and 2 plus the objective variation,
-    with the grid the suprema were taken over."""
+    """Path variations of orders 1 and 2 plus the objective variation."""
 
     h1: float
     h2: float
     v1: float
-    grid: np.ndarray
 
 
 def variation_report(stream: Stream, grid: np.ndarray) -> VariationReport:
@@ -170,16 +168,10 @@ def variation_report(stream: Stream, grid: np.ndarray) -> VariationReport:
         h1=float(np.sum(_powers(sup_disp, 1))),
         h2=float(np.sum(_powers(sup_disp, 2))),
         v1=float(np.sum(sup_change)),
-        grid=np.atleast_2d(np.asarray(grid, dtype=float)),
     )
 
 
-def build_grid(
-    lower,
-    upper,
-    n: int = 64,
-    extra: np.ndarray | None = None,
-) -> np.ndarray:
+def build_grid(lower, upper, n: int, extra: np.ndarray | None = None) -> np.ndarray:
     """Deterministic evaluation grid inside a box.
 
     The first n points follow the unscrambled Sobol sequence (nested, so a

@@ -65,15 +65,16 @@ class ProblemInstant:
     Hessian-vector products have no sampled form.
 
     ``quadratic`` is not a constructor argument: the quadratic stream sets it
-    to the data A, b, Q of its inner objective
-    g_t(lam, beta) = (beta - A lam - b)' Q (beta - A lam - b) / 2, and it is
-    None on every other instant. Inner GD, the ITD estimator and the Neumann
-    estimator then run the data's own kernels, so wrapping or reassigning
-    ``grad_g_beta`` or an HVP field of such an instant does not reach them.
-    The inner-GD and ITD kernels repeat the oracles' floating-point
-    operations in the same order; the Neumann kernel is one product with a
-    matrix cached per truncation level. Inner SGD, the implicit estimator and
-    the metrics still call the fields.
+    to the instant's whole data (``QuadraticData``: the A, b, Q of its inner
+    objective g_t(lam, beta) = (beta - A lam - b)' Q (beta - A lam - b) / 2
+    and the c, amp, phases of f_t), whose bound methods are the instant's
+    oracle fields; it is None on every other instant. Inner GD, the ITD
+    estimator and the Neumann estimator then run the data's own kernels, so
+    wrapping or reassigning ``grad_g_beta`` or an HVP field of such an
+    instant does not reach them. The inner-GD and ITD kernels repeat the
+    oracles' floating-point operations in the same order; the Neumann kernel
+    is one product with a matrix cached per truncation level. Inner SGD, the
+    implicit estimator and the metrics still call the fields.
     """
 
     t: int

@@ -26,20 +26,23 @@ __all__ = ["QuadraticData", "quadratic_instant", "quadratic_stream"]
 
 
 class QuadraticData(NamedTuple):
-    """The data of g_t(lam, beta) = (beta - A lam - b)' Q (beta - A lam - b) / 2
-    and the kernels inner GD, ITD and the Neumann estimator run on it.
+    """The whole data of one instant's g and f (as in the module docstring).
+    Its methods are the instant's oracles, which ``ProblemInstant`` holds as
+    bound methods, and the kernels inner GD, ITD and the Neumann estimator run.
 
     ``neg_At`` is ``-A.T``, formed once: negation is exact, so products with it
-    match ``-(A.T.dot(x))`` bit for bit. Per-round products, here and in the
-    closures, are ``M.dot(x)``: the BLAS call of ``M @ x`` at half the call
-    overhead, with the same bits while M is contiguous (``quadratic_instant``
-    copies A and Q to contiguous arrays). The inner-GD and ITD kernels repeat
-    the closures' operations in order, so they equal the oracle path bit for
-    bit; the Neumann kernel reassociates them into one matrix product.
+    match ``-(A.T.dot(x))`` bit for bit. Per-round products are ``M.dot(x)``:
+    the BLAS call of ``M @ x`` at half the call overhead, with the same bits
+    while M is contiguous (``quadratic_instant`` copies A and Q to contiguous
+    arrays). The inner-GD and ITD kernels repeat the oracles' operations in
+    order, so they equal the oracle path bit for bit; the Neumann kernel
+    reassociates them into one matrix product.
 
     ``neumann`` holds the Neumann kernel's matrices per (l, m). Every instant
-    of a stream shares A, Q and this dict, so the matrices are formed once
-    per stream; ``quadratic_instant`` gives each instant a dict of its own.
+    of a stream shares A, Q, ``neg_At`` and this dict, so the matrices are
+    formed once per stream; ``quadratic_instant`` gives each instant its own.
+    ``amp`` is kept as given: an integer 0 keeps the signed zeros of
+    ``-amp * sin``.
     """
 
     A: np.ndarray
@@ -47,6 +50,39 @@ class QuadraticData(NamedTuple):
     Q: np.ndarray
     neg_At: np.ndarray
     neumann: dict
+    c: np.ndarray
+    amp: float
+    phases: np.ndarray
+
+    def f_value(self, lam, beta):
+        return 0.5 * float(((beta - self.c) ** 2).sum()) + self.amp * float(
+            np.cos(lam + self.phases).sum()
+        )
+
+    def grad_f_lambda(self, lam, beta):
+        return -self.amp * np.sin(lam + self.phases)
+
+    def grad_f_beta(self, lam, beta):
+        return beta - self.c
+
+    def grad_g_beta(self, lam, beta):
+        # Written out, not through grad_g_beta_at: that would add a closure per call.
+        return self.Q.dot((beta - self.A.dot(lam)) - self.b)
+
+    def hvp_g_lambdabeta(self, lam, beta, v):
+        return self.neg_At.dot(self.Q.dot(v))
+
+    def hvp_g_betabeta(self, lam, beta, v):
+        return self.Q.dot(v)
+
+    def hess_g_betabeta(self, lam, beta):
+        return self.Q
+
+    def inner_opt(self, lam):
+        return self.A.dot(lam) + self.b
+
+    def exact_hypergradient(self, lam):
+        return self.grad_f_lambda(lam, None) + self.A.T.dot(self.inner_opt(lam) - self.c)
 
     def grad_g_beta_at(self, lam: np.ndarray):
         """``grad_g_beta(lam, .)`` for a fixed lam, with A lam formed once."""
@@ -112,7 +148,8 @@ def quadratic_instant(
     if phases.shape != (d1,):
         raise ValueError("phases must have length d1")
     mu_g, l_g1 = _spectrum_bounds(Q)
-    return _build_instant(t, A, b, Q, {}, c, amp, phases, noise, mu_g, l_g1)
+    data = QuadraticData(A, b, Q, -A.T, {}, c, amp, phases)
+    return _build_instant(t, data, noise, mu_g, l_g1)
 
 
 def _spectrum_bounds(Q: np.ndarray) -> tuple[float, float]:
@@ -128,74 +165,37 @@ def _spectrum_bounds(Q: np.ndarray) -> tuple[float, float]:
 
 def _build_instant(
     t: int,
-    A: np.ndarray,
-    b: np.ndarray,
-    Q: np.ndarray,
-    neumann: dict,
-    c: np.ndarray,
-    amp: float,
-    phases: np.ndarray,
+    data: QuadraticData,
     noise: tuple[float, float],
     mu_g: float,
     l_g1: float,
 ) -> ProblemInstant:
-    """The oracle bundle for validated data and the spectrum bounds of Q.
+    """The oracle bundle of validated data and the spectrum bounds of its Q.
 
-    Each oracle is one flat closure over the data (``-A'`` is formed once;
-    products as in ``QuadraticData``). Its ``quadratic`` field carries that
-    data and the Neumann cache; ``noise`` sets its sampled gradients' scales.
+    Each oracle field is a bound method of ``data``, which also becomes the
+    instant's ``quadratic`` field; ``noise`` sets its sampled gradients' scales.
     """
-    d2, d1 = A.shape
-    At = A.T
-    neg_At = -At
-    neg_amp = -amp
-
-    def f_value(lam, beta):
-        return 0.5 * float(((beta - c) ** 2).sum()) + amp * float(
-            np.cos(lam + phases).sum()
-        )
-
-    def grad_f_lambda(lam, beta):
-        return neg_amp * np.sin(lam + phases)
-
-    def grad_f_beta(lam, beta):
-        return beta - c
-
-    def grad_g_beta(lam, beta):
-        return Q.dot((beta - A.dot(lam)) - b)
-
-    def hvp_g_lambdabeta(lam, beta, v):
-        return neg_At.dot(Q.dot(v))
-
-    def hvp_g_betabeta(lam, beta, v):
-        return Q.dot(v)
-
-    def inner_opt(lam):
-        return A.dot(lam) + b
-
-    def exact_hypergradient(lam):
-        return neg_amp * np.sin(lam + phases) + At.dot(A.dot(lam) + b - c)
-
+    d2, d1 = data.A.shape
     instant = ProblemInstant(
         t=t,
         d1=d1,
         d2=d2,
-        f_value=f_value,
-        grad_f_lambda=grad_f_lambda,
-        grad_f_beta=grad_f_beta,
-        grad_g_beta=grad_g_beta,
-        hvp_g_lambdabeta=hvp_g_lambdabeta,
-        hvp_g_betabeta=hvp_g_betabeta,
-        hess_g_betabeta=lambda lam, beta: Q,
+        f_value=data.f_value,
+        grad_f_lambda=data.grad_f_lambda,
+        grad_f_beta=data.grad_f_beta,
+        grad_g_beta=data.grad_g_beta,
+        hvp_g_lambdabeta=data.hvp_g_lambdabeta,
+        hvp_g_betabeta=data.hvp_g_betabeta,
+        hess_g_betabeta=data.hess_g_betabeta,
         mu_g=mu_g,
         l_g1=l_g1,
-        inner_opt=inner_opt,
-        exact_hypergradient=exact_hypergradient,
-        l_f1=max(1.0, amp),
+        inner_opt=data.inner_opt,
+        exact_hypergradient=data.exact_hypergradient,
+        l_f1=max(1.0, data.amp),
         sigma_g_beta=float(noise[0]),
         sigma_f=float(noise[1]),
     )
-    instant.quadratic = QuadraticData(A, b, Q, neg_At, neumann)
+    instant.quadratic = data
     return instant
 
 
@@ -233,19 +233,16 @@ def quadratic_stream(config: StreamConfig) -> list[ProblemInstant]:
     phases = rng.uniform(0.0, 2.0 * np.pi, d1)
 
     mu_g, l_g1 = _spectrum_bounds(Q)
+    neg_At = -A.T
     neumann: dict = {}
 
     # Q is fixed, so it is checked once above rather than per instant. The
     # drift rebinds b and c and never writes them in place, so instants can
-    # share the arrays they were built with, and one Neumann cache.
+    # share the arrays they were built with, -A' and one Neumann cache.
     instants: list[ProblemInstant] = []
     for t in range(1, T + 1):
-        instants.append(
-            _build_instant(
-                t, A, b, Q, neumann, c, config.cos_amplitude, phases,
-                config.noise, mu_g, l_g1,
-            )
-        )
+        data = QuadraticData(A, b, Q, neg_At, neumann, c, config.cos_amplitude, phases)
+        instants.append(_build_instant(t, data, config.noise, mu_g, l_g1))
         if t < T:
             step = config.drift.step_size(t)
             if step > 0:

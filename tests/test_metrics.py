@@ -201,7 +201,6 @@ class TestFunctionVariation:
         stream = make_stream(T=20, drift=DriftSpec.sublinear(0.4))
         report = variation_report(stream, grid_for(stream))
         assert report.h1 >= 0 and report.h2 >= 0 and report.v1 >= 0
-        assert report.grid.shape[1] == 2
 
 
 class TestHypergradientError:
@@ -334,7 +333,7 @@ class TestBuildGrid:
 
     def test_bad_bounds_rejected(self):
         with pytest.raises(ValueError):
-            build_grid([1.0], [1.0])
+            build_grid([1.0], [1.0], n=4)
 
     def test_scipy_imported_only_by_build_grid(self):
         # Importing the library must not pay for scipy; build_grid imports
