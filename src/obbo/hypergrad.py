@@ -8,9 +8,9 @@ take second-order information through Hessian-vector products; the implicit
 form solves with the instant's inner Hessian, a desk-scale direct solve. On
 an instant with ``quadratic`` data, inner GD, the ITD estimator and the
 Neumann estimator run that data's kernels instead of its oracle methods.
-The inner-GD and ITD kernels compute bit for bit what the oracles would,
-with ``.dot`` products (see ``QuadraticData``); the Neumann kernel applies
-one cached matrix per level, equal up to rounding.
+The inner-GD and ITD kernels write into buffers (ITD's cross HVPs as one
+stacked product) and equal the oracles bit for bit (see ``QuadraticData``);
+the Neumann kernel applies one cached matrix per level, equal up to rounding.
 """
 
 from __future__ import annotations
@@ -55,14 +55,21 @@ class InnerSolveResult:
         return self.trajectory[-1]
 
 
-def _descend(t: int, grad, lam, beta0, eta: float, K: int, *extra) -> InnerSolveResult:
-    """K steps omega <- omega - eta * grad(lam, omega, *extra) from beta0.
+def _steps(traj: np.ndarray, eta: float, lam, grad, *extra) -> None:
+    """Rows 1..K of traj: omega - eta * grad(lam, omega, *extra), via a scratch buffer."""
+    step = np.empty(traj.shape[1])
+    for omega, row in zip(traj, traj[1:]):
+        np.multiply(eta, grad(lam, omega, *extra), step)
+        np.subtract(omega, step, row)
+
+
+def _descend(t: int, lam, beta0, eta: float, K: int, fill, *args) -> InnerSolveResult:
+    """K descent steps from beta0, written by ``fill(traj, eta, lam, *args)``.
 
     Finiteness is checked once, after the loop, and is equivalent to a check
-    after every step: non-finite rows are found by scanning the whole
-    trajectory, not only the last iterate, and the error names the first one.
-    The steps after it still run under the ignored floating-point warnings,
-    but the error discards their results.
+    after every step: the whole trajectory is scanned, not only the last
+    iterate, and the error names the first non-finite row. The steps after it
+    still run under the ignored floating-point warnings; the error discards them.
     """
     if eta <= 0:
         raise ValueError("inner step size must be positive")
@@ -72,10 +79,8 @@ def _descend(t: int, grad, lam, beta0, eta: float, K: int, *extra) -> InnerSolve
     beta0 = np.asarray(beta0, dtype=float)
     traj = np.empty((K + 1, beta0.size))
     traj[0] = beta0
-    omega = beta0
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, K + 1):
-            omega = traj[k] = omega - eta * grad(lam, omega, *extra)
+        fill(traj, eta, lam, *args)
     steps = traj[1:]
     if not np.isfinite(steps).all():
         k = 1 + int(np.argmin(np.isfinite(steps).all(axis=1)))
@@ -86,20 +91,16 @@ def _descend(t: int, grad, lam, beta0, eta: float, K: int, *extra) -> InnerSolve
     return InnerSolveResult(trajectory=traj, eta=eta)
 
 
-def inner_gd(
-    instant: ProblemInstant, lam, beta0, eta: float, K: int
-) -> InnerSolveResult:
+def inner_gd(instant: ProblemInstant, lam, beta0, eta: float, K: int) -> InnerSolveResult:
     """K gradient-descent steps on g_t(lam, .) from the warm start beta0.
 
-    On an instant with ``quadratic`` data the gradient comes from its
-    ``grad_g_beta_at`` kernel, which forms A lam once per solve.
+    On an instant with ``quadratic`` data its ``descend`` kernel writes the
+    steps in place, forming A lam once per solve.
     """
     quad = instant.quadratic
     if quad is None:
-        grad = instant.grad_g_beta
-    else:
-        grad = quad.grad_g_beta_at(np.asarray(lam, dtype=float))
-    return _descend(instant.t, grad, lam, beta0, eta, K)
+        return _descend(instant.t, lam, beta0, eta, K, _steps, instant.grad_g_beta)
+    return _descend(instant.t, lam, beta0, eta, K, quad.descend)
 
 
 def inner_sgd(
@@ -114,7 +115,7 @@ def inner_sgd(
     """K stochastic gradient steps with batch size s per step."""
     if s < 1:
         raise ValueError("batch size s must be at least 1")
-    return _descend(instant.t, instant.grad_g_beta_sampled, lam, beta0, eta, K, s, rng)
+    return _descend(instant.t, lam, beta0, eta, K, _steps, instant.grad_g_beta_sampled, s, rng)
 
 
 def implicit_hypergradient(instant: ProblemInstant, lam, beta) -> np.ndarray:
@@ -160,11 +161,10 @@ def itd_hypergradient(
     (I - eta * H_betabeta(lam, omega^k)). Algebraically identical to the
     matrix-product form of the unrolled derivative. On an instant with
     ``quadratic`` data its ``itd_correction`` kernel runs the reverse pass,
-    with one product ``Q.dot(v)`` per step shared by both HVPs.
+    one ``Q v`` per step shared by both HVPs, and the K cross HVPs stacked.
     """
     lam = np.asarray(lam, dtype=float)
-    traj = solve.trajectory
-    eta, K = solve.eta, solve.K
+    traj, eta, K = solve.trajectory, solve.eta, solve.K
     omega_K = traj[K]
     v = instant.grad_f_beta(lam, omega_K)
     if instant.quadratic is not None:

@@ -72,9 +72,9 @@ class ProblemInstant:
     estimator and the Neumann estimator then run the data's own kernels, so
     wrapping or reassigning ``grad_g_beta`` or an HVP field of such an
     instant does not reach them. The inner-GD and ITD kernels repeat the
-    oracles' floating-point operations in the same order; the Neumann kernel
-    is one product with a matrix cached per truncation level. Inner SGD, the
-    implicit estimator and the metrics still call the fields.
+    oracles' floating-point operations in the same order, into buffers; the
+    Neumann kernel is one product with a matrix cached per truncation level.
+    Inner SGD, the implicit estimator and the metrics still call the fields.
     """
 
     t: int

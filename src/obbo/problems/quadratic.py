@@ -33,10 +33,11 @@ class QuadraticData(NamedTuple):
     ``neg_At`` is ``-A.T``, formed once: negation is exact, so products with it
     match ``-(A.T.dot(x))`` bit for bit. Per-round products are ``M.dot(x)``:
     the BLAS call of ``M @ x`` at half the call overhead, with the same bits
-    while M is contiguous (``quadratic_instant`` copies A and Q to contiguous
-    arrays). The inner-GD and ITD kernels repeat the oracles' operations in
-    order, so they equal the oracle path bit for bit; the Neumann kernel
-    reassociates them into one matrix product.
+    while M is contiguous (``quadratic_instant`` copies A and Q). ITD stacks its
+    K cross HVPs in one ``matmul`` and sums them in order (``np.add.accumulate``).
+    The inner-GD and ITD kernels repeat the oracles' operations in order, into
+    per-call buffers (not kept on the data a stream shares), so they equal the
+    oracle path bit for bit; the Neumann kernel reassociates them.
 
     ``neumann`` holds the Neumann kernel's matrices per (l, m). Every instant
     of a stream shares A, Q, ``neg_At`` and this dict, so the matrices are
@@ -66,7 +67,6 @@ class QuadraticData(NamedTuple):
         return beta - self.c
 
     def grad_g_beta(self, lam, beta):
-        # Written out, not through grad_g_beta_at: that would add a closure per call.
         return self.Q.dot((beta - self.A.dot(lam)) - self.b)
 
     def hvp_g_lambdabeta(self, lam, beta, v):
@@ -84,25 +84,35 @@ class QuadraticData(NamedTuple):
     def exact_hypergradient(self, lam):
         return self.grad_f_lambda(lam, None) + self.A.T.dot(self.inner_opt(lam) - self.c)
 
-    def grad_g_beta_at(self, lam: np.ndarray):
-        """``grad_g_beta(lam, .)`` for a fixed lam, with A lam formed once."""
-        a_lam, b, Q = self.A.dot(lam), self.b, self.Q
-        return lambda lam, beta: Q.dot((beta - a_lam) - b)
+    def descend(self, traj: np.ndarray, eta: float, lam: np.ndarray) -> None:
+        """Rows 1..K of traj: GD on g(lam, .) from row 0, with A lam formed once."""
+        a_lam, b = self.A.dot(lam), self.b
+        tmp, g = np.empty_like(a_lam), np.empty_like(a_lam)
+        subtract, multiply, dot = np.subtract, np.multiply, self.Q.dot
+        omega = traj[0]
+        for row in traj[1:]:
+            subtract(omega, a_lam, tmp)
+            subtract(tmp, b, tmp)
+            dot(tmp, g)
+            multiply(eta, g, g)
+            subtract(omega, g, row)
+            omega = row
 
     def itd_correction(self, v: np.ndarray, eta: float, K: int) -> np.ndarray:
         """The sum of the cross HVPs of an ITD reverse pass of K steps from v.
 
-        Each step's two HVPs share one product Qv = Q v: the sum gains
-        (-A') Qv, then v becomes v - eta * Qv (not after the last step).
+        Each step's two HVPs share one Qv = Q v, kept in a (K, d2) buffer; one stacked
+        ``matmul`` forms the terms (-A') Qv, summed in order by ``np.add.accumulate``.
         """
         Q, neg_At = self.Q, self.neg_At
-        acc = np.zeros(neg_At.shape[0])
-        for _ in range(K - 1):
-            Qv = Q.dot(v)
-            acc += neg_At.dot(Qv)
+        Qvs = np.empty((K, Q.shape[0]))
+        Qv = Q.dot(v, Qvs[0])
+        for row in Qvs[1:]:
             v = v - eta * Qv
-        acc += neg_At.dot(Q.dot(v))
-        return acc
+            Qv = Q.dot(v, row)
+        terms = np.zeros((K + 1, neg_At.shape[0], 1))
+        np.matmul(neg_At, Qvs[:, :, None], terms[1:])
+        return np.add.accumulate(terms)[-1, :, 0]
 
     def neumann_correction(self, v: np.ndarray, ell: float, m: int, k: int) -> np.ndarray:
         """(m/l) (-A') Q (I - Q/l)^k v: the mixed HVP of a Neumann estimate at

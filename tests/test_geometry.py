@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obbo.geometry import (
     DistanceGenerator,
@@ -175,6 +177,56 @@ class TestGeneralizedProjection:
             g1 = generalized_projection(u, q1, alpha, phi, h, X)
             g2 = generalized_projection(u, q2, alpha, phi, h, X)
             assert np.linalg.norm(g1 - g2) <= np.linalg.norm(q1 - q2) / phi.rho + 1e-9
+
+
+@st.composite
+def prox_problems(draw, n_q=1):
+    """A random (phi, h, X), a point u in X, a step alpha and n_q gradients q,
+    over the same kinds and ranges as ``random_geometry``."""
+    d = draw(st.integers(1, 4))
+
+    def vector(lo, hi):
+        return np.array(draw(st.lists(st.floats(lo, hi), min_size=d, max_size=d)))
+
+    phi = EUCLID if draw(st.booleans()) else DistanceGenerator.diagonal(vector(0.5, 3.0))
+    h = ZERO if draw(st.booleans()) else Regularizer.l1(draw(st.floats(0.0, 2.0)))
+    if draw(st.booleans()):
+        X, u = FULL, vector(-2.0, 2.0)
+    else:
+        lo, width = vector(-2.0, -0.5), vector(1.0, 4.0)
+        X = FeasibleSet.box(lo, lo + width)
+        u = np.clip(lo + vector(0.0, 1.0) * width, X.lower, X.upper)
+    alpha = draw(st.floats(0.05, 1.5))
+    return phi, h, X, u, alpha, [vector(-6.0, 6.0) for _ in range(n_q)]
+
+
+class TestProxProperties:
+    """Hypothesis forms of the invariants the loops above sample by hand."""
+
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(problem=prox_problems())
+    def test_prox_step_lies_in_the_set(self, problem):
+        phi, h, X, u, alpha, (q,) = problem
+        assert X.contains(prox_step(q, u, alpha, phi, h, X))
+
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(problem=prox_problems())
+    def test_displacement_inequality(self, problem):
+        # <q, G> >= rho ||G||^2 + (h(u+) - h(u)) / alpha for G the generalized
+        # projection and u+ the prox point (Ghadimi, Lan & Zhang 2016, Lemma 1).
+        phi, h, X, u, alpha, (q,) = problem
+        g = generalized_projection(u, q, alpha, phi, h, X)
+        u_plus = prox_step(q, u, alpha, phi, h, X)
+        rhs = phi.rho * float(g @ g) + (h.value(u_plus) - h.value(u)) / alpha
+        assert float(q @ g) >= rhs - 1e-9
+
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(problem=prox_problems(n_q=2))
+    def test_generalized_projection_is_lipschitz_in_q(self, problem):
+        phi, h, X, u, alpha, (q1, q2) = problem
+        g1 = generalized_projection(u, q1, alpha, phi, h, X)
+        g2 = generalized_projection(u, q2, alpha, phi, h, X)
+        assert np.linalg.norm(g1 - g2) <= np.linalg.norm(q1 - q2) / phi.rho + 1e-9
 
 
 def adaptive_diags(estimates, epsilon=1e-8):
