@@ -57,10 +57,11 @@ class InnerSolveResult:
 
 def _steps(traj: np.ndarray, eta: float, lam, grad, *extra) -> None:
     """Rows 1..K of traj: omega - eta * grad(lam, omega, *extra), via a scratch buffer."""
-    step = np.empty(traj.shape[1])
-    for omega, row in zip(traj, traj[1:]):
+    step, omega = np.empty(traj.shape[1]), traj[0]
+    for row in traj[1:]:
         np.multiply(eta, grad(lam, omega, *extra), step)
         np.subtract(omega, step, row)
+        omega = row
 
 
 def _descend(t: int, lam, beta0, eta: float, K: int, fill, *args) -> InnerSolveResult:

@@ -1,12 +1,13 @@
 """Time-indexed bilevel problem oracles.
 
-A stream is a sequence of per-round oracle bundles. Each bundle exposes the
-outer objective f_t, the first derivatives of f_t and of the strongly convex
-inner objective g_t, its Hessian-vector products and its inner Hessian.
+A stream is a sequence of per-round oracle bundles: the outer objective f_t,
+the first derivatives of f_t and of the strongly convex inner objective g_t,
+its Hessian-vector products and its inner Hessian. On every shipped stream
+they are the bound methods of one round's data object (``instant_of``).
 Exact-solution oracles (``inner_opt`` and ``exact_hypergradient``) are
-optional and reserved for metrics and tests; solvers work from the gradient,
-HVP and Hessian oracles, except that inner GD, ITD and the Neumann estimator
-read a quadratic instant's matrices directly.
+optional and reserved for metrics and tests; solvers call the others, except
+that inner GD, ITD and the Neumann estimator run the kernels of quadratic
+data, the only data that carries any.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = [
     "StreamConfig",
     "Stream",
     "outer_grad_lipschitz",
+    "instant_of",
 ]
 
 Vector = np.ndarray
@@ -64,17 +66,18 @@ class ProblemInstant:
     wrapping a deterministic field later does not reach them. The
     Hessian-vector products have no sampled form.
 
-    ``quadratic`` is not a constructor argument: the quadratic stream sets it
-    to the instant's whole data (``QuadraticData``: the A, b, Q of its inner
-    objective g_t(lam, beta) = (beta - A lam - b)' Q (beta - A lam - b) / 2
-    and the c, amp, phases of f_t), whose bound methods are the instant's
-    oracle fields; it is None on every other instant. Inner GD, the ITD
-    estimator and the Neumann estimator then run the data's own kernels, so
-    wrapping or reassigning ``grad_g_beta`` or an HVP field of such an
-    instant does not reach them. The inner-GD and ITD kernels repeat the
-    oracles' floating-point operations in the same order, into buffers; the
-    Neumann kernel is one product with a matrix cached per truncation level.
-    Inner SGD, the implicit estimator and the metrics still call the fields.
+    Every shipped stream's oracle fields are the bound methods of its round's
+    data (``QuadraticData``, ``MetaData`` or ``SplineData``, via ``instant_of``),
+    and only quadratic data carries kernels. ``quadratic`` is not a constructor
+    argument: the quadratic stream sets it to the instant's ``QuadraticData``
+    (the A, b, Q of g_t = (beta - A lam - b)' Q (beta - A lam - b) / 2 and the
+    c, amp, phases of f_t); it is None on every other instant. Inner GD, ITD
+    and the Neumann estimator then run the data's kernels, so wrapping or
+    reassigning ``grad_g_beta`` or an HVP field of such an instant does not
+    reach them. The inner-GD and ITD kernels repeat the oracles' operations
+    in order, into buffers; the Neumann kernel is one product with a matrix
+    cached per truncation level. Inner SGD, the implicit estimator and the
+    metrics still call the fields.
     """
 
     t: int
@@ -130,6 +133,33 @@ class ProblemInstant:
             self.grad_f_beta_sampled = partial(
                 _noisy_outer, self.grad_f_beta, d2, sigma_f / math.sqrt(d2)
             )
+
+
+def instant_of(
+    data, t: int, d1: int, d2: int, mu_g: float, l_g1: float, l_f1=None, noise=(0.0, 0.0)
+) -> ProblemInstant:
+    """One round's instant, whose 9 oracle fields are the same-named bound methods
+    of its ``data``; ``noise`` sets its sampled gradients' scales. The methods are
+    named one by one: a ``getattr`` loop made each build about a fifth slower."""
+    return ProblemInstant(
+        t=t,
+        d1=d1,
+        d2=d2,
+        f_value=data.f_value,
+        grad_f_lambda=data.grad_f_lambda,
+        grad_f_beta=data.grad_f_beta,
+        grad_g_beta=data.grad_g_beta,
+        hvp_g_lambdabeta=data.hvp_g_lambdabeta,
+        hvp_g_betabeta=data.hvp_g_betabeta,
+        hess_g_betabeta=data.hess_g_betabeta,
+        mu_g=mu_g,
+        l_g1=l_g1,
+        inner_opt=data.inner_opt,
+        exact_hypergradient=data.exact_hypergradient,
+        l_f1=l_f1,
+        sigma_g_beta=float(noise[0]),
+        sigma_f=float(noise[1]),
+    )
 
 
 def _is_scale(sigma: float) -> bool:

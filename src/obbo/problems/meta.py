@@ -7,78 +7,64 @@ adapts task parameters from the meta parameters under a proximal tie,
 
 and the outer problem scores the adapted parameters on the task's validation
 samples. The adaptation is a ridge-like solve, so the inner optimum and the
-hypergradient are closed form.
+hypergradient are closed form. Each drawn task is one ``MetaData`` whose
+methods are the instant's oracles; it carries no solver kernels.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-from .base import DriftSpec, ProblemInstant
+from .base import DriftSpec, ProblemInstant, instant_of
 
-__all__ = ["meta_toy_stream"]
+__all__ = ["MetaData", "meta_toy_stream"]
 
 
-def _meta_instant(
-    t: int,
-    X_tr: np.ndarray,
-    y_tr: np.ndarray,
-    X_val: np.ndarray,
-    y_val: np.ndarray,
-    gamma: float,
-) -> ProblemInstant:
-    d = X_tr.shape[1]
-    G = X_tr.T @ X_tr
-    Xty = X_tr.T @ y_tr
-    evals = np.linalg.eigvalsh(G)
-    mu_g = gamma + float(evals[0])
-    l_g1 = gamma + float(evals[-1])
+class MetaData(NamedTuple):
+    """One task's samples, its gamma and the products formed once per task:
+    G = X_tr' X_tr, Xty = X_tr' y_tr and the inner Hessian H = G + gamma I.
+    Its methods are the instant's oracles; under static drift every instant
+    holds the one task's data."""
 
-    def f_value(lam, beta):
-        r = X_val.dot(beta) - y_val
+    X_tr: np.ndarray
+    y_tr: np.ndarray
+    X_val: np.ndarray
+    y_val: np.ndarray
+    gamma: float
+    G: np.ndarray
+    Xty: np.ndarray
+    H: np.ndarray
+
+    def f_value(self, lam, beta):
+        r = self.X_val.dot(beta) - self.y_val
         return 0.5 * float(r.dot(r))
 
-    def grad_f_lambda(lam, beta):
-        return np.zeros(d)
+    def grad_f_lambda(self, lam, beta):
+        return np.zeros(self.X_tr.shape[1])
 
-    def grad_f_beta(lam, beta):
-        return X_val.T.dot(X_val.dot(beta) - y_val)
+    def grad_f_beta(self, lam, beta):
+        return self.X_val.T.dot(self.X_val.dot(beta) - self.y_val)
 
-    def grad_g_beta(lam, beta):
-        return X_tr.T.dot(X_tr.dot(beta) - y_tr) + gamma * (beta - lam)
+    def grad_g_beta(self, lam, beta):
+        return self.X_tr.T.dot(self.X_tr.dot(beta) - self.y_tr) + self.gamma * (beta - lam)
 
-    def hvp_g_betabeta(lam, beta, v):
-        return G.dot(v) + gamma * v
+    def hvp_g_lambdabeta(self, lam, beta, v):
+        return -self.gamma * v
 
-    def hvp_g_lambdabeta(lam, beta, v):
-        return -gamma * v
+    def hvp_g_betabeta(self, lam, beta, v):
+        return self.G.dot(v) + self.gamma * v
 
-    H = G + gamma * np.eye(d)
+    def hess_g_betabeta(self, lam, beta):
+        return self.H
 
-    def inner_opt(lam):
-        return np.linalg.solve(H, Xty + gamma * lam)
+    def inner_opt(self, lam):
+        return np.linalg.solve(self.H, self.Xty + self.gamma * lam)
 
-    def exact_hypergradient(lam):
-        beta_hat = inner_opt(lam)
-        return gamma * np.linalg.solve(H, grad_f_beta(lam, beta_hat))
-
-    return ProblemInstant(
-        t=t,
-        d1=d,
-        d2=d,
-        f_value=f_value,
-        grad_f_lambda=grad_f_lambda,
-        grad_f_beta=grad_f_beta,
-        grad_g_beta=grad_g_beta,
-        hvp_g_lambdabeta=hvp_g_lambdabeta,
-        hvp_g_betabeta=hvp_g_betabeta,
-        hess_g_betabeta=lambda lam, beta: H,
-        mu_g=mu_g,
-        l_g1=l_g1,
-        inner_opt=inner_opt,
-        exact_hypergradient=exact_hypergradient,
-        l_f1=float(np.linalg.norm(X_val.T @ X_val, 2)),
-    )
+    def exact_hypergradient(self, lam):
+        beta_hat = self.inner_opt(lam)
+        return self.gamma * np.linalg.solve(self.H, self.grad_f_beta(lam, beta_hat))
 
 
 def meta_toy_stream(
@@ -95,12 +81,14 @@ def meta_toy_stream(
 
     Static drift repeats one task verbatim every round; otherwise the task's
     true regression vector follows the drift path and fresh samples arrive
-    each round.
+    each round. A task's data and constants are formed once per drawn task.
     """
     if d < 1 or T < 1:
         raise ValueError("dimension and horizon must be positive")
     if gamma <= 0:
         raise ValueError("gamma must be positive")
+    if n_val < 1:
+        raise ValueError(f"n_val must be at least 1, got {n_val}")
     rng = np.random.default_rng(seed)
     theta = rng.standard_normal(d)
 
@@ -109,13 +97,17 @@ def meta_toy_stream(
         y_tr = X_tr @ theta_t + task_noise * rng.standard_normal(n_train)
         X_val = rng.standard_normal((n_val, d))
         y_val = X_val @ theta_t + task_noise * rng.standard_normal(n_val)
-        return X_tr, y_tr, X_val, y_val
+        G = X_tr.T @ X_tr
+        evals = np.linalg.eigvalsh(G)
+        data = MetaData(X_tr, y_tr, X_val, y_val, gamma, G, X_tr.T @ y_tr, G + gamma * np.eye(d))
+        l_f1 = float(np.linalg.norm(X_val.T @ X_val, 2))
+        return data, gamma + float(evals[0]), gamma + float(evals[-1]), l_f1
 
     instants = []
     for t in range(1, T + 1):
         if t == 1 or drift.kind != "static":
-            X_tr, y_tr, X_val, y_val = draw_task(theta)
-        instants.append(_meta_instant(t, X_tr, y_tr, X_val, y_val, gamma))
+            data, mu_g, l_g1, l_f1 = draw_task(theta)
+        instants.append(instant_of(data, t, d, d, mu_g, l_g1, l_f1))
         if t < T:
             step = drift.step_size(t)
             if step > 0:

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .base import ProblemInstant, StreamConfig
+from .base import ProblemInstant, StreamConfig, instant_of
 
 __all__ = ["QuadraticData", "quadratic_instant", "quadratic_stream"]
 
@@ -174,37 +174,12 @@ def _spectrum_bounds(Q: np.ndarray) -> tuple[float, float]:
 
 
 def _build_instant(
-    t: int,
-    data: QuadraticData,
-    noise: tuple[float, float],
-    mu_g: float,
-    l_g1: float,
+    t: int, data: QuadraticData, noise: tuple[float, float], mu_g: float, l_g1: float
 ) -> ProblemInstant:
-    """The oracle bundle of validated data and the spectrum bounds of its Q.
-
-    Each oracle field is a bound method of ``data``, which also becomes the
-    instant's ``quadratic`` field; ``noise`` sets its sampled gradients' scales.
-    """
+    """The instant of validated data and the spectrum bounds of its Q; ``data``
+    is also its ``quadratic`` field, so solvers run the data's kernels."""
     d2, d1 = data.A.shape
-    instant = ProblemInstant(
-        t=t,
-        d1=d1,
-        d2=d2,
-        f_value=data.f_value,
-        grad_f_lambda=data.grad_f_lambda,
-        grad_f_beta=data.grad_f_beta,
-        grad_g_beta=data.grad_g_beta,
-        hvp_g_lambdabeta=data.hvp_g_lambdabeta,
-        hvp_g_betabeta=data.hvp_g_betabeta,
-        hess_g_betabeta=data.hess_g_betabeta,
-        mu_g=mu_g,
-        l_g1=l_g1,
-        inner_opt=data.inner_opt,
-        exact_hypergradient=data.exact_hypergradient,
-        l_f1=max(1.0, data.amp),
-        sigma_g_beta=float(noise[0]),
-        sigma_f=float(noise[1]),
-    )
+    instant = instant_of(data, t, d1, d2, mu_g, l_g1, max(1.0, data.amp), noise)
     instant.quadratic = data
     return instant
 

@@ -12,19 +12,22 @@ fits are free and heavily penalized solutions approach the best straight
 line. The fixed ridge r = 1e-8 keeps the inner problem strongly convex over
 the whole positive lam box; it sits outside the lam scaling so it does not
 distort the heavy-penalty limit. Both the inner solve and the hypergradient
-are available in closed form through the normal equations.
+are available in closed form through the normal equations. Each round is one
+``SplineData`` whose methods are the instant's oracles; it carries no kernels.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .base import ProblemInstant
+from .base import ProblemInstant, instant_of
 
 __all__ = [
+    "SplineData",
     "SplineTask",
     "linear_spline_basis",
     "roughness_penalty",
@@ -102,90 +105,63 @@ def roughness_penalty(knots) -> np.ndarray:
     return D.T @ (weights[:, None] * D)
 
 
-def _spline_instant(
-    t: int,
-    B_tr: np.ndarray,
-    y_tr: np.ndarray,
-    B_val: np.ndarray,
-    y_val: np.ndarray,
-    omega: np.ndarray,
-    ridge: np.ndarray,
-    lam_lower: float,
-    lam_upper: float,
-) -> ProblemInstant:
-    """One round's oracles; ``ridge`` (= RIDGE_FLOOR * I) is fixed across the
-    stream and passed in. The solves and the spectrum bounds all read the
-    inner Hessian ``hess_g_betabeta``."""
-    BtB = B_tr.T @ B_tr
-    Bty = B_tr.T @ y_tr
+def _lam_scalar(lam) -> float:
+    lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    if lam.shape != (1,):
+        raise ValueError("spline hyperparameter must be a length-1 vector")
+    return float(lam[0])
 
-    def _lam_scalar(lam):
-        lam = np.atleast_1d(np.asarray(lam, dtype=float))
-        if lam.shape != (1,):
-            raise ValueError("spline hyperparameter must be a length-1 vector")
-        return float(lam[0])
 
-    def hess_g_betabeta(lam, beta):
-        return 2.0 * (BtB + _lam_scalar(lam) * omega + ridge)
+class SplineData(NamedTuple):
+    """One round's data: BtB = B'B and Bty = B'y of the training batch, the
+    validation batch, and the fixed ``omega`` and ``ridge`` = RIDGE_FLOOR * I
+    that every round of a stream shares. Its methods are the instant's oracles."""
 
-    mu_g = float(np.linalg.eigvalsh(hess_g_betabeta(lam_lower, None))[0])
-    l_g1 = float(np.linalg.eigvalsh(hess_g_betabeta(lam_upper, None))[-1])
-    if mu_g <= 0:
-        raise ValueError(
-            "inner problem is not strongly convex over the lam box; "
-            "raise the lower bound or the ridge floor"
-        )
+    BtB: np.ndarray
+    Bty: np.ndarray
+    B_val: np.ndarray
+    y_val: np.ndarray
+    omega: np.ndarray
+    ridge: np.ndarray
 
-    def f_value(lam, beta):
-        r = B_val.dot(beta) - y_val
+    def f_value(self, lam, beta):
+        r = self.B_val.dot(beta) - self.y_val
         return float(r.dot(r))
 
-    def grad_f_lambda(lam, beta):
+    def grad_f_lambda(self, lam, beta):
         return np.zeros(1)
 
-    def grad_f_beta(lam, beta):
-        return 2.0 * (B_val.T.dot(B_val.dot(beta) - y_val))
+    def grad_f_beta(self, lam, beta):
+        return 2.0 * (self.B_val.T.dot(self.B_val.dot(beta) - self.y_val))
 
-    def grad_g_beta(lam, beta):
+    def grad_g_beta(self, lam, beta):
         lv = _lam_scalar(lam)
-        return 2.0 * (BtB.dot(beta) - Bty + lv * omega.dot(beta) + RIDGE_FLOOR * beta)
+        return 2.0 * (
+            self.BtB.dot(beta) - self.Bty + lv * self.omega.dot(beta) + RIDGE_FLOOR * beta
+        )
 
-    def hvp_g_betabeta(lam, beta, v):
+    def hvp_g_lambdabeta(self, lam, beta, v):
+        return np.array([2.0 * float(beta.dot(self.omega.dot(v)))])
+
+    def hvp_g_betabeta(self, lam, beta, v):
         lv = _lam_scalar(lam)
-        return 2.0 * (BtB.dot(v) + lv * omega.dot(v) + RIDGE_FLOOR * v)
+        return 2.0 * (self.BtB.dot(v) + lv * self.omega.dot(v) + RIDGE_FLOOR * v)
 
-    def hvp_g_lambdabeta(lam, beta, v):
-        return np.array([2.0 * float(beta.dot(omega.dot(v)))])
+    def hess_g_betabeta(self, lam, beta):
+        return 2.0 * (self.BtB + _lam_scalar(lam) * self.omega + self.ridge)
 
-    def inner_opt(lam):
+    def inner_opt(self, lam):
         try:
-            return np.linalg.solve(hess_g_betabeta(lam, None), 2.0 * Bty)
+            return np.linalg.solve(self.hess_g_betabeta(lam, None), 2.0 * self.Bty)
         except np.linalg.LinAlgError as exc:
             raise ValueError(
                 f"singular spline normal equations at lam={_lam_scalar(lam)!r}"
             ) from exc
 
-    def exact_hypergradient(lam):
-        beta_hat = inner_opt(lam)
-        x = np.linalg.solve(hess_g_betabeta(lam, beta_hat), grad_f_beta(lam, beta_hat))
-        return np.array([-2.0 * float(beta_hat.dot(omega.dot(x)))])
-
-    return ProblemInstant(
-        t=t,
-        d1=1,
-        d2=omega.shape[0],
-        f_value=f_value,
-        grad_f_lambda=grad_f_lambda,
-        grad_f_beta=grad_f_beta,
-        grad_g_beta=grad_g_beta,
-        hvp_g_lambdabeta=hvp_g_lambdabeta,
-        hvp_g_betabeta=hvp_g_betabeta,
-        hess_g_betabeta=hess_g_betabeta,
-        mu_g=mu_g,
-        l_g1=l_g1,
-        inner_opt=inner_opt,
-        exact_hypergradient=exact_hypergradient,
-    )
+    def exact_hypergradient(self, lam):
+        beta_hat = self.inner_opt(lam)
+        x = np.linalg.solve(self.hess_g_betabeta(lam, beta_hat), self.grad_f_beta(lam, beta_hat))
+        return np.array([-2.0 * float(beta_hat.dot(self.omega.dot(x)))])
 
 
 def spline_stream(task: SplineTask) -> list[ProblemInstant]:
@@ -193,24 +169,26 @@ def spline_stream(task: SplineTask) -> list[ProblemInstant]:
     omega = roughness_penalty(task.knots)
     ridge = RIDGE_FLOOR * np.eye(omega.shape[0])
     instants = []
-    for i, ((x_tr, y_tr), (x_val, y_val)) in enumerate(
-        zip(task.train_batches, task.val_batches)
+    for t, ((x_tr, y_tr), (x_val, y_val)) in enumerate(
+        zip(task.train_batches, task.val_batches), 1
     ):
         B_tr = linear_spline_basis(x_tr, task.knots)
-        B_val = linear_spline_basis(x_val, task.knots)
-        instants.append(
-            _spline_instant(
-                t=i + 1,
-                B_tr=B_tr,
-                y_tr=np.asarray(y_tr, dtype=float),
-                B_val=B_val,
-                y_val=np.asarray(y_val, dtype=float),
-                omega=omega,
-                ridge=ridge,
-                lam_lower=task.lambda_lower,
-                lam_upper=task.lambda_upper,
-            )
+        data = SplineData(
+            B_tr.T @ B_tr,
+            B_tr.T @ np.asarray(y_tr, dtype=float),
+            linear_spline_basis(x_val, task.knots),
+            np.asarray(y_val, dtype=float),
+            omega,
+            ridge,
         )
+        mu_g = float(np.linalg.eigvalsh(data.hess_g_betabeta(task.lambda_lower, None))[0])
+        l_g1 = float(np.linalg.eigvalsh(data.hess_g_betabeta(task.lambda_upper, None))[-1])
+        if mu_g <= 0:
+            raise ValueError(
+                "inner problem is not strongly convex over the lam box; "
+                "raise the lower bound or the ridge floor"
+            )
+        instants.append(instant_of(data, t, 1, omega.shape[0], mu_g, l_g1))
     return instants
 
 

@@ -13,6 +13,12 @@ import numpy as np
 
 from obbo.problems import ProblemInstant
 
+# The oracle fields of an instant that a stream fills from its round's data.
+ORACLE_FIELDS = (
+    "f_value", "grad_f_lambda", "grad_f_beta", "grad_g_beta", "hvp_g_lambdabeta",
+    "hvp_g_betabeta", "hess_g_betabeta", "inner_opt", "exact_hypergradient",
+)
+
 
 def constant_gradient_instant(t, g):
     """f has constant outer gradient g; the inner problem is a decoupled quadratic.

@@ -28,7 +28,7 @@ from obbo.problems import (
     spline_stream,
 )
 
-from oracles import central_diff_grad, induced_objective, unrolled_inner_objective
+from oracles import ORACLE_FIELDS, central_diff_grad, induced_objective, unrolled_inner_objective
 
 
 def one_dim_instant(q=1.0, a=2.0, b=0.0, c=0.0, amp=0.0, l_g1=None, noise=(0.0, 0.0)):
@@ -671,19 +671,37 @@ class TestNeumannMatrixPath:
         neumann = first.neumann
         assert list(neumann) == [(stream[0].l_g1, trace.m)]
         assert len(neumann[stream[0].l_g1, trace.m]) == trace.m
-        # Every instant shares the stream's fixed matrices and cache, and its
-        # oracle fields are the methods of its own data.
+        # Every instant shares the stream's fixed matrices and cache.
         for inst in stream:
-            quad = inst.quadratic
             for name in ("A", "Q", "neg_At", "neumann"):
-                assert getattr(quad, name) is getattr(first, name), name
-            for name in (
-                "f_value", "grad_f_lambda", "grad_f_beta", "grad_g_beta", "hvp_g_lambdabeta",
-                "hvp_g_betabeta", "hess_g_betabeta", "inner_opt", "exact_hypergradient",
-            ):
-                assert getattr(inst, name).__self__ is quad, name
+                assert getattr(inst.quadratic, name) is getattr(first, name), name
         # A separately built instant gets a cache of its own.
         assert one_dim_instant().quadratic.neumann is not one_dim_instant().quadratic.neumann
+
+    def test_oracle_fields_are_methods_of_one_data_object(self):
+        streams = {
+            "quadratic": quadratic_stream(StreamConfig(d1=2, d2=3, T=6, seed=4)),
+            "meta": meta_toy_stream(3, 6, seed=4, drift=DriftSpec.sublinear()),
+            "meta-static": meta_toy_stream(3, 6, seed=4),
+            "spline": spline_stream(make_drifting_spline_task(seed=4, T=6, n_knots=7)),
+        }
+        # Only quadratic data is also the instant's ``quadratic`` field.
+        for kind, stream in streams.items():
+            for inst in stream:
+                owners = {id(getattr(inst, name).__self__) for name in ORACLE_FIELDS}
+                assert len(owners) == 1, kind
+                quad = inst.quadratic
+                assert owners == {id(quad)} if kind == "quadratic" else quad is None, kind
+        # A static meta stream holds its one task's data in every instant, and
+        # every spline round shares the stream's omega and ridge.
+        static = {id(inst.f_value.__self__) for inst in streams["meta-static"]}
+        assert len(static) == 1
+        drifting = {id(inst.f_value.__self__) for inst in streams["meta"]}
+        assert len(drifting) == len(streams["meta"])
+        first = streams["spline"][0].f_value.__self__
+        for inst in streams["spline"]:
+            assert inst.f_value.__self__.omega is first.omega
+            assert inst.f_value.__self__.ridge is first.ridge
 
     def test_hvp_fields_are_called_without_quadratic_data(self):
         inst = one_dim_instant(q=0.5, a=2.0, l_g1=1.0)

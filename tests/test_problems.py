@@ -20,7 +20,7 @@ from obbo.problems import (
     spline_stream,
 )
 
-from oracles import central_diff_grad, induced_objective
+from oracles import ORACLE_FIELDS, central_diff_grad, induced_objective
 
 
 def drifting_config(**kwargs):
@@ -436,3 +436,150 @@ class TestMetaStream:
     def test_invalid_gamma_rejected(self):
         with pytest.raises(ValueError):
             meta_toy_stream(2, 1, seed=17, gamma=0.0)
+
+    def test_empty_validation_set_rejected(self):
+        # n_val = 0 would declare l_f1 = 0, and the default outer step divides by it.
+        with pytest.raises(ValueError, match="n_val"):
+            meta_toy_stream(2, 1, seed=17, n_val=0)
+
+
+def meta_reference(X_tr, y_tr, X_val, y_val, gamma):
+    """A meta round's oracles and (mu_g, l_g1, l_f1), written from its raw task arrays."""
+    d = X_tr.shape[1]
+    G, Xty = X_tr.T @ X_tr, X_tr.T @ y_tr
+    H = G + gamma * np.eye(d)
+    evals = np.linalg.eigvalsh(G)
+
+    def f_value(lam, beta):
+        r = X_val.dot(beta) - y_val
+        return 0.5 * float(r.dot(r))
+
+    def grad_f_beta(lam, beta):
+        return X_val.T.dot(X_val.dot(beta) - y_val)
+
+    def inner_opt(lam):
+        return np.linalg.solve(H, Xty + gamma * lam)
+
+    def exact_hypergradient(lam):
+        return gamma * np.linalg.solve(H, grad_f_beta(lam, inner_opt(lam)))
+
+    oracles = dict(
+        f_value=f_value,
+        grad_f_lambda=lambda lam, beta: np.zeros(d),
+        grad_f_beta=grad_f_beta,
+        grad_g_beta=lambda lam, beta: X_tr.T.dot(X_tr.dot(beta) - y_tr) + gamma * (beta - lam),
+        hvp_g_lambdabeta=lambda lam, beta, v: -gamma * v,
+        hvp_g_betabeta=lambda lam, beta, v: G.dot(v) + gamma * v,
+        hess_g_betabeta=lambda lam, beta: H,
+        inner_opt=inner_opt,
+        exact_hypergradient=exact_hypergradient,
+    )
+    l_f1 = float(np.linalg.norm(X_val.T @ X_val, 2))
+    return oracles, (gamma + float(evals[0]), gamma + float(evals[-1]), l_f1)
+
+
+def spline_reference(BtB, Bty, B_val, y_val, omega, task):
+    """A spline round's oracles and (mu_g, l_g1, l_f1), written from its raw arrays."""
+    ridge = 1e-8 * np.eye(omega.shape[0])
+
+    def hess(lam, beta):
+        return 2.0 * (BtB + float(np.atleast_1d(lam)[0]) * omega + ridge)
+
+    def f_value(lam, beta):
+        r = B_val.dot(beta) - y_val
+        return float(r.dot(r))
+
+    def grad_f_beta(lam, beta):
+        return 2.0 * (B_val.T.dot(B_val.dot(beta) - y_val))
+
+    def grad_g_beta(lam, beta):
+        lv = float(lam[0])
+        return 2.0 * (BtB.dot(beta) - Bty + lv * omega.dot(beta) + 1e-8 * beta)
+
+    def hvp_g_betabeta(lam, beta, v):
+        return 2.0 * (BtB.dot(v) + float(lam[0]) * omega.dot(v) + 1e-8 * v)
+
+    def inner_opt(lam):
+        return np.linalg.solve(hess(lam, None), 2.0 * Bty)
+
+    def exact_hypergradient(lam):
+        beta_hat = inner_opt(lam)
+        x = np.linalg.solve(hess(lam, beta_hat), grad_f_beta(lam, beta_hat))
+        return np.array([-2.0 * float(beta_hat.dot(omega.dot(x)))])
+
+    oracles = dict(
+        f_value=f_value,
+        grad_f_lambda=lambda lam, beta: np.zeros(1),
+        grad_f_beta=grad_f_beta,
+        grad_g_beta=grad_g_beta,
+        hvp_g_lambdabeta=lambda lam, beta, v: np.array([2.0 * float(beta.dot(omega.dot(v)))]),
+        hvp_g_betabeta=hvp_g_betabeta,
+        hess_g_betabeta=hess,
+        inner_opt=inner_opt,
+        exact_hypergradient=exact_hypergradient,
+    )
+    mu_g = float(np.linalg.eigvalsh(hess(task.lambda_lower, None))[0])
+    l_g1 = float(np.linalg.eigvalsh(hess(task.lambda_upper, None))[-1])
+    return oracles, (mu_g, l_g1, None)
+
+
+class TestDataOracleParity:
+    """The meta and spline instants give the bits of their oracle formulas
+    written out from the raw task arrays, at several (lam, beta, v) draws."""
+
+    @staticmethod
+    def assert_same_bits(inst, reference, draws):
+        oracles, consts = reference
+        assert (inst.mu_g, inst.l_g1, inst.l_f1) == consts
+        assert set(oracles) == set(ORACLE_FIELDS)
+        for lam, beta, v in draws:
+            for name, ref in oracles.items():
+                if name in ("inner_opt", "exact_hypergradient"):
+                    args = (lam,)
+                else:
+                    args = (lam, beta, v) if name.startswith("hvp") else (lam, beta)
+                assert np.array_equal(getattr(inst, name)(*args), ref(*args)), name
+
+    @settings(derandomize=True, deadline=None, max_examples=12)
+    @given(
+        kind=st.sampled_from(["static", "decaying", "sublinear"]),
+        d=st.integers(1, 4),
+        seed=st.integers(0, 2**16),
+    )
+    def test_meta(self, kind, d, seed):
+        T, gamma, drift = 4, 1.3, DriftSpec(kind)
+        stream = meta_toy_stream(d, T, seed=seed, drift=drift, gamma=gamma)
+        # The stream's own draws, repeated: theta, then each drawn task, then the drift.
+        rng = np.random.default_rng(seed)
+        theta = rng.standard_normal(d)
+        draw = np.random.default_rng(seed + 1)
+        for t, inst in enumerate(stream, 1):
+            if t == 1 or kind != "static":
+                X_tr = rng.standard_normal((16, d))
+                y_tr = X_tr @ theta + 0.1 * rng.standard_normal(16)
+                X_val = rng.standard_normal((16, d))
+                y_val = X_val @ theta + 0.1 * rng.standard_normal(16)
+            draws = [draw.standard_normal((3, d)) for _ in range(3)]
+            self.assert_same_bits(inst, meta_reference(X_tr, y_tr, X_val, y_val, gamma), draws)
+            step = drift.step_size(t)
+            if t < T and step > 0:
+                u = rng.standard_normal(d)
+                theta = theta + step * (u / np.linalg.norm(u))
+
+    @settings(derandomize=True, deadline=None, max_examples=6)
+    @given(n_knots=st.sampled_from([5, 12]), seed=st.integers(0, 2**16))
+    def test_spline(self, n_knots, seed):
+        task = make_drifting_spline_task(seed=seed, T=3, n_knots=n_knots)
+        omega = roughness_penalty(task.knots)
+        draw = np.random.default_rng(seed + 1)
+        for inst, (x_tr, y_tr), (x_val, y_val) in zip(
+            spline_stream(task), task.train_batches, task.val_batches
+        ):
+            B_tr = linear_spline_basis(x_tr, task.knots)
+            B_val = linear_spline_basis(x_val, task.knots)
+            reference = spline_reference(B_tr.T @ B_tr, B_tr.T @ y_tr, B_val, y_val, omega, task)
+            draws = [
+                (np.array([10.0 ** draw.uniform(-4, 1)]), *draw.standard_normal((2, n_knots)))
+                for _ in range(3)
+            ]
+            self.assert_same_bits(inst, reference, draws)
