@@ -11,14 +11,19 @@ from pathlib import Path
 from .config import ConfigError, parse_config
 from .report import cli_report
 from .runner import cli_run
-from .validate import cli_validate
+from .validate import cli_validate, probe_experiment
 
 OUT_ROOT_ENV = "OBBO_OUT_ROOT"
 
 
 def _load_config(path: str):
+    """The parsed config, once every experiment passes its stream probe; a
+    config that cannot run exits 2 before any cell runs."""
     try:
-        return parse_config(path)
+        config = parse_config(path)
+        for exp in config.experiments:
+            probe_experiment(exp)
+        return config
     except FileNotFoundError:
         print(f"error: config file not found: {path}", file=sys.stderr)
         raise SystemExit(2)

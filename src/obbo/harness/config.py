@@ -65,10 +65,18 @@ class ExperimentSpec:
     metrics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        """Check every key, and build the optimizer config, which needs no
-        stream; a value it rejects raises ``ConfigError``."""
+        """Check every key and metric value, and build the optimizer config,
+        which needs no stream; a value either rejects raises ``ConfigError``."""
         where = f"experiment {self.name!r}"
+        if not isinstance(self.metrics, dict):
+            raise ConfigError(f"{where}: 'metrics' must be an object")
         spec_args("experiment", self.to_dict(), where)
+        options = {**DEFAULT_METRICS, **self.metrics}
+        if not isinstance(options["variations"], bool):
+            raise ConfigError(f"{where}: metrics 'variations' must be true or false")
+        size = options["grid_size"]
+        if isinstance(size, bool) or not isinstance(size, int) or size < 0:
+            raise ConfigError(f"{where}: metrics 'grid_size' must be an integer >= 0, got {size!r}")
         try:
             build("optimizer", self.optimizer, where)
         except (TypeError, ValueError) as exc:

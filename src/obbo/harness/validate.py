@@ -1,9 +1,11 @@
-"""Advisory checks of a config against the stability conditions.
+"""Checks of a config before any cell runs.
 
-Every check compares the configured step sizes, iteration counts, and batch
-sizes against the bounds that the regret guarantees assume, computed from the
-stream's declared curvature constants. Violations produce warnings; nothing
-blocks.
+A probe builds a short prefix of every experiment's stream. A stream that
+cannot be built, or ``variations`` beyond the Sobol grid's dimension bound,
+raises ``ConfigError``, on which ``obbo run`` and ``obbo validate`` exit 2.
+The other checks compare the configured step sizes, iteration counts, and
+batch sizes against the bounds that the regret guarantees assume, computed
+from the stream's declared curvature constants; they only warn.
 """
 
 from __future__ import annotations
@@ -12,12 +14,13 @@ import math
 
 import numpy as np
 
+from ..metrics import SOBOL_MAX_DIM
 from ..optimizers import Adaptive, _resolve_steps, default_neumann_bound
 from ..problems.base import outer_grad_lipschitz
-from .config import HarnessConfig
+from .config import DEFAULT_METRICS, ConfigError, HarnessConfig
 from .runner import build_optimizer_config, build_stream
 
-__all__ = ["cli_validate", "validate_experiment"]
+__all__ = ["cli_validate", "probe_experiment", "validate_experiment"]
 
 PROBE_SEED = 0
 
@@ -30,13 +33,25 @@ def _probe_stream(stream_spec: dict):
     return build_stream(probe, PROBE_SEED)
 
 
-def validate_experiment(exp) -> list[str]:
-    notes: list[str] = []
-    prefix = f"[{exp.name}]"
+def probe_experiment(exp):
+    """The probe stream of ``exp``. Raises ``ConfigError`` naming the
+    experiment when the stream cannot be built, or when ``variations`` is on
+    and the outer dimension exceeds the Sobol grid's ``SOBOL_MAX_DIM``."""
+    where = f"experiment {exp.name!r}"
     try:
         stream = _probe_stream(exp.stream)
     except Exception as exc:
-        return [f"{prefix} stream could not be built for validation: {exc}"]
+        raise ConfigError(f"{where}: stream cannot be built: {type(exc).__name__}: {exc}") from exc
+    d1 = stream[0].d1
+    if {**DEFAULT_METRICS, **exp.metrics}["variations"] and d1 > SOBOL_MAX_DIM:
+        raise ConfigError(f"{where}: variations need d1 <= {SOBOL_MAX_DIM} (Sobol grid), got {d1}")
+    return stream
+
+
+def validate_experiment(exp) -> list[str]:
+    notes: list[str] = []
+    prefix = f"[{exp.name}]"
+    stream = probe_experiment(exp)
     inst = stream[0]
     mu, ell = inst.mu_g, inst.l_g1
     kind = exp.optimizer["kind"]

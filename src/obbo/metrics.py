@@ -5,12 +5,13 @@ allowed to touch: true hypergradients at the trace's historical iterates for
 the local-regret series and estimator-error tracking, and the inner-solution
 map for path/function variation of the stream. Suprema over the decision set
 are approximated on a deterministic low-discrepancy grid (plus box corners
-and any visited iterates the caller appends).
+and any visited iterates the caller appends): the unscrambled Sobol sequence
+for d <= 8, by Bratley & Fox's Gray-code recursion (ACM TOMS 14, 1988, Alg.
+659) with Joe & Kuo's direction numbers (SIAM J. Sci. Comput. 30, 2008).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,11 @@ __all__ = [
     "hypergradient_error",
     "build_grid",
 ]
+
+# Joe & Kuo's (degree s, coefficients a, direction integers m_1..m_s), dimensions 2..8.
+_JOE_KUO = ((1, 0, (1,)), (2, 1, (1, 3)), (3, 1, (1, 3, 1)), (3, 2, (1, 1, 1)),
+            (4, 1, (1, 1, 3, 3)), (4, 4, (1, 3, 5, 13)), (5, 2, (1, 1, 5, 5, 17)))
+SOBOL_MAX_DIM = len(_JOE_KUO) + 1
 
 
 @dataclass
@@ -171,24 +177,43 @@ def variation_report(stream: Stream, grid: np.ndarray) -> VariationReport:
     )
 
 
+def _sobol(n: int, d: int) -> np.ndarray:
+    """The first n unscrambled Sobol points in d dimensions, as 30-bit integers
+    over 2**30: point i XORs the direction numbers at the set bits of gray(i)."""
+    m = [[1] * 30]  # dimension 1: the van der Corput sequence
+    for s, a, init in _JOE_KUO[: d - 1]:
+        m.append(row := list(init))
+        for k in range(s, 30):  # m_k = m_{k-s} ^ 2^s m_{k-s} ^ sum_i a_i 2^i m_{k-i}
+            new = row[k - s] ^ (row[k - s] << s)
+            for i in range(1, s):
+                new ^= (a >> (s - 1 - i) & 1) * row[k - i] << i
+            row.append(new)
+    v = np.array(m, dtype=np.int64).T << np.arange(29, -1, -1)[:, None]
+    gray = np.arange(n) ^ (np.arange(n) >> 1)
+    points = np.zeros((n, d), dtype=np.int64)
+    for k in range(max(n - 1, 0).bit_length()):
+        points[(gray >> k) & 1 == 1] ^= v[k]
+    return points / 2**30
+
+
 def build_grid(lower, upper, n: int, extra: np.ndarray | None = None) -> np.ndarray:
     """Deterministic evaluation grid inside a box.
 
-    The first n points follow the unscrambled Sobol sequence (nested, so a
-    larger grid contains every smaller one); box corners are appended for
-    d <= 4 so affine objectives attain their sup exactly, and any extra rows
-    (e.g. a trace's visited iterates, clipped to the box) come last.
+    The first n points follow the unscrambled Sobol sequence, nested, so a
+    larger grid contains every smaller one: Bratley & Fox's Gray-code
+    recursion (Alg. 659) with Joe & Kuo's direction numbers, for d <= 8
+    (``SOBOL_MAX_DIM``). Box corners are appended for d <= 4 so affine
+    objectives attain their sup exactly, and any extra rows (e.g. a trace's
+    visited iterates, clipped to the box) come last.
     """
     lower = np.atleast_1d(np.asarray(lower, dtype=float))
     upper = np.atleast_1d(np.asarray(upper, dtype=float))
     d = lower.size
     if upper.size != d or np.any(lower >= upper):
         raise ValueError("grid bounds must satisfy lower < upper")
-    from scipy.stats import qmc  # imported here: it costs ~0.5 s, and only variations need it
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        points = qmc.Sobol(d, scramble=False).random(n)
-    grid = lower + points * (upper - lower)
+    if d > SOBOL_MAX_DIM:
+        raise ValueError(f"the Sobol grid supports at most {SOBOL_MAX_DIM} dimensions, got {d}")
+    grid = lower + _sobol(n, d) * (upper - lower)
     parts = [grid]
     if d <= 4:
         corners = np.array(

@@ -71,7 +71,7 @@ def linear_spline_basis(x, knots) -> np.ndarray:
     """Dense design matrix of linear B-splines (hat functions) at the knots.
 
     x is clipped to the knot span, so rows sum to one (partition of unity).
-    The weights use scipy's k=1 ``design_matrix`` arithmetic, bit for bit.
+    The weights equal a k=1 B-spline design matrix's, bit for bit (tested).
     """
     x = np.asarray(x, dtype=float)
     knots = np.asarray(knots, dtype=float)

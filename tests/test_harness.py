@@ -2,6 +2,7 @@ import concurrent.futures
 import json
 import multiprocessing
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -401,6 +402,73 @@ class TestBadOptimizerValues:
             ExperimentSpec(exp.name, exp.seeds, exp.stream, {"kind": "obbo", "estimator": "ad"})
 
 
+BAD_METRICS = [
+    ({"grid_size": -3}, "metrics 'grid_size' must be an integer >= 0, got -3"),
+    ({"grid_size": 2.5}, "metrics 'grid_size' must be an integer >= 0, got 2.5"),
+    ({"grid_size": True}, "metrics 'grid_size' must be an integer >= 0, got True"),
+    ({"variations": "yes"}, "metrics 'variations' must be true or false"),
+    ({"variations": 1}, "metrics 'variations' must be true or false"),
+]
+BAD_METRICS_IDS = ["grid-negative", "grid-float", "grid-bool", "variations-str", "variations-int"]
+
+
+class TestMetricValues:
+    """Metric values are checked when the spec is built, in code or from a
+    file, so a value no cell could run fails before any cell runs."""
+
+    @pytest.mark.parametrize("metrics, named", BAD_METRICS, ids=BAD_METRICS_IDS)
+    def test_rejected_in_code(self, metrics, named):
+        exp = small_config().experiments[0]
+        with pytest.raises(ConfigError, match=f"experiment 'tiny-obbo': {re.escape(named)}"):
+            ExperimentSpec(exp.name, exp.seeds, exp.stream, exp.optimizer, metrics)
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_negative_grid_size_exits_2_before_any_cell(self, tmp_path, capsys, command):
+        path = write_with_last(tmp_path, {"metrics": {"variations": True, "grid_size": -3}})
+        assert_cli_exits_2(tmp_path, capsys, command, path, "experiment 'last': metrics 'grid_size'")
+
+    def test_zero_grid_size_takes_corners_and_iterates(self, tmp_path):
+        exp = small_config().experiments[0]
+        exp = ExperimentSpec(exp.name, exp.seeds, exp.stream, exp.optimizer,
+                             {"variations": True, "grid_size": 0})
+        entry = run_cell(exp, 1, str(tmp_path))
+        assert entry["status"] == "ok" and entry["variations"]["h1"] > 0
+
+
+UNRUNNABLE = [
+    ({"stream": {**META, "gamma": 0.0}},
+     "stream cannot be built: ValueError: gamma must be positive"),
+    ({"stream": {**META, "n_val": 0}},
+     "stream cannot be built: ValueError: n_val must be at least 1, got 0"),
+    ({"stream": {"kind": "spline_csv", "path": "{missing}", "knots": [0.0, 0.5, 1.0]}},
+     "stream cannot be built: FileNotFoundError: "),
+    ({"stream": {**small_config().experiments[0].stream, "d1": 9},
+      "metrics": {"variations": True}},
+     "variations need d1 <= 8 (Sobol grid), got 9"),
+]
+UNRUNNABLE_IDS = ["meta-gamma-0", "meta-n_val-0", "missing-csv", "d1-9-variations"]
+
+
+class TestStreamProbe:
+    """``obbo run`` and ``obbo validate`` build a short probe of every
+    experiment's stream first, and exit 2 naming the experiment that cannot
+    run, before any cell runs or any output directory exists."""
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("last, named", UNRUNNABLE, ids=UNRUNNABLE_IDS)
+    def test_cli_exits_2_before_any_cell(self, tmp_path, capsys, command, last, named):
+        missing = str(tmp_path / "missing.csv")
+        last = json.loads(json.dumps(last).replace("{missing}", missing))
+        path = write_with_last(tmp_path, last)
+        assert_cli_exits_2(tmp_path, capsys, command, path, f"experiment 'last': {named}")
+
+    def test_d1_9_runs_without_variations(self, tmp_path, capsys):
+        stream = {**small_config().experiments[0].stream, "d1": 9}
+        path = write_with_last(tmp_path, {"stream": stream, "seeds": [1]})
+        assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert "wrote 3 run(s)" in capsys.readouterr().out
+
+
 # A value for each optimizer key that takes effect on GUARD_STREAM (d1 = 2,
 # d2 = 3): the clip threshold clips every round, the box binds, and s differs
 # from the default s = w on the noisy stream.
@@ -513,8 +581,9 @@ class TestCliRun:
         assert all(e["file"] is None for e in by_name["diverges"])
         assert all((tmp_path / e["file"]).exists() for e in by_name["tiny-obbo"])
 
-    def test_failing_cell_is_recorded_and_manifest_written(self, tmp_path, capsys):
-        # A valid config whose data file is missing fails only inside its cell.
+    def test_failing_cell_is_recorded_and_manifest_written(self, tmp_path):
+        # A data file missing when the cell runs fails only inside its cell.
+        # (``obbo run`` probes every stream first and would exit 2 instead.)
         cfg = small_config()
         cfg.experiments[0].seeds = [1]
         missing = tmp_path / "missing.csv"
@@ -526,15 +595,12 @@ class TestCliRun:
                 optimizer={"kind": "obbo", "alpha": 0.05},
             )
         )
-        path = tmp_path / "cfg.json"
-        write_config(cfg, path)
-        assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        cli_run(cfg, tmp_path / "out")
         outputs = json.loads((tmp_path / "out" / "manifest.json").read_text())["outputs"]
         assert [e["status"] for e in outputs] == ["ok", "error"]
         assert outputs[1]["file"] is None
         assert outputs[1]["error"].startswith("FileNotFoundError: ")
         assert str(missing) in outputs[1]["error"]
-        assert "error: broken__seed1: FileNotFoundError" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "noise",
@@ -955,6 +1021,15 @@ class TestCliMain:
         assert (out_dir / "manifest.json").exists()
         assert cli_main(["report", str(out_dir)]) == 0
         assert cli_main(["validate", "--config", str(cfg_path)]) == 0
+
+    def test_cells_not_ok_are_listed(self, tmp_path, capsys):
+        # The probe passes; the run diverges in its cell and exits 0.
+        optimizer = {"kind": "obbo", "alpha": 0.05, "eta": 80.0, "K": 300, "w": 1}
+        path = write_with_last(tmp_path, {"optimizer": optimizer, "seeds": [1]})
+        assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        out = capsys.readouterr().out
+        assert "wrote 2 run(s)" in out and ", 1 not ok" in out
+        assert "  aborted: last__seed1: " in out
 
     def test_bad_json_exits_2_with_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -335,22 +335,38 @@ class TestBuildGrid:
         with pytest.raises(ValueError):
             build_grid([1.0], [1.0], n=4)
 
-    def test_scipy_imported_only_by_build_grid(self):
-        # Importing the library must not pay for scipy; build_grid imports
-        # its Sobol generator on first use and still gives the pinned grid.
+    def test_more_than_eight_dimensions_rejected(self):
+        with pytest.raises(ValueError, match="at most 8 dimensions, got 9"):
+            build_grid(np.zeros(9), np.ones(9), n=4)
+
+    def test_scipy_never_imported(self):
+        # obbo runs on numpy alone: no scipy module is loaded by importing the
+        # library, by build_grid (which still gives the pinned grid), or by a
+        # cell with variations on.
         script = (
-            "import json, sys\n"
+            "import json, sys, tempfile\n"
             "import obbo.problems, obbo.metrics, obbo.harness\n"
-            "before = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+            "from obbo.harness.config import ExperimentSpec\n"
+            "from obbo.harness.runner import run_cell\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "before = scipy_modules()\n"
             "grid = obbo.metrics.build_grid([-1.0, 0.0], [1.0, 2.0], n=8, extra=[[3.0, 1.0]])\n"
-            "print(json.dumps({'before': before, 'grid': grid.tolist()}))\n"
+            "after_grid = scipy_modules()\n"
+            "exp = ExperimentSpec('v', [1], {'kind': 'meta', 'd': 2, 'T': 3},\n"
+            "                     {'kind': 'obbo'}, {'variations': True, 'grid_size': 8})\n"
+            "with tempfile.TemporaryDirectory() as out:\n"
+            "    entry = run_cell(exp, 1, out)\n"
+            "print(json.dumps({'before': before, 'after_grid': after_grid, 'grid': grid.tolist(),\n"
+            "                  'after_cell': scipy_modules(), 'variations': 'variations' in entry}))\n"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(obbo.__file__).resolve().parents[1])}
         out = subprocess.run(
             [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
         )
         result = json.loads(out.stdout)
-        assert result["before"] == []
+        assert result["before"] == result["after_grid"] == result["after_cell"] == []
+        assert result["variations"]
         sobol = [[-1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [-0.5, 1.5],
                  [-0.25, 0.75], [0.75, 1.75], [0.25, 0.25], [-0.75, 1.25]]
         corners = [[-1.0, 0.0], [-1.0, 2.0], [1.0, 0.0], [1.0, 2.0]]

@@ -1,10 +1,12 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from obbo.metrics import build_grid
 from obbo.problems import (
     DriftSpec,
     ProblemInstant,
@@ -307,6 +309,20 @@ class TestSplineStream:
         padded = np.r_[lo, knots, hi]
         expected = BSpline.design_matrix(np.clip(x, lo, hi), padded, k=1).toarray()
         assert np.array_equal(linear_spline_basis(x, knots), expected)
+
+    # scipy is a test-only dependency; its parity checks sit together.
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(n=st.integers(0, 1024))
+    @example(n=0)
+    @example(n=1024)
+    def test_sobol_grid_equals_scipy_qmc(self, n):
+        from scipy.stats import qmc
+
+        for d in range(1, 9):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # n not a power of 2
+                expected = qmc.Sobol(d, scramble=False).random(n)
+            assert np.array_equal(build_grid(np.zeros(d), np.ones(d), n)[:n], expected)
 
     def test_basis_rejects_unsorted_or_too_few_knots(self):
         x = np.array([0.2, 0.5])
