@@ -22,13 +22,18 @@ __all__ = [
 ]
 
 
+def _all_finite(x: np.ndarray) -> bool:
+    """``np.isfinite(x).all()`` of a float vector, exact, without numpy's dispatch."""
+    return all(map(math.isfinite, x.tolist()))
+
+
 def _as_vector(name: str, x, d: int | None = None) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError(f"{name} must be a vector, got shape {x.shape}")
     if d is not None and x.size != d:
         raise ValueError(f"{name} has length {x.size}, expected {d}")
-    if not np.isfinite(x).all():
+    if not _all_finite(x):
         raise ValueError(f"{name} contains non-finite entries")
     return x
 

@@ -1,8 +1,9 @@
 """Checks of a config before any cell runs.
 
-A probe builds a short prefix of every experiment's stream. A stream that
-cannot be built, or ``variations`` beyond the Sobol grid's dimension bound,
-raises ``ConfigError``, on which ``obbo run`` and ``obbo validate`` exit 2.
+A probe builds a short prefix of every experiment's stream and forms the
+run's steps and first iterates on it. Any of these that fails, or
+``variations`` beyond the Sobol grid's dimension bound, raises
+``ConfigError``, on which ``obbo run`` and ``obbo validate`` exit 2.
 The other checks compare the configured step sizes, iteration counts, and
 batch sizes against the bounds that the regret guarantees assume, computed
 from the stream's declared curvature constants; they only warn.
@@ -12,10 +13,8 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from ..metrics import SOBOL_MAX_DIM
-from ..optimizers import Adaptive, _resolve_steps, default_neumann_bound
+from ..optimizers import Adaptive, _initial_iterates, _resolve_steps, default_neumann_bound
 from ..problems.base import outer_grad_lipschitz
 from .config import DEFAULT_METRICS, ConfigError, HarnessConfig
 from .runner import build_optimizer_config, build_stream
@@ -34,33 +33,36 @@ def _probe_stream(stream_spec: dict):
 
 
 def probe_experiment(exp):
-    """The probe stream of ``exp``. Raises ``ConfigError`` naming the
-    experiment when the stream cannot be built, or when ``variations`` is on
-    and the outer dimension exceeds the Sobol grid's ``SOBOL_MAX_DIM``."""
+    """The probe stream of ``exp`` and its optimizer config. Raises
+    ``ConfigError`` naming the experiment when the stream cannot be built,
+    when the run's steps or first iterates cannot be formed on it (no
+    ``alpha`` without ``l_f1``, a ``lambda0`` or ``beta0`` that does not
+    fit), or when ``variations`` is on and d1 exceeds ``SOBOL_MAX_DIM``."""
     where = f"experiment {exp.name!r}"
     try:
         stream = _probe_stream(exp.stream)
     except Exception as exc:
         raise ConfigError(f"{where}: stream cannot be built: {type(exc).__name__}: {exc}") from exc
+    config = build_optimizer_config(exp.optimizer)
+    try:
+        _resolve_steps(stream, config, exp.optimizer["kind"])
+        _initial_iterates(stream, config)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
     d1 = stream[0].d1
     if {**DEFAULT_METRICS, **exp.metrics}["variations"] and d1 > SOBOL_MAX_DIM:
         raise ConfigError(f"{where}: variations need d1 <= {SOBOL_MAX_DIM} (Sobol grid), got {d1}")
-    return stream
+    return stream, config
 
 
 def validate_experiment(exp) -> list[str]:
     notes: list[str] = []
     prefix = f"[{exp.name}]"
-    stream = probe_experiment(exp)
+    stream, config = probe_experiment(exp)
     inst = stream[0]
     mu, ell = inst.mu_g, inst.l_g1
     kind = exp.optimizer["kind"]
-    config = build_optimizer_config(exp.optimizer)
-    try:
-        eta = _resolve_steps(stream, config, kind)[1]
-    except ValueError as exc:
-        notes.append(f"{prefix} {exc}")
-        eta = None
+    eta = _resolve_steps(stream, config, kind)[1]
 
     horizon = exp.stream.get("T")
     if config.eta is not None:
@@ -87,7 +89,7 @@ def validate_experiment(exp) -> list[str]:
                 f"3*rho/(4*l_F1) = {bound:g}{suffix}"
             )
 
-    if kind in ("obbo", "sobow") and horizon and config.K is not None and eta is not None:
+    if kind in ("obbo", "sobow") and horizon and config.K is not None:
         contraction = 1.0 - eta * mu
         if 0.0 < contraction < 1.0:
             recommended = math.log(horizon) / math.log(1.0 / contraction) + 1.0
@@ -111,11 +113,6 @@ def validate_experiment(exp) -> list[str]:
                 f"{prefix} Neumann bound m={config.m} is below the default "
                 f"m = ceil(log(w)/log(1/(1-mu_g/l_g1))) + 1 = {m_default}"
             )
-
-    if config.lambda0 is not None and not config.feasible.contains(
-        np.asarray(config.lambda0, dtype=float)
-    ):
-        notes.append(f"{prefix} lambda0 lies outside the feasible set")
     return notes
 
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import _all_finite
 from .problems.base import ProblemInstant
 
 __all__ = [
@@ -68,9 +69,11 @@ def _descend(t: int, lam, beta0, eta: float, K: int, fill, *args) -> InnerSolveR
     """K descent steps from beta0, written by ``fill(traj, eta, lam, *args)``.
 
     Finiteness is checked once, after the loop, and is equivalent to a check
-    after every step: the whole trajectory is scanned, not only the last
-    iterate, and the error names the first non-finite row. The steps after it
-    still run under the ignored floating-point warnings; the error discards them.
+    after every step: every fill writes row k as ``omega - step``, and an inf
+    or nan entry of omega stays non-finite through the subtraction, so the
+    last row is finite exactly when every row is. Only a failure scans all
+    rows, to name the first non-finite one; the steps after it ran under the
+    ignored floating-point warnings, and the error discards them.
     """
     if eta <= 0:
         raise ValueError("inner step size must be positive")
@@ -82,9 +85,8 @@ def _descend(t: int, lam, beta0, eta: float, K: int, fill, *args) -> InnerSolveR
     traj[0] = beta0
     with np.errstate(over="ignore", invalid="ignore"):
         fill(traj, eta, lam, *args)
-    steps = traj[1:]
-    if not np.isfinite(steps).all():
-        k = 1 + int(np.argmin(np.isfinite(steps).all(axis=1)))
+    if not _all_finite(traj[-1]):
+        k = 1 + int(np.argmin(np.isfinite(traj[1:]).all(axis=1)))
         raise DivergenceError(
             f"inner iterate diverged at k={k} (t={t}); "
             f"eta={eta} likely violates the step size condition"

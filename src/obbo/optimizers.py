@@ -19,7 +19,7 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
-from .geometry import DistanceGenerator, FeasibleSet, Regularizer, prox_step
+from .geometry import DistanceGenerator, FeasibleSet, Regularizer, _all_finite, prox_step
 from .hypergrad import (
     DivergenceError,
     NeumannParams,
@@ -283,7 +283,7 @@ def _clip(q: np.ndarray, threshold: float | None) -> np.ndarray:
 
 
 def _check_finite(name: str, x: np.ndarray, t: int) -> None:
-    if not np.isfinite(x).all():
+    if not _all_finite(x):
         raise DivergenceError(f"{name} became non-finite at t={t}; aborting run")
 
 
@@ -295,15 +295,15 @@ def _run(
     ``estimate(instant, lam, beta)`` returns (beta_next, raw estimate, window
     average); ``step(q, lam)`` returns (lam_next, the generator's diagonal).
     The rounds run with floating-point warnings ignored: the estimate, the
-    iterate and the diagonal are checked every round, and the recorded
-    per-round quantities once after the loop, so a finite run never records
-    inf.
+    iterate and the diagonal are checked every round. The recorded per-round
+    quantities, which no round reads, are formed after the loop through each
+    kept instant's oracles and checked once, so a finite run never records inf.
     """
     lam, beta = _initial_iterates(stream, config)
     T, d1, d2 = len(stream), lam.size, beta.size
     lambdas, estimates, smoothed, phi_diags = (np.empty((T, d1)) for _ in range(4))
     betas = np.empty((T, d2))
-    gen_proj_norm_sq, outer_loss, inner_residual = (np.empty(T) for _ in range(3))
+    instants = []  # the records read these, and take nothing from the stream again
 
     with np.errstate(over="ignore", invalid="ignore"):
         for i, instant in enumerate(stream):
@@ -314,14 +314,18 @@ def _run(
             _check_finite("outer iterate", lam_next, instant.t)
             _check_finite("adaptive diagonal", phi_diags[i], instant.t)
             lambdas[i], betas[i], estimates[i], smoothed[i] = lam, beta_next, est, q
-            gen_proj_norm_sq[i] = (((lam - lam_next) / alpha) ** 2).sum()
-            outer_loss[i] = instant.f_value(lam, beta_next)
-            r = instant.grad_g_beta(lam, beta_next)
-            inner_residual[i] = math.sqrt(r.dot(r))
+            instants.append(instant)
             lam, beta = lam_next, beta_next
+        nexts = np.concatenate((lambdas[1:], lam[None]))
+        gen_proj_norm_sq = (((lambdas - nexts) / alpha) ** 2).sum(axis=1)
+        outer_loss, inner_residual = np.empty(T), np.empty(T)
+        for i, (instant, lam_t, beta_t) in enumerate(zip(instants, lambdas, betas)):
+            outer_loss[i] = instant.f_value(lam_t, beta_t)
+            r = instant.grad_g_beta(lam_t, beta_t)
+            inner_residual[i] = math.sqrt(r.dot(r))
     finite = np.isfinite((gen_proj_norm_sq, outer_loss, inner_residual)).all(axis=0)
     if not finite.all():
-        t = stream[int(np.argmin(finite))].t
+        t = instants[int(np.argmin(finite))].t
         raise DivergenceError(
             f"recorded round quantities became non-finite at t={t}; aborting run"
         )

@@ -7,6 +7,7 @@ from obbo.geometry import (
     DistanceGenerator,
     FeasibleSet,
     Regularizer,
+    _all_finite,
     generalized_projection,
     prox_step,
 )
@@ -264,6 +265,36 @@ class TestAdaptiveDiag:
     def test_non_finite_grad_raises(self):
         with pytest.raises(DivergenceError, match="t=1"):
             adaptive_diags([[np.inf, 0.0]])
+
+
+FLOAT_EDGES = (
+    np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+    np.finfo(float).max, -np.finfo(float).max,
+)
+
+
+class TestAllFinite:
+    """The pure-Python finiteness check on the round loop's hot path equals
+    ``np.isfinite(x).all()`` on float64 vectors, edge values included."""
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(
+        values=st.lists(st.one_of(st.sampled_from(FLOAT_EDGES), st.floats()), max_size=12),
+        strided=st.booleans(),
+    )
+    def test_equals_numpy(self, values, strided):
+        x = np.array(values, dtype=np.float64)
+        if strided:
+            x = x[::2]
+        assert _all_finite(x) is bool(np.isfinite(x).all())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_one_bad_entry_anywhere(self, bad):
+        for i in range(5):
+            x = np.full(5, np.finfo(float).max)
+            x[i] = bad
+            assert not _all_finite(x)
+        assert _all_finite(np.full(5, 5e-324))
 
 
 class TestInvariantsOfTypes:

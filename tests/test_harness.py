@@ -35,6 +35,7 @@ from obbo.optimizers import ObboConfig, run_obbo
 from obbo.problems import StreamConfig, quadratic_stream
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+SPLINE_EXP = json.loads((CONFIG_DIR / "spline.json").read_text())["experiments"][0]
 
 
 def small_config(**stream_overrides):
@@ -445,8 +446,19 @@ UNRUNNABLE = [
     ({"stream": {**small_config().experiments[0].stream, "d1": 9},
       "metrics": {"variations": True}},
      "variations need d1 <= 8 (Sobol grid), got 9"),
+    ({"stream": SPLINE_EXP["stream"],
+      "optimizer": {k: v for k, v in SPLINE_EXP["optimizer"].items() if k != "alpha"}},
+     "stream declares no outer smoothness constants; set alpha explicitly"),
+    ({"optimizer": {"kind": "obbo", "lambda0": [0.0] * 7}}, "lambda0 must have shape (2,)"),
+    ({"optimizer": {"kind": "obbo", "beta0": [0.0] * 7}}, "beta0 must have shape (2,)"),
+    ({"optimizer": {"kind": "obbo", "lambda0": [2.0, 0.0],
+                    "feasible": {"kind": "box", "lower": [-1.0, -1.0], "upper": [1.0, 1.0]}}},
+     "lambda0 lies outside the feasible set"),
 ]
-UNRUNNABLE_IDS = ["meta-gamma-0", "meta-n_val-0", "missing-csv", "d1-9-variations"]
+UNRUNNABLE_IDS = [
+    "meta-gamma-0", "meta-n_val-0", "missing-csv", "d1-9-variations", "spline-no-alpha",
+    "lambda0-length-7", "beta0-length-7", "lambda0-outside-box",
+]
 
 
 class TestStreamProbe:
@@ -996,15 +1008,17 @@ class TestCliValidate:
         notes = cli_validate(cfg)
         assert any("s = w" in n for n in notes)
 
-    def test_unresolvable_alpha_noted(self):
+    def test_unresolvable_alpha_is_a_config_error(self):
         # The spline declares no outer smoothness constants, so a run without
-        # alpha fails in every cell; validate says so up front.
+        # alpha would fail in every cell; validate rejects it up front.
         cfg = parse_config(CONFIG_DIR / "spline.json")
         del cfg.experiments[0].optimizer["alpha"]
-        assert cli_validate(cfg) == [
-            "[spline-obbo] stream declares no outer smoothness constants; "
-            "set alpha explicitly"
-        ]
+        with pytest.raises(
+            ConfigError,
+            match="experiment 'spline-obbo': stream declares no outer smoothness "
+            "constants; set alpha explicitly",
+        ):
+            cli_validate(cfg)
 
     def test_never_blocks(self):
         cfg = self.base_experiment({"kind": "obbo", "alpha": 99.0, "eta": 2.0, "K": 1, "w": 1})
@@ -1030,6 +1044,16 @@ class TestCliMain:
         out = capsys.readouterr().out
         assert "wrote 2 run(s)" in out and ", 1 not ok" in out
         assert "  aborted: last__seed1: " in out
+
+    def test_numerical_abort_is_not_a_config_error(self, tmp_path, capsys):
+        # eta 5 violates the inner step condition: validate only notes it,
+        # and the run exits 0 with the cell aborted, not a config error.
+        optimizer = {"kind": "obbo", "alpha": 0.05, "eta": 5.0, "K": 300, "w": 1}
+        path = write_with_last(tmp_path, {"optimizer": optimizer, "seeds": [1]})
+        assert cli_main(["validate", "--config", str(path)]) == 0
+        assert "[last] inner step eta=5 violates" in capsys.readouterr().out
+        assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert "  aborted: last__seed1: " in capsys.readouterr().out
 
     def test_bad_json_exits_2_with_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

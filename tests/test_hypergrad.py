@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import warnings
 
 import numpy as np
@@ -28,7 +29,13 @@ from obbo.problems import (
     spline_stream,
 )
 
-from oracles import ORACLE_FIELDS, central_diff_grad, induced_objective, unrolled_inner_objective
+from oracles import (
+    ORACLE_FIELDS,
+    central_diff_grad,
+    constant_gradient_instant,
+    induced_objective,
+    unrolled_inner_objective,
+)
 
 
 def one_dim_instant(q=1.0, a=2.0, b=0.0, c=0.0, amp=0.0, l_g1=None, noise=(0.0, 0.0)):
@@ -100,6 +107,27 @@ class TestInnerGd:
             warnings.simplefilter("error")
             with pytest.raises(DivergenceError):
                 inner_gd(inst, np.array([0.0]), np.array([1e3]), 200.0, 400)
+
+    @pytest.mark.parametrize("sampled", [False, True], ids=["gd", "sgd"])
+    @pytest.mark.parametrize("k, bad", [(1, np.inf), (5, np.nan), (5, -np.inf), (12, np.inf)])
+    def test_oracle_loop_names_first_non_finite_step(self, sampled, k, bad):
+        # A hand-built instant runs the oracle loop, not a kernel. Its
+        # gradient is non-finite on call k only, yet every later row stays
+        # non-finite, so the check of the last row catches it and the scan
+        # names k. At zero noise inner SGD calls the same gradient.
+        calls = iter(range(1, 13))
+
+        def grad(lam, beta):
+            return np.full_like(beta, bad if next(calls) == k else 0.0)
+
+        inst = dataclasses.replace(constant_gradient_instant(1, [0.0]), grad_g_beta=grad)
+        assert inst.quadratic is None
+        args = (inst, np.zeros(1), np.ones(1), 0.1, 12)
+        with pytest.raises(DivergenceError, match=rf"diverged at k={k} \(t=1\)"):
+            if sampled:
+                inner_sgd(*args, 2, np.random.default_rng(0))
+            else:
+                inner_gd(*args)
 
 
 class TestInnerSgd:

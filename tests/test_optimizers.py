@@ -1,11 +1,14 @@
 import dataclasses
+import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from obbo import optimizers
 from obbo.geometry import FeasibleSet, Regularizer
 from obbo.hypergrad import (
     DivergenceError,
@@ -416,3 +419,100 @@ class TestConfigValidation:
         assert trace.w == 2
         assert trace.T == 5
         assert isinstance(dataclasses.asdict(trace.config), dict)
+
+
+def records_by_round(stream, trace):
+    """The three recorded quantities formed round by round: each instant's own
+    oracles at copies of (lambdas[t], betas[t]), and the 1-D squared step to
+    the next iterate, as the loop once formed them."""
+    nexts = [*trace.lambdas[1:], trace.lambda_final]
+    gen, loss, residual = [], [], []
+    for inst, lam, beta, lam_next in zip(stream, trace.lambdas, trace.betas, nexts):
+        lam, beta = lam.copy(), beta.copy()
+        gen.append((((lam - lam_next) / trace.alpha) ** 2).sum())
+        loss.append(inst.f_value(lam, beta))
+        r = inst.grad_g_beta(lam, beta)
+        residual.append(math.sqrt(r.dot(r)))
+    return np.array(gen), np.array(loss), np.array(residual)
+
+
+SPLINE_BOX = FeasibleSet.box([1e-4], [10.0])
+RECORD_RUNS = {
+    "quadratic-adaptive-clip": (
+        lambda: static_stream(T=40, d1=4, d2=6, amp=0.4, seed=2),
+        lambda s: run_obbo(s, ObboConfig(alpha=0.05, eta=0.1, K=5, w=3, phi=Adaptive(),
+                                         clip_threshold=0.05)),
+    ),
+    "quadratic-d1-9-sobbo": (
+        lambda: static_stream(T=30, d1=9, d2=4, amp=0.3, seed=3, noise=(0.2, 0.1)),
+        lambda s: run_sobbo(s, SobboConfig(alpha=0.02, eta=0.1, K=3, w=2),
+                            np.random.default_rng(4)),
+    ),
+    "meta": (
+        lambda: meta_toy_stream(d=3, T=30, seed=1),
+        lambda s: run_obbo(s, ObboConfig(alpha=0.05, K=4, w=4)),
+    ),
+    "spline": (
+        lambda: spline_stream(make_drifting_spline_task(seed=1, T=30, n_knots=8)),
+        lambda s: run_obbo(s, ObboConfig(alpha=0.02, w=5, estimator="exact", phi=Adaptive(),
+                                         feasible=SPLINE_BOX, lambda0=[0.5])),
+    ),
+}
+
+
+class TestRecordsAfterTheLoop:
+    """The records formed after the loop equal the per-round oracle calls
+    bit for bit, on every stream."""
+
+    @pytest.mark.parametrize("name", RECORD_RUNS)
+    def test_records_equal_per_round_oracle_calls(self, name):
+        make_stream, run = RECORD_RUNS[name]
+        stream = make_stream()
+        trace = run(stream)
+        gen, loss, residual = records_by_round(stream, trace)
+        assert np.array_equal(trace.gen_proj_norm_sq, gen)
+        assert np.array_equal(trace.outer_loss, loss)
+        assert np.array_equal(trace.inner_residual, residual)
+        assert gen.any() and residual.all()
+
+
+# Each solver's calls through the names of obbo.optimizers per round, as
+# perfbench's traced run counts them (Adam takes no prox step).
+HOOKED_CALLS = {
+    "obbo": (run_obbo, ObboConfig,
+             {"prox_step": 1, "inner_gd": 1, "itd_hypergradient": 1}),
+    "sobow": (run_sobow, SobowConfig,
+              {"prox_step": 1, "inner_gd": 1, "itd_hypergradient": 1}),
+    "sobbo": (lambda s, c: run_sobbo(s, c, np.random.default_rng(0)), SobboConfig,
+              {"prox_step": 1, "inner_sgd": 1, "stochastic_hypergradient": 1}),
+    "adam": (lambda s, c: run_single_level(s, "adam", c), SingleLevelConfig,
+             {"prox_step": 0, "inner_gd": 1, "itd_hypergradient": 1}),
+}
+
+
+class TestHookedNames:
+    """perfbench's traced run replaces these module-level names of
+    ``obbo.optimizers`` and expects T calls of each per cell. A solver that
+    bypasses one, e.g. by calling a private prox core, fails here first."""
+
+    @pytest.mark.parametrize("kind", HOOKED_CALLS)
+    def test_each_round_resolves_the_module_names(self, monkeypatch, kind):
+        run, config_cls, per_round = HOOKED_CALLS[kind]
+        counts = Counter()
+        for name in per_round:
+            fn = getattr(optimizers, name)
+
+            def counted(*args, _fn=fn, _name=name, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(optimizers, name, counted)
+        T = 7
+        trace = run(static_stream(T=T, amp=0.3), config_cls(alpha=0.05, eta=0.1, K=3, w=2))
+        assert trace.T == T
+        want = {name: n * T for name, n in per_round.items()}
+        assert dict(counts) == {k: v for k, v in want.items() if v}, (
+            f"{kind}: calls through obbo.optimizers per {T}-round run were "
+            f"{dict(counts)}, expected {want}; a solver bypasses a name that "
+            "perfbench's traced run hooks"
+        )
