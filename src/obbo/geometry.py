@@ -137,7 +137,7 @@ class FeasibleSet:
 
     def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
-        if not np.isfinite(x).all():
+        if not _all_finite(x.ravel()):
             return False
         if self.kind == "full":
             return True

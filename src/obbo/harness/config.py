@@ -56,7 +56,7 @@ class ConfigError(ValueError):
     """Config file is syntactically valid JSON but semantically malformed."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentSpec:
     name: str
     seeds: list[int]

@@ -103,10 +103,6 @@ def execute_run(exp: ExperimentSpec, seed: int) -> tuple[RunTrace, list]:
     return trace, stream
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
-
-
 def write_trace_csv(
     path: Path,
     run_id: str,
@@ -132,9 +128,10 @@ def write_trace_csv(
         ("hypergrad_err_sq", hg_error),
     ]
     header = ",".join(["run_id", "t", *(name for name, _ in columns)])
-    lines = [f"# schema={RESULTS_SCHEMA}", header]
-    for t, row in enumerate(zip(*(values for _, values in columns)), start=1):
-        lines.append(",".join([run_id, str(t), *map(_fmt, row)]))
+    # "%.17g" prints what format(x, ".17g") prints, for every float.
+    row = run_id.replace("%", "%%") + ",%d" + ",%.17g" * len(columns)
+    table = np.column_stack([np.arange(1, trace.T + 1), *(values for _, values in columns)])
+    lines = [f"# schema={RESULTS_SCHEMA}", header, *(row % tuple(r) for r in table.tolist())]
     path.write_text("\n".join(lines) + "\n", newline="\n")
 
 
@@ -152,25 +149,38 @@ def _cell_entry(exp: ExperimentSpec, seed: int) -> dict:
     return {"experiment": exp.name, "seed": seed, "run_id": f"{exp.name}__seed{seed}"}
 
 
+# No cell has run in this process yet (the first pays one-time loads, such as
+# numpy.random's on the first default_rng).
+_first_in_process = True
+
+
 def run_cell(exp: ExperimentSpec, seed: int, out_dir: str) -> dict:
     """Execute one (experiment, seed) cell and write its CSV.
 
     Returns the manifest entry; a numerical abort or any other failure is
-    recorded rather than propagated so sibling cells are unaffected.
+    recorded rather than propagated so sibling cells are unaffected. The entry
+    holds ``phases_ms`` of each phase the cell finished and ``first_in_process``.
     """
+    global _first_in_process
     entry = _cell_entry(exp, seed)
     run_id = entry["run_id"]
-    t0 = time.perf_counter()
+    clock = time.perf_counter
+    stamps = {"start": clock()}
     try:
         trace, stream = execute_run(exp, seed)
+        stamps["run"] = clock()  # stream build and solve
         regret = compute_regret_series(stream, trace)
+        stamps["regret"] = clock()
         smoothed_sq = _squared_norms("smoothed_norm_sq", trace.smoothed)
         hg_err = hypergradient_error(trace, regret.exact_grads)
+        stamps["hypergradient_error"] = clock()
         options = {**DEFAULT_METRICS, **exp.metrics}
         if options["variations"]:
             report = variation_report(stream, _variation_grid(trace, options["grid_size"]))
+            stamps["variations"] = clock()
         csv_path = Path(out_dir) / f"{run_id}.csv"
         write_trace_csv(csv_path, run_id, trace, regret, hg_err, smoothed_sq)
+        stamps["csv"] = clock()
         entry["status"] = "ok"
         entry["file"] = csv_path.name
         entry["sha256"] = hashlib.sha256(csv_path.read_bytes()).hexdigest()
@@ -191,7 +201,10 @@ def run_cell(exp: ExperimentSpec, seed: int, out_dir: str) -> dict:
         entry.update(status="aborted", file=None, error=str(exc))
     except Exception as exc:
         entry.update(status="error", file=None, error=f"{type(exc).__name__}: {exc}")
-    entry["wall_ms"] = (time.perf_counter() - t0) * 1e3
+    entry["wall_ms"] = (clock() - stamps["start"]) * 1e3
+    names, times = zip(*stamps.items())
+    entry["phases_ms"] = {n: (b - a) * 1e3 for n, a, b in zip(names[1:], times, times[1:])}
+    entry["first_in_process"], _first_in_process = _first_in_process, False
     return entry
 
 

@@ -71,16 +71,19 @@ def compute_regret_series(stream: Stream, trace: RunTrace) -> RegretSeries:
     if len(stream) < T:
         raise ValueError("stream shorter than trace")
     grads = np.array([exact_hypergradient(stream[t], trace.lambdas[t]) for t in range(T)])
+    # Window sums as w shifted adds of zero-padded rows, oldest first, as
+    # ``grads[lo : t + 1].sum(axis=0)`` adds them for d1 > 1 (at d1 = 1 numpy
+    # sums a window of 8 or more rows pairwise, which can differ in last bits).
+    padded = np.concatenate((np.zeros((w - 1, grads.shape[1])), grads))
+    sums = padded[:T].copy()
+    for j in range(1, w):
+        sums += padded[j : j + T]
     h, X = trace.config.regularizer, trace.config.feasible
-    terms = np.empty(T)
-    eucl = np.empty(T)
-    for t in range(T):
-        lo = max(0, t - w + 1)
-        smoothed = grads[lo : t + 1].sum(axis=0) / w
+    terms, eucl = np.empty(T), np.empty(T)
+    for t, (lam, smoothed, diag) in enumerate(zip(trace.lambdas, sums / w, trace.phi_diags)):
         eucl[t] = float(smoothed.dot(smoothed))
-        diag = trace.phi_diags[t]
         phi = DistanceGenerator("diagonal", diag)
-        g = generalized_projection(trace.lambdas[t], smoothed, alpha, phi, h, X)
+        g = generalized_projection(lam, smoothed, alpha, phi, h, X)
         terms[t] = float(g.dot(g))
     return RegretSeries(
         terms=terms,

@@ -221,18 +221,21 @@ def quadratic_stream(config: StreamConfig) -> list[ProblemInstant]:
     neg_At = -A.T
     neumann: dict = {}
 
-    # Q is fixed, so it is checked once above rather than per instant. The
-    # drift rebinds b and c and never writes them in place, so instants can
-    # share the arrays they were built with, -A' and one Neumann cache.
+    # The drift in one pass, with the bits of drawing u, then v, per moving
+    # transition and moving b by step * (u / ||u||), then c by v: one (k, 2, d2)
+    # draw keeps that order, the row dot is ``np.linalg.norm``'s, and the moves
+    # add in round order. Q is fixed, so it is checked once above rather than
+    # per instant. Instants share -A', one Neumann cache and the drift path,
+    # which nothing writes in place.
+    steps = np.array([config.drift.step_size(t) for t in range(1, T)])
+    moving = steps > 0
+    uv = rng.standard_normal((np.count_nonzero(moving), 2, d2))
+    uv /= np.sqrt(np.matmul(uv[..., None, :], uv[..., :, None])[..., 0])
+    uv *= steps[moving, None, None]
+    path = np.add.accumulate(np.concatenate(([[b, c]], uv)))
     instants: list[ProblemInstant] = []
-    for t in range(1, T + 1):
+    for t, j in enumerate(np.concatenate(([0], np.cumsum(moving))).tolist(), 1):
+        b, c = path[j]
         data = QuadraticData(A, b, Q, neg_At, neumann, c, config.cos_amplitude, phases)
         instants.append(_build_instant(t, data, config.noise, mu_g, l_g1))
-        if t < T:
-            step = config.drift.step_size(t)
-            if step > 0:
-                u = rng.standard_normal(d2)
-                b = b + step * (u / np.linalg.norm(u))
-                v = rng.standard_normal(d2)
-                c = c + step * (v / np.linalg.norm(v))
     return instants

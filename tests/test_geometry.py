@@ -273,6 +273,27 @@ FLOAT_EDGES = (
 )
 
 
+def numpy_contains(X, x):
+    """``FeasibleSet.contains`` with numpy's finiteness check."""
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        return False
+    if X.kind == "full":
+        return True
+    if x.size != X.lower.size:
+        return False
+    return bool(np.all(x >= X.lower) and np.all(x <= X.upper))
+
+
+def outcome(fn, *args):
+    """What a call returns, or the type of what it raises (a 2-D point of a
+    box's size does not broadcast against its bounds)."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc)
+
+
 class TestAllFinite:
     """The pure-Python finiteness check on the round loop's hot path equals
     ``np.isfinite(x).all()`` on float64 vectors, edge values included."""
@@ -287,6 +308,21 @@ class TestAllFinite:
         if strided:
             x = x[::2]
         assert _all_finite(x) is bool(np.isfinite(x).all())
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(
+        values=st.lists(st.one_of(st.sampled_from(FLOAT_EDGES), st.floats()), max_size=12),
+        shape=st.sampled_from(["vector", "strided", "matrix"]),
+    )
+    def test_contains_equals_numpy(self, values, shape):
+        x = np.array(values, dtype=np.float64)
+        if shape == "strided":
+            x = x[::2]
+        elif shape == "matrix" and x.size % 2 == 0:
+            x = x.reshape(2, -1)
+        box = FeasibleSet.box(np.full(x.size or 1, -1.0), np.full(x.size or 1, 1.0))
+        for X in (FULL, box):
+            assert outcome(X.contains, x) == outcome(numpy_contains, X, x)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_one_bad_entry_anywhere(self, bad):

@@ -3,7 +3,9 @@ import json
 import multiprocessing
 import os
 import re
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -428,6 +430,14 @@ class TestMetricValues:
         path = write_with_last(tmp_path, {"metrics": {"variations": True, "grid_size": -3}})
         assert_cli_exits_2(tmp_path, capsys, command, path, "experiment 'last': metrics 'grid_size'")
 
+    def test_checks_cannot_be_skipped_after_construction(self):
+        exp = small_config().experiments[0]
+        with pytest.raises(FrozenInstanceError):
+            exp.metrics = {"variations": True, "grid_size": -3}
+        with pytest.raises(ConfigError, match="experiment 'tiny-obbo': metrics 'grid_size'"):
+            replace(exp, metrics={"variations": True, "grid_size": -3})
+        assert exp.metrics == {}
+
     def test_zero_grid_size_takes_corners_and_iterates(self, tmp_path):
         exp = small_config().experiments[0]
         exp = ExperimentSpec(exp.name, exp.seeds, exp.stream, exp.optimizer,
@@ -574,6 +584,30 @@ class TestCliRun:
             assert "final_blr_cum" in entry["terminal"]
             assert entry["wall_ms"] > 0
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_phase_times_fit_in_the_cell(self, tmp_path, monkeypatch, jobs):
+        cfg = small_config()
+        cfg.experiments.append(
+            replace(cfg.experiments[0], name="tiny-vars", metrics={"variations": True, "grid_size": 8})
+        )
+        monkeypatch.setattr(runner, "_first_in_process", True)
+        manifest = cli_run(cfg, tmp_path / "timed", jobs=jobs)
+        phases = ["run", "regret", "hypergradient_error", "csv"]
+        for entry in manifest["outputs"]:
+            assert entry["status"] == "ok"
+            with_vars = entry["experiment"] == "tiny-vars"
+            assert list(entry["phases_ms"]) == phases[:3] + ["variations"] * with_vars + phases[3:]
+            assert all(ms >= 0 for ms in entry["phases_ms"].values())
+            assert sum(entry["phases_ms"].values()) <= entry["wall_ms"]
+        flags = [e["first_in_process"] for e in manifest["outputs"]]
+        if jobs == 1:
+            assert flags == [True, False, False, False]
+        else:  # each worker's first cell, in whichever order the pool hands them out
+            assert 1 <= flags.count(True) <= jobs and all(isinstance(f, bool) for f in flags)
+        cli_run(cfg, tmp_path / "plain", jobs=1)
+        for name in sorted(p.name for p in (tmp_path / "plain").glob("*.csv")):
+            assert (tmp_path / "timed" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
     def test_aborted_cell_does_not_corrupt_siblings(self, tmp_path):
         cfg = small_config()
         cfg.experiments.append(
@@ -597,7 +631,7 @@ class TestCliRun:
         # A data file missing when the cell runs fails only inside its cell.
         # (``obbo run`` probes every stream first and would exit 2 instead.)
         cfg = small_config()
-        cfg.experiments[0].seeds = [1]
+        cfg.experiments[0] = replace(cfg.experiments[0], seeds=[1])
         missing = tmp_path / "missing.csv"
         cfg.experiments.append(
             ExperimentSpec(
@@ -816,6 +850,60 @@ class TestCsvSchema:
         assert "lambda_0" not in header
 
 
+EDGE_VALUES = [
+    -0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, 1.0, -3.0, 2.0**53, 1e16, 123456789.0,
+    1e-300, 2.2250738585072014e-308, np.finfo(float).max, np.inf, -np.inf, np.nan,
+]
+
+
+class TestCsvBytes:
+    """The CSV prints each value as ``format(x, ".17g")`` does, row by row."""
+
+    @staticmethod
+    def reference_rows(run_id, trace, regret, hg_error, smoothed_sq):
+        d1 = trace.lambdas.shape[1]
+        if d1 <= 8:
+            columns = [trace.lambdas[:, i] for i in range(d1)]
+        else:
+            columns = [[np.linalg.norm(lam) for lam in trace.lambdas]]
+        columns += [
+            trace.outer_loss, trace.inner_residual, trace.gen_proj_norm_sq, smoothed_sq,
+            regret.terms, regret.cumulative, regret.euclidean_terms,
+            regret.euclidean_cumulative, hg_error,
+        ]
+        return [
+            ",".join([run_id, str(t), *(format(float(x), ".17g") for x in row)])
+            for t, row in enumerate(zip(*columns), start=1)
+        ]
+
+    @pytest.mark.parametrize("d1", [1, 3, 8, 9])
+    @pytest.mark.parametrize("run_id", ["rid__seed1", "100%-w5__seed2"])
+    def test_bytes_match_per_value_format(self, tmp_path, d1, run_id):
+        rng = np.random.default_rng(d1)
+        T = 3 * len(EDGE_VALUES)
+
+        def column(k):
+            values = np.concatenate((EDGE_VALUES, rng.standard_normal(T) * 10.0 ** rng.integers(-20, 20, T)))
+            return rng.permutation(values)[:T] if k else values[:T]
+
+        trace = SimpleNamespace(
+            T=T, lambdas=np.column_stack([column(k) for k in range(d1)]),
+            outer_loss=column(1), inner_residual=column(2), gen_proj_norm_sq=column(3),
+        )
+        regret = SimpleNamespace(
+            terms=column(4), cumulative=column(5), euclidean_terms=column(6),
+            euclidean_cumulative=column(7),
+        )
+        hg_error, smoothed_sq = column(8), column(9)
+        path = tmp_path / "run.csv"
+        with np.errstate(over="ignore"):  # the d1 = 9 norm of rows holding 1e308
+            write_trace_csv(path, run_id, trace, regret, hg_error, smoothed_sq)
+            expected = self.reference_rows(run_id, trace, regret, hg_error, smoothed_sq)
+        lines = path.read_bytes().split(b"\n")
+        assert lines[-1] == b"" and lines[0] == b"# schema=obbo-results-v1"
+        assert lines[2:-1] == [row.encode() for row in expected]
+
+
 class TestExactOracleCalls:
     def test_each_exact_oracle_evaluated_once(self, tmp_path, monkeypatch):
         calls = {"exact_hypergradient": 0, "inner_opt": 0}
@@ -834,8 +922,7 @@ class TestExactOracleCalls:
             return stream
 
         monkeypatch.setattr(runner, "build_stream", counted_stream)
-        exp = small_config().experiments[0]
-        exp.metrics = {"variations": True, "grid_size": 8}
+        exp = replace(small_config().experiments[0], metrics={"variations": True, "grid_size": 8})
         entry = run_cell(exp, 1, str(tmp_path))
         assert entry["status"] == "ok" and "variations" in entry
         T, d1 = exp.stream["T"], exp.stream["d1"]

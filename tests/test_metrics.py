@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import obbo
-from obbo.geometry import FeasibleSet, Regularizer
+from obbo.geometry import DistanceGenerator, FeasibleSet, Regularizer, generalized_projection
 from obbo.hypergrad import DivergenceError
 from obbo.metrics import (
     build_grid,
@@ -24,9 +24,11 @@ from obbo.optimizers import Adaptive, ObboConfig, run_obbo
 from obbo.problems import (
     DriftSpec,
     StreamConfig,
+    make_drifting_spline_task,
     meta_toy_stream,
     quadratic_instant,
     quadratic_stream,
+    spline_stream,
 )
 
 def make_stream(T=25, drift=None, amp=0.3, seed=21, d1=2, d2=3, kappa=6.0):
@@ -124,6 +126,73 @@ class TestRegretSeries:
             + stream[t - 2].exact_hypergradient(trace.lambdas[t - 2])
         ) / 3.0
         assert series.euclidean_terms[t] == pytest.approx(float(expected @ expected))
+
+
+def per_window_series(stream, trace, window_sum):
+    """The regret terms round by round: each window's sum of exact gradients
+    over w, projected under that round's recorded diagonal."""
+    grads = np.array([stream[t].exact_hypergradient(lam) for t, lam in enumerate(trace.lambdas)])
+    h, X = trace.config.regularizer, trace.config.feasible
+    terms, eucl = [], []
+    for t, (lam, diag) in enumerate(zip(trace.lambdas, trace.phi_diags)):
+        smoothed = window_sum(grads[max(0, t - trace.w + 1) : t + 1]) / trace.w
+        eucl.append(float(smoothed.dot(smoothed)))
+        phi = DistanceGenerator("diagonal", diag)
+        g = generalized_projection(lam, smoothed, trace.alpha, phi, h, X)
+        terms.append(float(g.dot(g)))
+    return grads, np.array(terms), np.array(eucl)
+
+
+def oldest_first(rows):
+    total = rows[0]
+    for row in rows[1:]:
+        total = total + row
+    return total
+
+
+class TestWindowSums:
+    """The series' shifted-add window sums give the bits of summing each
+    window on its own, for windows from 1 to longer than the run."""
+
+    @staticmethod
+    def assert_same_series(stream, trace, window_sum):
+        grads, terms, eucl = per_window_series(stream, trace, window_sum)
+        series = compute_regret_series(stream, trace)
+        assert np.array_equal(series.exact_grads, grads)
+        assert np.array_equal(series.terms, terms)
+        assert np.array_equal(series.euclidean_terms, eucl)
+        assert np.array_equal(series.cumulative, np.cumsum(terms))
+
+    @pytest.mark.parametrize("w", [1, 3, 30, 35])
+    def test_full_space(self, w):
+        stream = make_stream(T=30, d1=3, d2=4)
+        trace = run_obbo(stream, ObboConfig(alpha=0.05, eta=0.1, K=6, w=w, phi=Adaptive()))
+        self.assert_same_series(stream, trace, lambda rows: rows.sum(axis=0))
+
+    @pytest.mark.parametrize("w", [1, 3, 30, 35])
+    def test_box_and_l1(self, w):
+        stream = make_stream(T=30, d1=3, d2=4, drift=DriftSpec.sublinear(0.5))
+        config = ObboConfig(
+            alpha=0.05, eta=0.1, K=6, w=w, phi=Adaptive(),
+            regularizer=Regularizer.l1(0.05),
+            feasible=FeasibleSet.box([-0.2, -0.2, -0.2], [0.2, 0.2, 0.2]),
+            lambda0=np.zeros(3),
+        )
+        trace = run_obbo(stream, config)
+        assert np.any(np.abs(trace.lambdas) == 0.2) and np.any(trace.lambdas == 0.0)
+        self.assert_same_series(stream, trace, lambda rows: rows.sum(axis=0))
+
+    @pytest.mark.parametrize("w", [1, 3, 30, 35])
+    def test_one_column_adds_oldest_first(self, w):
+        # numpy sums an (n, 1) stack pairwise from 8 rows on, so at d1 = 1 the
+        # series adds each window oldest first, as it does at every d1 > 1.
+        stream = spline_stream(make_drifting_spline_task(seed=4, T=30, n_knots=8))
+        config = ObboConfig(
+            alpha=0.02, w=w, estimator="exact", phi=Adaptive(),
+            feasible=FeasibleSet.box([1e-4], [10.0]), lambda0=np.array([0.5]),
+        )
+        trace = run_obbo(stream, config)
+        self.assert_same_series(stream, trace, oldest_first)
 
 
 class TestPathVariation:

@@ -599,3 +599,37 @@ class TestDataOracleParity:
                 for _ in range(3)
             ]
             self.assert_same_bits(inst, reference, draws)
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(
+        drift=st.sampled_from([
+            DriftSpec(), DriftSpec.decaying(), DriftSpec.sublinear(),
+            DriftSpec.decaying(800.0), DriftSpec.decaying(1.0, 0.0), DriftSpec.sublinear(0.3, 2.5),
+        ]),
+        d1=st.integers(1, 4),
+        d2=st.integers(1, 6),
+        T=st.integers(1, 30),
+        seed=st.integers(0, 2**16),
+    )
+    @example(drift=DriftSpec.decaying(800.0), d1=1, d2=1, T=12, seed=7)
+    def test_quadratic_drift(self, drift, d1, d2, T, seed):
+        """Each instant's b and c, signed zeros included, are those of the
+        per-transition loop: draw u, move b by step * (u / ||u||), then v and c."""
+        config = StreamConfig(d1=d1, d2=d2, T=T, kappa_target=5.0, drift=drift, seed=seed)
+        stream = quadratic_stream(config)
+        # The stream's own draws, repeated: Q's and A's rotations, b, c and the phases.
+        rng = np.random.default_rng(seed)
+        rng.standard_normal((d2, d2))
+        rng.standard_normal((d2, d2))
+        b, c = rng.standard_normal(d2), rng.standard_normal(d2)
+        rng.uniform(0.0, 2.0 * np.pi, d1)
+        assert len(stream) == T
+        for t, inst in enumerate(stream, 1):
+            assert inst.quadratic.b.tobytes() == b.tobytes(), t
+            assert inst.quadratic.c.tobytes() == c.tobytes(), t
+            step = drift.step_size(t)
+            if t < T and step > 0:
+                u = rng.standard_normal(d2)
+                b = b + step * (u / np.linalg.norm(u))
+                v = rng.standard_normal(d2)
+                c = c + step * (v / np.linalg.norm(v))
