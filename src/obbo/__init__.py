@@ -52,7 +52,6 @@ from .problems import (
     DriftSpec,
     ProblemInstant,
     SplineTask,
-    StreamConfig,
     make_drifting_spline_task,
     meta_toy_stream,
     quadratic_instant,

@@ -6,6 +6,8 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 from .config import ConfigError, parse_config
@@ -16,14 +18,12 @@ from .validate import cli_validate, probe_experiment
 OUT_ROOT_ENV = "OBBO_OUT_ROOT"
 
 
-def _load_config(path: str):
-    """The parsed config, once every experiment passes its stream probe; a
-    config that cannot run exits 2 before any cell runs."""
+@contextmanager
+def _exit_2_on_config_error(path: str):
+    """Exit 2 when the config at ``path`` cannot be read, parsed or run, so
+    a config that cannot run stops before any cell runs."""
     try:
-        config = parse_config(path)
-        for exp in config.experiments:
-            probe_experiment(exp)
-        return config
+        yield
     except FileNotFoundError:
         print(f"error: config file not found: {path}", file=sys.stderr)
         raise SystemExit(2)
@@ -81,9 +81,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "run":
-        config = _load_config(args.config)
+        seeds = _parse_seeds(args.seeds)
+        with _exit_2_on_config_error(args.config):
+            config = parse_config(args.config)
+            if seeds is not None:
+                config.experiments = [replace(exp, seeds=seeds) for exp in config.experiments]
+            for exp in config.experiments:
+                probe_experiment(exp)
         out = _resolve_out(args.out, config, args.config)
-        manifest = cli_run(config, out, _parse_seeds(args.seeds), jobs=args.jobs)
+        manifest = cli_run(config, out, jobs=args.jobs)
         bad = [e for e in manifest["outputs"] if e["status"] != "ok"]
         n_ok = len(manifest["outputs"]) - len(bad)
         print(f"wrote {n_ok} run(s) to {out}" + (f", {len(bad)} not ok" if bad else ""))
@@ -103,8 +109,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "validate":
-        config = _load_config(args.config)
-        notes = cli_validate(config)
+        with _exit_2_on_config_error(args.config):
+            notes = cli_validate(parse_config(args.config))
         if notes:
             for note in notes:
                 print(note)

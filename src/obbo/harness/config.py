@@ -10,9 +10,11 @@ Each kind of a stream, optimizer, drift, phi, regularizer or feasible spec
 feeds one constructor in ``CONSTRUCTORS``, and ``SPEC_KEYS`` reads the keys a
 kind accepts, and an experiment's keys, from the constructor's parameters: a
 parameter without a default is a required key. ``build`` calls a spec's
-constructor, nested parts first. Parsing checks every key, kind (a phi
-``mode`` is its kind) and required key, and builds every optimizer config, so
-a bad optimizer value fails before any cell runs; each cell builds its stream.
+constructor, nested parts first. An ``ExperimentSpec`` checks itself when it
+is built, in code or from a file: its name, seeds, every key, kind (a phi
+``mode`` is its kind) and required key, its metric values, and it builds its
+optimizer config, so a bad optimizer value fails before any cell runs; each
+cell builds its stream.
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ from ..geometry import FeasibleSet, Regularizer
 from ..optimizers import CONFIGS, Adaptive, Euclidean
 from ..problems import (
     DriftSpec,
-    StreamConfig,
     load_spline_task_csv,
     make_drifting_spline_task,
     meta_toy_stream,
+    quadratic_stream,
 )
 
 __all__ = [
@@ -51,6 +53,10 @@ CONFIG_SCHEMA = "obbo-config-v1"
 # Regret and estimator error always run; these are the only metric keys.
 DEFAULT_METRICS = {"variations": False, "grid_size": 64}
 
+# The characters of an experiment name, which goes into CSV file names and
+# rows. A set, not a regex: compiling one would add to every start-up.
+_NAME_CHARS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789._-")
+
 
 class ConfigError(ValueError):
     """Config file is syntactically valid JSON but semantically malformed."""
@@ -65,12 +71,22 @@ class ExperimentSpec:
     metrics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        """Check every key and metric value, and build the optimizer config,
-        which needs no stream; a value either rejects raises ``ConfigError``."""
-        where = f"experiment {self.name!r}"
-        if not isinstance(self.metrics, dict):
-            raise ConfigError(f"{where}: 'metrics' must be an object")
-        spec_args("experiment", self.to_dict(), where)
+        """Check the name, the seeds, every key and metric value, and build the
+        optimizer config, which needs no stream; a value either rejects raises
+        ``ConfigError`` naming the experiment."""
+        name, seeds = self.name, self.seeds
+        where = f"experiment {name!r}"
+        if not isinstance(name, str) or not name or not _NAME_CHARS.issuperset(name):
+            raise ConfigError(f"{where}: name must be a non-empty string of letters, "
+                              "digits, '.', '_' and '-'")
+        if (not isinstance(seeds, list) or any(type(s) is not int for s in seeds)
+                or len(set(seeds)) < len(seeds)):
+            raise ConfigError(f"{where}: seeds must be a list of distinct integers, got {seeds!r}")
+        for label in ("stream", "optimizer", "metrics"):
+            if not isinstance(getattr(self, label), dict):
+                raise ConfigError(f"{where}: '{label}' must be an object")
+        # Nested parts in the key order of the canonical document.
+        spec_args("experiment", dict(sorted(self.to_dict().items())), where)
         options = {**DEFAULT_METRICS, **self.metrics}
         if not isinstance(options["variations"], bool):
             raise ConfigError(f"{where}: metrics 'variations' must be true or false")
@@ -99,6 +115,12 @@ class HarnessConfig:
     experiments: list[ExperimentSpec]
     output_dir: str | None = None
 
+    def __post_init__(self):
+        names = [exp.name for exp in self.experiments]
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise ConfigError(f"experiment {name!r}: duplicate experiment name")
+
     def to_dict(self) -> dict:
         out: dict = {"schema": CONFIG_SCHEMA}
         if self.output_dir is not None:
@@ -107,11 +129,10 @@ class HarnessConfig:
         return out
 
 
-# The constructor each kind of a part feeds; a quadratic stream spec builds
-# the ``StreamConfig`` that ``quadratic_stream`` takes.
+# The constructor each kind of a part feeds.
 CONSTRUCTORS = {
     "stream": {
-        "quadratic": StreamConfig,
+        "quadratic": quadratic_stream,
         "spline_synthetic": make_drifting_spline_task,
         "spline_csv": load_spline_task_csv,
         "meta": meta_toy_stream,
@@ -218,21 +239,10 @@ def parse_config_text(text: str) -> HarnessConfig:
     if not isinstance(raw_experiments, list):
         raise ConfigError("'experiments' must be a list")
     experiments = []
-    seen_names = set()
     for i, raw in enumerate(raw_experiments):
         if not isinstance(raw, dict):
             raise ConfigError(f"experiments[{i}]: must be an object")
-        where = f"experiments[{i}] ({raw.get('name')})"
-        spec_args("experiment", raw, where)
-        if raw["name"] in seen_names:
-            raise ConfigError(f"{where}: duplicate experiment name {raw['name']!r}")
-        seen_names.add(raw["name"])
-        seeds = raw["seeds"]
-        if not isinstance(seeds, list) or not all(isinstance(s, int) for s in seeds):
-            raise ConfigError(f"{where}: 'seeds' must be a list of integers")
-        for label in ("stream", "optimizer"):
-            if not isinstance(raw[label], dict):
-                raise ConfigError(f"{where}: '{label}' must be an object with a 'kind'")
+        spec_args("experiment", dict.fromkeys(raw), f"experiments[{i}]")
         experiments.append(ExperimentSpec(**raw))
     return HarnessConfig(experiments=experiments, output_dir=data.get("output_dir"))
 

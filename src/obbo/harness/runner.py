@@ -35,7 +35,7 @@ from ..optimizers import (
     run_sobbo,
     run_sobow,
 )
-from ..problems import quadratic_stream, spline_stream
+from ..problems import SplineTask, spline_stream
 from .config import (
     DEFAULT_METRICS,
     SPEC_KEYS,
@@ -73,9 +73,7 @@ def build_stream(spec: dict, run_seed: int):
     if isinstance(kind, str) and "seed" in SPEC_KEYS["stream"].get(kind, ()):
         spec = {"seed": run_seed, **spec}
     made = build("stream", spec, "stream spec")
-    if kind == "quadratic":
-        return quadratic_stream(made)
-    return made if kind == "meta" else spline_stream(made)
+    return spline_stream(made) if isinstance(made, SplineTask) else made
 
 
 def build_optimizer_config(spec: dict) -> StepConfig:
@@ -230,20 +228,11 @@ def _collect(future, exp: ExperimentSpec, seed: int) -> dict:
         return entry
 
 
-def cli_run(
-    config: HarnessConfig,
-    out_dir,
-    seeds_override: list[int] | None = None,
-    jobs: int = 1,
-) -> dict:
+def cli_run(config: HarnessConfig, out_dir, jobs: int = 1) -> dict:
     """Execute every (experiment x seed) cell and write the manifest."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cells = []
-    for exp in config.experiments:
-        seeds = seeds_override if seeds_override is not None else exp.seeds
-        for seed in seeds:
-            cells.append((exp, seed))
+    cells = [(exp, seed) for exp in config.experiments for seed in exp.seeds]
     if jobs > 1 and len(cells) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [_submit(pool, exp, seed, str(out)) for exp, seed in cells]

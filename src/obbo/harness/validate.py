@@ -33,11 +33,11 @@ def _probe_stream(stream_spec: dict):
 
 
 def probe_experiment(exp):
-    """The probe stream of ``exp`` and its optimizer config. Raises
-    ``ConfigError`` naming the experiment when the stream cannot be built,
-    when the run's steps or first iterates cannot be formed on it (no
-    ``alpha`` without ``l_f1``, a ``lambda0`` or ``beta0`` that does not
-    fit), or when ``variations`` is on and d1 exceeds ``SOBOL_MAX_DIM``."""
+    """The probe stream of ``exp``, its optimizer config and the run's inner
+    step eta. Raises ``ConfigError`` naming the experiment when the stream
+    cannot be built, when the run's steps or first iterates cannot be formed
+    on it (no ``alpha`` without ``l_f1``, a ``lambda0`` or ``beta0`` that does
+    not fit), or when ``variations`` is on and d1 exceeds ``SOBOL_MAX_DIM``."""
     where = f"experiment {exp.name!r}"
     try:
         stream = _probe_stream(exp.stream)
@@ -45,24 +45,23 @@ def probe_experiment(exp):
         raise ConfigError(f"{where}: stream cannot be built: {type(exc).__name__}: {exc}") from exc
     config = build_optimizer_config(exp.optimizer)
     try:
-        _resolve_steps(stream, config, exp.optimizer["kind"])
+        eta = _resolve_steps(stream, config, exp.optimizer["kind"])[1]
         _initial_iterates(stream, config)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
     d1 = stream[0].d1
     if {**DEFAULT_METRICS, **exp.metrics}["variations"] and d1 > SOBOL_MAX_DIM:
         raise ConfigError(f"{where}: variations need d1 <= {SOBOL_MAX_DIM} (Sobol grid), got {d1}")
-    return stream, config
+    return stream, config, eta
 
 
 def validate_experiment(exp) -> list[str]:
     notes: list[str] = []
     prefix = f"[{exp.name}]"
-    stream, config = probe_experiment(exp)
+    stream, config, eta = probe_experiment(exp)
     inst = stream[0]
     mu, ell = inst.mu_g, inst.l_g1
     kind = exp.optimizer["kind"]
-    eta = _resolve_steps(stream, config, kind)[1]
 
     horizon = exp.stream.get("T")
     if config.eta is not None:

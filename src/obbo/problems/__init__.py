@@ -4,7 +4,6 @@ from .base import (
     DriftSpec,
     ProblemInstant,
     Stream,
-    StreamConfig,
     outer_grad_lipschitz,
 )
 from .meta import meta_toy_stream
@@ -22,7 +21,6 @@ __all__ = [
     "DriftSpec",
     "ProblemInstant",
     "Stream",
-    "StreamConfig",
     "outer_grad_lipschitz",
     "meta_toy_stream",
     "quadratic_instant",

@@ -25,7 +25,6 @@ if TYPE_CHECKING:
 __all__ = [
     "ProblemInstant",
     "DriftSpec",
-    "StreamConfig",
     "Stream",
     "outer_grad_lipschitz",
     "instant_of",
@@ -238,42 +237,6 @@ class DriftSpec:
         if self.kind == "decaying":
             return self.scale * t ** (-self.rate)
         return self.scale * t ** (self.rate - 1.0)
-
-
-@dataclass(frozen=True)
-class StreamConfig:
-    """Generator knobs for synthetic streams.
-
-    ``kappa_target`` sets the inner Hessian condition number (and, for the
-    quadratic stream, the axis-aligned anisotropy of the induced outer
-    curvature). ``noise`` is (sigma_g_beta, sigma_f). ``cos_amplitude`` scales
-    the bounded nonconvex perturbation of the outer objective; zero gives the
-    convex instance.
-    """
-
-    d1: int
-    d2: int
-    T: int
-    kappa_target: float = 10.0
-    drift: DriftSpec = DriftSpec()
-    noise: tuple[float, float] = (0.0, 0.0)
-    seed: int = 0
-    cos_amplitude: float = 0.5
-
-    def __post_init__(self):
-        if self.d1 < 1 or self.d2 < 1:
-            raise ValueError("dimensions must be positive")
-        if self.T < 1:
-            raise ValueError("horizon must be positive")
-        if self.kappa_target < 1.0:
-            raise ValueError("kappa_target must be at least 1")
-        if len(self.noise) != 2 or not all(map(_is_scale, self.noise)):
-            raise ValueError(
-                "noise must be a finite nonnegative pair (sigma_g_beta, sigma_f), "
-                f"got {self.noise}"
-            )
-        if self.cos_amplitude < 0:
-            raise ValueError("cos_amplitude must be nonnegative")
 
 
 def outer_grad_lipschitz(mu_g: float, l_g1: float, l_f1: float) -> float:

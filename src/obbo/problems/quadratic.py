@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .base import ProblemInstant, StreamConfig, instant_of
+from .base import DriftSpec, ProblemInstant, _is_scale, instant_of
 
 __all__ = ["QuadraticData", "quadratic_instant", "quadratic_stream"]
 
@@ -189,27 +189,49 @@ def _orthonormal_columns(rng: np.random.Generator, rows: int, cols: int) -> np.n
     return q[:, :cols]
 
 
-def quadratic_stream(config: StreamConfig) -> list[ProblemInstant]:
-    """Generate the full sequence of quadratic instants for a config.
+def quadratic_stream(
+    d1: int,
+    d2: int,
+    T: int,
+    kappa_target: float = 10.0,
+    drift: DriftSpec = DriftSpec(),
+    noise: tuple[float, float] = (0.0, 0.0),
+    seed: int = 0,
+    cos_amplitude: float = 0.5,
+) -> list[ProblemInstant]:
+    """Generate the T quadratic instants in dimensions (d1, d2).
 
     The inner Hessian Q has spectrum geomspace(1, kappa_target, d2). The
     coupling A = V diag(s) uses orthonormal columns V and singular values
     s = sqrt(geomspace(1, kappa_target, r)), which makes the induced outer
     curvature A'A axis-aligned with the same spread; this is what lets the
-    inner conditioning knob shape the outer geometry. ``config.noise`` sets
-    the scales of the instants' sampled gradients.
+    inner conditioning knob shape the outer geometry. ``noise`` is
+    (sigma_g_beta, sigma_f), the scales of the instants' sampled gradients.
+    ``cos_amplitude`` scales the bounded nonconvex term of f; zero gives the
+    convex instance.
     """
-    rng = np.random.default_rng(config.seed)
-    d1, d2, T = config.d1, config.d2, config.T
+    if d1 < 1 or d2 < 1:
+        raise ValueError("dimensions must be positive")
+    if T < 1:
+        raise ValueError("horizon must be positive")
+    if kappa_target < 1.0:
+        raise ValueError("kappa_target must be at least 1")
+    if len(noise) != 2 or not all(map(_is_scale, noise)):
+        raise ValueError(
+            f"noise must be a finite nonnegative pair (sigma_g_beta, sigma_f), got {noise}"
+        )
+    if cos_amplitude < 0:
+        raise ValueError("cos_amplitude must be nonnegative")
+    rng = np.random.default_rng(seed)
 
-    evals = np.geomspace(1.0, config.kappa_target, d2)
+    evals = np.geomspace(1.0, kappa_target, d2)
     R = _orthonormal_columns(rng, d2, d2)
     Q = R @ np.diag(evals) @ R.T
     Q = 0.5 * (Q + Q.T)
 
     r = min(d1, d2)
     V = _orthonormal_columns(rng, d2, r)
-    s = np.sqrt(np.geomspace(1.0, config.kappa_target, r))
+    s = np.sqrt(np.geomspace(1.0, kappa_target, r))
     A = np.zeros((d2, d1))
     A[:, :r] = V * s
 
@@ -227,7 +249,7 @@ def quadratic_stream(config: StreamConfig) -> list[ProblemInstant]:
     # add in round order. Q is fixed, so it is checked once above rather than
     # per instant. Instants share -A', one Neumann cache and the drift path,
     # which nothing writes in place.
-    steps = np.array([config.drift.step_size(t) for t in range(1, T)])
+    steps = np.array([drift.step_size(t) for t in range(1, T)])
     moving = steps > 0
     uv = rng.standard_normal((np.count_nonzero(moving), 2, d2))
     uv /= np.sqrt(np.matmul(uv[..., None, :], uv[..., :, None])[..., 0])
@@ -236,6 +258,6 @@ def quadratic_stream(config: StreamConfig) -> list[ProblemInstant]:
     instants: list[ProblemInstant] = []
     for t, j in enumerate(np.concatenate(([0], np.cumsum(moving))).tolist(), 1):
         b, c = path[j]
-        data = QuadraticData(A, b, Q, neg_At, neumann, c, config.cos_amplitude, phases)
-        instants.append(_build_instant(t, data, config.noise, mu_g, l_g1))
+        data = QuadraticData(A, b, Q, neg_At, neumann, c, cos_amplitude, phases)
+        instants.append(_build_instant(t, data, noise, mu_g, l_g1))
     return instants

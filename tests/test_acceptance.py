@@ -43,7 +43,6 @@ from obbo.optimizers import (
 )
 from obbo.problems import (
     DriftSpec,
-    StreamConfig,
     make_drifting_spline_task,
     quadratic_instant,
     quadratic_stream,
@@ -236,11 +235,10 @@ def test_06_regret_sublinearity():
     """On a decaying-drift stream whose variations are o(T), BLR_w(T)/T at
     T = 2000 is below half its value at T = 500 for w = 10; runtime < 5 min."""
     t0 = time.perf_counter()
-    cfg = StreamConfig(
+    stream = quadratic_stream(
         d1=2, d2=3, T=2000, kappa_target=8.0,
         drift=DriftSpec.decaying(1.0), seed=42, cos_amplitude=0.5,
     )
-    stream = quadratic_stream(cfg)
 
     grid = build_grid(-np.ones(2), np.ones(2), n=16)
     h2 = path_variation_terms(stream, 2, grid)
@@ -270,11 +268,10 @@ def test_07_adaptive_geometry_benefit():
     ill-conditioned stream (kappa 100, T = 2000, 5 seeds)."""
     adaptive, euclid = [], []
     for seed in range(1, 6):
-        cfg = StreamConfig(
+        stream = quadratic_stream(
             d1=4, d2=6, T=2000, kappa_target=100.0,
             drift=DriftSpec.decaying(1.0), seed=seed, cos_amplitude=0.5,
         )
-        stream = quadratic_stream(cfg)
         base = dict(alpha=0.01, eta=None, K=15, w=10, clip_threshold=1000.0)
         tr_a = run_obbo(stream, ObboConfig(phi=Adaptive(), **base))
         tr_e = run_sobow(stream, SobowConfig(**base))
@@ -291,11 +288,10 @@ def test_08_window_variance_reduction():
     w = 16 (batch size pinned so only the window changes)."""
 
     def smoothed_at_fixed_t(w, seed):
-        cfg = StreamConfig(
+        stream = quadratic_stream(
             d1=3, d2=4, T=40, kappa_target=5.0, drift=DriftSpec.static(),
             seed=123, noise=(0.5, 0.5), cos_amplitude=0.4,
         )
-        stream = quadratic_stream(cfg)
         config = SobboConfig(alpha=1e-8, eta=0.05, K=25, w=w, s=1, m=3)
         return run_sobbo(stream, config, np.random.default_rng(seed)).smoothed[-1]
 
@@ -313,11 +309,10 @@ def test_09_reduction_identities():
     unconstrained run; the w=1 re-evaluation baseline equals the w=1 run with
     the implicit estimator; the projected and Euclidean regret series
     coincide under the reduction."""
-    cfg = StreamConfig(
+    stream = quadratic_stream(
         d1=2, d2=3, T=40, kappa_target=6.0,
         drift=DriftSpec.decaying(1.0), seed=9, cos_amplitude=0.4,
     )
-    stream = quadratic_stream(cfg)
 
     step = dict(alpha=0.05, eta=0.1, K=5, w=4)
     tr_sobow = run_sobow(stream, SobowConfig(**step))

@@ -7,7 +7,9 @@ adaptive geometry, SGDM with the exact estimator, SOBBO with adaptive
 geometry and active clipping, and SOBOW) through ``cli_run`` and compares
 every CSV value and manifest summary with the recorded fixture at rtol 1e-12,
 atol 1e-14. The tolerance absorbs BLAS differences across platforms; any
-change to the arithmetic shows up.
+change to the arithmetic shows up. The ``obbo validate`` output of the same
+configs and of ``configs/window_sweep.json`` is pinned line for line
+(``golden/validate.golden.json``).
 
 Re-record (only when a change to the numbers is intended) with::
 
@@ -16,6 +18,8 @@ Re-record (only when a change to the numbers is intended) with::
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import sys
@@ -24,6 +28,7 @@ from pathlib import Path
 
 import pytest
 
+from obbo.harness.cli import main as cli_main
 from obbo.harness.config import parse_config
 from obbo.harness.runner import cli_run
 
@@ -34,6 +39,7 @@ CONFIGS = {
     "spline": ROOT / "configs" / "spline.json",
     "paths": GOLDEN_DIR / "paths.config.json",
 }
+VALIDATED = {**CONFIGS, "window_sweep": ROOT / "configs" / "window_sweep.json"}
 RTOL, ATOL = 1e-12, 1e-14
 
 
@@ -81,6 +87,19 @@ def test_outputs_match_golden(name, tmp_path):
     _assert_close(got, want, name)
 
 
+def validate_lines(config_path: Path) -> list[str]:
+    """The lines ``obbo validate`` prints for a config; it must exit 0."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli_main(["validate", "--config", str(config_path)]) == 0
+    return out.getvalue().splitlines()
+
+
+@pytest.mark.parametrize("name", sorted(VALIDATED))
+def test_validate_output_matches_golden(name):
+    want = json.loads((GOLDEN_DIR / "validate.golden.json").read_text())[name]
+    assert validate_lines(VALIDATED[name]) == want
+
+
 def record() -> None:
     for name, config_path in CONFIGS.items():
         with tempfile.TemporaryDirectory() as tmp:
@@ -93,6 +112,10 @@ def record() -> None:
         path = GOLDEN_DIR / f"{name}.golden.json"
         path.write_text("{\n" + body + "\n}\n")
         print(f"recorded {len(runs)} run(s) to {path}", file=sys.stderr)
+    lines = {name: validate_lines(path) for name, path in sorted(VALIDATED.items())}
+    path = GOLDEN_DIR / "validate.golden.json"
+    path.write_text(json.dumps(lines, indent=2) + "\n")
+    print(f"recorded validate output of {len(lines)} config(s) to {path}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -23,6 +23,7 @@ from obbo.harness.config import (
 )
 from obbo.harness.report import cli_report, median_abs_deviation
 import obbo.harness.runner as runner
+import obbo.harness.validate as validate
 from obbo.harness.runner import (
     build_optimizer_config,
     build_stream,
@@ -34,7 +35,7 @@ from obbo.harness.runner import (
 from obbo.harness.validate import cli_validate
 from obbo.metrics import compute_regret_series, hypergradient_error
 from obbo.optimizers import ObboConfig, run_obbo
-from obbo.problems import StreamConfig, quadratic_stream
+from obbo.problems import quadratic_stream
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 SPLINE_EXP = json.loads((CONFIG_DIR / "spline.json").read_text())["experiments"][0]
@@ -187,7 +188,8 @@ class TestUnknownKeys:
         set_key(doc, where, "kind", kind)
         with pytest.raises(ConfigError) as info:
             parse_config_text(json.dumps(doc))
-        assert f"(tiny-obbo): unknown {where} kind {kind!r}; accepted kinds" in str(info.value)
+        named = f"experiment 'tiny-obbo': unknown {where} kind {kind!r}; accepted kinds"
+        assert named in str(info.value)
 
     @pytest.mark.parametrize("where", ["stream", "optimizer"])
     def test_missing_kind_rejected_at_parse_time(self, where):
@@ -224,9 +226,8 @@ class TestUnknownKeys:
         # Every stream has sampled gradients; the key that forced them is gone.
         stream = {**small_config().experiments[0].stream, "stochastic": True}
         path = write_with_last(tmp_path, {"stream": stream})
-        assert_cli_exits_2(
-            tmp_path, capsys, command, path, "(last): unknown quadratic stream key(s) ['stochastic']"
-        )
+        named = "experiment 'last': unknown quadratic stream key(s) ['stochastic']"
+        assert_cli_exits_2(tmp_path, capsys, command, path, named)
 
     @pytest.mark.parametrize("command", ["run", "validate"])
     def test_unknown_kind_in_last_experiment_exits_2_before_any_cell(
@@ -243,7 +244,7 @@ class TestUnknownKeys:
         with pytest.raises(SystemExit) as exc:
             cli_main([command, "--config", str(path), *args])
         assert exc.value.code == 2
-        assert "(last): unknown optimizer kind 'nope'" in capsys.readouterr().err
+        assert "experiment 'last': unknown optimizer kind 'nope'" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "validate"])
@@ -334,7 +335,7 @@ class TestRequiredKeys:
         doc["experiments"][0]["optimizer"][where] = spec
         with pytest.raises(ConfigError) as info:
             parse_config_text(json.dumps(doc))
-        assert f"(tiny-obbo): {named}" in str(info.value)
+        assert f"experiment 'tiny-obbo': {named}" in str(info.value)
         with pytest.raises(ConfigError) as info:
             build_optimizer_config(doc["experiments"][0]["optimizer"])
         assert f"optimizer spec: {named}" in str(info.value)
@@ -354,7 +355,7 @@ class TestRequiredKeys:
         with pytest.raises(SystemExit) as exc:
             cli_main([command, "--config", str(path), *args])
         assert exc.value.code == 2
-        assert f"(last): {named}" in capsys.readouterr().err
+        assert f"experiment 'last': {named}" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -364,7 +365,7 @@ class TestRequiredKeys:
         doc["experiments"][0]["stream"] = stream
         with pytest.raises(ConfigError) as info:
             parse_config_text(json.dumps(doc))
-        assert f"(tiny-obbo): {named}" in str(info.value)
+        assert f"experiment 'tiny-obbo': {named}" in str(info.value)
         with pytest.raises(ConfigError) as info:
             build_stream(stream, 1)
         assert f"stream spec: {named}" in str(info.value)
@@ -373,7 +374,7 @@ class TestRequiredKeys:
     @pytest.mark.parametrize("stream, named", MISSING_STREAM_KEYS, ids=MISSING_STREAM_IDS)
     def test_stream_cli_exits_2_before_any_cell(self, tmp_path, capsys, command, stream, named):
         path = write_with_last(tmp_path, {"stream": stream})
-        assert_cli_exits_2(tmp_path, capsys, command, path, f"(last): {named}")
+        assert_cli_exits_2(tmp_path, capsys, command, path, f"experiment 'last': {named}")
 
 
 BAD_OPTIMIZER_VALUES = [
@@ -444,6 +445,84 @@ class TestMetricValues:
                              {"variations": True, "grid_size": 0})
         entry = run_cell(exp, 1, str(tmp_path))
         assert entry["status"] == "ok" and entry["variations"]["h1"] > 0
+
+
+BAD_NAMES = [{"a": 1}, "../escape", "a,b", "", 5]
+BAD_NAME_IDS = ["object", "path", "comma", "empty", "int"]
+BAD_SEEDS = [[True], [1, 1], "12", [1.5], 3]
+BAD_SEEDS_IDS = ["bool", "repeat", "string", "float", "int"]
+
+
+class TestExperimentChecks:
+    """An experiment checks its name, seeds and parts once, when it is built:
+    in code, through ``replace``, from a file, or under ``--seeds``."""
+
+    @pytest.mark.parametrize("name", BAD_NAMES, ids=BAD_NAME_IDS)
+    def test_bad_name_rejected_in_code(self, name):
+        with pytest.raises(ConfigError, match="name must be a non-empty string of letters"):
+            replace(small_config().experiments[0], name=name)
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("name", BAD_NAMES[:3], ids=BAD_NAME_IDS[:3])
+    def test_bad_name_exits_2_before_any_cell(self, tmp_path, capsys, command, name):
+        path = write_with_last(tmp_path, {"name": name})
+        assert_cli_exits_2(tmp_path, capsys, command, path, "name must be a non-empty string")
+
+    @pytest.mark.parametrize("seeds", BAD_SEEDS, ids=BAD_SEEDS_IDS)
+    def test_bad_seeds_rejected_in_code(self, seeds):
+        exp = small_config().experiments[0]
+        named = f"experiment 'tiny-obbo': seeds must be a list of distinct integers, got {seeds!r}"
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            ExperimentSpec(exp.name, seeds, exp.stream, exp.optimizer)
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            replace(exp, seeds=seeds)
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("seeds", BAD_SEEDS[:2], ids=BAD_SEEDS_IDS[:2])
+    def test_bad_seeds_exit_2_before_any_cell(self, tmp_path, capsys, command, seeds):
+        path = write_with_last(tmp_path, {"seeds": seeds})
+        named = "experiment 'last': seeds must be a list of distinct integers"
+        assert_cli_exits_2(tmp_path, capsys, command, path, named)
+
+    def test_repeated_seeds_flag_exits_2_before_any_cell(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        write_config(small_config(), cfg_path)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["run", "--config", str(cfg_path), "--out", str(out), "--seeds", "1,1"])
+        assert exc.value.code == 2
+        named = "experiment 'tiny-obbo': seeds must be a list of distinct integers, got [1, 1]"
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("part", ["stream", "optimizer", "metrics"])
+    def test_part_that_is_not_an_object_rejected_in_code(self, part):
+        exp = small_config().experiments[0]
+        with pytest.raises(ConfigError, match=f"experiment 'tiny-obbo': '{part}' must be an object"):
+            replace(exp, **{part: ["quadratic"]})
+
+    def test_duplicate_name_rejected_in_code(self):
+        exp = small_config().experiments[0]
+        with pytest.raises(ConfigError, match="experiment 'tiny-obbo': duplicate experiment name"):
+            HarnessConfig(experiments=[exp, replace(exp, seeds=[3])])
+
+    def test_quadratic_stream_keys(self):
+        assert SPEC_KEYS["stream"]["quadratic"] == {
+            "d1": True, "d2": True, "T": True, "kappa_target": False, "drift": False,
+            "noise": False, "seed": False, "cos_amplitude": False,
+        }
+
+    def test_validate_probes_each_experiment_once(self, tmp_path, monkeypatch, capsys):
+        built = []
+
+        def counted(spec, run_seed):
+            built.append(spec)
+            return build_stream(spec, run_seed)
+
+        monkeypatch.setattr(validate, "build_stream", counted)
+        path = write_with_last(tmp_path, {})
+        assert cli_main(["validate", "--config", str(path)]) == 0
+        assert len(built) == 2
 
 
 UNRUNNABLE = [
@@ -700,10 +779,6 @@ class TestCliRun:
         assert entry["error"] == "smoothed_norm_sq became non-finite at t=1; aborting run"
         assert not list(tmp_path.glob("*.csv"))
 
-    def test_seed_override(self, tmp_path):
-        manifest = cli_run(small_config(), tmp_path, seeds_override=[9])
-        assert [e["seed"] for e in manifest["outputs"]] == [9]
-
     def test_parallel_jobs_match_serial(self, tmp_path):
         cfg = small_config()
         cli_run(cfg, tmp_path / "serial", jobs=1)
@@ -815,9 +890,7 @@ class TestBuildStreamDefaults:
 
 class TestCsvSchema:
     def write(self, path, d1=2, T=6):
-        stream = quadratic_stream(
-            StreamConfig(d1=d1, d2=d1 + 1, T=T, kappa_target=3.0, seed=8)
-        )
+        stream = quadratic_stream(d1=d1, d2=d1 + 1, T=T, kappa_target=3.0, seed=8)
         trace = run_obbo(stream, ObboConfig(alpha=0.05, eta=0.1, K=3, w=2))
         regret = compute_regret_series(stream, trace)
         hg_error = hypergradient_error(trace, regret.exact_grads)
@@ -1171,6 +1244,7 @@ class TestCliMain:
         )
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert [e["seed"] for e in manifest["outputs"]] == [7]
+        assert manifest["config"]["experiments"][0]["seeds"] == [7]
 
 
 class TestMedianAbsDeviation:

@@ -21,7 +21,6 @@ from obbo.hypergrad import (
 from obbo.optimizers import SobboConfig, run_sobbo
 from obbo.problems import (
     DriftSpec,
-    StreamConfig,
     make_drifting_spline_task,
     meta_toy_stream,
     quadratic_instant,
@@ -135,7 +134,7 @@ class TestInnerSgd:
         # Inner GD runs the quadratic instant's matrix kernel, and calls
         # grad_g_beta on the meta and spline instants.
         instants = [
-            quadratic_stream(StreamConfig(d1=2, d2=3, T=1, seed=3))[0],
+            quadratic_stream(d1=2, d2=3, T=1, seed=3)[0],
             meta_toy_stream(d=3, T=1, seed=3)[0],
             spline_stream(make_drifting_spline_task(T=1, seed=3, n_knots=6))[0],
         ]
@@ -483,8 +482,7 @@ class TestKernelBuffers:
     @staticmethod
     def stream():
         """Two quadratic instants that share A, Q and -A' but not b."""
-        config = StreamConfig(d1=3, d2=5, T=2, drift=DriftSpec("sublinear"), seed=6)
-        return quadratic_stream(config)
+        return quadratic_stream(d1=3, d2=5, T=2, drift=DriftSpec("sublinear"), seed=6)
 
     @pytest.mark.parametrize("path", ["quadratic", "oracle", "sgd", "meta"])
     def test_inner_solve_leaves_beta0_unchanged(self, path):
@@ -693,7 +691,7 @@ class TestNeumannMatrixPath:
         assert list(matrix.quadratic.neumann) == [(ell, 6), (2.5 * ell, 6), (4.0 * ell, 6)]
 
     def test_one_cache_entry_per_stream(self):
-        stream = quadratic_stream(StreamConfig(d1=2, d2=3, T=15, noise=(0.3, 0.2), seed=4))
+        stream = quadratic_stream(d1=2, d2=3, T=15, noise=(0.3, 0.2), seed=4)
         trace = run_sobbo(stream, SobboConfig(alpha=0.05, eta=0.1, K=3, w=4), np.random.default_rng(5))
         first = stream[0].quadratic
         neumann = first.neumann
@@ -708,7 +706,7 @@ class TestNeumannMatrixPath:
 
     def test_oracle_fields_are_methods_of_one_data_object(self):
         streams = {
-            "quadratic": quadratic_stream(StreamConfig(d1=2, d2=3, T=6, seed=4)),
+            "quadratic": quadratic_stream(d1=2, d2=3, T=6, seed=4),
             "meta": meta_toy_stream(3, 6, seed=4, drift=DriftSpec.sublinear()),
             "meta-static": meta_toy_stream(3, 6, seed=4),
             "spline": spline_stream(make_drifting_spline_task(seed=4, T=6, n_knots=7)),

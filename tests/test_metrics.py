@@ -23,7 +23,6 @@ from obbo.metrics import (
 from obbo.optimizers import Adaptive, ObboConfig, run_obbo
 from obbo.problems import (
     DriftSpec,
-    StreamConfig,
     make_drifting_spline_task,
     meta_toy_stream,
     quadratic_instant,
@@ -32,7 +31,7 @@ from obbo.problems import (
 )
 
 def make_stream(T=25, drift=None, amp=0.3, seed=21, d1=2, d2=3, kappa=6.0):
-    cfg = StreamConfig(
+    return quadratic_stream(
         d1=d1,
         d2=d2,
         T=T,
@@ -41,7 +40,6 @@ def make_stream(T=25, drift=None, amp=0.3, seed=21, d1=2, d2=3, kappa=6.0):
         seed=seed,
         cos_amplitude=amp,
     )
-    return quadratic_stream(cfg)
 
 
 def grid_for(stream, n=64, extra=None):
@@ -339,8 +337,7 @@ def small_stream(kind, T, d, seed):
     drift = DriftSpec.sublinear(0.5)
     if kind == "meta":
         return meta_toy_stream(d, T, seed, drift)
-    config = StreamConfig(d1=d, d2=d + 1, T=T, kappa_target=4.0, drift=drift, seed=seed)
-    return quadratic_stream(config)
+    return quadratic_stream(d1=d, d2=d + 1, T=T, kappa_target=4.0, drift=drift, seed=seed)
 
 
 small_streams = st.builds(

@@ -33,7 +33,6 @@ from obbo.optimizers import (
 )
 from obbo.problems import (
     DriftSpec,
-    StreamConfig,
     make_drifting_spline_task,
     meta_toy_stream,
     quadratic_stream,
@@ -44,11 +43,10 @@ from oracles import constant_gradient_instant
 
 
 def static_stream(T=60, d1=2, d2=3, kappa=4.0, amp=0.0, seed=0, **kw):
-    cfg = StreamConfig(
+    return quadratic_stream(
         d1=d1, d2=d2, T=T, kappa_target=kappa, drift=DriftSpec.static(),
         seed=seed, cos_amplitude=amp, **kw,
     )
-    return quadratic_stream(cfg)
 
 
 def stationary_point(stream):

@@ -11,7 +11,6 @@ from obbo.problems import (
     DriftSpec,
     ProblemInstant,
     SplineTask,
-    StreamConfig,
     linear_spline_basis,
     load_spline_task_csv,
     make_drifting_spline_task,
@@ -25,7 +24,7 @@ from obbo.problems import (
 from oracles import ORACLE_FIELDS, central_diff_grad, induced_objective
 
 
-def drifting_config(**kwargs):
+def drifting_config(**kwargs) -> dict:
     defaults = dict(
         d1=2,
         d2=3,
@@ -35,7 +34,7 @@ def drifting_config(**kwargs):
         seed=11,
     )
     defaults.update(kwargs)
-    return StreamConfig(**defaults)
+    return defaults
 
 
 def stacked_hvps(inst, lam, beta):
@@ -45,7 +44,7 @@ def stacked_hvps(inst, lam, beta):
 
 # One instant of each shipped stream, past its first round.
 INSTANTS = {
-    "quadratic": lambda: quadratic_stream(drifting_config(d1=3, d2=5))[1],
+    "quadratic": lambda: quadratic_stream(**drifting_config(d1=3, d2=5))[1],
     "meta": lambda: meta_toy_stream(4, 2, seed=5, drift=DriftSpec.sublinear())[1],
     "spline": lambda: spline_stream(make_drifting_spline_task(seed=3, T=2, n_knots=10))[1],
 }
@@ -73,14 +72,14 @@ class TestQuadraticStream:
         np.testing.assert_allclose(inst.exact_hypergradient(lam), fd, rtol=1e-8)
 
     def test_static_drift_keeps_inner_optimum_fixed(self):
-        stream = quadratic_stream(drifting_config(drift=DriftSpec.static()))
+        stream = quadratic_stream(**drifting_config(drift=DriftSpec.static()))
         lam = np.array([0.4, -0.1])
         first = stream[0].inner_opt(lam)
         for inst in stream[1:]:
             np.testing.assert_array_equal(inst.inner_opt(lam), first)
 
     def test_decaying_drift_matches_harmonic_sum(self):
-        stream = quadratic_stream(drifting_config(T=50))
+        stream = quadratic_stream(**drifting_config(T=50))
         zero = np.zeros(2)
         steps = [
             np.linalg.norm(stream[t].inner_opt(zero) - stream[t - 1].inner_opt(zero))
@@ -90,7 +89,7 @@ class TestQuadraticStream:
         np.testing.assert_allclose(steps, expected, rtol=1e-12)
 
     def test_inner_opt_residual(self):
-        stream = quadratic_stream(drifting_config())
+        stream = quadratic_stream(**drifting_config())
         rng = np.random.default_rng(0)
         for inst in stream[:5]:
             lam = rng.standard_normal(2)
@@ -98,7 +97,7 @@ class TestQuadraticStream:
             assert np.linalg.norm(res) <= 1e-8
 
     def test_inner_map_lipschitz_in_kappa(self):
-        stream = quadratic_stream(drifting_config())
+        stream = quadratic_stream(**drifting_config())
         rng = np.random.default_rng(1)
         inst = stream[0]
         for _ in range(50):
@@ -108,7 +107,7 @@ class TestQuadraticStream:
             assert lhs <= kappa * np.linalg.norm(l1 - l2) + 1e-12
 
     def test_hessian_spectrum_within_declared_bounds(self):
-        stream = quadratic_stream(drifting_config())
+        stream = quadratic_stream(**drifting_config())
         inst = stream[0]
         H = stacked_hvps(inst, np.zeros(2), np.zeros(3))
         evals = np.linalg.eigvalsh(0.5 * (H + H.T))
@@ -116,7 +115,7 @@ class TestQuadraticStream:
         assert evals[-1] <= inst.l_g1 + 1e-10
 
     def test_hvp_betabeta_symmetry(self):
-        stream = quadratic_stream(drifting_config())
+        stream = quadratic_stream(**drifting_config())
         inst = stream[0]
         rng = np.random.default_rng(2)
         lam, beta = rng.standard_normal(2), rng.standard_normal(3)
@@ -128,8 +127,8 @@ class TestQuadraticStream:
 
     def test_seed_reproducibility_is_bitwise(self):
         cfg = drifting_config(noise=(0.3, 0.2))
-        s1 = quadratic_stream(cfg)
-        s2 = quadratic_stream(cfg)
+        s1 = quadratic_stream(**cfg)
+        s2 = quadratic_stream(**cfg)
         lam = np.array([0.3, 0.7])
         beta = np.array([0.1, -0.2, 0.5])
         for a, b in zip(s1, s2):
@@ -146,7 +145,7 @@ class TestQuadraticStream:
         # Every stream's instants carry sampled gradients; at zero noise they
         # are the deterministic ones.
         instants = [
-            quadratic_stream(drifting_config())[0],
+            quadratic_stream(**drifting_config())[0],
             meta_toy_stream(d=3, T=1, seed=2)[0],
             spline_stream(make_drifting_spline_task(T=1, seed=2, n_knots=6))[0],
         ]
@@ -170,7 +169,7 @@ class TestQuadraticStream:
     def test_sampled_gradients_derived_from_deterministic(self):
         # The sampled oracles are built by ProblemInstant, not passed in,
         # and add sigma / sqrt(d s) times one standard normal draw per entry.
-        inst = quadratic_stream(drifting_config(noise=(0.3, 0.2)))[0]
+        inst = quadratic_stream(**drifting_config(noise=(0.3, 0.2)))[0]
         lam, beta = np.array([0.2, -0.4]), np.array([0.1, 0.0, 1.0])
         draws = np.random.default_rng(7)
         expected = [
@@ -195,7 +194,7 @@ class TestQuadraticStream:
     def test_stream_constants_match_a_standalone_instant(self):
         # The stream computes Q's spectrum once; each instant must carry what
         # quadratic_instant computes from that instant's own data.
-        for inst in quadratic_stream(drifting_config(d1=3, d2=5, kappa_target=30.0)):
+        for inst in quadratic_stream(**drifting_config(d1=3, d2=5, kappa_target=30.0)):
             d1, d2 = inst.d1, inst.d2
             Q = stacked_hvps(inst, np.zeros(d1), np.zeros(d2))
             b = inst.inner_opt(np.zeros(d1))
@@ -212,7 +211,7 @@ class TestQuadraticStream:
             quadratic_instant(Q=[[1.0, 0.0], [0.0, -1.0]], **data)
 
     def test_sampled_gradients_unbiased(self):
-        stream = quadratic_stream(drifting_config(noise=(0.5, 0.4)))
+        stream = quadratic_stream(**drifting_config(noise=(0.5, 0.4)))
         inst = stream[0]
         rng = np.random.default_rng(4)
         lam, beta = np.array([0.2, -0.4]), np.array([0.1, 0.0, 1.0])
@@ -225,7 +224,7 @@ class TestQuadraticStream:
 
     def test_sampled_gradient_variance_matches_sigma(self):
         sigma = 0.5
-        stream = quadratic_stream(drifting_config(noise=(sigma, 0.0)))
+        stream = quadratic_stream(**drifting_config(noise=(sigma, 0.0)))
         inst = stream[0]
         rng = np.random.default_rng(5)
         lam, beta = np.array([0.2, -0.4]), np.array([0.1, 0.0, 1.0])
@@ -239,7 +238,7 @@ class TestQuadraticStream:
 
     def test_batch_size_shrinks_variance(self):
         sigma = 0.5
-        stream = quadratic_stream(drifting_config(noise=(sigma, 0.0)))
+        stream = quadratic_stream(**drifting_config(noise=(sigma, 0.0)))
         inst = stream[0]
         rng = np.random.default_rng(6)
         lam, beta = np.zeros(2), np.zeros(3)
@@ -253,9 +252,9 @@ class TestQuadraticStream:
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
-            StreamConfig(d1=0, d2=1, T=5)
+            quadratic_stream(d1=0, d2=1, T=5)
         with pytest.raises(ValueError):
-            StreamConfig(d1=1, d2=1, T=5, kappa_target=0.5)
+            quadratic_stream(d1=1, d2=1, T=5, kappa_target=0.5)
         with pytest.raises(ValueError):
             DriftSpec.sublinear(rate=1.5)
         for extra in ({"rate": 0.5}, {"scale": 2.0}):
@@ -269,7 +268,7 @@ class TestQuadraticStream:
     )
     def test_non_finite_noise_rejected(self, noise):
         with pytest.raises(ValueError, match="noise"):
-            StreamConfig(d1=1, d2=1, T=5, noise=noise)
+            quadratic_stream(d1=1, d2=1, T=5, noise=noise)
         with pytest.raises(ValueError, match="noise"):
             quadratic_instant(t=1, A=[[1.0]], b=[0.0], Q=[[1.0]], c=[0.0], noise=noise)
 
@@ -615,8 +614,7 @@ class TestDataOracleParity:
     def test_quadratic_drift(self, drift, d1, d2, T, seed):
         """Each instant's b and c, signed zeros included, are those of the
         per-transition loop: draw u, move b by step * (u / ||u||), then v and c."""
-        config = StreamConfig(d1=d1, d2=d2, T=T, kappa_target=5.0, drift=drift, seed=seed)
-        stream = quadratic_stream(config)
+        stream = quadratic_stream(d1=d1, d2=d2, T=T, kappa_target=5.0, drift=drift, seed=seed)
         # The stream's own draws, repeated: Q's and A's rotations, b, c and the phases.
         rng = np.random.default_rng(seed)
         rng.standard_normal((d2, d2))
