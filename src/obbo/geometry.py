@@ -40,43 +40,34 @@ def _as_vector(name: str, x, d: int | None = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DistanceGenerator:
-    """Strongly convex generator of a Bregman divergence.
+    """Strongly convex generator of a Bregman divergence, held as its diagonal.
 
-    ``euclidean`` is phi(x) = ||x||^2 / 2 with modulus 1. ``diagonal`` is
-    phi(x) = x' diag(h) x / 2 for a positive vector h; its strong-convexity
+    ``diag`` None is the Euclidean phi(x) = ||x||^2 / 2 with modulus 1; a
+    positive vector h is phi(x) = x' diag(h) x / 2, whose strong-convexity
     modulus ``rho`` is min(h).
     """
 
-    kind: str
     diag: np.ndarray | None = None
 
     @staticmethod
     def euclidean() -> "DistanceGenerator":
-        return DistanceGenerator(kind="euclidean")
+        return DistanceGenerator()
 
     @staticmethod
     def diagonal(diag) -> "DistanceGenerator":
         diag = _as_vector("diag", diag)
         if np.any(diag <= 0):
             raise ValueError("diag entries must be strictly positive")
-        return DistanceGenerator(kind="diagonal", diag=diag)
+        return DistanceGenerator(diag)
 
     @property
     def rho(self) -> float:
         """Strong-convexity modulus: 1, or min(h) for a diagonal generator."""
         return 1.0 if self.diag is None else float(self.diag.min())
 
-    def __post_init__(self):
-        if self.kind not in ("euclidean", "diagonal"):
-            raise ValueError(f"unknown distance generator kind {self.kind!r}")
-        if self.kind == "diagonal" and self.diag is None:
-            raise ValueError("diagonal generator requires a diag vector")
-        if self.kind == "euclidean" and self.diag is not None:
-            raise ValueError("euclidean generator takes no diag vector")
-
     def scaling(self, d: int) -> np.ndarray | float:
         """Coordinate scaling h with phi(x) = sum_i h_i x_i^2 / 2."""
-        if self.kind == "euclidean":
+        if self.diag is None:
             return 1.0
         if self.diag.size != d:
             raise ValueError(f"generator has dimension {self.diag.size}, expected {d}")

@@ -10,7 +10,7 @@ from .config import (
     write_config,
 )
 from .report import cli_report
-from .runner import build_optimizer_config, build_stream, cli_run, execute_run, run_cell
+from .runner import build_stream, cli_run, execute_run, run_cell
 from .validate import cli_validate
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "serialize_config",
     "write_config",
     "cli_report",
-    "build_optimizer_config",
     "build_stream",
     "cli_run",
     "execute_run",

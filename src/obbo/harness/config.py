@@ -79,9 +79,11 @@ class ExperimentSpec:
         if not isinstance(name, str) or not name or not _NAME_CHARS.issuperset(name):
             raise ConfigError(f"{where}: name must be a non-empty string of letters, "
                               "digits, '.', '_' and '-'")
-        if (not isinstance(seeds, list) or any(type(s) is not int for s in seeds)
+        if (not isinstance(seeds, list) or any(type(s) is not int or s < 0 for s in seeds)
                 or len(set(seeds)) < len(seeds)):
-            raise ConfigError(f"{where}: seeds must be a list of distinct integers, got {seeds!r}")
+            raise ConfigError(
+                f"{where}: seeds must be a list of distinct non-negative integers, got {seeds!r}"
+            )
         for label in ("stream", "optimizer", "metrics"):
             if not isinstance(getattr(self, label), dict):
                 raise ConfigError(f"{where}: '{label}' must be an object")
@@ -116,6 +118,9 @@ class HarnessConfig:
     output_dir: str | None = None
 
     def __post_init__(self):
+        out = self.output_dir
+        if out is not None and not (isinstance(out, str) and out):
+            raise ConfigError(f"output_dir must be a non-empty string, got {out!r}")
         names = [exp.name for exp in self.experiments]
         for i, name in enumerate(names):
             if name in names[:i]:
@@ -155,16 +160,13 @@ def _keys(constructor) -> dict:
 
 # The keys each part of a config accepts, each mapped to whether it is
 # required. A part with kinds accepts its kind key plus its kind's keys, and a
-# kind missing here is rejected. The drift constructors take their fields
-# positionally, so ``DriftSpec.RATES`` says which kinds take a rate and scale.
+# kind missing here is rejected.
 SPEC_KEYS = {
     "top-level": dict.fromkeys(("schema", "output_dir", "experiments"), False),
     "experiment": _keys(ExperimentSpec),
     "metrics": dict.fromkeys(DEFAULT_METRICS, False),
     **{part: {kind: _keys(make) for kind, make in kinds.items()}
-       for part, kinds in CONSTRUCTORS.items() if part != "drift"},
-    "drift": {kind: dict.fromkeys(("rate", "scale") if rate else (), False)
-              for kind, rate in DriftSpec.RATES.items()},
+       for part, kinds in CONSTRUCTORS.items()},
 }
 
 # The kind a part takes when its spec names none: the library's own defaults.

@@ -28,7 +28,6 @@ from ..metrics import (
 )
 from ..optimizers import (
     RunTrace,
-    StepConfig,
     run_oagd,
     run_obbo,
     run_single_level,
@@ -49,7 +48,6 @@ __all__ = [
     "RESULTS_SCHEMA",
     "MANIFEST_SCHEMA",
     "build_stream",
-    "build_optimizer_config",
     "execute_run",
     "run_cell",
     "cli_run",
@@ -76,18 +74,11 @@ def build_stream(spec: dict, run_seed: int):
     return spline_stream(made) if isinstance(made, SplineTask) else made
 
 
-def build_optimizer_config(spec: dict) -> StepConfig:
-    """Optimizer config from a spec; keys the spec omits keep the defaults,
-    and an unknown kind, or a key its kind does not accept, raises
-    ``ConfigError``."""
-    return build("optimizer", spec, "optimizer spec")
-
-
 def execute_run(exp: ExperimentSpec, seed: int) -> tuple[RunTrace, list]:
     """Run one cell and return the trace plus the stream it ran on."""
     stream = build_stream(exp.stream, seed)
     kind = exp.optimizer["kind"]
-    config = build_optimizer_config(exp.optimizer)
+    config = build("optimizer", exp.optimizer, "optimizer spec")
     if kind == "obbo":
         trace = run_obbo(stream, config)
     elif kind == "sobbo":
@@ -234,7 +225,7 @@ def cli_run(config: HarnessConfig, out_dir, jobs: int = 1) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     cells = [(exp, seed) for exp in config.experiments for seed in exp.seeds]
     if jobs > 1 and len(cells) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
             futures = [_submit(pool, exp, seed, str(out)) for exp, seed in cells]
             entries = [_collect(f, *cell) for f, cell in zip(futures, cells)]
     else:

@@ -16,8 +16,8 @@ import math
 from ..metrics import SOBOL_MAX_DIM
 from ..optimizers import Adaptive, _initial_iterates, _resolve_steps, default_neumann_bound
 from ..problems.base import outer_grad_lipschitz
-from .config import DEFAULT_METRICS, ConfigError, HarnessConfig
-from .runner import build_optimizer_config, build_stream
+from .config import DEFAULT_METRICS, ConfigError, HarnessConfig, build
+from .runner import build_stream
 
 __all__ = ["cli_validate", "probe_experiment", "validate_experiment"]
 
@@ -43,7 +43,7 @@ def probe_experiment(exp):
         stream = _probe_stream(exp.stream)
     except Exception as exc:
         raise ConfigError(f"{where}: stream cannot be built: {type(exc).__name__}: {exc}") from exc
-    config = build_optimizer_config(exp.optimizer)
+    config = build("optimizer", exp.optimizer, "optimizer spec")
     try:
         eta = _resolve_steps(stream, config, exp.optimizer["kind"])[1]
         _initial_iterates(stream, config)

@@ -67,7 +67,7 @@ def compute_regret_series(stream: Stream, trace: RunTrace) -> RegretSeries:
     and feasible set. The generator is the diagonal the run recorded for the
     round (ones for a Euclidean step), which the run checked to be finite.
     """
-    T, w, alpha = trace.T, trace.w, trace.alpha
+    T, w, alpha = trace.T, trace.config.w, trace.alpha
     if len(stream) < T:
         raise ValueError("stream shorter than trace")
     grads = np.array([exact_hypergradient(stream[t], trace.lambdas[t]) for t in range(T)])
@@ -82,7 +82,7 @@ def compute_regret_series(stream: Stream, trace: RunTrace) -> RegretSeries:
     terms, eucl = np.empty(T), np.empty(T)
     for t, (lam, smoothed, diag) in enumerate(zip(trace.lambdas, sums / w, trace.phi_diags)):
         eucl[t] = float(smoothed.dot(smoothed))
-        phi = DistanceGenerator("diagonal", diag)
+        phi = DistanceGenerator(diag)
         g = generalized_projection(lam, smoothed, alpha, phi, h, X)
         terms[t] = float(g.dot(g))
     return RegretSeries(

@@ -179,13 +179,14 @@ CONFIGS = {
 
 @dataclass
 class RunTrace:
-    """Per-round record of a run plus the terminal iterates.
+    """Per-round record of a run plus its last outer iterate.
 
     ``lambdas[t]`` is the iterate the round-t estimate was formed at;
-    ``betas[t]`` is the final inner iterate handed to round t+1. ``smoothed``
-    stores the window average after clipping, ``phi_diags`` the diagonal of
-    the distance generator used for the round's step. ``s`` and ``m`` are the
-    batch size and Neumann bound a stochastic run resolved (None otherwise).
+    ``betas[t]`` is the final inner iterate handed to round t+1, so
+    ``betas[-1]`` is the run's last. ``smoothed`` stores the window average
+    after clipping, ``phi_diags`` the diagonal of the distance generator used
+    for the round's step. The window size is ``config.w``. ``s`` and ``m`` are
+    the batch size and Neumann bound a stochastic run resolved (None otherwise).
     """
 
     lambdas: np.ndarray
@@ -197,10 +198,8 @@ class RunTrace:
     outer_loss: np.ndarray
     inner_residual: np.ndarray
     lambda_final: np.ndarray
-    beta_final: np.ndarray
     alpha: float
     eta: float
-    w: int
     config: StepConfig
     s: int | None = None
     m: int | None = None
@@ -339,10 +338,8 @@ def _run(
         outer_loss=outer_loss,
         inner_residual=inner_residual,
         lambda_final=lam,
-        beta_final=beta,
         alpha=alpha,
         eta=eta,
-        w=config.w,
         config=config,
     )
 
@@ -396,7 +393,7 @@ def _bregman_step(config: StepConfig, alpha: float, d1: int) -> Callable:
         if adaptive:
             avg = gen.beta * avg + (1.0 - gen.beta) * q**2
             diag = np.sqrt(avg) + gen.epsilon
-            phi = DistanceGenerator("diagonal", diag)
+            phi = DistanceGenerator(diag)
         return prox_step(q, lam, alpha, phi, config.regularizer, config.feasible), diag
 
     return step

@@ -221,14 +221,13 @@ class DriftSpec:
     def static() -> "DriftSpec":
         return DriftSpec()
 
-    # The constructors take the fields after ``kind``: rate, then scale.
     @staticmethod
-    def decaying(*args, **kwargs) -> "DriftSpec":
-        return DriftSpec("decaying", *args, **kwargs)
+    def decaying(rate=None, scale=None) -> "DriftSpec":
+        return DriftSpec("decaying", rate, scale)
 
     @staticmethod
-    def sublinear(*args, **kwargs) -> "DriftSpec":
-        return DriftSpec("sublinear", *args, **kwargs)
+    def sublinear(rate=None, scale=None) -> "DriftSpec":
+        return DriftSpec("sublinear", rate, scale)
 
     def step_size(self, t: int) -> float:
         """Drift step magnitude applied between rounds t and t+1 (t >= 1)."""

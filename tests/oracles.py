@@ -69,7 +69,7 @@ def prox_grid_oracle(q, u, alpha, phi, h, X, step: float = 1e-4) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     u = np.asarray(u, dtype=float)
     d = q.size
-    if phi.kind == "euclidean":
+    if phi.diag is None:
         scale = np.ones(d)
     else:
         scale = np.asarray(phi.diag, dtype=float)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -344,9 +346,7 @@ class TestInvariantsOfTypes:
 
     def test_rho_is_derived_from_diag(self):
         d = np.array([2.0, 0.7, 1.1])
-        assert DistanceGenerator("diagonal", d).rho == d.min()
-        with pytest.raises(ValueError, match="takes no diag"):
-            DistanceGenerator("euclidean", d)
+        assert DistanceGenerator(d).rho == d.min()
 
     def test_diagonal_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -360,3 +360,25 @@ class TestInvariantsOfTypes:
     def test_box_requires_ordered_bounds(self):
         with pytest.raises(ValueError):
             FeasibleSet.box([1.0], [1.0])
+
+
+# Each input check of the prox maps: a call, the exception it raises and
+# that exception's message.
+INPUT_CHECKS = {
+    **{f"fast-path-alpha-{alpha}": (
+        lambda alpha=alpha: generalized_projection([0.0], [1.0], alpha, EUCLID, ZERO, FULL),
+        ValueError, f"alpha must be positive, got {alpha}")
+       for alpha in (0.0, -1.0, float("nan"))},
+    "matrix-q": (lambda: prox_step(np.ones((2, 2)), [0.0, 0.0], 0.1, EUCLID, ZERO, FULL),
+                 ValueError, "q must be a vector, got shape (2, 2)"),
+    "matrix-u": (lambda: generalized_projection(np.ones((1, 2)), [1.0, 1.0], 0.1, EUCLID,
+                                                ZERO, FULL),
+                 ValueError, "u must be a vector, got shape (1, 2)"),
+}
+
+
+@pytest.mark.parametrize("make, error, message", INPUT_CHECKS.values(), ids=INPUT_CHECKS)
+def test_input_check(make, error, message):
+    with pytest.raises(error, match=re.escape(message)) as info:
+        make()
+    assert type(info.value) is error

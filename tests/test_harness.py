@@ -16,6 +16,7 @@ from obbo.harness.config import (
     ConfigError,
     ExperimentSpec,
     HarnessConfig,
+    build,
     parse_config,
     parse_config_text,
     serialize_config,
@@ -25,7 +26,6 @@ from obbo.harness.report import cli_report, median_abs_deviation
 import obbo.harness.runner as runner
 import obbo.harness.validate as validate
 from obbo.harness.runner import (
-    build_optimizer_config,
     build_stream,
     cli_run,
     execute_run,
@@ -105,6 +105,20 @@ class TestConfigRoundTrip:
                     }
                 )
             )
+
+    def test_output_dir_round_trips(self):
+        cfg = HarnessConfig(experiments=small_config().experiments, output_dir="results/x")
+        again = parse_config_text(serialize_config(cfg))
+        assert again.output_dir == "results/x"
+        assert serialize_config(again) == serialize_config(cfg)
+
+    @pytest.mark.parametrize("output_dir", [5, "", ["out"]], ids=["int", "empty", "list"])
+    def test_bad_output_dir_rejected(self, output_dir):
+        named = f"output_dir must be a non-empty string, got {output_dir!r}"
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            HarnessConfig(experiments=[], output_dir=output_dir)
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            parse_config_text(json.dumps({"output_dir": output_dir, "experiments": []}))
 
     def test_unknown_schema_rejected(self):
         with pytest.raises(ConfigError, match="schema"):
@@ -203,7 +217,7 @@ class TestUnknownKeys:
         with pytest.raises(ConfigError, match="'kapa_target'"):
             build_stream({**exp.stream, "kapa_target": 3.0}, 1)
         with pytest.raises(ConfigError, match="'mod'"):
-            build_optimizer_config({**exp.optimizer, "phi": {"mod": "adaptive"}})
+            build("optimizer", {**exp.optimizer, "phi": {"mod": "adaptive"}}, "optimizer spec")
 
     @pytest.mark.parametrize("command", ["run", "validate"])
     def test_cli_exits_2_before_any_cell(self, tmp_path, capsys, command):
@@ -337,7 +351,7 @@ class TestRequiredKeys:
             parse_config_text(json.dumps(doc))
         assert f"experiment 'tiny-obbo': {named}" in str(info.value)
         with pytest.raises(ConfigError) as info:
-            build_optimizer_config(doc["experiments"][0]["optimizer"])
+            build("optimizer", doc["experiments"][0]["optimizer"], "optimizer spec")
         assert f"optimizer spec: {named}" in str(info.value)
 
     @pytest.mark.parametrize("command", ["run", "validate"])
@@ -449,8 +463,8 @@ class TestMetricValues:
 
 BAD_NAMES = [{"a": 1}, "../escape", "a,b", "", 5]
 BAD_NAME_IDS = ["object", "path", "comma", "empty", "int"]
-BAD_SEEDS = [[True], [1, 1], "12", [1.5], 3]
-BAD_SEEDS_IDS = ["bool", "repeat", "string", "float", "int"]
+BAD_SEEDS = [[True], [1, 1], [2, -1], "12", [1.5], 3]
+BAD_SEEDS_IDS = ["bool", "repeat", "negative", "string", "float", "int"]
 
 
 class TestExperimentChecks:
@@ -471,17 +485,18 @@ class TestExperimentChecks:
     @pytest.mark.parametrize("seeds", BAD_SEEDS, ids=BAD_SEEDS_IDS)
     def test_bad_seeds_rejected_in_code(self, seeds):
         exp = small_config().experiments[0]
-        named = f"experiment 'tiny-obbo': seeds must be a list of distinct integers, got {seeds!r}"
+        named = (f"experiment 'tiny-obbo': seeds must be a list of distinct non-negative "
+                 f"integers, got {seeds!r}")
         with pytest.raises(ConfigError, match=re.escape(named)):
             ExperimentSpec(exp.name, seeds, exp.stream, exp.optimizer)
         with pytest.raises(ConfigError, match=re.escape(named)):
             replace(exp, seeds=seeds)
 
     @pytest.mark.parametrize("command", ["run", "validate"])
-    @pytest.mark.parametrize("seeds", BAD_SEEDS[:2], ids=BAD_SEEDS_IDS[:2])
+    @pytest.mark.parametrize("seeds", BAD_SEEDS[:3], ids=BAD_SEEDS_IDS[:3])
     def test_bad_seeds_exit_2_before_any_cell(self, tmp_path, capsys, command, seeds):
         path = write_with_last(tmp_path, {"seeds": seeds})
-        named = "experiment 'last': seeds must be a list of distinct integers"
+        named = "experiment 'last': seeds must be a list of distinct non-negative integers"
         assert_cli_exits_2(tmp_path, capsys, command, path, named)
 
     def test_repeated_seeds_flag_exits_2_before_any_cell(self, tmp_path, capsys):
@@ -491,9 +506,24 @@ class TestExperimentChecks:
         with pytest.raises(SystemExit) as exc:
             cli_main(["run", "--config", str(cfg_path), "--out", str(out), "--seeds", "1,1"])
         assert exc.value.code == 2
-        named = "experiment 'tiny-obbo': seeds must be a list of distinct integers, got [1, 1]"
+        named = ("experiment 'tiny-obbo': seeds must be a list of distinct non-negative "
+                 "integers, got [1, 1]")
         assert named in capsys.readouterr().err
         assert not out.exists()
+
+    def test_negative_seeds_flag_exits_2_before_any_cell(self, tmp_path, capsys, monkeypatch):
+        cells = []
+        monkeypatch.setattr(runner, "run_cell", lambda *cell: cells.append(cell))
+        cfg_path = tmp_path / "cfg.json"
+        write_config(small_config(), cfg_path)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["run", "--config", str(cfg_path), "--out", str(out), "--seeds", "-1"])
+        assert exc.value.code == 2
+        assert "seeds must be a list of distinct non-negative integers, got [-1]" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists() and cells == []
 
     @pytest.mark.parametrize("part", ["stream", "optimizer", "metrics"])
     def test_part_that_is_not_an_object_rejected_in_code(self, part):
@@ -778,6 +808,32 @@ class TestCliRun:
         assert entry["status"] == "aborted" and entry["file"] is None
         assert entry["error"] == "smoothed_norm_sq became non-finite at t=1; aborting run"
         assert not list(tmp_path.glob("*.csv"))
+
+    def test_jobs_start_no_more_workers_than_cells(self, tmp_path, monkeypatch):
+        started = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def _spawn_process(self):
+                super()._spawn_process()
+                started.append(self._max_workers)
+
+        monkeypatch.setattr(runner.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        manifest = cli_run(small_config(), tmp_path, jobs=4)
+        assert [e["status"] for e in manifest["outputs"]] == ["ok", "ok"]
+        assert started == [2, 2]
+
+    def test_variation_grid_lies_in_the_box(self, tmp_path):
+        lower, upper = [-0.3, -0.2], [0.4, 0.5]
+        optimizer = {"kind": "obbo", "alpha": 0.05, "eta": 0.1, "K": 4, "w": 2,
+                     "feasible": {"kind": "box", "lower": lower, "upper": upper}}
+        exp = replace(small_config().experiments[0], optimizer=optimizer,
+                      metrics={"variations": True, "grid_size": 16})
+        trace, _ = execute_run(exp, 1)
+        grid = runner._variation_grid(trace, 16)
+        assert len(grid) > trace.T
+        assert np.all(grid >= lower) and np.all(grid <= upper)
+        entry = run_cell(exp, 1, str(tmp_path))
+        assert entry["status"] == "ok" and set(entry["variations"]) == {"h1", "h2", "v1"}
 
     def test_parallel_jobs_match_serial(self, tmp_path):
         cfg = small_config()
@@ -1168,6 +1224,17 @@ class TestCliValidate:
         notes = cli_validate(cfg)
         assert any("s = w" in n for n in notes)
 
+    def test_sobbo_neumann_bound_note(self):
+        # kappa 4 and w = 4 give the default m = ceil(log 4 / log(4/3)) + 1 = 6.
+        cfg = self.base_experiment(
+            {"kind": "sobbo", "alpha": 1e-3, "eta": 0.2, "K": 60, "w": 4, "m": 2}
+        )
+        cfg.experiments[0].stream["noise"] = [0.1, 0.1]
+        assert cli_validate(cfg) == [
+            "[v] Neumann bound m=2 is below the default "
+            "m = ceil(log(w)/log(1/(1-mu_g/l_g1))) + 1 = 6"
+        ]
+
     def test_unresolvable_alpha_is_a_config_error(self):
         # The spline declares no outer smoothness constants, so a run without
         # alpha would fail in every cell; validate rejects it up front.
@@ -1231,6 +1298,30 @@ class TestCliMain:
         write_config(HarnessConfig(experiments=[]), cfg_path)
         assert cli_main(["run", "--config", str(cfg_path)]) == 0
         assert (tmp_path / "root" / "envy" / "manifest.json").exists()
+
+    def test_output_dir_used_without_out(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        out = tmp_path / "from-config"
+        write_config(HarnessConfig(small_config().experiments, output_dir=str(out)), cfg_path)
+        assert cli_main(["run", "--config", str(cfg_path)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [e["status"] for e in manifest["outputs"]] == ["ok", "ok"]
+
+    @pytest.mark.parametrize(
+        "doc, named",
+        [
+            ([], "top level must be a JSON object"),
+            ({"experiments": {}}, "'experiments' must be a list"),
+            ({"experiments": [3]}, "experiments[0]: must be an object"),
+            ({"output_dir": 5, "experiments": []}, "output_dir must be a non-empty string, got 5"),
+        ],
+        ids=["top-level", "experiments", "entry", "output_dir"],
+    )
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_bad_document_shape_exits_2(self, tmp_path, capsys, command, doc, named):
+        path = tmp_path / "shape.json"
+        path.write_text(json.dumps(doc))
+        assert_cli_exits_2(tmp_path, capsys, command, path, named)
 
     def test_seeds_flag(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -846,3 +847,26 @@ class TestImplicitHypergradient:
                     rtol=1e-9,
                     atol=1e-12,
                 )
+
+
+# Each input check of the estimators' building blocks: a call, the exception
+# it raises and that exception's message.
+INPUT_CHECKS = {
+    "window-capacity": (lambda: WindowBuffer(0), ValueError,
+                        "window capacity must be at least 1"),
+    "inner-gd-eta": (lambda: inner_gd(one_dim_instant(), [0.0], [0.0], 0.0, 1), ValueError,
+                     "inner step size must be positive"),
+    "inner-gd-K": (lambda: inner_gd(one_dim_instant(), [0.0], [0.0], 0.1, 0), ValueError,
+                   "inner iteration count must be at least 1"),
+    "inner-sgd-s": (
+        lambda: inner_sgd(one_dim_instant(), [0.0], [0.0], 0.1, 1, 0, np.random.default_rng(0)),
+        ValueError, "batch size s must be at least 1"),
+    "neumann-l": (lambda: NeumannParams(m=1, l_g1=0.0), ValueError, "l_g1 must be positive"),
+}
+
+
+@pytest.mark.parametrize("make, error, message", INPUT_CHECKS.values(), ids=INPUT_CHECKS)
+def test_input_check(make, error, message):
+    with pytest.raises(error, match=re.escape(message)) as info:
+        make()
+    assert type(info.value) is error

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -133,9 +134,9 @@ def per_window_series(stream, trace, window_sum):
     h, X = trace.config.regularizer, trace.config.feasible
     terms, eucl = [], []
     for t, (lam, diag) in enumerate(zip(trace.lambdas, trace.phi_diags)):
-        smoothed = window_sum(grads[max(0, t - trace.w + 1) : t + 1]) / trace.w
+        smoothed = window_sum(grads[max(0, t - trace.config.w + 1) : t + 1]) / trace.config.w
         eucl.append(float(smoothed.dot(smoothed)))
-        phi = DistanceGenerator("diagonal", diag)
+        phi = DistanceGenerator(diag)
         g = generalized_projection(lam, smoothed, trace.alpha, phi, h, X)
         terms.append(float(g.dot(g)))
     return grads, np.array(terms), np.array(eucl)
@@ -437,3 +438,20 @@ class TestBuildGrid:
                  [-0.25, 0.75], [0.75, 1.75], [0.25, 0.25], [-0.75, 1.25]]
         corners = [[-1.0, 0.0], [-1.0, 2.0], [1.0, 0.0], [1.0, 2.0]]
         assert result["grid"] == sobol + corners + [[1.0, 1.0]]
+
+
+# Each input check of the metrics: a call, the exception it raises and that
+# exception's message.
+INPUT_CHECKS = {
+    f"path-variation-p{p}": (
+        lambda p=p: path_variation_terms(quadratic_stream(1, 1, 2), p, np.zeros((1, 1))),
+        ValueError, "path variation order p must be 1 or 2")
+    for p in (0, 3)
+}
+
+
+@pytest.mark.parametrize("make, error, message", INPUT_CHECKS.values(), ids=INPUT_CHECKS)
+def test_input_check(make, error, message):
+    with pytest.raises(error, match=re.escape(message)) as info:
+        make()
+    assert type(info.value) is error

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 from collections import Counter
 
@@ -137,7 +138,7 @@ class TestRunObbo:
         t2 = run_obbo(stream, config)
         np.testing.assert_array_equal(t1.lambdas, t2.lambdas)
         np.testing.assert_array_equal(t1.estimates, t2.estimates)
-        np.testing.assert_array_equal(t1.beta_final, t2.beta_final)
+        np.testing.assert_array_equal(t1.betas[-1], t2.betas[-1])
 
     def test_divergence_abort_names_step(self):
         stream = static_stream(T=10)
@@ -414,7 +415,7 @@ class TestConfigValidation:
         stream = static_stream(T=5)
         trace = run_obbo(stream, ObboConfig(w=2))
         assert trace.alpha > 0 and trace.eta > 0
-        assert trace.w == 2
+        assert trace.config.w == 2
         assert trace.T == 5
         assert isinstance(dataclasses.asdict(trace.config), dict)
 
@@ -514,3 +515,29 @@ class TestHookedNames:
             f"{dict(counts)}, expected {want}; a solver bypasses a name that "
             "perfbench's traced run hooks"
         )
+
+
+def _no_inner_opt_stream():
+    return [dataclasses.replace(inst, inner_opt=None) for inst in static_stream(T=2)]
+
+
+# Each input check of the configs and runs: a call, the exception it raises
+# and that exception's message.
+INPUT_CHECKS = {
+    "K": (lambda: ObboConfig(K=0), ValueError, "inner iteration count must be at least 1"),
+    "eta": (lambda: ObboConfig(eta=0.0), ValueError, "eta must be positive"),
+    "clip-threshold": (lambda: ObboConfig(clip_threshold=0.0), ValueError,
+                       "clip threshold must be positive"),
+    "sobbo-m": (lambda: SobboConfig(m=0), ValueError, "Neumann bound m must be at least 1"),
+    "empty-stream": (lambda: run_obbo([], ObboConfig(alpha=0.1)), ValueError, "empty stream"),
+    "exact-without-inner-opt": (
+        lambda: run_obbo(_no_inner_opt_stream(), ObboConfig(alpha=0.1, estimator="exact")),
+        ValueError, "exact estimator requires the inner_opt oracle"),
+}
+
+
+@pytest.mark.parametrize("make, error, message", INPUT_CHECKS.values(), ids=INPUT_CHECKS)
+def test_input_check(make, error, message):
+    with pytest.raises(error, match=re.escape(message)) as info:
+        make()
+    assert type(info.value) is error

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -631,3 +632,63 @@ class TestDataOracleParity:
                 b = b + step * (u / np.linalg.norm(u))
                 v = rng.standard_normal(d2)
                 c = c + step * (v / np.linalg.norm(v))
+
+
+def _spline_csv(tmp_path, text):
+    path = tmp_path / "batches.csv"
+    path.write_text(text)
+    return load_spline_task_csv(path, knots=[0.0, 0.5, 1.0])
+
+
+def _instant():
+    return quadratic_instant(1, np.ones((2, 1)), np.ones(2), np.eye(2), np.ones(2))
+
+
+def _task():
+    return make_drifting_spline_task(seed=0, T=3)
+
+
+# Each input check of the problem builders: a call on a tmp_path, the
+# exception it raises and that exception's message.
+INPUT_CHECKS = {
+    "instant-dimensions": (
+        lambda tmp: quadratic_instant(1, np.ones((2, 1)), np.ones(3), np.eye(2), np.ones(2)),
+        ValueError, "inconsistent quadratic instant dimensions"),
+    "instant-phases": (
+        lambda tmp: quadratic_instant(1, np.ones((2, 1)), np.ones(2), np.eye(2), np.ones(2),
+                                      phases=[0.0, 1.0]),
+        ValueError, "phases must have length d1"),
+    "stream-horizon": (lambda tmp: quadratic_stream(1, 1, 0), ValueError,
+                       "horizon must be positive"),
+    "stream-cos-amplitude": (lambda tmp: quadratic_stream(1, 1, 2, cos_amplitude=-0.1),
+                             ValueError, "cos_amplitude must be nonnegative"),
+    "drift-kind": (lambda tmp: DriftSpec("linear"), ValueError, "unknown drift kind 'linear'"),
+    "drift-decaying-rate": (lambda tmp: DriftSpec.decaying(rate=0.0), ValueError,
+                            "decaying drift requires rate > 0"),
+    "drift-scale": (lambda tmp: DriftSpec.sublinear(scale=-1.0), ValueError,
+                    "drift scale must be nonnegative"),
+    "instant-t": (lambda tmp: dataclasses.replace(_instant(), t=0), ValueError,
+                  "time index starts at 1"),
+    "instant-mu": (lambda tmp: dataclasses.replace(_instant(), mu_g=0.0), ValueError,
+                   "mu_g must be positive"),
+    "instant-l": (lambda tmp: dataclasses.replace(_instant(), l_g1=0.5), ValueError,
+                  "l_g1 must be at least mu_g"),
+    "spline-knots": (lambda tmp: dataclasses.replace(_task(), knots=np.array([0.0, 1.0])),
+                     ValueError, "need at least three strictly increasing knots"),
+    "spline-box": (lambda tmp: dataclasses.replace(_task(), lambda_lower=0.0), ValueError,
+                   "lam box must satisfy 0 < lower < upper"),
+    "spline-batches": (
+        lambda tmp: dataclasses.replace(_task(), val_batches=_task().val_batches[:-1]),
+        ValueError, "train and validation batch counts differ"),
+    "spline-csv-columns": (lambda tmp: _spline_csv(tmp, "t,split,x\n1,train,0.1\n"),
+                           ValueError, "spline CSV must have columns ['split', 't', 'x', 'y']"),
+    "spline-csv-split": (lambda tmp: _spline_csv(tmp, "t,split,x,y\n1,test,0.1,0.2\n"),
+                         ValueError, "unknown split 'test' at t=1"),
+}
+
+
+@pytest.mark.parametrize("make, error, message", INPUT_CHECKS.values(), ids=INPUT_CHECKS)
+def test_input_check(tmp_path, make, error, message):
+    with pytest.raises(error, match=re.escape(message)) as info:
+        make(tmp_path)
+    assert type(info.value) is error
