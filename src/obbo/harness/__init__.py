@@ -7,7 +7,6 @@ from .config import (
     parse_config,
     parse_config_text,
     serialize_config,
-    write_config,
 )
 from .report import cli_report
 from .runner import build_stream, cli_run, execute_run, run_cell
@@ -20,7 +19,6 @@ __all__ = [
     "parse_config",
     "parse_config_text",
     "serialize_config",
-    "write_config",
     "cli_report",
     "build_stream",
     "cli_run",

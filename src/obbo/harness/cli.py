@@ -18,6 +18,11 @@ from .validate import cli_validate, probe_experiment
 OUT_ROOT_ENV = "OBBO_OUT_ROOT"
 
 
+def _exit_2_invalid_json(path, exc: json.JSONDecodeError):
+    print(f"error: {path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 @contextmanager
 def _exit_2_on_config_error(path: str):
     """Exit 2 when the config at ``path`` cannot be read, parsed or run, so
@@ -28,11 +33,7 @@ def _exit_2_on_config_error(path: str):
         print(f"error: config file not found: {path}", file=sys.stderr)
         raise SystemExit(2)
     except json.JSONDecodeError as exc:
-        print(
-            f"error: {path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
+        _exit_2_invalid_json(path, exc)
     except ConfigError as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         raise SystemExit(2)
@@ -81,6 +82,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "run":
+        if args.jobs < 1:
+            print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+            raise SystemExit(2)
         seeds = _parse_seeds(args.seeds)
         with _exit_2_on_config_error(args.config):
             config = parse_config(args.config)
@@ -103,6 +107,8 @@ def main(argv: list[str] | None = None) -> int:
         except FileNotFoundError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
+        except json.JSONDecodeError as exc:
+            _exit_2_invalid_json(Path(args.results_dir) / "manifest.json", exc)
         print(f"report files: {', '.join(summary['written']) or '(none)'}")
         for issue in summary["issues"]:
             print(f"  issue: {issue}")

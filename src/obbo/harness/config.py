@@ -44,7 +44,6 @@ __all__ = [
     "parse_config",
     "parse_config_text",
     "serialize_config",
-    "write_config",
     "ConfigError",
 ]
 
@@ -255,7 +254,3 @@ def parse_config(path) -> HarnessConfig:
 
 def serialize_config(config: HarnessConfig) -> str:
     return json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n"
-
-
-def write_config(config: HarnessConfig, path) -> None:
-    Path(path).write_text(serialize_config(config))

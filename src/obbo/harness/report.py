@@ -5,19 +5,23 @@ absolute deviation bands sampled every 100 rounds, final gradient norms per
 seed arranged for cross-experiment scatter plots, and a loss table with both
 median/MAD and mean/standard-error statistics. Every table is written as CSV
 and as a gnuplot-friendly whitespace-separated .dat twin.
+The reader takes only ``obbo-results-v1`` CSVs; any other run file is an issue.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
 
 import numpy as np
 
+from .runner import RESULTS_SCHEMA
+
 __all__ = ["load_run_rows", "cli_report", "median_abs_deviation"]
 
 CHECKPOINT_EVERY = 100
+# The results columns the report reads.
+REPORTED_COLUMNS = ("blr_cum", "blr_eucl_term", "outer_loss")
 
 
 def median_abs_deviation(values) -> float:
@@ -25,24 +29,32 @@ def median_abs_deviation(values) -> float:
     return float(np.median(np.abs(values - np.median(values))))
 
 
-def _read_results_csv(path: Path) -> dict[str, list]:
-    with open(path, newline="") as fh:
-        first = fh.readline()
-        if not first.startswith("#"):
-            fh.seek(0)
-        reader = csv.DictReader(fh)
-        columns: dict[str, list] = {name: [] for name in reader.fieldnames or []}
-        for row in reader:
-            for key, value in row.items():
-                columns[key].append(value)
-    return columns
+def _read_results_csv(path: Path) -> dict[str, np.ndarray]:
+    """The columns, by name, of an ``obbo-results-v1`` CSV: its schema line,
+    its header, then one row per round of finite numbers after the run id.
+    Raises ``ValueError`` for any other file."""
+    lines = path.read_text().splitlines()
+    if lines[:1] != [f"# schema={RESULTS_SCHEMA}"]:
+        raise ValueError(f"first line is not '# schema={RESULTS_SCHEMA}'")
+    names = lines[1].split(",")[1:] if len(lines) > 1 else []
+    missing = [name for name in REPORTED_COLUMNS if name not in names]
+    if missing:
+        raise ValueError(f"header lacks {', '.join(missing)}")
+    rows = [line.split(",")[1:] for line in lines[2:]]
+    if not rows or any(len(row) != len(names) for row in rows):
+        raise ValueError(f"rows do not form a table of {len(names) + 1} columns")
+    table = np.array(rows, dtype=float)
+    if not np.isfinite(table).all():
+        raise ValueError("holds a non-finite value")
+    return dict(zip(names, table.T))
 
 
-def load_run_rows(results_dir) -> tuple[dict, dict[str, dict[int, dict]], list[str]]:
-    """Load the manifest plus per-run column data, reporting problems.
+def load_run_rows(results_dir) -> tuple[dict[str, dict[int, dict]], list[str]]:
+    """Load each listed run's columns, reporting problems.
 
-    Returns (manifest, {experiment: {seed: columns}}, issues). Aborted or
-    missing runs land in the issues list; whatever loaded cleanly is used.
+    Returns ({experiment: {seed: columns}}, issues). A run that is not ok, or
+    whose file is missing or not an ``obbo-results-v1`` table, lands in the
+    issues list; whatever loaded cleanly is used.
     """
     results = Path(results_dir)
     issues: list[str] = []
@@ -52,128 +64,74 @@ def load_run_rows(results_dir) -> tuple[dict, dict[str, dict[int, dict]], list[s
     manifest = json.loads(manifest_path.read_text())
     runs: dict[str, dict[int, dict]] = {}
     for entry in manifest.get("outputs", []):
-        name, seed = entry["experiment"], entry["seed"]
         if entry.get("status") != "ok":
             issues.append(
                 f"{entry['run_id']}: status={entry.get('status')} "
                 f"({entry.get('error', 'no detail')})"
             )
             continue
-        path = results / entry["file"]
-        if not path.exists():
-            issues.append(f"{entry['run_id']}: listed file {entry['file']} is missing")
+        try:
+            columns = _read_results_csv(results / entry["file"])
+        except (OSError, ValueError) as exc:
+            issues.append(f"{entry['run_id']}: cannot read {entry['file']}: {exc}")
             continue
-        runs.setdefault(name, {})[seed] = _read_results_csv(path)
-    return manifest, runs, issues
+        runs.setdefault(entry["experiment"], {})[entry["seed"]] = columns
+    return runs, issues
 
 
-def _float_column(columns: dict, key: str) -> np.ndarray | None:
-    values = columns.get(key)
-    if values is None or any(v == "" for v in values):
-        return None
-    return np.asarray(values, dtype=float)
+def _g(value) -> str:
+    return format(float(value), ".17g")
 
 
 def _write_table(path: Path, header: list[str], rows: list[list]) -> None:
-    text = ",".join(header) + "\n"
-    for row in rows:
-        text += ",".join(str(v) for v in row) + "\n"
-    path.write_text(text)
-    dat = "# " + " ".join(header) + "\n"
-    for row in rows:
-        dat += " ".join(str(v) for v in row) + "\n"
-    path.with_suffix(".dat").write_text(dat)
+    """Write ``rows`` as CSV and as the whitespace-separated ``.dat`` twin. A
+    missing cell (None) is empty in the CSV and ``NaN`` in the twin, so a
+    whitespace reader keeps every later value under its own column."""
+    twins = ((path, ",", "", ""), (path.with_suffix(".dat"), " ", "# ", "NaN"))
+    for target, sep, lead, missing in twins:
+        lines = [lead + sep.join(header)]
+        lines += [sep.join(missing if v is None else str(v) for v in row) for row in rows]
+        target.write_text("\n".join(lines) + "\n")
 
 
 def cli_report(results_dir, out_dir=None) -> dict:
     """Aggregate a results directory into summary files.
 
-    Missing or aborted runs are listed in ``report_issues.txt`` and the rest
-    of the report is still produced.
+    Missing, aborted or unreadable runs are listed in ``report_issues.txt``
+    and the rest of the report is still produced.
     """
-    results = Path(results_dir)
-    out = Path(out_dir) if out_dir is not None else results
+    out = Path(out_dir if out_dir is not None else results_dir)
     out.mkdir(parents=True, exist_ok=True)
-    manifest, runs, issues = load_run_rows(results)
+    runs, issues = load_run_rows(results_dir)
 
-    written: list[str] = []
-    scatter_cols: dict[str, dict[int, float]] = {}
+    tables: dict[str, tuple[list[str], list[list]]] = {}  # file name: (header, rows)
+    scatter: dict[str, dict[int, float]] = {}
     loss_rows: list[list] = []
-
-    for name in sorted(runs):
-        by_seed = runs[name]
+    for name, by_seed in sorted(runs.items()):
         seeds = sorted(by_seed)
-
-        cum_by_seed = {}
-        for seed in seeds:
-            cum = _float_column(by_seed[seed], "blr_cum")
-            if cum is not None:
-                cum_by_seed[seed] = cum
-        if cum_by_seed:
-            T = min(len(c) for c in cum_by_seed.values())
-            checkpoints = sorted(set(range(CHECKPOINT_EVERY, T + 1, CHECKPOINT_EVERY)) | {T})
-            rows = []
-            for t in checkpoints:
-                vals = np.array([cum_by_seed[s][t - 1] for s in sorted(cum_by_seed)])
-                rows.append(
-                    [t, format(float(np.median(vals)), ".17g"),
-                     format(median_abs_deviation(vals), ".17g"), len(vals)]
-                )
-            path = out / f"report_{name}_regret.csv"
-            _write_table(path, ["t", "median_blr_cum", "mad", "n_seeds"], rows)
-            written.append(path.name)
-        else:
-            issues.append(f"{name}: no regret columns available; regret summary skipped")
-
-        for seed in seeds:
-            eucl = _float_column(by_seed[seed], "blr_eucl_term")
-            if eucl is not None:
-                scatter_cols.setdefault(name, {})[seed] = float(np.sqrt(eucl[-1]))
-
-        finals = []
-        for seed in seeds:
-            loss = _float_column(by_seed[seed], "outer_loss")
-            if loss is not None:
-                finals.append(loss[-1])
-        if finals:
-            finals = np.asarray(finals)
-            n = len(finals)
-            stderr = float(np.std(finals, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-            loss_rows.append(
-                [
-                    name,
-                    n,
-                    format(float(np.mean(finals)), ".17g"),
-                    format(stderr, ".17g"),
-                    format(float(np.median(finals)), ".17g"),
-                    format(median_abs_deviation(finals), ".17g"),
-                ]
-            )
-
-    if scatter_cols:
-        names = sorted(scatter_cols)
-        all_seeds = sorted({s for col in scatter_cols.values() for s in col})
+        cums = [by_seed[s]["blr_cum"] for s in seeds]
+        T = min(len(c) for c in cums)
         rows = []
-        for seed in all_seeds:
-            rows.append(
-                [seed] + [
-                    format(scatter_cols[n][seed], ".17g") if seed in scatter_cols[n] else ""
-                    for n in names
-                ]
-            )
-        path = out / "report_final_grad_scatter.csv"
-        _write_table(path, ["seed"] + names, rows)
-        written.append(path.name)
+        for t in sorted(set(range(CHECKPOINT_EVERY, T + 1, CHECKPOINT_EVERY)) | {T}):
+            vals = np.array([c[t - 1] for c in cums])
+            rows.append([t, _g(np.median(vals)), _g(median_abs_deviation(vals)), len(vals)])
+        tables[f"report_{name}_regret.csv"] = (["t", "median_blr_cum", "mad", "n_seeds"], rows)
 
-    if loss_rows:
-        path = out / "report_loss_table.csv"
-        _write_table(
-            path,
-            ["experiment", "n_runs", "mean_loss", "std_error", "median_loss", "mad"],
-            loss_rows,
-        )
-        written.append(path.name)
+        scatter[name] = {s: np.sqrt(by_seed[s]["blr_eucl_term"][-1]) for s in seeds}
+        finals = np.array([by_seed[s]["outer_loss"][-1] for s in seeds])
+        n = len(finals)
+        stderr = np.std(finals, ddof=1) / np.sqrt(n) if n > 1 else 0.0
+        stats = (np.mean(finals), stderr, np.median(finals), median_abs_deviation(finals))
+        loss_rows.append([name, n, *map(_g, stats)])
 
-    issues_path = out / "report_issues.txt"
-    issues_path.write_text("\n".join(issues) + "\n" if issues else "")
-    return {"written": written, "issues": issues, "experiments": sorted(runs)}
+    if runs:
+        all_seeds = sorted({s for col in scatter.values() for s in col})
+        rows = [[seed] + [_g(col[seed]) if seed in col else None for col in scatter.values()]
+                for seed in all_seeds]
+        tables["report_final_grad_scatter.csv"] = (["seed", *scatter], rows)
+        header = ["experiment", "n_runs", "mean_loss", "std_error", "median_loss", "mad"]
+        tables["report_loss_table.csv"] = (header, loss_rows)
+    for file_name, (header, rows) in tables.items():
+        _write_table(out / file_name, header, rows)
+    (out / "report_issues.txt").write_text("\n".join(issues) + "\n" if issues else "")
+    return {"written": list(tables), "issues": issues, "experiments": sorted(runs)}

@@ -79,17 +79,20 @@ def compute_regret_series(stream: Stream, trace: RunTrace) -> RegretSeries:
     for j in range(1, w):
         sums += padded[j : j + T]
     h, X = trace.config.regularizer, trace.config.feasible
-    terms, eucl = np.empty(T), np.empty(T)
-    for t, (lam, smoothed, diag) in enumerate(zip(trace.lambdas, sums / w, trace.phi_diags)):
-        eucl[t] = float(smoothed.dot(smoothed))
-        phi = DistanceGenerator(diag)
-        g = generalized_projection(lam, smoothed, alpha, phi, h, X)
-        terms[t] = float(g.dot(g))
+    smoothed = sums / w
+    projections = [
+        generalized_projection(lam, s, alpha, DistanceGenerator(diag), h, X)
+        for lam, s, diag in zip(trace.lambdas, smoothed, trace.phi_diags)
+    ]
+    terms = _squared_norms("blr_term", projections)
+    eucl = _squared_norms("blr_eucl_term", smoothed)
+    with np.errstate(over="ignore"):
+        cumulative, eucl_cumulative = np.cumsum(terms), np.cumsum(eucl)
     return RegretSeries(
         terms=terms,
-        cumulative=np.cumsum(terms),
+        cumulative=_finite("blr_cum", cumulative),
         euclidean_terms=eucl,
-        euclidean_cumulative=np.cumsum(eucl),
+        euclidean_cumulative=_finite("blr_eucl_cum", eucl_cumulative),
         exact_grads=grads,
     )
 
@@ -111,15 +114,19 @@ def hypergradient_error(trace: RunTrace, exact_grads: np.ndarray) -> np.ndarray:
     return _squared_norms("hypergrad_err_sq", diffs)
 
 
-def _squared_norms(name: str, rows: np.ndarray) -> np.ndarray:
-    """``row.dot(row)`` for the row of each round t = 1, 2, ...; raises
-    ``DivergenceError`` naming ``name`` and the first t that is not finite."""
+def _squared_norms(name: str, rows) -> np.ndarray:
+    """``row.dot(row)`` for the row of each round, checked by ``_finite``."""
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.array([float(row.dot(row)) for row in rows])
-    bad = np.flatnonzero(~np.isfinite(out))
+        return _finite(name, np.array([float(row.dot(row)) for row in rows]))
+
+
+def _finite(name: str, values: np.ndarray) -> np.ndarray:
+    """``values``, one per round t = 1, 2, ...; raises ``DivergenceError``
+    naming ``name`` and the first t that is not finite."""
+    bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         raise DivergenceError(f"{name} became non-finite at t={bad[0] + 1}; aborting run")
-    return out
+    return values
 
 
 def _grid_sweep(stream: Stream, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

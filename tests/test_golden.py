@@ -7,8 +7,12 @@ adaptive geometry, SGDM with the exact estimator, SOBBO with adaptive
 geometry and active clipping, and SOBOW) through ``cli_run`` and compares
 every CSV value and manifest summary with the recorded fixture at rtol 1e-12,
 atol 1e-14. The tolerance absorbs BLAS differences across platforms; any
-change to the arithmetic shows up. The ``obbo validate`` output of the same
-configs and of ``configs/window_sweep.json`` is pinned line for line
+change to the arithmetic shows up. ``obbo report`` of each run directory is
+pinned the same way (``golden/report.golden.json``): every report table's
+names and counts exactly, its statistics at the same tolerance, and each
+``.dat`` twin must hold its CSV's cells, ``NaN`` where a CSV cell is empty.
+The ``obbo validate`` output of the same configs and of
+``configs/window_sweep.json`` is pinned line for line
 (``golden/validate.golden.json``).
 
 Re-record (only when a change to the numbers is intended) with::
@@ -41,6 +45,8 @@ CONFIGS = {
 }
 VALIDATED = {**CONFIGS, "window_sweep": ROOT / "configs" / "window_sweep.json"}
 RTOL, ATOL = 1e-12, 1e-14
+# Report columns that hold counts; "experiment" holds names, the rest floats.
+REPORT_COUNTS = {"t", "n_seeds", "seed", "n_runs"}
 
 
 def collect(config_path: Path, out_dir: Path) -> dict:
@@ -80,11 +86,54 @@ def _assert_close(got, want, where: str) -> None:
         assert got == want, f"{where}: got {got!r}, want {want!r}"
 
 
+def report(run_dir: Path) -> Path:
+    """Run ``obbo report`` on a run directory; it must exit 0."""
+    out_dir = run_dir / "report"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli_main(["report", str(run_dir), "--out", str(out_dir)]) == 0
+    return out_dir
+
+
+def _report_cell(column: str, cell: str):
+    if cell == "":
+        return None
+    if column in REPORT_COUNTS:
+        return int(cell)
+    return cell if column == "experiment" else float(cell)
+
+
+def report_tables(report_dir: Path) -> dict:
+    """Every report CSV table's header and parsed cells, and the issues."""
+    tables = {}
+    for path in sorted(report_dir.glob("report_*.csv")):
+        header, *rows = (line.split(",") for line in path.read_text().splitlines())
+        tables[path.name] = {
+            "header": header,
+            "rows": [[_report_cell(c, cell) for c, cell in zip(header, row)] for row in rows],
+        }
+    issues = (report_dir / "report_issues.txt").read_text().splitlines()
+    return {"tables": tables, "issues": issues}
+
+
+def assert_dat_twins_match(report_dir: Path) -> None:
+    """Each ``.dat`` twin holds its CSV's cells, ``NaN`` for an empty one, so
+    a whitespace reader finds every value under its own column."""
+    for path in sorted(report_dir.glob("report_*.csv")):
+        header, *rows = (line.split(",") for line in path.read_text().splitlines())
+        want = [["#", *header]] + [[cell or "NaN" for cell in row] for row in rows]
+        dat = path.with_suffix(".dat").read_text().splitlines()
+        assert [line.split() for line in dat] == want, path.name
+
+
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_outputs_match_golden(name, tmp_path):
     want = json.loads((GOLDEN_DIR / f"{name}.golden.json").read_text())
     got = collect(CONFIGS[name], tmp_path)
     _assert_close(got, want, name)
+    report_dir = report(tmp_path)
+    want = json.loads((GOLDEN_DIR / "report.golden.json").read_text())[name]
+    _assert_close(report_tables(report_dir), want, f"{name} report")
+    assert_dat_twins_match(report_dir)
 
 
 def validate_lines(config_path: Path) -> list[str]:
@@ -101,9 +150,11 @@ def test_validate_output_matches_golden(name):
 
 
 def record() -> None:
+    reports = {}
     for name, config_path in CONFIGS.items():
         with tempfile.TemporaryDirectory() as tmp:
             runs = collect(config_path, Path(tmp))
+            reports[name] = report_tables(report(Path(tmp)))
         # One run per line keeps the file small and its diffs per run.
         body = ",\n".join(
             f"{json.dumps(run_id)}: {json.dumps(run, sort_keys=True)}"
@@ -112,6 +163,9 @@ def record() -> None:
         path = GOLDEN_DIR / f"{name}.golden.json"
         path.write_text("{\n" + body + "\n}\n")
         print(f"recorded {len(runs)} run(s) to {path}", file=sys.stderr)
+    path = GOLDEN_DIR / "report.golden.json"
+    path.write_text(json.dumps(reports, indent=1, sort_keys=True) + "\n")
+    print(f"recorded the report tables of {len(reports)} config(s) to {path}", file=sys.stderr)
     lines = {name: validate_lines(path) for name, path in sorted(VALIDATED.items())}
     path = GOLDEN_DIR / "validate.golden.json"
     path.write_text(json.dumps(lines, indent=2) + "\n")

@@ -20,7 +20,6 @@ from obbo.harness.config import (
     parse_config,
     parse_config_text,
     serialize_config,
-    write_config,
 )
 from obbo.harness.report import cli_report, median_abs_deviation
 import obbo.harness.runner as runner
@@ -87,7 +86,7 @@ class TestConfigRoundTrip:
     def test_programmatic_round_trip(self, tmp_path):
         cfg = small_config()
         path = tmp_path / "cfg.json"
-        write_config(cfg, path)
+        path.write_text(serialize_config(cfg))
         text = path.read_text()
         assert serialize_config(parse_config_text(text)) == text
 
@@ -501,7 +500,7 @@ class TestExperimentChecks:
 
     def test_repeated_seeds_flag_exits_2_before_any_cell(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
-        write_config(small_config(), cfg_path)
+        cfg_path.write_text(serialize_config(small_config()))
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
             cli_main(["run", "--config", str(cfg_path), "--out", str(out), "--seeds", "1,1"])
@@ -515,7 +514,7 @@ class TestExperimentChecks:
         cells = []
         monkeypatch.setattr(runner, "run_cell", lambda *cell: cells.append(cell))
         cfg_path = tmp_path / "cfg.json"
-        write_config(small_config(), cfg_path)
+        cfg_path.write_text(serialize_config(small_config()))
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
             cli_main(["run", "--config", str(cfg_path), "--out", str(out), "--seeds", "-1"])
@@ -807,6 +806,36 @@ class TestCliRun:
         entry = run_cell(small_config().experiments[0], 1, str(tmp_path))
         assert entry["status"] == "aborted" and entry["file"] is None
         assert entry["error"] == "smoothed_norm_sq became non-finite at t=1; aborting run"
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "top, error",
+        [
+            (1.5e152, "blr_term became non-finite at t=1"),
+            (1.1e152, "blr_cum became non-finite at t=2"),
+        ],
+        ids=["term", "cumulative"],
+    )
+    def test_regret_column_overflow_aborts_cell(self, tmp_path, top, error):
+        # Finite iterates whose regret terms, or only their running sum,
+        # overflow; the manifest must stay valid JSON (no Infinity).
+        exp = ExperimentSpec(
+            name="overflow",
+            seeds=[1],
+            stream={"kind": "quadratic", "d1": 4, "d2": 6, "T": 3,
+                    "kappa_target": 100.0, "cos_amplitude": 0.0},
+            optimizer={"kind": "obbo", "estimator": "exact", "alpha": 1e-9,
+                       "clip_threshold": 1.0, "lambda0": [0.0, 0.0, 0.0, top]},
+        )
+
+        def reject(constant):
+            raise AssertionError(f"manifest holds {constant}")
+
+        cli_run(HarnessConfig([exp]), tmp_path)  # one run_cell
+        manifest = json.loads((tmp_path / "manifest.json").read_text(), parse_constant=reject)
+        [entry] = manifest["outputs"]
+        assert entry["status"] == "aborted" and entry["file"] is None
+        assert entry["error"] == f"{error}; aborting run"
         assert not list(tmp_path.glob("*.csv"))
 
     def test_jobs_start_no_more_workers_than_cells(self, tmp_path, monkeypatch):
@@ -1113,11 +1142,20 @@ class TestCliReport:
         assert got == {1: 2.0, 2: 3.0, 3: 4.0}
 
     def test_gnuplot_twins_written(self, tmp_path):
+        # A second experiment with seed 1 only leaves two scatter cells
+        # missing: empty in the CSV, NaN in the twin.
         self.write_fixture(tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest["outputs"].append(dict(manifest["outputs"][0], experiment="other"))
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         cli_report(tmp_path)
         dat = (tmp_path / "report_fix_regret.dat").read_text().splitlines()
         assert dat[0].startswith("# ")
         assert len(dat[1].split()) == 4
+        csv_rows = (tmp_path / "report_final_grad_scatter.csv").read_text().splitlines()
+        dat_rows = (tmp_path / "report_final_grad_scatter.dat").read_text().splitlines()
+        assert csv_rows == ["seed,fix,other", "1,2,2", "2,3,", "3,4,"]
+        assert dat_rows == ["# seed fix other", "1 2 2", "2 3 NaN", "3 4 NaN"]
 
     def test_partial_results_reported_with_issues(self, tmp_path):
         self.write_fixture(tmp_path)
@@ -1148,6 +1186,28 @@ class TestCliReport:
         assert (tmp_path / "report_fix_regret.csv").exists()
         issues_text = (tmp_path / "report_issues.txt").read_text()
         assert "ghost__seed1" in issues_text
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda lines: lines[1:],
+            lambda lines: lines[:3] + [lines[3].rsplit(",", 1)[0]] + lines[4:],
+            lambda lines: lines[:3] + [lines[3].replace(",0.0,", ",inf,", 1)] + lines[4:],
+        ],
+        ids=["no-schema-line", "short-row", "inf-cell"],
+    )
+    def test_file_that_is_not_a_results_table_is_one_issue(self, tmp_path, damage):
+        self.write_fixture(tmp_path)
+        path = tmp_path / "fix__seed2.csv"
+        path.write_text("\n".join(damage(path.read_text().splitlines())) + "\n")
+        summary = cli_report(tmp_path)
+        assert len(summary["issues"]) == 1
+        assert summary["issues"][0].startswith("fix__seed2: cannot read fix__seed2.csv: ")
+        regret = (tmp_path / "report_fix_regret.csv").read_text().splitlines()
+        t, med, mad, n = regret[1].split(",")
+        assert (int(t), float(med), int(n)) == (5, 5.5, 2)  # median of seeds 1 and 3
+        scatter = (tmp_path / "report_final_grad_scatter.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in scatter[1:]] == ["1", "3"]
 
     def test_single_run_bands_collapse(self, tmp_path):
         self.write_fixture(tmp_path)
@@ -1256,7 +1316,7 @@ class TestCliValidate:
 class TestCliMain:
     def test_run_report_validate_round(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
-        write_config(small_config(), cfg_path)
+        cfg_path.write_text(serialize_config(small_config()))
         out_dir = tmp_path / "out"
         assert cli_main(["run", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
         assert (out_dir / "manifest.json").exists()
@@ -1291,18 +1351,42 @@ class TestCliMain:
         err = capsys.readouterr().err
         assert ":2:" in err or ":1:" in err
 
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    def test_jobs_below_one_exits_2_before_any_cell(self, tmp_path, monkeypatch, capsys, jobs):
+        cells = []
+        monkeypatch.setattr(runner, "run_cell", lambda *cell: cells.append(cell))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(serialize_config(small_config()))
+        out_dir = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["run", "--config", str(cfg_path), "--out", str(out_dir), "--jobs", jobs])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"error: --jobs must be at least 1, got {jobs}\n"
+        assert cells == [] and not out_dir.exists()
+
+    def test_report_on_invalid_manifest_exits_2(self, tmp_path, capsys):
+        cli_run(small_config(), tmp_path)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(manifest.read_text()[:300])
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["report", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {manifest}:") and ": invalid JSON: " in err
+
     def test_out_root_env_var(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("OBBO_OUT_ROOT", str(tmp_path / "root"))
         monkeypatch.chdir(tmp_path)
         cfg_path = tmp_path / "envy.json"
-        write_config(HarnessConfig(experiments=[]), cfg_path)
+        cfg_path.write_text(serialize_config(HarnessConfig(experiments=[])))
         assert cli_main(["run", "--config", str(cfg_path)]) == 0
         assert (tmp_path / "root" / "envy" / "manifest.json").exists()
 
     def test_output_dir_used_without_out(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         out = tmp_path / "from-config"
-        write_config(HarnessConfig(small_config().experiments, output_dir=str(out)), cfg_path)
+        config = HarnessConfig(small_config().experiments, output_dir=str(out))
+        cfg_path.write_text(serialize_config(config))
         assert cli_main(["run", "--config", str(cfg_path)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert [e["status"] for e in manifest["outputs"]] == ["ok", "ok"]
@@ -1325,7 +1409,7 @@ class TestCliMain:
 
     def test_seeds_flag(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
-        write_config(small_config(), cfg_path)
+        cfg_path.write_text(serialize_config(small_config()))
         out_dir = tmp_path / "out"
         assert (
             cli_main(
