@@ -11,7 +11,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import ConfigError, parse_config
-from .report import cli_report
+from .report import ManifestError, cli_report
 from .runner import cli_run
 from .validate import cli_validate, probe_experiment
 
@@ -104,7 +104,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "report":
         try:
             summary = cli_report(args.results_dir, args.out)
-        except FileNotFoundError as exc:
+        except (FileNotFoundError, ManifestError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         except json.JSONDecodeError as exc:

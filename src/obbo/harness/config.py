@@ -78,6 +78,8 @@ class ExperimentSpec:
         if not isinstance(name, str) or not name or not _NAME_CHARS.issuperset(name):
             raise ConfigError(f"{where}: name must be a non-empty string of letters, "
                               "digits, '.', '_' and '-'")
+        if isinstance(seeds, list) and not seeds:
+            raise ConfigError(f"{where}: seeds must not be empty")
         if (not isinstance(seeds, list) or any(type(s) is not int or s < 0 for s in seeds)
                 or len(set(seeds)) < len(seeds)):
             raise ConfigError(

@@ -17,11 +17,18 @@ import numpy as np
 
 from .runner import RESULTS_SCHEMA
 
-__all__ = ["load_run_rows", "cli_report", "median_abs_deviation"]
+__all__ = ["ManifestError", "load_run_rows", "cli_report", "median_abs_deviation"]
 
 CHECKPOINT_EVERY = 100
 # The results columns the report reads.
 REPORTED_COLUMNS = ("blr_cum", "blr_eucl_term", "outer_loss")
+# The keys a manifest entry holds, with their types; an ok entry names its file.
+ENTRY_KEYS = {"run_id": str, "experiment": str, "seed": int, "status": str}
+OK_ENTRY_KEYS = {**ENTRY_KEYS, "file": str}
+
+
+class ManifestError(ValueError):
+    """A ``manifest.json`` of another shape than ``cli_run`` writes."""
 
 
 def median_abs_deviation(values) -> float:
@@ -54,7 +61,9 @@ def load_run_rows(results_dir) -> tuple[dict[str, dict[int, dict]], list[str]]:
 
     Returns ({experiment: {seed: columns}}, issues). A run that is not ok, or
     whose file is missing or not an ``obbo-results-v1`` table, lands in the
-    issues list; whatever loaded cleanly is used.
+    issues list; whatever loaded cleanly is used. A manifest whose shape is
+    not an object with an ``outputs`` list of ``ENTRY_KEYS`` objects (plus
+    ``file`` for an ok one) raises ``ManifestError`` naming its path.
     """
     results = Path(results_dir)
     issues: list[str] = []
@@ -62,12 +71,21 @@ def load_run_rows(results_dir) -> tuple[dict[str, dict[int, dict]], list[str]]:
     if not manifest_path.exists():
         raise FileNotFoundError(f"no manifest.json under {results}")
     manifest = json.loads(manifest_path.read_text())
+    outputs = manifest.get("outputs") if isinstance(manifest, dict) else None
+    if not isinstance(outputs, list):
+        raise ManifestError(f"{manifest_path}: not an object with an 'outputs' list")
+    for i, entry in enumerate(outputs):
+        fields = entry if isinstance(entry, dict) else {}
+        keys = OK_ENTRY_KEYS if fields.get("status") == "ok" else ENTRY_KEYS
+        bad = [f"'{key}' ({kind.__name__})" for key, kind in keys.items()
+               if not isinstance(fields.get(key), kind)]
+        if bad:
+            raise ManifestError(f"{manifest_path}: outputs[{i}] needs {', '.join(bad)}")
     runs: dict[str, dict[int, dict]] = {}
-    for entry in manifest.get("outputs", []):
-        if entry.get("status") != "ok":
+    for entry in outputs:
+        if entry["status"] != "ok":
             issues.append(
-                f"{entry['run_id']}: status={entry.get('status')} "
-                f"({entry.get('error', 'no detail')})"
+                f"{entry['run_id']}: status={entry['status']} ({entry.get('error', 'no detail')})"
             )
             continue
         try:
@@ -100,9 +118,9 @@ def cli_report(results_dir, out_dir=None) -> dict:
     Missing, aborted or unreadable runs are listed in ``report_issues.txt``
     and the rest of the report is still produced.
     """
+    runs, issues = load_run_rows(results_dir)
     out = Path(out_dir if out_dir is not None else results_dir)
     out.mkdir(parents=True, exist_ok=True)
-    runs, issues = load_run_rows(results_dir)
 
     tables: dict[str, tuple[list[str], list[list]]] = {}  # file name: (header, rows)
     scatter: dict[str, dict[int, float]] = {}

@@ -20,10 +20,9 @@ from .. import __version__
 from ..hypergrad import DivergenceError
 from ..metrics import (
     RegretSeries,
-    _squared_norms,
-    build_grid,
     compute_regret_series,
     hypergradient_error,
+    variation_grid,
     variation_report,
 )
 from ..optimizers import (
@@ -93,12 +92,7 @@ def execute_run(exp: ExperimentSpec, seed: int) -> tuple[RunTrace, list]:
 
 
 def write_trace_csv(
-    path: Path,
-    run_id: str,
-    trace: RunTrace,
-    regret: RegretSeries,
-    hg_error: np.ndarray,
-    smoothed_sq: np.ndarray,
+    path: Path, run_id: str, trace: RunTrace, regret: RegretSeries, hg_error: np.ndarray
 ) -> None:
     d1 = trace.lambdas.shape[1]
     if d1 <= MAX_LAMBDA_COLUMNS:
@@ -109,7 +103,7 @@ def write_trace_csv(
         ("outer_loss", trace.outer_loss),
         ("inner_residual", trace.inner_residual),
         ("gen_proj_norm_sq", trace.gen_proj_norm_sq),
-        ("smoothed_norm_sq", smoothed_sq),
+        ("smoothed_norm_sq", regret.smoothed_norm_sq),
         ("blr_term", regret.terms),
         ("blr_cum", regret.cumulative),
         ("blr_eucl_term", regret.euclidean_terms),
@@ -122,16 +116,6 @@ def write_trace_csv(
     table = np.column_stack([np.arange(1, trace.T + 1), *(values for _, values in columns)])
     lines = [f"# schema={RESULTS_SCHEMA}", header, *(row % tuple(r) for r in table.tolist())]
     path.write_text("\n".join(lines) + "\n", newline="\n")
-
-
-def _variation_grid(trace: RunTrace, grid_size: int) -> np.ndarray:
-    feas = trace.config.feasible
-    if feas.kind == "box":
-        lower, upper = feas.lower, feas.upper
-    else:
-        span = np.maximum(1.0, np.abs(trace.lambdas).max(axis=0))
-        lower, upper = -span, span
-    return build_grid(lower, upper, n=grid_size, extra=trace.lambdas)
 
 
 def _cell_entry(exp: ExperimentSpec, seed: int) -> dict:
@@ -160,32 +144,29 @@ def run_cell(exp: ExperimentSpec, seed: int, out_dir: str) -> dict:
         stamps["run"] = clock()  # stream build and solve
         regret = compute_regret_series(stream, trace)
         stamps["regret"] = clock()
-        smoothed_sq = _squared_norms("smoothed_norm_sq", trace.smoothed)
         hg_err = hypergradient_error(trace, regret.exact_grads)
         stamps["hypergradient_error"] = clock()
         options = {**DEFAULT_METRICS, **exp.metrics}
         if options["variations"]:
-            report = variation_report(stream, _variation_grid(trace, options["grid_size"]))
+            variations = variation_report(stream, variation_grid(trace, options["grid_size"]))
             stamps["variations"] = clock()
         csv_path = Path(out_dir) / f"{run_id}.csv"
-        write_trace_csv(csv_path, run_id, trace, regret, hg_err, smoothed_sq)
+        write_trace_csv(csv_path, run_id, trace, regret, hg_err)
         stamps["csv"] = clock()
-        entry["status"] = "ok"
-        entry["file"] = csv_path.name
-        entry["sha256"] = hashlib.sha256(csv_path.read_bytes()).hexdigest()
-        terminal = {
+        sha256 = hashlib.sha256(csv_path.read_bytes()).hexdigest()
+        entry.update(status="ok", file=csv_path.name, sha256=sha256)
+        if options["variations"]:
+            entry["variations"] = variations
+        entry["terminal"] = {
             "lambda_final": [float(v) for v in trace.lambda_final],
             "final_outer_loss": float(trace.outer_loss[-1]),
-            "alpha": trace.alpha,
-            "eta": trace.eta,
+            "alpha": trace.config.alpha,
+            "eta": trace.config.eta,
             "final_blr_cum": float(regret.cumulative[-1]),
             "final_blr_eucl_cum": float(regret.euclidean_cumulative[-1]),
         }
-        if trace.s is not None:
-            terminal["s"], terminal["m"] = trace.s, trace.m
-        if options["variations"]:
-            entry["variations"] = {"h1": report.h1, "h2": report.h2, "v1": report.v1}
-        entry["terminal"] = terminal
+        if exp.optimizer["kind"] == "sobbo":
+            entry["terminal"].update(s=trace.config.s, m=trace.config.m)
     except DivergenceError as exc:
         entry.update(status="aborted", file=None, error=str(exc))
     except Exception as exc:

@@ -45,7 +45,7 @@ def probe_experiment(exp):
         raise ConfigError(f"{where}: stream cannot be built: {type(exc).__name__}: {exc}") from exc
     config = build("optimizer", exp.optimizer, "optimizer spec")
     try:
-        eta = _resolve_steps(stream, config, exp.optimizer["kind"])[1]
+        eta = _resolve_steps(stream, config, exp.optimizer["kind"]).eta
         _initial_iterates(stream, config)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc

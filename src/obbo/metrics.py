@@ -23,10 +23,10 @@ from .problems.base import Stream
 
 __all__ = [
     "RegretSeries",
-    "VariationReport",
     "compute_regret_series",
     "path_variation_terms",
     "function_variation_terms",
+    "variation_grid",
     "variation_report",
     "hypergradient_error",
     "build_grid",
@@ -47,7 +47,8 @@ class RegretSeries:
     hypergradient. Under the Euclidean / unregularized / unconstrained
     reduction the two series coincide term by term. ``exact_grads`` (T x d1)
     holds the true hypergradient of each round's objective at that round's
-    iterate, which ``hypergradient_error`` reads too.
+    iterate, which ``hypergradient_error`` reads too. ``smoothed_norm_sq``
+    is the squared norm of the run's own clipped window average.
     """
 
     terms: np.ndarray
@@ -55,6 +56,7 @@ class RegretSeries:
     euclidean_terms: np.ndarray
     euclidean_cumulative: np.ndarray
     exact_grads: np.ndarray
+    smoothed_norm_sq: np.ndarray
 
 
 def compute_regret_series(stream: Stream, trace: RunTrace) -> RegretSeries:
@@ -67,7 +69,7 @@ def compute_regret_series(stream: Stream, trace: RunTrace) -> RegretSeries:
     and feasible set. The generator is the diagonal the run recorded for the
     round (ones for a Euclidean step), which the run checked to be finite.
     """
-    T, w, alpha = trace.T, trace.config.w, trace.alpha
+    T, w, alpha = trace.T, trace.config.w, trace.config.alpha
     if len(stream) < T:
         raise ValueError("stream shorter than trace")
     grads = np.array([exact_hypergradient(stream[t], trace.lambdas[t]) for t in range(T)])
@@ -94,6 +96,7 @@ def compute_regret_series(stream: Stream, trace: RunTrace) -> RegretSeries:
         euclidean_terms=eucl,
         euclidean_cumulative=_finite("blr_eucl_cum", eucl_cumulative),
         exact_grads=grads,
+        smoothed_norm_sq=_squared_norms("smoothed_norm_sq", trace.smoothed),
     )
 
 
@@ -169,22 +172,22 @@ def function_variation_terms(stream: Stream, grid: np.ndarray) -> np.ndarray:
     return _grid_sweep(stream, grid)[1]
 
 
-@dataclass
-class VariationReport:
-    """Path variations of orders 1 and 2 plus the objective variation."""
-
-    h1: float
-    h2: float
-    v1: float
-
-
-def variation_report(stream: Stream, grid: np.ndarray) -> VariationReport:
+def variation_report(stream: Stream, grid: np.ndarray) -> dict[str, float]:
+    """The manifest's path variations ``h1``, ``h2`` and objective variation ``v1``."""
     sup_disp, sup_change = _grid_sweep(stream, grid)
-    return VariationReport(
-        h1=float(np.sum(_powers(sup_disp, 1))),
-        h2=float(np.sum(_powers(sup_disp, 2))),
-        v1=float(np.sum(sup_change)),
-    )
+    paths = {f"h{p}": float(np.sum(_powers(sup_disp, p))) for p in (1, 2)}
+    return {**paths, "v1": float(np.sum(sup_change))}
+
+
+def variation_grid(trace: RunTrace, n: int) -> np.ndarray:
+    """``build_grid`` of n points in the run's box, else its iterates' span, plus its iterates."""
+    feas = trace.config.feasible
+    if feas.kind == "box":
+        lower, upper = feas.lower, feas.upper
+    else:
+        span = np.maximum(1.0, np.abs(trace.lambdas).max(axis=0))
+        lower, upper = -span, span
+    return build_grid(lower, upper, n=n, extra=trace.lambdas)
 
 
 def _sobol(n: int, d: int) -> np.ndarray:

@@ -185,8 +185,8 @@ class RunTrace:
     ``betas[t]`` is the final inner iterate handed to round t+1, so
     ``betas[-1]`` is the run's last. ``smoothed`` stores the window average
     after clipping, ``phi_diags`` the diagonal of the distance generator used
-    for the round's step. The window size is ``config.w``. ``s`` and ``m`` are
-    the batch size and Neumann bound a stochastic run resolved (None otherwise).
+    for the round's step. ``config`` is the config the run resolved: its
+    alpha, eta and K (and a stochastic run's s and m) hold the values used.
     """
 
     lambdas: np.ndarray
@@ -198,11 +198,7 @@ class RunTrace:
     outer_loss: np.ndarray
     inner_residual: np.ndarray
     lambda_final: np.ndarray
-    alpha: float
-    eta: float
     config: StepConfig
-    s: int | None = None
-    m: int | None = None
 
     @property
     def T(self) -> int:
@@ -217,14 +213,13 @@ def default_neumann_bound(w: int, mu_g: float, l_g1: float) -> int:
     return int(math.ceil(math.log(w) / math.log(1.0 / ratio))) + 1
 
 
-def _resolve_steps(
-    stream: Stream, config: StepConfig, kind: str
-) -> tuple[float, float, int]:
-    """Alpha, eta and K for an optimizer ``kind``, once ``config`` is its
-    kind's config; a config of another kind raises ``TypeError``.
+def _resolve_steps(stream: Stream, config: StepConfig, kind: str) -> StepConfig:
+    """``config`` with alpha, eta and K (and SOBBO's s and m) filled in for
+    ``kind``; a config of another kind raises ``TypeError``.
 
     Unset, OAGD takes the contraction-optimal eta = 2 / (l_g1 + mu_g) and
     K = 1; every other optimizer the conservative 1 / (2 l_g1) and K = 10.
+    SOBBO takes s = w and m = ``default_neumann_bound``.
     """
     expected = CONFIGS[kind]
     if not isinstance(config, expected):
@@ -239,20 +234,19 @@ def _resolve_steps(
     alpha = config.alpha
     if alpha is None:
         if instant.l_f1 is None:
-            raise ValueError(
-                "stream declares no outer smoothness constants; set alpha explicitly"
-            )
+            raise ValueError("stream declares no outer smoothness constants; set alpha explicitly")
         l_F1 = outer_grad_lipschitz(mu_g, l_g1, instant.l_f1)
         alpha = 3.0 / (8.0 * l_F1)
     K = config.K
     if K is None:
         K = 1 if kind == "oagd" else 10
-    return alpha, eta, K
+    if kind == "sobbo":
+        m = default_neumann_bound(config.w, mu_g, l_g1) if config.m is None else config.m
+        return replace(config, alpha=alpha, eta=eta, K=K, s=config.s or config.w, m=m)
+    return replace(config, alpha=alpha, eta=eta, K=K)
 
 
-def _initial_iterates(
-    stream: Stream, config: StepConfig
-) -> tuple[np.ndarray, np.ndarray]:
+def _initial_iterates(stream: Stream, config: StepConfig) -> tuple[np.ndarray, np.ndarray]:
     d1, d2 = stream[0].d1, stream[0].d2
     if config.lambda0 is None:
         center = config.feasible.center()
@@ -286,10 +280,8 @@ def _check_finite(name: str, x: np.ndarray, t: int) -> None:
         raise DivergenceError(f"{name} became non-finite at t={t}; aborting run")
 
 
-def _run(
-    stream: Stream, config: StepConfig, alpha: float, eta: float, estimate, step
-) -> RunTrace:
-    """The shared round, one pass over the stream.
+def _run(stream: Stream, config: StepConfig, estimate, step) -> RunTrace:
+    """The shared round, one pass over the stream, under a resolved ``config``.
 
     ``estimate(instant, lam, beta)`` returns (beta_next, raw estimate, window
     average); ``step(q, lam)`` returns (lam_next, the generator's diagonal).
@@ -316,7 +308,7 @@ def _run(
             instants.append(instant)
             lam, beta = lam_next, beta_next
         nexts = np.concatenate((lambdas[1:], lam[None]))
-        gen_proj_norm_sq = (((lambdas - nexts) / alpha) ** 2).sum(axis=1)
+        gen_proj_norm_sq = (((lambdas - nexts) / config.alpha) ** 2).sum(axis=1)
         outer_loss, inner_residual = np.empty(T), np.empty(T)
         for i, (instant, lam_t, beta_t) in enumerate(zip(instants, lambdas, betas)):
             outer_loss[i] = instant.f_value(lam_t, beta_t)
@@ -338,8 +330,6 @@ def _run(
         outer_loss=outer_loss,
         inner_residual=inner_residual,
         lambda_final=lam,
-        alpha=alpha,
-        eta=eta,
         config=config,
     )
 
@@ -356,12 +346,12 @@ def _windowed(w: int, solve_and_estimate: Callable) -> Callable:
     return estimate
 
 
-def _gd_estimate(config: StepConfig, eta: float, K: int) -> Callable:
+def _gd_estimate(config: StepConfig) -> Callable:
     """Inner GD plus the configured estimator, windowed.
 
     The ``exact`` estimator replaces inner GD by the closed-form inner solve.
     """
-    mode = config.estimator
+    mode, eta, K = config.estimator, config.eta, config.K
 
     def solve_and_estimate(instant, lam, beta):
         if mode == "exact":
@@ -377,7 +367,7 @@ def _gd_estimate(config: StepConfig, eta: float, K: int) -> Callable:
     return _windowed(config.w, solve_and_estimate)
 
 
-def _bregman_step(config: StepConfig, alpha: float, d1: int) -> Callable:
+def _bregman_step(config: StepConfig, d1: int) -> Callable:
     """Prox step under the round's Euclidean or adaptive diagonal generator.
 
     The adaptive diagonal is sqrt(avg) + eps, where avg is the running average
@@ -385,7 +375,7 @@ def _bregman_step(config: StepConfig, alpha: float, d1: int) -> Callable:
     makes it non-finite, which ``_run`` rejects.
     """
     phi, diag, avg = DistanceGenerator.euclidean(), np.ones(d1), np.zeros(d1)
-    gen = config.phi
+    gen, alpha = config.phi, config.alpha
     adaptive = isinstance(gen, Adaptive)
 
     def step(q, lam):
@@ -412,28 +402,21 @@ def run_obbo(stream: Stream, config: ObboConfig) -> RunTrace:
 
 
 def _windowed_bregman(stream: Stream, config: StepConfig, kind: str) -> RunTrace:
-    alpha, eta, K = _resolve_steps(stream, config, kind)
-    estimate = _gd_estimate(config, eta, K)
-    step = _bregman_step(config, alpha, stream[0].d1)
-    return _run(stream, config, alpha, eta, estimate, step)
+    config = _resolve_steps(stream, config, kind)
+    step = _bregman_step(config, stream[0].d1)
+    return _run(stream, config, _gd_estimate(config), step)
 
 
-def run_sobbo(
-    stream: Stream, config: SobboConfig, rng: np.random.Generator
-) -> RunTrace:
+def run_sobbo(stream: Stream, config: SobboConfig, rng: np.random.Generator) -> RunTrace:
     """Stochastic online Bregman bilevel optimizer.
 
     Same skeleton as the deterministic loop with a batched stochastic inner
     solver and the randomized Neumann estimator evaluated at (lam_t, beta_{t+1}).
     Unset ``s`` and ``m`` resolve to s = w and ``default_neumann_bound``; the
-    trace records the values used.
+    trace's config records the values used.
     """
-    alpha, eta, K = _resolve_steps(stream, config, "sobbo")
-    first = stream[0]
-    s = config.s if config.s is not None else config.w
-    m = config.m
-    if m is None:
-        m = default_neumann_bound(config.w, first.mu_g, first.l_g1)
+    config = _resolve_steps(stream, config, "sobbo")
+    eta, K, s, m = config.eta, config.K, config.s, config.m
 
     def solve_and_estimate(instant, lam, beta):
         beta_next = inner_sgd(instant, lam, beta, eta, K, s, rng).final
@@ -442,8 +425,7 @@ def run_sobbo(
         return beta_next, est
 
     estimate = _windowed(config.w, solve_and_estimate)
-    step = _bregman_step(config, alpha, first.d1)
-    return replace(_run(stream, config, alpha, eta, estimate, step), s=s, m=m)
+    return _run(stream, config, estimate, _bregman_step(config, stream[0].d1))
 
 
 def run_oagd(stream: Stream, config: OagdConfig) -> RunTrace:
@@ -454,7 +436,8 @@ def run_oagd(stream: Stream, config: OagdConfig) -> RunTrace:
     evaluations per step), then takes a Euclidean proximal step. Defaults to a
     single inner step with eta = 2 / (l_g1 + mu_g).
     """
-    alpha, eta, K = _resolve_steps(stream, config, "oagd")
+    config = _resolve_steps(stream, config, "oagd")
+    eta, K = config.eta, config.K
     window: deque[ProblemInstant] = deque(maxlen=config.w)
 
     def estimate(instant, lam, beta):
@@ -467,8 +450,7 @@ def run_oagd(stream: Stream, config: OagdConfig) -> RunTrace:
         # The loop ends on the current instant, so est is this round's own.
         return beta_next, est, total / config.w
 
-    step = _bregman_step(config, alpha, stream[0].d1)
-    return _run(stream, config, alpha, eta, estimate, step)
+    return _run(stream, config, estimate, _bregman_step(config, stream[0].d1))
 
 
 def run_sobow(stream: Stream, config: SobowConfig) -> RunTrace:
@@ -489,8 +471,8 @@ def run_single_level(stream: Stream, method: str, config: SingleLevelConfig) -> 
     """
     if method not in ("adam", "sgdm"):
         raise ValueError(f"unknown single-level method {method!r}")
-    alpha, eta, K = _resolve_steps(stream, config, method)
-    d1 = stream[0].d1
+    config = _resolve_steps(stream, config, method)
+    alpha, d1 = config.alpha, stream[0].d1
     beta1, beta2, eps_adam, momentum = 0.9, 0.999, 1e-8, 0.9
     m_state, v_state, ones = np.zeros(d1), np.zeros(d1), np.ones(d1)
     step_idx = 0
@@ -509,5 +491,4 @@ def run_single_level(stream: Stream, method: str, config: SingleLevelConfig) -> 
             delta = m_state
         return config.feasible.project(lam - alpha * delta), ones
 
-    estimate = _gd_estimate(config, eta, K)
-    return _run(stream, config, alpha, eta, estimate, step)
+    return _run(stream, config, _gd_estimate(config), step)

@@ -183,17 +183,18 @@ class TestGeneralizedProjection:
 
 
 @st.composite
-def prox_problems(draw, n_q=1):
+def prox_problems(draw, n_q=1, zero=st.booleans(), full=st.booleans()):
     """A random (phi, h, X), a point u in X, a step alpha and n_q gradients q,
-    over the same kinds and ranges as ``random_geometry``."""
+    over the same kinds and ranges as ``random_geometry``. ``zero`` and
+    ``full`` draw whether h is zero and whether X is the full space."""
     d = draw(st.integers(1, 4))
 
     def vector(lo, hi):
         return np.array(draw(st.lists(st.floats(lo, hi), min_size=d, max_size=d)))
 
     phi = EUCLID if draw(st.booleans()) else DistanceGenerator.diagonal(vector(0.5, 3.0))
-    h = ZERO if draw(st.booleans()) else Regularizer.l1(draw(st.floats(0.0, 2.0)))
-    if draw(st.booleans()):
+    h = ZERO if draw(zero) else Regularizer.l1(draw(st.floats(0.0, 2.0)))
+    if draw(full):
         X, u = FULL, vector(-2.0, 2.0)
     else:
         lo, width = vector(-2.0, -0.5), vector(1.0, 4.0)
@@ -230,6 +231,25 @@ class TestProxProperties:
         g1 = generalized_projection(u, q1, alpha, phi, h, X)
         g2 = generalized_projection(u, q2, alpha, phi, h, X)
         assert np.linalg.norm(g1 - g2) <= np.linalg.norm(q1 - q2) / phi.rho + 1e-9
+
+
+class TestEuclideanIsOnesDiagonal:
+    """A step under ``DistanceGenerator.euclidean()`` gives the bits of the
+    same step under the all-ones diagonal, so a Euclidean run can take the
+    diagonal path of an adaptive one."""
+
+    @pytest.mark.parametrize("zero", [True, False], ids=["zero", "l1"])
+    @pytest.mark.parametrize("full", [True, False], ids=["full", "box"])
+    @settings(derandomize=True, deadline=None, max_examples=50)
+    @given(data=st.data())
+    def test_prox_and_projection_equal_bit_for_bit(self, zero, full, data):
+        problem = data.draw(prox_problems(zero=st.just(zero), full=st.just(full)))
+        _, h, X, u, alpha, (q,) = problem
+        ones = DistanceGenerator(np.ones(u.size))
+        assert np.array_equal(prox_step(q, u, alpha, EUCLID, h, X),
+                              prox_step(q, u, alpha, ones, h, X))
+        assert np.array_equal(generalized_projection(u, q, alpha, EUCLID, h, X),
+                              generalized_projection(u, q, alpha, ones, h, X))
 
 
 def adaptive_diags(estimates, epsilon=1e-8):

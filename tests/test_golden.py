@@ -17,7 +17,12 @@ The ``obbo validate`` output of the same configs and of
 
 Re-record (only when a change to the numbers is intended) with::
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [NAME ...]
+
+where each NAME is a key of ``VALIDATED`` (``reference``, ``spline``,
+``paths``, ``window_sweep``); with no NAME every config is re-recorded, and a
+named config's re-record leaves every other config's golden entries as they
+are.
 """
 
 from __future__ import annotations
@@ -149,11 +154,25 @@ def test_validate_output_matches_golden(name):
     assert validate_lines(VALIDATED[name]) == want
 
 
-def record() -> None:
+def _merged(path: Path, entries: dict) -> dict:
+    """``entries`` over the entries already recorded in ``path``, by name."""
+    old = json.loads(path.read_text()) if path.exists() else {}
+    return dict(sorted({**old, **entries}.items()))
+
+
+def record(names: list[str]) -> None:
+    """Re-record the named configs (every config when ``names`` is empty):
+    each one's ``<name>.golden.json`` and its entries in
+    ``report.golden.json`` and ``validate.golden.json``. Every other golden
+    file and entry stays as it is."""
+    unknown = sorted(set(names) - set(VALIDATED))
+    if unknown:
+        raise SystemExit(f"unknown config(s) {unknown}; known: {sorted(VALIDATED)}")
+    names = sorted(names or VALIDATED)
     reports = {}
-    for name, config_path in CONFIGS.items():
+    for name in (n for n in names if n in CONFIGS):
         with tempfile.TemporaryDirectory() as tmp:
-            runs = collect(config_path, Path(tmp))
+            runs = collect(CONFIGS[name], Path(tmp))
             reports[name] = report_tables(report(Path(tmp)))
         # One run per line keeps the file small and its diffs per run.
         body = ",\n".join(
@@ -163,14 +182,15 @@ def record() -> None:
         path = GOLDEN_DIR / f"{name}.golden.json"
         path.write_text("{\n" + body + "\n}\n")
         print(f"recorded {len(runs)} run(s) to {path}", file=sys.stderr)
-    path = GOLDEN_DIR / "report.golden.json"
-    path.write_text(json.dumps(reports, indent=1, sort_keys=True) + "\n")
-    print(f"recorded the report tables of {len(reports)} config(s) to {path}", file=sys.stderr)
-    lines = {name: validate_lines(path) for name, path in sorted(VALIDATED.items())}
+    if reports:
+        path = GOLDEN_DIR / "report.golden.json"
+        path.write_text(json.dumps(_merged(path, reports), indent=1, sort_keys=True) + "\n")
+        print(f"recorded the report tables of {sorted(reports)} to {path}", file=sys.stderr)
+    lines = {name: validate_lines(VALIDATED[name]) for name in names}
     path = GOLDEN_DIR / "validate.golden.json"
-    path.write_text(json.dumps(lines, indent=2) + "\n")
-    print(f"recorded validate output of {len(lines)} config(s) to {path}", file=sys.stderr)
+    path.write_text(json.dumps(_merged(path, lines), indent=2) + "\n")
+    print(f"recorded validate output of {names} to {path}", file=sys.stderr)
 
 
 if __name__ == "__main__":
-    record()
+    record(sys.argv[1:])

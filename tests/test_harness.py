@@ -32,7 +32,7 @@ from obbo.harness.runner import (
     write_trace_csv,
 )
 from obbo.harness.validate import cli_validate
-from obbo.metrics import compute_regret_series, hypergradient_error
+from obbo.metrics import compute_regret_series, hypergradient_error, variation_grid
 from obbo.optimizers import ObboConfig, run_obbo
 from obbo.problems import quadratic_stream
 
@@ -524,6 +524,36 @@ class TestExperimentChecks:
         )
         assert not out.exists() and cells == []
 
+    def test_empty_seeds_rejected_in_code(self):
+        exp = small_config().experiments[0]
+        named = "experiment 'tiny-obbo': seeds must not be empty"
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            ExperimentSpec(exp.name, [], exp.stream, exp.optimizer)
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            replace(exp, seeds=[])
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_empty_seeds_exit_2_before_any_cell(self, tmp_path, capsys, monkeypatch, command):
+        cells = []
+        monkeypatch.setattr(runner, "run_cell", lambda *cell: cells.append(cell))
+        path = write_with_last(tmp_path, {"seeds": []})
+        named = "experiment 'last': seeds must not be empty"
+        assert_cli_exits_2(tmp_path, capsys, command, path, named)
+        assert cells == []
+
+    @pytest.mark.parametrize("flag", [",", ""], ids=["comma", "blank"])
+    def test_empty_seeds_flag_exits_2_before_any_cell(self, tmp_path, capsys, monkeypatch, flag):
+        cells = []
+        monkeypatch.setattr(runner, "run_cell", lambda *cell: cells.append(cell))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(serialize_config(small_config()))
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["run", "--config", str(cfg_path), "--out", str(out), "--seeds", flag])
+        assert exc.value.code == 2
+        assert "experiment 'tiny-obbo': seeds must not be empty" in capsys.readouterr().err
+        assert not out.exists() and cells == []
+
     @pytest.mark.parametrize("part", ["stream", "optimizer", "metrics"])
     def test_part_that_is_not_an_object_rejected_in_code(self, part):
         exp = small_config().experiments[0]
@@ -858,7 +888,7 @@ class TestCliRun:
         exp = replace(small_config().experiments[0], optimizer=optimizer,
                       metrics={"variations": True, "grid_size": 16})
         trace, _ = execute_run(exp, 1)
-        grid = runner._variation_grid(trace, 16)
+        grid = variation_grid(trace, 16)
         assert len(grid) > trace.T
         assert np.all(grid >= lower) and np.all(grid <= upper)
         entry = run_cell(exp, 1, str(tmp_path))
@@ -979,8 +1009,7 @@ class TestCsvSchema:
         trace = run_obbo(stream, ObboConfig(alpha=0.05, eta=0.1, K=3, w=2))
         regret = compute_regret_series(stream, trace)
         hg_error = hypergradient_error(trace, regret.exact_grads)
-        smoothed_sq = np.array([float(row @ row) for row in trace.smoothed])
-        write_trace_csv(path, "rid", trace, regret, hg_error, smoothed_sq)
+        write_trace_csv(path, "rid", trace, regret, hg_error)
         return trace, regret, hg_error
 
     def test_float_round_trip_17_digits(self, tmp_path):
@@ -1018,14 +1047,15 @@ class TestCsvBytes:
     """The CSV prints each value as ``format(x, ".17g")`` does, row by row."""
 
     @staticmethod
-    def reference_rows(run_id, trace, regret, hg_error, smoothed_sq):
+    def reference_rows(run_id, trace, regret, hg_error):
         d1 = trace.lambdas.shape[1]
         if d1 <= 8:
             columns = [trace.lambdas[:, i] for i in range(d1)]
         else:
             columns = [[np.linalg.norm(lam) for lam in trace.lambdas]]
         columns += [
-            trace.outer_loss, trace.inner_residual, trace.gen_proj_norm_sq, smoothed_sq,
+            trace.outer_loss, trace.inner_residual, trace.gen_proj_norm_sq,
+            regret.smoothed_norm_sq,
             regret.terms, regret.cumulative, regret.euclidean_terms,
             regret.euclidean_cumulative, hg_error,
         ]
@@ -1050,13 +1080,13 @@ class TestCsvBytes:
         )
         regret = SimpleNamespace(
             terms=column(4), cumulative=column(5), euclidean_terms=column(6),
-            euclidean_cumulative=column(7),
+            euclidean_cumulative=column(7), smoothed_norm_sq=column(9),
         )
-        hg_error, smoothed_sq = column(8), column(9)
+        hg_error = column(8)
         path = tmp_path / "run.csv"
         with np.errstate(over="ignore"):  # the d1 = 9 norm of rows holding 1e308
-            write_trace_csv(path, run_id, trace, regret, hg_error, smoothed_sq)
-            expected = self.reference_rows(run_id, trace, regret, hg_error, smoothed_sq)
+            write_trace_csv(path, run_id, trace, regret, hg_error)
+            expected = self.reference_rows(run_id, trace, regret, hg_error)
         lines = path.read_bytes().split(b"\n")
         assert lines[-1] == b"" and lines[0] == b"# schema=obbo-results-v1"
         assert lines[2:-1] == [row.encode() for row in expected]
@@ -1373,6 +1403,30 @@ class TestCliMain:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {manifest}:") and ": invalid JSON: " in err
+
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda m: [], "not an object with an 'outputs' list"),
+            (lambda m: {**m, "outputs": {}}, "not an object with an 'outputs' list"),
+            (lambda m: {**m, "outputs": [3]},
+             "outputs[0] needs 'run_id' (str), 'experiment' (str), 'seed' (int), 'status' (str)"),
+            (lambda m: {**m, "outputs": [{k: v for k, v in e.items() if k != "file"}
+                                         for e in m["outputs"]]},
+             "outputs[0] needs 'file' (str)"),
+            (lambda m: {**m, "outputs": [{k: v for k, v in e.items() if k != "seed"}
+                                         for e in m["outputs"]]},
+             "outputs[0] needs 'seed' (int)"),
+        ],
+        ids=["list", "outputs-object", "entry-int", "ok-without-file", "without-seed"],
+    )
+    def test_report_on_manifest_of_wrong_shape_exits_2(self, tmp_path, capsys, edit, named):
+        cli_run(small_config(), tmp_path)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))))
+        assert cli_main(["report", str(tmp_path), "--out", str(tmp_path / "report")]) == 2
+        assert capsys.readouterr().err == f"error: {manifest}: {named}\n"
+        assert not (tmp_path / "report").exists()
 
     def test_out_root_env_var(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("OBBO_OUT_ROOT", str(tmp_path / "root"))

@@ -696,8 +696,8 @@ class TestNeumannMatrixPath:
         trace = run_sobbo(stream, SobboConfig(alpha=0.05, eta=0.1, K=3, w=4), np.random.default_rng(5))
         first = stream[0].quadratic
         neumann = first.neumann
-        assert list(neumann) == [(stream[0].l_g1, trace.m)]
-        assert len(neumann[stream[0].l_g1, trace.m]) == trace.m
+        assert list(neumann) == [(stream[0].l_g1, trace.config.m)]
+        assert len(neumann[stream[0].l_g1, trace.config.m]) == trace.config.m
         # Every instant shares the stream's fixed matrices and cache.
         for inst in stream:
             for name in ("A", "Q", "neg_At", "neumann"):

@@ -137,7 +137,7 @@ def per_window_series(stream, trace, window_sum):
         smoothed = window_sum(grads[max(0, t - trace.config.w + 1) : t + 1]) / trace.config.w
         eucl.append(float(smoothed.dot(smoothed)))
         phi = DistanceGenerator(diag)
-        g = generalized_projection(lam, smoothed, trace.alpha, phi, h, X)
+        g = generalized_projection(lam, smoothed, trace.config.alpha, phi, h, X)
         terms.append(float(g.dot(g)))
     return grads, np.array(terms), np.array(eucl)
 
@@ -198,15 +198,15 @@ class TestPathVariation:
     def test_static_stream_is_zero(self):
         stream = make_stream(T=15, drift=DriftSpec.static())
         report = variation_report(stream, grid_for(stream))
-        assert report.h1 == 0.0
-        assert report.h2 == 0.0
+        assert report["h1"] == 0.0
+        assert report["h2"] == 0.0
 
     def test_quadratic_stream_matches_offset_path(self):
         stream = make_stream(T=40)
         report = variation_report(stream, grid_for(stream))
         zero = np.zeros(2)
         offsets = [inst.inner_opt(zero) for inst in stream]
-        for p, got in ((1, report.h1), (2, report.h2)):
+        for p, got in ((1, report["h1"]), (2, report["h2"])):
             expected = sum(
                 np.linalg.norm(offsets[i] - offsets[i - 1]) ** p
                 for i in range(1, len(stream))
@@ -239,7 +239,7 @@ class TestPathVariation:
 class TestFunctionVariation:
     def test_static_stream_is_zero(self):
         stream = make_stream(T=10, drift=DriftSpec.static())
-        assert variation_report(stream, grid_for(stream)).v1 == 0.0
+        assert variation_report(stream, grid_for(stream))["v1"] == 0.0
 
     def test_pure_offset_shift_sums_exactly(self):
         stream = make_stream(T=12, drift=DriftSpec.static())
@@ -249,26 +249,26 @@ class TestFunctionVariation:
             inst.f_value = (
                 lambda lam, beta, _orig=orig, _t=inst.t: _orig(lam, beta) + _t * delta
             )
-        got = variation_report(stream, grid_for(stream)).v1
+        got = variation_report(stream, grid_for(stream))["v1"]
         assert got == pytest.approx((len(stream) - 1) * delta, rel=1e-12)
 
     def test_grid_refinement_self_consistency(self):
         stream = make_stream(T=40, amp=0.4)
-        coarse = variation_report(stream, grid_for(stream, n=64)).v1
-        fine = variation_report(stream, grid_for(stream, n=1024)).v1
+        coarse = variation_report(stream, grid_for(stream, n=64))["v1"]
+        fine = variation_report(stream, grid_for(stream, n=1024))["v1"]
         assert abs(coarse - fine) <= 0.05 * fine
 
     def test_grid_monotonicity(self):
         stream = make_stream(T=25)
         small = variation_report(stream, grid_for(stream, n=16))
         large = variation_report(stream, grid_for(stream, n=256))
-        assert small.v1 <= large.v1 + 1e-12
-        assert small.h2 <= large.h2 + 1e-12
+        assert small["v1"] <= large["v1"] + 1e-12
+        assert small["h2"] <= large["h2"] + 1e-12
 
     def test_variation_report_bundles_all(self):
         stream = make_stream(T=20, drift=DriftSpec.sublinear(0.4))
         report = variation_report(stream, grid_for(stream))
-        assert report.h1 >= 0 and report.h2 >= 0 and report.v1 >= 0
+        assert report["h1"] >= 0 and report["h2"] >= 0 and report["v1"] >= 0
 
 
 class TestHypergradientError:
@@ -366,9 +366,9 @@ class TestSingleEvaluation:
                 change = max(change, abs(cur.f_value(lam, b_cur) - prev.f_value(lam, b_prev)))
             h1, h2, v1 = h1 + disp, h2 + disp**2, v1 + change
         report = variation_report(stream, grid)
-        assert report.h1 == pytest.approx(h1, rel=1e-12, abs=0.0)
-        assert report.h2 == pytest.approx(h2, rel=1e-12, abs=0.0)
-        assert report.v1 == pytest.approx(v1, rel=1e-12, abs=0.0)
+        assert report["h1"] == pytest.approx(h1, rel=1e-12, abs=0.0)
+        assert report["h2"] == pytest.approx(h2, rel=1e-12, abs=0.0)
+        assert report["v1"] == pytest.approx(v1, rel=1e-12, abs=0.0)
 
     @settings(derandomize=True, deadline=None, max_examples=12)
     @given(stream=small_streams, K=st.integers(1, 4), w=st.integers(1, 3))

@@ -414,7 +414,7 @@ class TestConfigValidation:
     def test_trace_records_resolved_steps(self):
         stream = static_stream(T=5)
         trace = run_obbo(stream, ObboConfig(w=2))
-        assert trace.alpha > 0 and trace.eta > 0
+        assert trace.config.alpha > 0 and trace.config.eta > 0
         assert trace.config.w == 2
         assert trace.T == 5
         assert isinstance(dataclasses.asdict(trace.config), dict)
@@ -428,7 +428,7 @@ def records_by_round(stream, trace):
     gen, loss, residual = [], [], []
     for inst, lam, beta, lam_next in zip(stream, trace.lambdas, trace.betas, nexts):
         lam, beta = lam.copy(), beta.copy()
-        gen.append((((lam - lam_next) / trace.alpha) ** 2).sum())
+        gen.append((((lam - lam_next) / trace.config.alpha) ** 2).sum())
         loss.append(inst.f_value(lam, beta))
         r = inst.grad_g_beta(lam, beta)
         residual.append(math.sqrt(r.dot(r)))
