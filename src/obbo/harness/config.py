@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -230,8 +231,17 @@ def build(part: str, spec: dict | None, where: str):
     return CONSTRUCTORS[part][spec_kind(part, spec)](**args)
 
 
+def _finite_number(literal: str) -> float:
+    """The float a JSON number literal spells, or ``ConfigError`` for ``NaN``,
+    ``Infinity``, ``-Infinity`` and a literal that overflows."""
+    value = float(literal)
+    if not math.isfinite(value):
+        raise ConfigError(f"config number {literal} is not finite")
+    return value
+
+
 def parse_config_text(text: str) -> HarnessConfig:
-    data = json.loads(text)
+    data = json.loads(text, parse_constant=_finite_number, parse_float=_finite_number)
     if not isinstance(data, dict):
         raise ConfigError("top level must be a JSON object")
     spec_args("top-level", data, "config")

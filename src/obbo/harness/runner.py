@@ -100,9 +100,9 @@ def write_trace_csv(
     else:
         columns = [("lambda_norm", [np.linalg.norm(lam) for lam in trace.lambdas])]
     columns += [
-        ("outer_loss", trace.outer_loss),
-        ("inner_residual", trace.inner_residual),
-        ("gen_proj_norm_sq", trace.gen_proj_norm_sq),
+        ("outer_loss", regret.outer_loss),
+        ("inner_residual", regret.inner_residual),
+        ("gen_proj_norm_sq", regret.gen_proj_norm_sq),
         ("smoothed_norm_sq", regret.smoothed_norm_sq),
         ("blr_term", regret.terms),
         ("blr_cum", regret.cumulative),
@@ -159,7 +159,7 @@ def run_cell(exp: ExperimentSpec, seed: int, out_dir: str) -> dict:
             entry["variations"] = variations
         entry["terminal"] = {
             "lambda_final": [float(v) for v in trace.lambda_final],
-            "final_outer_loss": float(trace.outer_loss[-1]),
+            "final_outer_loss": float(regret.outer_loss[-1]),
             "alpha": trace.config.alpha,
             "eta": trace.config.eta,
             "final_blr_cum": float(regret.cumulative[-1]),

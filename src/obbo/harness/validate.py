@@ -27,8 +27,8 @@ PROBE_SEED = 0
 def _probe_stream(stream_spec: dict):
     """Build a short prefix of the stream just to read its constants."""
     probe = dict(stream_spec)
-    if "T" in probe:
-        probe["T"] = min(int(probe["T"]), 2)
+    if isinstance(probe.get("T"), int):  # any other T fails in the build
+        probe["T"] = min(probe["T"], 2)
     return build_stream(probe, PROBE_SEED)
 
 

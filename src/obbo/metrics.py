@@ -40,7 +40,7 @@ SOBOL_MAX_DIM = len(_JOE_KUO) + 1
 
 @dataclass
 class RegretSeries:
-    """Per-round local-regret terms and running sums.
+    """Per-round local-regret terms and running sums, and the run's records.
 
     ``terms`` uses the generalized projection under the run's own geometry;
     ``euclidean_terms`` is the companion squared norm of the smoothed true
@@ -48,7 +48,10 @@ class RegretSeries:
     reduction the two series coincide term by term. ``exact_grads`` (T x d1)
     holds the true hypergradient of each round's objective at that round's
     iterate, which ``hypergradient_error`` reads too. ``smoothed_norm_sq``
-    is the squared norm of the run's own clipped window average.
+    is the squared norm of the run's own clipped window average. The records
+    ``outer_loss`` and ``inner_residual`` are f and ||grad_beta g|| at each
+    round's (lambdas[t], betas[t]), ``gen_proj_norm_sq`` is
+    ||(lambda_t - lambda_{t+1}) / alpha||^2.
     """
 
     terms: np.ndarray
@@ -57,22 +60,44 @@ class RegretSeries:
     euclidean_cumulative: np.ndarray
     exact_grads: np.ndarray
     smoothed_norm_sq: np.ndarray
+    outer_loss: np.ndarray
+    inner_residual: np.ndarray
+    gen_proj_norm_sq: np.ndarray
 
 
 def compute_regret_series(stream: Stream, trace: RunTrace) -> RegretSeries:
-    """Local-regret series of a completed run against the exact oracles.
+    """Local-regret series and per-round records of a completed run.
 
-    The smoothed true hypergradient at round t averages exact gradients of
-    the w most recent objectives at their historical iterates (zero-padded
-    before the start), and each term is the squared generalized projection of
-    that average under the round's distance generator, step size, regularizer
-    and feasible set. The generator is the diagonal the run recorded for the
-    round (ones for a Euclidean step), which the run checked to be finite.
+    One pass over the rows takes each ``stream[t]`` by index (never iterating
+    the stream) and forms the exact hypergradient, ``f_value`` and the norm
+    of ``grad_g_beta`` at ``(trace.lambdas[t], trace.betas[t])``. The smoothed
+    true hypergradient at round t averages exact gradients of the w most
+    recent objectives at their historical iterates (zero-padded before the
+    start), and each term is the squared generalized projection of that
+    average under the round's distance generator (the diagonal the run
+    recorded and checked), step size, regularizer and feasible set. A record
+    or term that is not finite raises ``DivergenceError`` naming it and t.
     """
     T, w, alpha = trace.T, trace.config.w, trace.config.alpha
     if len(stream) < T:
         raise ValueError("stream shorter than trace")
-    grads = np.array([exact_hypergradient(stream[t], trace.lambdas[t]) for t in range(T)])
+    lambdas, betas = trace.lambdas, trace.betas
+    grads, outer_loss, residual_sq = np.empty(lambdas.shape), np.empty(T), np.empty(T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(T):
+            instant, lam, beta = stream[t], lambdas[t], betas[t]
+            grads[t] = exact_hypergradient(instant, lam)
+            outer_loss[t] = instant.f_value(lam, beta)
+            r = instant.grad_g_beta(lam, beta)
+            residual_sq[t] = r.dot(r)
+        nexts = np.concatenate((lambdas[1:], trace.lambda_final[None]))
+        records = {
+            "gen_proj_norm_sq": (((lambdas - nexts) / alpha) ** 2).sum(axis=1),
+            "outer_loss": outer_loss,
+            "inner_residual": np.sqrt(residual_sq),
+        }
+    for name, values in records.items():
+        _finite(name, values)
     # Window sums as w shifted adds of zero-padded rows, oldest first, as
     # ``grads[lo : t + 1].sum(axis=0)`` adds them for d1 > 1 (at d1 = 1 numpy
     # sums a window of 8 or more rows pairwise, which can differ in last bits).
@@ -84,7 +109,7 @@ def compute_regret_series(stream: Stream, trace: RunTrace) -> RegretSeries:
     smoothed = sums / w
     projections = [
         generalized_projection(lam, s, alpha, DistanceGenerator(diag), h, X)
-        for lam, s, diag in zip(trace.lambdas, smoothed, trace.phi_diags)
+        for lam, s, diag in zip(lambdas, smoothed, trace.phi_diags)
     ]
     terms = _squared_norms("blr_term", projections)
     eucl = _squared_norms("blr_eucl_term", smoothed)
@@ -97,6 +122,7 @@ def compute_regret_series(stream: Stream, trace: RunTrace) -> RegretSeries:
         euclidean_cumulative=_finite("blr_eucl_cum", eucl_cumulative),
         exact_grads=grads,
         smoothed_norm_sq=_squared_norms("smoothed_norm_sq", trace.smoothed),
+        **records,
     )
 
 

@@ -71,6 +71,14 @@ class Adaptive:
             raise ValueError("adaptive epsilon must be positive")
 
 
+def _check_count(what: str, value) -> None:
+    """Raise unless ``value`` is a Python or numpy integer (not a bool) of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{what} must be at least 1")
+
+
 @dataclass
 class StepConfig:
     """The fields every optimizer reads. An unset ``alpha`` or ``eta`` is
@@ -94,10 +102,9 @@ class StepConfig:
     feasible: ClassVar[FeasibleSet] = FeasibleSet.full_space()
 
     def __post_init__(self):
-        if self.w < 1:
-            raise ValueError("window size must be at least 1")
-        if self.K is not None and self.K < 1:
-            raise ValueError("inner iteration count must be at least 1")
+        _check_count("window size", self.w)
+        if self.K is not None:
+            _check_count("inner iteration count", self.K)
         if self.alpha is not None and self.alpha <= 0:
             raise ValueError("alpha must be positive")
         if self.eta is not None and self.eta <= 0:
@@ -137,10 +144,9 @@ class SobboConfig(StepConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.s is not None and self.s < 1:
-            raise ValueError("batch size s must be at least 1")
-        if self.m is not None and self.m < 1:
-            raise ValueError("Neumann bound m must be at least 1")
+        for what, value in (("batch size s", self.s), ("Neumann bound m", self.m)):
+            if value is not None:
+                _check_count(what, value)
 
 
 @dataclass
@@ -179,7 +185,7 @@ CONFIGS = {
 
 @dataclass
 class RunTrace:
-    """Per-round record of a run plus its last outer iterate.
+    """What the round loop produced: per-round rows plus the last outer iterate.
 
     ``lambdas[t]`` is the iterate the round-t estimate was formed at;
     ``betas[t]`` is the final inner iterate handed to round t+1, so
@@ -193,10 +199,7 @@ class RunTrace:
     betas: np.ndarray
     estimates: np.ndarray
     smoothed: np.ndarray
-    gen_proj_norm_sq: np.ndarray
     phi_diags: np.ndarray
-    outer_loss: np.ndarray
-    inner_residual: np.ndarray
     lambda_final: np.ndarray
     config: StepConfig
 
@@ -286,15 +289,13 @@ def _run(stream: Stream, config: StepConfig, estimate, step) -> RunTrace:
     ``estimate(instant, lam, beta)`` returns (beta_next, raw estimate, window
     average); ``step(q, lam)`` returns (lam_next, the generator's diagonal).
     The rounds run with floating-point warnings ignored: the estimate, the
-    iterate and the diagonal are checked every round. The recorded per-round
-    quantities, which no round reads, are formed after the loop through each
-    kept instant's oracles and checked once, so a finite run never records inf.
+    iterate and the diagonal are checked every round. The loop only solves;
+    ``obbo.metrics.compute_regret_series`` forms the records the runner writes.
     """
     lam, beta = _initial_iterates(stream, config)
     T, d1, d2 = len(stream), lam.size, beta.size
     lambdas, estimates, smoothed, phi_diags = (np.empty((T, d1)) for _ in range(4))
     betas = np.empty((T, d2))
-    instants = []  # the records read these, and take nothing from the stream again
 
     with np.errstate(over="ignore", invalid="ignore"):
         for i, instant in enumerate(stream):
@@ -305,33 +306,9 @@ def _run(stream: Stream, config: StepConfig, estimate, step) -> RunTrace:
             _check_finite("outer iterate", lam_next, instant.t)
             _check_finite("adaptive diagonal", phi_diags[i], instant.t)
             lambdas[i], betas[i], estimates[i], smoothed[i] = lam, beta_next, est, q
-            instants.append(instant)
             lam, beta = lam_next, beta_next
-        nexts = np.concatenate((lambdas[1:], lam[None]))
-        gen_proj_norm_sq = (((lambdas - nexts) / config.alpha) ** 2).sum(axis=1)
-        outer_loss, inner_residual = np.empty(T), np.empty(T)
-        for i, (instant, lam_t, beta_t) in enumerate(zip(instants, lambdas, betas)):
-            outer_loss[i] = instant.f_value(lam_t, beta_t)
-            r = instant.grad_g_beta(lam_t, beta_t)
-            inner_residual[i] = math.sqrt(r.dot(r))
-    finite = np.isfinite((gen_proj_norm_sq, outer_loss, inner_residual)).all(axis=0)
-    if not finite.all():
-        t = instants[int(np.argmin(finite))].t
-        raise DivergenceError(
-            f"recorded round quantities became non-finite at t={t}; aborting run"
-        )
-    return RunTrace(
-        lambdas=lambdas,
-        betas=betas,
-        estimates=estimates,
-        smoothed=smoothed,
-        gen_proj_norm_sq=gen_proj_norm_sq,
-        phi_diags=phi_diags,
-        outer_loss=outer_loss,
-        inner_residual=inner_residual,
-        lambda_final=lam,
-        config=config,
-    )
+    return RunTrace(lambdas=lambdas, betas=betas, estimates=estimates, smoothed=smoothed,
+                    phi_diags=phi_diags, lambda_final=lam, config=config)
 
 
 def _windowed(w: int, solve_and_estimate: Callable) -> Callable:

@@ -399,8 +399,17 @@ BAD_OPTIMIZER_VALUES = [
      "l1 weight must be nonnegative"),
     ({"kind": "oagd", "feasible": {"kind": "box", "lower": [0.0, 1.0], "upper": [1.0, 1.0]}},
      "box requires lower < upper coordinate-wise"),
+    ({"kind": "obbo", "w": 2.5}, "window size must be an integer, got 2.5"),
+    ({"kind": "obbo", "w": True}, "window size must be an integer, got True"),
+    ({"kind": "obbo", "K": 2.5}, "inner iteration count must be an integer, got 2.5"),
+    ({"kind": "obbo", "K": 3.0}, "inner iteration count must be an integer, got 3.0"),
+    ({"kind": "sobbo", "s": 2.5}, "batch size s must be an integer, got 2.5"),
+    ({"kind": "sobbo", "m": 2.5}, "Neumann bound m must be an integer, got 2.5"),
 ]
-BAD_VALUE_IDS = ["w-0", "adaptive-beta", "sobow-estimator", "l1-negative", "box-empty"]
+BAD_VALUE_IDS = [
+    "w-0", "adaptive-beta", "sobow-estimator", "l1-negative", "box-empty",
+    "w-2.5", "w-true", "K-2.5", "K-3.0", "sobbo-s-2.5", "sobbo-m-2.5",
+]
 
 
 class TestBadOptimizerValues:
@@ -417,6 +426,46 @@ class TestBadOptimizerValues:
         exp = small_config().experiments[0]
         with pytest.raises(ConfigError, match="experiment 'tiny-obbo': unknown estimator"):
             ExperimentSpec(exp.name, exp.seeds, exp.stream, {"kind": "obbo", "estimator": "ad"})
+
+    def test_non_integer_count_rejected_in_code(self):
+        exp = small_config().experiments[0]
+        with pytest.raises(ConfigError, match="experiment 'tiny-obbo': window size must be an "
+                                              "integer, got 2.5"):
+            ExperimentSpec(exp.name, exp.seeds, exp.stream, {"kind": "obbo", "w": 2.5})
+
+
+# A non-finite number in each place where one used to parse and then run
+# quietly: a drift that never moves, a clip that never clips, an L1 term
+# that never acts. "@" marks where the literal goes.
+NON_FINITE_LITERALS = ["NaN", "Infinity", "-Infinity", "1e999"]
+NON_FINITE_PLACES = {
+    "drift-scale": {"stream": {**small_config().experiments[0].stream,
+                               "drift": {"kind": "decaying", "scale": "@"}}},
+    "clip-threshold": {"optimizer": {"kind": "obbo", "alpha": 0.05, "clip_threshold": "@"}},
+    "l1-weight": {"optimizer": {"kind": "obbo", "alpha": 0.05,
+                                "regularizer": {"kind": "l1", "weight": "@"}}},
+}
+
+
+class TestNonFiniteNumbers:
+    """A config file holds finite numbers only: JSON's NaN, Infinity and
+    -Infinity extensions and a literal that overflows to inf are rejected
+    when the file is parsed."""
+
+    @pytest.mark.parametrize("literal", NON_FINITE_LITERALS)
+    def test_rejected_at_parse_time(self, literal):
+        text = serialize_config(small_config())
+        text = text.replace('"kappa_target": 4.0', f'"kappa_target": {literal}')
+        with pytest.raises(ConfigError, match=f"config number {re.escape(literal)} is not finite"):
+            parse_config_text(text)
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("place", NON_FINITE_PLACES)
+    @pytest.mark.parametrize("literal", NON_FINITE_LITERALS)
+    def test_cli_exits_2_before_any_cell(self, tmp_path, capsys, command, place, literal):
+        path = write_with_last(tmp_path, NON_FINITE_PLACES[place])
+        path.write_text(path.read_text().replace('"@"', literal))
+        assert_cli_exits_2(tmp_path, capsys, command, path, f"config number {literal} is not finite")
 
 
 BAD_METRICS = [
@@ -602,10 +651,14 @@ UNRUNNABLE = [
     ({"optimizer": {"kind": "obbo", "lambda0": [2.0, 0.0],
                     "feasible": {"kind": "box", "lower": [-1.0, -1.0], "upper": [1.0, 1.0]}}},
      "lambda0 lies outside the feasible set"),
+    ({"stream": {**small_config().experiments[0].stream, "T": 20.0}},
+     "stream cannot be built: TypeError: "),
+    ({"stream": {**META, "T": 3.0}}, "stream cannot be built: TypeError: "),
 ]
 UNRUNNABLE_IDS = [
     "meta-gamma-0", "meta-n_val-0", "missing-csv", "d1-9-variations", "spline-no-alpha",
-    "lambda0-length-7", "beta0-length-7", "lambda0-outside-box",
+    "lambda0-length-7", "beta0-length-7", "lambda0-outside-box", "quadratic-T-float",
+    "meta-T-float",
 ]
 
 
@@ -792,10 +845,11 @@ class TestCliRun:
         ids=["nan-g", "nan-f", "inf-g", "inf-f"],
     )
     def test_non_finite_noise_errors_the_cell(self, tmp_path, noise):
-        # JSON's NaN and Infinity parse; the cell's stream build rejects them.
-        doc = json.loads(serialize_config(small_config(noise=noise)))
-        doc["experiments"][0]["optimizer"] = {"kind": "sobbo", "alpha": 0.05, "eta": 0.05, "w": 2}
-        entry = run_cell(parse_config_text(json.dumps(doc)).experiments[0], 1, str(tmp_path))
+        # A config file cannot hold NaN or inf, a spec built in code can; the
+        # cell's stream build rejects them.
+        stream = small_config(noise=noise).experiments[0].stream
+        optimizer = {"kind": "sobbo", "alpha": 0.05, "eta": 0.05, "w": 2}
+        entry = run_cell(ExperimentSpec("tiny-sobbo", [1], stream, optimizer), 1, str(tmp_path))
         assert entry["status"] == "error" and entry["file"] is None
         assert entry["error"].startswith("ValueError: noise must be a finite nonnegative pair")
 
@@ -1021,7 +1075,7 @@ class TestCsvSchema:
         i_loss = header.index("outer_loss")
         rows = [row.split(",") for row in lines[2:]]
         for column, values in (
-            ("outer_loss", trace.outer_loss),
+            ("outer_loss", regret.outer_loss),
             ("blr_term", regret.terms),
             ("blr_eucl_cum", regret.euclidean_cumulative),
             ("hypergrad_err_sq", hg_error),
@@ -1054,7 +1108,7 @@ class TestCsvBytes:
         else:
             columns = [[np.linalg.norm(lam) for lam in trace.lambdas]]
         columns += [
-            trace.outer_loss, trace.inner_residual, trace.gen_proj_norm_sq,
+            regret.outer_loss, regret.inner_residual, regret.gen_proj_norm_sq,
             regret.smoothed_norm_sq,
             regret.terms, regret.cumulative, regret.euclidean_terms,
             regret.euclidean_cumulative, hg_error,
@@ -1074,11 +1128,9 @@ class TestCsvBytes:
             values = np.concatenate((EDGE_VALUES, rng.standard_normal(T) * 10.0 ** rng.integers(-20, 20, T)))
             return rng.permutation(values)[:T] if k else values[:T]
 
-        trace = SimpleNamespace(
-            T=T, lambdas=np.column_stack([column(k) for k in range(d1)]),
-            outer_loss=column(1), inner_residual=column(2), gen_proj_norm_sq=column(3),
-        )
+        trace = SimpleNamespace(T=T, lambdas=np.column_stack([column(k) for k in range(d1)]))
         regret = SimpleNamespace(
+            outer_loss=column(1), inner_residual=column(2), gen_proj_norm_sq=column(3),
             terms=column(4), cumulative=column(5), euclidean_terms=column(6),
             euclidean_cumulative=column(7), smoothed_norm_sq=column(9),
         )

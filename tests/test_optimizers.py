@@ -18,6 +18,7 @@ from obbo.hypergrad import (
     inner_gd,
     stochastic_hypergradient,
 )
+from obbo.metrics import compute_regret_series
 from obbo.optimizers import (
     Adaptive,
     OagdConfig,
@@ -74,8 +75,9 @@ class TestRunObbo:
         target = stationary_point(stream)
         assert np.linalg.norm(trace.lambda_final - target) <= 1e-4
         # realized generalized-projection norms eventually shrink below any level
-        assert trace.gen_proj_norm_sq[-1] < 1e-8
-        assert trace.gen_proj_norm_sq[-1] < trace.gen_proj_norm_sq[10]
+        gen_proj_norm_sq = compute_regret_series(stream, trace).gen_proj_norm_sq
+        assert gen_proj_norm_sq[-1] < 1e-8
+        assert gen_proj_norm_sq[-1] < gen_proj_norm_sq[10]
 
     def test_zero_gradient_keeps_lambda_fixed(self):
         stream = [constant_gradient_instant(t, [0.0, 0.0]) for t in range(1, 20)]
@@ -160,8 +162,9 @@ class TestRunObbo:
         config = ObboConfig(alpha=0.1, eta=0.1, K=2, w=1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DivergenceError, match="t=1"):
-                run_obbo(stream, config)
+            trace = run_obbo(stream, config)
+            with pytest.raises(DivergenceError, match="gen_proj_norm_sq became non-finite at t=1"):
+                compute_regret_series(stream, trace)
 
     def test_overflowing_adaptive_diagonal_rejected(self):
         # A finite estimate whose square overflows gives the adaptive
@@ -242,8 +245,10 @@ class TestRunSobbo:
             t1 = run_sobbo(stream, config, np.random.default_rng(3))
             t2 = run_sobbo(stream, config, np.random.default_rng(3))
             assert t1.T == len(stream) and np.all(np.isfinite(t1.lambdas))
-            for name in ("lambdas", "betas", "estimates", "smoothed", "outer_loss"):
+            for name in ("lambdas", "betas", "estimates", "smoothed"):
                 assert getattr(t1, name).tobytes() == getattr(t2, name).tobytes()
+            loss1, loss2 = (compute_regret_series(stream, t).outer_loss for t in (t1, t2))
+            assert loss1.tobytes() == loss2.tobytes()
 
 
 class TestRunOagd:
@@ -460,19 +465,54 @@ RECORD_RUNS = {
 
 
 class TestRecordsAfterTheLoop:
-    """The records formed after the loop equal the per-round oracle calls
-    bit for bit, on every stream."""
+    """The records ``compute_regret_series`` forms after the run equal the
+    per-round oracle calls bit for bit, on every stream."""
 
     @pytest.mark.parametrize("name", RECORD_RUNS)
     def test_records_equal_per_round_oracle_calls(self, name):
         make_stream, run = RECORD_RUNS[name]
         stream = make_stream()
         trace = run(stream)
+        series = compute_regret_series(stream, trace)
         gen, loss, residual = records_by_round(stream, trace)
-        assert np.array_equal(trace.gen_proj_norm_sq, gen)
-        assert np.array_equal(trace.outer_loss, loss)
-        assert np.array_equal(trace.inner_residual, residual)
+        assert np.array_equal(series.gen_proj_norm_sq, gen)
+        assert np.array_equal(series.outer_loss, loss)
+        assert np.array_equal(series.inner_residual, residual)
         assert gen.any() and residual.all()
+
+
+def _count_f_value(stream):
+    """``stream`` with each instant's ``f_value`` counted in the returned Counter."""
+    calls = Counter()
+    for inst in stream:
+        def counted(*args, _fn=inst.f_value):
+            calls["f_value"] += 1
+            return _fn(*args)
+
+        inst.f_value = counted
+    return stream, calls
+
+
+SOLVES_WITHOUT_RECORDS = {
+    "obbo": lambda s: run_obbo(s, ObboConfig(alpha=0.05, eta=0.1, K=3, w=2)),
+    "sobbo": lambda s: run_sobbo(s, SobboConfig(alpha=0.05, eta=0.1, K=3, w=2),
+                                 np.random.default_rng(0)),
+    "oagd": lambda s: run_oagd(s, OagdConfig(alpha=0.05, eta=0.1, w=2)),
+}
+
+
+@pytest.mark.parametrize("kind", SOLVES_WITHOUT_RECORDS)
+@pytest.mark.parametrize("make_stream", [
+    lambda: static_stream(T=9, amp=0.3, seed=5),
+    lambda: meta_toy_stream(d=3, T=9, seed=2),
+], ids=["quadratic", "meta"])
+def test_solver_makes_no_f_value_call(kind, make_stream):
+    # The round loop only solves; the metrics form the outer loss, once per round.
+    stream, calls = _count_f_value(make_stream())
+    trace = SOLVES_WITHOUT_RECORDS[kind](stream)
+    assert calls["f_value"] == 0
+    compute_regret_series(stream, trace)
+    assert calls["f_value"] == trace.T == len(stream)
 
 
 # Each solver's calls through the names of obbo.optimizers per round, as
@@ -529,6 +569,12 @@ INPUT_CHECKS = {
     "clip-threshold": (lambda: ObboConfig(clip_threshold=0.0), ValueError,
                        "clip threshold must be positive"),
     "sobbo-m": (lambda: SobboConfig(m=0), ValueError, "Neumann bound m must be at least 1"),
+    "w-float": (lambda: ObboConfig(w=2.0), TypeError, "window size must be an integer, got 2.0"),
+    "w-bool": (lambda: SobowConfig(w=True), TypeError, "window size must be an integer, got True"),
+    "K-float": (lambda: OagdConfig(K=2.5), TypeError,
+                "inner iteration count must be an integer, got 2.5"),
+    "sobbo-s-float": (lambda: SobboConfig(s=2.5), TypeError,
+                      "batch size s must be an integer, got 2.5"),
     "empty-stream": (lambda: run_obbo([], ObboConfig(alpha=0.1)), ValueError, "empty stream"),
     "exact-without-inner-opt": (
         lambda: run_obbo(_no_inner_opt_stream(), ObboConfig(alpha=0.1, estimator="exact")),
