@@ -87,8 +87,8 @@ class Regularizer:
 
     @staticmethod
     def l1(weight: float) -> "Regularizer":
-        if weight < 0:
-            raise ValueError("l1 weight must be nonnegative")
+        if not 0 <= weight < math.inf:
+            raise ValueError("l1 weight must be nonnegative and finite")
         return Regularizer(kind="l1", weight=float(weight))
 
     def __post_init__(self):

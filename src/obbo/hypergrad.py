@@ -8,9 +8,13 @@ take second-order information through Hessian-vector products; the implicit
 form solves with the instant's inner Hessian, a desk-scale direct solve. On
 an instant with ``quadratic`` data, inner GD, the ITD estimator and the
 Neumann estimator run that data's kernels instead of its oracle methods.
-The inner-GD and ITD kernels write into buffers (ITD's cross HVPs as one
-stacked product) and equal the oracles bit for bit (see ``QuadraticData``);
-the Neumann kernel applies one cached matrix per level, equal up to rounding.
+The inner-GD kernel forms the whole trajectory in closed form, as one
+``longdouble`` product with a matrix cached per (eta, K), rounded once per
+entry; against a 40-digit reference it is more accurate than the step loop
+(``tests/test_referee.py``). The ITD kernel repeats the oracles' operations
+into buffers (its cross HVPs as one stacked product) and equals them bit for
+bit; the Neumann kernel applies one cached matrix per level, equal up to
+rounding (see ``QuadraticData``).
 """
 
 from __future__ import annotations
@@ -65,15 +69,19 @@ def _steps(traj: np.ndarray, eta: float, lam, grad, *extra) -> None:
         omega = row
 
 
-def _descend(t: int, lam, beta0, eta: float, K: int, fill, *args) -> InnerSolveResult:
+def _descend(
+    t: int, lam, beta0, eta: float, K: int, fill, *args, every_row: bool = False
+) -> InnerSolveResult:
     """K descent steps from beta0, written by ``fill(traj, eta, lam, *args)``.
 
-    Finiteness is checked once, after the loop, and is equivalent to a check
-    after every step: every fill writes row k as ``omega - step``, and an inf
-    or nan entry of omega stays non-finite through the subtraction, so the
-    last row is finite exactly when every row is. Only a failure scans all
-    rows, to name the first non-finite one; the steps after it ran under the
-    ignored floating-point warnings, and the error discards them.
+    A step loop's finiteness is checked once, on the last row, which is
+    equivalent to a check after every step: the loop writes row k as
+    ``omega - step``, and an inf or nan entry of omega stays non-finite through
+    the subtraction, so the last row is finite exactly when every row is. A
+    fill that forms each row on its own (the quadratic closed form) has no such
+    chain, so with ``every_row`` all K rows are checked. Only a failure scans
+    the rows to name the first non-finite one; the rows after it were formed
+    under the ignored floating-point warnings, and the error discards them.
     """
     if eta <= 0:
         raise ValueError("inner step size must be positive")
@@ -85,7 +93,7 @@ def _descend(t: int, lam, beta0, eta: float, K: int, fill, *args) -> InnerSolveR
     traj[0] = beta0
     with np.errstate(over="ignore", invalid="ignore"):
         fill(traj, eta, lam, *args)
-    if not _all_finite(traj[-1]):
+    if not _all_finite(traj[1:].ravel() if every_row else traj[-1]):
         k = 1 + int(np.argmin(np.isfinite(traj[1:]).all(axis=1)))
         raise DivergenceError(
             f"inner iterate diverged at k={k} (t={t}); "
@@ -97,13 +105,13 @@ def _descend(t: int, lam, beta0, eta: float, K: int, fill, *args) -> InnerSolveR
 def inner_gd(instant: ProblemInstant, lam, beta0, eta: float, K: int) -> InnerSolveResult:
     """K gradient-descent steps on g_t(lam, .) from the warm start beta0.
 
-    On an instant with ``quadratic`` data its ``descend`` kernel writes the
-    steps in place, forming A lam once per solve.
+    On an instant with ``quadratic`` data its ``descend`` kernel writes all K
+    steps in closed form, from a matrix formed once per stream and (eta, K).
     """
     quad = instant.quadratic
     if quad is None:
         return _descend(instant.t, lam, beta0, eta, K, _steps, instant.grad_g_beta)
-    return _descend(instant.t, lam, beta0, eta, K, quad.descend)
+    return _descend(instant.t, lam, beta0, eta, K, quad.descend, every_row=True)
 
 
 def inner_sgd(
@@ -115,9 +123,15 @@ def inner_sgd(
     s: int,
     rng: np.random.Generator,
 ) -> InnerSolveResult:
-    """K stochastic gradient steps with batch size s per step."""
+    """K stochastic gradient steps with batch size s per step.
+
+    At zero inner noise the sampled gradient is the exact one and draws
+    nothing, so this is ``inner_gd``, with its kernel, and leaves rng as it is.
+    """
     if s < 1:
         raise ValueError("batch size s must be at least 1")
+    if instant.sigma_g_beta == 0:
+        return inner_gd(instant, lam, beta0, eta, K)
     return _descend(instant.t, lam, beta0, eta, K, _steps, instant.grad_g_beta_sampled, s, rng)
 
 

@@ -30,7 +30,7 @@ from .hypergrad import (
     itd_hypergradient,
     stochastic_hypergradient,
 )
-from .problems.base import ProblemInstant, Stream, outer_grad_lipschitz
+from .problems.base import ProblemInstant, Stream, _check_integer, outer_grad_lipschitz
 
 __all__ = [
     "CONFIGS",
@@ -67,14 +67,13 @@ class Adaptive:
     def __post_init__(self):
         if not 0.0 < self.beta < 1.0:
             raise ValueError("adaptive beta must lie in (0, 1)")
-        if self.epsilon <= 0:
-            raise ValueError("adaptive epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("adaptive epsilon must be positive and finite")
 
 
 def _check_count(what: str, value) -> None:
     """Raise unless ``value`` is a Python or numpy integer (not a bool) of at least 1."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise TypeError(f"{what} must be an integer, got {value!r}")
+    _check_integer(what, value)
     if value < 1:
         raise ValueError(f"{what} must be at least 1")
 
@@ -105,12 +104,13 @@ class StepConfig:
         _check_count("window size", self.w)
         if self.K is not None:
             _check_count("inner iteration count", self.K)
-        if self.alpha is not None and self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if self.eta is not None and self.eta <= 0:
-            raise ValueError("eta must be positive")
-        if self.clip_threshold is not None and self.clip_threshold <= 0:
-            raise ValueError("clip threshold must be positive")
+        # Written so that NaN fails: a NaN threshold would never clip.
+        if self.alpha is not None and not 0 < self.alpha < math.inf:
+            raise ValueError("alpha must be positive and finite")
+        if self.eta is not None and not 0 < self.eta < math.inf:
+            raise ValueError("eta must be positive and finite")
+        if self.clip_threshold is not None and not 0 < self.clip_threshold < math.inf:
+            raise ValueError("clip threshold must be positive and finite")
         if not isinstance(self.phi, (Euclidean, Adaptive)):
             raise TypeError(f"phi must be Euclidean() or Adaptive(...), got {self.phi!r}")
         # Only the kinds that read an estimator have the field.

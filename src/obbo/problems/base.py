@@ -73,10 +73,11 @@ class ProblemInstant:
     c, amp, phases of f_t); it is None on every other instant. Inner GD, ITD
     and the Neumann estimator then run the data's kernels, so wrapping or
     reassigning ``grad_g_beta`` or an HVP field of such an instant does not
-    reach them. The inner-GD and ITD kernels repeat the oracles' operations
-    in order, into buffers; the Neumann kernel is one product with a matrix
-    cached per truncation level. Inner SGD, the implicit estimator and the
-    metrics still call the fields.
+    reach them. Inner GD is one product with a matrix cached per (eta, K); the
+    ITD kernel repeats the oracles' operations in order, into buffers; the
+    Neumann kernel is one product with a matrix cached per truncation level.
+    Noisy inner SGD, the implicit estimator and the metrics still call the
+    fields.
     """
 
     t: int
@@ -166,6 +167,12 @@ def _is_scale(sigma: float) -> bool:
     return math.isfinite(sigma) and sigma >= 0
 
 
+def _check_integer(what: str, value) -> None:
+    """Raise unless ``value`` is a Python or numpy integer, and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+
+
 def _exact(grad, lam, beta, *batch_and_rng):
     return grad(lam, beta)
 
@@ -210,12 +217,13 @@ class DriftSpec:
             object.__setattr__(self, "rate", self.RATES[self.kind])
         if self.scale is None:
             object.__setattr__(self, "scale", 1.0)
-        if self.kind == "decaying" and self.rate <= 0:
+        # Written so that NaN fails: a NaN scale would never move the data.
+        if self.kind == "decaying" and not 0 < self.rate < math.inf:
             raise ValueError("decaying drift requires rate > 0")
         if self.kind == "sublinear" and not 0.0 < self.rate < 1.0:
             raise ValueError("sublinear drift requires rate in (0, 1)")
-        if self.scale < 0:
-            raise ValueError("drift scale must be nonnegative")
+        if not 0 <= self.scale < math.inf:
+            raise ValueError("drift scale must be nonnegative and finite")
 
     @staticmethod
     def static() -> "DriftSpec":

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .base import DriftSpec, ProblemInstant, instant_of
+from .base import DriftSpec, ProblemInstant, _check_integer, instant_of
 
 __all__ = ["MetaData", "meta_toy_stream"]
 
@@ -83,6 +83,7 @@ def meta_toy_stream(
     true regression vector follows the drift path and fresh samples arrive
     each round. A task's data and constants are formed once per drawn task.
     """
+    _check_integer("horizon", T)
     if d < 1 or T < 1:
         raise ValueError("dimension and horizon must be positive")
     if gamma <= 0:

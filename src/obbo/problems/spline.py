@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .base import ProblemInstant, instant_of
+from .base import ProblemInstant, _check_integer, instant_of
 
 __all__ = [
     "SplineData",
@@ -212,6 +212,9 @@ def make_drifting_spline_task(
     high-frequency one, so the optimal smoothing weight drifts downward over
     the stream; a fixed hyperparameter cannot track it.
     """
+    _check_integer("horizon", T)
+    if T < 1:
+        raise ValueError("horizon must be positive")
     rng = np.random.default_rng(seed)
     knots = np.linspace(0.0, 1.0, n_knots)
     train, val = [], []

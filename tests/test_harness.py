@@ -654,11 +654,14 @@ UNRUNNABLE = [
     ({"stream": {**small_config().experiments[0].stream, "T": 20.0}},
      "stream cannot be built: TypeError: "),
     ({"stream": {**META, "T": 3.0}}, "stream cannot be built: TypeError: "),
+    *[({"stream": {**stream, "T": True}},
+       "stream cannot be built: TypeError: horizon must be an integer, got True")
+      for stream in (small_config().experiments[0].stream, META, SPLINE_EXP["stream"])],
 ]
 UNRUNNABLE_IDS = [
     "meta-gamma-0", "meta-n_val-0", "missing-csv", "d1-9-variations", "spline-no-alpha",
     "lambda0-length-7", "beta0-length-7", "lambda0-outside-box", "quadratic-T-float",
-    "meta-T-float",
+    "meta-T-float", "quadratic-T-bool", "meta-T-bool", "spline-T-bool",
 ]
 
 

@@ -569,6 +569,16 @@ INPUT_CHECKS = {
     "clip-threshold": (lambda: ObboConfig(clip_threshold=0.0), ValueError,
                        "clip threshold must be positive"),
     "sobbo-m": (lambda: SobboConfig(m=0), ValueError, "Neumann bound m must be at least 1"),
+    # NaN fails every ``<= 0`` check: such a config would never clip or regularize.
+    "alpha-nan": (lambda: ObboConfig(alpha=math.nan), ValueError,
+                  "alpha must be positive and finite"),
+    "eta-inf": (lambda: ObboConfig(eta=math.inf), ValueError, "eta must be positive and finite"),
+    "clip-threshold-nan": (lambda: ObboConfig(clip_threshold=math.nan), ValueError,
+                           "clip threshold must be positive and finite"),
+    "adaptive-epsilon-nan": (lambda: Adaptive(epsilon=math.nan), ValueError,
+                             "adaptive epsilon must be positive and finite"),
+    "l1-weight-nan": (lambda: Regularizer.l1(math.nan), ValueError,
+                      "l1 weight must be nonnegative and finite"),
     "w-float": (lambda: ObboConfig(w=2.0), TypeError, "window size must be an integer, got 2.0"),
     "w-bool": (lambda: SobowConfig(w=True), TypeError, "window size must be an integer, got True"),
     "K-float": (lambda: OagdConfig(K=2.5), TypeError,

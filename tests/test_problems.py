@@ -660,6 +660,17 @@ INPUT_CHECKS = {
         ValueError, "phases must have length d1"),
     "stream-horizon": (lambda tmp: quadratic_stream(1, 1, 0), ValueError,
                        "horizon must be positive"),
+    # A bool is an int to Python: unchecked, T=True builds one round.
+    "stream-horizon-bool": (lambda tmp: quadratic_stream(1, 1, True), TypeError,
+                            "horizon must be an integer, got True"),
+    "meta-horizon-bool": (lambda tmp: meta_toy_stream(2, True), TypeError,
+                          "horizon must be an integer, got True"),
+    "spline-horizon-bool": (lambda tmp: make_drifting_spline_task(seed=0, T=True), TypeError,
+                            "horizon must be an integer, got True"),
+    "spline-horizon-float": (lambda tmp: make_drifting_spline_task(seed=0, T=3.0), TypeError,
+                             "horizon must be an integer, got 3.0"),
+    "spline-horizon": (lambda tmp: make_drifting_spline_task(seed=0, T=0), ValueError,
+                       "horizon must be positive"),
     "stream-cos-amplitude": (lambda tmp: quadratic_stream(1, 1, 2, cos_amplitude=-0.1),
                              ValueError, "cos_amplitude must be nonnegative"),
     "drift-kind": (lambda tmp: DriftSpec("linear"), ValueError, "unknown drift kind 'linear'"),
@@ -667,6 +678,10 @@ INPUT_CHECKS = {
                             "decaying drift requires rate > 0"),
     "drift-scale": (lambda tmp: DriftSpec.sublinear(scale=-1.0), ValueError,
                     "drift scale must be nonnegative"),
+    "drift-scale-nan": (lambda tmp: DriftSpec.decaying(scale=float("nan")), ValueError,
+                        "drift scale must be nonnegative and finite"),
+    "drift-decaying-rate-nan": (lambda tmp: DriftSpec.decaying(rate=float("nan")), ValueError,
+                                "decaying drift requires rate > 0"),
     "instant-t": (lambda tmp: dataclasses.replace(_instant(), t=0), ValueError,
                   "time index starts at 1"),
     "instant-mu": (lambda tmp: dataclasses.replace(_instant(), mu_g=0.0), ValueError,
