@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .problems.base import check_number
+
 __all__ = [
     "DistanceGenerator",
     "Regularizer",
@@ -87,8 +89,7 @@ class Regularizer:
 
     @staticmethod
     def l1(weight: float) -> "Regularizer":
-        if not 0 <= weight < math.inf:
-            raise ValueError("l1 weight must be nonnegative and finite")
+        check_number("l1 weight", weight)
         return Regularizer(kind="l1", weight=float(weight))
 
     def __post_init__(self):
@@ -148,6 +149,14 @@ class FeasibleSet:
         return 0.5 * (self.lower + self.upper)
 
 
+def _prox_inputs(q, u, alpha) -> tuple[np.ndarray, np.ndarray]:
+    """The input guard ``prox_step`` and ``generalized_projection`` share."""
+    q = _as_vector("q", q)
+    u = _as_vector("u", u, q.size)
+    check_number("alpha", alpha, open_low=True)
+    return q, u
+
+
 def _soft_threshold(z: np.ndarray, tau) -> np.ndarray:
     return np.sign(z) * np.maximum(np.abs(z) - tau, 0.0)
 
@@ -167,10 +176,7 @@ def prox_step(
     L1, then clamping to the box. Clamp-after-threshold is exact because each
     coordinate problem is convex in one variable.
     """
-    q = _as_vector("q", q)
-    u = _as_vector("u", u, q.size)
-    if not math.isfinite(alpha) or alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    q, u = _prox_inputs(q, u, alpha)
     # u is a finite vector now, so it lies in the full space.
     if X.kind == "box" and not X.contains(u):
         raise ValueError("reference point u lies outside the feasible set")
@@ -198,9 +204,6 @@ def generalized_projection(
     to q / diag for a diagonal generator; that reduction is returned exactly.
     """
     if X.kind == "full" and (h.kind == "zero" or h.weight == 0):
-        q = _as_vector("q", q)
-        _as_vector("u", u, q.size)
-        if not math.isfinite(alpha) or alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {alpha}")
+        q, _ = _prox_inputs(q, u, alpha)
         return q / phi.scaling(q.size)
     return (np.asarray(u, dtype=float) - prox_step(q, u, alpha, phi, h, X)) / alpha

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import _all_finite
-from .problems.base import ProblemInstant
+from .problems.base import ProblemInstant, check_count, check_number
 
 __all__ = [
     "DivergenceError",
@@ -83,10 +83,8 @@ def _descend(
     the rows to name the first non-finite one; the rows after it were formed
     under the ignored floating-point warnings, and the error discards them.
     """
-    if eta <= 0:
-        raise ValueError("inner step size must be positive")
-    if K < 1:
-        raise ValueError("inner iteration count must be at least 1")
+    check_number("inner step size", eta, open_low=True)
+    check_count("inner iteration count", K)
     lam = np.asarray(lam, dtype=float)
     beta0 = np.asarray(beta0, dtype=float)
     traj = np.empty((K + 1, beta0.size))
@@ -128,8 +126,7 @@ def inner_sgd(
     At zero inner noise the sampled gradient is the exact one and draws
     nothing, so this is ``inner_gd``, with its kernel, and leaves rng as it is.
     """
-    if s < 1:
-        raise ValueError("batch size s must be at least 1")
+    check_count("batch size s", s)
     if instant.sigma_g_beta == 0:
         return inner_gd(instant, lam, beta0, eta, K)
     return _descend(instant.t, lam, beta0, eta, K, _steps, instant.grad_g_beta_sampled, s, rng)
@@ -198,16 +195,15 @@ def itd_hypergradient(
 
 @dataclass(frozen=True)
 class NeumannParams:
-    """Truncation bound m and the curvature scale used by the Neumann series."""
+    """Truncation bound m and the curvature scale l_g1 used by the Neumann
+    series. Ranges: integer (not bool) ``m >= 1``; finite ``l_g1 > 0``."""
 
     m: int
     l_g1: float
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("Neumann sample bound m must be at least 1")
-        if self.l_g1 <= 0:
-            raise ValueError("l_g1 must be positive")
+        check_count("Neumann sample bound m", self.m)
+        check_number("l_g1", self.l_g1, open_low=True)
 
 
 def stochastic_hypergradient(
@@ -260,8 +256,7 @@ class WindowBuffer:
     """
 
     def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("window capacity must be at least 1")
+        check_count("window capacity", capacity)
         self.capacity = capacity
         self._rows: np.ndarray | None = None
 

@@ -30,7 +30,8 @@ from .hypergrad import (
     itd_hypergradient,
     stochastic_hypergradient,
 )
-from .problems.base import ProblemInstant, Stream, _check_integer, outer_grad_lipschitz
+from .problems.base import (ProblemInstant, Stream, check_count, check_number,
+                            outer_grad_lipschitz)
 
 __all__ = [
     "CONFIGS",
@@ -65,23 +66,15 @@ class Adaptive:
     epsilon: float = 1e-8
 
     def __post_init__(self):
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError("adaptive beta must lie in (0, 1)")
-        if not 0 < self.epsilon < math.inf:
-            raise ValueError("adaptive epsilon must be positive and finite")
-
-
-def _check_count(what: str, value) -> None:
-    """Raise unless ``value`` is a Python or numpy integer (not a bool) of at least 1."""
-    _check_integer(what, value)
-    if value < 1:
-        raise ValueError(f"{what} must be at least 1")
+        check_number("adaptive beta", self.beta, high=1.0, open_low=True)
+        check_number("adaptive epsilon", self.epsilon, open_low=True)
 
 
 @dataclass
 class StepConfig:
     """The fields every optimizer reads. An unset ``alpha`` or ``eta`` is
-    derived from the stream's declared smoothness constants.
+    derived from the stream's declared smoothness constants. Ranges: integer
+    (not bool) ``w`` and ``K >= 1``; finite ``alpha``, ``eta``, ``clip_threshold > 0``.
 
     Each kind's config adds the fields its run reads. What a kind fixes is a
     class constant, read like a field: the Euclidean generator, no
@@ -101,16 +94,13 @@ class StepConfig:
     feasible: ClassVar[FeasibleSet] = FeasibleSet.full_space()
 
     def __post_init__(self):
-        _check_count("window size", self.w)
+        check_count("window size", self.w)
         if self.K is not None:
-            _check_count("inner iteration count", self.K)
-        # Written so that NaN fails: a NaN threshold would never clip.
-        if self.alpha is not None and not 0 < self.alpha < math.inf:
-            raise ValueError("alpha must be positive and finite")
-        if self.eta is not None and not 0 < self.eta < math.inf:
-            raise ValueError("eta must be positive and finite")
-        if self.clip_threshold is not None and not 0 < self.clip_threshold < math.inf:
-            raise ValueError("clip threshold must be positive and finite")
+            check_count("inner iteration count", self.K)
+        for what, value in (("alpha", self.alpha), ("eta", self.eta),
+                            ("clip threshold", self.clip_threshold)):
+            if value is not None:
+                check_number(what, value, open_low=True)
         if not isinstance(self.phi, (Euclidean, Adaptive)):
             raise TypeError(f"phi must be Euclidean() or Adaptive(...), got {self.phi!r}")
         # Only the kinds that read an estimator have the field.
@@ -146,7 +136,7 @@ class SobboConfig(StepConfig):
         super().__post_init__()
         for what, value in (("batch size s", self.s), ("Neumann bound m", self.m)):
             if value is not None:
-                _check_count(what, value)
+                check_count(what, value)
 
 
 @dataclass

@@ -46,7 +46,8 @@ class ProblemInstant:
     quadratic and meta streams return the matrix they store. Every shipped
     stream's g is quadratic in beta, so its Hessian ignores ``beta``;
     hand-built instants may use it. ``mu_g`` and ``l_g1`` bound the spectrum
-    of the inner Hessian.
+    of the inner Hessian. Ranges: integer (not bool) ``t >= 1``; finite
+    ``0 < mu_g <= l_g1``, ``l_f1 > 0`` and noise scales ``>= 0``.
 
     ``l_f1``, the smoothness constant of f, sets the default outer step
     through ``outer_grad_lipschitz``, whose bound holds only when g has
@@ -105,18 +106,16 @@ class ProblemInstant:
     )
 
     def __post_init__(self):
-        if self.t < 1:
-            raise ValueError("time index starts at 1")
-        if self.mu_g <= 0:
-            raise ValueError("mu_g must be positive")
+        check_count("time index t", self.t)
+        check_number("mu_g", self.mu_g, open_low=True)
+        check_number("l_g1", self.l_g1, open_low=True)
         if self.l_g1 < self.mu_g:
             raise ValueError("l_g1 must be at least mu_g")
+        if self.l_f1 is not None:
+            check_number("l_f1", self.l_f1, open_low=True)
         d1, d2, sigma_g, sigma_f = self.d1, self.d2, self.sigma_g_beta, self.sigma_f
-        if not (_is_scale(sigma_g) and _is_scale(sigma_f)):
-            raise ValueError(
-                "noise scales must be finite and nonnegative, got "
-                f"sigma_g_beta={sigma_g}, sigma_f={sigma_f}"
-            )
+        check_number("noise sigma_g_beta", sigma_g)
+        check_number("noise sigma_f", sigma_f)
         # Partials of module-level functions, not closures: each instant adds
         # fewer objects for the garbage collector to traverse.
         if sigma_g == 0.0:
@@ -157,20 +156,35 @@ def instant_of(
         inner_opt=data.inner_opt,
         exact_hypergradient=data.exact_hypergradient,
         l_f1=l_f1,
-        sigma_g_beta=float(noise[0]),
-        sigma_f=float(noise[1]),
+        sigma_g_beta=noise[0],
+        sigma_f=noise[1],
     )
 
 
-def _is_scale(sigma: float) -> bool:
-    """Whether ``sigma`` is a valid noise scale: finite and nonnegative."""
-    return math.isfinite(sigma) and sigma >= 0
+_INTEGERS, _BOOLS = (int, np.integer), (bool, np.bool_)  # numpy's names looked up once
 
 
-def _check_integer(what: str, value) -> None:
-    """Raise unless ``value`` is a Python or numpy integer, and not a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+def check_count(what: str, value, least: int = 1) -> None:
+    """Raise ``TypeError`` unless ``value`` is a Python or numpy integer, and
+    not a bool; raise ``ValueError`` when it is below ``least``."""
+    if type(value) is bool or not isinstance(value, _INTEGERS):
         raise TypeError(f"{what} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{what} must be at least {least}, got {value!r}")
+
+
+def check_number(what: str, value, low=0.0, high=math.inf, *, open_low=False) -> None:
+    """Raise ``TypeError`` for a bool, and ``ValueError`` unless
+    ``low <= value < high`` (``low < value < high`` with ``open_low``), which
+    NaN and +-inf fail (pass low -inf only with ``open_low``)."""
+    if type(value) in _BOOLS:
+        raise TypeError(f"{what} must be a number, got {value!r}")
+    if not (low < value < high if open_low else low <= value < high):
+        if low == 0 and high == math.inf:
+            span = f"be {'positive' if open_low else 'nonnegative'} and finite"
+        else:
+            span = f"lie in {'(' if open_low else '['}{low:g}, {high:g})"
+        raise ValueError(f"{what} must {span}, got {value!r}")
 
 
 def _exact(grad, lam, beta, *batch_and_rng):
@@ -217,13 +231,9 @@ class DriftSpec:
             object.__setattr__(self, "rate", self.RATES[self.kind])
         if self.scale is None:
             object.__setattr__(self, "scale", 1.0)
-        # Written so that NaN fails: a NaN scale would never move the data.
-        if self.kind == "decaying" and not 0 < self.rate < math.inf:
-            raise ValueError("decaying drift requires rate > 0")
-        if self.kind == "sublinear" and not 0.0 < self.rate < 1.0:
-            raise ValueError("sublinear drift requires rate in (0, 1)")
-        if not 0 <= self.scale < math.inf:
-            raise ValueError("drift scale must be nonnegative and finite")
+        high = 1.0 if self.kind == "sublinear" else math.inf
+        check_number(f"{self.kind} drift rate", self.rate, high=high, open_low=True)
+        check_number("drift scale", self.scale)
 
     @staticmethod
     def static() -> "DriftSpec":

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .base import DriftSpec, ProblemInstant, _check_integer, instant_of
+from .base import DriftSpec, ProblemInstant, check_count, check_number, instant_of
 
 __all__ = ["MetaData", "meta_toy_stream"]
 
@@ -82,14 +82,14 @@ def meta_toy_stream(
     Static drift repeats one task verbatim every round; otherwise the task's
     true regression vector follows the drift path and fresh samples arrive
     each round. A task's data and constants are formed once per drawn task.
+    Ranges: integer (not bool) ``d``, ``T``, ``n_train``, ``n_val >= 1`` and
+    ``seed >= 0``; finite ``gamma > 0`` and ``task_noise >= 0``.
     """
-    _check_integer("horizon", T)
-    if d < 1 or T < 1:
-        raise ValueError("dimension and horizon must be positive")
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    if n_val < 1:
-        raise ValueError(f"n_val must be at least 1, got {n_val}")
+    for what, count, least in (("d", d, 1), ("horizon", T, 1), ("seed", seed, 0),
+                               ("n_train", n_train, 1), ("n_val", n_val, 1)):
+        check_count(what, count, least)
+    check_number("gamma", gamma, open_low=True)
+    check_number("task_noise", task_noise)
     rng = np.random.default_rng(seed)
     theta = rng.standard_normal(d)
 

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .base import DriftSpec, ProblemInstant, _check_integer, _is_scale, instant_of
+from .base import DriftSpec, ProblemInstant, check_count, check_number, instant_of
 
 __all__ = ["QuadraticData", "quadratic_instant", "quadratic_stream"]
 
@@ -229,21 +229,16 @@ def quadratic_stream(
     inner conditioning knob shape the outer geometry. ``noise`` is
     (sigma_g_beta, sigma_f), the scales of the instants' sampled gradients.
     ``cos_amplitude`` scales the bounded nonconvex term of f; zero gives the
-    convex instance.
+    convex instance. Ranges: integer (not bool) ``d1``, ``d2``, ``T >= 1``
+    and ``seed >= 0``; finite ``kappa_target >= 1``, noise scales and
+    ``cos_amplitude >= 0``.
     """
-    if d1 < 1 or d2 < 1:
-        raise ValueError("dimensions must be positive")
-    _check_integer("horizon", T)
-    if T < 1:
-        raise ValueError("horizon must be positive")
-    if kappa_target < 1.0:
-        raise ValueError("kappa_target must be at least 1")
-    if len(noise) != 2 or not all(map(_is_scale, noise)):
-        raise ValueError(
-            f"noise must be a finite nonnegative pair (sigma_g_beta, sigma_f), got {noise}"
-        )
-    if cos_amplitude < 0:
-        raise ValueError("cos_amplitude must be nonnegative")
+    for what, count, least in (("d1", d1, 1), ("d2", d2, 1), ("horizon", T, 1), ("seed", seed, 0)):
+        check_count(what, count, least)
+    check_number("kappa_target", kappa_target, 1.0)
+    if len(noise) != 2:  # each instant checks the two scales
+        raise ValueError(f"noise must be a pair (sigma_g_beta, sigma_f), got {noise}")
+    check_number("cos_amplitude", cos_amplitude)
     rng = np.random.default_rng(seed)
 
     evals = np.geomspace(1.0, kappa_target, d2)

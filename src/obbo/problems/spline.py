@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .base import ProblemInstant, _check_integer, instant_of
+from .base import ProblemInstant, check_count, check_number, instant_of
 
 __all__ = [
     "SplineData",
@@ -183,11 +183,6 @@ def spline_stream(task: SplineTask) -> list[ProblemInstant]:
         )
         mu_g = float(np.linalg.eigvalsh(data.hess_g_betabeta(task.lambda_lower, None))[0])
         l_g1 = float(np.linalg.eigvalsh(data.hess_g_betabeta(task.lambda_upper, None))[-1])
-        if mu_g <= 0:
-            raise ValueError(
-                "inner problem is not strongly convex over the lam box; "
-                "raise the lower bound or the ridge floor"
-            )
         instants.append(instant_of(data, t, 1, omega.shape[0], mu_g, l_g1))
     return instants
 
@@ -210,11 +205,17 @@ def make_drifting_spline_task(
 
     The ground truth morphs from a nearly flat low-frequency wave to a strong
     high-frequency one, so the optimal smoothing weight drifts downward over
-    the stream; a fixed hyperparameter cannot track it.
+    the stream; a fixed hyperparameter cannot track it. Ranges: integer (not
+    bool) ``seed >= 0``, ``T``, ``n_train``, ``n_val >= 1`` and ``n_knots >= 3``;
+    finite ``noise_std >= 0`` and finite ``freq_*``, ``amp_*``.
     """
-    _check_integer("horizon", T)
-    if T < 1:
-        raise ValueError("horizon must be positive")
+    for what, count, least in (("seed", seed, 0), ("horizon", T, 1), ("n_knots", n_knots, 3),
+                               ("n_train", n_train, 1), ("n_val", n_val, 1)):
+        check_count(what, count, least)
+    check_number("noise_std", noise_std)
+    for what, value in (("freq_start", freq_start), ("freq_end", freq_end),
+                        ("amp_start", amp_start), ("amp_end", amp_end)):
+        check_number(what, value, -np.inf, open_low=True)
     rng = np.random.default_rng(seed)
     knots = np.linspace(0.0, 1.0, n_knots)
     train, val = [], []

@@ -387,7 +387,7 @@ class TestInvariantsOfTypes:
 INPUT_CHECKS = {
     **{f"fast-path-alpha-{alpha}": (
         lambda alpha=alpha: generalized_projection([0.0], [1.0], alpha, EUCLID, ZERO, FULL),
-        ValueError, f"alpha must be positive, got {alpha}")
+        ValueError, f"alpha must be positive and finite, got {alpha}")
        for alpha in (0.0, -1.0, float("nan"))},
     "matrix-q": (lambda: prox_step(np.ones((2, 2)), [0.0, 0.0], 0.1, EUCLID, ZERO, FULL),
                  ValueError, "q must be a vector, got shape (2, 2)"),

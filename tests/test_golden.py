@@ -15,6 +15,13 @@ The ``obbo validate`` output of the same configs and of
 ``configs/window_sweep.json`` is pinned line for line
 (``golden/validate.golden.json``).
 
+The bytes of the 24 CSVs are pinned too: ``golden/sha256.json`` holds each
+run's manifest sha256 under a fingerprint of the environment that recorded
+it (``environment_fingerprint``), since the last bits depend on the BLAS
+kernel and numpy's SIMD dispatch. On a matching fingerprint every hash must
+be equal; on any other the test prints that the hashes were not compared.
+The rtol comparison runs either way.
+
 Re-record (only when a change to the numbers is intended) with::
 
     PYTHONPATH=src python tests/test_golden.py [NAME ...]
@@ -22,19 +29,23 @@ Re-record (only when a change to the numbers is intended) with::
 where each NAME is a key of ``VALIDATED`` (``reference``, ``spline``,
 ``paths``, ``window_sweep``); with no NAME every config is re-recorded, and a
 named config's re-record leaves every other config's golden entries as they
-are.
+are. A re-record also records the CSV hashes under this environment's
+fingerprint.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import math
+import platform
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from obbo.harness.cli import main as cli_main
@@ -49,15 +60,17 @@ CONFIGS = {
     "paths": GOLDEN_DIR / "paths.config.json",
 }
 VALIDATED = {**CONFIGS, "window_sweep": ROOT / "configs" / "window_sweep.json"}
+HASHES = GOLDEN_DIR / "sha256.json"
 RTOL, ATOL = 1e-12, 1e-14
 # Report columns that hold counts; "experiment" holds names, the rest floats.
 REPORT_COUNTS = {"t", "n_seeds", "seed", "n_runs"}
 
 
-def collect(config_path: Path, out_dir: Path) -> dict:
-    """Run a config and gather its CSV values and manifest summaries."""
+def collect(config_path: Path, out_dir: Path) -> tuple[dict, dict]:
+    """Run a config and gather its CSV values and manifest summaries, and each
+    written CSV's manifest sha256."""
     manifest = cli_run(parse_config(config_path), out_dir)
-    runs = {}
+    runs, hashes = {}, {}
     for entry in manifest["outputs"]:
         run = {"status": entry["status"]}
         if entry["status"] == "ok":
@@ -68,10 +81,44 @@ def collect(config_path: Path, out_dir: Path) -> dict:
                 for line in lines[2:]
             ]
             run["terminal"] = entry["terminal"]
+            hashes[entry["run_id"]] = entry["sha256"]
             if "variations" in entry:
                 run["variations"] = entry["variations"]
         runs[entry["run_id"]] = run
-    return runs
+    return runs, dict(sorted(hashes.items()))
+
+
+def environment_fingerprint() -> dict:
+    """What a CSV's last bits depend on besides the code: numpy's version, its
+    BLAS and SIMD dispatch, the machine and the CPU model."""
+    numpy_config = np.show_config(mode="dicts")
+    blas = numpy_config["Build Dependencies"]["blas"]
+    cpuinfo = Path("/proc/cpuinfo")
+    lines = cpuinfo.read_text().splitlines() if cpuinfo.exists() else []
+    cpu = next((line.split(":", 1)[1].strip() for line in lines if line.startswith("model name")),
+               None)
+    return {
+        "numpy": np.__version__,
+        "blas": blas.get("name"),
+        "blas_config": blas.get("openblas configuration"),
+        "simd_found": numpy_config["SIMD Extensions"]["found"],
+        "machine": platform.machine(),
+        "cpu_model": cpu,
+    }
+
+
+def _fingerprint_key(fingerprint: dict) -> str:
+    return hashlib.sha256(json.dumps(fingerprint, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def _pins() -> dict:
+    return json.loads(HASHES.read_text()) if HASHES.exists() else {}
+
+
+def pinned_hashes(name: str) -> dict | None:
+    """The CSV hashes recorded for config ``name`` under this environment's
+    fingerprint, or None when this environment recorded none."""
+    return _pins().get(_fingerprint_key(environment_fingerprint()), {}).get(name)
 
 
 def _assert_close(got, want, where: str) -> None:
@@ -133,8 +180,15 @@ def assert_dat_twins_match(report_dir: Path) -> None:
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_outputs_match_golden(name, tmp_path):
     want = json.loads((GOLDEN_DIR / f"{name}.golden.json").read_text())
-    got = collect(CONFIGS[name], tmp_path)
+    got, hashes = collect(CONFIGS[name], tmp_path)
     _assert_close(got, want, name)
+    pinned = pinned_hashes(name)
+    if pinned is None:
+        print(f"{name}: CSV hashes not compared; none recorded for this environment "
+              f"{environment_fingerprint()}")
+    else:
+        moved = sorted(run for run in {*hashes, *pinned} if hashes.get(run) != pinned.get(run))
+        assert not moved, f"{name}: the CSV bytes of {moved} differ from {HASHES.name}"
     report_dir = report(tmp_path)
     want = json.loads((GOLDEN_DIR / "report.golden.json").read_text())[name]
     _assert_close(report_tables(report_dir), want, f"{name} report")
@@ -169,10 +223,10 @@ def record(names: list[str]) -> None:
     if unknown:
         raise SystemExit(f"unknown config(s) {unknown}; known: {sorted(VALIDATED)}")
     names = sorted(names or VALIDATED)
-    reports = {}
+    reports, hashes = {}, {}
     for name in (n for n in names if n in CONFIGS):
         with tempfile.TemporaryDirectory() as tmp:
-            runs = collect(CONFIGS[name], Path(tmp))
+            runs, hashes[name] = collect(CONFIGS[name], Path(tmp))
             reports[name] = report_tables(report(Path(tmp)))
         # One run per line keeps the file small and its diffs per run.
         body = ",\n".join(
@@ -186,6 +240,12 @@ def record(names: list[str]) -> None:
         path = GOLDEN_DIR / "report.golden.json"
         path.write_text(json.dumps(_merged(path, reports), indent=1, sort_keys=True) + "\n")
         print(f"recorded the report tables of {sorted(reports)} to {path}", file=sys.stderr)
+        fingerprint = environment_fingerprint()
+        key = _fingerprint_key(fingerprint)
+        pins = _pins()
+        pins[key] = {**pins.get(key, {}), "fingerprint": fingerprint, **hashes}
+        HASHES.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
+        print(f"recorded the CSV hashes of {sorted(hashes)} to {HASHES}", file=sys.stderr)
     lines = {name: validate_lines(VALIDATED[name]) for name in names}
     path = GOLDEN_DIR / "validate.golden.json"
     path.write_text(json.dumps(_merged(path, lines), indent=2) + "\n")

@@ -685,6 +685,35 @@ class TestStreamProbe:
         assert "wrote 3 run(s)" in capsys.readouterr().out
 
 
+# Values outside the ranges the regret bounds assume, each of which once ran
+# every cell with exit 0: ``true`` ran as alpha = 1, and with ``n_val`` 0 the
+# spline validation batch was empty, so f was identically 0.
+SPLINE_SHORT = {**SPLINE_EXP["stream"], "T": 3}
+BUILT = "stream cannot be built: ValueError: "
+OUT_OF_RANGE = [
+    ({"optimizer": {"kind": "obbo", "alpha": True, "clip_threshold": True}},
+     "alpha must be a number, got True"),
+    ({"stream": {**META, "task_noise": -1}},
+     BUILT + "task_noise must be nonnegative and finite, got -1"),
+    ({"stream": {**META, "n_train": 0}}, BUILT + "n_train must be at least 1, got 0"),
+    ({"stream": {**SPLINE_SHORT, "noise_std": -1}},
+     BUILT + "noise_std must be nonnegative and finite, got -1"),
+    ({"stream": {**SPLINE_SHORT, "n_train": 0}}, BUILT + "n_train must be at least 1, got 0"),
+    ({"stream": {**SPLINE_SHORT, "n_val": 0}}, BUILT + "n_val must be at least 1, got 0"),
+]
+OUT_OF_RANGE_IDS = [
+    "alpha-clip-true", "meta-task_noise--1", "meta-n_train-0", "spline-noise_std--1",
+    "spline-n_train-0", "spline-n_val-0",
+]
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("last, named", OUT_OF_RANGE, ids=OUT_OF_RANGE_IDS)
+def test_out_of_range_value_exits_2_before_any_cell(tmp_path, capsys, command, last, named):
+    path = write_with_last(tmp_path, last)
+    assert_cli_exits_2(tmp_path, capsys, command, path, f"experiment 'last': {named}")
+
+
 # A value for each optimizer key that takes effect on GUARD_STREAM (d1 = 2,
 # d2 = 3): the clip threshold clips every round, the box binds, and s differs
 # from the default s = w on the noisy stream.
@@ -854,7 +883,7 @@ class TestCliRun:
         optimizer = {"kind": "sobbo", "alpha": 0.05, "eta": 0.05, "w": 2}
         entry = run_cell(ExperimentSpec("tiny-sobbo", [1], stream, optimizer), 1, str(tmp_path))
         assert entry["status"] == "error" and entry["file"] is None
-        assert entry["error"].startswith("ValueError: noise must be a finite nonnegative pair")
+        assert entry["error"].startswith("ValueError: noise sigma_")
 
     def test_dead_worker_is_recorded_and_manifest_written(self, tmp_path, monkeypatch):
         monkeypatch.setattr(runner, "run_cell", exit_in_worker)

@@ -859,6 +859,8 @@ class TestImplicitHypergradient:
 INPUT_CHECKS = {
     "window-capacity": (lambda: WindowBuffer(0), ValueError,
                         "window capacity must be at least 1"),
+    "window-capacity-float": (lambda: WindowBuffer(2.5), TypeError,
+                              "window capacity must be an integer, got 2.5"),
     "inner-gd-eta": (lambda: inner_gd(one_dim_instant(), [0.0], [0.0], 0.0, 1), ValueError,
                      "inner step size must be positive"),
     "inner-gd-K": (lambda: inner_gd(one_dim_instant(), [0.0], [0.0], 0.1, 0), ValueError,
@@ -867,6 +869,10 @@ INPUT_CHECKS = {
         lambda: inner_sgd(one_dim_instant(), [0.0], [0.0], 0.1, 1, 0, np.random.default_rng(0)),
         ValueError, "batch size s must be at least 1"),
     "neumann-l": (lambda: NeumannParams(m=1, l_g1=0.0), ValueError, "l_g1 must be positive"),
+    "neumann-l-nan": (lambda: NeumannParams(3, float("nan")), ValueError,
+                      "l_g1 must be positive and finite, got nan"),
+    "neumann-m-float": (lambda: NeumannParams(2.5, 1.0), TypeError,
+                        "Neumann sample bound m must be an integer, got 2.5"),
 }
 
 

@@ -579,6 +579,10 @@ INPUT_CHECKS = {
                              "adaptive epsilon must be positive and finite"),
     "l1-weight-nan": (lambda: Regularizer.l1(math.nan), ValueError,
                       "l1 weight must be nonnegative and finite"),
+    # A bool is a number to Python: unchecked, True reads as 1.
+    "l1-weight-bool": (lambda: Regularizer.l1(True), TypeError,
+                       "l1 weight must be a number, got True"),
+    "alpha-bool": (lambda: ObboConfig(alpha=True), TypeError, "alpha must be a number, got True"),
     "w-float": (lambda: ObboConfig(w=2.0), TypeError, "window size must be an integer, got 2.0"),
     "w-bool": (lambda: SobowConfig(w=True), TypeError, "window size must be an integer, got True"),
     "K-float": (lambda: OagdConfig(K=2.5), TypeError,

@@ -648,6 +648,9 @@ def _task():
     return make_drifting_spline_task(seed=0, T=3)
 
 
+NAN = float("nan")
+
+
 # Each input check of the problem builders: a call on a tmp_path, the
 # exception it raises and that exception's message.
 INPUT_CHECKS = {
@@ -659,7 +662,7 @@ INPUT_CHECKS = {
                                       phases=[0.0, 1.0]),
         ValueError, "phases must have length d1"),
     "stream-horizon": (lambda tmp: quadratic_stream(1, 1, 0), ValueError,
-                       "horizon must be positive"),
+                       "horizon must be at least 1, got 0"),
     # A bool is an int to Python: unchecked, T=True builds one round.
     "stream-horizon-bool": (lambda tmp: quadratic_stream(1, 1, True), TypeError,
                             "horizon must be an integer, got True"),
@@ -670,22 +673,43 @@ INPUT_CHECKS = {
     "spline-horizon-float": (lambda tmp: make_drifting_spline_task(seed=0, T=3.0), TypeError,
                              "horizon must be an integer, got 3.0"),
     "spline-horizon": (lambda tmp: make_drifting_spline_task(seed=0, T=0), ValueError,
-                       "horizon must be positive"),
+                       "horizon must be at least 1, got 0"),
     "stream-cos-amplitude": (lambda tmp: quadratic_stream(1, 1, 2, cos_amplitude=-0.1),
                              ValueError, "cos_amplitude must be nonnegative"),
+    # NaN fails every ``x < 0`` or ``x <= 0`` check.
+    "stream-cos-amplitude-nan": (
+        lambda tmp: quadratic_stream(1, 1, 2, cos_amplitude=NAN),
+        ValueError, "cos_amplitude must be nonnegative and finite, got nan"),
+    # Unchecked, a NaN kappa_target fails later with "Q must be symmetric".
+    "stream-kappa-nan": (lambda tmp: quadratic_stream(1, 1, 2, kappa_target=NAN), ValueError,
+                         "kappa_target must lie in [1, inf), got nan"),
+    "meta-gamma-nan": (lambda tmp: meta_toy_stream(2, 2, gamma=NAN), ValueError,
+                       "gamma must be positive and finite, got nan"),
+    "meta-task-noise-nan": (lambda tmp: meta_toy_stream(2, 2, task_noise=NAN), ValueError,
+                            "task_noise must be nonnegative and finite, got nan"),
+    "spline-noise-std-nan": (lambda tmp: make_drifting_spline_task(seed=0, T=2, noise_std=NAN),
+                             ValueError, "noise_std must be nonnegative and finite, got nan"),
     "drift-kind": (lambda tmp: DriftSpec("linear"), ValueError, "unknown drift kind 'linear'"),
     "drift-decaying-rate": (lambda tmp: DriftSpec.decaying(rate=0.0), ValueError,
-                            "decaying drift requires rate > 0"),
+                            "decaying drift rate must be positive and finite"),
     "drift-scale": (lambda tmp: DriftSpec.sublinear(scale=-1.0), ValueError,
                     "drift scale must be nonnegative"),
     "drift-scale-nan": (lambda tmp: DriftSpec.decaying(scale=float("nan")), ValueError,
                         "drift scale must be nonnegative and finite"),
     "drift-decaying-rate-nan": (lambda tmp: DriftSpec.decaying(rate=float("nan")), ValueError,
-                                "decaying drift requires rate > 0"),
+                                "decaying drift rate must be positive and finite"),
     "instant-t": (lambda tmp: dataclasses.replace(_instant(), t=0), ValueError,
-                  "time index starts at 1"),
+                  "time index t must be at least 1"),
+    "instant-t-float": (lambda tmp: dataclasses.replace(_instant(), t=1.5), TypeError,
+                        "time index t must be an integer, got 1.5"),
+    "instant-t-bool": (lambda tmp: dataclasses.replace(_instant(), t=True), TypeError,
+                       "time index t must be an integer, got True"),
     "instant-mu": (lambda tmp: dataclasses.replace(_instant(), mu_g=0.0), ValueError,
                    "mu_g must be positive"),
+    "instant-mu-nan": (lambda tmp: dataclasses.replace(_instant(), mu_g=NAN), ValueError,
+                       "mu_g must be positive and finite, got nan"),
+    "instant-l-nan": (lambda tmp: dataclasses.replace(_instant(), l_g1=NAN), ValueError,
+                      "l_g1 must be positive and finite, got nan"),
     "instant-l": (lambda tmp: dataclasses.replace(_instant(), l_g1=0.5), ValueError,
                   "l_g1 must be at least mu_g"),
     "spline-knots": (lambda tmp: dataclasses.replace(_task(), knots=np.array([0.0, 1.0])),
