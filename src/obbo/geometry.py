@@ -8,12 +8,11 @@ constraint), so every operation has a closed form.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .problems.base import check_number
+from .problems.base import _all_finite, check_array, check_number
 
 __all__ = [
     "DistanceGenerator",
@@ -22,22 +21,6 @@ __all__ = [
     "prox_step",
     "generalized_projection",
 ]
-
-
-def _all_finite(x: np.ndarray) -> bool:
-    """``np.isfinite(x).all()`` of a float vector, exact, without numpy's dispatch."""
-    return all(map(math.isfinite, x.tolist()))
-
-
-def _as_vector(name: str, x, d: int | None = None) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError(f"{name} must be a vector, got shape {x.shape}")
-    if d is not None and x.size != d:
-        raise ValueError(f"{name} has length {x.size}, expected {d}")
-    if not _all_finite(x):
-        raise ValueError(f"{name} contains non-finite entries")
-    return x
 
 
 @dataclass(frozen=True)
@@ -57,7 +40,7 @@ class DistanceGenerator:
 
     @staticmethod
     def diagonal(diag) -> "DistanceGenerator":
-        diag = _as_vector("diag", diag)
+        diag = check_array("diag", diag, (None,))
         if np.any(diag <= 0):
             raise ValueError("diag entries must be strictly positive")
         return DistanceGenerator(diag)
@@ -99,8 +82,7 @@ class Regularizer:
     def value(self, x) -> float:
         if self.kind == "zero":
             return 0.0
-        x = _as_vector("x", x)
-        return self.weight * float(np.abs(x).sum())
+        return self.weight * float(np.abs(check_array("x", x, (None,))).sum())
 
 
 @dataclass(frozen=True)
@@ -117,8 +99,8 @@ class FeasibleSet:
 
     @staticmethod
     def box(lower, upper) -> "FeasibleSet":
-        lower = _as_vector("lower", lower)
-        upper = _as_vector("upper", upper, lower.size)
+        lower = check_array("lower", lower, (None,))
+        upper = check_array("upper", upper, lower.shape)
         if np.any(lower >= upper):
             raise ValueError("box requires lower < upper coordinate-wise")
         return FeasibleSet(kind="box", lower=lower, upper=upper)
@@ -138,10 +120,8 @@ class FeasibleSet:
         return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
 
     def project(self, x) -> np.ndarray:
-        x = _as_vector("x", x)
-        if self.kind == "full":
-            return x
-        return np.clip(x, self.lower, self.upper)
+        x = check_array("x", x, (None,))
+        return x if self.kind == "full" else np.clip(x, self.lower, self.upper)
 
     def center(self) -> np.ndarray | None:
         if self.kind == "full":
@@ -151,8 +131,8 @@ class FeasibleSet:
 
 def _prox_inputs(q, u, alpha) -> tuple[np.ndarray, np.ndarray]:
     """The input guard ``prox_step`` and ``generalized_projection`` share."""
-    q = _as_vector("q", q)
-    u = _as_vector("u", u, q.size)
+    q = check_array("q", q, (None,))
+    u = check_array("u", u, q.shape)
     check_number("alpha", alpha, open_low=True)
     return q, u
 

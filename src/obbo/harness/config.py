@@ -89,8 +89,10 @@ class ExperimentSpec:
         for label in ("stream", "optimizer", "metrics"):
             if not isinstance(getattr(self, label), dict):
                 raise ConfigError(f"{where}: '{label}' must be an object")
-        # Nested parts in the key order of the canonical document.
-        spec_args("experiment", dict(sorted(self.to_dict().items())), where)
+        # The signature fixes the experiment's own keys; its parts are checked
+        # in the key order of the canonical document.
+        for part in ("metrics", "optimizer", "stream"):
+            spec_args(part, getattr(self, part), where)
         options = {**DEFAULT_METRICS, **self.metrics}
         if not isinstance(options["variations"], bool):
             raise ConfigError(f"{where}: metrics 'variations' must be true or false")

@@ -130,9 +130,10 @@ _first_in_process = True
 def run_cell(exp: ExperimentSpec, seed: int, out_dir: str) -> dict:
     """Execute one (experiment, seed) cell and write its CSV.
 
-    Returns the manifest entry; a numerical abort or any other failure is
-    recorded rather than propagated so sibling cells are unaffected. The entry
-    holds ``phases_ms`` of each phase the cell finished and ``first_in_process``.
+    Returns the manifest entry; a numerical abort (divergence or a singular
+    solve) or any other failure is recorded, not propagated, so sibling cells
+    are unaffected. The entry holds ``phases_ms`` of each phase the cell
+    finished and ``first_in_process``.
     """
     global _first_in_process
     entry = _cell_entry(exp, seed)
@@ -167,7 +168,7 @@ def run_cell(exp: ExperimentSpec, seed: int, out_dir: str) -> dict:
         }
         if exp.optimizer["kind"] == "sobbo":
             entry["terminal"].update(s=trace.config.s, m=trace.config.m)
-    except DivergenceError as exc:
+    except (DivergenceError, np.linalg.LinAlgError) as exc:
         entry.update(status="aborted", file=None, error=str(exc))
     except Exception as exc:
         entry.update(status="error", file=None, error=f"{type(exc).__name__}: {exc}")

@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _all_finite
-from .problems.base import ProblemInstant, check_count, check_number
+from .problems.base import ProblemInstant, _all_finite, check_count, check_number
 
 __all__ = [
     "DivergenceError",
@@ -69,20 +68,9 @@ def _steps(traj: np.ndarray, eta: float, lam, grad, *extra) -> None:
         omega = row
 
 
-def _descend(
-    t: int, lam, beta0, eta: float, K: int, fill, *args, every_row: bool = False
-) -> InnerSolveResult:
-    """K descent steps from beta0, written by ``fill(traj, eta, lam, *args)``.
-
-    A step loop's finiteness is checked once, on the last row, which is
-    equivalent to a check after every step: the loop writes row k as
-    ``omega - step``, and an inf or nan entry of omega stays non-finite through
-    the subtraction, so the last row is finite exactly when every row is. A
-    fill that forms each row on its own (the quadratic closed form) has no such
-    chain, so with ``every_row`` all K rows are checked. Only a failure scans
-    the rows to name the first non-finite one; the rows after it were formed
-    under the ignored floating-point warnings, and the error discards them.
-    """
+def _descend(t: int, lam, beta0, eta: float, K: int, fill, *args) -> InnerSolveResult:
+    """K descent steps from beta0, written by ``fill(traj, eta, lam, *args)``. All K
+    rows are checked; only a failure scans them, to name the first non-finite one."""
     check_number("inner step size", eta, open_low=True)
     check_count("inner iteration count", K)
     lam = np.asarray(lam, dtype=float)
@@ -91,7 +79,7 @@ def _descend(
     traj[0] = beta0
     with np.errstate(over="ignore", invalid="ignore"):
         fill(traj, eta, lam, *args)
-    if not _all_finite(traj[1:].ravel() if every_row else traj[-1]):
+    if not _all_finite(traj[1:].ravel()):
         k = 1 + int(np.argmin(np.isfinite(traj[1:]).all(axis=1)))
         raise DivergenceError(
             f"inner iterate diverged at k={k} (t={t}); "
@@ -109,7 +97,7 @@ def inner_gd(instant: ProblemInstant, lam, beta0, eta: float, K: int) -> InnerSo
     quad = instant.quadratic
     if quad is None:
         return _descend(instant.t, lam, beta0, eta, K, _steps, instant.grad_g_beta)
-    return _descend(instant.t, lam, beta0, eta, K, quad.descend, every_row=True)
+    return _descend(instant.t, lam, beta0, eta, K, quad.descend)
 
 
 def inner_sgd(

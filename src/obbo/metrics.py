@@ -19,7 +19,7 @@ import numpy as np
 from .geometry import DistanceGenerator, generalized_projection
 from .hypergrad import DivergenceError, exact_hypergradient
 from .optimizers import RunTrace
-from .problems.base import Stream
+from .problems.base import Stream, check_array
 
 __all__ = [
     "RegretSeries",
@@ -133,11 +133,7 @@ def hypergradient_error(trace: RunTrace, exact_grads: np.ndarray) -> np.ndarray:
     Raises ``DivergenceError`` naming the first round whose squared error is
     not finite, such as a finite estimate so far off that its square overflows.
     """
-    if np.shape(exact_grads) != trace.estimates.shape:
-        raise ValueError(
-            f"exact_grads has shape {np.shape(exact_grads)}, "
-            f"expected the estimates' {trace.estimates.shape}"
-        )
+    exact_grads = check_array("exact_grads", exact_grads, trace.estimates.shape)
     with np.errstate(over="ignore", invalid="ignore"):
         diffs = trace.estimates - exact_grads
     return _squared_norms("hypergrad_err_sq", diffs)
@@ -245,10 +241,10 @@ def build_grid(lower, upper, n: int, extra: np.ndarray | None = None) -> np.ndar
     objectives attain their sup exactly, and any extra rows (e.g. a trace's
     visited iterates, clipped to the box) come last.
     """
-    lower = np.atleast_1d(np.asarray(lower, dtype=float))
-    upper = np.atleast_1d(np.asarray(upper, dtype=float))
+    lower = check_array("grid lower", lower, (None,))
+    upper = check_array("grid upper", upper, lower.shape)
     d = lower.size
-    if upper.size != d or np.any(lower >= upper):
+    if np.any(lower >= upper):
         raise ValueError("grid bounds must satisfy lower < upper")
     if d > SOBOL_MAX_DIM:
         raise ValueError(f"the Sobol grid supports at most {SOBOL_MAX_DIM} dimensions, got {d}")

@@ -19,7 +19,7 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
-from .geometry import DistanceGenerator, FeasibleSet, Regularizer, _all_finite, prox_step
+from .geometry import DistanceGenerator, FeasibleSet, Regularizer, prox_step
 from .hypergrad import (
     DivergenceError,
     NeumannParams,
@@ -30,8 +30,8 @@ from .hypergrad import (
     itd_hypergradient,
     stochastic_hypergradient,
 )
-from .problems.base import (ProblemInstant, Stream, check_count, check_number,
-                            outer_grad_lipschitz)
+from .problems.base import (ProblemInstant, Stream, _all_finite, check_array, check_count,
+                            check_number, outer_grad_lipschitz)
 
 __all__ = [
     "CONFIGS",
@@ -74,7 +74,8 @@ class Adaptive:
 class StepConfig:
     """The fields every optimizer reads. An unset ``alpha`` or ``eta`` is
     derived from the stream's declared smoothness constants. Ranges: integer
-    (not bool) ``w`` and ``K >= 1``; finite ``alpha``, ``eta``, ``clip_threshold > 0``.
+    (not bool) ``w`` and ``K >= 1``; finite ``alpha``, ``eta``, ``clip_threshold > 0``;
+    finite vectors ``lambda0`` and ``beta0``, whose lengths the run checks.
 
     Each kind's config adds the fields its run reads. What a kind fixes is a
     class constant, read like a field: the Euclidean generator, no
@@ -101,6 +102,9 @@ class StepConfig:
                             ("clip threshold", self.clip_threshold)):
             if value is not None:
                 check_number(what, value, open_low=True)
+        for what, value in (("lambda0", self.lambda0), ("beta0", self.beta0)):
+            if value is not None:
+                check_array(what, value, (None,))
         if not isinstance(self.phi, (Euclidean, Adaptive)):
             raise TypeError(f"phi must be Euclidean() or Adaptive(...), got {self.phi!r}")
         # Only the kinds that read an estimator have the field.
@@ -241,22 +245,12 @@ def _resolve_steps(stream: Stream, config: StepConfig, kind: str) -> StepConfig:
 
 def _initial_iterates(stream: Stream, config: StepConfig) -> tuple[np.ndarray, np.ndarray]:
     d1, d2 = stream[0].d1, stream[0].d2
-    if config.lambda0 is None:
-        center = config.feasible.center()
-        lam = np.zeros(d1) if center is None else center.copy()
-    else:
-        lam = np.asarray(config.lambda0, dtype=float).copy()
-    if lam.shape != (d1,):
-        raise ValueError(f"lambda0 must have shape ({d1},)")
+    lam = config.feasible.center() if config.lambda0 is None else config.lambda0
+    lam = np.zeros(d1) if lam is None else check_array("lambda0", lam, (d1,)).copy()
     if not config.feasible.contains(lam):
         raise ValueError("lambda0 lies outside the feasible set")
-    if config.beta0 is None:
-        beta = np.zeros(d2)
-    else:
-        beta = np.asarray(config.beta0, dtype=float).copy()
-    if beta.shape != (d2,):
-        raise ValueError(f"beta0 must have shape ({d2},)")
-    return lam, beta
+    beta = config.beta0
+    return lam, np.zeros(d2) if beta is None else check_array("beta0", beta, (d2,)).copy()
 
 
 def _clip(q: np.ndarray, threshold: float | None) -> np.ndarray:

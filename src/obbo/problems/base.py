@@ -161,7 +161,8 @@ def instant_of(
     )
 
 
-_INTEGERS, _BOOLS = (int, np.integer), (bool, np.bool_)  # numpy's names looked up once
+# numpy's names looked up once
+_INTEGERS, _BOOLS, _FLOAT64 = (int, np.integer), (bool, np.bool_), np.dtype(float)
 
 
 def check_count(what: str, value, least: int = 1) -> None:
@@ -185,6 +186,30 @@ def check_number(what: str, value, low=0.0, high=math.inf, *, open_low=False) ->
         else:
             span = f"lie in {'(' if open_low else '['}{low:g}, {high:g})"
         raise ValueError(f"{what} must {span}, got {value!r}")
+
+
+def check_array(what: str, value, shape: tuple) -> np.ndarray:
+    """``value`` as a float64 array of ``shape``, where None takes any length. Raise
+    ``TypeError`` for a Python or numpy bool entry (only input other than a float
+    ndarray is scanned), ``ValueError`` for another shape or a NaN or +-inf entry."""
+    x = value
+    if type(x) is not np.ndarray or x.dtype is not _FLOAT64:
+        if (type(x) is not np.ndarray or x.dtype.kind != "f") and any(
+                type(e) in _BOOLS for e in np.asarray(x, dtype=object).flat):
+            raise TypeError(f"{what} must hold numbers, not bools, got {value!r}")
+        x = np.asarray(x, dtype=float)
+    dims = x.shape  # an all-None shape, the common one, fixes only the dimension count
+    if dims != shape and (len(dims) != len(shape) or shape.count(None) < len(shape) and any(
+            n is not None and n != m for n, m in zip(shape, dims))):
+        raise ValueError(f"{what} must have shape {str(shape).replace('None', 'n')}, got {dims}")
+    if not _all_finite(x if len(dims) == 1 else x.ravel()):
+        raise ValueError(f"{what} must have finite entries")
+    return x
+
+
+def _all_finite(x: np.ndarray) -> bool:
+    """``np.isfinite(x).all()`` of a float vector, exact, without numpy's dispatch."""
+    return all(map(math.isfinite, x.tolist()))
 
 
 def _exact(grad, lam, beta, *batch_and_rng):

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .base import DriftSpec, ProblemInstant, check_count, check_number, instant_of
+from .base import DriftSpec, ProblemInstant, check_array, check_count, check_number, instant_of
 
 __all__ = ["QuadraticData", "quadratic_instant", "quadratic_stream"]
 
@@ -166,21 +166,25 @@ def quadratic_instant(
     """Build a single quadratic bilevel instant from explicit data.
 
     A is (d2, d1), Q a symmetric positive definite (d2, d2) matrix, b and c
-    are d2-vectors, and phases (optional) a d1-vector for the cosine term.
+    are d2-vectors, and phases (optional) a d1-vector, all finite; a scalar or
+    vector A or Q and a scalar b or c are promoted as by ``np.atleast_2d`` and
+    ``np.atleast_1d``. ``amp`` is finite and >= 0.
     """
-    A = np.atleast_2d(np.ascontiguousarray(A, dtype=float))
-    Q = np.atleast_2d(np.ascontiguousarray(Q, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    c = np.atleast_1d(np.asarray(c, dtype=float))
+    A = np.ascontiguousarray(_promoted("A", A, (None, None)))
     d2, d1 = A.shape
-    if Q.shape != (d2, d2) or b.shape != (d2,) or c.shape != (d2,):
-        raise ValueError("inconsistent quadratic instant dimensions")
-    phases = np.zeros(d1) if phases is None else np.asarray(phases, dtype=float)
-    if phases.shape != (d1,):
-        raise ValueError("phases must have length d1")
+    Q = np.ascontiguousarray(_promoted("Q", Q, (d2, d2)))
+    b, c = _promoted("b", b, (d2,)), _promoted("c", c, (d2,))
+    phases = np.zeros(d1) if phases is None else check_array("phases", phases, (d1,))
+    check_number("amp", amp)
     mu_g, l_g1 = _spectrum_bounds(Q)
     data = QuadraticData(A, b, Q, -A.T, {}, c, amp, phases)
     return _build_instant(t, data, noise, mu_g, l_g1)
+
+
+def _promoted(what: str, x, shape: tuple) -> np.ndarray:
+    """``check_array`` of x after leading unit dimensions up to ``len(shape)``."""
+    x = check_array(what, x, (None,) * min(np.ndim(x), len(shape)))
+    return check_array(what, x.reshape((1,) * (len(shape) - x.ndim) + x.shape), shape)
 
 
 def _spectrum_bounds(Q: np.ndarray) -> tuple[float, float]:

@@ -19,12 +19,13 @@ are available in closed form through the normal equations. Each round is one
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .base import ProblemInstant, check_count, check_number, instant_of
+from .base import ProblemInstant, check_array, check_count, check_number, instant_of
 
 __all__ = [
     "SplineData",
@@ -45,7 +46,9 @@ Batch = tuple[np.ndarray, np.ndarray]
 
 @dataclass(frozen=True)
 class SplineTask:
-    """Knot layout, per-round data batches, and the positive lam box."""
+    """Knot layout, per-round data batches, and the positive lam box: at least 3
+    increasing knots (kept as float64), batches of finite x and y of one length,
+    and finite ``0 < lambda_lower < lambda_upper``."""
 
     knots: np.ndarray
     train_batches: tuple[Batch, ...]
@@ -54,13 +57,15 @@ class SplineTask:
     lambda_upper: float
 
     def __post_init__(self):
-        knots = np.asarray(self.knots, dtype=float)
-        if knots.ndim != 1 or knots.size < 3 or np.any(np.diff(knots) <= 0):
-            raise ValueError("need at least three strictly increasing knots")
-        if not 0 < self.lambda_lower < self.lambda_upper:
-            raise ValueError("lam box must satisfy 0 < lower < upper")
+        object.__setattr__(self, "knots", _checked_knots(self.knots, 3))
+        check_number("lambda_lower", self.lambda_lower, open_low=True)
+        check_number("lambda_upper", self.lambda_upper, self.lambda_lower, open_low=True)
         if len(self.train_batches) != len(self.val_batches):
             raise ValueError("train and validation batch counts differ")
+        for split, batches in (("train", self.train_batches), ("val", self.val_batches)):
+            for t, (x, y) in enumerate(batches, 1):
+                x = check_array(f"round {t} {split} x", x, (None,))
+                check_array(f"round {t} {split} y", y, x.shape)
 
     @property
     def T(self) -> int:
@@ -73,10 +78,8 @@ def linear_spline_basis(x, knots) -> np.ndarray:
     x is clipped to the knot span, so rows sum to one (partition of unity).
     The weights equal a k=1 B-spline design matrix's, bit for bit (tested).
     """
-    x = np.asarray(x, dtype=float)
-    knots = np.asarray(knots, dtype=float)
-    if knots.ndim != 1 or knots.size < 2 or not (knots[1:] > knots[:-1]).all():
-        raise ValueError("need at least two strictly increasing knots")
+    x = check_array("x", x, (None,))
+    knots = _checked_knots(knots, 2)
     xc = np.clip(x, knots[0], knots[-1])
     left = np.searchsorted(knots[1:-1], xc, side="right")  # knots[left] <= xc <= knots[left+1]
     lo, hi = knots[left], knots[left + 1]
@@ -93,7 +96,7 @@ def roughness_penalty(knots) -> np.ndarray:
     Annihilates coefficient vectors sampled from affine functions, so heavily
     penalized fits approach the best straight line.
     """
-    knots = np.asarray(knots, dtype=float)
+    knots = _checked_knots(knots, 2)
     n = knots.size
     h = np.diff(knots)
     D = np.zeros((n - 2, n))
@@ -105,11 +108,16 @@ def roughness_penalty(knots) -> np.ndarray:
     return D.T @ (weights[:, None] * D)
 
 
+def _checked_knots(knots, least: int) -> np.ndarray:
+    """The one knot rule: ``check_array``, then ``least`` (2 or 3) increasing knots."""
+    knots = check_array("knots", knots, (None,))
+    if knots.size < least or not (knots[1:] > knots[:-1]).all():
+        raise ValueError(f"need at least {('two', 'three')[least - 2]} strictly increasing knots")
+    return knots
+
+
 def _lam_scalar(lam) -> float:
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    if lam.shape != (1,):
-        raise ValueError("spline hyperparameter must be a length-1 vector")
-    return float(lam[0])
+    return float(check_array("spline hyperparameter lam", lam, (1,))[0])
 
 
 class SplineData(NamedTuple):
@@ -154,7 +162,7 @@ class SplineData(NamedTuple):
         try:
             return np.linalg.solve(self.hess_g_betabeta(lam, None), 2.0 * self.Bty)
         except np.linalg.LinAlgError as exc:
-            raise ValueError(
+            raise np.linalg.LinAlgError(
                 f"singular spline normal equations at lam={_lam_scalar(lam)!r}"
             ) from exc
 
@@ -181,8 +189,8 @@ def spline_stream(task: SplineTask) -> list[ProblemInstant]:
             omega,
             ridge,
         )
-        mu_g = float(np.linalg.eigvalsh(data.hess_g_betabeta(task.lambda_lower, None))[0])
-        l_g1 = float(np.linalg.eigvalsh(data.hess_g_betabeta(task.lambda_upper, None))[-1])
+        mu_g = float(np.linalg.eigvalsh(data.hess_g_betabeta([task.lambda_lower], None))[0])
+        l_g1 = float(np.linalg.eigvalsh(data.hess_g_betabeta([task.lambda_upper], None))[-1])
         instants.append(instant_of(data, t, 1, omega.shape[0], mu_g, l_g1))
     return instants
 
@@ -251,10 +259,11 @@ def load_spline_task_csv(
     """Read per-round batches from a CSV of (t, split, x, y) rows.
 
     ``split`` is ``train`` or ``val``; rounds are taken in increasing t order
-    and every round must provide both splits.
+    and every round must provide both splits. An integer ``path`` (to ``open``,
+    a file descriptor) raises ``TypeError``.
     """
     rounds: dict[int, dict[str, list[tuple[float, float]]]] = {}
-    with open(path, newline="") as fh:
+    with open(os.fspath(path), newline="") as fh:
         reader = csv.DictReader(fh)
         required = {"t", "split", "x", "y"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
@@ -276,7 +285,7 @@ def load_spline_task_csv(
             arr = np.asarray(pairs, dtype=float)
             dest.append((arr[:, 0], arr[:, 1]))
     return SplineTask(
-        knots=np.asarray(knots, dtype=float),
+        knots=knots,
         train_batches=tuple(train),
         val_batches=tuple(val),
         lambda_lower=lambda_lower,

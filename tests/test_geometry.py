@@ -9,12 +9,12 @@ from obbo.geometry import (
     DistanceGenerator,
     FeasibleSet,
     Regularizer,
-    _all_finite,
     generalized_projection,
     prox_step,
 )
 from obbo.hypergrad import DivergenceError
 from obbo.optimizers import Adaptive, ObboConfig, run_obbo
+from obbo.problems.base import _all_finite
 
 from oracles import constant_gradient_instant, prox_grid_oracle
 
@@ -390,10 +390,15 @@ INPUT_CHECKS = {
         ValueError, f"alpha must be positive and finite, got {alpha}")
        for alpha in (0.0, -1.0, float("nan"))},
     "matrix-q": (lambda: prox_step(np.ones((2, 2)), [0.0, 0.0], 0.1, EUCLID, ZERO, FULL),
-                 ValueError, "q must be a vector, got shape (2, 2)"),
+                 ValueError, "q must have shape (n,), got (2, 2)"),
     "matrix-u": (lambda: generalized_projection(np.ones((1, 2)), [1.0, 1.0], 0.1, EUCLID,
                                                 ZERO, FULL),
-                 ValueError, "u must be a vector, got shape (1, 2)"),
+                 ValueError, "u must have shape (2,), got (1, 2)"),
+    # A bool is a number to numpy: unchecked, True reads as 1.0.
+    "box-bool": (lambda: FeasibleSet.box([True], [2.0]), TypeError,
+                 "lower must hold numbers, not bools, got [True]"),
+    "diagonal-bool": (lambda: DistanceGenerator.diagonal([True]), TypeError,
+                      "diag must hold numbers, not bools, got [True]"),
 }
 
 

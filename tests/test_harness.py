@@ -686,10 +686,14 @@ class TestStreamProbe:
 
 
 # Values outside the ranges the regret bounds assume, each of which once ran
-# every cell with exit 0: ``true`` ran as alpha = 1, and with ``n_val`` 0 the
-# spline validation batch was empty, so f was identically 0.
+# every cell with exit 0: ``true`` ran as alpha = 1 (or, inside an array, as an
+# entry 1.0), and with ``n_val`` 0 the spline validation batch was empty, so f
+# was identically 0. The two spline CSVs ({csv} and {nan_csv}, whose first y
+# is nan) once aborted every cell with the step-size message instead.
 SPLINE_SHORT = {**SPLINE_EXP["stream"], "T": 3}
 BUILT = "stream cannot be built: ValueError: "
+ONE_D = {**small_config().experiments[0].stream, "d1": 1}
+SPLINE_CSV_ROWS = "t,split,x,y\n1,train,0.1,{y}\n1,train,0.6,0.5\n1,val,0.3,0.4\n"
 OUT_OF_RANGE = [
     ({"optimizer": {"kind": "obbo", "alpha": True, "clip_threshold": True}},
      "alpha must be a number, got True"),
@@ -700,17 +704,37 @@ OUT_OF_RANGE = [
      BUILT + "noise_std must be nonnegative and finite, got -1"),
     ({"stream": {**SPLINE_SHORT, "n_train": 0}}, BUILT + "n_train must be at least 1, got 0"),
     ({"stream": {**SPLINE_SHORT, "n_val": 0}}, BUILT + "n_val must be at least 1, got 0"),
+    ({"stream": ONE_D, "optimizer": {"kind": "obbo", "lambda0": [True]}},
+     "lambda0 must hold numbers, not bools, got [True]"),
+    ({"optimizer": {"kind": "obbo", "beta0": [True, True]}},
+     "beta0 must hold numbers, not bools, got [True, True]"),
+    ({"stream": ONE_D,
+      "optimizer": {"kind": "obbo", "feasible": {"kind": "box", "lower": [True], "upper": [2.0]}}},
+     "lower must hold numbers, not bools, got [True]"),
+    ({"stream": {**SPLINE_SHORT, "lambda_lower": True}},
+     "stream cannot be built: TypeError: lambda_lower must be a number, got True"),
+    ({"stream": {"kind": "spline_csv", "path": "{nan_csv}", "knots": [0.0, 0.5, 1.0]}},
+     BUILT + "round 1 train y must have finite entries"),
+    ({"stream": {"kind": "spline_csv", "path": "{csv}", "knots": [True, 2.0, 3.0]}},
+     "stream cannot be built: TypeError: knots must hold numbers, not bools, "
+     "got [True, 2.0, 3.0]"),
 ]
 OUT_OF_RANGE_IDS = [
     "alpha-clip-true", "meta-task_noise--1", "meta-n_train-0", "spline-noise_std--1",
-    "spline-n_train-0", "spline-n_val-0",
+    "spline-n_train-0", "spline-n_val-0", "lambda0-true", "beta0-true", "box-lower-true",
+    "spline-lambda_lower-true", "spline-csv-nan-y", "spline-csv-knots-true",
 ]
 
 
 @pytest.mark.parametrize("command", ["run", "validate"])
 @pytest.mark.parametrize("last, named", OUT_OF_RANGE, ids=OUT_OF_RANGE_IDS)
 def test_out_of_range_value_exits_2_before_any_cell(tmp_path, capsys, command, last, named):
-    path = write_with_last(tmp_path, last)
+    text = json.dumps(last)
+    for name, y in (("csv", "0.2"), ("nan_csv", "nan")):
+        csv = tmp_path / f"{name}.csv"
+        csv.write_text(SPLINE_CSV_ROWS.format(y=y))
+        text = text.replace("{%s}" % name, str(csv))
+    path = write_with_last(tmp_path, json.loads(text))
     assert_cli_exits_2(tmp_path, capsys, command, path, f"experiment 'last': {named}")
 
 
@@ -849,6 +873,19 @@ class TestCliRun:
         assert all(e["status"] == "aborted" for e in by_name["diverges"])
         assert all(e["file"] is None for e in by_name["diverges"])
         assert all((tmp_path / e["file"]).exists() for e in by_name["tiny-obbo"])
+
+    def test_singular_solve_aborts_cell(self, tmp_path):
+        # On the full space lambda leaves the stream's lam box, where OAGD's
+        # implicit solve meets a singular spline Hessian: a numerical failure.
+        exp = ExperimentSpec(
+            name="singular",
+            seeds=[1],
+            stream={"kind": "spline_synthetic", "T": 5, "n_knots": 3, "n_train": 1},
+            optimizer={"kind": "oagd", "alpha": 0.05},
+        )
+        [entry] = cli_run(HarnessConfig([exp]), tmp_path)["outputs"]
+        assert entry["status"] == "aborted" and entry["file"] is None
+        assert entry["error"] == "Singular matrix"
 
     def test_failing_cell_is_recorded_and_manifest_written(self, tmp_path):
         # A data file missing when the cell runs fails only inside its cell.

@@ -448,6 +448,9 @@ INPUT_CHECKS = {
         ValueError, "path variation order p must be 1 or 2")
     for p in (0, 3)
 }
+# NaN fails the ``lower >= upper`` check, so unchecked it gives a NaN grid.
+INPUT_CHECKS["grid-lower-nan"] = (lambda: build_grid([float("nan")], [1.0], 4), ValueError,
+                                  "grid lower must have finite entries")
 
 
 @pytest.mark.parametrize("make, error, message", INPUT_CHECKS.values(), ids=INPUT_CHECKS)

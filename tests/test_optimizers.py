@@ -583,6 +583,11 @@ INPUT_CHECKS = {
     "l1-weight-bool": (lambda: Regularizer.l1(True), TypeError,
                        "l1 weight must be a number, got True"),
     "alpha-bool": (lambda: ObboConfig(alpha=True), TypeError, "alpha must be a number, got True"),
+    # Unchecked, a run starts from lambda = [1.0, 1.0] or a NaN beta.
+    "lambda0-bool": (lambda: ObboConfig(lambda0=[True, True]), TypeError,
+                     "lambda0 must hold numbers, not bools, got [True, True]"),
+    "beta0-nan": (lambda: ObboConfig(beta0=[math.nan] * 3), ValueError,
+                  "beta0 must have finite entries"),
     "w-float": (lambda: ObboConfig(w=2.0), TypeError, "window size must be an integer, got 2.0"),
     "w-bool": (lambda: SobowConfig(w=True), TypeError, "window size must be an integer, got True"),
     "K-float": (lambda: OagdConfig(K=2.5), TypeError,

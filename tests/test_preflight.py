@@ -11,6 +11,7 @@ so the examples are the same on every run.
 
 from __future__ import annotations
 
+import copy
 import json
 import tempfile
 
@@ -50,9 +51,6 @@ VALID = {
     "variations": [False, True], "grid_size": [0, 4],
 }
 BAD_LEAVES = [0, -1, 2.5, True, 1e300]
-# A spline CSV's path stays valid: an integer path is a file descriptor, which
-# the loader would close (ROADMAP item 17).
-KEEP = {"path"}
 
 
 def test_valid_table_covers_every_key():
@@ -78,16 +76,18 @@ def specs(draw, part: str) -> dict:
         spec, keys = {}, SPEC_KEYS[part]
     for key, required in keys.items():
         if required or draw(st.booleans()):
-            value = specs(key) if key in CONSTRUCTORS else st.sampled_from(VALID[key])
-            spec[key] = draw(value)
+            if key in CONSTRUCTORS:
+                spec[key] = draw(specs(key))
+            else:  # a copy: replacing an entry of a drawn list must not edit ``VALID``
+                spec[key] = copy.deepcopy(draw(st.sampled_from(VALID[key])))
     return spec
 
 
 def _leaves(node, path=()):
-    """The paths of every leaf and list under ``node``, but kind keys and ``KEEP``."""
+    """The paths of every leaf and list under ``node``, but kind keys."""
     items = node.items() if isinstance(node, dict) else enumerate(node)
     for key, value in items:
-        if key in KEEP or key in ("kind", "mode"):
+        if key in ("kind", "mode"):
             continue
         if not isinstance(value, dict):
             yield (*path, key)

@@ -1,4 +1,5 @@
 import dataclasses
+import os
 import re
 import warnings
 
@@ -343,6 +344,17 @@ class TestSplineStream:
         H = stacked_hvps(inst, np.array([1e-4]), np.zeros(inst.d2))
         assert np.linalg.eigvalsh(0.5 * (H + H.T))[0] > 0
 
+    def test_singular_inner_solve_raises_linalg_error(self):
+        # Outside the lam box the normal equations can be singular; the runner
+        # records a LinAlgError as an aborted cell, like a divergence.
+        _, stream = self.make_stream()
+        data = stream[0].inner_opt.__self__
+        zero = np.zeros_like(data.BtB)
+        singular = data._replace(BtB=zero, omega=zero, ridge=zero)
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=re.escape("singular spline normal equations at lam=0.5")):
+            singular.inner_opt(np.array([0.5]))
+
     def test_linear_targets_fit_exactly_for_all_lam(self):
         knots = np.linspace(0.0, 1.0, 10)
         rng = np.random.default_rng(9)
@@ -656,11 +668,23 @@ NAN = float("nan")
 INPUT_CHECKS = {
     "instant-dimensions": (
         lambda tmp: quadratic_instant(1, np.ones((2, 1)), np.ones(3), np.eye(2), np.ones(2)),
-        ValueError, "inconsistent quadratic instant dimensions"),
+        ValueError, "b must have shape (2,), got (3,)"),
     "instant-phases": (
         lambda tmp: quadratic_instant(1, np.ones((2, 1)), np.ones(2), np.eye(2), np.ones(2),
                                       phases=[0.0, 1.0]),
-        ValueError, "phases must have length d1"),
+        ValueError, "phases must have shape (1,), got (2,)"),
+    # Unchecked, each of these builds an instant with a NaN, inf or bool datum
+    # (a NaN Q was named only as "Q must be symmetric").
+    **{f"instant-{name}": (lambda tmp, args=args: quadratic_instant(1, **{
+        "A": [[1.0]], "b": [0.0], "Q": [[1.0]], "c": [0.0], **args}), error, message)
+       for name, args, error, message in (
+           ("b-nan", {"b": [NAN]}, ValueError, "b must have finite entries"),
+           ("A-bool", {"A": [[True]]}, TypeError, "A must hold numbers, not bools, got [[True]]"),
+           ("Q-nan", {"Q": [[NAN]]}, ValueError, "Q must have finite entries"),
+           ("phases-inf", {"phases": [float("inf")]}, ValueError,
+            "phases must have finite entries"),
+           ("amp-nan", {"amp": NAN}, ValueError, "amp must be nonnegative and finite, got nan"),
+           ("amp-bool", {"amp": True}, TypeError, "amp must be a number, got True"))},
     "stream-horizon": (lambda tmp: quadratic_stream(1, 1, 0), ValueError,
                        "horizon must be at least 1, got 0"),
     # A bool is an int to Python: unchecked, T=True builds one round.
@@ -715,7 +739,20 @@ INPUT_CHECKS = {
     "spline-knots": (lambda tmp: dataclasses.replace(_task(), knots=np.array([0.0, 1.0])),
                      ValueError, "need at least three strictly increasing knots"),
     "spline-box": (lambda tmp: dataclasses.replace(_task(), lambda_lower=0.0), ValueError,
-                   "lam box must satisfy 0 < lower < upper"),
+                   "lambda_lower must be positive and finite, got 0.0"),
+    "spline-box-order": (lambda tmp: dataclasses.replace(_task(), lambda_lower=20.0),
+                         ValueError, "lambda_upper must lie in (20, inf), got 10.0"),
+    # Unchecked, these built: a NaN knot fails no ``diff <= 0`` test, ``0 < True < 10``
+    # holds, and the basis and a CSV took NaN data.
+    "spline-knots-nan": (lambda tmp: dataclasses.replace(_task(), knots=[0.0, NAN, 1.0]),
+                         ValueError, "knots must have finite entries"),
+    "spline-box-bool": (lambda tmp: make_drifting_spline_task(seed=0, T=2, lambda_lower=True),
+                        TypeError, "lambda_lower must be a number, got True"),
+    "spline-basis-x-nan": (lambda tmp: linear_spline_basis([NAN], [0.0, 1.0]), ValueError,
+                           "x must have finite entries"),
+    "spline-csv-nan": (
+        lambda tmp: _spline_csv(tmp, "t,split,x,y\n1,train,0.1,nan\n1,val,0.2,0.3\n"),
+        ValueError, "round 1 train y must have finite entries"),
     "spline-batches": (
         lambda tmp: dataclasses.replace(_task(), val_batches=_task().val_batches[:-1]),
         ValueError, "train and validation batch counts differ"),
@@ -731,3 +768,15 @@ def test_input_check(tmp_path, make, error, message):
     with pytest.raises(error, match=re.escape(message)) as info:
         make(tmp_path)
     assert type(info.value) is error
+
+
+def test_spline_csv_path_that_is_a_file_descriptor_is_rejected(tmp_path):
+    """``open`` takes an integer as a file descriptor, reads it and closes it, so
+    a config's ``"path": 1`` would close stdout. The descriptor here is one the
+    test opened, so where the loader does read it, only that one is closed."""
+    path = tmp_path / "batches.csv"
+    path.write_text("t,split,x,y\n1,train,0.1,0.2\n1,val,0.3,0.4\n")
+    fd = os.open(path, os.O_RDONLY)
+    with pytest.raises(TypeError, match="expected str, bytes or os.PathLike object, not int"):
+        load_spline_task_csv(fd, knots=[0.0, 0.5, 1.0])
+    os.close(fd)  # raises if the loader had closed it
