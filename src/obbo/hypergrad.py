@@ -8,13 +8,13 @@ take second-order information through Hessian-vector products; the implicit
 form solves with the instant's inner Hessian, a desk-scale direct solve. On
 an instant with ``quadratic`` data, inner GD, the ITD estimator and the
 Neumann estimator run that data's kernels instead of its oracle methods.
-The inner-GD kernel forms the whole trajectory in closed form, as one
-``longdouble`` product with a matrix cached per (eta, K), rounded once per
-entry; against a 40-digit reference it is more accurate than the step loop
-(``tests/test_referee.py``). The ITD kernel repeats the oracles' operations
-into buffers (its cross HVPs as one stacked product) and equals them bit for
-bit; the Neumann kernel applies one cached matrix per level, equal up to
-rounding (see ``QuadraticData``).
+The inner-GD kernel is a closed form, a ``longdouble`` product with a matrix
+cached per (eta, K) (of its last rows alone when a cached bound proves every
+row finite), rounded once per entry; against a 40-digit reference it is more
+accurate than the step loop (``tests/test_referee.py``). The ITD kernel
+repeats the oracles' operations into buffers (its cross HVPs as one stacked
+product) and equals them bit for bit; the Neumann kernel applies one cached
+matrix per level, equal up to rounding (see ``QuadraticData``).
 """
 
 from __future__ import annotations
@@ -43,61 +43,78 @@ class DivergenceError(RuntimeError):
     """Raised when iterates stop being finite (step size condition violated)."""
 
 
-@dataclass
 class InnerSolveResult:
-    """Full inner trajectory omega^0 .. omega^K plus the step size used."""
+    """K inner steps of size eta: the last iterate ``final`` and the (K + 1, d2)
+    ``trajectory``, which is formed on first read from the quadratic kernel's
+    stack and x when the kernel formed only ``final``."""
 
-    trajectory: np.ndarray
-    eta: float
+    __slots__ = ("final", "eta", "K", "_trajectory", "_product")
+
+    def __init__(self, final: np.ndarray, eta: float, K: int, trajectory=None, product=None):
+        self.final, self.eta, self.K = final, eta, K
+        self._trajectory, self._product = trajectory, product
 
     @property
-    def K(self) -> int:
-        return self.trajectory.shape[0] - 1
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.trajectory[-1]
+    def trajectory(self) -> np.ndarray:
+        if self._trajectory is None:
+            self._trajectory, self._product = _closed_form(*self._product, self.K), None
+        return self._trajectory
 
 
-def _steps(traj: np.ndarray, eta: float, lam, grad, *extra) -> None:
-    """Rows 1..K of traj: omega - eta * grad(lam, omega, *extra), via a scratch buffer."""
-    step, omega = np.empty(traj.shape[1]), traj[0]
-    for row in traj[1:]:
-        np.multiply(eta, grad(lam, omega, *extra), step)
-        np.subtract(omega, step, row)
-        omega = row
+def _closed_form(stack: np.ndarray, x: np.ndarray, K: int) -> np.ndarray:
+    """omega^0 (x's head, exact), then the K blocks of ``stack @ x``, rounded once."""
+    traj = np.empty((K + 1, stack.shape[0] // K))
+    traj[0] = x[: traj.shape[1]]
+    traj[1:] = stack.dot(x).reshape(K, -1)
+    return traj
 
 
-def _descend(t: int, lam, beta0, eta: float, K: int, fill, *args) -> InnerSolveResult:
-    """K descent steps from beta0, written by ``fill(traj, eta, lam, *args)``. All K
-    rows are checked; only a failure scans them, to name the first non-finite one."""
+def _descend(t: int, lam, beta0, eta: float, K: int, grad, *extra) -> InnerSolveResult:
+    """K steps omega - eta * grad(lam, omega, *extra) from beta0, via a scratch buffer."""
     check_number("inner step size", eta, open_low=True)
     check_count("inner iteration count", K)
     lam = np.asarray(lam, dtype=float)
     beta0 = np.asarray(beta0, dtype=float)
     traj = np.empty((K + 1, beta0.size))
     traj[0] = beta0
+    step, omega = np.empty(beta0.size), traj[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        fill(traj, eta, lam, *args)
+        for row in traj[1:]:
+            np.multiply(eta, grad(lam, omega, *extra), step)
+            np.subtract(omega, step, row)
+            omega = row
+    return _checked(t, traj, eta)
+
+
+def _checked(t: int, traj: np.ndarray, eta: float) -> InnerSolveResult:
+    """The solve of ``traj``, or a ``DivergenceError`` naming its first non-finite row."""
     if not _all_finite(traj[1:].ravel()):
         k = 1 + int(np.argmin(np.isfinite(traj[1:]).all(axis=1)))
         raise DivergenceError(
             f"inner iterate diverged at k={k} (t={t}); "
             f"eta={eta} likely violates the step size condition"
         )
-    return InnerSolveResult(trajectory=traj, eta=eta)
+    return InnerSolveResult(traj[-1], eta, traj.shape[0] - 1, traj)
 
 
 def inner_gd(instant: ProblemInstant, lam, beta0, eta: float, K: int) -> InnerSolveResult:
-    """K gradient-descent steps on g_t(lam, .) from the warm start beta0.
-
-    On an instant with ``quadratic`` data its ``descend`` kernel writes all K
-    steps in closed form, from a matrix formed once per stream and (eta, K).
-    """
+    """K gradient-descent steps on g_t(lam, .) from the warm start beta0; on
+    ``quadratic`` data, one product of its cached stack with [beta0; lam; b]
+    (``QuadraticData.descent``), of the last d2 rows alone when the stack's
+    bound proves every row finite. A non-finite row raises either way."""
     quad = instant.quadratic
     if quad is None:
-        return _descend(instant.t, lam, beta0, eta, K, _steps, instant.grad_g_beta)
-    return _descend(instant.t, lam, beta0, eta, K, quad.descend)
+        return _descend(instant.t, lam, beta0, eta, K, instant.grad_g_beta)
+    check_number("inner step size", eta, open_low=True)
+    check_count("inner iteration count", K)
+    stack, last, cap = quad.descent(eta, K)
+    beta0, lam = np.asarray(beta0, dtype=float), np.asarray(lam, dtype=float)
+    x = np.concatenate((beta0, lam, quad.b), axis=None, dtype=np.longdouble)
+    if x.dot(x) < cap:  # fails for a NaN or +-inf entry
+        return InnerSolveResult(last.dot(x).astype(float), eta, K, product=(stack, x))
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = _closed_form(stack, x, K)
+    return _checked(instant.t, traj, eta)
 
 
 def inner_sgd(
@@ -117,7 +134,7 @@ def inner_sgd(
     check_count("batch size s", s)
     if instant.sigma_g_beta == 0:
         return inner_gd(instant, lam, beta0, eta, K)
-    return _descend(instant.t, lam, beta0, eta, K, _steps, instant.grad_g_beta_sampled, s, rng)
+    return _descend(instant.t, lam, beta0, eta, K, instant.grad_g_beta_sampled, s, rng)
 
 
 def implicit_hypergradient(instant: ProblemInstant, lam, beta) -> np.ndarray:
@@ -166,13 +183,12 @@ def itd_hypergradient(
     one ``Q v`` per step shared by both HVPs, and the K cross HVPs stacked.
     """
     lam = np.asarray(lam, dtype=float)
-    traj, eta, K = solve.trajectory, solve.eta, solve.K
-    omega_K = traj[K]
+    omega_K, eta, K = solve.final, solve.eta, solve.K
     v = instant.grad_f_beta(lam, omega_K)
     if instant.quadratic is not None:
         acc = instant.quadratic.itd_correction(v, eta, K)
     else:
-        acc = np.zeros(instant.d1)
+        traj, acc = solve.trajectory, np.zeros(instant.d1)
         for k in range(K - 1, -1, -1):
             omega_k = traj[k]
             acc += instant.hvp_g_lambdabeta(lam, omega_k, v)

@@ -12,6 +12,7 @@ for d <= 8, by Bratley & Fox's Gray-code recursion (ACM TOMS 14, 1988, Alg.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,17 +162,18 @@ def _grid_sweep(stream: Stream, grid: np.ndarray) -> tuple[np.ndarray, np.ndarra
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     n = len(stream) - 1
     sup_disp, sup_change = np.empty(n), np.empty(n)
-    for i in range(len(stream)):
-        instant = stream[i]
-        if instant.inner_opt is None:
-            raise ValueError(f"instant t={instant.t} provides no inner_opt oracle")
-        betas = [instant.inner_opt(lam) for lam in grid]
-        cur_val = np.asarray([instant.f_value(lam, b) for lam, b in zip(grid, betas)])
-        cur_opt = np.asarray(betas)
-        if i:
-            sup_disp[i - 1] = np.max(np.linalg.norm(prev_opt - cur_opt, axis=1))
-            sup_change[i - 1] = np.max(np.abs(cur_val - prev_val))
-        prev_opt, prev_val = cur_opt, cur_val
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(len(stream)):
+            instant = stream[i]
+            if instant.inner_opt is None:
+                raise ValueError(f"instant t={instant.t} provides no inner_opt oracle")
+            betas = [instant.inner_opt(lam) for lam in grid]
+            cur_val = np.asarray([instant.f_value(lam, b) for lam, b in zip(grid, betas)])
+            cur_opt = np.asarray(betas)
+            if i:
+                sup_disp[i - 1] = np.max(np.linalg.norm(prev_opt - cur_opt, axis=1))
+                sup_change[i - 1] = np.max(np.abs(cur_val - prev_val))
+            prev_opt, prev_val = cur_opt, cur_val
     return sup_disp, sup_change
 
 
@@ -195,10 +197,16 @@ def function_variation_terms(stream: Stream, grid: np.ndarray) -> np.ndarray:
 
 
 def variation_report(stream: Stream, grid: np.ndarray) -> dict[str, float]:
-    """The manifest's path variations ``h1``, ``h2`` and objective variation ``v1``."""
+    """The manifest's path variations ``h1``, ``h2`` and objective variation ``v1``;
+    a sum that is not finite raises ``DivergenceError`` naming it."""
     sup_disp, sup_change = _grid_sweep(stream, grid)
-    paths = {f"h{p}": float(np.sum(_powers(sup_disp, p))) for p in (1, 2)}
-    return {**paths, "v1": float(np.sum(sup_change))}
+    with np.errstate(over="ignore", invalid="ignore"):
+        paths = {f"h{p}": float(np.sum(_powers(sup_disp, p))) for p in (1, 2)}
+        report = {**paths, "v1": float(np.sum(sup_change))}
+    for name, value in report.items():
+        if not math.isfinite(value):
+            raise DivergenceError(f"variation {name} is not finite ({value}); aborting run")
+    return report
 
 
 def variation_grid(trace: RunTrace, n: int) -> np.ndarray:

@@ -13,6 +13,7 @@ data, the only data that carries any.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING, Callable, ClassVar, Sequence
@@ -74,8 +75,9 @@ class ProblemInstant:
     c, amp, phases of f_t); it is None on every other instant. Inner GD, ITD
     and the Neumann estimator then run the data's kernels, so wrapping or
     reassigning ``grad_g_beta`` or an HVP field of such an instant does not
-    reach them. Inner GD is one product with a matrix cached per (eta, K); the
-    ITD kernel repeats the oracles' operations in order, into buffers; the
+    reach them. Inner GD is one product with a matrix cached per (eta, K), of
+    its last rows alone when a cached bound proves every row finite; the ITD
+    kernel repeats the oracles' operations in order, into buffers; the
     Neumann kernel is one product with a matrix cached per truncation level.
     Noisy inner SGD, the implicit estimator and the metrics still call the
     fields.
@@ -190,13 +192,16 @@ def check_number(what: str, value, low=0.0, high=math.inf, *, open_low=False) ->
 
 def check_array(what: str, value, shape: tuple) -> np.ndarray:
     """``value`` as a float64 array of ``shape``, where None takes any length. Raise
-    ``TypeError`` for a Python or numpy bool entry (only input other than a float
-    ndarray is scanned), ``ValueError`` for another shape or a NaN or +-inf entry."""
+    ``TypeError`` for a bool entry or one that is not a real number, such as a str
+    (only input other than a float ndarray is scanned), ``ValueError`` for another
+    shape or a NaN or +-inf entry."""
     x = value
     if type(x) is not np.ndarray or x.dtype is not _FLOAT64:
-        if (type(x) is not np.ndarray or x.dtype.kind != "f") and any(
-                type(e) in _BOOLS for e in np.asarray(x, dtype=object).flat):
-            raise TypeError(f"{what} must hold numbers, not bools, got {value!r}")
+        if type(x) is not np.ndarray or x.dtype.kind != "f":
+            for e in np.asarray(x, dtype=object).flat:
+                if type(e) in _BOOLS or not isinstance(e, numbers.Real):
+                    kind = "numbers, not bools" if type(e) in _BOOLS else "real numbers"
+                    raise TypeError(f"{what} must hold {kind}, got {value!r}")
         x = np.asarray(x, dtype=float)
     dims = x.shape  # an all-None shape, the common one, fixes only the dimension count
     if dims != shape and (len(dims) != len(shape) or shape.count(None) < len(shape) and any(

@@ -38,15 +38,15 @@ class QuadraticData(NamedTuple):
     The ITD kernel repeats the oracles' operations in order, into per-call
     buffers (not kept on the data a stream shares), so it equals the oracle
     path bit for bit. Inner GD is a closed form applied in ``longdouble`` and
-    rounded once per entry: against a 40-digit reference its error per call
+    rounded once per entry (``descent``): against a 40-digit reference its error per call
     stayed below half an epsilon on every draw, where the oracle path's step
     loop reaches several (``tests/test_referee.py``). The Neumann kernel
     reassociates too.
 
     ``neumann`` holds the stream's cached matrices: the Neumann kernel's per
-    (l, m) and inner GD's per ("descend", eta, K). Every instant of a stream
-    shares A, Q, ``neg_At`` and this dict, so the matrices are formed once per
-    stream; ``quadratic_instant`` gives each instant its own.
+    (l, m) and inner GD's stack and bound per ("descend", eta, K). Every
+    instant of a stream shares A, Q, ``neg_At`` and this dict, so the matrices
+    are formed once per stream; ``quadratic_instant`` gives each instant its own.
     ``amp`` is kept as given: an integer 0 keeps the signed zeros of
     ``-amp * sin``.
     """
@@ -89,21 +89,24 @@ class QuadraticData(NamedTuple):
     def exact_hypergradient(self, lam):
         return self.grad_f_lambda(lam, None) + self.A.T.dot(self.inner_opt(lam) - self.c)
 
-    def descend(self, traj: np.ndarray, eta: float, lam: np.ndarray) -> None:
-        """Rows 1..K of traj: GD on g(lam, .) from row 0, in closed form.
+    def descent(self, eta: float, K: int) -> tuple[np.ndarray, np.ndarray, np.longdouble]:
+        """Inner GD's cache entry for (eta, K): ``(stack, last, cap)``.
 
         K steps of omega <- M omega + eta Q (A lam + b), with M = I - eta Q, give
         row k = P_k omega_0 + (R_k A) lam + R_k b, where P_k = M^k and R_k = I - P_k.
-        The K blocks [P_k | R_k A | R_k] are one ``longdouble`` stack, cached per
-        (eta, K); one product applies it to [omega_0; lam; b] in ``longdouble``, and
-        each row is rounded to float64 once.
+        ``stack`` holds the K blocks [P_k | R_k A | R_k] as one ``longdouble`` matrix
+        for x = [omega_0; lam; b], and ``last`` its final block, which gives omega_K.
+        Each entry of each row is at most S ||x||, S the stack's largest absolute row
+        sum, so x.x < cap = (1e300 / S)^2 proves every row finite; a non-finite S
+        gives a cap of 0 or NaN, which no x passes. Formed once, with warnings off.
         """
-        K = traj.shape[0] - 1
-        stack = self.neumann.get(("descend", eta, K))
-        if stack is None:
-            stack = self.neumann["descend", eta, K] = self._descent_stack(eta, K)
-        x = np.concatenate((traj[0], lam, self.b), dtype=np.longdouble)
-        traj[1:] = stack.dot(x).reshape(K, -1)
+        entry = self.neumann.get(("descend", eta, K))
+        if entry is None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                stack = self._descent_stack(eta, K)
+                cap = (np.longdouble(1e300) / np.abs(stack).sum(axis=1).max()) ** 2
+            entry = self.neumann["descend", eta, K] = stack, stack[-self.Q.shape[0]:], cap
+        return entry
 
     def _descent_stack(self, eta: float, K: int) -> np.ndarray:
         """The (K d2, 2 d2 + d1) ``longdouble`` matrix whose k-th block of d2 rows

@@ -3,6 +3,7 @@ import json
 import multiprocessing
 import os
 import re
+import warnings
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -711,6 +712,12 @@ OUT_OF_RANGE = [
     ({"stream": ONE_D,
       "optimizer": {"kind": "obbo", "feasible": {"kind": "box", "lower": [True], "upper": [2.0]}}},
      "lower must hold numbers, not bools, got [True]"),
+    # Unchecked, ``float`` parsed each string and the cell ran ``ok``.
+    ({"stream": ONE_D, "optimizer": {"kind": "obbo", "lambda0": ["0.5"]}},
+     "lambda0 must hold real numbers, got ['0.5']"),
+    ({"stream": ONE_D,
+      "optimizer": {"kind": "obbo", "feasible": {"kind": "box", "lower": ["-1"], "upper": [1.0]}}},
+     "lower must hold real numbers, got ['-1']"),
     ({"stream": {**SPLINE_SHORT, "lambda_lower": True}},
      "stream cannot be built: TypeError: lambda_lower must be a number, got True"),
     ({"stream": {"kind": "spline_csv", "path": "{nan_csv}", "knots": [0.0, 0.5, 1.0]}},
@@ -722,6 +729,7 @@ OUT_OF_RANGE = [
 OUT_OF_RANGE_IDS = [
     "alpha-clip-true", "meta-task_noise--1", "meta-n_train-0", "spline-noise_std--1",
     "spline-n_train-0", "spline-n_val-0", "lambda0-true", "beta0-true", "box-lower-true",
+    "lambda0-str", "box-lower-str",
     "spline-lambda_lower-true", "spline-csv-nan-y", "spline-csv-knots-true",
 ]
 
@@ -1016,6 +1024,26 @@ class TestCliRun:
         assert np.all(grid >= lower) and np.all(grid <= upper)
         entry = run_cell(exp, 1, str(tmp_path))
         assert entry["status"] == "ok" and set(entry["variations"]) == {"h1", "h2", "v1"}
+
+    def test_a_variation_that_is_not_finite_aborts_the_cell(self, tmp_path):
+        # The grid reaches 1e300, where f overflows, so v1 is NaN; unchecked,
+        # the cell ended ``ok`` and wrote NaN into the manifest.
+        optimizer = {"kind": "adam", "alpha": 0.05, "eta": 0.05, "lambda0": [0.5],
+                     "feasible": {"kind": "box", "lower": [0.0], "upper": [1e300]}}
+        exp = replace(small_config().experiments[0], seeds=[1],
+                      stream={"kind": "meta", "d": 1, "T": 5},
+                      optimizer=optimizer, metrics={"variations": True})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cli_run(HarnessConfig(experiments=[exp]), tmp_path)
+
+        def no_constant(name):
+            raise AssertionError(f"manifest holds {name}")
+
+        text = (tmp_path / "manifest.json").read_text()
+        [entry] = json.loads(text, parse_constant=no_constant)["outputs"]
+        assert entry["status"] == "aborted"
+        assert entry["error"].startswith("variation v1 is not finite")
 
     def test_parallel_jobs_match_serial(self, tmp_path):
         cfg = small_config()

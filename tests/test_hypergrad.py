@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from obbo import hypergrad
 from obbo.hypergrad import (
     DivergenceError,
     NeumannParams,
@@ -379,6 +380,109 @@ class TestQuadraticMatrixPath:
             messages.append(str(info.value))
         assert messages[0] == messages[1]
         assert messages[0].startswith("inner iterate diverged at k=")
+
+
+class TestInnerGdFastPath:
+    """On quadratic data, inner GD forms only omega^K when the stack's cached
+    bound proves every row finite, and the trajectory on first read; either
+    way the result has the bits of the full ``stack @ x`` product rounded
+    once. Any input the bound cannot clear takes the full path, which forms
+    and scans every row."""
+
+    @staticmethod
+    def full_product(inst, lam, beta0, eta, K):
+        """The trajectory as the full path forms it: beta0, then every row of
+        the cached stack applied to [beta0; lam; b], rounded once."""
+        stack = inst.quadratic.descent(eta, K)[0]
+        x = np.concatenate((beta0, lam, inst.quadratic.b), dtype=np.longdouble)
+        return np.vstack((beta0, np.asarray(stack @ x, dtype=float).reshape(K, -1)))
+
+    @staticmethod
+    def counted(monkeypatch):
+        """Counts the calls of ``_closed_form``, which forms a whole trajectory."""
+        calls = []
+        form = hypergrad._closed_form
+        monkeypatch.setattr(hypergrad, "_closed_form", lambda *a: calls.append(a) or form(*a))
+        return calls
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(
+        d1=st.integers(1, 4),
+        d2=st.integers(1, 12),
+        K=st.sampled_from([1, 5, 12]),
+        eta_factor=st.floats(0.1, 1.9),
+        seed=st.integers(0, 2**16),
+    )
+    @example(d1=2, d2=1, K=12, eta_factor=1.9, seed=0)
+    def test_final_and_trajectory_equal_the_full_product(self, d1, d2, K, eta_factor, seed):
+        rng = np.random.default_rng(seed)
+        inst = random_instant(rng, d1, d2, kappa=float(rng.uniform(1.0, 100.0)))
+        eta = eta_factor / inst.l_g1
+        lam, beta0 = rng.standard_normal(d1), rng.standard_normal(d2)
+        solve = inner_gd(inst, lam, beta0, eta, K)
+        want = self.full_product(inst, lam, beta0, eta, K)
+        assert (solve.K, solve.eta) == (K, eta)
+        assert np.array_equal(solve.final, want[-1])
+        assert np.array_equal(solve.trajectory, want)
+        assert solve.trajectory is solve.trajectory
+        assert not np.shares_memory(solve.trajectory, beta0)
+
+    def test_a_typical_solve_forms_no_trajectory_until_it_is_read(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        inst = quadratic_stream(d1=4, d2=6, T=1, kappa_target=100.0, seed=1)[0]
+        lam, beta0 = np.linspace(-1.0, 1.0, 4), np.linspace(2.0, -2.0, 6)
+        solve = inner_gd(inst, lam, beta0, 1.0 / inst.l_g1, 12)
+        itd_hypergradient(inst, lam, solve)
+        assert calls == []
+        solve.trajectory
+        solve.trajectory
+        assert len(calls) == 1
+
+    def test_large_finite_inputs_take_the_full_path_and_give_the_same_bits(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        inst = quadratic_stream(d1=2, d2=3, T=1, seed=2)[0]
+        lam, beta0 = np.array([1e300, -1e300]), np.array([1e300, 0.0, -1e300])
+        eta = 1.0 / inst.l_g1
+        solve = inner_gd(inst, lam, beta0, eta, 5)
+        assert len(calls) == 1
+        assert np.array_equal(solve.trajectory, self.full_product(inst, lam, beta0, eta, 5))
+        assert np.array_equal(solve.final, solve.trajectory[-1])
+
+    @staticmethod
+    def five_by_three():
+        inst = quadratic_stream(d1=3, d2=5, T=1, kappa_target=10.0, seed=4)[0]
+        return inst, np.linspace(-0.5, 0.5, 3), np.linspace(1.0, -1.0, 5), 1.0 / inst.l_g1
+
+    @pytest.mark.parametrize(
+        "case, k",
+        [("nan lambda", 1), ("inf beta0", 1), ("eta 200, K 400", 106), ("stack overflows", 29)],
+    )
+    def test_non_finite_rows_take_the_full_path_and_raise(self, monkeypatch, case, k):
+        # Each k is the first non-finite row, as a scan of every row names it.
+        inst, lam, beta0, eta = self.five_by_three()
+        K = 12
+        if case == "nan lambda":
+            lam[1] = np.nan
+        elif case == "inf beta0":
+            beta0[2] = np.inf
+        elif case == "eta 200, K 400":
+            inst, lam, beta0 = one_dim_instant(q=4.0), np.zeros(1), np.array([1e3])
+            eta, K = 200.0, 400
+        else:
+            eta, K = 1e10, 500
+        calls = self.counted(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as info:
+                inner_gd(inst, lam, beta0, eta, K)
+            stack, _, cap = inst.quadratic.descent(eta, K)
+        assert str(info.value) == (
+            f"inner iterate diverged at k={k} (t=1); "
+            f"eta={eta} likely violates the step size condition"
+        )
+        assert len(calls) == 1
+        if case == "stack overflows":
+            assert not np.isfinite(stack).all() and not cap > 0
 
 
 def quadratic_outputs(inst, lam, beta, v, eta, K, ell, m):

@@ -586,6 +586,11 @@ INPUT_CHECKS = {
     # Unchecked, a run starts from lambda = [1.0, 1.0] or a NaN beta.
     "lambda0-bool": (lambda: ObboConfig(lambda0=[True, True]), TypeError,
                      "lambda0 must hold numbers, not bools, got [True, True]"),
+    # Unchecked, ``float`` parses a string: a run starts from lambda = [0.5, 1.0].
+    "lambda0-str": (lambda: ObboConfig(lambda0=["0.5", 1.0]), TypeError,
+                    "lambda0 must hold real numbers, got ['0.5', 1.0]"),
+    "beta0-none": (lambda: ObboConfig(beta0=[None, 0.0]), TypeError,
+                   "beta0 must hold real numbers, got [None, 0.0]"),
     "beta0-nan": (lambda: ObboConfig(beta0=[math.nan] * 3), ValueError,
                   "beta0 must have finite entries"),
     "w-float": (lambda: ObboConfig(w=2.0), TypeError, "window size must be an integer, got 2.0"),

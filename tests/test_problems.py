@@ -680,6 +680,10 @@ INPUT_CHECKS = {
        for name, args, error, message in (
            ("b-nan", {"b": [NAN]}, ValueError, "b must have finite entries"),
            ("A-bool", {"A": [[True]]}, TypeError, "A must hold numbers, not bools, got [[True]]"),
+           ("b-str", {"b": ["0.5"]}, TypeError, "b must hold real numbers, got ['0.5']"),
+           ("c-bytes", {"c": [b"1"]}, TypeError, "c must hold real numbers, got [b'1']"),
+           ("Q-complex", {"Q": [[1 + 0j]]}, TypeError,
+            "Q must hold real numbers, got [[(1+0j)]]"),
            ("Q-nan", {"Q": [[NAN]]}, ValueError, "Q must have finite entries"),
            ("phases-inf", {"phases": [float("inf")]}, ValueError,
             "phases must have finite entries"),
