@@ -7,14 +7,9 @@ Neumann-series estimate for stochastic oracles. ITD and the Neumann series
 take second-order information through Hessian-vector products; the implicit
 form solves with the instant's inner Hessian, a desk-scale direct solve. On
 an instant with ``quadratic`` data, inner GD, the ITD estimator and the
-Neumann estimator run that data's kernels instead of its oracle methods.
-The inner-GD kernel is a closed form, a ``longdouble`` product with a matrix
-cached per (eta, K) (of its last rows alone when a cached bound proves every
-row finite), rounded once per entry; against a 40-digit reference it is more
-accurate than the step loop (``tests/test_referee.py``). The ITD kernel
-repeats the oracles' operations into buffers (its cross HVPs as one stacked
-product) and equals them bit for bit; the Neumann kernel applies one cached
-matrix per level, equal up to rounding (see ``QuadraticData``).
+Neumann estimator run that data's kernels instead of its oracle methods:
+inner GD's closed form, the ITD reverse pass equal to the oracles' bit for
+bit, and one cached matrix per Neumann level (see ``QuadraticData``).
 """
 
 from __future__ import annotations
@@ -45,28 +40,21 @@ class DivergenceError(RuntimeError):
 
 class InnerSolveResult:
     """K inner steps of size eta: the last iterate ``final`` and the (K + 1, d2)
-    ``trajectory``, which is formed on first read from the quadratic kernel's
-    stack and x when the kernel formed only ``final``."""
+    ``trajectory``, formed on first read from ``rows``, a ``(data, x)`` pair of
+    ``QuadraticData.inner_gd_final``, when its kernel formed only ``final``."""
 
-    __slots__ = ("final", "eta", "K", "_trajectory", "_product")
+    __slots__ = ("final", "eta", "K", "_trajectory", "_rows")
 
-    def __init__(self, final: np.ndarray, eta: float, K: int, trajectory=None, product=None):
+    def __init__(self, final: np.ndarray, eta: float, K: int, trajectory=None, rows=None):
         self.final, self.eta, self.K = final, eta, K
-        self._trajectory, self._product = trajectory, product
+        self._trajectory, self._rows = trajectory, rows
 
     @property
     def trajectory(self) -> np.ndarray:
         if self._trajectory is None:
-            self._trajectory, self._product = _closed_form(*self._product, self.K), None
+            data, x = self._rows
+            self._trajectory, self._rows = data.inner_gd_rows(x, self.eta, self.K), None
         return self._trajectory
-
-
-def _closed_form(stack: np.ndarray, x: np.ndarray, K: int) -> np.ndarray:
-    """omega^0 (x's head, exact), then the K blocks of ``stack @ x``, rounded once."""
-    traj = np.empty((K + 1, stack.shape[0] // K))
-    traj[0] = x[: traj.shape[1]]
-    traj[1:] = stack.dot(x).reshape(K, -1)
-    return traj
 
 
 def _descend(t: int, lam, beta0, eta: float, K: int, grad, *extra) -> InnerSolveResult:
@@ -99,21 +87,19 @@ def _checked(t: int, traj: np.ndarray, eta: float) -> InnerSolveResult:
 
 def inner_gd(instant: ProblemInstant, lam, beta0, eta: float, K: int) -> InnerSolveResult:
     """K gradient-descent steps on g_t(lam, .) from the warm start beta0; on
-    ``quadratic`` data, one product of its cached stack with [beta0; lam; b]
-    (``QuadraticData.descent``), of the last d2 rows alone when the stack's
-    bound proves every row finite. A non-finite row raises either way."""
+    ``quadratic`` data, its closed form (``QuadraticData``), whose rows are
+    formed and scanned only when its bound cannot prove them finite. A
+    non-finite row raises either way."""
     quad = instant.quadratic
     if quad is None:
         return _descend(instant.t, lam, beta0, eta, K, instant.grad_g_beta)
     check_number("inner step size", eta, open_low=True)
     check_count("inner iteration count", K)
-    stack, last, cap = quad.descent(eta, K)
-    beta0, lam = np.asarray(beta0, dtype=float), np.asarray(lam, dtype=float)
-    x = np.concatenate((beta0, lam, quad.b), axis=None, dtype=np.longdouble)
-    if x.dot(x) < cap:  # fails for a NaN or +-inf entry
-        return InnerSolveResult(last.dot(x).astype(float), eta, K, product=(stack, x))
+    final, x = quad.inner_gd_final(lam, beta0, eta, K)
+    if final is not None:
+        return InnerSolveResult(final, eta, K, rows=(quad, x))
     with np.errstate(over="ignore", invalid="ignore"):
-        traj = _closed_form(stack, x, K)
+        traj = quad.inner_gd_rows(x, eta, K)
     return _checked(instant.t, traj, eta)
 
 

@@ -202,6 +202,11 @@ class RunTrace:
         return self.lambdas.shape[0]
 
 
+# The largest Neumann bound m a SOBBO run takes: above it a round averages 50,000
+# HVPs or more, and the quadratic kernel caches as many (d1, d2) matrices as m.
+MAX_NEUMANN_BOUND = 100_000
+
+
 def default_neumann_bound(w: int, mu_g: float, l_g1: float) -> int:
     """Truncation bound matching the window size to the series contraction."""
     ratio = 1.0 - mu_g / l_g1
@@ -216,7 +221,8 @@ def _resolve_steps(stream: Stream, config: StepConfig, kind: str) -> StepConfig:
 
     Unset, OAGD takes the contraction-optimal eta = 2 / (l_g1 + mu_g) and
     K = 1; every other optimizer the conservative 1 / (2 l_g1) and K = 10.
-    SOBBO takes s = w and m = ``default_neumann_bound``.
+    SOBBO takes s = w and m = ``default_neumann_bound``; an m, set or default,
+    above ``MAX_NEUMANN_BOUND`` raises ``ValueError``.
     """
     expected = CONFIGS[kind]
     if not isinstance(config, expected):
@@ -239,12 +245,17 @@ def _resolve_steps(stream: Stream, config: StepConfig, kind: str) -> StepConfig:
         K = 1 if kind == "oagd" else 10
     if kind == "sobbo":
         m = default_neumann_bound(config.w, mu_g, l_g1) if config.m is None else config.m
+        if m > MAX_NEUMANN_BOUND:
+            raise ValueError(f"Neumann bound m={m} exceeds {MAX_NEUMANN_BOUND} at "
+                             f"l_g1/mu_g = {l_g1 / mu_g:.3g}; set a smaller m")
         return replace(config, alpha=alpha, eta=eta, K=K, s=config.s or config.w, m=m)
     return replace(config, alpha=alpha, eta=eta, K=K)
 
 
 def _initial_iterates(stream: Stream, config: StepConfig) -> tuple[np.ndarray, np.ndarray]:
     d1, d2 = stream[0].d1, stream[0].d2
+    if config.feasible.kind == "box":  # upper has the shape of lower
+        check_array("box bounds", config.feasible.lower, (d1,))
     lam = config.feasible.center() if config.lambda0 is None else config.lambda0
     lam = np.zeros(d1) if lam is None else check_array("lambda0", lam, (d1,)).copy()
     if not config.feasible.contains(lam):

@@ -75,12 +75,8 @@ class ProblemInstant:
     c, amp, phases of f_t); it is None on every other instant. Inner GD, ITD
     and the Neumann estimator then run the data's kernels, so wrapping or
     reassigning ``grad_g_beta`` or an HVP field of such an instant does not
-    reach them. Inner GD is one product with a matrix cached per (eta, K), of
-    its last rows alone when a cached bound proves every row finite; the ITD
-    kernel repeats the oracles' operations in order, into buffers; the
-    Neumann kernel is one product with a matrix cached per truncation level.
-    Noisy inner SGD, the implicit estimator and the metrics still call the
-    fields.
+    reach them (the kernels are described in ``QuadraticData``). Noisy inner
+    SGD, the implicit estimator and the metrics still call the fields.
     """
 
     t: int

@@ -37,11 +37,18 @@ class QuadraticData(NamedTuple):
     K cross HVPs in one ``matmul`` and sums them in order (``np.add.accumulate``).
     The ITD kernel repeats the oracles' operations in order, into per-call
     buffers (not kept on the data a stream shares), so it equals the oracle
-    path bit for bit. Inner GD is a closed form applied in ``longdouble`` and
-    rounded once per entry (``descent``): against a 40-digit reference its error per call
-    stayed below half an epsilon on every draw, where the oracle path's step
-    loop reaches several (``tests/test_referee.py``). The Neumann kernel
-    reassociates too.
+    path bit for bit. The Neumann kernel reassociates.
+
+    Inner GD runs in closed form: K steps of omega <- M omega + eta Q (A lam + b),
+    M = I - eta Q, give row k = P_k omega_0 + (R_k A) lam + R_k b, with P_k = M^k
+    and R_k = I - P_k. ``descent`` caches per (eta, K) the blocks [P_k | R_k A | R_k]
+    as one ``longdouble`` stack for x = [omega_0; lam; b], its last block, and
+    cap = (1e300 / S)^2, S the stack's largest absolute row sum: every entry is at
+    most S ||x||, so x.x < cap proves every row finite (a non-finite S gives a cap
+    no x passes). ``inner_gd_final`` forms x and, when x passes, omega_K from the
+    last block; ``inner_gd_rows`` forms every row, rounded once (row 0 exactly).
+    Against a 40-digit reference its error per call stayed below half an epsilon
+    on every draw, where the step loop's error reaches several (``tests/test_referee.py``).
 
     ``neumann`` holds the stream's cached matrices: the Neumann kernel's per
     (l, m) and inner GD's stack and bound per ("descend", eta, K). Every
@@ -89,38 +96,44 @@ class QuadraticData(NamedTuple):
     def exact_hypergradient(self, lam):
         return self.grad_f_lambda(lam, None) + self.A.T.dot(self.inner_opt(lam) - self.c)
 
+    def inner_gd_final(self, lam, beta0, eta: float, K: int) -> tuple:
+        """``(omega_K, x)`` of K inner GD steps from beta0, x = [beta0; lam; b] in
+        ``longdouble``; omega_K is None when the bound cannot prove every row finite."""
+        _, last, cap = self.descent(eta, K)
+        beta0, lam = np.asarray(beta0, dtype=float), np.asarray(lam, dtype=float)
+        x = np.concatenate((beta0, lam, self.b), axis=None, dtype=np.longdouble)
+        if x.dot(x) < cap:  # fails for a NaN or +-inf entry
+            return last.dot(x).astype(float), x
+        return None, x
+
+    def inner_gd_rows(self, x: np.ndarray, eta: float, K: int) -> np.ndarray:
+        """The (K + 1, d2) rows of inner GD from x of ``inner_gd_final``: omega_0
+        (x's head, exact), then the K blocks of ``stack @ x``, rounded once."""
+        traj = np.empty((K + 1, self.Q.shape[0]))
+        traj[0] = x[: traj.shape[1]]
+        traj[1:] = self.descent(eta, K)[0].dot(x).reshape(K, -1)
+        return traj
+
     def descent(self, eta: float, K: int) -> tuple[np.ndarray, np.ndarray, np.longdouble]:
-        """Inner GD's cache entry for (eta, K): ``(stack, last, cap)``.
-
-        K steps of omega <- M omega + eta Q (A lam + b), with M = I - eta Q, give
-        row k = P_k omega_0 + (R_k A) lam + R_k b, where P_k = M^k and R_k = I - P_k.
-        ``stack`` holds the K blocks [P_k | R_k A | R_k] as one ``longdouble`` matrix
-        for x = [omega_0; lam; b], and ``last`` its final block, which gives omega_K.
-        Each entry of each row is at most S ||x||, S the stack's largest absolute row
-        sum, so x.x < cap = (1e300 / S)^2 proves every row finite; a non-finite S
-        gives a cap of 0 or NaN, which no x passes. Formed once, with warnings off.
-        """
+        """Inner GD's cache entry for (eta, K): ``(stack, last, cap)``, as in the
+        class docstring, formed once with warnings off."""
         entry = self.neumann.get(("descend", eta, K))
-        if entry is None:
-            with np.errstate(over="ignore", invalid="ignore"):
-                stack = self._descent_stack(eta, K)
-                cap = (np.longdouble(1e300) / np.abs(stack).sum(axis=1).max()) ** 2
-            entry = self.neumann["descend", eta, K] = stack, stack[-self.Q.shape[0]:], cap
-        return entry
-
-    def _descent_stack(self, eta: float, K: int) -> np.ndarray:
-        """The (K d2, 2 d2 + d1) ``longdouble`` matrix whose k-th block of d2 rows
-        is [P_k | R_k A | R_k], with P_k = (I - eta Q)^k and R_k = I - P_k."""
+        if entry is not None:
+            return entry
         d2 = self.Q.shape[0]
         eye = np.eye(d2, dtype=np.longdouble)
-        step = eye - np.longdouble(eta) * self.Q.astype(np.longdouble)
-        powers = np.empty((K, d2, d2), dtype=np.longdouble)
-        powers[0] = step
-        for k in range(1, K):
-            np.matmul(powers[k - 1], step, powers[k])
-        rest = eye - powers
-        blocks = np.concatenate((powers, rest @ self.A.astype(np.longdouble), rest), axis=2)
-        return blocks.reshape(K * d2, -1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            step = eye - np.longdouble(eta) * self.Q.astype(np.longdouble)
+            powers = np.empty((K, d2, d2), dtype=np.longdouble)  # P_1 .. P_K
+            powers[0] = step
+            for k in range(1, K):
+                np.matmul(powers[k - 1], step, powers[k])
+            rest = eye - powers
+            blocks = np.concatenate((powers, rest @ self.A.astype(np.longdouble), rest), axis=2)
+            stack = blocks.reshape(K * d2, -1)
+            cap = (np.longdouble(1e300) / np.abs(stack).sum(axis=1).max()) ** 2
+        entry = self.neumann["descend", eta, K] = stack, stack[-d2:], cap
+        return entry
 
     def itd_correction(self, v: np.ndarray, eta: float, K: int) -> np.ndarray:
         """The sum of the cross HVPs of an ITD reverse pass of K steps from v.
@@ -168,26 +181,19 @@ def quadratic_instant(
 ) -> ProblemInstant:
     """Build a single quadratic bilevel instant from explicit data.
 
-    A is (d2, d1), Q a symmetric positive definite (d2, d2) matrix, b and c
-    are d2-vectors, and phases (optional) a d1-vector, all finite; a scalar or
-    vector A or Q and a scalar b or c are promoted as by ``np.atleast_2d`` and
-    ``np.atleast_1d``. ``amp`` is finite and >= 0.
+    Shapes: A is (d2, d1), Q is (d2, d2), b and c are (d2,) and phases
+    (optional) is (d1,); no other shape is accepted. Every entry is finite, Q
+    is symmetric positive definite and ``amp`` is finite and >= 0.
     """
-    A = np.ascontiguousarray(_promoted("A", A, (None, None)))
+    A = np.ascontiguousarray(check_array("A", A, (None, None)))
     d2, d1 = A.shape
-    Q = np.ascontiguousarray(_promoted("Q", Q, (d2, d2)))
-    b, c = _promoted("b", b, (d2,)), _promoted("c", c, (d2,))
+    Q = np.ascontiguousarray(check_array("Q", Q, (d2, d2)))
+    b, c = check_array("b", b, (d2,)), check_array("c", c, (d2,))
     phases = np.zeros(d1) if phases is None else check_array("phases", phases, (d1,))
     check_number("amp", amp)
     mu_g, l_g1 = _spectrum_bounds(Q)
     data = QuadraticData(A, b, Q, -A.T, {}, c, amp, phases)
     return _build_instant(t, data, noise, mu_g, l_g1)
-
-
-def _promoted(what: str, x, shape: tuple) -> np.ndarray:
-    """``check_array`` of x after leading unit dimensions up to ``len(shape)``."""
-    x = check_array(what, x, (None,) * min(np.ndim(x), len(shape)))
-    return check_array(what, x.reshape((1,) * (len(shape) - x.ndim) + x.shape), shape)
 
 
 def _spectrum_bounds(Q: np.ndarray) -> tuple[float, float]:

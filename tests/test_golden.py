@@ -15,12 +15,13 @@ The ``obbo validate`` output of the same configs and of
 ``configs/window_sweep.json`` is pinned line for line
 (``golden/validate.golden.json``).
 
-The bytes of the 24 CSVs are pinned too: ``golden/sha256.json`` holds each
-run's manifest sha256 under a fingerprint of the environment that recorded
-it (``environment_fingerprint``), since the last bits depend on the BLAS
-kernel and numpy's SIMD dispatch. On a matching fingerprint every hash must
-be equal; on any other the test prints that the hashes were not compared.
-The rtol comparison runs either way.
+The bytes of the 24 CSVs are pinned too, and so are those of the 20 CSVs of
+``configs/window_sweep.json``, whose values are pinned by nothing else:
+``golden/sha256.json`` holds each run's manifest sha256 under a fingerprint
+of the environment that recorded it (``environment_fingerprint``), since the
+last bits depend on the BLAS kernel and numpy's SIMD dispatch. On a matching
+fingerprint every hash must be equal; on any other the test prints that the
+hashes were not compared. The rtol comparison runs either way.
 
 Re-record (only when a change to the numbers is intended) with::
 
@@ -30,7 +31,8 @@ where each NAME is a key of ``VALIDATED`` (``reference``, ``spline``,
 ``paths``, ``window_sweep``); with no NAME every config is re-recorded, and a
 named config's re-record leaves every other config's golden entries as they
 are. A re-record also records the CSV hashes under this environment's
-fingerprint.
+fingerprint; for ``window_sweep`` the hashes are all it records besides its
+validate output.
 """
 
 from __future__ import annotations
@@ -121,6 +123,18 @@ def pinned_hashes(name: str) -> dict | None:
     return _pins().get(_fingerprint_key(environment_fingerprint()), {}).get(name)
 
 
+def assert_pinned(name: str, hashes: dict) -> None:
+    """Config ``name``'s CSV hashes equal its pins under this environment's
+    fingerprint; with no pins there, print that they were not compared."""
+    pinned = pinned_hashes(name)
+    if pinned is None:
+        print(f"{name}: CSV hashes not compared; none recorded for this environment "
+              f"{environment_fingerprint()}")
+        return
+    moved = sorted(run for run in {*hashes, *pinned} if hashes.get(run) != pinned.get(run))
+    assert not moved, f"{name}: the CSV bytes of {moved} differ from {HASHES.name}"
+
+
 def _assert_close(got, want, where: str) -> None:
     if isinstance(want, dict):
         assert isinstance(got, dict) and sorted(got) == sorted(want), where
@@ -182,17 +196,16 @@ def test_outputs_match_golden(name, tmp_path):
     want = json.loads((GOLDEN_DIR / f"{name}.golden.json").read_text())
     got, hashes = collect(CONFIGS[name], tmp_path)
     _assert_close(got, want, name)
-    pinned = pinned_hashes(name)
-    if pinned is None:
-        print(f"{name}: CSV hashes not compared; none recorded for this environment "
-              f"{environment_fingerprint()}")
-    else:
-        moved = sorted(run for run in {*hashes, *pinned} if hashes.get(run) != pinned.get(run))
-        assert not moved, f"{name}: the CSV bytes of {moved} differ from {HASHES.name}"
+    assert_pinned(name, hashes)
     report_dir = report(tmp_path)
     want = json.loads((GOLDEN_DIR / "report.golden.json").read_text())[name]
     _assert_close(report_tables(report_dir), want, f"{name} report")
     assert_dat_twins_match(report_dir)
+
+
+def test_window_sweep_bytes_match_pins(tmp_path):
+    _, hashes = collect(VALIDATED["window_sweep"], tmp_path)
+    assert_pinned("window_sweep", hashes)
 
 
 def validate_lines(config_path: Path) -> list[str]:
@@ -216,17 +229,19 @@ def _merged(path: Path, entries: dict) -> dict:
 
 def record(names: list[str]) -> None:
     """Re-record the named configs (every config when ``names`` is empty):
-    each one's ``<name>.golden.json`` and its entries in
-    ``report.golden.json`` and ``validate.golden.json``. Every other golden
-    file and entry stays as it is."""
+    each one's CSV hashes, its entry in ``validate.golden.json`` and, for a
+    config of ``CONFIGS``, its ``<name>.golden.json`` and its entry in
+    ``report.golden.json``. Every other golden file and entry stays as it is."""
     unknown = sorted(set(names) - set(VALIDATED))
     if unknown:
         raise SystemExit(f"unknown config(s) {unknown}; known: {sorted(VALIDATED)}")
     names = sorted(names or VALIDATED)
     reports, hashes = {}, {}
-    for name in (n for n in names if n in CONFIGS):
+    for name in names:
         with tempfile.TemporaryDirectory() as tmp:
-            runs, hashes[name] = collect(CONFIGS[name], Path(tmp))
+            runs, hashes[name] = collect(VALIDATED[name], Path(tmp))
+            if name not in CONFIGS:
+                continue
             reports[name] = report_tables(report(Path(tmp)))
         # One run per line keeps the file small and its diffs per run.
         body = ",\n".join(
@@ -240,12 +255,12 @@ def record(names: list[str]) -> None:
         path = GOLDEN_DIR / "report.golden.json"
         path.write_text(json.dumps(_merged(path, reports), indent=1, sort_keys=True) + "\n")
         print(f"recorded the report tables of {sorted(reports)} to {path}", file=sys.stderr)
-        fingerprint = environment_fingerprint()
-        key = _fingerprint_key(fingerprint)
-        pins = _pins()
-        pins[key] = {**pins.get(key, {}), "fingerprint": fingerprint, **hashes}
-        HASHES.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
-        print(f"recorded the CSV hashes of {sorted(hashes)} to {HASHES}", file=sys.stderr)
+    fingerprint = environment_fingerprint()
+    key = _fingerprint_key(fingerprint)
+    pins = _pins()
+    pins[key] = {**pins.get(key, {}), "fingerprint": fingerprint, **hashes}
+    HASHES.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
+    print(f"recorded the CSV hashes of {sorted(hashes)} to {HASHES}", file=sys.stderr)
     lines = {name: validate_lines(VALIDATED[name]) for name in names}
     path = GOLDEN_DIR / "validate.golden.json"
     path.write_text(json.dumps(_merged(path, lines), indent=2) + "\n")

@@ -658,11 +658,24 @@ UNRUNNABLE = [
     *[({"stream": {**stream, "T": True}},
        "stream cannot be built: TypeError: horizon must be an integer, got True")
       for stream in (small_config().experiments[0].stream, META, SPLINE_EXP["stream"])],
+    # Passed once, then ran ~1.3e10 HVPs per round: mu_g = 2e-8 against l_g1 = 240.5.
+    ({"stream": {"kind": "spline_synthetic", "T": 2, "n_knots": 3, "n_train": 1},
+      "optimizer": {"kind": "sobbo", "alpha": 0.05, "w": 3}},
+     "Neumann bound m=13208827834 exceeds 100000 at l_g1/mu_g = 1.2e+10; set a smaller m"),
+    # Each once named lambda0: "must have shape (3,)" and "lies outside the feasible set".
+    ({"stream": {**small_config().experiments[0].stream, "d1": 3},
+      "optimizer": {"kind": "obbo", "feasible": {"kind": "box", "lower": [-1.0, -1.0],
+                                                 "upper": [1.0, 1.0]}}},
+     "box bounds must have shape (3,), got (2,)"),
+    ({"optimizer": {"kind": "obbo", "lambda0": [0.5, 0.5],
+                    "feasible": {"kind": "box", "lower": [-1.0], "upper": [1.0]}}},
+     "box bounds must have shape (2,), got (1,)"),
 ]
 UNRUNNABLE_IDS = [
     "meta-gamma-0", "meta-n_val-0", "missing-csv", "d1-9-variations", "spline-no-alpha",
     "lambda0-length-7", "beta0-length-7", "lambda0-outside-box", "quadratic-T-float",
     "meta-T-float", "quadratic-T-bool", "meta-T-bool", "spline-T-bool",
+    "sobbo-near-singular-m", "box-length-2-no-lambda0", "box-length-1-lambda0",
 ]
 
 

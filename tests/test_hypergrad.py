@@ -8,7 +8,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from obbo import hypergrad
 from obbo.hypergrad import (
     DivergenceError,
     NeumannParams,
@@ -29,6 +28,7 @@ from obbo.problems import (
     quadratic_stream,
     spline_stream,
 )
+from obbo.problems.quadratic import QuadraticData
 
 from oracles import (
     ORACLE_FIELDS,
@@ -399,10 +399,12 @@ class TestInnerGdFastPath:
 
     @staticmethod
     def counted(monkeypatch):
-        """Counts the calls of ``_closed_form``, which forms a whole trajectory."""
+        """Counts the calls of ``QuadraticData.inner_gd_rows``, which forms a whole
+        trajectory."""
         calls = []
-        form = hypergrad._closed_form
-        monkeypatch.setattr(hypergrad, "_closed_form", lambda *a: calls.append(a) or form(*a))
+        form = QuadraticData.inner_gd_rows
+        monkeypatch.setattr(QuadraticData, "inner_gd_rows",
+                            lambda *a: calls.append(a) or form(*a))
         return calls
 
     @settings(derandomize=True, deadline=None, max_examples=40)

@@ -569,6 +569,15 @@ INPUT_CHECKS = {
     "clip-threshold": (lambda: ObboConfig(clip_threshold=0.0), ValueError,
                        "clip threshold must be positive"),
     "sobbo-m": (lambda: SobboConfig(m=0), ValueError, "Neumann bound m must be at least 1"),
+    # A bound above ``MAX_NEUMANN_BOUND``, set or default, would make a run that never ends.
+    "sobbo-m-ceiling": (
+        lambda: run_sobbo(static_stream(T=2), SobboConfig(alpha=0.1, m=100_001),
+                          np.random.default_rng(0)),
+        ValueError, "Neumann bound m=100001 exceeds 100000 at l_g1/mu_g = 4; set a smaller m"),
+    "sobbo-m-default-ceiling": (
+        lambda: run_sobbo(static_stream(T=2, kappa=1e9), SobboConfig(alpha=0.1, w=3),
+                          np.random.default_rng(0)),
+        ValueError, "exceeds 100000 at l_g1/mu_g = 1e+09; set a smaller m"),
     # NaN fails every ``<= 0`` check: such a config would never clip or regularize.
     "alpha-nan": (lambda: ObboConfig(alpha=math.nan), ValueError,
                   "alpha must be positive and finite"),

@@ -673,6 +673,13 @@ INPUT_CHECKS = {
         lambda tmp: quadratic_instant(1, np.ones((2, 1)), np.ones(2), np.eye(2), np.ones(2),
                                       phases=[0.0, 1.0]),
         ValueError, "phases must have shape (1,), got (2,)"),
+    # Formerly promoted to a (1, 2) A and a (1,) b: only the documented shapes build.
+    "instant-A-vector": (
+        lambda tmp: quadratic_instant(1, np.ones(2), np.ones(1), np.eye(1), np.ones(1)),
+        ValueError, "A must have shape (n, n), got (2,)"),
+    "instant-b-scalar": (
+        lambda tmp: quadratic_instant(1, np.ones((1, 2)), 1.0, np.eye(1), np.ones(1)),
+        ValueError, "b must have shape (1,), got ()"),
     # Unchecked, each of these builds an instant with a NaN, inf or bool datum
     # (a NaN Q was named only as "Q must be symmetric").
     **{f"instant-{name}": (lambda tmp, args=args: quadratic_instant(1, **{
