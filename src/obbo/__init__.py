@@ -25,7 +25,6 @@ from .hypergrad import (
     InnerSolveResult,
     NeumannParams,
     WindowBuffer,
-    exact_hypergradient,
     implicit_hypergradient,
     inner_gd,
     inner_sgd,

@@ -4,9 +4,10 @@ A probe builds a short prefix of every experiment's stream and forms the
 run's steps and first iterates on it. Any of these that fails, or
 ``variations`` beyond the Sobol grid's dimension bound, raises
 ``ConfigError``, on which ``obbo run`` and ``obbo validate`` exit 2.
-The other checks compare the configured step sizes, iteration counts, and
-batch sizes against the bounds that the regret guarantees assume, computed
-from the stream's declared curvature constants; they only warn.
+The other checks compare the run's inner step eta, set or default, and the
+configured outer step, iteration counts and batch sizes against the bounds
+that the regret guarantees assume, computed from the stream's declared
+curvature constants; they only warn.
 """
 
 from __future__ import annotations
@@ -64,15 +65,14 @@ def validate_experiment(exp) -> list[str]:
     kind = exp.optimizer["kind"]
 
     horizon = exp.stream.get("T")
-    if config.eta is not None:
-        if kind == "sobbo":
-            bound, rule = 2.0 / (ell + mu), "eta <= 2/(l_g1 + mu_g)"
-            violated = config.eta > bound
-        else:
-            bound, rule = min(1.0 / ell, 1.0 / mu), "eta < min(1/l_g1, 1/mu_g)"
-            violated = config.eta >= bound
-        if violated:
-            notes.append(f"{prefix} inner step eta={config.eta:g} violates {rule} = {bound:g}")
+    if kind in ("sobbo", "oagd"):  # OAGD's default eta lies on this bound
+        bound, rule = 2.0 / (ell + mu), "eta <= 2/(l_g1 + mu_g)"
+        violated = eta > bound
+    else:
+        bound, rule = min(1.0 / ell, 1.0 / mu), "eta < min(1/l_g1, 1/mu_g)"
+        violated = eta >= bound
+    if violated:
+        notes.append(f"{prefix} inner step eta={eta:g} violates {rule} = {bound:g}")
 
     if config.alpha is not None and inst.l_f1 is not None:
         bound = 3.0 / (4.0 * outer_grad_lipschitz(mu, ell, inst.l_f1))  # rho = 1

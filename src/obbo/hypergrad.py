@@ -1,7 +1,7 @@
 """Inner-problem solvers and hypergradient estimators.
 
-Three estimators are provided: the exact implicit gradient through the inner
-optimum (requires the inner-solution oracle), backpropagation through the
+Three estimators are provided: the implicit form at a given inner iterate
+(the true hypergradient at the inner optimum), backpropagation through the
 unrolled inner gradient-descent trajectory, and a randomized truncated
 Neumann-series estimate for stochastic oracles. ITD and the Neumann series
 take second-order information through Hessian-vector products; the implicit
@@ -28,7 +28,6 @@ __all__ = [
     "inner_gd",
     "inner_sgd",
     "implicit_hypergradient",
-    "exact_hypergradient",
     "itd_hypergradient",
     "stochastic_hypergradient",
 ]
@@ -136,24 +135,6 @@ def implicit_hypergradient(instant: ProblemInstant, lam, beta) -> np.ndarray:
     H = instant.hess_g_betabeta(lam, beta)
     v = np.linalg.solve(H, instant.grad_f_beta(lam, beta))
     return instant.grad_f_lambda(lam, beta) - instant.hvp_g_lambdabeta(lam, beta, v)
-
-
-def exact_hypergradient(instant: ProblemInstant, lam) -> np.ndarray:
-    """True gradient of the induced outer objective at lam.
-
-    Uses the instant's closed form when it has one, otherwise the implicit
-    form at the inner-solution oracle's optimum; the Hessian solve is
-    guaranteed nonsingular by the strong convexity of g.
-    """
-    lam = np.asarray(lam, dtype=float)
-    if instant.exact_hypergradient is not None:
-        return instant.exact_hypergradient(lam)
-    if instant.inner_opt is None:
-        raise ValueError(
-            f"instant t={instant.t} exposes no exact-solution oracle; "
-            "regret metrics need inner_opt or exact_hypergradient"
-        )
-    return implicit_hypergradient(instant, lam, instant.inner_opt(lam))
 
 
 def itd_hypergradient(

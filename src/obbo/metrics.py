@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import DistanceGenerator, generalized_projection
-from .hypergrad import DivergenceError, exact_hypergradient
+from .hypergrad import DivergenceError
 from .optimizers import RunTrace
 from .problems.base import Stream, check_array
 
@@ -87,7 +87,7 @@ def compute_regret_series(stream: Stream, trace: RunTrace) -> RegretSeries:
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(T):
             instant, lam, beta = stream[t], lambdas[t], betas[t]
-            grads[t] = exact_hypergradient(instant, lam)
+            grads[t] = instant.exact_hypergradient(lam)
             outer_loss[t] = instant.f_value(lam, beta)
             r = instant.grad_g_beta(lam, beta)
             residual_sq[t] = r.dot(r)
@@ -165,8 +165,6 @@ def _grid_sweep(stream: Stream, grid: np.ndarray) -> tuple[np.ndarray, np.ndarra
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(len(stream)):
             instant = stream[i]
-            if instant.inner_opt is None:
-                raise ValueError(f"instant t={instant.t} provides no inner_opt oracle")
             betas = [instant.inner_opt(lam) for lam in grid]
             cur_val = np.asarray([instant.f_value(lam, b) for lam, b in zip(grid, betas)])
             cur_opt = np.asarray(betas)

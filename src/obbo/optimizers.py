@@ -208,10 +208,13 @@ MAX_NEUMANN_BOUND = 100_000
 
 
 def default_neumann_bound(w: int, mu_g: float, l_g1: float) -> int:
-    """Truncation bound matching the window size to the series contraction."""
+    """Truncation bound matching the window size to the series contraction;
+    where ``1 - mu_g / l_g1`` rounds to 1, far above ``MAX_NEUMANN_BOUND``."""
     ratio = 1.0 - mu_g / l_g1
     if w <= 1 or ratio <= 0.0:
         return 1
+    if ratio == 1.0:  # the true log(1 / ratio), -log1p(-mu_g / l_g1), is mu_g / l_g1
+        return int(min(math.log(w) * l_g1 / mu_g, 1e18)) + 1
     return int(math.ceil(math.log(w) / math.log(1.0 / ratio))) + 1
 
 
@@ -327,8 +330,6 @@ def _gd_estimate(config: StepConfig) -> Callable:
 
     def solve_and_estimate(instant, lam, beta):
         if mode == "exact":
-            if instant.inner_opt is None:
-                raise ValueError("exact estimator requires the inner_opt oracle")
             beta_next = instant.inner_opt(lam)
             return beta_next, implicit_hypergradient(instant, lam, beta_next)
         solve = inner_gd(instant, lam, beta, eta, K)

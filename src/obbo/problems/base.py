@@ -4,8 +4,9 @@ A stream is a sequence of per-round oracle bundles: the outer objective f_t,
 the first derivatives of f_t and of the strongly convex inner objective g_t,
 its Hessian-vector products and its inner Hessian. On every shipped stream
 they are the bound methods of one round's data object (``instant_of``).
-Exact-solution oracles (``inner_opt`` and ``exact_hypergradient``) are
-optional and reserved for metrics and tests; solvers call the others, except
+The exact-solution oracles (``inner_opt`` and ``exact_hypergradient``) are
+required too, since every regret metric needs them, but only metrics, tests
+and the ``exact`` estimator call them; solvers call the others, except
 that inner GD, ITD and the Neumann estimator run the kernels of quadratic
 data, the only data that carries any.
 """
@@ -47,8 +48,10 @@ class ProblemInstant:
     quadratic and meta streams return the matrix they store. Every shipped
     stream's g is quadratic in beta, so its Hessian ignores ``beta``;
     hand-built instants may use it. ``mu_g`` and ``l_g1`` bound the spectrum
-    of the inner Hessian. Ranges: integer (not bool) ``t >= 1``; finite
-    ``0 < mu_g <= l_g1``, ``l_f1 > 0`` and noise scales ``>= 0``.
+    of the inner Hessian. ``inner_opt(lam)`` is the inner optimum and
+    ``exact_hypergradient(lam)`` the true hypergradient. Ranges: integer (not
+    bool) ``t >= 1``; finite ``0 < mu_g <= l_g1``, ``l_f1 > 0`` and noise
+    scales ``>= 0``.
 
     ``l_f1``, the smoothness constant of f, sets the default outer step
     through ``outer_grad_lipschitz``, whose bound holds only when g has
@@ -91,8 +94,8 @@ class ProblemInstant:
     hess_g_betabeta: Callable[[Vector, Vector], np.ndarray]
     mu_g: float
     l_g1: float
-    inner_opt: Callable[[Vector], Vector] | None = None
-    exact_hypergradient: Callable[[Vector], Vector] | None = None
+    inner_opt: Callable[[Vector], Vector]
+    exact_hypergradient: Callable[[Vector], Vector]
     l_f1: float | None = None
     sigma_g_beta: float = 0.0
     sigma_f: float = 0.0

@@ -42,6 +42,7 @@ def constant_gradient_instant(t, g):
         mu_g=1.0,
         l_g1=1.0,
         inner_opt=lambda lam: np.zeros(1),
+        exact_hypergradient=lambda lam: g.copy(),
     )
 
 

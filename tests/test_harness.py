@@ -66,6 +66,8 @@ def small_config(**stream_overrides):
 
 
 META = {"kind": "meta", "d": 2, "T": 3}
+# mu_g / l_g1 = 2e-17, so 1 - mu_g / l_g1 rounds to 1.
+NEAR_SINGULAR = {"kind": "quadratic", "d1": 2, "d2": 2, "T": 3, "kappa_target": 5e16}
 
 
 def exit_in_worker(exp, seed, out_dir):
@@ -662,6 +664,9 @@ UNRUNNABLE = [
     ({"stream": {"kind": "spline_synthetic", "T": 2, "n_knots": 3, "n_train": 1},
       "optimizer": {"kind": "sobbo", "alpha": 0.05, "w": 3}},
      "Neumann bound m=13208827834 exceeds 100000 at l_g1/mu_g = 1.2e+10; set a smaller m"),
+    # Exited 1 with a ZeroDivisionError: 1 - mu_g/l_g1 rounds to 1.
+    ({"stream": NEAR_SINGULAR, "optimizer": {"kind": "sobbo", "alpha": 0.05, "w": 3}},
+     "Neumann bound m=54930614433405473 exceeds 100000 at l_g1/mu_g = 5e+16; set a smaller m"),
     # Each once named lambda0: "must have shape (3,)" and "lies outside the feasible set".
     ({"stream": {**small_config().experiments[0].stream, "d1": 3},
       "optimizer": {"kind": "obbo", "feasible": {"kind": "box", "lower": [-1.0, -1.0],
@@ -675,7 +680,7 @@ UNRUNNABLE_IDS = [
     "meta-gamma-0", "meta-n_val-0", "missing-csv", "d1-9-variations", "spline-no-alpha",
     "lambda0-length-7", "beta0-length-7", "lambda0-outside-box", "quadratic-T-float",
     "meta-T-float", "quadratic-T-bool", "meta-T-bool", "spline-T-bool",
-    "sobbo-near-singular-m", "box-length-2-no-lambda0", "box-length-1-lambda0",
+    "sobbo-near-singular-m", "sobbo-kappa-5e16-default-m", "box-length-2-no-lambda0", "box-length-1-lambda0",
 ]
 
 
@@ -1486,6 +1491,26 @@ class TestCliValidate:
             "[v] Neumann bound m=2 is below the default "
             "m = ceil(log(w)/log(1/(1-mu_g/l_g1))) + 1 = 6"
         ]
+
+    def test_near_singular_explicit_m_note(self, tmp_path, capsys):
+        # The default m, far above the ceiling, is computed only for the note.
+        exp = {"name": "v", "seeds": [1], "stream": NEAR_SINGULAR,
+               "optimizer": {"kind": "sobbo", "alpha": 1e-40, "w": 3, "m": 5}}
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps({"experiments": [exp]}))
+        assert cli_main(["validate", "--config", str(path)]) == 0
+        assert "[v] Neumann bound m=5 is below the default" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("eta, warns", [(None, False), (0.3, False), (0.45, True)])
+    def test_oagd_eta_rule(self, eta, warns):
+        # kappa 4: the default eta = 2/(l_g1 + mu_g) = 0.4 lies on OAGD's bound,
+        # and 0.3 is inside it but above min(1/l_g1, 1/mu_g) = 0.25.
+        optimizer = {"kind": "oagd", "alpha": 1e-3, "K": 60, "w": 1}
+        if eta is not None:
+            optimizer["eta"] = eta
+        notes = cli_validate(self.base_experiment(optimizer))
+        expected = ["[v] inner step eta=0.45 violates eta <= 2/(l_g1 + mu_g) = 0.4"]
+        assert notes == (expected if warns else [])
 
     def test_unresolvable_alpha_is_a_config_error(self):
         # The spline declares no outer smoothness constants, so a run without

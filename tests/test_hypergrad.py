@@ -12,7 +12,6 @@ from obbo.hypergrad import (
     DivergenceError,
     NeumannParams,
     WindowBuffer,
-    exact_hypergradient,
     implicit_hypergradient,
     inner_gd,
     inner_sgd,
@@ -211,7 +210,7 @@ class TestExactHypergradient:
     def test_one_dim_value(self):
         inst = one_dim_instant()
         lam = np.array([1.0])
-        got = exact_hypergradient(inst, lam)
+        got = inst.exact_hypergradient(lam)
         assert got == pytest.approx(4.0)
         fd = central_diff_grad(induced_objective(inst), lam)
         np.testing.assert_allclose(got, fd, rtol=1e-8)
@@ -220,33 +219,28 @@ class TestExactHypergradient:
         rng = np.random.default_rng(12)
         inst = random_instant(rng, 2, 3, amp=0.7)
         inst.grad_f_beta = lambda lam, beta: np.zeros(3)
-        inst.exact_hypergradient = None  # take the implicit route
         lam = rng.standard_normal(2)
-        got = exact_hypergradient(inst, lam)
+        got = implicit_hypergradient(inst, lam, inst.inner_opt(lam))
         np.testing.assert_allclose(got, inst.grad_f_lambda(lam, None), atol=1e-12)
 
-    def test_matches_instant_closed_form(self):
+    @pytest.mark.parametrize("kind", ["quadratic", "meta", "spline"])
+    def test_matches_instant_closed_form(self, kind):
+        """Each data class's closed form equals the implicit form at its optimum."""
         rng = np.random.default_rng(13)
-        for _ in range(20):
-            inst = random_instant(rng, 3, 4)
-            lam = rng.standard_normal(3)
+        if kind == "quadratic":
+            instants = [random_instant(rng, 3, 4) for _ in range(20)]
+        elif kind == "meta":
+            instants = meta_toy_stream(d=3, T=20, seed=5, drift=DriftSpec.decaying())
+        else:
+            instants = spline_stream(make_drifting_spline_task(seed=6, T=20, n_knots=8))
+        for inst in instants:
+            lam = rng.uniform(0.1, 1.0, inst.d1)
             np.testing.assert_allclose(
                 implicit_hypergradient(inst, lam, inst.inner_opt(lam)),
                 inst.exact_hypergradient(lam),
-                rtol=1e-10,
+                rtol=1e-9,
                 atol=1e-12,
             )
-            # The closed form, when an instant has one, is what is returned.
-            np.testing.assert_array_equal(
-                exact_hypergradient(inst, lam), inst.exact_hypergradient(lam)
-            )
-
-    def test_missing_oracle_raises(self):
-        inst = one_dim_instant()
-        inst.inner_opt = None
-        inst.exact_hypergradient = None
-        with pytest.raises(ValueError, match="no exact-solution oracle"):
-            exact_hypergradient(inst, np.array([0.0]))
 
 
 class TestItdHypergradient:

@@ -229,12 +229,6 @@ class TestPathVariation:
         ratios = [np.sum(terms[: T - 1]) / T for T in (75, 150, 300)]
         assert ratios[2] < ratios[1] < ratios[0]
 
-    def test_missing_oracle_raises(self):
-        stream = make_stream(T=3)
-        stream[1].inner_opt = None
-        with pytest.raises(ValueError):
-            variation_report(stream, grid_for(stream))
-
 
 class TestFunctionVariation:
     def test_static_stream_is_zero(self):

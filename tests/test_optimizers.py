@@ -224,6 +224,9 @@ class TestRunSobbo:
         assert default_neumann_bound(1, 1.0, 10.0) == 1
         # kappa = 10: ceil(log(16)/log(1/0.9)) + 1 = ceil(26.32) + 1 = 28
         assert default_neumann_bound(16, 1.0, 10.0) == 28
+        # Where 1 - mu_g/l_g1 rounds to 1: log(w) l_g1/mu_g, capped where it overflows.
+        assert default_neumann_bound(3, 1.0, 5e16) == int(math.log(3) * 5e16) + 1
+        assert default_neumann_bound(64, 5e-324, 1.0) == 10**18 + 1
         stream = static_stream(T=3, seed=9)
         config = SobboConfig(alpha=0.05, eta=0.05, K=2, w=2)
         trace = run_sobbo(stream, config, np.random.default_rng(0))
@@ -557,10 +560,6 @@ class TestHookedNames:
         )
 
 
-def _no_inner_opt_stream():
-    return [dataclasses.replace(inst, inner_opt=None) for inst in static_stream(T=2)]
-
-
 # Each input check of the configs and runs: a call, the exception it raises
 # and that exception's message.
 INPUT_CHECKS = {
@@ -578,6 +577,11 @@ INPUT_CHECKS = {
         lambda: run_sobbo(static_stream(T=2, kappa=1e9), SobboConfig(alpha=0.1, w=3),
                           np.random.default_rng(0)),
         ValueError, "exceeds 100000 at l_g1/mu_g = 1e+09; set a smaller m"),
+    # There 1 - mu_g/l_g1 rounds to 1, and the default bound once divided by log(1) = 0.
+    "sobbo-m-default-near-singular": (
+        lambda: run_sobbo(static_stream(T=2, d2=2, kappa=5e16), SobboConfig(alpha=0.1, w=3),
+                          np.random.default_rng(0)),
+        ValueError, "exceeds 100000 at l_g1/mu_g = 5e+16; set a smaller m"),
     # NaN fails every ``<= 0`` check: such a config would never clip or regularize.
     "alpha-nan": (lambda: ObboConfig(alpha=math.nan), ValueError,
                   "alpha must be positive and finite"),
@@ -609,9 +613,6 @@ INPUT_CHECKS = {
     "sobbo-s-float": (lambda: SobboConfig(s=2.5), TypeError,
                       "batch size s must be an integer, got 2.5"),
     "empty-stream": (lambda: run_obbo([], ObboConfig(alpha=0.1)), ValueError, "empty stream"),
-    "exact-without-inner-opt": (
-        lambda: run_obbo(_no_inner_opt_stream(), ObboConfig(alpha=0.1, estimator="exact")),
-        ValueError, "exact estimator requires the inner_opt oracle"),
 }
 
 

@@ -660,6 +660,13 @@ def _task():
     return make_drifting_spline_task(seed=0, T=3)
 
 
+def _instant_without(name):
+    """A ``ProblemInstant`` built from ``_instant()``'s fields except ``name``."""
+    inst = _instant()
+    return ProblemInstant(**{f.name: getattr(inst, f.name) for f in dataclasses.fields(inst)
+                             if f.init and f.name != name})
+
+
 NAN = float("nan")
 
 
@@ -733,6 +740,12 @@ INPUT_CHECKS = {
                         "drift scale must be nonnegative and finite"),
     "drift-decaying-rate-nan": (lambda tmp: DriftSpec.decaying(rate=float("nan")), ValueError,
                                 "decaying drift rate must be positive and finite"),
+    # Metrics and the exact estimator call both exact-solution oracles unchecked.
+    "instant-no-inner-opt": (lambda tmp: _instant_without("inner_opt"), TypeError,
+                             "missing 1 required positional argument: 'inner_opt'"),
+    "instant-no-exact-hypergradient": (
+        lambda tmp: _instant_without("exact_hypergradient"), TypeError,
+        "missing 1 required positional argument: 'exact_hypergradient'"),
     "instant-t": (lambda tmp: dataclasses.replace(_instant(), t=0), ValueError,
                   "time index t must be at least 1"),
     "instant-t-float": (lambda tmp: dataclasses.replace(_instant(), t=1.5), TypeError,
