@@ -223,22 +223,26 @@ class TestExactHypergradient:
         got = implicit_hypergradient(inst, lam, inst.inner_opt(lam))
         np.testing.assert_allclose(got, inst.grad_f_lambda(lam, None), atol=1e-12)
 
-    @pytest.mark.parametrize("kind", ["quadratic", "meta", "spline"])
-    def test_matches_instant_closed_form(self, kind):
+    def test_matches_instant_closed_form(self):
         """Each data class's closed form equals the implicit form at its optimum."""
         rng = np.random.default_rng(13)
-        if kind == "quadratic":
-            instants = [random_instant(rng, 3, 4) for _ in range(20)]
-        elif kind == "meta":
-            instants = meta_toy_stream(d=3, T=20, seed=5, drift=DriftSpec.decaying())
-        else:
-            instants = spline_stream(make_drifting_spline_task(seed=6, T=20, n_knots=8))
-        for inst in instants:
+        for _ in range(20):
+            inst = random_instant(rng, 3, 4)
+            lam = rng.standard_normal(3)
+            np.testing.assert_allclose(
+                implicit_hypergradient(inst, lam, inst.inner_opt(lam)),
+                inst.exact_hypergradient(lam),
+                rtol=1e-10,
+                atol=1e-12,
+            )
+        meta = meta_toy_stream(d=3, T=20, seed=5, drift=DriftSpec.decaying())
+        spline = spline_stream(make_drifting_spline_task(seed=6, T=20, n_knots=8))
+        for inst in meta + spline:
             lam = rng.uniform(0.1, 1.0, inst.d1)
             np.testing.assert_allclose(
                 implicit_hypergradient(inst, lam, inst.inner_opt(lam)),
                 inst.exact_hypergradient(lam),
-                rtol=1e-9,
+                rtol=1e-10,
                 atol=1e-12,
             )
 
