@@ -4,18 +4,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
 from pathlib import Path
 
 from .config import ConfigError, parse_config
 from .report import ManifestError, cli_report
 from .runner import cli_run
 from .validate import cli_validate, probe_experiment
-
-OUT_ROOT_ENV = "OBBO_OUT_ROOT"
 
 
 def _exit_2_invalid_json(path, exc: json.JSONDecodeError):
@@ -39,25 +35,6 @@ def _exit_2_on_config_error(path: str):
         raise SystemExit(2)
 
 
-def _resolve_out(args_out: str | None, config, config_path: str) -> Path:
-    if args_out:
-        return Path(args_out)
-    if config.output_dir:
-        return Path(config.output_dir)
-    root = Path(os.environ.get(OUT_ROOT_ENV, "results"))
-    return root / Path(config_path).stem
-
-
-def _parse_seeds(text: str | None) -> list[int] | None:
-    if text is None:
-        return None
-    try:
-        return [int(s) for s in text.split(",") if s.strip() != ""]
-    except ValueError:
-        print(f"error: --seeds must be comma-separated integers, got {text!r}", file=sys.stderr)
-        raise SystemExit(2)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="obbo",
@@ -67,9 +44,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p_run = sub.add_parser("run", help="execute every (experiment x seed) cell of a config")
     p_run.add_argument("--config", required=True, help="path to the JSON config")
-    p_run.add_argument("--out", help="output directory (default: config output_dir, "
-                       f"else ${OUT_ROOT_ENV}/<config stem>)")
-    p_run.add_argument("--seeds", help="comma-separated seed override for all experiments")
+    p_run.add_argument("--out", help="output directory (default: results/<config stem>)")
     p_run.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
 
     p_report = sub.add_parser("report", help="aggregate a results directory")
@@ -85,14 +60,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.jobs < 1:
             print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
             raise SystemExit(2)
-        seeds = _parse_seeds(args.seeds)
         with _exit_2_on_config_error(args.config):
             config = parse_config(args.config)
-            if seeds is not None:
-                config.experiments = [replace(exp, seeds=seeds) for exp in config.experiments]
             for exp in config.experiments:
                 probe_experiment(exp)
-        out = _resolve_out(args.out, config, args.config)
+        out = Path(args.out or Path("results") / Path(args.config).stem)
         manifest = cli_run(config, out, jobs=args.jobs)
         bad = [e for e in manifest["outputs"] if e["status"] != "ok"]
         n_ok = len(manifest["outputs"]) - len(bad)

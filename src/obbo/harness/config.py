@@ -119,23 +119,15 @@ class ExperimentSpec:
 @dataclass
 class HarnessConfig:
     experiments: list[ExperimentSpec]
-    output_dir: str | None = None
 
     def __post_init__(self):
-        out = self.output_dir
-        if out is not None and not (isinstance(out, str) and out):
-            raise ConfigError(f"output_dir must be a non-empty string, got {out!r}")
         names = [exp.name for exp in self.experiments]
         for i, name in enumerate(names):
             if name in names[:i]:
                 raise ConfigError(f"experiment {name!r}: duplicate experiment name")
 
     def to_dict(self) -> dict:
-        out: dict = {"schema": CONFIG_SCHEMA}
-        if self.output_dir is not None:
-            out["output_dir"] = self.output_dir
-        out["experiments"] = [e.to_dict() for e in self.experiments]
-        return out
+        return {"schema": CONFIG_SCHEMA, "experiments": [e.to_dict() for e in self.experiments]}
 
 
 # The constructor each kind of a part feeds.
@@ -166,7 +158,7 @@ def _keys(constructor) -> dict:
 # required. A part with kinds accepts its kind key plus its kind's keys, and a
 # kind missing here is rejected.
 SPEC_KEYS = {
-    "top-level": dict.fromkeys(("schema", "output_dir", "experiments"), False),
+    "top-level": dict.fromkeys(("schema", "experiments"), False),
     "experiment": _keys(ExperimentSpec),
     "metrics": dict.fromkeys(DEFAULT_METRICS, False),
     **{part: {kind: _keys(make) for kind, make in kinds.items()}
@@ -259,7 +251,7 @@ def parse_config_text(text: str) -> HarnessConfig:
             raise ConfigError(f"experiments[{i}]: must be an object")
         spec_args("experiment", dict.fromkeys(raw), f"experiments[{i}]")
         experiments.append(ExperimentSpec(**raw))
-    return HarnessConfig(experiments=experiments, output_dir=data.get("output_dir"))
+    return HarnessConfig(experiments=experiments)
 
 
 def parse_config(path) -> HarnessConfig:

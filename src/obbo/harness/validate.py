@@ -4,10 +4,10 @@ A probe builds a short prefix of every experiment's stream and forms the
 run's steps and first iterates on it. Any of these that fails, or
 ``variations`` beyond the Sobol grid's dimension bound, raises
 ``ConfigError``, on which ``obbo run`` and ``obbo validate`` exit 2.
-The other checks compare the run's inner step eta, set or default, and the
-configured outer step, iteration counts and batch sizes against the bounds
-that the regret guarantees assume, computed from the stream's declared
-curvature constants; they only warn.
+The other checks compare the steps the run resolves (eta, alpha, s and m,
+set or default) and a set K against the bounds that the regret guarantees
+assume, computed from the stream's declared curvature constants; they only
+warn. A default never breaks its own rule.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from __future__ import annotations
 import math
 
 from ..metrics import SOBOL_MAX_DIM
-from ..optimizers import Adaptive, _initial_iterates, _resolve_steps, default_neumann_bound
-from ..problems.base import outer_grad_lipschitz
+from ..optimizers import (Adaptive, _initial_iterates, _resolve_steps, alpha_bound,
+                          default_neumann_bound, eta_bound)
 from .config import DEFAULT_METRICS, ConfigError, HarnessConfig, build
 from .runner import build_stream
 
@@ -34,11 +34,12 @@ def _probe_stream(stream_spec: dict):
 
 
 def probe_experiment(exp):
-    """The probe stream of ``exp``, its optimizer config and the run's inner
-    step eta. Raises ``ConfigError`` naming the experiment when the stream
-    cannot be built, when the run's steps or first iterates cannot be formed
-    on it (no ``alpha`` without ``l_f1``, a ``lambda0`` or ``beta0`` that does
-    not fit), or when ``variations`` is on and d1 exceeds ``SOBOL_MAX_DIM``."""
+    """The probe stream of ``exp`` and the optimizer config the run resolves
+    on it (``_resolve_steps``). Raises ``ConfigError`` naming the experiment
+    when the stream cannot be built, when the run's steps or first iterates
+    cannot be formed on it (no ``alpha`` without ``l_f1``, a ``lambda0`` or
+    ``beta0`` that does not fit), or when ``variations`` is on and d1 exceeds
+    ``SOBOL_MAX_DIM``."""
     where = f"experiment {exp.name!r}"
     try:
         stream = _probe_stream(exp.stream)
@@ -46,27 +47,27 @@ def probe_experiment(exp):
         raise ConfigError(f"{where}: stream cannot be built: {type(exc).__name__}: {exc}") from exc
     config = build("optimizer", exp.optimizer, "optimizer spec")
     try:
-        eta = _resolve_steps(stream, config, exp.optimizer["kind"]).eta
+        config = _resolve_steps(stream, config, exp.optimizer["kind"])
         _initial_iterates(stream, config)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
     d1 = stream[0].d1
     if {**DEFAULT_METRICS, **exp.metrics}["variations"] and d1 > SOBOL_MAX_DIM:
         raise ConfigError(f"{where}: variations need d1 <= {SOBOL_MAX_DIM} (Sobol grid), got {d1}")
-    return stream, config, eta
+    return stream, config
 
 
 def validate_experiment(exp) -> list[str]:
     notes: list[str] = []
     prefix = f"[{exp.name}]"
-    stream, config, eta = probe_experiment(exp)
+    stream, config = probe_experiment(exp)
     inst = stream[0]
     mu, ell = inst.mu_g, inst.l_g1
-    kind = exp.optimizer["kind"]
+    kind, eta = exp.optimizer["kind"], config.eta
 
     horizon = exp.stream.get("T")
     if kind in ("sobbo", "oagd"):  # OAGD's default eta lies on this bound
-        bound, rule = 2.0 / (ell + mu), "eta <= 2/(l_g1 + mu_g)"
+        bound, rule = eta_bound(mu, ell), "eta <= 2/(l_g1 + mu_g)"
         violated = eta > bound
     else:
         bound, rule = min(1.0 / ell, 1.0 / mu), "eta < min(1/l_g1, 1/mu_g)"
@@ -74,8 +75,8 @@ def validate_experiment(exp) -> list[str]:
     if violated:
         notes.append(f"{prefix} inner step eta={eta:g} violates {rule} = {bound:g}")
 
-    if config.alpha is not None and inst.l_f1 is not None:
-        bound = 3.0 / (4.0 * outer_grad_lipschitz(mu, ell, inst.l_f1))  # rho = 1
+    if inst.l_f1 is not None:  # without it the run needs a set alpha
+        bound = alpha_bound(mu, ell, inst.l_f1)
         if config.alpha > bound:
             suffix = ""
             if isinstance(config.phi, Adaptive):
@@ -88,26 +89,26 @@ def validate_experiment(exp) -> list[str]:
                 f"3*rho/(4*l_F1) = {bound:g}{suffix}"
             )
 
-    if kind in ("obbo", "sobow") and horizon and config.K is not None:
+    K = exp.optimizer.get("K")  # a set K only; config.K would hold the default 10 too
+    if kind in ("obbo", "sobow") and horizon and K is not None:
         contraction = 1.0 - eta * mu
         if 0.0 < contraction < 1.0:
             recommended = math.log(horizon) / math.log(1.0 / contraction) + 1.0
-            if config.K < recommended:
+            if K < recommended:
                 notes.append(
-                    f"{prefix} inner iteration count K={config.K} is below the "
+                    f"{prefix} inner iteration count K={K} is below the "
                     f"horizon-matched recommendation "
                     f"K = log(T)/log((1 - eta*mu_g)^-1) + 1 = {recommended:.1f}"
                 )
 
     if kind == "sobbo":
-        s = config.s
-        if s is not None and s != config.w:
+        if config.s != config.w:
             notes.append(
-                f"{prefix} batch size s={s} differs from the default s = w "
+                f"{prefix} batch size s={config.s} differs from the default s = w "
                 f"(w={config.w}) the stochastic guarantee assumes"
             )
         m_default = default_neumann_bound(config.w, mu, ell)
-        if config.m is not None and config.m < m_default:
+        if config.m < m_default:
             notes.append(
                 f"{prefix} Neumann bound m={config.m} is below the default "
                 f"m = ceil(log(w)/log(1/(1-mu_g/l_g1))) + 1 = {m_default}"

@@ -50,6 +50,8 @@ __all__ = [
     "run_sobow",
     "run_single_level",
     "default_neumann_bound",
+    "eta_bound",
+    "alpha_bound",
 ]
 
 @dataclass(frozen=True)
@@ -218,12 +220,24 @@ def default_neumann_bound(w: int, mu_g: float, l_g1: float) -> int:
     return int(math.ceil(math.log(w) / math.log(1.0 / ratio))) + 1
 
 
+def eta_bound(mu_g: float, l_g1: float) -> float:
+    """The largest inner step SOBBO's and OAGD's guarantees allow,
+    2 / (l_g1 + mu_g): the contraction-optimal GD step, OAGD's default eta."""
+    return 2.0 / (l_g1 + mu_g)
+
+
+def alpha_bound(mu_g: float, l_g1: float, l_f1: float) -> float:
+    """The largest outer step the regret guarantee allows at modulus rho = 1,
+    3 / (4 l_F1); an unset alpha takes half of it."""
+    return 3.0 / (4.0 * outer_grad_lipschitz(mu_g, l_g1, l_f1))
+
+
 def _resolve_steps(stream: Stream, config: StepConfig, kind: str) -> StepConfig:
     """``config`` with alpha, eta and K (and SOBBO's s and m) filled in for
     ``kind``; a config of another kind raises ``TypeError``.
 
-    Unset, OAGD takes the contraction-optimal eta = 2 / (l_g1 + mu_g) and
-    K = 1; every other optimizer the conservative 1 / (2 l_g1) and K = 10.
+    Unset, alpha is half of ``alpha_bound``. OAGD takes eta = ``eta_bound``
+    and K = 1; every other optimizer the conservative 1 / (2 l_g1) and K = 10.
     SOBBO takes s = w and m = ``default_neumann_bound``; an m, set or default,
     above ``MAX_NEUMANN_BOUND`` raises ``ValueError``.
     """
@@ -236,13 +250,12 @@ def _resolve_steps(stream: Stream, config: StepConfig, kind: str) -> StepConfig:
     mu_g, l_g1 = instant.mu_g, instant.l_g1
     eta = config.eta
     if eta is None:
-        eta = 2.0 / (l_g1 + mu_g) if kind == "oagd" else 1.0 / (2.0 * l_g1)
+        eta = eta_bound(mu_g, l_g1) if kind == "oagd" else 1.0 / (2.0 * l_g1)
     alpha = config.alpha
     if alpha is None:
         if instant.l_f1 is None:
             raise ValueError("stream declares no outer smoothness constants; set alpha explicitly")
-        l_F1 = outer_grad_lipschitz(mu_g, l_g1, instant.l_f1)
-        alpha = 3.0 / (8.0 * l_F1)
+        alpha = alpha_bound(mu_g, l_g1, instant.l_f1) / 2
     K = config.K
     if K is None:
         K = 1 if kind == "oagd" else 10

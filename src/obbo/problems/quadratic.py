@@ -50,7 +50,7 @@ class QuadraticData(NamedTuple):
     Against a 40-digit reference its error per call stayed below half an epsilon
     on every draw, where the step loop's error reaches several (``tests/test_referee.py``).
 
-    ``neumann`` holds the stream's cached matrices: the Neumann kernel's per
+    ``cache`` holds the stream's cached matrices: the Neumann kernel's per
     (l, m) and inner GD's stack and bound per ("descend", eta, K). Every
     instant of a stream shares A, Q, ``neg_At`` and this dict, so the matrices
     are formed once per stream; ``quadratic_instant`` gives each instant its own.
@@ -62,7 +62,7 @@ class QuadraticData(NamedTuple):
     b: np.ndarray
     Q: np.ndarray
     neg_At: np.ndarray
-    neumann: dict
+    cache: dict
     c: np.ndarray
     amp: float
     phases: np.ndarray
@@ -117,7 +117,7 @@ class QuadraticData(NamedTuple):
     def descent(self, eta: float, K: int) -> tuple[np.ndarray, np.ndarray, np.longdouble]:
         """Inner GD's cache entry for (eta, K): ``(stack, last, cap)``, as in the
         class docstring, formed once with warnings off."""
-        entry = self.neumann.get(("descend", eta, K))
+        entry = self.cache.get(("descend", eta, K))
         if entry is not None:
             return entry
         d2 = self.Q.shape[0]
@@ -132,7 +132,7 @@ class QuadraticData(NamedTuple):
             blocks = np.concatenate((powers, rest @ self.A.astype(np.longdouble), rest), axis=2)
             stack = blocks.reshape(K * d2, -1)
             cap = (np.longdouble(1e300) / np.abs(stack).sum(axis=1).max()) ** 2
-        entry = self.neumann["descend", eta, K] = stack, stack[-d2:], cap
+        entry = self.cache["descend", eta, K] = stack, stack[-d2:], cap
         return entry
 
     def itd_correction(self, v: np.ndarray, eta: float, K: int) -> np.ndarray:
@@ -155,9 +155,9 @@ class QuadraticData(NamedTuple):
         """(m/l) (-A') Q (I - Q/l)^k v: the mixed HVP of a Neumann estimate at
         truncation level k < m, as one product with a matrix cached per (l, m).
         """
-        levels = self.neumann.get((ell, m))
+        levels = self.cache.get((ell, m))
         if levels is None:
-            levels = self.neumann[ell, m] = self._neumann_levels(ell, m)
+            levels = self.cache[ell, m] = self._neumann_levels(ell, m)
         return levels[k].dot(v)
 
     def _neumann_levels(self, ell: float, m: int) -> list[np.ndarray]:
@@ -271,13 +271,13 @@ def quadratic_stream(
 
     mu_g, l_g1 = _spectrum_bounds(Q)
     neg_At = -A.T
-    neumann: dict = {}
+    cache: dict = {}
 
     # The drift in one pass, with the bits of drawing u, then v, per moving
     # transition and moving b by step * (u / ||u||), then c by v: one (k, 2, d2)
     # draw keeps that order, the row dot is ``np.linalg.norm``'s, and the moves
     # add in round order. Q is fixed, so it is checked once above rather than
-    # per instant. Instants share -A', one Neumann cache and the drift path,
+    # per instant. Instants share -A', one cache and the drift path,
     # which nothing writes in place.
     steps = np.array([drift.step_size(t) for t in range(1, T)])
     moving = steps > 0
@@ -288,6 +288,6 @@ def quadratic_stream(
     instants: list[ProblemInstant] = []
     for t, j in enumerate(np.concatenate(([0], np.cumsum(moving))).tolist(), 1):
         b, c = path[j]
-        data = QuadraticData(A, b, Q, neg_At, neumann, c, cos_amplitude, phases)
+        data = QuadraticData(A, b, Q, neg_At, cache, c, cos_amplitude, phases)
         instants.append(_build_instant(t, data, noise, mu_g, l_g1))
     return instants

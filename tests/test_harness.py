@@ -108,20 +108,6 @@ class TestConfigRoundTrip:
                 )
             )
 
-    def test_output_dir_round_trips(self):
-        cfg = HarnessConfig(experiments=small_config().experiments, output_dir="results/x")
-        again = parse_config_text(serialize_config(cfg))
-        assert again.output_dir == "results/x"
-        assert serialize_config(again) == serialize_config(cfg)
-
-    @pytest.mark.parametrize("output_dir", [5, "", ["out"]], ids=["int", "empty", "list"])
-    def test_bad_output_dir_rejected(self, output_dir):
-        named = f"output_dir must be a non-empty string, got {output_dir!r}"
-        with pytest.raises(ConfigError, match=re.escape(named)):
-            HarnessConfig(experiments=[], output_dir=output_dir)
-        with pytest.raises(ConfigError, match=re.escape(named)):
-            parse_config_text(json.dumps({"output_dir": output_dir, "experiments": []}))
-
     def test_unknown_schema_rejected(self):
         with pytest.raises(ConfigError, match="schema"):
             parse_config_text(json.dumps({"schema": "v999", "experiments": []}))
@@ -520,7 +506,7 @@ BAD_SEEDS_IDS = ["bool", "repeat", "negative", "string", "float", "int"]
 
 class TestExperimentChecks:
     """An experiment checks its name, seeds and parts once, when it is built:
-    in code, through ``replace``, from a file, or under ``--seeds``."""
+    in code, through ``replace`` or from a file."""
 
     @pytest.mark.parametrize("name", BAD_NAMES, ids=BAD_NAME_IDS)
     def test_bad_name_rejected_in_code(self, name):
@@ -550,32 +536,6 @@ class TestExperimentChecks:
         named = "experiment 'last': seeds must be a list of distinct non-negative integers"
         assert_cli_exits_2(tmp_path, capsys, command, path, named)
 
-    def test_repeated_seeds_flag_exits_2_before_any_cell(self, tmp_path, capsys):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(serialize_config(small_config()))
-        out = tmp_path / "out"
-        with pytest.raises(SystemExit) as exc:
-            cli_main(["run", "--config", str(cfg_path), "--out", str(out), "--seeds", "1,1"])
-        assert exc.value.code == 2
-        named = ("experiment 'tiny-obbo': seeds must be a list of distinct non-negative "
-                 "integers, got [1, 1]")
-        assert named in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_negative_seeds_flag_exits_2_before_any_cell(self, tmp_path, capsys, monkeypatch):
-        cells = []
-        monkeypatch.setattr(runner, "run_cell", lambda *cell: cells.append(cell))
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(serialize_config(small_config()))
-        out = tmp_path / "out"
-        with pytest.raises(SystemExit) as exc:
-            cli_main(["run", "--config", str(cfg_path), "--out", str(out), "--seeds", "-1"])
-        assert exc.value.code == 2
-        assert "seeds must be a list of distinct non-negative integers, got [-1]" in (
-            capsys.readouterr().err
-        )
-        assert not out.exists() and cells == []
-
     def test_empty_seeds_rejected_in_code(self):
         exp = small_config().experiments[0]
         named = "experiment 'tiny-obbo': seeds must not be empty"
@@ -592,19 +552,6 @@ class TestExperimentChecks:
         named = "experiment 'last': seeds must not be empty"
         assert_cli_exits_2(tmp_path, capsys, command, path, named)
         assert cells == []
-
-    @pytest.mark.parametrize("flag", [",", ""], ids=["comma", "blank"])
-    def test_empty_seeds_flag_exits_2_before_any_cell(self, tmp_path, capsys, monkeypatch, flag):
-        cells = []
-        monkeypatch.setattr(runner, "run_cell", lambda *cell: cells.append(cell))
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(serialize_config(small_config()))
-        out = tmp_path / "out"
-        with pytest.raises(SystemExit) as exc:
-            cli_main(["run", "--config", str(cfg_path), "--out", str(out), "--seeds", flag])
-        assert exc.value.code == 2
-        assert "experiment 'tiny-obbo': seeds must not be empty" in capsys.readouterr().err
-        assert not out.exists() and cells == []
 
     @pytest.mark.parametrize("part", ["stream", "optimizer", "metrics"])
     def test_part_that_is_not_an_object_rejected_in_code(self, part):
@@ -1512,6 +1459,15 @@ class TestCliValidate:
         expected = ["[v] inner step eta=0.45 violates eta <= 2/(l_g1 + mu_g) = 0.4"]
         assert notes == (expected if warns else [])
 
+    @pytest.mark.parametrize("kind", ["sobbo", "oagd"])
+    def test_unset_steps_print_no_warnings(self, tmp_path, capsys, kind):
+        # A default never breaks its own rule: alpha resolves to half its
+        # bound, eta to OAGD's bound or 1/(2 l_g1), s to w and m to the default.
+        path = tmp_path / "v.json"
+        path.write_text(serialize_config(self.base_experiment({"kind": kind, "w": 4})))
+        assert cli_main(["validate", "--config", str(path)]) == 0
+        assert capsys.readouterr().out == "no warnings\n"
+
     def test_unresolvable_alpha_is_a_config_error(self):
         # The spline declares no outer smoothness constants, so a run without
         # alpha would fail in every cell; validate rejects it up front.
@@ -1615,22 +1571,42 @@ class TestCliMain:
         assert capsys.readouterr().err == f"error: {manifest}: {named}\n"
         assert not (tmp_path / "report").exists()
 
-    def test_out_root_env_var(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("OBBO_OUT_ROOT", str(tmp_path / "root"))
+    def test_default_out_is_results_config_stem(self, tmp_path, monkeypatch, capsys):
+        # Where a run writes comes only from the command line: --out, else
+        # results/<config stem> under the working directory.
         monkeypatch.chdir(tmp_path)
-        cfg_path = tmp_path / "envy.json"
-        cfg_path.write_text(serialize_config(HarnessConfig(experiments=[])))
+        cfg_path = tmp_path / "stem.json"
+        cfg_path.write_text(serialize_config(small_config()))
         assert cli_main(["run", "--config", str(cfg_path)]) == 0
-        assert (tmp_path / "root" / "envy" / "manifest.json").exists()
-
-    def test_output_dir_used_without_out(self, tmp_path, capsys):
-        cfg_path = tmp_path / "cfg.json"
-        out = tmp_path / "from-config"
-        config = HarnessConfig(small_config().experiments, output_dir=str(out))
-        cfg_path.write_text(serialize_config(config))
-        assert cli_main(["run", "--config", str(cfg_path)]) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
+        manifest = json.loads((tmp_path / "results" / "stem" / "manifest.json").read_text())
         assert [e["status"] for e in manifest["outputs"]] == ["ok", "ok"]
+        assert f"wrote 2 run(s) to {Path('results', 'stem')}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_output_dir_key_exits_2(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)
+        doc = json.loads(serialize_config(small_config()))
+        doc["output_dir"] = str(tmp_path / "named")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit) as exc:
+            cli_main([command, "--config", str(path)])
+        assert exc.value.code == 2
+        assert "config: unknown top-level key(s) ['output_dir']" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_seeds_option_exits_2_before_any_cell(self, tmp_path, monkeypatch, capsys):
+        # What runs comes only from the config; there is no seed override.
+        cells = []
+        monkeypatch.setattr(runner, "run_cell", lambda *cell: cells.append(cell))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(serialize_config(small_config()))
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["run", "--config", str(cfg_path), "--out", str(out), "--seeds", "7"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seeds 7" in capsys.readouterr().err
+        assert cells == [] and not out.exists()
 
     @pytest.mark.parametrize(
         "doc, named",
@@ -1638,9 +1614,8 @@ class TestCliMain:
             ([], "top level must be a JSON object"),
             ({"experiments": {}}, "'experiments' must be a list"),
             ({"experiments": [3]}, "experiments[0]: must be an object"),
-            ({"output_dir": 5, "experiments": []}, "output_dir must be a non-empty string, got 5"),
         ],
-        ids=["top-level", "experiments", "entry", "output_dir"],
+        ids=["top-level", "experiments", "entry"],
     )
     @pytest.mark.parametrize("command", ["run", "validate"])
     def test_bad_document_shape_exits_2(self, tmp_path, capsys, command, doc, named):
@@ -1648,19 +1623,6 @@ class TestCliMain:
         path.write_text(json.dumps(doc))
         assert_cli_exits_2(tmp_path, capsys, command, path, named)
 
-    def test_seeds_flag(self, tmp_path):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(serialize_config(small_config()))
-        out_dir = tmp_path / "out"
-        assert (
-            cli_main(
-                ["run", "--config", str(cfg_path), "--out", str(out_dir), "--seeds", "7"]
-            )
-            == 0
-        )
-        manifest = json.loads((out_dir / "manifest.json").read_text())
-        assert [e["seed"] for e in manifest["outputs"]] == [7]
-        assert manifest["config"]["experiments"][0]["seeds"] == [7]
 
 
 class TestMedianAbsDeviation:

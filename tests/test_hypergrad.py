@@ -549,7 +549,7 @@ class TestDotProducts:
             w = w - eta * (Q @ w)
         itd += -A.T @ (Q @ w)
         got = quadratic_outputs(inst, lam, beta, v, eta, K, ell, m)
-        levels = inst.quadratic.neumann[ell, m]
+        levels = inst.quadratic.cache[ell, m]
         want = {
             "grad_g_beta": Q @ ((beta - A @ lam) - b),
             "hvp_g_lambdabeta": -A.T @ (Q @ v),
@@ -798,21 +798,21 @@ class TestNeumannMatrixPath:
         check(2.5 * ell)
         matrix.l_g1 = oracles.l_g1 = 4.0 * ell
         check(matrix.l_g1)
-        assert list(matrix.quadratic.neumann) == [(ell, 6), (2.5 * ell, 6), (4.0 * ell, 6)]
+        assert list(matrix.quadratic.cache) == [(ell, 6), (2.5 * ell, 6), (4.0 * ell, 6)]
 
     def test_one_cache_entry_per_stream(self):
         stream = quadratic_stream(d1=2, d2=3, T=15, noise=(0.3, 0.2), seed=4)
         trace = run_sobbo(stream, SobboConfig(alpha=0.05, eta=0.1, K=3, w=4), np.random.default_rng(5))
         first = stream[0].quadratic
-        neumann = first.neumann
-        assert list(neumann) == [(stream[0].l_g1, trace.config.m)]
-        assert len(neumann[stream[0].l_g1, trace.config.m]) == trace.config.m
+        cache = first.cache
+        assert list(cache) == [(stream[0].l_g1, trace.config.m)]
+        assert len(cache[stream[0].l_g1, trace.config.m]) == trace.config.m
         # Every instant shares the stream's fixed matrices and cache.
         for inst in stream:
-            for name in ("A", "Q", "neg_At", "neumann"):
+            for name in ("A", "Q", "neg_At", "cache"):
                 assert getattr(inst.quadratic, name) is getattr(first, name), name
         # A separately built instant gets a cache of its own.
-        assert one_dim_instant().quadratic.neumann is not one_dim_instant().quadratic.neumann
+        assert one_dim_instant().quadratic.cache is not one_dim_instant().quadratic.cache
 
     def test_oracle_fields_are_methods_of_one_data_object(self):
         streams = {

@@ -126,6 +126,24 @@ class TestRegretSeries:
         ) / 3.0
         assert series.euclidean_terms[t] == pytest.approx(float(expected @ expected))
 
+    @pytest.mark.parametrize("drift", [DriftSpec.decaying(), DriftSpec.sublinear()],
+                             ids=["decaying", "sublinear"])
+    def test_shorter_horizon_is_a_prefix(self, drift):
+        # A T = 150 stream is the first 150 instants of the T = 1,200 stream,
+        # and runs are causal, so one long run's blr_cum and blr_eucl_cum
+        # hold every shorter horizon's regret (ROADMAP item 24).
+        short, long = (quadratic_stream(4, 6, T, kappa_target=100, drift=drift, seed=3)
+                       for T in (150, 1200))
+        assert len(short) == 150
+        for a, b in zip(short, long):
+            np.testing.assert_array_equal(a.quadratic.b, b.quadratic.b)
+            np.testing.assert_array_equal(a.quadratic.c, b.quadratic.c)
+        config = ObboConfig(alpha=0.02, K=12, w=10, clip_threshold=1000.0)
+        short_run, long_run = (compute_regret_series(s, run_obbo(s, config)) for s in (short, long))
+        np.testing.assert_array_equal(short_run.cumulative, long_run.cumulative[:150])
+        np.testing.assert_array_equal(short_run.euclidean_cumulative,
+                                      long_run.euclidean_cumulative[:150])
+
 
 def per_window_series(stream, trace, window_sum):
     """The regret terms round by round: each window's sum of exact gradients
