@@ -98,7 +98,8 @@ def write_trace_csv(
     if d1 <= MAX_LAMBDA_COLUMNS:
         columns = [(f"lambda_{i}", trace.lambdas[:, i]) for i in range(d1)]
     else:
-        columns = [("lambda_norm", [np.linalg.norm(lam) for lam in trace.lambdas])]
+        lams = trace.lambdas  # sqrt of each row dot, the bits of ``np.linalg.norm``
+        columns = [("lambda_norm", np.sqrt(np.matmul(lams[:, None, :], lams[:, :, None]))[:, 0, 0])]
     columns += [
         ("outer_loss", regret.outer_loss),
         ("inner_residual", regret.inner_residual),

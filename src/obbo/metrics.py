@@ -69,9 +69,11 @@ class RegretSeries:
 def compute_regret_series(stream: Stream, trace: RunTrace) -> RegretSeries:
     """Local-regret series and per-round records of a completed run.
 
-    One pass over the rows takes each ``stream[t]`` by index (never iterating
-    the stream) and forms the exact hypergradient, ``f_value`` and the norm
-    of ``grad_g_beta`` at ``(trace.lambdas[t], trace.betas[t])``. The smoothed
+    It takes each ``stream[t]`` once by index (never iterating the stream) and
+    forms the exact hypergradient, ``f_value`` and the norm of ``grad_g_beta``
+    at ``(trace.lambdas[t], trace.betas[t])``: for rows that share one quadratic
+    stream's A, Q, amp and phases in one ``QuadraticData.regret_rows`` pass, for
+    any other rows by calling each instant's fields. The smoothed
     true hypergradient at round t averages exact gradients of the w most
     recent objectives at their historical iterates (zero-padded before the
     start), and each term is the squared generalized projection of that
@@ -83,14 +85,21 @@ def compute_regret_series(stream: Stream, trace: RunTrace) -> RegretSeries:
     if len(stream) < T:
         raise ValueError("stream shorter than trace")
     lambdas, betas = trace.lambdas, trace.betas
-    grads, outer_loss, residual_sq = np.empty(lambdas.shape), np.empty(T), np.empty(T)
+    instants = [stream[t] for t in range(T)]
+    quads = [instant.quadratic for instant in instants]
+    q = quads[0] if T else None
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(T):
-            instant, lam, beta = stream[t], lambdas[t], betas[t]
-            grads[t] = instant.exact_hypergradient(lam)
-            outer_loss[t] = instant.f_value(lam, beta)
-            r = instant.grad_g_beta(lam, beta)
-            residual_sq[t] = r.dot(r)
+        if q is not None and all(o is not None and o.A is q.A and o.Q is q.Q and o.amp is q.amp
+                                 and o.phases is q.phases for o in quads):
+            b, c = np.array([o.b for o in quads]), np.array([o.c for o in quads])
+            grads, outer_loss, residual_sq = q.regret_rows(lambdas, betas, b, c)
+        else:
+            grads, outer_loss, residual_sq = np.empty(lambdas.shape), np.empty(T), np.empty(T)
+            for t, (instant, lam, beta) in enumerate(zip(instants, lambdas, betas)):
+                grads[t] = instant.exact_hypergradient(lam)
+                outer_loss[t] = instant.f_value(lam, beta)
+                r = instant.grad_g_beta(lam, beta)
+                residual_sq[t] = r.dot(r)
         nexts = np.concatenate((lambdas[1:], trace.lambda_final[None]))
         records = {
             "gen_proj_norm_sq": (((lambdas - nexts) / alpha) ** 2).sum(axis=1),
@@ -108,10 +117,10 @@ def compute_regret_series(stream: Stream, trace: RunTrace) -> RegretSeries:
         sums += padded[j : j + T]
     h, X = trace.config.regularizer, trace.config.feasible
     smoothed = sums / w
-    projections = [
+    projections = np.array([
         generalized_projection(lam, s, alpha, DistanceGenerator(diag), h, X)
         for lam, s, diag in zip(lambdas, smoothed, trace.phi_diags)
-    ]
+    ])
     terms = _squared_norms("blr_term", projections)
     eucl = _squared_norms("blr_eucl_term", smoothed)
     with np.errstate(over="ignore"):
@@ -140,10 +149,11 @@ def hypergradient_error(trace: RunTrace, exact_grads: np.ndarray) -> np.ndarray:
     return _squared_norms("hypergrad_err_sq", diffs)
 
 
-def _squared_norms(name: str, rows) -> np.ndarray:
-    """``row.dot(row)`` for the row of each round, checked by ``_finite``."""
+def _squared_norms(name: str, x: np.ndarray) -> np.ndarray:
+    """The row dot of each round's row of a (T, d) ``x``, as a stacked (1, d) @ (d, 1)
+    ``matmul`` (the bits of ``row.dot(row)``), checked by ``_finite``."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return _finite(name, np.array([float(row.dot(row)) for row in rows]))
+        return _finite(name, np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0])
 
 
 def _finite(name: str, values: np.ndarray) -> np.ndarray:

@@ -6,9 +6,9 @@ its Hessian-vector products and its inner Hessian. On every shipped stream
 they are the bound methods of one round's data object (``instant_of``).
 The exact-solution oracles (``inner_opt`` and ``exact_hypergradient``) are
 required too, since every regret metric needs them, but only metrics, tests
-and the ``exact`` estimator call them; solvers call the others, except
-that inner GD, ITD and the Neumann estimator run the kernels of quadratic
-data, the only data that carries any.
+and the ``exact`` estimator call them; solvers call the others. Quadratic
+data, the only data that carries kernels, runs inner GD, ITD, the Neumann
+estimator and the regret series' per-round oracles in them instead.
 """
 
 from __future__ import annotations
@@ -75,11 +75,12 @@ class ProblemInstant:
     and only quadratic data carries kernels. ``quadratic`` is not a constructor
     argument: the quadratic stream sets it to the instant's ``QuadraticData``
     (the A, b, Q of g_t = (beta - A lam - b)' Q (beta - A lam - b) / 2 and the
-    c, amp, phases of f_t); it is None on every other instant. Inner GD, ITD
-    and the Neumann estimator then run the data's kernels, so wrapping or
-    reassigning ``grad_g_beta`` or an HVP field of such an instant does not
+    c, amp, phases of f_t); it is None on every other instant. Inner GD, ITD,
+    the Neumann estimator and the regret series (on a quadratic stream's rows)
+    then run the data's kernels, so wrapping or reassigning such an instant's
+    ``grad_g_beta``, ``f_value``, ``exact_hypergradient`` or an HVP field does not
     reach them (the kernels are described in ``QuadraticData``). Noisy inner
-    SGD, the implicit estimator and the metrics still call the fields.
+    SGD, the implicit estimator and the other metrics still call the fields.
     """
 
     t: int

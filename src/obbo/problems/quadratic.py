@@ -28,7 +28,8 @@ __all__ = ["QuadraticData", "quadratic_instant", "quadratic_stream"]
 class QuadraticData(NamedTuple):
     """The whole data of one instant's g and f (as in the module docstring).
     Its methods are the instant's oracles, which ``ProblemInstant`` holds as
-    bound methods, and the kernels inner GD, ITD and the Neumann estimator run.
+    bound methods, and the kernels inner GD, ITD, the Neumann estimator and the
+    regret series (``regret_rows``, a stream's rounds in one pass) run.
 
     ``neg_At`` is ``-A.T``, formed once: negation is exact, so products with it
     match ``-(A.T.dot(x))`` bit for bit. Per-round products are ``M.dot(x)``:
@@ -95,6 +96,18 @@ class QuadraticData(NamedTuple):
 
     def exact_hypergradient(self, lam):
         return self.grad_f_lambda(lam, None) + self.A.T.dot(self.inner_opt(lam) - self.c)
+
+    def regret_rows(self, lambdas, betas, b, c) -> tuple:
+        """``exact_hypergradient``, ``f_value`` and ``grad_g_beta``'s row dot at each
+        (lambdas[t], betas[t]) of the data with b[t] and c[t], every oracle's operations
+        in its order, stacked: ``matmul`` with a trailing unit axis and per-row sums."""
+        A_lam = np.matmul(self.A, lambdas[:, :, None])[:, :, 0]
+        grads = -self.amp * np.sin(lambdas + self.phases)
+        grads += np.matmul(self.A.T, ((A_lam + b) - c)[:, :, None])[:, :, 0]
+        cos_sums = np.cos(lambdas + self.phases).sum(axis=1)
+        loss = 0.5 * ((betas - c) ** 2).sum(axis=1) + self.amp * cos_sums
+        r = np.matmul(self.Q, ((betas - A_lam) - b)[:, :, None])
+        return grads, loss, np.matmul(r.transpose(0, 2, 1), r)[:, 0, 0]
 
     def inner_gd_final(self, lam, beta0, eta: float, K: int) -> tuple:
         """``(omega_K, x)`` of K inner GD steps from beta0, x = [beta0; lam; b] in

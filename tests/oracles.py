@@ -5,6 +5,7 @@ central finite differences, prox solutions from dense 1-D grid minimization
 of the raw objective, and inner-loop sensitivities from re-running the
 forward recursion at perturbed inputs. ``constant_gradient_instant`` is a
 hand-built instant whose every hypergradient estimate is a chosen vector.
+``count_kernel_rows`` counts the rows of each call of the metrics' quadratic kernel.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from obbo.problems import ProblemInstant
+from obbo.problems.quadratic import QuadraticData
 
 # The oracle fields of an instant that a stream fills from its round's data.
 ORACLE_FIELDS = (
@@ -114,3 +116,15 @@ def induced_objective(instant):
         return instant.f_value(lam, beta_hat)
 
     return fun
+
+
+def count_kernel_rows(monkeypatch) -> list:
+    """The rows of each ``QuadraticData.regret_rows`` call, appended as the calls come."""
+    rows, kernel = [], QuadraticData.regret_rows
+
+    def counted(data, lambdas, *rest):
+        rows.append(len(lambdas))
+        return kernel(data, lambdas, *rest)
+
+    monkeypatch.setattr(QuadraticData, "regret_rows", counted)
+    return rows

@@ -37,6 +37,8 @@ from obbo.metrics import compute_regret_series, hypergradient_error, variation_g
 from obbo.optimizers import ObboConfig, run_obbo
 from obbo.problems import quadratic_stream
 
+from oracles import count_kernel_rows
+
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 SPLINE_EXP = json.loads((CONFIG_DIR / "spline.json").read_text())["experiments"][0]
 
@@ -1207,8 +1209,16 @@ class TestCsvBytes:
 
 
 class TestExactOracleCalls:
-    def test_each_exact_oracle_evaluated_once(self, tmp_path, monkeypatch):
+    """Each cell evaluates each round's exact hypergradient once and each grid
+    point's inner optimum once per round. On a quadratic stream the metrics
+    form every round's hypergradient in one ``QuadraticData.regret_rows`` call
+    and call no field; on any other stream they call the field once per round.
+    A second evaluation of any row, on either path, fails the count."""
+
+    @staticmethod
+    def counted_cell(tmp_path, monkeypatch, stream):
         calls = {"exact_hypergradient": 0, "inner_opt": 0}
+        kernel_rows = count_kernel_rows(monkeypatch)
 
         def counting(name, fn):
             def counted(*args):
@@ -1224,12 +1234,27 @@ class TestExactOracleCalls:
             return stream
 
         monkeypatch.setattr(runner, "build_stream", counted_stream)
-        exp = replace(small_config().experiments[0], metrics={"variations": True, "grid_size": 8})
+        exp = replace(small_config().experiments[0], stream=stream,
+                      metrics={"variations": True, "grid_size": 8})
         entry = run_cell(exp, 1, str(tmp_path))
         assert entry["status"] == "ok" and "variations" in entry
-        T, d1 = exp.stream["T"], exp.stream["d1"]
+        return calls, kernel_rows
+
+    def test_each_exact_oracle_evaluated_once(self, tmp_path, monkeypatch):
+        stream = small_config().experiments[0].stream
+        calls, kernel_rows = self.counted_cell(tmp_path, monkeypatch, stream)
+        T, d1 = stream["T"], stream["d1"]
         grid_rows = 8 + 2**d1 + T  # Sobol points, box corners, visited iterates
+        assert calls == {"exact_hypergradient": 0, "inner_opt": T * grid_rows}
+        assert kernel_rows == [T]
+
+    def test_each_exact_oracle_evaluated_once_on_meta(self, tmp_path, monkeypatch):
+        stream = {"kind": "meta", "d": 2, "T": 20}
+        calls, kernel_rows = self.counted_cell(tmp_path, monkeypatch, stream)
+        T, d1 = stream["T"], stream["d"]
+        grid_rows = 8 + 2**d1 + T
         assert calls == {"exact_hypergradient": T, "inner_opt": T * grid_rows}
+        assert kernel_rows == []
 
 
 class TestCliReport:

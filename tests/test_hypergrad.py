@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from obbo.geometry import FeasibleSet, Regularizer
 from obbo.hypergrad import (
     DivergenceError,
     NeumannParams,
@@ -18,7 +19,8 @@ from obbo.hypergrad import (
     itd_hypergradient,
     stochastic_hypergradient,
 )
-from obbo.optimizers import SobboConfig, run_sobbo
+from obbo.metrics import RegretSeries, compute_regret_series
+from obbo.optimizers import Adaptive, ObboConfig, SobboConfig, run_obbo, run_sobbo
 from obbo.problems import (
     DriftSpec,
     make_drifting_spline_task,
@@ -33,6 +35,7 @@ from oracles import (
     ORACLE_FIELDS,
     central_diff_grad,
     constant_gradient_instant,
+    count_kernel_rows,
     induced_objective,
     unrolled_inner_objective,
 )
@@ -579,6 +582,103 @@ class TestDotProducts:
         want = quadratic_outputs(copies, lam, beta, v, eta, K, ell, m)
         for name, value in want.items():
             assert np.array_equal(got[name], value), name
+
+
+def same_bits(got, want) -> bool:
+    """Equal values and signs, so that -0.0 differs from 0.0."""
+    got, want = np.asarray(got), np.asarray(want)
+    return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def unshared(stream):
+    """Copies of a stream's instants without their quadratic data: the per-row path."""
+    copies = [copy.copy(inst) for inst in stream]
+    for inst in copies:
+        inst.quadratic = None
+    return copies
+
+
+class TestRegretKernel:
+    """``QuadraticData.regret_rows`` forms every round's exact hypergradient,
+    ``f_value`` and squared ``grad_g_beta`` norm in one stacked pass with the
+    bits of the per-row oracle calls, signed zeros included; the metrics take
+    it only for rows that share one quadratic stream's A, Q, amp and phases."""
+
+    DRIFTS = {"static": DriftSpec(), "decaying": DriftSpec("decaying"),
+              "sublinear": DriftSpec("sublinear")}
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(d1=st.integers(1, 9), d2=st.integers(1, 12), T=st.integers(1, 60),
+           amp=st.sampled_from([0, 0.0, 0.5, 3]), drift=st.sampled_from(sorted(DRIFTS)),
+           seed=st.integers(0, 2**16))
+    def test_kernel_equals_per_row_oracles(self, d1, d2, T, amp, drift, seed):
+        stream = quadratic_stream(d1, d2, T, drift=self.DRIFTS[drift], seed=seed,
+                                  cos_amplitude=amp)
+        rng = np.random.default_rng(seed)
+        lambdas = rng.standard_normal((T, d1)) * 10.0 ** rng.integers(-3, 4, (T, 1))
+        betas = rng.standard_normal((T, d2))
+        lambdas[0], betas[0] = -0.0, 0.0  # signed zeros through sin, cos and the products
+        rows = [inst.quadratic for inst in stream]
+        got = rows[0].regret_rows(lambdas, betas, np.array([q.b for q in rows]),
+                                  np.array([q.c for q in rows]))
+        want = [[], [], []]
+        for inst, lam, beta in zip(stream, lambdas, betas):
+            r = inst.grad_g_beta(lam, beta)
+            for column, value in zip(want, (inst.exact_hypergradient(lam),
+                                            inst.f_value(lam, beta), r.dot(r))):
+                column.append(value)
+        for name, g, w in zip(("exact_hypergradient", "f_value", "residual_sq"), got, want):
+            assert same_bits(g, np.array(w)), name
+
+    RUNS = {
+        "adaptive-clip": (dict(d1=4, d2=6, amp=0.4, drift="sublinear"),
+                          ObboConfig(alpha=0.05, eta=0.1, K=5, w=3, phi=Adaptive(),
+                                     clip_threshold=0.05)),
+        "box-l1-amp-int-0": (dict(d1=3, d2=2, amp=0, drift="decaying"),
+                             ObboConfig(alpha=0.1, eta=0.1, K=4, w=2,
+                                        regularizer=Regularizer.l1(0.05),
+                                        feasible=FeasibleSet.box([-1.0] * 3, [1.0] * 3))),
+        "d1-9": (dict(d1=9, d2=4, amp=3, drift="static"),
+                 ObboConfig(alpha=0.01, eta=0.1, K=3, w=4)),
+    }
+
+    @pytest.mark.parametrize("name", RUNS)
+    def test_series_equal_on_both_paths(self, name, monkeypatch):
+        spec, config = self.RUNS[name]
+        stream = quadratic_stream(spec["d1"], spec["d2"], 40, drift=self.DRIFTS[spec["drift"]],
+                                  seed=3, cos_amplitude=spec["amp"])
+        trace = run_obbo(stream, config)  # one trace: only the metrics path differs
+        kernel_rows = count_kernel_rows(monkeypatch)
+        fast = compute_regret_series(stream, trace)
+        assert kernel_rows == [trace.T]
+        slow = compute_regret_series(unshared(stream), trace)
+        assert kernel_rows == [trace.T]
+        for field in dataclasses.fields(RegretSeries):
+            assert same_bits(getattr(fast, field.name), getattr(slow, field.name)), field.name
+
+    def test_hand_built_instants_take_the_per_row_path(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        stream = [random_instant(rng, 3, 4) for _ in range(12)]  # each with its own A
+        trace = run_obbo(stream, ObboConfig(alpha=0.05, eta=0.1, K=3, w=2))
+        kernel_rows = count_kernel_rows(monkeypatch)
+        series = compute_regret_series(stream, trace)
+        assert kernel_rows == []
+        for t, (inst, lam, beta) in enumerate(zip(stream, trace.lambdas, trace.betas)):
+            r = inst.grad_g_beta(lam, beta)
+            assert same_bits(series.exact_grads[t], inst.exact_hypergradient(lam))
+            assert same_bits(series.outer_loss[t], inst.f_value(lam, beta))
+            assert same_bits(series.inner_residual[t], np.sqrt(r.dot(r)))
+
+    @pytest.mark.parametrize("path", ["kernel", "per-row"])
+    def test_overflowing_outer_loss_names_column_and_round(self, path):
+        stream = quadratic_stream(2, 3, 8, seed=1)
+        trace = run_obbo(stream, ObboConfig(alpha=0.05, eta=0.1, K=3, w=2))
+        betas = trace.betas.copy()
+        betas[4] = 1e200  # (beta - c)^2 overflows at t = 5
+        trace = dataclasses.replace(trace, betas=betas)
+        with pytest.raises(DivergenceError) as info:
+            compute_regret_series(stream if path == "kernel" else unshared(stream), trace)
+        assert str(info.value) == "outer_loss became non-finite at t=5; aborting run"
 
 
 class TestKernelBuffers:

@@ -1,3 +1,4 @@
+import collections.abc
 import dataclasses
 import math
 import re
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obbo import optimizers
+from obbo import metrics, optimizers
 from obbo.geometry import FeasibleSet, Regularizer
 from obbo.hypergrad import (
     DivergenceError,
@@ -41,7 +42,7 @@ from obbo.problems import (
     spline_stream,
 )
 
-from oracles import constant_gradient_instant
+from oracles import constant_gradient_instant, count_kernel_rows
 
 
 def static_stream(T=60, d1=2, d2=3, kappa=4.0, amp=0.0, seed=0, **kw):
@@ -502,13 +503,66 @@ SOLVES_WITHOUT_RECORDS = {
     lambda: static_stream(T=9, amp=0.3, seed=5),
     lambda: meta_toy_stream(d=3, T=9, seed=2),
 ], ids=["quadratic", "meta"])
-def test_solver_makes_no_f_value_call(kind, make_stream):
-    # The round loop only solves; the metrics form the outer loss, once per round.
+def test_solver_makes_no_f_value_call(kind, make_stream, monkeypatch):
+    # The round loop only solves; the metrics form the outer loss once per round:
+    # a meta stream through its field, a quadratic stream in one kernel call.
     stream, calls = _count_f_value(make_stream())
+    kernel_rows = count_kernel_rows(monkeypatch)
     trace = SOLVES_WITHOUT_RECORDS[kind](stream)
     assert calls["f_value"] == 0
     compute_regret_series(stream, trace)
-    assert calls["f_value"] == trace.T == len(stream)
+    if stream[0].quadratic is None:
+        assert calls["f_value"] == trace.T == len(stream) and kernel_rows == []
+    else:
+        assert calls["f_value"] == 0 and kernel_rows == [trace.T] == [len(stream)]
+
+
+class IndexCounter(collections.abc.Sequence):
+    """Stream proxy that counts each ``stream[t]`` by index and each iteration,
+    as perfbench's ``RoundClock`` sees them."""
+
+    def __init__(self, stream):
+        self._stream, self.indexed, self.iterations = stream, Counter(), 0
+
+    def __len__(self):
+        return len(self._stream)
+
+    def __getitem__(self, index):
+        self.indexed[index] += 1
+        return self._stream[index]
+
+    def __iter__(self):
+        self.iterations += 1
+        return iter(self._stream)
+
+
+class TestMetricsHookedNames:
+    """perfbench's round clock stamps every instant taken from a built stream and
+    its traced run counts the calls of ``obbo.metrics.generalized_projection``.
+    It expects ``compute_regret_series`` to take each ``stream[t]`` once by index,
+    never to iterate the stream, and to resolve that name T times, on either
+    path of the metrics."""
+
+    @pytest.mark.parametrize("make_stream", [
+        lambda: static_stream(T=9, d1=3, d2=4, amp=0.3, seed=5),
+        lambda: meta_toy_stream(d=3, T=9, seed=2),
+    ], ids=["quadratic", "meta"])
+    def test_each_row_indexed_once_and_projected_once(self, monkeypatch, make_stream):
+        stream = make_stream()
+        trace = run_obbo(stream, ObboConfig(alpha=0.05, eta=0.1, K=3, w=2))
+        projections = Counter()
+        project = metrics.generalized_projection
+
+        def counted(*args):
+            projections["generalized_projection"] += 1
+            return project(*args)
+
+        monkeypatch.setattr(metrics, "generalized_projection", counted)
+        proxy = IndexCounter(stream)
+        compute_regret_series(proxy, trace)
+        T = trace.T
+        assert proxy.indexed == Counter(range(T)) and proxy.iterations == 0
+        assert projections["generalized_projection"] == T
 
 
 # Each solver's calls through the names of obbo.optimizers per round, as
