@@ -32,7 +32,9 @@ where each NAME is a key of ``VALIDATED`` (``reference``, ``spline``,
 named config's re-record leaves every other config's golden entries as they
 are. A re-record also records the CSV hashes under this environment's
 fingerprint; for ``window_sweep`` the hashes are all it records besides its
-validate output.
+validate output. For each golden file it rewrites it prints how many cells
+(runs, report tables, pinned hashes or validate lines) changed, how many
+values moved and the largest relative move, then each changed cell.
 """
 
 from __future__ import annotations
@@ -227,11 +229,57 @@ def _merged(path: Path, entries: dict) -> dict:
     return dict(sorted({**old, **entries}.items()))
 
 
+def _leaves(value, path=()):
+    """Each leaf of a nested golden value with its path of keys and indices."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaves(item, (*path, key))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _leaves(item, (*path, i))
+    else:
+        yield path, value
+
+
+def _relative_move(old, new) -> float | None:
+    """|new - old| over the larger magnitude for two floats, else None."""
+    if not (isinstance(old, float) and isinstance(new, float)):
+        return None
+    return abs(new - old) / max(abs(old), abs(new))
+
+
+def _rewrite(path: Path, text: str, depth: int) -> None:
+    """Write ``text`` to the golden file ``path`` and print what moved: per
+    cell (the entry ``depth`` keys deep, such as a run or a report table), how
+    many values changed and the largest relative move among its floats."""
+    old = dict(_leaves(json.loads(path.read_text()))) if path.exists() else {}
+    path.write_text(text)
+    new = dict(_leaves(json.loads(text)))
+    missing = object()
+    cells: dict[tuple, list] = {}
+    for key in sorted({*old, *new}, key=repr):
+        was, now = old.get(key, missing), new.get(key, missing)
+        if was != now:
+            cells.setdefault(key[:depth], []).append(_relative_move(was, now))
+
+    def largest(moves) -> str:
+        floats = [move for move in moves if move is not None]
+        return f"largest relative move {max(floats):.3g}" if floats else "no float moved"
+
+    moves = [move for cell in cells.values() for move in cell]
+    print(f"{path.name}: {len(cells)} cell(s) changed, {len(moves)} value(s) moved"
+          + (f", {largest(moves)}" if moves else ""), file=sys.stderr)
+    for cell, cell_moves in cells.items():
+        print(f"  {'/'.join(map(str, cell))}: {len(cell_moves)} value(s), {largest(cell_moves)}",
+              file=sys.stderr)
+
+
 def record(names: list[str]) -> None:
     """Re-record the named configs (every config when ``names`` is empty):
     each one's CSV hashes, its entry in ``validate.golden.json`` and, for a
     config of ``CONFIGS``, its ``<name>.golden.json`` and its entry in
-    ``report.golden.json``. Every other golden file and entry stays as it is."""
+    ``report.golden.json``. Every other golden file and entry stays as it is.
+    For each file it rewrites, it prints the cells and values that moved."""
     unknown = sorted(set(names) - set(VALIDATED))
     if unknown:
         raise SystemExit(f"unknown config(s) {unknown}; known: {sorted(VALIDATED)}")
@@ -248,23 +296,19 @@ def record(names: list[str]) -> None:
             f"{json.dumps(run_id)}: {json.dumps(run, sort_keys=True)}"
             for run_id, run in sorted(runs.items())
         )
-        path = GOLDEN_DIR / f"{name}.golden.json"
-        path.write_text("{\n" + body + "\n}\n")
-        print(f"recorded {len(runs)} run(s) to {path}", file=sys.stderr)
+        _rewrite(GOLDEN_DIR / f"{name}.golden.json", "{\n" + body + "\n}\n", depth=1)
     if reports:
         path = GOLDEN_DIR / "report.golden.json"
-        path.write_text(json.dumps(_merged(path, reports), indent=1, sort_keys=True) + "\n")
-        print(f"recorded the report tables of {sorted(reports)} to {path}", file=sys.stderr)
+        text = json.dumps(_merged(path, reports), indent=1, sort_keys=True) + "\n"
+        _rewrite(path, text, depth=3)
     fingerprint = environment_fingerprint()
     key = _fingerprint_key(fingerprint)
     pins = _pins()
     pins[key] = {**pins.get(key, {}), "fingerprint": fingerprint, **hashes}
-    HASHES.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
-    print(f"recorded the CSV hashes of {sorted(hashes)} to {HASHES}", file=sys.stderr)
+    _rewrite(HASHES, json.dumps(pins, indent=1, sort_keys=True) + "\n", depth=3)
     lines = {name: validate_lines(VALIDATED[name]) for name in names}
     path = GOLDEN_DIR / "validate.golden.json"
-    path.write_text(json.dumps(_merged(path, lines), indent=2) + "\n")
-    print(f"recorded validate output of {names} to {path}", file=sys.stderr)
+    _rewrite(path, json.dumps(_merged(path, lines), indent=2) + "\n", depth=2)
 
 
 if __name__ == "__main__":
