@@ -23,7 +23,6 @@ from .geometry import (
 from .hypergrad import (
     DivergenceError,
     InnerSolveResult,
-    NeumannParams,
     WindowBuffer,
     implicit_hypergradient,
     inner_gd,

@@ -14,8 +14,6 @@ bit, and one cached matrix per Neumann level (see ``QuadraticData``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .problems.base import ProblemInstant, _all_finite, check_count, check_number
@@ -23,7 +21,6 @@ from .problems.base import ProblemInstant, _all_finite, check_count, check_numbe
 __all__ = [
     "DivergenceError",
     "InnerSolveResult",
-    "NeumannParams",
     "WindowBuffer",
     "inner_gd",
     "inner_sgd",
@@ -164,41 +161,30 @@ def itd_hypergradient(
     return instant.grad_f_lambda(lam, omega_K) - eta * acc
 
 
-@dataclass(frozen=True)
-class NeumannParams:
-    """Truncation bound m and the curvature scale l_g1 used by the Neumann
-    series. Ranges: integer (not bool) ``m >= 1``; finite ``l_g1 > 0``."""
-
-    m: int
-    l_g1: float
-
-    def __post_init__(self):
-        check_count("Neumann sample bound m", self.m)
-        check_number("l_g1", self.l_g1, open_low=True)
-
-
 def stochastic_hypergradient(
     instant: ProblemInstant,
     lam,
     beta,
-    params: NeumannParams,
+    m: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Randomized truncated Neumann-series estimate at (lam, beta).
 
-    Draws a truncation level uniformly from {0, ..., m-1}, propagates the
-    sampled outer gradient through that many (I - H/l_g1) factors, scales by
-    m / l_g1, and applies the mixed HVP. The empty product (level 0) is the
-    identity. Only the gradients are sampled; the HVPs are exact.
+    Draws a truncation level uniformly from {0, ..., m-1} (integer, not bool,
+    ``m >= 1``), propagates the sampled outer gradient through that many
+    (I - H/l) factors with the instant's own curvature bound l = ``l_g1``,
+    scales by m / l, and applies the mixed HVP. The empty product (level 0)
+    is the identity. Only the gradients are sampled; the HVPs are exact.
 
     On an instant with ``quadratic`` data the level's factors, scale and
     mixed HVP are one product with a matrix its ``neumann_correction``
-    kernel caches per (l_g1, m); the HVP fields are not called. The draws
+    kernel caches per (l, m); the HVP fields are not called. The draws
     are the same, in the same order.
     """
     lam = np.asarray(lam, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    m, ell = params.m, params.l_g1
+    check_count("Neumann sample bound m", m)
+    ell = instant.l_g1
     m_trunc = rng.integers(m)
     v = instant.grad_f_beta_sampled(lam, beta, rng)
     quad = instant.quadratic

@@ -22,7 +22,6 @@ import numpy as np
 from .geometry import DistanceGenerator, FeasibleSet, Regularizer, prox_step
 from .hypergrad import (
     DivergenceError,
-    NeumannParams,
     WindowBuffer,
     implicit_hypergradient,
     inner_gd,
@@ -406,8 +405,7 @@ def run_sobbo(stream: Stream, config: SobboConfig, rng: np.random.Generator) -> 
 
     def solve_and_estimate(instant, lam, beta):
         beta_next = inner_sgd(instant, lam, beta, eta, K, s, rng).final
-        params = NeumannParams(m=m, l_g1=instant.l_g1)
-        est = stochastic_hypergradient(instant, lam, beta_next, params, rng)
+        est = stochastic_hypergradient(instant, lam, beta_next, m, rng)
         return beta_next, est
 
     estimate = _windowed(config.w, solve_and_estimate)

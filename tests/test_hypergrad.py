@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from obbo.geometry import FeasibleSet, Regularizer
 from obbo.hypergrad import (
     DivergenceError,
-    NeumannParams,
     WindowBuffer,
     implicit_hypergradient,
     inner_gd,
@@ -772,7 +771,7 @@ class TestStochasticHypergradient:
         inst = one_dim_instant(q=0.5, a=2.0, b=0.1, c=-0.2, l_g1=1.0)
         lam, beta = np.array([0.4]), np.array([0.8])
         rng = np.random.default_rng(17)
-        got = stochastic_hypergradient(inst, lam, beta, NeumannParams(1, inst.l_g1), rng)
+        got = stochastic_hypergradient(inst, lam, beta, 1, rng)
         # empty product: grad_f_lambda - (1/l) * hvp_lambdabeta(grad_f_beta)
         expected = inst.grad_f_lambda(lam, beta) - inst.hvp_g_lambdabeta(
             lam, beta, inst.grad_f_beta(lam, beta) / inst.l_g1
@@ -788,9 +787,8 @@ class TestStochasticHypergradient:
         rng = np.random.default_rng(18)
         n = 100_000
         draws = np.empty(n)
-        params = NeumannParams(m, ell)
         for i in range(n):
-            draws[i] = stochastic_hypergradient(inst, lam, beta, params, rng)[0]
+            draws[i] = stochastic_hypergradient(inst, lam, beta, m, rng)[0]
         series_weight = (1.0 / q) * (1.0 - (1.0 - q / ell) ** m)
         corr = inst.hvp_g_lambdabeta(lam, beta, inst.grad_f_beta(lam, beta))[0]
         expected = inst.grad_f_lambda(lam, beta)[0] - series_weight * corr
@@ -819,10 +817,9 @@ class TestStochasticHypergradient:
             amp=0.5, phases=rng.uniform(0, 2 * np.pi, d1),
         )
         lam, beta = rng.standard_normal(d1), rng.standard_normal(d2)
-        ell = inst.l_g1 * ell_factor
-        params = NeumannParams(m, ell)
+        inst.l_g1 = ell = inst.l_g1 * ell_factor
         mean = sum(
-            stochastic_hypergradient(inst, lam, beta, params, Level(k, m)) for k in range(m)
+            stochastic_hypergradient(inst, lam, beta, m, Level(k, m)) for k in range(m)
         ) / m
         step = np.eye(d2) - Q / ell
         series = sum(np.linalg.matrix_power(step, k) for k in range(m)) / ell
@@ -840,9 +837,8 @@ class TestStochasticHypergradient:
         ms = np.arange(1, 11)
         biases = []
         for m in ms:
-            params = NeumannParams(int(m), ell)
             draws = [
-                stochastic_hypergradient(inst, lam, beta, params, rng)[0]
+                stochastic_hypergradient(inst, lam, beta, int(m), rng)[0]
                 for _ in range(20_000)
             ]
             biases.append(abs(np.mean(draws) - exact))
@@ -850,8 +846,9 @@ class TestStochasticHypergradient:
         assert np.exp(slope) == pytest.approx(1.0 - q / ell, rel=0.1)
 
     def test_invalid_m_rejected(self):
-        with pytest.raises(ValueError):
-            NeumannParams(0, 1.0)
+        lam, beta, rng = np.array([0.4]), np.array([0.8]), np.random.default_rng(0)
+        with pytest.raises(ValueError, match="Neumann sample bound m must be at least 1"):
+            stochastic_hypergradient(one_dim_instant(), lam, beta, 0, rng)
 
 
 class TestNeumannMatrixPath:
@@ -860,11 +857,11 @@ class TestNeumannMatrixPath:
     The two reassociate the same products, so they agree to rounding."""
 
     @staticmethod
-    def assert_same_estimate(matrix, oracles, lam, beta, params, k):
+    def assert_same_estimate(matrix, oracles, lam, beta, m, k):
         # The estimate is grad_f_lambda minus the correction; an entry where
         # the two nearly cancel is judged on the scale of its terms.
-        got = stochastic_hypergradient(matrix, lam, beta, params, Level(k, params.m))
-        want = stochastic_hypergradient(oracles, lam, beta, params, Level(k, params.m))
+        got = stochastic_hypergradient(matrix, lam, beta, m, Level(k, m))
+        want = stochastic_hypergradient(oracles, lam, beta, m, Level(k, m))
         grad = oracles.grad_f_lambda(lam, beta)
         scale = max(np.abs(grad).max(), np.abs(want - grad).max())
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
@@ -880,24 +877,24 @@ class TestNeumannMatrixPath:
     def test_every_level_matches_the_hvp_path(self, d1, d2, m, ell_factor, seed):
         rng, matrix, oracles = both_paths(seed, d1, d2)
         lam, beta = rng.standard_normal(d1), rng.standard_normal(d2)
-        params = NeumannParams(m, matrix.l_g1 * ell_factor)
+        matrix.l_g1 = oracles.l_g1 = matrix.l_g1 * ell_factor
         for k in range(m):
-            self.assert_same_estimate(matrix, oracles, lam, beta, params, k)
+            self.assert_same_estimate(matrix, oracles, lam, beta, m, k)
 
     def test_cache_is_keyed_on_the_curvature_scale(self):
-        # Two scales on one instant, then a reassigned l_g1: each call uses
+        # Three scales on one instant, each a reassigned l_g1: each call uses
         # the matrices of its own (l, m), not those cached first.
         rng, matrix, oracles = both_paths(22, 2, 3)
         lam, beta = rng.standard_normal(2), rng.standard_normal(3)
 
         def check(ell):
-            self.assert_same_estimate(matrix, oracles, lam, beta, NeumannParams(6, ell), 5)
+            matrix.l_g1 = oracles.l_g1 = ell
+            self.assert_same_estimate(matrix, oracles, lam, beta, 6, 5)
 
         ell = matrix.l_g1
         check(ell)
         check(2.5 * ell)
-        matrix.l_g1 = oracles.l_g1 = 4.0 * ell
-        check(matrix.l_g1)
+        check(4.0 * ell)
         assert list(matrix.quadratic.cache) == [(ell, 6), (2.5 * ell, 6), (4.0 * ell, 6)]
 
     def test_one_cache_entry_per_stream(self):
@@ -949,11 +946,11 @@ class TestNeumannMatrixPath:
                 return _orig(lam, beta, v)
 
             setattr(inst, name, counted)
-        lam, beta, params = np.array([0.4]), np.array([0.8]), NeumannParams(5, 1.0)
-        stochastic_hypergradient(inst, lam, beta, params, Level(3, 5))
+        lam, beta = np.array([0.4]), np.array([0.8])
+        stochastic_hypergradient(inst, lam, beta, 5, Level(3, 5))
         assert counts == {"hvp_g_betabeta": 0, "hvp_g_lambdabeta": 0}
         inst.quadratic = None
-        stochastic_hypergradient(inst, lam, beta, params, Level(3, 5))
+        stochastic_hypergradient(inst, lam, beta, 5, Level(3, 5))
         assert counts == {"hvp_g_betabeta": 3, "hvp_g_lambdabeta": 1}
 
 
@@ -1072,11 +1069,10 @@ INPUT_CHECKS = {
     "inner-sgd-s": (
         lambda: inner_sgd(one_dim_instant(), [0.0], [0.0], 0.1, 1, 0, np.random.default_rng(0)),
         ValueError, "batch size s must be at least 1"),
-    "neumann-l": (lambda: NeumannParams(m=1, l_g1=0.0), ValueError, "l_g1 must be positive"),
-    "neumann-l-nan": (lambda: NeumannParams(3, float("nan")), ValueError,
-                      "l_g1 must be positive and finite, got nan"),
-    "neumann-m-float": (lambda: NeumannParams(2.5, 1.0), TypeError,
-                        "Neumann sample bound m must be an integer, got 2.5"),
+    "neumann-m-float": (
+        lambda: stochastic_hypergradient(one_dim_instant(), [0.4], [0.8], 2.5,
+                                         np.random.default_rng(0)),
+        TypeError, "Neumann sample bound m must be an integer, got 2.5"),
 }
 
 

@@ -14,7 +14,6 @@ from obbo import metrics, optimizers
 from obbo.geometry import FeasibleSet, Regularizer
 from obbo.hypergrad import (
     DivergenceError,
-    NeumannParams,
     WindowBuffer,
     inner_gd,
     stochastic_hypergradient,
@@ -190,9 +189,8 @@ class TestRunObbo:
 
 
 class TestRunSobbo:
-    def test_zero_noise_matches_obbo_with_neumann_estimator(self):
-        stream = static_stream(T=30, amp=0.4, seed=7)
-        m, w, alpha, eta, K = 4, 3, 0.1, 0.1, 5
+    @staticmethod
+    def assert_matches_written_out_round(stream, m, w, alpha, eta, K):
         sobbo = SobboConfig(alpha=alpha, eta=eta, K=K, w=w, s=1, m=m)
         trace = run_sobbo(stream, sobbo, np.random.default_rng(99))
 
@@ -201,10 +199,10 @@ class TestRunSobbo:
         # generator.
         est_rng = np.random.default_rng(99)
         buffer = WindowBuffer(w)
-        lam, beta = np.zeros(2), np.zeros(3)
+        lam, beta = np.zeros(stream[0].d1), np.zeros(stream[0].d2)
         for i, inst in enumerate(stream):
             beta = inner_gd(inst, lam, beta, eta, K).final
-            est = stochastic_hypergradient(inst, lam, beta, NeumannParams(m, inst.l_g1), est_rng)
+            est = stochastic_hypergradient(inst, lam, beta, m, est_rng)
             buffer.push(est)
             np.testing.assert_array_equal(trace.lambdas[i], lam)
             np.testing.assert_array_equal(trace.betas[i], beta)
@@ -212,6 +210,18 @@ class TestRunSobbo:
             np.testing.assert_array_equal(trace.smoothed[i], buffer.average())
             lam = lam - alpha * buffer.average()
         np.testing.assert_array_equal(trace.lambda_final, lam)
+
+    def test_zero_noise_matches_obbo_with_neumann_estimator(self):
+        stream = static_stream(T=30, amp=0.4, seed=7)
+        self.assert_matches_written_out_round(stream, m=4, w=3, alpha=0.1, eta=0.1, K=5)
+
+    def test_each_round_uses_its_own_curvature_scale(self):
+        # On a drifting meta stream l_g1 moves every round (30.0, 32.3, 26.8,
+        # ...), and each round's factors (I - H/l) take that round's l; the
+        # meta instants run the HVP path, where l enters as 1/l and m/l.
+        stream = meta_toy_stream(3, 8, seed=4, drift=DriftSpec.decaying())
+        assert len({inst.l_g1 for inst in stream}) == len(stream)
+        self.assert_matches_written_out_round(stream, m=4, w=3, alpha=0.05, eta=0.02, K=5)
 
     def test_determinism_bitwise(self):
         stream = static_stream(T=20, amp=0.2, seed=8, noise=(0.3, 0.2))

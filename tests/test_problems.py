@@ -756,6 +756,8 @@ INPUT_CHECKS = {
                    "mu_g must be positive"),
     "instant-mu-nan": (lambda tmp: dataclasses.replace(_instant(), mu_g=NAN), ValueError,
                        "mu_g must be positive and finite, got nan"),
+    "instant-l-zero": (lambda tmp: dataclasses.replace(_instant(), l_g1=0.0), ValueError,
+                       "l_g1 must be positive and finite, got 0.0"),
     "instant-l-nan": (lambda tmp: dataclasses.replace(_instant(), l_g1=NAN), ValueError,
                       "l_g1 must be positive and finite, got nan"),
     "instant-l": (lambda tmp: dataclasses.replace(_instant(), l_g1=0.5), ValueError,
