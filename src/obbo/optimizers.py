@@ -268,12 +268,15 @@ def _resolve_steps(stream: Stream, config: StepConfig, kind: str) -> StepConfig:
 
 
 def _initial_iterates(stream: Stream, config: StepConfig) -> tuple[np.ndarray, np.ndarray]:
-    d1, d2 = stream[0].d1, stream[0].d2
-    if config.feasible.kind == "box":  # upper has the shape of lower
-        check_array("box bounds", config.feasible.lower, (d1,))
-    lam = config.feasible.center() if config.lambda0 is None else config.lambda0
+    d1, d2, box, X = stream[0].d1, stream[0].d2, stream[0].lambda_box, config.feasible
+    if X.kind == "box":  # upper has the shape of lower
+        check_array("box bounds", X.lower, (d1,))
+    if box is not None and (X.kind == "full" or X.lower.min() < box[0] or X.upper.max() > box[1]):
+        raise ValueError(f"the feasible set must lie inside the lambda box [{box[0]:g}, "
+                         f"{box[1]:g}], where the stream's mu_g and l_g1 hold")
+    lam = X.center() if config.lambda0 is None else config.lambda0
     lam = np.zeros(d1) if lam is None else check_array("lambda0", lam, (d1,)).copy()
-    if not config.feasible.contains(lam):
+    if not X.contains(lam):
         raise ValueError("lambda0 lies outside the feasible set")
     beta = config.beta0
     return lam, np.zeros(d2) if beta is None else check_array("beta0", beta, (d2,)).copy()

@@ -48,10 +48,13 @@ class ProblemInstant:
     quadratic and meta streams return the matrix they store. Every shipped
     stream's g is quadratic in beta, so its Hessian ignores ``beta``;
     hand-built instants may use it. ``mu_g`` and ``l_g1`` bound the spectrum
-    of the inner Hessian. ``inner_opt(lam)`` is the inner optimum and
-    ``exact_hypergradient(lam)`` the true hypergradient. Ranges: integer (not
-    bool) ``t >= 1``; finite ``0 < mu_g <= l_g1``, ``l_f1 > 0`` and noise
-    scales ``>= 0``.
+    of the inner Hessian. They hold for every lam in ``lambda_box``, a pair
+    (lower, upper) that bounds each coordinate, or everywhere when it is None:
+    the spline stream declares its task's box, the quadratic and meta streams
+    none, and a run's feasible set must lie inside it. ``inner_opt(lam)`` is
+    the inner optimum and ``exact_hypergradient(lam)`` the true hypergradient.
+    Ranges: integer (not bool) ``t >= 1``; finite ``0 < mu_g <= l_g1``,
+    ``l_f1 > 0``, noise scales ``>= 0`` and a box's upper above its lower.
 
     ``l_f1``, the smoothness constant of f, sets the default outer step
     through ``outer_grad_lipschitz``, whose bound holds only when g has
@@ -61,14 +64,14 @@ class ProblemInstant:
     explicit ``alpha``.
 
     The sampled gradients are derived, not passed in. They add Gaussian noise
-    of scale ``sigma_g_beta`` or ``sigma_f`` to the deterministic ones, so they
-    are unbiased with E||sampled - exact||^2 = sigma^2 / s for a batch of s
-    (``grad_g_beta_sampled(lam, beta, s, rng)``; the outer gradients take no
-    batch, s = 1). At zero noise, the default, they return the deterministic
-    values bit for bit and draw nothing, so every stream runs the stochastic
-    solvers. They bind the oracles the instant was built with: reassigning or
-    wrapping a deterministic field later does not reach them. The
-    Hessian-vector products have no sampled form.
+    of scale ``sigma_g_beta`` (inner) or ``sigma_f`` (outer) to the exact ones,
+    so they are unbiased with E||sampled - exact||^2 = sigma^2 / s for a batch
+    of s (``grad_g_beta_sampled(lam, beta, s, rng)``; the outer gradients take
+    no batch, s = 1). A kind whose own sigma is 0.0, the default, returns the
+    deterministic values bit for bit and draws nothing, so every stream runs
+    the stochastic solvers. They bind the oracles the instant was built with:
+    reassigning or wrapping a deterministic field later does not reach them.
+    The Hessian-vector products have no sampled form.
 
     Every shipped stream's oracle fields are the bound methods of its round's
     data (``QuadraticData``, ``MetaData`` or ``SplineData``, via ``instant_of``),
@@ -100,6 +103,7 @@ class ProblemInstant:
     l_f1: float | None = None
     sigma_g_beta: float = 0.0
     sigma_f: float = 0.0
+    lambda_box: tuple[float, float] | None = None
     grad_g_beta_sampled: Callable[..., Vector] = field(init=False, repr=False)
     grad_f_lambda_sampled: Callable[..., Vector] = field(init=False, repr=False)
     grad_f_beta_sampled: Callable[..., Vector] = field(init=False, repr=False)
@@ -115,29 +119,22 @@ class ProblemInstant:
             raise ValueError("l_g1 must be at least mu_g")
         if self.l_f1 is not None:
             check_number("l_f1", self.l_f1, open_low=True)
+        if self.lambda_box is not None:
+            low, high = self.lambda_box
+            check_number("lambda_box upper", high, low, open_low=True)
         d1, d2, sigma_g, sigma_f = self.d1, self.d2, self.sigma_g_beta, self.sigma_f
         check_number("noise sigma_g_beta", sigma_g)
         check_number("noise sigma_f", sigma_f)
         # Partials of module-level functions, not closures: each instant adds
         # fewer objects for the garbage collector to traverse.
-        if sigma_g == 0.0:
-            self.grad_g_beta_sampled = partial(_exact, self.grad_g_beta)
-        else:
-            self.grad_g_beta_sampled = partial(_noisy_inner, self.grad_g_beta, d2, sigma_g)
-        if sigma_f == 0.0:
-            self.grad_f_lambda_sampled = partial(_exact, self.grad_f_lambda)
-            self.grad_f_beta_sampled = partial(_exact, self.grad_f_beta)
-        else:
-            self.grad_f_lambda_sampled = partial(
-                _noisy_outer, self.grad_f_lambda, d1, sigma_f / math.sqrt(d1)
-            )
-            self.grad_f_beta_sampled = partial(
-                _noisy_outer, self.grad_f_beta, d2, sigma_f / math.sqrt(d2)
-            )
+        self.grad_g_beta_sampled = partial(_noisy_inner, self.grad_g_beta, d2, sigma_g)
+        self.grad_f_lambda_sampled = partial(_noisy_outer, self.grad_f_lambda, d1, sigma_f)
+        self.grad_f_beta_sampled = partial(_noisy_outer, self.grad_f_beta, d2, sigma_f)
 
 
 def instant_of(
-    data, t: int, d1: int, d2: int, mu_g: float, l_g1: float, l_f1=None, noise=(0.0, 0.0)
+    data, t: int, d1: int, d2: int, mu_g: float, l_g1: float, l_f1=None, noise=(0.0, 0.0),
+    lambda_box=None,
 ) -> ProblemInstant:
     """One round's instant, whose 9 oracle fields are the same-named bound methods
     of its ``data``; ``noise`` sets its sampled gradients' scales. The methods are
@@ -160,6 +157,7 @@ def instant_of(
         l_f1=l_f1,
         sigma_g_beta=noise[0],
         sigma_f=noise[1],
+        lambda_box=lambda_box,
     )
 
 
@@ -217,17 +215,18 @@ def _all_finite(x: np.ndarray) -> bool:
     return all(map(math.isfinite, x.tolist()))
 
 
-def _exact(grad, lam, beta, *batch_and_rng):
-    return grad(lam, beta)
-
-
 def _noisy_inner(grad, d, sigma, lam, beta, s, rng):
+    # sigma itself is tested, not the scale: a subnormal sigma still draws
+    if sigma == 0.0:
+        return grad(lam, beta)
     xi = rng.standard_normal(d) * (sigma / math.sqrt(d * s))
     return grad(lam, beta) + xi
 
 
-def _noisy_outer(grad, d, scale, lam, beta, rng):
-    return grad(lam, beta) + rng.standard_normal(d) * scale
+def _noisy_outer(grad, d, sigma, lam, beta, rng):
+    if sigma == 0.0:
+        return grad(lam, beta)
+    return grad(lam, beta) + rng.standard_normal(d) * (sigma / math.sqrt(d))
 
 
 Stream = Sequence[ProblemInstant]

@@ -176,7 +176,7 @@ def spline_stream(task: SplineTask) -> list[ProblemInstant]:
     """Materialize the per-round oracle bundles for a spline task."""
     omega = roughness_penalty(task.knots)
     ridge = RIDGE_FLOOR * np.eye(omega.shape[0])
-    instants = []
+    box, instants = (task.lambda_lower, task.lambda_upper), []
     for t, ((x_tr, y_tr), (x_val, y_val)) in enumerate(
         zip(task.train_batches, task.val_batches), 1
     ):
@@ -191,7 +191,7 @@ def spline_stream(task: SplineTask) -> list[ProblemInstant]:
         )
         mu_g = float(np.linalg.eigvalsh(data.hess_g_betabeta([task.lambda_lower], None))[0])
         l_g1 = float(np.linalg.eigvalsh(data.hess_g_betabeta([task.lambda_upper], None))[-1])
-        instants.append(instant_of(data, t, 1, omega.shape[0], mu_g, l_g1))
+        instants.append(instant_of(data, t, 1, omega.shape[0], mu_g, l_g1, lambda_box=box))
     return instants
 
 

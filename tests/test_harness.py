@@ -624,12 +624,19 @@ UNRUNNABLE = [
     ({"optimizer": {"kind": "obbo", "lambda0": [0.5, 0.5],
                     "feasible": {"kind": "box", "lower": [-1.0], "upper": [1.0]}}},
      "box bounds must have shape (2,), got (1,)"),
+    # Ran to ``ok`` with lam down to -6.78, where every inner Hessian is indefinite.
+    ({"stream": {**SPLINE_EXP["stream"], "seed": 1},
+      "optimizer": {"kind": "obbo", "estimator": "exact", "alpha": 0.5, "lambda0": [0.5],
+                    "phi": {"mode": "adaptive"}, "w": 5}},
+     "the feasible set must lie inside the lambda box [0.0001, 10], "
+     "where the stream's mu_g and l_g1 hold"),
 ]
 UNRUNNABLE_IDS = [
     "meta-gamma-0", "meta-n_val-0", "missing-csv", "d1-9-variations", "spline-no-alpha",
     "lambda0-length-7", "beta0-length-7", "lambda0-outside-box", "quadratic-T-float",
     "meta-T-float", "quadratic-T-bool", "meta-T-bool", "spline-T-bool",
     "sobbo-near-singular-m", "sobbo-kappa-5e16-default-m", "box-length-2-no-lambda0", "box-length-1-lambda0",
+    "spline-full-space",
 ]
 
 
@@ -849,14 +856,18 @@ class TestCliRun:
         assert all(e["file"] is None for e in by_name["diverges"])
         assert all((tmp_path / e["file"]).exists() for e in by_name["tiny-obbo"])
 
-    def test_singular_solve_aborts_cell(self, tmp_path):
-        # On the full space lambda leaves the stream's lam box, where OAGD's
-        # implicit solve meets a singular spline Hessian: a numerical failure.
+    def test_singular_solve_aborts_cell(self, tmp_path, monkeypatch):
+        # No shipped stream has a singular inner Hessian inside its lam box, so
+        # numpy's solve is handed a zero matrix in its place: OAGD's implicit
+        # solve then fails inside the cell, a numerical failure.
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(np.zeros_like(a), b))
         exp = ExperimentSpec(
             name="singular",
             seeds=[1],
             stream={"kind": "spline_synthetic", "T": 5, "n_knots": 3, "n_train": 1},
-            optimizer={"kind": "oagd", "alpha": 0.05},
+            optimizer={"kind": "oagd", "alpha": 0.05,
+                       "feasible": {"kind": "box", "lower": [1e-4], "upper": [10.0]}},
         )
         [entry] = cli_run(HarnessConfig([exp]), tmp_path)["outputs"]
         assert entry["status"] == "aborted" and entry["file"] is None

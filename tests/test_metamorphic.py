@@ -1,0 +1,65 @@
+"""Metamorphic relations: checks that hold without recorded values.
+
+Scaling g by a power of two, g -> 4 g (Q -> 4 Q, so mu_g and l_g1 scale by 4,
+and sigma_g -> 4 sigma_g, so the inner noise scales with the gradient), with
+the inner step eta -> eta / 4, scales every inner step, HVP and Neumann factor
+exactly. The lam path and the cumulative regret must then be bit-equal, at
+zero and nonzero noise, on the quadratic data's kernels and on its oracles.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from obbo.metrics import compute_regret_series
+from obbo.optimizers import (Adaptive, ObboConfig, OagdConfig, SobboConfig, run_oagd, run_obbo,
+                             run_sobbo)
+from obbo.problems import DriftSpec, quadratic_instant, quadratic_stream
+
+T, ETA, NOISY = 60, 0.02, (0.3, 0.2)
+# (run, noise): only SOBBO samples, so the others run on the noisy instants alone.
+CASES = {
+    "sobbo-adaptive-exact": (lambda stream, eta: run_sobbo(
+        stream, SobboConfig(eta=eta, w=3, phi=Adaptive()), np.random.default_rng(5)), (0.0, 0.0)),
+    "sobbo-adaptive-noisy": (lambda stream, eta: run_sobbo(
+        stream, SobboConfig(eta=eta, w=3, phi=Adaptive()), np.random.default_rng(5)), NOISY),
+    "obbo-itd-adaptive": (lambda stream, eta: run_obbo(
+        stream, ObboConfig(eta=eta, w=3, phi=Adaptive())), NOISY),
+    "obbo-implicit": (lambda stream, eta: run_obbo(
+        stream, ObboConfig(eta=eta, w=3, estimator="implicit")), NOISY),
+    "oagd": (lambda stream, eta: run_oagd(stream, OagdConfig(eta=eta, w=3)), NOISY),
+}
+
+
+def scaled_streams(d1, d2, seed, noise, kernels):
+    """One stream's data as instants of g and of 4 g, each built by ``quadratic_instant``;
+    without ``kernels`` the solvers and metrics call the oracle fields."""
+    base, scaled = [], []
+    for inst in quadratic_stream(d1, d2, T, kappa_target=8.0, drift=DriftSpec.decaying(),
+                                 seed=seed):
+        q = inst.quadratic
+        for out, factor in ((base, 1.0), (scaled, 4.0)):
+            made = quadratic_instant(inst.t, q.A, q.b, factor * q.Q, q.c, q.amp, q.phases,
+                                     noise=(factor * noise[0], noise[1]))
+            if not kernels:
+                made.quadratic = None
+            out.append(made)
+    return base, scaled
+
+
+@pytest.mark.parametrize("kernels", [True, False], ids=["kernels", "oracles"])
+@pytest.mark.parametrize("case", sorted(CASES))
+@settings(derandomize=True, database=None, max_examples=2, deadline=None)
+@given(d1=st.integers(1, 3), d2=st.integers(1, 5), seed=st.integers(0, 2**16))
+@example(d1=3, d2=5, seed=1)
+def test_g_times_4_with_eta_over_4_keeps_every_bit(case, kernels, d1, d2, seed):
+    run, noise = CASES[case]
+    base, scaled = scaled_streams(d1, d2, seed, noise, kernels)
+    assert [(4.0 * a.mu_g, 4.0 * a.l_g1) for a in base] == [(b.mu_g, b.l_g1) for b in scaled]
+    trace, trace4 = run(base, ETA), run(scaled, ETA / 4)
+    assert trace.lambdas.tobytes() == trace4.lambdas.tobytes()
+    cumulative = compute_regret_series(base, trace).cumulative
+    assert cumulative.tobytes() == compute_regret_series(scaled, trace4).cumulative.tobytes()

@@ -42,7 +42,7 @@ VALID = {
     "gamma": [1.0], "task_noise": [0.1],
     # drift, phi, regularizer, feasible
     "rate": [0.5], "scale": [1.0], "beta": [0.9], "epsilon": [1e-8], "weight": [0.1],
-    "lower": [[0.0]], "upper": [[1.0]],
+    "lower": [[1e-4]], "upper": [[1.0]],  # inside the spline task's lambda box
     # optimizers
     "alpha": [0.05], "eta": [0.05], "K": [1, 3], "w": [1, 3], "clip_threshold": [1.0],
     "lambda0": [[0.5]], "beta0": [[0.0], [0.0, 0.0, 0.0]],

@@ -168,6 +168,42 @@ class TestQuadraticStream:
             # zero-noise oracles must not consume random state
             assert rng.bit_generator.state["state"]["state"] == state_before
 
+    @pytest.mark.parametrize("kind", ["quadratic", "meta"])
+    @pytest.mark.parametrize("noise", [(0.3, 0.0), (0.0, 0.2), (0.0, 5e-324)],
+                             ids=["inner-only", "outer-only", "outer-subnormal"])
+    def test_each_sampled_kind_owns_its_zero_case(self, kind, noise):
+        # The kind whose own sigma is 0 returns the deterministic bits and
+        # leaves the generator as it is; the other draws d values at its scale,
+        # even one that rounds to 0 (5e-324 / sqrt(5) does).
+        sigma_g, sigma_f = noise
+        if kind == "quadratic":
+            inst = quadratic_stream(**drifting_config(d2=5, noise=noise))[0]
+        else:
+            inst = dataclasses.replace(
+                meta_toy_stream(d=5, T=1, seed=2)[0], sigma_g_beta=sigma_g, sigma_f=sigma_f
+            )
+        lam, beta = np.linspace(0.2, -0.4, inst.d1), np.linspace(0.1, 1.0, inst.d2)
+        rng, draws = np.random.default_rng(7), np.random.default_rng(7)
+        d1, d2 = inst.d1, inst.d2
+        cases = [
+            (lambda: inst.grad_g_beta_sampled(lam, beta, 4, rng), inst.grad_g_beta, d2,
+             sigma_g, sigma_g / np.sqrt(d2 * 4)),
+            (lambda: inst.grad_f_lambda_sampled(lam, beta, rng), inst.grad_f_lambda, d1,
+             sigma_f, sigma_f / np.sqrt(d1)),
+            (lambda: inst.grad_f_beta_sampled(lam, beta, rng), inst.grad_f_beta, d2,
+             sigma_f, sigma_f / np.sqrt(d2)),
+        ]
+        for sampled, exact, d, sigma, scale in cases:
+            before = rng.bit_generator.state
+            got = sampled()
+            if sigma == 0.0:
+                assert got.tobytes() == exact(lam, beta).tobytes()
+                assert rng.bit_generator.state == before
+            else:
+                expected = exact(lam, beta) + draws.standard_normal(d) * scale
+                assert got.tobytes() == expected.tobytes()
+            assert rng.bit_generator.state == draws.bit_generator.state
+
     def test_sampled_gradients_derived_from_deterministic(self):
         # The sampled oracles are built by ProblemInstant, not passed in,
         # and add sigma / sqrt(d s) times one standard normal draw per entry.
