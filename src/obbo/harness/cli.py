@@ -86,17 +86,15 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  issue: {issue}")
         return 0
 
-    if args.command == "validate":
-        with _exit_2_on_config_error(args.config):
-            notes = cli_validate(parse_config(args.config))
-        if notes:
-            for note in notes:
-                print(note)
-        else:
-            print("no warnings")
-        return 0
-
-    return 2
+    # argparse requires a command, so the one left is validate.
+    with _exit_2_on_config_error(args.config):
+        notes = cli_validate(parse_config(args.config))
+    if notes:
+        for note in notes:
+            print(note)
+    else:
+        print("no warnings")
+    return 0
 
 
 if __name__ == "__main__":

@@ -29,7 +29,6 @@ from ..geometry import FeasibleSet, Regularizer
 from ..optimizers import CONFIGS, Adaptive, Euclidean
 from ..problems import (
     DriftSpec,
-    load_spline_task_csv,
     make_drifting_spline_task,
     meta_toy_stream,
     quadratic_stream,
@@ -135,7 +134,6 @@ CONSTRUCTORS = {
     "stream": {
         "quadratic": quadratic_stream,
         "spline_synthetic": make_drifting_spline_task,
-        "spline_csv": load_spline_task_csv,
         "meta": meta_toy_stream,
     },
     "optimizer": CONFIGS,

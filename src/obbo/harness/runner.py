@@ -36,7 +36,6 @@ from ..optimizers import (
 from ..problems import SplineTask, spline_stream
 from .config import (
     DEFAULT_METRICS,
-    SPEC_KEYS,
     ExperimentSpec,
     HarnessConfig,
     build,
@@ -61,15 +60,12 @@ MAX_LAMBDA_COLUMNS = 8
 def build_stream(spec: dict, run_seed: int):
     """Materialize the stream for one run.
 
-    The spec may pin its own structural ``seed``; otherwise the run seed is
-    used, so repetitions see different problem realizations. Keys the spec
-    omits keep the stream builder's defaults; an unknown kind, or a key its
-    kind does not accept, raises ``ConfigError``.
+    Every stream kind takes a ``seed``: the spec may pin its own, otherwise
+    the run seed is used, so repetitions see different problem realizations.
+    Keys the spec omits keep the stream builder's defaults; an unknown kind,
+    or a key its kind does not accept, raises ``ConfigError``.
     """
-    kind = spec.get("kind")
-    if isinstance(kind, str) and "seed" in SPEC_KEYS["stream"].get(kind, ()):
-        spec = {"seed": run_seed, **spec}
-    made = build("stream", spec, "stream spec")
+    made = build("stream", {"seed": run_seed, **spec}, "stream spec")
     return spline_stream(made) if isinstance(made, SplineTask) else made
 
 

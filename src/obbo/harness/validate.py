@@ -4,10 +4,11 @@ A probe builds a short prefix of every experiment's stream and forms the
 run's steps and first iterates on it. Any of these that fails, or
 ``variations`` beyond the Sobol grid's dimension bound, raises
 ``ConfigError``, on which ``obbo run`` and ``obbo validate`` exit 2.
-The other checks compare the steps the run resolves (eta, alpha, s and m,
-set or default) and a set K against the bounds that the regret guarantees
-assume, computed from the stream's declared curvature constants; they only
-warn. A default never breaks its own rule.
+The other checks compare the steps the run resolves (eta, alpha, K, s and
+m, set or default) against the bounds that the regret guarantees assume,
+computed from the stream's declared curvature constants; they only warn. A
+default eta, alpha, s or m never breaks its own rule; the default K of 10 is
+not matched to the horizon.
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ def validate_experiment(exp) -> list[str]:
     mu, ell = inst.mu_g, inst.l_g1
     kind, eta = exp.optimizer["kind"], config.eta
 
-    horizon = exp.stream.get("T")
     if kind in ("sobbo", "oagd"):  # OAGD's default eta lies on this bound
         bound, rule = eta_bound(mu, ell), "eta <= 2/(l_g1 + mu_g)"
         violated = eta > bound
@@ -89,14 +89,14 @@ def validate_experiment(exp) -> list[str]:
                 f"3*rho/(4*l_F1) = {bound:g}{suffix}"
             )
 
-    K = exp.optimizer.get("K")  # a set K only; config.K would hold the default 10 too
-    if kind in ("obbo", "sobow") and horizon and K is not None:
+    # The exact estimator replaces the inner loop by the closed-form solve.
+    if kind in ("obbo", "sobow") and config.estimator != "exact":
         contraction = 1.0 - eta * mu
         if 0.0 < contraction < 1.0:
-            recommended = math.log(horizon) / math.log(1.0 / contraction) + 1.0
-            if K < recommended:
+            recommended = math.log(exp.stream["T"]) / math.log(1.0 / contraction) + 1.0
+            if config.K < recommended:
                 notes.append(
-                    f"{prefix} inner iteration count K={K} is below the "
+                    f"{prefix} inner iteration count K={config.K} is below the "
                     f"horizon-matched recommendation "
                     f"K = log(T)/log((1 - eta*mu_g)^-1) + 1 = {recommended:.1f}"
                 )

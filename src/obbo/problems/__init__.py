@@ -11,7 +11,6 @@ from .quadratic import quadratic_instant, quadratic_stream
 from .spline import (
     SplineTask,
     linear_spline_basis,
-    load_spline_task_csv,
     make_drifting_spline_task,
     roughness_penalty,
     spline_stream,
@@ -27,7 +26,6 @@ __all__ = [
     "quadratic_stream",
     "SplineTask",
     "linear_spline_basis",
-    "load_spline_task_csv",
     "make_drifting_spline_task",
     "roughness_penalty",
     "spline_stream",

@@ -18,8 +18,6 @@ are available in closed form through the normal equations. Each round is one
 
 from __future__ import annotations
 
-import csv
-import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -34,12 +32,9 @@ __all__ = [
     "roughness_penalty",
     "spline_stream",
     "make_drifting_spline_task",
-    "load_spline_task_csv",
 ]
 
 RIDGE_FLOOR = 1e-8
-# Default (lower, upper) box of the smoothing weight lam for both task builders.
-LAMBDA_BOX = (1e-4, 10.0)
 
 Batch = tuple[np.ndarray, np.ndarray]
 
@@ -202,8 +197,8 @@ def make_drifting_spline_task(
     n_train: int = 60,
     n_val: int = 30,
     noise_std: float = 0.25,
-    lambda_lower: float = LAMBDA_BOX[0],
-    lambda_upper: float = LAMBDA_BOX[1],
+    lambda_lower: float = 1e-4,
+    lambda_upper: float = 10.0,
     freq_start: float = 0.5,
     freq_end: float = 4.0,
     amp_start: float = 0.2,
@@ -241,49 +236,6 @@ def make_drifting_spline_task(
         y_val = truth(x_val) + noise_std * rng.standard_normal(n_val)
         train.append((x_tr, y_tr))
         val.append((x_val, y_val))
-    return SplineTask(
-        knots=knots,
-        train_batches=tuple(train),
-        val_batches=tuple(val),
-        lambda_lower=lambda_lower,
-        lambda_upper=lambda_upper,
-    )
-
-
-def load_spline_task_csv(
-    path,
-    knots,
-    lambda_lower: float = LAMBDA_BOX[0],
-    lambda_upper: float = LAMBDA_BOX[1],
-) -> SplineTask:
-    """Read per-round batches from a CSV of (t, split, x, y) rows.
-
-    ``split`` is ``train`` or ``val``; rounds are taken in increasing t order
-    and every round must provide both splits. An integer ``path`` (to ``open``,
-    a file descriptor) raises ``TypeError``.
-    """
-    rounds: dict[int, dict[str, list[tuple[float, float]]]] = {}
-    with open(os.fspath(path), newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"t", "split", "x", "y"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ValueError(f"spline CSV must have columns {sorted(required)}")
-        for row in reader:
-            t = int(row["t"])
-            split = row["split"].strip().lower()
-            if split not in ("train", "val"):
-                raise ValueError(f"unknown split {row['split']!r} at t={t}")
-            rounds.setdefault(t, {"train": [], "val": []})[split].append(
-                (float(row["x"]), float(row["y"]))
-            )
-    train, val = [], []
-    for t in sorted(rounds):
-        for split, dest in (("train", train), ("val", val)):
-            pairs = rounds[t][split]
-            if not pairs:
-                raise ValueError(f"round t={t} is missing its {split} batch")
-            arr = np.asarray(pairs, dtype=float)
-            dest.append((arr[:, 0], arr[:, 1]))
     return SplineTask(
         knots=knots,
         train_batches=tuple(train),

@@ -237,19 +237,11 @@ class TestUnknownKeys:
     def test_unknown_kind_in_last_experiment_exits_2_before_any_cell(
         self, tmp_path, capsys, command
     ):
-        doc = json.loads(serialize_config(small_config()))
-        doc["experiments"].append(
-            {**doc["experiments"][0], "name": "last", "optimizer": {"kind": "nope"}}
-        )
-        path = tmp_path / "kinds.json"
-        path.write_text(json.dumps(doc))
-        out = tmp_path / "out"
-        args = ["--out", str(out)] if command == "run" else []
-        with pytest.raises(SystemExit) as exc:
-            cli_main([command, "--config", str(path), *args])
-        assert exc.value.code == 2
-        assert "experiment 'last': unknown optimizer kind 'nope'" in capsys.readouterr().err
-        assert not out.exists()
+        # A kind no constructor serves, such as `spline_csv`, is rejected like a typo.
+        for part, kind in (("optimizer", "nope"), ("stream", "spline_csv")):
+            path = write_with_last(tmp_path, {part: {"kind": kind}})
+            named = f"experiment 'last': unknown {part} kind {kind!r}; accepted kinds are"
+            assert_cli_exits_2(tmp_path, capsys, command, path, named)
 
     @pytest.mark.parametrize("command", ["run", "validate"])
     @pytest.mark.parametrize(
@@ -307,9 +299,8 @@ MISSING_STREAM_KEYS = [
     ({"kind": "quadratic", "T": 5}, "missing required quadratic stream key(s) ['d1', 'd2']"),
     ({"kind": "meta", "T": 5}, "missing required meta stream key(s) ['d']"),
     ({"kind": "spline_synthetic"}, "missing required spline_synthetic stream key(s) ['T']"),
-    ({"kind": "spline_csv"}, "missing required spline_csv stream key(s) ['path', 'knots']"),
 ]
-MISSING_STREAM_IDS = ["quadratic-d1-d2", "meta-d", "spline_synthetic-T", "spline_csv-path-knots"]
+MISSING_STREAM_IDS = ["quadratic-d1-d2", "meta-d", "spline_synthetic-T"]
 
 
 def write_with_last(tmp_path, last: dict) -> Path:
@@ -590,8 +581,6 @@ UNRUNNABLE = [
      "stream cannot be built: ValueError: gamma must be positive"),
     ({"stream": {**META, "n_val": 0}},
      "stream cannot be built: ValueError: n_val must be at least 1, got 0"),
-    ({"stream": {"kind": "spline_csv", "path": "{missing}", "knots": [0.0, 0.5, 1.0]}},
-     "stream cannot be built: FileNotFoundError: "),
     ({"stream": {**small_config().experiments[0].stream, "d1": 9},
       "metrics": {"variations": True}},
      "variations need d1 <= 8 (Sobol grid), got 9"),
@@ -632,7 +621,7 @@ UNRUNNABLE = [
      "where the stream's mu_g and l_g1 hold"),
 ]
 UNRUNNABLE_IDS = [
-    "meta-gamma-0", "meta-n_val-0", "missing-csv", "d1-9-variations", "spline-no-alpha",
+    "meta-gamma-0", "meta-n_val-0", "d1-9-variations", "spline-no-alpha",
     "lambda0-length-7", "beta0-length-7", "lambda0-outside-box", "quadratic-T-float",
     "meta-T-float", "quadratic-T-bool", "meta-T-bool", "spline-T-bool",
     "sobbo-near-singular-m", "sobbo-kappa-5e16-default-m", "box-length-2-no-lambda0", "box-length-1-lambda0",
@@ -648,8 +637,6 @@ class TestStreamProbe:
     @pytest.mark.parametrize("command", ["run", "validate"])
     @pytest.mark.parametrize("last, named", UNRUNNABLE, ids=UNRUNNABLE_IDS)
     def test_cli_exits_2_before_any_cell(self, tmp_path, capsys, command, last, named):
-        missing = str(tmp_path / "missing.csv")
-        last = json.loads(json.dumps(last).replace("{missing}", missing))
         path = write_with_last(tmp_path, last)
         assert_cli_exits_2(tmp_path, capsys, command, path, f"experiment 'last': {named}")
 
@@ -663,12 +650,10 @@ class TestStreamProbe:
 # Values outside the ranges the regret bounds assume, each of which once ran
 # every cell with exit 0: ``true`` ran as alpha = 1 (or, inside an array, as an
 # entry 1.0), and with ``n_val`` 0 the spline validation batch was empty, so f
-# was identically 0. The two spline CSVs ({csv} and {nan_csv}, whose first y
-# is nan) once aborted every cell with the step-size message instead.
+# was identically 0.
 SPLINE_SHORT = {**SPLINE_EXP["stream"], "T": 3}
 BUILT = "stream cannot be built: ValueError: "
 ONE_D = {**small_config().experiments[0].stream, "d1": 1}
-SPLINE_CSV_ROWS = "t,split,x,y\n1,train,0.1,{y}\n1,train,0.6,0.5\n1,val,0.3,0.4\n"
 OUT_OF_RANGE = [
     ({"optimizer": {"kind": "obbo", "alpha": True, "clip_threshold": True}},
      "alpha must be a number, got True"),
@@ -694,29 +679,19 @@ OUT_OF_RANGE = [
      "lower must hold real numbers, got ['-1']"),
     ({"stream": {**SPLINE_SHORT, "lambda_lower": True}},
      "stream cannot be built: TypeError: lambda_lower must be a number, got True"),
-    ({"stream": {"kind": "spline_csv", "path": "{nan_csv}", "knots": [0.0, 0.5, 1.0]}},
-     BUILT + "round 1 train y must have finite entries"),
-    ({"stream": {"kind": "spline_csv", "path": "{csv}", "knots": [True, 2.0, 3.0]}},
-     "stream cannot be built: TypeError: knots must hold numbers, not bools, "
-     "got [True, 2.0, 3.0]"),
 ]
 OUT_OF_RANGE_IDS = [
     "alpha-clip-true", "meta-task_noise--1", "meta-n_train-0", "spline-noise_std--1",
     "spline-n_train-0", "spline-n_val-0", "lambda0-true", "beta0-true", "box-lower-true",
     "lambda0-str", "box-lower-str",
-    "spline-lambda_lower-true", "spline-csv-nan-y", "spline-csv-knots-true",
+    "spline-lambda_lower-true",
 ]
 
 
 @pytest.mark.parametrize("command", ["run", "validate"])
 @pytest.mark.parametrize("last, named", OUT_OF_RANGE, ids=OUT_OF_RANGE_IDS)
 def test_out_of_range_value_exits_2_before_any_cell(tmp_path, capsys, command, last, named):
-    text = json.dumps(last)
-    for name, y in (("csv", "0.2"), ("nan_csv", "nan")):
-        csv = tmp_path / f"{name}.csv"
-        csv.write_text(SPLINE_CSV_ROWS.format(y=y))
-        text = text.replace("{%s}" % name, str(csv))
-    path = write_with_last(tmp_path, json.loads(text))
+    path = write_with_last(tmp_path, last)
     assert_cli_exits_2(tmp_path, capsys, command, path, f"experiment 'last': {named}")
 
 
@@ -874,16 +849,15 @@ class TestCliRun:
         assert entry["error"] == "Singular matrix"
 
     def test_failing_cell_is_recorded_and_manifest_written(self, tmp_path):
-        # A data file missing when the cell runs fails only inside its cell.
-        # (``obbo run`` probes every stream first and would exit 2 instead.)
+        # A stream that cannot be built fails only inside its cell. (``obbo
+        # run`` probes every stream first and would exit 2 instead.)
         cfg = small_config()
         cfg.experiments[0] = replace(cfg.experiments[0], seeds=[1])
-        missing = tmp_path / "missing.csv"
         cfg.experiments.append(
             ExperimentSpec(
                 name="broken",
                 seeds=[1],
-                stream={"kind": "spline_csv", "path": str(missing), "knots": [0.0, 0.5, 1.0]},
+                stream={**META, "gamma": 0.0},
                 optimizer={"kind": "obbo", "alpha": 0.05},
             )
         )
@@ -891,8 +865,7 @@ class TestCliRun:
         outputs = json.loads((tmp_path / "out" / "manifest.json").read_text())["outputs"]
         assert [e["status"] for e in outputs] == ["ok", "error"]
         assert outputs[1]["file"] is None
-        assert outputs[1]["error"].startswith("FileNotFoundError: ")
-        assert str(missing) in outputs[1]["error"]
+        assert outputs[1]["error"] == "ValueError: gamma must be positive and finite, got 0.0"
 
     @pytest.mark.parametrize(
         "noise",
@@ -1066,17 +1039,6 @@ def oracle_outputs(instant):
     ]
 
 
-def spline_csv(tmp_path):
-    rng = np.random.default_rng(3)
-    rows = ["t,split,x,y"]
-    for t in (1, 2):
-        for split, n in (("train", 8), ("val", 5)):
-            rows += [f"{t},{split},{x},{np.sin(6.0 * x)}" for x in rng.uniform(size=n)]
-    path = tmp_path / "spline.csv"
-    path.write_text("\n".join(rows) + "\n")
-    return str(path)
-
-
 class TestBuildStreamDefaults:
     """A spec that omits a key gets the same stream as one spelling out the
     values the harness used to fill in itself."""
@@ -1105,10 +1067,6 @@ class TestBuildStreamDefaults:
                 },
             ),
             (
-                {"kind": "spline_csv", "knots": [0.0, 0.3, 0.6, 1.0]},
-                {"lambda_lower": 1e-4, "lambda_upper": 10.0},
-            ),
-            (
                 {"kind": "meta", "d": 2, "T": 3, "drift": {"kind": "decaying"}},
                 {"gamma": 1.0, "n_train": 16, "n_val": 16, "task_noise": 0.1},
             ),
@@ -1118,11 +1076,9 @@ class TestBuildStreamDefaults:
             ),
         ],
         ids=["quadratic", "quadratic-drift", "quadratic-null-drift", "spline_synthetic",
-             "spline_csv", "meta", "meta-static"],
+             "meta", "meta-static"],
     )
-    def test_minimal_spec_matches_spelled_out_defaults(self, tmp_path, minimal, spelled_out):
-        if minimal["kind"] == "spline_csv":
-            minimal = {**minimal, "path": spline_csv(tmp_path)}
+    def test_minimal_spec_matches_spelled_out_defaults(self, minimal, spelled_out):
         got = build_stream(minimal, 4)
         want = build_stream({**minimal, **spelled_out}, 4)
         assert len(got) == len(want) > 1
@@ -1503,6 +1459,17 @@ class TestCliValidate:
         path.write_text(serialize_config(self.base_experiment({"kind": kind, "w": 4})))
         assert cli_main(["validate", "--config", str(path)]) == 0
         assert capsys.readouterr().out == "no warnings\n"
+
+    @pytest.mark.parametrize("estimator", ["itd", "implicit", "exact"])
+    def test_horizon_matched_K_rule_reads_the_default_K(self, estimator):
+        # kappa 10 and the default eta = 1/(2 l_g1) give a contraction of 0.95,
+        # so K = log(600)/log(1/0.95) + 1 = 125.7. The exact estimator runs no
+        # inner loop, so it has no K to check.
+        exp = ExperimentSpec("q", [1], {"kind": "quadratic", "d1": 2, "d2": 3, "T": 600},
+                             {"kind": "obbo", "estimator": estimator})
+        note = ("[q] inner iteration count K=10 is below the horizon-matched recommendation "
+                "K = log(T)/log((1 - eta*mu_g)^-1) + 1 = 125.7")
+        assert cli_validate(HarnessConfig([exp])) == ([] if estimator == "exact" else [note])
 
     def test_unresolvable_alpha_is_a_config_error(self):
         # The spline declares no outer smoothness constants, so a run without

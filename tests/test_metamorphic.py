@@ -5,19 +5,29 @@ and sigma_g -> 4 sigma_g, so the inner noise scales with the gradient), with
 the inner step eta -> eta / 4, scales every inner step, HVP and Neumann factor
 exactly. The lam path and the cumulative regret must then be bit-equal, at
 zero and nonzero noise, on the quadratic data's kernels and on its oracles.
+
+On the spline stream, doubling y in every train and validation batch doubles
+the inner solution and every inner iterate from beta = 0, and multiplies f
+and every hypergradient by 4. With the outer step alpha -> alpha / 4, the lam
+path of Euclidean OBBO must then be bit-equal and f must scale by 4 bit for
+bit, for each estimator, on a box inside the task's lam box.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from obbo.geometry import FeasibleSet
 from obbo.metrics import compute_regret_series
 from obbo.optimizers import (Adaptive, ObboConfig, OagdConfig, SobboConfig, run_oagd, run_obbo,
                              run_sobbo)
-from obbo.problems import DriftSpec, quadratic_instant, quadratic_stream
+from obbo.problems import (DriftSpec, make_drifting_spline_task, quadratic_instant,
+                           quadratic_stream, spline_stream)
 
 T, ETA, NOISY = 60, 0.02, (0.3, 0.2)
 # (run, noise): only SOBBO samples, so the others run on the noisy instants alone.
@@ -63,3 +73,28 @@ def test_g_times_4_with_eta_over_4_keeps_every_bit(case, kernels, d1, d2, seed):
     assert trace.lambdas.tobytes() == trace4.lambdas.tobytes()
     cumulative = compute_regret_series(base, trace).cumulative
     assert cumulative.tobytes() == compute_regret_series(scaled, trace4).cumulative.tobytes()
+
+
+def y_doubled(task):
+    """``task`` with y doubled in every train and validation batch."""
+    return dataclasses.replace(task, **{
+        split: tuple((x, 2.0 * y) for x, y in getattr(task, split))
+        for split in ("train_batches", "val_batches")})
+
+
+@pytest.mark.parametrize("estimator", ["exact", "itd", "implicit"])
+@settings(derandomize=True, database=None, max_examples=2, deadline=None)
+@given(seed=st.integers(0, 2**16), n_knots=st.integers(3, 12), n_train=st.integers(4, 30))
+@example(seed=1, n_knots=12, n_train=30)
+def test_spline_y_times_2_with_alpha_over_4_keeps_every_bit(estimator, seed, n_knots, n_train):
+    task = make_drifting_spline_task(seed, 40, n_knots=n_knots, n_train=n_train, n_val=10)
+    box = FeasibleSet.box([task.lambda_lower], [task.lambda_upper])
+    runs = []
+    for data, alpha in ((task, 0.05), (y_doubled(task), 0.05 / 4)):
+        stream = spline_stream(data)
+        config = ObboConfig(alpha=alpha, w=3, lambda0=[0.5], feasible=box, estimator=estimator)
+        trace = run_obbo(stream, config)
+        runs.append((trace, compute_regret_series(stream, trace).outer_loss))
+    (trace, f), (trace2, f4) = runs
+    assert trace.lambdas.tobytes() == trace2.lambdas.tobytes()
+    assert (4.0 * f).tobytes() == f4.tobytes()

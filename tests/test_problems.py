@@ -1,5 +1,4 @@
 import dataclasses
-import os
 import re
 import warnings
 
@@ -14,7 +13,6 @@ from obbo.problems import (
     ProblemInstant,
     SplineTask,
     linear_spline_basis,
-    load_spline_task_csv,
     make_drifting_spline_task,
     meta_toy_stream,
     quadratic_instant,
@@ -435,30 +433,6 @@ class TestSplineStream:
                     np.linalg.norm(exact), 1e-12
                 )
 
-    def test_csv_round_trip(self, tmp_path):
-        rows = ["t,split,x,y"]
-        rng = np.random.default_rng(10)
-        for t in (1, 2):
-            for split, n in (("train", 8), ("val", 4)):
-                for _ in range(n):
-                    x = float(rng.uniform(0, 1))
-                    rows.append(f"{t},{split},{x!r},{float(np.sin(x))!r}")
-        path = tmp_path / "spline.csv"
-        path.write_text("\n".join(rows) + "\n")
-        task = load_spline_task_csv(
-            path, knots=np.linspace(0, 1, 5), lambda_lower=1e-3, lambda_upper=1.0
-        )
-        assert task.T == 2
-        stream = spline_stream(task)
-        assert len(stream) == 2
-        assert stream[0].d2 == 5
-
-    def test_csv_missing_split_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("t,split,x,y\n1,train,0.5,0.1\n")
-        with pytest.raises(ValueError):
-            load_spline_task_csv(path, knots=[0.0, 0.5, 1.0], lambda_lower=1e-3, lambda_upper=1.0)
-
 
 class TestMetaStream:
     def test_large_gamma_recovers_single_level_gradient(self):
@@ -682,12 +656,6 @@ class TestDataOracleParity:
                 c = c + step * (v / np.linalg.norm(v))
 
 
-def _spline_csv(tmp_path, text):
-    path = tmp_path / "batches.csv"
-    path.write_text(text)
-    return load_spline_task_csv(path, knots=[0.0, 0.5, 1.0])
-
-
 def _instant():
     return quadratic_instant(1, np.ones((2, 1)), np.ones(2), np.eye(2), np.ones(2))
 
@@ -706,26 +674,26 @@ def _instant_without(name):
 NAN = float("nan")
 
 
-# Each input check of the problem builders: a call on a tmp_path, the
-# exception it raises and that exception's message.
+# Each input check of the problem builders: a call, the exception it raises
+# and that exception's message.
 INPUT_CHECKS = {
     "instant-dimensions": (
-        lambda tmp: quadratic_instant(1, np.ones((2, 1)), np.ones(3), np.eye(2), np.ones(2)),
+        lambda: quadratic_instant(1, np.ones((2, 1)), np.ones(3), np.eye(2), np.ones(2)),
         ValueError, "b must have shape (2,), got (3,)"),
     "instant-phases": (
-        lambda tmp: quadratic_instant(1, np.ones((2, 1)), np.ones(2), np.eye(2), np.ones(2),
+        lambda: quadratic_instant(1, np.ones((2, 1)), np.ones(2), np.eye(2), np.ones(2),
                                       phases=[0.0, 1.0]),
         ValueError, "phases must have shape (1,), got (2,)"),
     # Formerly promoted to a (1, 2) A and a (1,) b: only the documented shapes build.
     "instant-A-vector": (
-        lambda tmp: quadratic_instant(1, np.ones(2), np.ones(1), np.eye(1), np.ones(1)),
+        lambda: quadratic_instant(1, np.ones(2), np.ones(1), np.eye(1), np.ones(1)),
         ValueError, "A must have shape (n, n), got (2,)"),
     "instant-b-scalar": (
-        lambda tmp: quadratic_instant(1, np.ones((1, 2)), 1.0, np.eye(1), np.ones(1)),
+        lambda: quadratic_instant(1, np.ones((1, 2)), 1.0, np.eye(1), np.ones(1)),
         ValueError, "b must have shape (1,), got ()"),
     # Unchecked, each of these builds an instant with a NaN, inf or bool datum
     # (a NaN Q was named only as "Q must be symmetric").
-    **{f"instant-{name}": (lambda tmp, args=args: quadratic_instant(1, **{
+    **{f"instant-{name}": (lambda args=args: quadratic_instant(1, **{
         "A": [[1.0]], "b": [0.0], "Q": [[1.0]], "c": [0.0], **args}), error, message)
        for name, args, error, message in (
            ("b-nan", {"b": [NAN]}, ValueError, "b must have finite entries"),
@@ -739,106 +707,94 @@ INPUT_CHECKS = {
             "phases must have finite entries"),
            ("amp-nan", {"amp": NAN}, ValueError, "amp must be nonnegative and finite, got nan"),
            ("amp-bool", {"amp": True}, TypeError, "amp must be a number, got True"))},
-    "stream-horizon": (lambda tmp: quadratic_stream(1, 1, 0), ValueError,
+    "stream-horizon": (lambda: quadratic_stream(1, 1, 0), ValueError,
                        "horizon must be at least 1, got 0"),
     # A bool is an int to Python: unchecked, T=True builds one round.
-    "stream-horizon-bool": (lambda tmp: quadratic_stream(1, 1, True), TypeError,
+    "stream-horizon-bool": (lambda: quadratic_stream(1, 1, True), TypeError,
                             "horizon must be an integer, got True"),
-    "meta-horizon-bool": (lambda tmp: meta_toy_stream(2, True), TypeError,
+    "meta-horizon-bool": (lambda: meta_toy_stream(2, True), TypeError,
                           "horizon must be an integer, got True"),
-    "spline-horizon-bool": (lambda tmp: make_drifting_spline_task(seed=0, T=True), TypeError,
+    "spline-horizon-bool": (lambda: make_drifting_spline_task(seed=0, T=True), TypeError,
                             "horizon must be an integer, got True"),
-    "spline-horizon-float": (lambda tmp: make_drifting_spline_task(seed=0, T=3.0), TypeError,
+    "spline-horizon-float": (lambda: make_drifting_spline_task(seed=0, T=3.0), TypeError,
                              "horizon must be an integer, got 3.0"),
-    "spline-horizon": (lambda tmp: make_drifting_spline_task(seed=0, T=0), ValueError,
+    "spline-horizon": (lambda: make_drifting_spline_task(seed=0, T=0), ValueError,
                        "horizon must be at least 1, got 0"),
-    "stream-cos-amplitude": (lambda tmp: quadratic_stream(1, 1, 2, cos_amplitude=-0.1),
+    "stream-cos-amplitude": (lambda: quadratic_stream(1, 1, 2, cos_amplitude=-0.1),
                              ValueError, "cos_amplitude must be nonnegative"),
     # NaN fails every ``x < 0`` or ``x <= 0`` check.
     "stream-cos-amplitude-nan": (
-        lambda tmp: quadratic_stream(1, 1, 2, cos_amplitude=NAN),
+        lambda: quadratic_stream(1, 1, 2, cos_amplitude=NAN),
         ValueError, "cos_amplitude must be nonnegative and finite, got nan"),
     # Unchecked, a NaN kappa_target fails later with "Q must be symmetric".
-    "stream-kappa-nan": (lambda tmp: quadratic_stream(1, 1, 2, kappa_target=NAN), ValueError,
+    "stream-kappa-nan": (lambda: quadratic_stream(1, 1, 2, kappa_target=NAN), ValueError,
                          "kappa_target must lie in [1, inf), got nan"),
-    "meta-gamma-nan": (lambda tmp: meta_toy_stream(2, 2, gamma=NAN), ValueError,
+    "meta-gamma-nan": (lambda: meta_toy_stream(2, 2, gamma=NAN), ValueError,
                        "gamma must be positive and finite, got nan"),
-    "meta-task-noise-nan": (lambda tmp: meta_toy_stream(2, 2, task_noise=NAN), ValueError,
+    "meta-task-noise-nan": (lambda: meta_toy_stream(2, 2, task_noise=NAN), ValueError,
                             "task_noise must be nonnegative and finite, got nan"),
-    "spline-noise-std-nan": (lambda tmp: make_drifting_spline_task(seed=0, T=2, noise_std=NAN),
+    "spline-noise-std-nan": (lambda: make_drifting_spline_task(seed=0, T=2, noise_std=NAN),
                              ValueError, "noise_std must be nonnegative and finite, got nan"),
-    "drift-kind": (lambda tmp: DriftSpec("linear"), ValueError, "unknown drift kind 'linear'"),
-    "drift-decaying-rate": (lambda tmp: DriftSpec.decaying(rate=0.0), ValueError,
+    "drift-kind": (lambda: DriftSpec("linear"), ValueError, "unknown drift kind 'linear'"),
+    "drift-decaying-rate": (lambda: DriftSpec.decaying(rate=0.0), ValueError,
                             "decaying drift rate must be positive and finite"),
-    "drift-scale": (lambda tmp: DriftSpec.sublinear(scale=-1.0), ValueError,
+    "drift-scale": (lambda: DriftSpec.sublinear(scale=-1.0), ValueError,
                     "drift scale must be nonnegative"),
-    "drift-scale-nan": (lambda tmp: DriftSpec.decaying(scale=float("nan")), ValueError,
+    "drift-scale-nan": (lambda: DriftSpec.decaying(scale=float("nan")), ValueError,
                         "drift scale must be nonnegative and finite"),
-    "drift-decaying-rate-nan": (lambda tmp: DriftSpec.decaying(rate=float("nan")), ValueError,
+    "drift-decaying-rate-nan": (lambda: DriftSpec.decaying(rate=float("nan")), ValueError,
                                 "decaying drift rate must be positive and finite"),
     # Metrics and the exact estimator call both exact-solution oracles unchecked.
-    "instant-no-inner-opt": (lambda tmp: _instant_without("inner_opt"), TypeError,
+    "instant-no-inner-opt": (lambda: _instant_without("inner_opt"), TypeError,
                              "missing 1 required positional argument: 'inner_opt'"),
     "instant-no-exact-hypergradient": (
-        lambda tmp: _instant_without("exact_hypergradient"), TypeError,
+        lambda: _instant_without("exact_hypergradient"), TypeError,
         "missing 1 required positional argument: 'exact_hypergradient'"),
-    "instant-t": (lambda tmp: dataclasses.replace(_instant(), t=0), ValueError,
+    "instant-t": (lambda: dataclasses.replace(_instant(), t=0), ValueError,
                   "time index t must be at least 1"),
-    "instant-t-float": (lambda tmp: dataclasses.replace(_instant(), t=1.5), TypeError,
+    "instant-t-float": (lambda: dataclasses.replace(_instant(), t=1.5), TypeError,
                         "time index t must be an integer, got 1.5"),
-    "instant-t-bool": (lambda tmp: dataclasses.replace(_instant(), t=True), TypeError,
+    "instant-t-bool": (lambda: dataclasses.replace(_instant(), t=True), TypeError,
                        "time index t must be an integer, got True"),
-    "instant-mu": (lambda tmp: dataclasses.replace(_instant(), mu_g=0.0), ValueError,
+    "instant-mu": (lambda: dataclasses.replace(_instant(), mu_g=0.0), ValueError,
                    "mu_g must be positive"),
-    "instant-mu-nan": (lambda tmp: dataclasses.replace(_instant(), mu_g=NAN), ValueError,
+    "instant-mu-nan": (lambda: dataclasses.replace(_instant(), mu_g=NAN), ValueError,
                        "mu_g must be positive and finite, got nan"),
-    "instant-l-zero": (lambda tmp: dataclasses.replace(_instant(), l_g1=0.0), ValueError,
+    "instant-l-zero": (lambda: dataclasses.replace(_instant(), l_g1=0.0), ValueError,
                        "l_g1 must be positive and finite, got 0.0"),
-    "instant-l-nan": (lambda tmp: dataclasses.replace(_instant(), l_g1=NAN), ValueError,
+    "instant-l-nan": (lambda: dataclasses.replace(_instant(), l_g1=NAN), ValueError,
                       "l_g1 must be positive and finite, got nan"),
-    "instant-l": (lambda tmp: dataclasses.replace(_instant(), l_g1=0.5), ValueError,
+    "instant-l": (lambda: dataclasses.replace(_instant(), l_g1=0.5), ValueError,
                   "l_g1 must be at least mu_g"),
-    "spline-knots": (lambda tmp: dataclasses.replace(_task(), knots=np.array([0.0, 1.0])),
+    "spline-knots": (lambda: dataclasses.replace(_task(), knots=np.array([0.0, 1.0])),
                      ValueError, "need at least three strictly increasing knots"),
-    "spline-box": (lambda tmp: dataclasses.replace(_task(), lambda_lower=0.0), ValueError,
+    "spline-box": (lambda: dataclasses.replace(_task(), lambda_lower=0.0), ValueError,
                    "lambda_lower must be positive and finite, got 0.0"),
-    "spline-box-order": (lambda tmp: dataclasses.replace(_task(), lambda_lower=20.0),
+    "spline-box-order": (lambda: dataclasses.replace(_task(), lambda_lower=20.0),
                          ValueError, "lambda_upper must lie in (20, inf), got 10.0"),
     # Unchecked, these built: a NaN knot fails no ``diff <= 0`` test, ``0 < True < 10``
-    # holds, and the basis and a CSV took NaN data.
-    "spline-knots-nan": (lambda tmp: dataclasses.replace(_task(), knots=[0.0, NAN, 1.0]),
+    # holds, and the basis and a task's batches took NaN data.
+    "spline-knots-nan": (lambda: dataclasses.replace(_task(), knots=[0.0, NAN, 1.0]),
                          ValueError, "knots must have finite entries"),
-    "spline-box-bool": (lambda tmp: make_drifting_spline_task(seed=0, T=2, lambda_lower=True),
+    "spline-box-bool": (lambda: make_drifting_spline_task(seed=0, T=2, lambda_lower=True),
                         TypeError, "lambda_lower must be a number, got True"),
-    "spline-basis-x-nan": (lambda tmp: linear_spline_basis([NAN], [0.0, 1.0]), ValueError,
+    "spline-basis-x-nan": (lambda: linear_spline_basis([NAN], [0.0, 1.0]), ValueError,
                            "x must have finite entries"),
-    "spline-csv-nan": (
-        lambda tmp: _spline_csv(tmp, "t,split,x,y\n1,train,0.1,nan\n1,val,0.2,0.3\n"),
+    "spline-task-nan-y": (
+        lambda: SplineTask([0.0, 0.5, 1.0], (([0.1], [NAN]),), (([0.2], [0.3]),), 1e-4, 10.0),
         ValueError, "round 1 train y must have finite entries"),
+    "spline-task-knots-bool": (
+        lambda: SplineTask([True, 2.0, 3.0], (([0.1], [0.2]),), (([0.3], [0.4]),), 1e-4, 10.0),
+        TypeError, "knots must hold numbers, not bools, got [True, 2.0, 3.0]"),
     "spline-batches": (
-        lambda tmp: dataclasses.replace(_task(), val_batches=_task().val_batches[:-1]),
+        lambda: dataclasses.replace(_task(), val_batches=_task().val_batches[:-1]),
         ValueError, "train and validation batch counts differ"),
-    "spline-csv-columns": (lambda tmp: _spline_csv(tmp, "t,split,x\n1,train,0.1\n"),
-                           ValueError, "spline CSV must have columns ['split', 't', 'x', 'y']"),
-    "spline-csv-split": (lambda tmp: _spline_csv(tmp, "t,split,x,y\n1,test,0.1,0.2\n"),
-                         ValueError, "unknown split 'test' at t=1"),
 }
 
 
 @pytest.mark.parametrize("make, error, message", INPUT_CHECKS.values(), ids=INPUT_CHECKS)
-def test_input_check(tmp_path, make, error, message):
+def test_input_check(make, error, message):
     with pytest.raises(error, match=re.escape(message)) as info:
-        make(tmp_path)
+        make()
     assert type(info.value) is error
 
-
-def test_spline_csv_path_that_is_a_file_descriptor_is_rejected(tmp_path):
-    """``open`` takes an integer as a file descriptor, reads it and closes it, so
-    a config's ``"path": 1`` would close stdout. The descriptor here is one the
-    test opened, so where the loader does read it, only that one is closed."""
-    path = tmp_path / "batches.csv"
-    path.write_text("t,split,x,y\n1,train,0.1,0.2\n1,val,0.3,0.4\n")
-    fd = os.open(path, os.O_RDONLY)
-    with pytest.raises(TypeError, match="expected str, bytes or os.PathLike object, not int"):
-        load_spline_task_csv(fd, knots=[0.0, 0.5, 1.0])
-    os.close(fd)  # raises if the loader had closed it
