@@ -128,8 +128,10 @@ class ProblemInstant:
         # Partials of module-level functions, not closures: each instant adds
         # fewer objects for the garbage collector to traverse.
         self.grad_g_beta_sampled = partial(_noisy_inner, self.grad_g_beta, d2, sigma_g)
-        self.grad_f_lambda_sampled = partial(_noisy_outer, self.grad_f_lambda, d1, sigma_f)
-        self.grad_f_beta_sampled = partial(_noisy_outer, self.grad_f_beta, d2, sigma_f)
+        self.grad_f_lambda_sampled = partial(
+            _noisy_outer, self.grad_f_lambda, d1, sigma_f, sigma_f / math.sqrt(d1))
+        self.grad_f_beta_sampled = partial(
+            _noisy_outer, self.grad_f_beta, d2, sigma_f, sigma_f / math.sqrt(d2))
 
 
 def instant_of(
@@ -223,10 +225,11 @@ def _noisy_inner(grad, d, sigma, lam, beta, s, rng):
     return grad(lam, beta) + xi
 
 
-def _noisy_outer(grad, d, sigma, lam, beta, rng):
+def _noisy_outer(grad, d, sigma, scale, lam, beta, rng):
+    # scale is sigma / sqrt(d), bound once per instant; sigma is tested, as above
     if sigma == 0.0:
         return grad(lam, beta)
-    return grad(lam, beta) + rng.standard_normal(d) * (sigma / math.sqrt(d))
+    return grad(lam, beta) + rng.standard_normal(d) * scale
 
 
 Stream = Sequence[ProblemInstant]

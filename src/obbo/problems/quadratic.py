@@ -36,9 +36,9 @@ class QuadraticData(NamedTuple):
     the BLAS call of ``M @ x`` at half the call overhead, with the same bits
     while M is contiguous (``quadratic_instant`` copies A and Q). ITD stacks its
     K cross HVPs in one ``matmul`` and sums them in order (``np.add.accumulate``).
-    The ITD kernel repeats the oracles' operations in order, into per-call
-    buffers (not kept on the data a stream shares), so it equals the oracle
-    path bit for bit. The Neumann kernel reassociates.
+    The ITD kernel repeats the oracles' operations in order (eta Qv as a product
+    with an eta vector) in its cached workspace, so it equals the oracle path bit
+    for bit, and returns a fresh array. The Neumann kernel reassociates.
 
     Inner GD runs in closed form: K steps of omega <- M omega + eta Q (A lam + b),
     M = I - eta Q, give row k = P_k omega_0 + (R_k A) lam + R_k b, with P_k = M^k
@@ -51,10 +51,13 @@ class QuadraticData(NamedTuple):
     Against a 40-digit reference its error per call stayed below half an epsilon
     on every draw, where the step loop's error reaches several (``tests/test_referee.py``).
 
-    ``cache`` holds the stream's cached matrices: the Neumann kernel's per
-    (l, m) and inner GD's stack and bound per ("descend", eta, K). Every
-    instant of a stream shares A, Q, ``neg_At`` and this dict, so the matrices
-    are formed once per stream; ``quadratic_instant`` gives each instant its own.
+    ``cache`` holds the stream's cached arrays: the Neumann kernel's matrices per
+    (l, m), inner GD's stack and bound per ("descend", eta, K), and ITD's workspace
+    per ("itd", eta, K): the (K, d2) Qv rows, the zero-headed (K + 1, d1, 1) terms,
+    and step, v and eta vectors. Every instant of a stream shares A, Q, ``neg_At``
+    and this dict, so each is formed once per stream (``quadratic_instant`` gives
+    each instant its own), and a stream's kernels run on one thread at a time: no
+    obbo code shares a stream across threads (``obbo run --jobs`` uses processes).
     ``amp`` is kept as given: an integer 0 keeps the signed zeros of
     ``-amp * sin``.
     """
@@ -153,15 +156,22 @@ class QuadraticData(NamedTuple):
 
         Each step's two HVPs share one Qv = Q v, kept in a (K, d2) buffer; one stacked
         ``matmul`` forms the terms (-A') Qv, summed in order by ``np.add.accumulate``.
+        The buffers are the workspace cached per ("itd", eta, K); v is never written.
         """
-        Q, neg_At = self.Q, self.neg_At
-        Qvs = np.empty((K, Q.shape[0]))
-        Qv = Q.dot(v, Qvs[0])
-        for row in Qvs[1:]:
-            v = v - eta * Qv
+        Q, work = self.Q, self.cache.get(("itd", eta, K))
+        if work is None:
+            d2 = Q.shape[0]
+            Qvs, terms = np.empty((K, d2)), np.zeros((K + 1, self.A.shape[1], 1))
+            work = self.cache["itd", eta, K] = (  # eta as a vector: a Python float converts per call
+                np.full(d2, eta, dtype=float), np.empty(d2), np.empty(d2), Qvs[0], list(Qvs[1:]),
+                Qvs[:, :, None], terms, terms[1:])
+        etas, step, x, first, rows, Qvs, terms, tail = work
+        Qv = Q.dot(v, first)
+        for row in rows:
+            np.multiply(etas, Qv, step)
+            v = np.subtract(v, step, x)
             Qv = Q.dot(v, row)
-        terms = np.zeros((K + 1, neg_At.shape[0], 1))
-        np.matmul(neg_At, Qvs[:, :, None], terms[1:])
+        np.matmul(self.neg_At, Qvs, tail)
         return np.add.accumulate(terms)[-1, :, 0]
 
     def neumann_correction(self, v: np.ndarray, ell: float, m: int, k: int) -> np.ndarray:

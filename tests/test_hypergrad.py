@@ -363,6 +363,29 @@ class TestQuadraticMatrixPath:
             itd_hypergradient(matrix, lam, solve), itd_hypergradient(oracles, lam, solve)
         )
 
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(
+        d1=st.integers(1, 4),
+        d2=st.integers(1, 12),
+        Ks=st.lists(st.integers(1, 20), min_size=2, max_size=2, unique=True),
+        eta_factor=st.floats(0.05, 1.9),
+        seed=st.integers(0, 2**16),
+    )
+    # At d1 = 1 the K cross HVPs are one column, which sum(axis=0) would add pairwise.
+    @example(d1=1, d2=6, Ks=[12, 5], eta_factor=1.0, seed=0)
+    def test_itd_at_two_K_on_one_instant_equals_the_oracle_path(
+        self, d1, d2, Ks, eta_factor, seed
+    ):
+        # The kernel keeps one workspace per (eta, K) in the instant's cache.
+        rng, matrix, oracles = both_paths(seed, d1, d2)
+        eta = eta_factor / matrix.l_g1
+        for K in Ks:
+            lam, beta0 = rng.standard_normal(d1), rng.standard_normal(d2)
+            solve = inner_gd(matrix, lam, beta0, eta, K)
+            assert np.array_equal(
+                itd_hypergradient(matrix, lam, solve), itd_hypergradient(oracles, lam, solve)
+            )
+
     @settings(derandomize=True, deadline=None, max_examples=10)
     @given(
         d1=st.integers(1, 4),
@@ -680,11 +703,22 @@ class TestRegretKernel:
         assert str(info.value) == "outer_loss became non-finite at t=5; aborting run"
 
 
+def itd_loop_reference(quad, v, eta, K):
+    """The ITD kernel as it was before its workspace: every buffer per call."""
+    Qvs = np.empty((K, quad.Q.shape[0]))
+    Qv = quad.Q.dot(v, Qvs[0])
+    for row in Qvs[1:]:
+        v = v - eta * Qv
+        Qv = quad.Q.dot(v, row)
+    terms = np.zeros((K + 1, quad.neg_At.shape[0], 1))
+    np.matmul(quad.neg_At, Qvs[:, :, None], terms[1:])
+    return np.add.accumulate(terms)[-1, :, 0]
+
+
 class TestKernelBuffers:
-    """Inner GD and the ITD kernel write only into arrays they allocate per
-    call: never into an input, and never into a buffer kept on the data that
-    a stream's instants share, which the next instant's solve would
-    overwrite."""
+    """Inner GD and the ITD kernel write into no input, and return no array
+    that is, or is a view of, a buffer they keep: the ITD workspace cached on
+    the data a stream's instants share is overwritten by the next call."""
 
     K = 6
 
@@ -752,6 +786,38 @@ class TestKernelBuffers:
             assert np.array_equal(got, want)
         for got, other in zip(outputs[0], outputs[1]):
             assert not np.shares_memory(got, other)
+
+    def test_interleaved_itd_keys_and_instants_keep_their_results(self):
+        # A(k1), B(k2), A(k2), B(k1): each call reuses the stream's entry for its
+        # key, which the call before it at that key wrote, on the other instant;
+        # then A at (eta / 2, 6), a key that only eta tells from k1.
+        a, b = self.stream()
+        cache = a.quadratic.cache
+        assert b.quadratic.cache is cache
+        eta = 0.5 / a.l_g1
+        k1, k2 = (eta, 6), (eta / 2, 12)
+        rng = np.random.default_rng(4)
+        results, entries = [], {}
+        for inst, (step, K) in ((a, k1), (b, k2), (a, k2), (b, k1), (a, (eta / 2, 6))):
+            v = rng.standard_normal(inst.d2)
+            got = inst.quadratic.itd_correction(v, step, K)
+            assert np.array_equal(got, itd_loop_reference(inst.quadratic, v, step, K))
+            entry = cache["itd", step, K]
+            assert entries.setdefault((step, K), entry) is entry
+            results.append(got)
+        assert sorted(key[1:] for key in cache if key[0] == "itd") == sorted(entries)
+        kept = [x for entry in entries.values() for item in entry
+                for x in (item if isinstance(item, list) else [item])]
+        for i, got in enumerate(results):
+            assert not any(np.shares_memory(got, x) for x in kept + results[i + 1:])
+        own = [quadratic_instant(1, a.quadratic.A, a.quadratic.b, a.quadratic.Q, a.quadratic.c)
+               for _ in range(2)]
+        for inst in own:
+            inst.quadratic.itd_correction(np.ones(inst.d2), *k1)
+        assert own[0].quadratic.cache is not own[1].quadratic.cache
+        key = ("itd", *k1)
+        assert own[0].quadratic.cache[key] is not own[1].quadratic.cache[key]
+        assert cache[key] is entries[k1]
 
 
 class Level:

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 import warnings
 
@@ -200,6 +201,24 @@ class TestQuadraticStream:
             else:
                 expected = exact(lam, beta) + draws.standard_normal(d) * scale
                 assert got.tobytes() == expected.tobytes()
+            assert rng.bit_generator.state == draws.bit_generator.state
+
+    @pytest.mark.parametrize("sigma_f", [0.2, 1 / 3, 5e-324])
+    def test_outer_noise_scale_is_sigma_over_sqrt_d(self, sigma_f):
+        # The scale bound per instant is the float sigma / sqrt(d): at d = 3,
+        # sigma * (1 / sqrt(d)) differs at 0.2 and sigma * sqrt(1 / d) at 1/3.
+        # sigma itself is tested for zero, so 5e-324 draws, though at d = 5 its
+        # scale rounds to 0.
+        inst = quadratic_stream(**drifting_config(d1=3, d2=5, noise=(0.0, sigma_f)))[0]
+        lam, beta = np.linspace(0.2, -0.4, 3), np.linspace(0.1, 1.0, 5)
+        rng, draws = np.random.default_rng(8), np.random.default_rng(8)
+        for sampled, exact, d in ((inst.grad_f_lambda_sampled, inst.grad_f_lambda, 3),
+                                  (inst.grad_f_beta_sampled, inst.grad_f_beta, 5)):
+            before = rng.bit_generator.state
+            got = sampled(lam, beta, rng)
+            assert rng.bit_generator.state != before
+            expected = exact(lam, beta) + draws.standard_normal(d) * (sigma_f / math.sqrt(d))
+            assert got.tobytes() == expected.tobytes()
             assert rng.bit_generator.state == draws.bit_generator.state
 
     def test_sampled_gradients_derived_from_deterministic(self):
