@@ -63,6 +63,9 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentSpec:
+    """One experiment of a config: its name, the run seeds of its cells, and the
+    stream, optimizer and metrics specs that each cell builds from."""
+
     name: str
     seeds: list[int]
     stream: dict
@@ -117,6 +120,8 @@ class ExperimentSpec:
 
 @dataclass
 class HarnessConfig:
+    """A parsed config: its experiments, whose names are distinct."""
+
     experiments: list[ExperimentSpec]
 
     def __post_init__(self):

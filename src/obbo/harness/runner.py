@@ -8,7 +8,6 @@ config are byte-identical; timing lives in the manifest only.
 
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
 import json
 import time
@@ -179,10 +178,11 @@ def run_cell(exp: ExperimentSpec, seed: int, out_dir: str) -> dict:
 def _submit(pool, exp: ExperimentSpec, seed: int, out_dir: str):
     """Submit one cell. A worker that dies before every cell is submitted
     breaks the pool at once, so the error goes in the cell's future."""
+    from concurrent.futures import BrokenExecutor, Future
     try:
         return pool.submit(run_cell, exp, seed, out_dir)
-    except concurrent.futures.BrokenExecutor as exc:
-        failed = concurrent.futures.Future()
+    except BrokenExecutor as exc:
+        failed = Future()
         failed.set_exception(exc)
         return failed
 
@@ -204,6 +204,7 @@ def cli_run(config: HarnessConfig, out_dir, jobs: int = 1) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     cells = [(exp, seed) for exp in config.experiments for seed in exp.seeds]
     if jobs > 1 and len(cells) > 1:
+        import concurrent.futures  # loads logging, which a one-job run does not need
         with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
             futures = [_submit(pool, exp, seed, str(out)) for exp, seed in cells]
             entries = [_collect(f, *cell) for f, cell in zip(futures, cells)]

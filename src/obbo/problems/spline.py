@@ -36,18 +36,19 @@ __all__ = [
 
 RIDGE_FLOOR = 1e-8
 
-Batch = tuple[np.ndarray, np.ndarray]
-
 
 @dataclass(frozen=True)
 class SplineTask:
-    """Knot layout, per-round data batches, and the positive lam box: at least 3
-    increasing knots (kept as float64), batches of finite x and y of one length,
-    and finite ``0 < lambda_lower < lambda_upper``."""
+    """Knot layout, per-round data and the positive lam box: at least 3 increasing
+    knots, each split as finite (T, n) arrays with one row per round (``x_val``
+    and ``y_val`` as many rows as ``x_train`` and ``y_train``), all kept as
+    float64, and finite ``0 < lambda_lower < lambda_upper``."""
 
     knots: np.ndarray
-    train_batches: tuple[Batch, ...]
-    val_batches: tuple[Batch, ...]
+    x_train: np.ndarray
+    y_train: np.ndarray
+    x_val: np.ndarray
+    y_val: np.ndarray
     lambda_lower: float
     lambda_upper: float
 
@@ -55,16 +56,17 @@ class SplineTask:
         object.__setattr__(self, "knots", _checked_knots(self.knots, 3))
         check_number("lambda_lower", self.lambda_lower, open_low=True)
         check_number("lambda_upper", self.lambda_upper, self.lambda_lower, open_low=True)
-        if len(self.train_batches) != len(self.val_batches):
-            raise ValueError("train and validation batch counts differ")
-        for split, batches in (("train", self.train_batches), ("val", self.val_batches)):
-            for t, (x, y) in enumerate(batches, 1):
-                x = check_array(f"round {t} {split} x", x, (None,))
-                check_array(f"round {t} {split} y", y, x.shape)
+        for split in ("train", "val"):
+            x = check_array(f"{split} x", getattr(self, f"x_{split}"), (None, None))
+            object.__setattr__(self, f"x_{split}", x)
+            object.__setattr__(self, f"y_{split}",
+                               check_array(f"{split} y", getattr(self, f"y_{split}"), x.shape))
+        if len(self.x_train) != len(self.x_val):
+            raise ValueError("train and validation round counts differ")
 
     @property
     def T(self) -> int:
-        return len(self.train_batches)
+        return len(self.x_train)
 
 
 def linear_spline_basis(x, knots) -> np.ndarray:
@@ -118,7 +120,8 @@ def _lam_scalar(lam) -> float:
 class SplineData(NamedTuple):
     """One round's data: BtB = B'B and Bty = B'y of the training batch, the
     validation batch, and the fixed ``omega`` and ``ridge`` = RIDGE_FLOOR * I
-    that every round of a stream shares. Its methods are the instant's oracles."""
+    that every round of a stream shares. Its methods are the instant's oracles
+    (``spline_stream`` stacks all rounds' arrays in one to form their Hessians)."""
 
     BtB: np.ndarray
     Bty: np.ndarray
@@ -168,26 +171,25 @@ class SplineData(NamedTuple):
 
 
 def spline_stream(task: SplineTask) -> list[ProblemInstant]:
-    """Materialize the per-round oracle bundles for a spline task."""
-    omega = roughness_penalty(task.knots)
-    ridge = RIDGE_FLOOR * np.eye(omega.shape[0])
-    box, instants = (task.lambda_lower, task.lambda_upper), []
-    for t, ((x_tr, y_tr), (x_val, y_val)) in enumerate(
-        zip(task.train_batches, task.val_batches), 1
-    ):
-        B_tr = linear_spline_basis(x_tr, task.knots)
-        data = SplineData(
-            B_tr.T @ B_tr,
-            B_tr.T @ np.asarray(y_tr, dtype=float),
-            linear_spline_basis(x_val, task.knots),
-            np.asarray(y_val, dtype=float),
-            omega,
-            ridge,
-        )
-        mu_g = float(np.linalg.eigvalsh(data.hess_g_betabeta([task.lambda_lower], None))[0])
-        l_g1 = float(np.linalg.eigvalsh(data.hess_g_betabeta([task.lambda_upper], None))[-1])
-        instants.append(instant_of(data, t, 1, omega.shape[0], mu_g, l_g1, lambda_box=box))
-    return instants
+    """Materialize the per-round oracle bundles for a spline task in stacked passes:
+    one basis call per split on its raveled rows, stacked B'B and B'y, and one
+    batched ``eigvalsh`` per bound of the lam box on a stacked ``SplineData``'s Hessians."""
+    k, omega = task.knots.size, roughness_penalty(task.knots)
+    ridge = RIDGE_FLOOR * np.eye(k)
+    B_tr, B_val = (linear_spline_basis(x.ravel(), task.knots).reshape(*x.shape, k)
+                   for x in (task.x_train, task.x_val))
+    Bt_tr = B_tr.transpose(0, 2, 1)
+    BtB = np.matmul(Bt_tr, B_tr)
+    Bty = np.matmul(Bt_tr, task.y_train[:, :, None])[:, :, 0]
+    stacked = SplineData(BtB, Bty, B_val, task.y_val, omega, ridge)
+    mu_g = np.linalg.eigvalsh(stacked.hess_g_betabeta([task.lambda_lower], None))[:, 0]
+    l_g1 = np.linalg.eigvalsh(stacked.hess_g_betabeta([task.lambda_upper], None))[:, -1]
+    box = (task.lambda_lower, task.lambda_upper)
+    return [
+        instant_of(SplineData(*rows, omega, ridge), t, 1, k, mu, l, lambda_box=box)
+        for t, (*rows, mu, l) in enumerate(
+            zip(BtB, Bty, B_val, task.y_val, mu_g.tolist(), l_g1.tolist()), 1)
+    ]
 
 
 def make_drifting_spline_task(
@@ -220,26 +222,15 @@ def make_drifting_spline_task(
                         ("amp_start", amp_start), ("amp_end", amp_end)):
         check_number(what, value, -np.inf, open_low=True)
     rng = np.random.default_rng(seed)
-    knots = np.linspace(0.0, 1.0, n_knots)
-    train, val = [], []
+    x_train, y_train = np.empty((T, n_train)), np.empty((T, n_train))
+    x_val, y_val = np.empty((T, n_val)), np.empty((T, n_val))
     for t in range(T):
         frac = t / max(T - 1, 1)
         freq = freq_start + (freq_end - freq_start) * frac
         amp = amp_start + (amp_end - amp_start) * frac
-
-        def truth(x):
-            return amp * np.sin(2.0 * np.pi * freq * x) + 0.5 * x
-
-        x_tr = rng.uniform(0.0, 1.0, n_train)
-        y_tr = truth(x_tr) + noise_std * rng.standard_normal(n_train)
-        x_val = rng.uniform(0.0, 1.0, n_val)
-        y_val = truth(x_val) + noise_std * rng.standard_normal(n_val)
-        train.append((x_tr, y_tr))
-        val.append((x_val, y_val))
-    return SplineTask(
-        knots=knots,
-        train_batches=tuple(train),
-        val_batches=tuple(val),
-        lambda_lower=lambda_lower,
-        lambda_upper=lambda_upper,
-    )
+        for x, y in ((x_train[t], y_train[t]), (x_val[t], y_val[t])):
+            x[:] = rng.uniform(0.0, 1.0, x.size)
+            truth = amp * np.sin(2.0 * np.pi * freq * x) + 0.5 * x
+            y[:] = truth + noise_std * rng.standard_normal(x.size)
+    return SplineTask(np.linspace(0.0, 1.0, n_knots), x_train, y_train, x_val, y_val,
+                      lambda_lower, lambda_upper)

@@ -360,7 +360,7 @@ def test_10_spline_end_to_end():
         )
         trace = run_obbo(stream, config)
         inst = stream[-1]
-        n_val = len(task.val_batches[-1][0])
+        n_val = task.x_val.shape[1]
 
         def final_mse(lam_val):
             beta = inst.inner_opt(np.array([lam_val]))

@@ -958,7 +958,7 @@ class TestCliRun:
                 super()._spawn_process()
                 started.append(self._max_workers)
 
-        monkeypatch.setattr(runner.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         manifest = cli_run(small_config(), tmp_path, jobs=4)
         assert [e["status"] for e in manifest["outputs"]] == ["ok", "ok"]
         assert started == [2, 2]

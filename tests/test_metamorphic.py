@@ -83,10 +83,8 @@ def test_g_times_4_with_eta_over_4_keeps_every_bit(case, kernels, d1, d2, seed):
 
 
 def y_doubled(task):
-    """``task`` with y doubled in every train and validation batch."""
-    return dataclasses.replace(task, **{
-        split: tuple((x, 2.0 * y) for x, y in getattr(task, split))
-        for split in ("train_batches", "val_batches")})
+    """``task`` with y doubled in every train and validation row."""
+    return dataclasses.replace(task, y_train=2.0 * task.y_train, y_val=2.0 * task.y_val)
 
 
 @pytest.mark.parametrize("estimator", ["exact", "itd", "implicit"])

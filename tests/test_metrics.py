@@ -421,7 +421,8 @@ class TestBuildGrid:
     def test_scipy_never_imported(self):
         # obbo runs on numpy alone: no scipy module is loaded by importing the
         # library, by build_grid (which still gives the pinned grid), or by a
-        # cell with variations on.
+        # cell with variations on. Nor is the process pool's concurrent.futures,
+        # or the logging it loads, which only a run of several jobs needs.
         script = (
             "import json, sys, tempfile\n"
             "import obbo.problems, obbo.metrics, obbo.harness\n"
@@ -437,7 +438,8 @@ class TestBuildGrid:
             "with tempfile.TemporaryDirectory() as out:\n"
             "    entry = run_cell(exp, 1, out)\n"
             "print(json.dumps({'before': before, 'after_grid': after_grid, 'grid': grid.tolist(),\n"
-            "                  'after_cell': scipy_modules(), 'variations': 'variations' in entry}))\n"
+            "                  'after_cell': scipy_modules(), 'variations': 'variations' in entry,\n"
+            "                  'pool': [m for m in ('concurrent.futures', 'logging') if m in sys.modules]}))\n"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(obbo.__file__).resolve().parents[1])}
         out = subprocess.run(
@@ -446,6 +448,7 @@ class TestBuildGrid:
         result = json.loads(out.stdout)
         assert result["before"] == result["after_grid"] == result["after_cell"] == []
         assert result["variations"]
+        assert result["pool"] == []
         sobol = [[-1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [-0.5, 1.5],
                  [-0.25, 0.75], [0.75, 1.75], [0.25, 0.25], [-0.75, 1.25]]
         corners = [[-1.0, 0.0], [-1.0, 2.0], [1.0, 0.0], [1.0, 2.0]]

@@ -411,16 +411,15 @@ class TestSplineStream:
     def test_linear_targets_fit_exactly_for_all_lam(self):
         knots = np.linspace(0.0, 1.0, 10)
         rng = np.random.default_rng(9)
-        batches_tr, batches_val = [], []
-        for _ in range(3):
-            x_tr = rng.uniform(0.0, 1.0, 50)
-            x_val = rng.uniform(0.0, 1.0, 25)
-            batches_tr.append((x_tr, 0.8 * x_tr - 0.3))
-            batches_val.append((x_val, 0.8 * x_val - 0.3))
+        x_tr, x_val = np.empty((3, 50)), np.empty((3, 25))
+        for t in range(3):
+            x_tr[t], x_val[t] = rng.uniform(0.0, 1.0, 50), rng.uniform(0.0, 1.0, 25)
         task = SplineTask(
             knots=knots,
-            train_batches=tuple(batches_tr),
-            val_batches=tuple(batches_val),
+            x_train=x_tr,
+            y_train=0.8 * x_tr - 0.3,
+            x_val=x_val,
+            y_val=0.8 * x_val - 0.3,
             lambda_lower=1e-4,
             lambda_upper=10.0,
         )
@@ -433,7 +432,7 @@ class TestSplineStream:
         task, stream = self.make_stream(seed=1)
         inst = stream[0]
         beta_hat = inst.inner_opt(np.array([1e6]))
-        x_tr, y_tr = task.train_batches[0]
+        x_tr, y_tr = task.x_train[0], task.y_train[0]
         # constrained least-squares oracle: best affine fit evaluated at knots
         A = np.column_stack([np.ones_like(x_tr), x_tr])
         coef, *_ = np.linalg.lstsq(A, y_tr, rcond=None)
@@ -624,17 +623,36 @@ class TestDataOracleParity:
                 theta = theta + step * (u / np.linalg.norm(u))
 
     @settings(derandomize=True, deadline=None, max_examples=6)
-    @given(n_knots=st.sampled_from([5, 12]), seed=st.integers(0, 2**16))
-    def test_spline(self, n_knots, seed):
-        task = make_drifting_spline_task(seed=seed, T=3, n_knots=n_knots)
+    @given(
+        n_knots=st.sampled_from([3, 5, 12]),
+        T=st.integers(1, 4),
+        n_train=st.integers(1, 60),
+        n_val=st.integers(1, 30),
+        seed=st.integers(0, 2**16),
+    )
+    @example(n_knots=3, T=1, n_train=1, n_val=1, seed=0)
+    @example(n_knots=12, T=3, n_train=60, n_val=30, seed=1)
+    def test_spline(self, n_knots, T, n_train, n_val, seed):
+        """Each round of the stacked build holds the bits of that round's own
+        basis, B'B, B'y and (mu_g, l_g1), formed one round at a time."""
+        task = make_drifting_spline_task(seed, T, n_knots=n_knots, n_train=n_train, n_val=n_val)
         omega = roughness_penalty(task.knots)
         draw = np.random.default_rng(seed + 1)
-        for inst, (x_tr, y_tr), (x_val, y_val) in zip(
-            spline_stream(task), task.train_batches, task.val_batches
+        stream = spline_stream(task)
+        assert len(stream) == T
+        for inst, x_tr, y_tr, x_val, y_val in zip(
+            stream, task.x_train, task.y_train, task.x_val, task.y_val
         ):
             B_tr = linear_spline_basis(x_tr, task.knots)
             B_val = linear_spline_basis(x_val, task.knots)
-            reference = spline_reference(B_tr.T @ B_tr, B_tr.T @ y_tr, B_val, y_val, omega, task)
+            BtB, Bty = B_tr.T @ B_tr, B_tr.T @ y_tr
+            fields = dict(BtB=BtB, Bty=Bty, B_val=B_val, y_val=y_val, omega=omega,
+                          ridge=1e-8 * np.eye(n_knots))
+            data = inst.inner_opt.__self__
+            assert data._fields == tuple(fields)
+            for name, want in fields.items():
+                assert np.array_equal(getattr(data, name), want), name
+            reference = spline_reference(BtB, Bty, B_val, y_val, omega, task)
             draws = [
                 (np.array([10.0 ** draw.uniform(-4, 1)]), *draw.standard_normal((2, n_knots)))
                 for _ in range(3)
@@ -800,14 +818,14 @@ INPUT_CHECKS = {
     "spline-basis-x-nan": (lambda: linear_spline_basis([NAN], [0.0, 1.0]), ValueError,
                            "x must have finite entries"),
     "spline-task-nan-y": (
-        lambda: SplineTask([0.0, 0.5, 1.0], (([0.1], [NAN]),), (([0.2], [0.3]),), 1e-4, 10.0),
-        ValueError, "round 1 train y must have finite entries"),
+        lambda: SplineTask([0.0, 0.5, 1.0], [[0.1]], [[NAN]], [[0.2]], [[0.3]], 1e-4, 10.0),
+        ValueError, "train y must have finite entries"),
     "spline-task-knots-bool": (
-        lambda: SplineTask([True, 2.0, 3.0], (([0.1], [0.2]),), (([0.3], [0.4]),), 1e-4, 10.0),
+        lambda: SplineTask([True, 2.0, 3.0], [[0.1]], [[0.2]], [[0.3]], [[0.4]], 1e-4, 10.0),
         TypeError, "knots must hold numbers, not bools, got [True, 2.0, 3.0]"),
     "spline-batches": (
-        lambda: dataclasses.replace(_task(), val_batches=_task().val_batches[:-1]),
-        ValueError, "train and validation batch counts differ"),
+        lambda: dataclasses.replace(_task(), x_val=_task().x_val[:-1], y_val=_task().y_val[:-1]),
+        ValueError, "train and validation round counts differ"),
 }
 
 
