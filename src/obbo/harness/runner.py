@@ -108,10 +108,11 @@ def write_trace_csv(
     ]
     header = ",".join(["run_id", "t", *(name for name, _ in columns)])
     # "%.17g" prints what format(x, ".17g") prints, for every float.
-    row = run_id.replace("%", "%%") + ",%d" + ",%.17g" * len(columns)
-    table = np.column_stack([np.arange(1, trace.T + 1), *(values for _, values in columns)])
-    lines = [f"# schema={RESULTS_SCHEMA}", header, *(row % tuple(r) for r in table.tolist())]
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+    row = run_id.replace("%", "%%") + ",%d" + ",%.17g" * len(columns) + "\n"
+    rows = zip(range(1, trace.T + 1), *(values.tolist() for _, values in columns))
+    with open(path, "w", newline="\n") as out:
+        out.write(f"# schema={RESULTS_SCHEMA}\n{header}\n")
+        out.writelines(map(row.__mod__, rows))
 
 
 def _cell_entry(exp: ExperimentSpec, seed: int) -> dict:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import partial
 from typing import TYPE_CHECKING, Callable, ClassVar, Sequence
 
 import numpy as np
@@ -34,6 +33,26 @@ __all__ = [
 
 Vector = np.ndarray
 Scalar = float
+
+
+# ProblemInstant's sampled gradients, read through the class as methods. Each adds
+# noise to the deterministic oracle its instant was built with (``_built``); sigma
+# itself is tested, not the scale, so a subnormal sigma still draws.
+def _sampled_g_beta(inst, lam, beta, s, rng):
+    if inst.sigma_g_beta == 0.0:
+        return inst._built[0](lam, beta)
+    xi = rng.standard_normal(inst.d2) * (inst.sigma_g_beta / math.sqrt(inst.d2 * s))
+    return inst._built[0](lam, beta) + xi
+
+
+def _sampled_f_lambda(inst, lam, beta, rng):
+    g, sigma = inst._built[1](lam, beta), inst.sigma_f
+    return g if sigma == 0.0 else g + rng.standard_normal(inst.d1) * (sigma / math.sqrt(inst.d1))
+
+
+def _sampled_f_beta(inst, lam, beta, rng):
+    g, sigma = inst._built[2](lam, beta), inst.sigma_f
+    return g if sigma == 0.0 else g + rng.standard_normal(inst.d2) * (sigma / math.sqrt(inst.d2))
 
 
 @dataclass
@@ -69,9 +88,10 @@ class ProblemInstant:
     of s (``grad_g_beta_sampled(lam, beta, s, rng)``; the outer gradients take
     no batch, s = 1). A kind whose own sigma is 0.0, the default, returns the
     deterministic values bit for bit and draws nothing, so every stream runs
-    the stochastic solvers. They bind the oracles the instant was built with:
-    reassigning or wrapping a deterministic field later does not reach them.
-    The Hessian-vector products have no sampled form.
+    the stochastic solvers. They are the class's methods, and call the oracles
+    the instant was built with, kept in one tuple by ``__post_init__``: wrapping
+    or reassigning a deterministic field later does not reach them, and wrapping
+    a sampled field wraps it on that instance only. No HVP has a sampled form.
 
     Every shipped stream's oracle fields are the bound methods of its round's
     data (``QuadraticData``, ``MetaData`` or ``SplineData``, via ``instant_of``),
@@ -104,9 +124,9 @@ class ProblemInstant:
     sigma_g_beta: float = 0.0
     sigma_f: float = 0.0
     lambda_box: tuple[float, float] | None = None
-    grad_g_beta_sampled: Callable[..., Vector] = field(init=False, repr=False)
-    grad_f_lambda_sampled: Callable[..., Vector] = field(init=False, repr=False)
-    grad_f_beta_sampled: Callable[..., Vector] = field(init=False, repr=False)
+    grad_g_beta_sampled: Callable = field(default=_sampled_g_beta, init=False, repr=False)
+    grad_f_lambda_sampled: Callable = field(default=_sampled_f_lambda, init=False, repr=False)
+    grad_f_beta_sampled: Callable = field(default=_sampled_f_beta, init=False, repr=False)
     quadratic: QuadraticData | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -122,16 +142,9 @@ class ProblemInstant:
         if self.lambda_box is not None:
             low, high = self.lambda_box
             check_number("lambda_box upper", high, low, open_low=True)
-        d1, d2, sigma_g, sigma_f = self.d1, self.d2, self.sigma_g_beta, self.sigma_f
-        check_number("noise sigma_g_beta", sigma_g)
-        check_number("noise sigma_f", sigma_f)
-        # Partials of module-level functions, not closures: each instant adds
-        # fewer objects for the garbage collector to traverse.
-        self.grad_g_beta_sampled = partial(_noisy_inner, self.grad_g_beta, d2, sigma_g)
-        self.grad_f_lambda_sampled = partial(
-            _noisy_outer, self.grad_f_lambda, d1, sigma_f, sigma_f / math.sqrt(d1))
-        self.grad_f_beta_sampled = partial(
-            _noisy_outer, self.grad_f_beta, d2, sigma_f, sigma_f / math.sqrt(d2))
+        check_number("noise sigma_g_beta", self.sigma_g_beta)
+        check_number("noise sigma_f", self.sigma_f)
+        self._built = (self.grad_g_beta, self.grad_f_lambda, self.grad_f_beta)
 
 
 def instant_of(
@@ -215,21 +228,6 @@ def check_array(what: str, value, shape: tuple) -> np.ndarray:
 def _all_finite(x: np.ndarray) -> bool:
     """``np.isfinite(x).all()`` of a float vector, exact, without numpy's dispatch."""
     return all(map(math.isfinite, x.tolist()))
-
-
-def _noisy_inner(grad, d, sigma, lam, beta, s, rng):
-    # sigma itself is tested, not the scale: a subnormal sigma still draws
-    if sigma == 0.0:
-        return grad(lam, beta)
-    xi = rng.standard_normal(d) * (sigma / math.sqrt(d * s))
-    return grad(lam, beta) + xi
-
-
-def _noisy_outer(grad, d, sigma, scale, lam, beta, rng):
-    # scale is sigma / sqrt(d), bound once per instant; sigma is tested, as above
-    if sigma == 0.0:
-        return grad(lam, beta)
-    return grad(lam, beta) + rng.standard_normal(d) * scale
 
 
 Stream = Sequence[ProblemInstant]

@@ -82,8 +82,8 @@ def linear_spline_basis(x, knots) -> np.ndarray:
     lo, hi = knots[left], knots[left + 1]
     f = 1.0 / (hi - lo)
     basis = np.zeros((xc.size, knots.size))
-    at = np.arange(0, basis.size, knots.size) + left
-    np.put(basis, [at, at + 1], [f * (hi - xc), f * (xc - lo)])
+    rows = np.arange(xc.size)
+    basis[rows, left], basis[rows, left + 1] = f * (hi - xc), f * (xc - lo)
     return basis
 
 

@@ -18,6 +18,11 @@ it must permute the lam path of adaptive OBBO-ITD, whose generator is
 per-coordinate. Only products over lam (A lam and inner GD's closed form)
 sum in another order, so the paths agree to within rtol 1e-12 of the path's
 largest entry, over 120 rounds.
+
+Rotating beta-space by an orthogonal R (A -> R A, Q -> R Q R', b -> R b,
+c -> R c) leaves f and g unchanged as functions of lam and R beta, so the lam
+path of adaptive OBBO-ITD must stay the same. R Q R' and the products with R
+round, so the paths agree to within the same rtol 1e-12, over 120 rounds.
 """
 
 from __future__ import annotations
@@ -125,4 +130,27 @@ def test_permuting_lambda_permutes_the_obbo_itd_path(kernels, d1, d2, seed):
             stream.append(made)
         runs.append(run_obbo(stream, ObboConfig(eta=ETA, w=3, phi=Adaptive())).lambdas)
     want, got = runs[0][:, perm], runs[1]
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("kernels", [True, False], ids=["kernels", "oracles"])
+@settings(derandomize=True, database=None, max_examples=3, deadline=None)
+@given(d1=st.integers(1, 4), d2=st.integers(1, 5), seed=st.integers(0, 2**16))
+@example(d1=3, d2=5, seed=1)
+def test_rotating_beta_keeps_the_obbo_itd_path(kernels, d1, d2, seed):
+    R = np.linalg.qr(np.random.default_rng(seed).standard_normal((d2, d2)))[0]
+    runs = []
+    for rotation in (np.eye(d2), R):
+        stream = []
+        for inst in quadratic_stream(d1, d2, 120, kappa_target=8.0, drift=DriftSpec.decaying(),
+                                     seed=seed):
+            q = inst.quadratic
+            Q = rotation @ q.Q @ rotation.T
+            made = quadratic_instant(inst.t, rotation @ q.A, rotation @ q.b, (Q + Q.T) / 2,
+                                     rotation @ q.c, q.amp, q.phases)
+            if not kernels:
+                made.quadratic = None
+            stream.append(made)
+        runs.append(run_obbo(stream, ObboConfig(eta=ETA, w=3, phi=Adaptive())).lambdas)
+    want, got = runs
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

@@ -1,7 +1,10 @@
 import dataclasses
+import gc
 import math
 import re
+import tracemalloc
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,7 +25,8 @@ from obbo.problems import (
     spline_stream,
 )
 
-from oracles import ORACLE_FIELDS, central_diff_grad, induced_objective
+from oracles import (ORACLE_FIELDS, central_diff_grad, constant_gradient_instant,
+                     induced_objective)
 
 
 def drifting_config(**kwargs) -> dict:
@@ -245,6 +249,66 @@ class TestQuadraticStream:
         }
         with pytest.raises(TypeError):
             ProblemInstant(**fields, grad_g_beta_sampled=inst.grad_g_beta_sampled)
+
+    @pytest.mark.parametrize("noise", [(0.3, 0.2), (0.0, 0.0)], ids=["noisy", "exact"])
+    @pytest.mark.parametrize("built", ["stream", "by-hand"])
+    def test_sampled_gradients_keep_the_oracles_built_with(self, built, noise):
+        # Replacing a deterministic field after the build does not reach its
+        # sampled gradient; wrapping a sampled field, as perfbench's tracer
+        # does, is what calls through that one instant see.
+        if built == "stream":
+            inst, other = quadratic_stream(**drifting_config(noise=noise))[:2]
+        else:
+            inst = dataclasses.replace(constant_gradient_instant(1, [0.5, -1.0]),
+                                       sigma_g_beta=noise[0], sigma_f=noise[1])
+            other = dataclasses.replace(inst, t=2)
+        lam, beta = np.linspace(0.2, -0.4, inst.d1), np.linspace(0.1, 1.0, inst.d2)
+        calls = {
+            "grad_g_beta": lambda i: i.grad_g_beta_sampled(lam, beta, 4, np.random.default_rng(9)),
+            "grad_f_lambda": lambda i: i.grad_f_lambda_sampled(lam, beta, np.random.default_rng(9)),
+            "grad_f_beta": lambda i: i.grad_f_beta_sampled(lam, beta, np.random.default_rng(9)),
+        }
+        assert {f"{name}_sampled" for name in calls} <= {f.name for f in dataclasses.fields(inst)}
+        want = {name: call(inst).tobytes() for name, call in calls.items()}
+        want_other = {name: call(other).tobytes() for name, call in calls.items()}
+        counts = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args) + 1.0
+            return wrapper
+
+        for name, call in calls.items():
+            setattr(inst, name, counted(name, getattr(inst, name)))
+            assert call(inst).tobytes() == want[name]
+            assert counts[name] == 0
+            sampled = f"{name}_sampled"
+            setattr(inst, sampled, counted(sampled, getattr(inst, sampled)))
+            assert call(inst).tobytes() == (np.frombuffer(want[name]) + 1.0).tobytes()
+            assert call(other).tobytes() == want_other[name]
+            assert (counts[name], counts[sampled]) == (0, 1)
+
+    def test_quadratic_stream_allocation(self):
+        # A 600-round d1 4, d2 6 stream allocates about 790 KiB net (tracemalloc,
+        # CPython 3.11, numpy 2.4) now that its instants hold no sampled-oracle
+        # partials or noise scales; with them it allocated about 1,170 KiB.
+        def build(seed):
+            return quadratic_stream(d1=4, d2=6, T=600, kappa_target=100.0,
+                                    drift=DriftSpec.decaying(), seed=seed)
+
+        build(0)  # lazy imports and first-call caches are not the stream's
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            stream = build(1)
+            gc.collect()
+            net = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(stream) == 600
+        assert net < 980 * 1024, f"{net / 1024:.1f} KiB"
 
     def test_stream_constants_match_a_standalone_instant(self):
         # The stream computes Q's spectrum once; each instant must carry what
