@@ -71,9 +71,9 @@ def compute_regret_series(stream: Stream, trace: RunTrace) -> RegretSeries:
 
     It takes each ``stream[t]`` once by index (never iterating the stream) and
     forms the exact hypergradient, ``f_value`` and the norm of ``grad_g_beta``
-    at ``(trace.lambdas[t], trace.betas[t])``: for rows that share one quadratic
-    stream's A, Q, amp and phases in one ``QuadraticData.regret_rows`` pass, for
-    any other rows by calling each instant's fields. The smoothed
+    at ``(trace.lambdas[t], trace.betas[t])``: in one ``regret_rows(lambdas, betas)``
+    pass of a stream that has one (``QuadraticStream``), else by calling each
+    instant's fields, as on a slice or a ``list`` of a stream's instants. The smoothed
     true hypergradient at round t averages exact gradients of the w most
     recent objectives at their historical iterates (zero-padded before the
     start), and each term is the squared generalized projection of that
@@ -85,14 +85,11 @@ def compute_regret_series(stream: Stream, trace: RunTrace) -> RegretSeries:
     if len(stream) < T:
         raise ValueError("stream shorter than trace")
     lambdas, betas = trace.lambdas, trace.betas
-    instants = [stream[t] for t in range(T)]
-    quads = [instant.quadratic for instant in instants]
-    q = quads[0] if T else None
+    instants = [stream[t] for t in range(T)]  # on the kernel path too, so a proxy sees each round
+    kernel = getattr(stream, "regret_rows", None)
     with np.errstate(over="ignore", invalid="ignore"):
-        if q is not None and all(o is not None and o.A is q.A and o.Q is q.Q and o.amp is q.amp
-                                 and o.phases is q.phases for o in quads):
-            b, c = np.array([o.b for o in quads]), np.array([o.c for o in quads])
-            grads, outer_loss, residual_sq = q.regret_rows(lambdas, betas, b, c)
+        if kernel is not None:
+            grads, outer_loss, residual_sq = kernel(lambdas, betas)
         else:
             grads, outer_loss, residual_sq = np.empty(lambdas.shape), np.empty(T), np.empty(T)
             for t, (instant, lam, beta) in enumerate(zip(instants, lambdas, betas)):

@@ -7,8 +7,8 @@ they are the bound methods of one round's data object (``instant_of``).
 The exact-solution oracles (``inner_opt`` and ``exact_hypergradient``) are
 required too, since every regret metric needs them, but only metrics, tests
 and the ``exact`` estimator call them; solvers call the others. Quadratic
-data, the only data that carries kernels, runs inner GD, ITD, the Neumann
-estimator and the regret series' per-round oracles in them instead.
+data, the only data that carries kernels, runs inner GD, ITD and the Neumann
+estimator in them instead, and a quadratic stream forms its regret rows.
 """
 
 from __future__ import annotations
@@ -98,9 +98,9 @@ class ProblemInstant:
     and only quadratic data carries kernels. ``quadratic`` is not a constructor
     argument: the quadratic stream sets it to the instant's ``QuadraticData``
     (the A, b, Q of g_t = (beta - A lam - b)' Q (beta - A lam - b) / 2 and the
-    c, amp, phases of f_t); it is None on every other instant. Inner GD, ITD,
-    the Neumann estimator and the regret series (on a quadratic stream's rows)
-    then run the data's kernels, so wrapping or reassigning such an instant's
+    c, amp, phases of f_t); it is None on every other instant. Inner GD, ITD and
+    the Neumann estimator then run the data's kernels, and the regret series of
+    a ``QuadraticStream`` runs its ``regret_rows``, so wrapping or reassigning an instant's
     ``grad_g_beta``, ``f_value``, ``exact_hypergradient`` or an HVP field does not
     reach them (the kernels are described in ``QuadraticData``). Noisy inner
     SGD, the implicit estimator and the other metrics still call the fields.

@@ -22,14 +22,13 @@ import numpy as np
 
 from .base import DriftSpec, ProblemInstant, check_array, check_count, check_number, instant_of
 
-__all__ = ["QuadraticData", "quadratic_instant", "quadratic_stream"]
+__all__ = ["QuadraticData", "QuadraticStream", "quadratic_instant", "quadratic_stream"]
 
 
 class QuadraticData(NamedTuple):
     """The whole data of one instant's g and f (as in the module docstring).
     Its methods are the instant's oracles, which ``ProblemInstant`` holds as
-    bound methods, and the kernels inner GD, ITD, the Neumann estimator and the
-    regret series (``regret_rows``, a stream's rounds in one pass) run.
+    bound methods, and the kernels inner GD, ITD and the Neumann estimator run.
 
     ``neg_At`` is ``-A.T``, formed once: negation is exact, so products with it
     match ``-(A.T.dot(x))`` bit for bit. Per-round products are ``M.dot(x)``:
@@ -99,18 +98,6 @@ class QuadraticData(NamedTuple):
 
     def exact_hypergradient(self, lam):
         return self.grad_f_lambda(lam, None) + self.A.T.dot(self.inner_opt(lam) - self.c)
-
-    def regret_rows(self, lambdas, betas, b, c) -> tuple:
-        """``exact_hypergradient``, ``f_value`` and ``grad_g_beta``'s row dot at each
-        (lambdas[t], betas[t]) of the data with b[t] and c[t], every oracle's operations
-        in its order, stacked: ``matmul`` with a trailing unit axis and per-row sums."""
-        A_lam = np.matmul(self.A, lambdas[:, :, None])[:, :, 0]
-        grads = -self.amp * np.sin(lambdas + self.phases)
-        grads += np.matmul(self.A.T, ((A_lam + b) - c)[:, :, None])[:, :, 0]
-        cos_sums = np.cos(lambdas + self.phases).sum(axis=1)
-        loss = 0.5 * ((betas - c) ** 2).sum(axis=1) + self.amp * cos_sums
-        r = np.matmul(self.Q, ((betas - A_lam) - b)[:, :, None])
-        return grads, loss, np.matmul(r.transpose(0, 2, 1), r)[:, 0, 0]
 
     def inner_gd_final(self, lam, beta0, eta: float, K: int) -> tuple:
         """``(omega_K, x)`` of K inner GD steps from beta0, x = [beta0; lam; b] in
@@ -192,6 +179,31 @@ class QuadraticData(NamedTuple):
         return levels
 
 
+class QuadraticStream(list):
+    """The instants of one ``quadratic_stream``, its drift ``path`` of (b, c) pairs
+    and each round's row of it, ``rows``: instant t's b and c are views of
+    ``path[rows[t]]`` and all share one A, Q, amp and phases, so ``regret_rows``
+    forms a run's rows from these. A slice or ``list`` of it is a plain list."""
+
+    def __init__(self, instants, path: np.ndarray, rows: np.ndarray):
+        super().__init__(instants)
+        self.path, self.rows = path, rows
+
+    def regret_rows(self, lambdas, betas) -> tuple:
+        """``exact_hypergradient``, ``f_value`` and ``grad_g_beta``'s row dot at each
+        (lambdas[t], betas[t]) of round t + 1, every oracle's operations in its order,
+        stacked: ``matmul`` with a trailing unit axis and per-row sums."""
+        q = self[0].quadratic
+        b, c = self.path[self.rows[: len(lambdas)]].transpose(1, 0, 2)
+        A_lam = np.matmul(q.A, lambdas[:, :, None])[:, :, 0]
+        grads = -q.amp * np.sin(lambdas + q.phases)
+        grads += np.matmul(q.A.T, ((A_lam + b) - c)[:, :, None])[:, :, 0]
+        cos_sums = np.cos(lambdas + q.phases).sum(axis=1)
+        loss = 0.5 * ((betas - c) ** 2).sum(axis=1) + q.amp * cos_sums
+        r = np.matmul(q.Q, ((betas - A_lam) - b)[:, :, None])
+        return grads, loss, np.matmul(r.transpose(0, 2, 1), r)[:, 0, 0]
+
+
 def quadratic_instant(
     t: int,
     A,
@@ -255,8 +267,8 @@ def quadratic_stream(
     noise: tuple[float, float] = (0.0, 0.0),
     seed: int = 0,
     cos_amplitude: float = 0.5,
-) -> list[ProblemInstant]:
-    """Generate the T quadratic instants in dimensions (d1, d2).
+) -> QuadraticStream:
+    """Generate the T quadratic instants in dimensions (d1, d2), as a ``QuadraticStream``.
 
     The inner Hessian Q has spectrum geomspace(1, kappa_target, d2). The
     coupling A = V diag(s) uses orthonormal columns V and singular values
@@ -308,9 +320,10 @@ def quadratic_stream(
     uv /= np.sqrt(np.matmul(uv[..., None, :], uv[..., :, None])[..., 0])
     uv *= steps[moving, None, None]
     path = np.add.accumulate(np.concatenate(([[b, c]], uv)))
+    rows = np.concatenate(([0], np.cumsum(moving)))
     instants: list[ProblemInstant] = []
-    for t, j in enumerate(np.concatenate(([0], np.cumsum(moving))).tolist(), 1):
+    for t, j in enumerate(rows.tolist(), 1):
         b, c = path[j]
         data = QuadraticData(A, b, Q, neg_At, cache, c, cos_amplitude, phases)
         instants.append(_build_instant(t, data, noise, mu_g, l_g1))
-    return instants
+    return QuadraticStream(instants, path, rows)

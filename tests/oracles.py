@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from obbo.problems import ProblemInstant
-from obbo.problems.quadratic import QuadraticData
+from obbo.problems.quadratic import QuadraticStream
 
 # The oracle fields of an instant that a stream fills from its round's data.
 ORACLE_FIELDS = (
@@ -119,12 +119,12 @@ def induced_objective(instant):
 
 
 def count_kernel_rows(monkeypatch) -> list:
-    """The rows of each ``QuadraticData.regret_rows`` call, appended as the calls come."""
-    rows, kernel = [], QuadraticData.regret_rows
+    """The rows of each ``QuadraticStream.regret_rows`` call, appended as the calls come."""
+    rows, kernel = [], QuadraticStream.regret_rows
 
-    def counted(data, lambdas, *rest):
+    def counted(stream, lambdas, betas):
         rows.append(len(lambdas))
-        return kernel(data, lambdas, *rest)
+        return kernel(stream, lambdas, betas)
 
-    monkeypatch.setattr(QuadraticData, "regret_rows", counted)
+    monkeypatch.setattr(QuadraticStream, "regret_rows", counted)
     return rows

@@ -1178,7 +1178,7 @@ class TestCsvBytes:
 class TestExactOracleCalls:
     """Each cell evaluates each round's exact hypergradient once and each grid
     point's inner optimum once per round. On a quadratic stream the metrics
-    form every round's hypergradient in one ``QuadraticData.regret_rows`` call
+    form every round's hypergradient in one ``QuadraticStream.regret_rows`` call
     and call no field; on any other stream they call the field once per round.
     A second evaluation of any row, on either path, fails the count."""
 

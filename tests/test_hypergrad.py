@@ -612,19 +612,12 @@ def same_bits(got, want) -> bool:
     return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
-def unshared(stream):
-    """Copies of a stream's instants without their quadratic data: the per-row path."""
-    copies = [copy.copy(inst) for inst in stream]
-    for inst in copies:
-        inst.quadratic = None
-    return copies
-
-
 class TestRegretKernel:
-    """``QuadraticData.regret_rows`` forms every round's exact hypergradient,
+    """``QuadraticStream.regret_rows`` forms every round's exact hypergradient,
     ``f_value`` and squared ``grad_g_beta`` norm in one stacked pass with the
     bits of the per-row oracle calls, signed zeros included; the metrics take
-    it only for rows that share one quadratic stream's A, Q, amp and phases."""
+    it only on the stream object, and a slice or ``list`` of its instants, or
+    any other sequence, takes the per-row path."""
 
     DRIFTS = {"static": DriftSpec(), "decaying": DriftSpec("decaying"),
               "sublinear": DriftSpec("sublinear")}
@@ -640,9 +633,7 @@ class TestRegretKernel:
         lambdas = rng.standard_normal((T, d1)) * 10.0 ** rng.integers(-3, 4, (T, 1))
         betas = rng.standard_normal((T, d2))
         lambdas[0], betas[0] = -0.0, 0.0  # signed zeros through sin, cos and the products
-        rows = [inst.quadratic for inst in stream]
-        got = rows[0].regret_rows(lambdas, betas, np.array([q.b for q in rows]),
-                                  np.array([q.c for q in rows]))
+        got = stream.regret_rows(lambdas, betas)
         want = [[], [], []]
         for inst, lam, beta in zip(stream, lambdas, betas):
             r = inst.grad_g_beta(lam, beta)
@@ -673,10 +664,27 @@ class TestRegretKernel:
         kernel_rows = count_kernel_rows(monkeypatch)
         fast = compute_regret_series(stream, trace)
         assert kernel_rows == [trace.T]
-        slow = compute_regret_series(unshared(stream), trace)
+        slow = compute_regret_series(list(stream), trace)
         assert kernel_rows == [trace.T]
         for field in dataclasses.fields(RegretSeries):
             assert same_bits(getattr(fast, field.name), getattr(slow, field.name)), field.name
+
+    def test_slices_and_lists_of_a_stream_take_the_per_row_path(self, monkeypatch):
+        # A T-round trace against a stream of T + 7 rounds: its kernel reads the
+        # first T rows, with the bits of the T-round stream's kernel, while a
+        # slice or a list of its instants, a plain list, takes the per-row path.
+        T, config = 20, ObboConfig(alpha=0.05, eta=0.1, K=3, w=3, phi=Adaptive())
+        short, long = (quadratic_stream(3, 4, n, drift=DriftSpec("sublinear"), seed=4,
+                                        cos_amplitude=0.5) for n in (T, T + 7))
+        trace = run_obbo(short, config)
+        kernel_rows = count_kernel_rows(monkeypatch)
+        want = compute_regret_series(short, trace)
+        for stream, calls in ((long, [T]), (long[:T], []), (long[:T + 3], []), (list(long), [])):
+            kernel_rows.clear()
+            got = compute_regret_series(stream, trace)
+            assert kernel_rows == calls
+            for field in dataclasses.fields(RegretSeries):
+                assert same_bits(getattr(got, field.name), getattr(want, field.name)), field.name
 
     def test_hand_built_instants_take_the_per_row_path(self, monkeypatch):
         rng = np.random.default_rng(7)
@@ -699,7 +707,7 @@ class TestRegretKernel:
         betas[4] = 1e200  # (beta - c)^2 overflows at t = 5
         trace = dataclasses.replace(trace, betas=betas)
         with pytest.raises(DivergenceError) as info:
-            compute_regret_series(stream if path == "kernel" else unshared(stream), trace)
+            compute_regret_series(stream if path == "kernel" else list(stream), trace)
         assert str(info.value) == "outer_loss became non-finite at t=5; aborting run"
 
 

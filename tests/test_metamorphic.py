@@ -17,7 +17,8 @@ permutes every oracle's lam-side output and leaves its beta-side output, so
 it must permute the lam path of adaptive OBBO-ITD, whose generator is
 per-coordinate. Only products over lam (A lam and inner GD's closed form)
 sum in another order, so the paths agree to within rtol 1e-12 of the path's
-largest entry, over 120 rounds.
+largest entry, over 120 rounds. The same holds in an axis box whose bounds
+differ per coordinate and bind, with the box's bounds permuted too.
 
 Rotating beta-space by an orthogonal R (A -> R A, Q -> R Q R', b -> R b,
 c -> R c) leaves f and g unchanged as functions of lam and R beta, so the lam
@@ -115,6 +116,26 @@ def test_spline_y_times_2_with_alpha_over_4_keeps_every_bit(estimator, seed, n_k
 @given(d1=st.integers(2, 4), d2=st.integers(1, 5), seed=st.integers(0, 2**16))
 @example(d1=3, d2=5, seed=1)
 def test_permuting_lambda_permutes_the_obbo_itd_path(kernels, d1, d2, seed):
+    want, got = permuted_paths(kernels, d1, d2, seed)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("kernels", [True, False], ids=["kernels", "oracles"])
+@settings(derandomize=True, database=None, max_examples=3, deadline=None)
+@given(d1=st.integers(2, 4), d2=st.integers(1, 5), seed=st.integers(0, 2**16))
+@example(d1=3, d2=5, seed=1)
+def test_permuting_lambda_and_its_box_permutes_the_obbo_itd_path(kernels, d1, d2, seed):
+    # Bounds that differ per coordinate and that the path reaches, so a box
+    # handled out of coordinate order moves the permuted run's path.
+    k = np.arange(d1)
+    box = (-0.1 - 0.15 * k, 0.05 + 0.2 * k[::-1])
+    want, got = permuted_paths(kernels, d1, d2, seed, box)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def permuted_paths(kernels, d1, d2, seed, box=None):
+    """The adaptive OBBO-ITD lam path of a stream, permuted by ``perm``, and the
+    path of that stream with lam's coordinates (and the box's bounds) permuted."""
     perm = np.random.default_rng(seed).permutation(d1)
     if np.array_equal(perm, np.arange(d1)):
         perm = perm[::-1]
@@ -128,9 +149,9 @@ def test_permuting_lambda_permutes_the_obbo_itd_path(kernels, d1, d2, seed):
             if not kernels:
                 made.quadratic = None
             stream.append(made)
-        runs.append(run_obbo(stream, ObboConfig(eta=ETA, w=3, phi=Adaptive())).lambdas)
-    want, got = runs[0][:, perm], runs[1]
-    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        X = FeasibleSet.full_space() if box is None else FeasibleSet.box(*(x[order] for x in box))
+        runs.append(run_obbo(stream, ObboConfig(eta=ETA, w=3, phi=Adaptive(), feasible=X)).lambdas)
+    return runs[0][:, perm], runs[1]
 
 
 @pytest.mark.parametrize("kernels", [True, False], ids=["kernels", "oracles"])

@@ -529,7 +529,8 @@ def test_solver_makes_no_f_value_call(kind, make_stream, monkeypatch):
 
 class IndexCounter(collections.abc.Sequence):
     """Stream proxy that counts each ``stream[t]`` by index and each iteration,
-    as perfbench's ``RoundClock`` sees them."""
+    as perfbench's ``RoundClock`` sees them, and forwards attribute reads to
+    the stream, as ``RoundClock`` does."""
 
     def __init__(self, stream):
         self._stream, self.indexed, self.iterations = stream, Counter(), 0
@@ -541,6 +542,9 @@ class IndexCounter(collections.abc.Sequence):
         self.indexed[index] += 1
         return self._stream[index]
 
+    def __getattr__(self, name):
+        return getattr(self._stream, name)
+
     def __iter__(self):
         self.iterations += 1
         return iter(self._stream)
@@ -551,7 +555,8 @@ class TestMetricsHookedNames:
     its traced run counts the calls of ``obbo.metrics.generalized_projection``.
     It expects ``compute_regret_series`` to take each ``stream[t]`` once by index,
     never to iterate the stream, and to resolve that name T times, on either
-    path of the metrics."""
+    path of the metrics: through the proxy a quadratic stream still runs its
+    kernel once over T rows."""
 
     @pytest.mark.parametrize("make_stream", [
         lambda: static_stream(T=9, d1=3, d2=4, amp=0.3, seed=5),
@@ -568,11 +573,13 @@ class TestMetricsHookedNames:
             return project(*args)
 
         monkeypatch.setattr(metrics, "generalized_projection", counted)
+        kernel_rows = count_kernel_rows(monkeypatch)
         proxy = IndexCounter(stream)
         compute_regret_series(proxy, trace)
         T = trace.T
         assert proxy.indexed == Counter(range(T)) and proxy.iterations == 0
         assert projections["generalized_projection"] == T
+        assert kernel_rows == ([] if stream[0].quadratic is None else [T])
 
 
 # Each solver's calls through the names of obbo.optimizers per round, as

@@ -310,6 +310,18 @@ class TestQuadraticStream:
         assert len(stream) == 600
         assert net < 980 * 1024, f"{net / 1024:.1f} KiB"
 
+    @pytest.mark.parametrize("drift", ["static", "decaying", "sublinear"])
+    def test_instants_hold_views_of_the_drift_path(self, drift):
+        # The stream keeps each round's b and c once, as its path's rows.
+        stream = quadratic_stream(**drifting_config(drift=DriftSpec(drift)))
+        path, rows = stream.path, stream.rows
+        assert len(rows) == len(stream)
+        for t, inst in enumerate(stream):
+            q = inst.quadratic
+            for got, want in ((q.b, path[rows[t], 0]), (q.c, path[rows[t], 1])):
+                assert np.shares_memory(got, path)
+                assert got.tobytes() == want.tobytes()
+
     def test_stream_constants_match_a_standalone_instant(self):
         # The stream computes Q's spectrum once; each instant must carry what
         # quadratic_instant computes from that instant's own data.
