@@ -3,7 +3,7 @@
 A stream is a sequence of per-round oracle bundles: the outer objective f_t,
 the first derivatives of f_t and of the strongly convex inner objective g_t,
 its Hessian-vector products and its inner Hessian. On every shipped stream
-they are the bound methods of one round's data object (``instant_of``).
+they are the methods of one round's data object (``DataInstant``).
 The exact-solution oracles (``inner_opt`` and ``exact_hypergradient``) are
 required too, since every regret metric needs them, but only metrics, tests
 and the ``exact`` estimator call them; solvers call the others. Quadratic
@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, ClassVar, Sequence
+from typing import TYPE_CHECKING, Any, Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -25,10 +26,10 @@ if TYPE_CHECKING:
 
 __all__ = [
     "ProblemInstant",
+    "DataInstant",
     "DriftSpec",
     "Stream",
     "outer_grad_lipschitz",
-    "instant_of",
 ]
 
 Vector = np.ndarray
@@ -40,19 +41,23 @@ Scalar = float
 # itself is tested, not the scale, so a subnormal sigma still draws.
 def _sampled_g_beta(inst, lam, beta, s, rng):
     if inst.sigma_g_beta == 0.0:
-        return inst._built[0](lam, beta)
+        return inst._built.grad_g_beta(lam, beta)
     xi = rng.standard_normal(inst.d2) * (inst.sigma_g_beta / math.sqrt(inst.d2 * s))
-    return inst._built[0](lam, beta) + xi
+    return inst._built.grad_g_beta(lam, beta) + xi
 
 
 def _sampled_f_lambda(inst, lam, beta, rng):
-    g, sigma = inst._built[1](lam, beta), inst.sigma_f
+    g, sigma = inst._built.grad_f_lambda(lam, beta), inst.sigma_f
     return g if sigma == 0.0 else g + rng.standard_normal(inst.d1) * (sigma / math.sqrt(inst.d1))
 
 
 def _sampled_f_beta(inst, lam, beta, rng):
-    g, sigma = inst._built[2](lam, beta), inst.sigma_f
+    g, sigma = inst._built.grad_f_beta(lam, beta), inst.sigma_f
     return g if sigma == 0.0 else g + rng.standard_normal(inst.d2) * (sigma / math.sqrt(inst.d2))
+
+
+# The three deterministic gradients a hand-built instant was given, for its sampled ones.
+_Built = namedtuple("_Built", "grad_g_beta grad_f_lambda grad_f_beta")
 
 
 @dataclass
@@ -89,21 +94,20 @@ class ProblemInstant:
     no batch, s = 1). A kind whose own sigma is 0.0, the default, returns the
     deterministic values bit for bit and draws nothing, so every stream runs
     the stochastic solvers. They are the class's methods, and call the oracles
-    the instant was built with, kept in one tuple by ``__post_init__``: wrapping
-    or reassigning a deterministic field later does not reach them, and wrapping
-    a sampled field wraps it on that instance only. No HVP has a sampled form.
+    the instant was built with, kept by ``__post_init__`` as ``_built`` (the data
+    of a ``DataInstant``): wrapping or reassigning a deterministic field later
+    does not reach them, and wrapping a sampled field wraps it on that instance.
+    No HVP has a sampled form.
 
-    Every shipped stream's oracle fields are the bound methods of its round's
-    data (``QuadraticData``, ``MetaData`` or ``SplineData``, via ``instant_of``),
-    and only quadratic data carries kernels. ``quadratic`` is not a constructor
-    argument: the quadratic stream sets it to the instant's ``QuadraticData``
-    (the A, b, Q of g_t = (beta - A lam - b)' Q (beta - A lam - b) / 2 and the
-    c, amp, phases of f_t); it is None on every other instant. Inner GD, ITD and
-    the Neumann estimator then run the data's kernels, and the regret series of
-    a ``QuadraticStream`` runs its ``regret_rows``, so wrapping or reassigning an instant's
-    ``grad_g_beta``, ``f_value``, ``exact_hypergradient`` or an HVP field does not
-    reach them (the kernels are described in ``QuadraticData``). Noisy inner
-    SGD, the implicit estimator and the other metrics still call the fields.
+    This class is the hand-built bundle; every shipped stream's instants are
+    ``DataInstant``s. ``quadratic`` is not a constructor argument: the quadratic
+    stream sets it to the instant's ``QuadraticData`` (the A, b, Q of
+    g_t = (beta - A lam - b)' Q (beta - A lam - b) / 2 and the c, amp, phases of
+    f_t), whose kernels inner GD, ITD and the Neumann estimator then run, as the
+    regret series of a ``QuadraticStream`` runs its ``regret_rows``; it is None on
+    every other instant. So wrapping or reassigning an instant's ``grad_g_beta``,
+    ``f_value``, ``exact_hypergradient`` or an HVP field does not reach them.
+    Noisy inner SGD, the implicit estimator and the other metrics call the fields.
     """
 
     t: int
@@ -144,36 +148,41 @@ class ProblemInstant:
             check_number("lambda_box upper", high, low, open_low=True)
         check_number("noise sigma_g_beta", self.sigma_g_beta)
         check_number("noise sigma_f", self.sigma_f)
-        self._built = (self.grad_g_beta, self.grad_f_lambda, self.grad_f_beta)
+        self._built = self._built_with()
+
+    def _built_with(self):
+        return _Built(self.grad_g_beta, self.grad_f_lambda, self.grad_f_beta)
 
 
-def instant_of(
-    data, t: int, d1: int, d2: int, mu_g: float, l_g1: float, l_f1=None, noise=(0.0, 0.0),
-    lambda_box=None,
-) -> ProblemInstant:
-    """One round's instant, whose 9 oracle fields are the same-named bound methods
-    of its ``data``; ``noise`` sets its sampled gradients' scales. The methods are
-    named one by one: a ``getattr`` loop made each build about a fifth slower."""
-    return ProblemInstant(
-        t=t,
-        d1=d1,
-        d2=d2,
-        f_value=data.f_value,
-        grad_f_lambda=data.grad_f_lambda,
-        grad_f_beta=data.grad_f_beta,
-        grad_g_beta=data.grad_g_beta,
-        hvp_g_lambdabeta=data.hvp_g_lambdabeta,
-        hvp_g_betabeta=data.hvp_g_betabeta,
-        hess_g_betabeta=data.hess_g_betabeta,
-        mu_g=mu_g,
-        l_g1=l_g1,
-        inner_opt=data.inner_opt,
-        exact_hypergradient=data.exact_hypergradient,
-        l_f1=l_f1,
-        sigma_g_beta=noise[0],
-        sigma_f=noise[1],
-        lambda_box=lambda_box,
-    )
+class _DataOracle:
+    """A ``DataInstant`` oracle field's class-level default: the same-named method of
+    the instant's ``data``. With no ``__set__``, an instance attribute shadows it."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instant, owner=None):
+        return self if instant is None else getattr(instant.data, self.name)
+
+
+@dataclass
+class DataInstant(ProblemInstant):
+    """An instant whose 9 oracle fields read, on each access, the same-named methods
+    of its round's ``data``, a keyword field: it stores no callable."""
+
+    f_value: Callable = field(default=_DataOracle(), init=False)
+    grad_f_lambda: Callable = field(default=_DataOracle(), init=False)
+    grad_f_beta: Callable = field(default=_DataOracle(), init=False)
+    grad_g_beta: Callable = field(default=_DataOracle(), init=False)
+    hvp_g_lambdabeta: Callable = field(default=_DataOracle(), init=False)
+    hvp_g_betabeta: Callable = field(default=_DataOracle(), init=False)
+    hess_g_betabeta: Callable = field(default=_DataOracle(), init=False)
+    inner_opt: Callable = field(default=_DataOracle(), init=False)
+    exact_hypergradient: Callable = field(default=_DataOracle(), init=False)
+    data: Any = field(kw_only=True, repr=False, compare=False)
+
+    def _built_with(self):
+        return self.data
 
 
 # numpy's names looked up once

@@ -20,15 +20,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .base import DriftSpec, ProblemInstant, check_array, check_count, check_number, instant_of
+from .base import DataInstant, DriftSpec, ProblemInstant, check_array, check_count, check_number
 
 __all__ = ["QuadraticData", "QuadraticStream", "quadratic_instant", "quadratic_stream"]
 
 
 class QuadraticData(NamedTuple):
     """The whole data of one instant's g and f (as in the module docstring).
-    Its methods are the instant's oracles, which ``ProblemInstant`` holds as
-    bound methods, and the kernels inner GD, ITD and the Neumann estimator run.
+    Its methods are the instant's oracles, which a ``DataInstant`` reads from it,
+    and the kernels inner GD, ITD and the Neumann estimator run.
 
     ``neg_At`` is ``-A.T``, formed once: negation is exact, so products with it
     match ``-(A.T.dot(x))`` bit for bit. Per-round products are ``M.dot(x)``:
@@ -248,7 +248,8 @@ def _build_instant(
     """The instant of validated data and the spectrum bounds of its Q; ``data``
     is also its ``quadratic`` field, so solvers run the data's kernels."""
     d2, d1 = data.A.shape
-    instant = instant_of(data, t, d1, d2, mu_g, l_g1, max(1.0, data.amp), noise)
+    instant = DataInstant(t, d1, d2, mu_g, l_g1, max(1.0, data.amp), noise[0], noise[1],
+                          data=data)
     instant.quadratic = data
     return instant
 

@@ -24,6 +24,13 @@ Rotating beta-space by an orthogonal R (A -> R A, Q -> R Q R', b -> R b,
 c -> R c) leaves f and g unchanged as functions of lam and R beta, so the lam
 path of adaptive OBBO-ITD must stay the same. R Q R' and the products with R
 round, so the paths agree to within the same rtol 1e-12, over 120 rounds.
+
+Permuting the feature coordinates of every meta task by one permutation P (the
+columns of X_tr and X_val, the rows and columns of G and H, the entries of
+X'y) maps beta to beta' = P'beta with X' beta' = X beta and
+||lam' - beta'|| = ||lam - beta||, and leaves mu_g, l_g1 and l_f1 as they are,
+so it must permute the lam path of adaptive OBBO-ITD within the same rtol
+1e-12, over 120 rounds.
 """
 
 from __future__ import annotations
@@ -39,8 +46,9 @@ from obbo.geometry import FeasibleSet
 from obbo.metrics import compute_regret_series
 from obbo.optimizers import (Adaptive, ObboConfig, OagdConfig, SobboConfig, run_oagd, run_obbo,
                              run_sobbo)
-from obbo.problems import (DriftSpec, make_drifting_spline_task, quadratic_instant,
-                           quadratic_stream, spline_stream)
+from obbo.problems import (DriftSpec, make_drifting_spline_task, meta_toy_stream,
+                           quadratic_instant, quadratic_stream, spline_stream)
+from obbo.problems.base import DataInstant
 
 T, ETA, NOISY = 60, 0.02, (0.3, 0.2)
 # (run, noise): only SOBBO samples, so the others run on the noisy instants alone.
@@ -174,4 +182,25 @@ def test_rotating_beta_keeps_the_obbo_itd_path(kernels, d1, d2, seed):
             stream.append(made)
         runs.append(run_obbo(stream, ObboConfig(eta=ETA, w=3, phi=Adaptive())).lambdas)
     want, got = runs
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@settings(derandomize=True, database=None, max_examples=3, deadline=None)
+@given(d=st.integers(2, 5), seed=st.integers(0, 2**16))
+@example(d=4, seed=1)
+def test_permuting_meta_features_permutes_the_obbo_itd_path(d, seed):
+    perm = np.random.default_rng(seed).permutation(d)
+    if np.array_equal(perm, np.arange(d)):
+        perm = perm[::-1]
+    stream = meta_toy_stream(d, 120, seed=seed, drift=DriftSpec.decaying())
+    cross = np.ix_(perm, perm)
+    permuted = [
+        DataInstant(i.t, d, d, i.mu_g, i.l_g1, i.l_f1, data=i.data._replace(
+            X_tr=i.data.X_tr[:, perm], X_val=i.data.X_val[:, perm], G=i.data.G[cross],
+            Xty=i.data.Xty[perm], H=i.data.H[cross]))
+        for i in stream
+    ]
+    config = ObboConfig(alpha=0.05, w=3, phi=Adaptive())
+    want = run_obbo(stream, config).lambdas[:, perm]
+    got = run_obbo(permuted, config).lambdas
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

@@ -624,6 +624,41 @@ class TestHookedNames:
         )
 
 
+def count_every_oracle(stream) -> Counter:
+    """Wrap every callable dataclass field of every instant of ``stream`` with a
+    counter, as perfbench's traced run does; calls are counted by field name."""
+    calls = Counter()
+    for inst in stream:
+        for f in dataclasses.fields(inst):
+            fn = getattr(inst, f.name)
+            if callable(fn):
+                def counted(*args, _fn=fn, _name=f.name, **kwargs):
+                    calls[_name] += 1
+                    return _fn(*args, **kwargs)
+
+                setattr(inst, f.name, counted)
+    return calls
+
+
+def test_oracle_calls_per_round_by_kind():
+    # The per-round counts perfbench's traced run reports, on shortened cells of
+    # its two workloads: OBBO-ITD runs inner GD and ITD on the quadratic kernels,
+    # SOBBO the noisy inner SGD's K sampled gradients and the Neumann kernel.
+    T, K = 12, 5
+    stream = quadratic_stream(4, 6, T, 100.0, drift=DriftSpec.decaying(), cos_amplitude=0.5)
+    calls = count_every_oracle(stream)
+    run_obbo(stream, ObboConfig(alpha=0.02, K=12, w=10, phi=Adaptive(), clip_threshold=1000.0))
+    assert dict(calls) == {"grad_f_beta": T, "grad_f_lambda": T}
+    stream = quadratic_stream(3, 6, T, 8.0, drift=DriftSpec.decaying(), noise=(0.3, 0.2),
+                              cos_amplitude=0.5)
+    calls = count_every_oracle(stream)
+    run_sobbo(stream, SobboConfig(alpha=0.05, eta=0.05, K=K, w=4, clip_threshold=1000.0),
+              np.random.default_rng(3))
+    assert dict(calls) == {
+        "grad_g_beta_sampled": K * T, "grad_f_beta_sampled": T, "grad_f_lambda_sampled": T,
+    }
+
+
 # Each input check of the configs and runs: a call, the exception it raises
 # and that exception's message.
 INPUT_CHECKS = {

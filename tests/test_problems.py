@@ -290,9 +290,10 @@ class TestQuadraticStream:
             assert (counts[name], counts[sampled]) == (0, 1)
 
     def test_quadratic_stream_allocation(self):
-        # A 600-round d1 4, d2 6 stream allocates about 790 KiB net (tracemalloc,
-        # CPython 3.11, numpy 2.4) now that its instants hold no sampled-oracle
-        # partials or noise scales; with them it allocated about 1,170 KiB.
+        # A 600-round d1 4, d2 6 stream allocates about 380 KiB net (tracemalloc,
+        # CPython 3.11, numpy 2.4) now that its instants read their oracles off
+        # their data; holding nine bound methods of it each, they took about
+        # 800 KiB, and with sampled-oracle partials too about 1,170 KiB.
         def build(seed):
             return quadratic_stream(d1=4, d2=6, T=600, kappa_target=100.0,
                                     drift=DriftSpec.decaying(), seed=seed)
@@ -308,7 +309,37 @@ class TestQuadraticStream:
         finally:
             tracemalloc.stop()
         assert len(stream) == 600
-        assert net < 980 * 1024, f"{net / 1024:.1f} KiB"
+        assert net < 590 * 1024, f"{net / 1024:.1f} KiB"
+
+    def test_quadratic_instants_add_two_gc_objects_each(self):
+        # Each round adds its instant and its QuadraticData, plus a few objects
+        # for the stream; nine bound methods and a tuple per instant made it 12.
+        def build(seed):
+            return quadratic_stream(d1=4, d2=6, T=600, kappa_target=100.0,
+                                    drift=DriftSpec.decaying(), seed=seed)
+
+        build(0)
+        gc.collect()
+        before = len(gc.get_objects())
+        stream = build(1)
+        gc.collect()
+        added = len(gc.get_objects()) - before
+        assert added <= 2 * len(stream) + 8, f"{added / len(stream):.2f} per round"
+
+    @pytest.mark.parametrize("kind", ["quadratic", "meta", "spline"])
+    def test_instants_store_no_callable(self, kind):
+        # A shipped stream's instants read each oracle off their round's data and
+        # store none, while dataclasses.fields still lists all nine for wrapping.
+        stream = {
+            "quadratic": lambda: quadratic_stream(**drifting_config()),
+            "meta": lambda: meta_toy_stream(d=3, T=5, seed=2, drift=DriftSpec.decaying()),
+            "spline": lambda: spline_stream(make_drifting_spline_task(seed=0, T=5)),
+        }[kind]()
+        for inst in stream:
+            assert [k for k, v in vars(inst).items() if callable(v)] == []
+            assert set(ORACLE_FIELDS) <= {f.name for f in dataclasses.fields(inst)}
+            for name in ORACLE_FIELDS:
+                assert getattr(inst, name) == getattr(inst.data, name)
 
     @pytest.mark.parametrize("drift", ["static", "decaying", "sublinear"])
     def test_instants_hold_views_of_the_drift_path(self, drift):
@@ -778,9 +809,10 @@ def _task():
 
 
 def _instant_without(name):
-    """A ``ProblemInstant`` built from ``_instant()``'s fields except ``name``."""
+    """A ``ProblemInstant`` given every init field but ``name``, read off ``_instant()``."""
     inst = _instant()
-    return ProblemInstant(**{f.name: getattr(inst, f.name) for f in dataclasses.fields(inst)
+    return ProblemInstant(**{f.name: getattr(inst, f.name)
+                             for f in dataclasses.fields(ProblemInstant)
                              if f.init and f.name != name})
 
 
