@@ -2,8 +2,8 @@
 
 Library layout:
 
-- ``geometry``: distance generators, regularizers, feasible sets, prox and
-  generalized projection.
+- ``geometry``: regularizers, feasible sets, and the prox and generalized
+  projection under a diagonal distance generator.
 - ``problems``: time-indexed oracle streams (synthetic quadratic, smoothing
   spline, toy meta-learning).
 - ``hypergrad``: inner solvers, hypergradient estimators, window buffer.
@@ -14,7 +14,6 @@ Library layout:
 """
 
 from .geometry import (
-    DistanceGenerator,
     FeasibleSet,
     Regularizer,
     generalized_projection,

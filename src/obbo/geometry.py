@@ -1,9 +1,10 @@
-"""Bregman geometry for the outer step: distance generators, composite
-regularizers, feasible sets, the proximal map, and the generalized projection.
+"""Bregman geometry for the outer step: composite regularizers, feasible
+sets, the proximal map, and the generalized projection.
 
-All prox problems handled here are coordinate-separable (Euclidean or
-diagonal-quadratic generator, zero or L1 regularizer, full-space or box
-constraint), so every operation has a closed form.
+The prox maps take the distance generator phi(x) = x' diag(h) x / 2 as its
+positive diagonal h (``np.ones(d)`` is the Euclidean phi; min(h) is phi's
+modulus). With a zero or L1 regularizer and a full-space or box constraint
+every prox problem is coordinate-separable, so each has a closed form.
 """
 
 from __future__ import annotations
@@ -14,49 +15,7 @@ import numpy as np
 
 from .problems.base import _all_finite, check_array, check_number
 
-__all__ = [
-    "DistanceGenerator",
-    "Regularizer",
-    "FeasibleSet",
-    "prox_step",
-    "generalized_projection",
-]
-
-
-@dataclass(frozen=True)
-class DistanceGenerator:
-    """Strongly convex generator of a Bregman divergence, held as its diagonal.
-
-    ``diag`` None is the Euclidean phi(x) = ||x||^2 / 2 with modulus 1; a
-    positive vector h is phi(x) = x' diag(h) x / 2, whose strong-convexity
-    modulus ``rho`` is min(h).
-    """
-
-    diag: np.ndarray | None = None
-
-    @staticmethod
-    def euclidean() -> "DistanceGenerator":
-        return DistanceGenerator()
-
-    @staticmethod
-    def diagonal(diag) -> "DistanceGenerator":
-        diag = check_array("diag", diag, (None,))
-        if np.any(diag <= 0):
-            raise ValueError("diag entries must be strictly positive")
-        return DistanceGenerator(diag)
-
-    @property
-    def rho(self) -> float:
-        """Strong-convexity modulus: 1, or min(h) for a diagonal generator."""
-        return 1.0 if self.diag is None else float(self.diag.min())
-
-    def scaling(self, d: int) -> np.ndarray | float:
-        """Coordinate scaling h with phi(x) = sum_i h_i x_i^2 / 2."""
-        if self.diag is None:
-            return 1.0
-        if self.diag.size != d:
-            raise ValueError(f"generator has dimension {self.diag.size}, expected {d}")
-        return self.diag
+__all__ = ["Regularizer", "FeasibleSet", "prox_step", "generalized_projection"]
 
 
 @dataclass(frozen=True)
@@ -68,20 +27,21 @@ class Regularizer:
 
     @staticmethod
     def zero() -> "Regularizer":
-        return Regularizer(kind="zero", weight=0.0)
+        return Regularizer("zero")
 
     @staticmethod
     def l1(weight: float) -> "Regularizer":
-        check_number("l1 weight", weight)
-        return Regularizer(kind="l1", weight=float(weight))
+        return Regularizer("l1", weight)
 
     def __post_init__(self):
         if self.kind not in ("zero", "l1"):
             raise ValueError(f"unknown regularizer kind {self.kind!r}")
+        check_number(f"{self.kind} weight", self.weight)
+        if self.kind == "zero" and self.weight != 0:
+            raise ValueError(f"the zero regularizer takes no weight, got {self.weight!r}")
+        object.__setattr__(self, "weight", float(self.weight))
 
     def value(self, x) -> float:
-        if self.kind == "zero":
-            return 0.0
         return self.weight * float(np.abs(check_array("x", x, (None,))).sum())
 
 
@@ -95,19 +55,25 @@ class FeasibleSet:
 
     @staticmethod
     def full_space() -> "FeasibleSet":
-        return FeasibleSet(kind="full")
+        return FeasibleSet("full")
 
     @staticmethod
     def box(lower, upper) -> "FeasibleSet":
-        lower = check_array("lower", lower, (None,))
-        upper = check_array("upper", upper, lower.shape)
-        if np.any(lower >= upper):
-            raise ValueError("box requires lower < upper coordinate-wise")
-        return FeasibleSet(kind="box", lower=lower, upper=upper)
+        return FeasibleSet("box", lower, upper)
 
     def __post_init__(self):
         if self.kind not in ("full", "box"):
             raise ValueError(f"unknown feasible set kind {self.kind!r}")
+        if self.kind == "full":
+            if self.lower is not None or self.upper is not None:
+                raise ValueError("the full space takes no bounds")
+            return
+        lower = check_array("lower", self.lower, (None,))
+        upper = check_array("upper", self.upper, lower.shape)
+        if np.any(lower >= upper):
+            raise ValueError("box requires lower < upper coordinate-wise")
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
 
     def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
@@ -129,61 +95,50 @@ class FeasibleSet:
         return 0.5 * (self.lower + self.upper)
 
 
-def _prox_inputs(q, u, alpha) -> tuple[np.ndarray, np.ndarray]:
+def _prox_inputs(q, u, alpha, diag) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The input guard ``prox_step`` and ``generalized_projection`` share."""
     q = check_array("q", q, (None,))
     u = check_array("u", u, q.shape)
     check_number("alpha", alpha, open_low=True)
-    return q, u
+    diag = check_array("diag", diag, q.shape)
+    if q.size and min(diag.tolist()) <= 0:  # finite, so min sees numbers
+        raise ValueError("diag entries must be strictly positive")
+    return q, u, diag
 
 
 def _soft_threshold(z: np.ndarray, tau) -> np.ndarray:
     return np.sign(z) * np.maximum(np.abs(z) - tau, 0.0)
 
 
-def prox_step(
-    q,
-    u,
-    alpha: float,
-    phi: DistanceGenerator,
-    h: Regularizer,
-    X: FeasibleSet,
-) -> np.ndarray:
-    """Minimize <q, x> + h(x) + D_phi(x, u) / alpha over X.
+def prox_step(q, u, alpha: float, diag, h: Regularizer, X: FeasibleSet) -> np.ndarray:
+    """Minimize <q, x> + h(x) + D_phi(x, u) / alpha over X, where
+    phi(x) = x' diag(diag) x / 2 and ``diag`` is positive (ones: Euclidean).
 
     The objective is separable per coordinate, so the minimizer is computed in
-    closed form: a gradient step in the h-scaled metric, soft-thresholding for
-    L1, then clamping to the box. Clamp-after-threshold is exact because each
-    coordinate problem is convex in one variable.
+    closed form: a gradient step in the diag-scaled metric, soft-thresholding
+    for L1, then clamping to the box. Clamp-after-threshold is exact because
+    each coordinate problem is convex in one variable.
     """
-    q, u = _prox_inputs(q, u, alpha)
+    q, u, diag = _prox_inputs(q, u, alpha, diag)
     # u is a finite vector now, so it lies in the full space.
     if X.kind == "box" and not X.contains(u):
         raise ValueError("reference point u lies outside the feasible set")
-    scale = phi.scaling(q.size)
-    z = u - alpha * q / scale
-    if h.kind == "l1" and h.weight > 0:
-        z = _soft_threshold(z, alpha * h.weight / scale)
+    z = u - alpha * q / diag
+    if h.weight > 0:
+        z = _soft_threshold(z, alpha * h.weight / diag)
     if X.kind == "box":
         z = np.clip(z, X.lower, X.upper)
     return z
 
 
-def generalized_projection(
-    u,
-    q,
-    alpha: float,
-    phi: DistanceGenerator,
-    h: Regularizer,
-    X: FeasibleSet,
-) -> np.ndarray:
-    """Scaled prox displacement (u - prox(q, u, alpha)) / alpha.
+def generalized_projection(u, q, alpha: float, diag, h: Regularizer, X: FeasibleSet) -> np.ndarray:
+    """Scaled prox displacement (u - prox_step(q, u, alpha, diag, h, X)) / alpha.
 
     Acts as a stationarity surrogate for the composite constrained problem.
-    Unconstrained and unregularized it reduces to q in the Euclidean case and
-    to q / diag for a diagonal generator; that reduction is returned exactly.
+    Unconstrained and unregularized it reduces to q / diag (q itself for the
+    Euclidean ones); that reduction is returned exactly.
     """
-    if X.kind == "full" and (h.kind == "zero" or h.weight == 0):
-        q, _ = _prox_inputs(q, u, alpha)
-        return q / phi.scaling(q.size)
-    return (np.asarray(u, dtype=float) - prox_step(q, u, alpha, phi, h, X)) / alpha
+    if X.kind == "full" and h.weight == 0:
+        q, _, diag = _prox_inputs(q, u, alpha, diag)
+        return q / diag
+    return (np.asarray(u, dtype=float) - prox_step(q, u, alpha, diag, h, X)) / alpha

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DistanceGenerator, generalized_projection
+from .geometry import generalized_projection
 from .hypergrad import DivergenceError
 from .optimizers import RunTrace
 from .problems.base import Stream, check_array
@@ -115,7 +115,7 @@ def compute_regret_series(stream: Stream, trace: RunTrace) -> RegretSeries:
     h, X = trace.config.regularizer, trace.config.feasible
     smoothed = sums / w
     projections = np.array([
-        generalized_projection(lam, s, alpha, DistanceGenerator(diag), h, X)
+        generalized_projection(lam, s, alpha, diag, h, X)
         for lam, s, diag in zip(lambdas, smoothed, trace.phi_diags)
     ])
     terms = _squared_norms("blr_term", projections)

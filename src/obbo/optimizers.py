@@ -1,10 +1,10 @@
 """Outer-loop optimizers over problem streams.
 
 Every optimizer runs the round written once in ``_run``: estimate, clip the
-window average on its squared norm, check it, step, check the new iterate
-and the generator's diagonal, record. Two strategies vary. The estimate is
-inner GD with the ITD or implicit estimator, the closed-form ``exact`` solve,
-or inner SGD with the Neumann estimator, each averaged over a
+window average on its squared norm, check it, step (an adaptive step checks
+its diagonal first), check the new iterate, record. Two strategies vary. The
+estimate is inner GD with the ITD or implicit estimator, the closed-form
+``exact`` solve, or inner SGD with the Neumann estimator, each averaged over a
 ``WindowBuffer``; OAGD re-evaluates the last w objectives at the current pair
 instead. The step is a prox under the round's Euclidean or adaptive diagonal
 generator, or an Adam/SGDM step plus projection.
@@ -19,7 +19,7 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
-from .geometry import DistanceGenerator, FeasibleSet, Regularizer, prox_step
+from .geometry import FeasibleSet, Regularizer, prox_step
 from .hypergrad import (
     DivergenceError,
     WindowBuffer,
@@ -185,9 +185,11 @@ class RunTrace:
     ``lambdas[t]`` is the iterate the round-t estimate was formed at;
     ``betas[t]`` is the final inner iterate handed to round t+1, so
     ``betas[-1]`` is the run's last. ``smoothed`` stores the window average
-    after clipping, ``phi_diags`` the diagonal of the distance generator used
-    for the round's step. ``config`` is the config the run resolved: its
-    alpha, eta and K (and a stochastic run's s and m) hold the values used.
+    after clipping, ``phi_diags`` the positive diagonal of the distance
+    generator the round's step took (ones for a Euclidean run), as
+    ``prox_step`` and ``generalized_projection`` take it. ``config`` is the
+    config the run resolved: its alpha, eta and K (and a stochastic run's s
+    and m) hold the values used.
     """
 
     lambdas: np.ndarray
@@ -283,12 +285,17 @@ def _initial_iterates(stream: Stream, config: StepConfig) -> tuple[np.ndarray, n
 
 
 def _clip(q: np.ndarray, threshold: float | None) -> np.ndarray:
+    """q scaled down to squared norm ``threshold`` when its own is larger; a
+    finite q whose square overflows is divided by its largest entry first."""
     if threshold is None:
         return q
     norm_sq = float(q.dot(q))
-    if norm_sq > threshold:
-        return q * math.sqrt(threshold / norm_sq)
-    return q
+    if not norm_sq > threshold:
+        return q
+    if norm_sq == math.inf and _all_finite(q):
+        q = q / np.abs(q).max()
+        norm_sq = float(q.dot(q))
+    return q * math.sqrt(threshold / norm_sq)
 
 
 def _check_finite(name: str, x: np.ndarray, t: int) -> None:
@@ -300,10 +307,11 @@ def _run(stream: Stream, config: StepConfig, estimate, step) -> RunTrace:
     """The shared round, one pass over the stream, under a resolved ``config``.
 
     ``estimate(instant, lam, beta)`` returns (beta_next, raw estimate, window
-    average); ``step(q, lam)`` returns (lam_next, the generator's diagonal).
-    The rounds run with floating-point warnings ignored: the estimate, the
-    iterate and the diagonal are checked every round. The loop only solves;
-    ``obbo.metrics.compute_regret_series`` forms the records the runner writes.
+    average); ``step(q, lam, t)`` returns (lam_next, the generator's diagonal).
+    The rounds run with floating-point warnings ignored: the estimate and the
+    iterate are checked here every round, an adaptive diagonal by its step.
+    The loop only solves; ``obbo.metrics.compute_regret_series`` forms the
+    records the runner writes.
     """
     lam, beta = _initial_iterates(stream, config)
     T, d1, d2 = len(stream), lam.size, beta.size
@@ -315,9 +323,8 @@ def _run(stream: Stream, config: StepConfig, estimate, step) -> RunTrace:
             beta_next, est, average = estimate(instant, lam, beta)
             q = _clip(average, config.clip_threshold)
             _check_finite("hypergradient estimate", q, instant.t)
-            lam_next, phi_diags[i] = step(q, lam)
+            lam_next, phi_diags[i] = step(q, lam, instant.t)
             _check_finite("outer iterate", lam_next, instant.t)
-            _check_finite("adaptive diagonal", phi_diags[i], instant.t)
             lambdas[i], betas[i], estimates[i], smoothed[i] = lam, beta_next, est, q
             lam, beta = lam_next, beta_next
     return RunTrace(lambdas=lambdas, betas=betas, estimates=estimates, smoothed=smoothed,
@@ -360,19 +367,20 @@ def _bregman_step(config: StepConfig, d1: int) -> Callable:
 
     The adaptive diagonal is sqrt(avg) + eps, where avg is the running average
     of the squared steps q. It is positive, and only an overflowing average
-    makes it non-finite, which ``_run`` rejects.
+    makes it non-finite, which aborts the run before its prox step. The
+    Euclidean diagonal is ones.
     """
-    phi, diag, avg = DistanceGenerator.euclidean(), np.ones(d1), np.zeros(d1)
+    diag, avg = np.ones(d1), np.zeros(d1)
     gen, alpha = config.phi, config.alpha
     adaptive = isinstance(gen, Adaptive)
 
-    def step(q, lam):
-        nonlocal phi, diag, avg
+    def step(q, lam, t):
+        nonlocal diag, avg
         if adaptive:
             avg = gen.beta * avg + (1.0 - gen.beta) * q**2
             diag = np.sqrt(avg) + gen.epsilon
-            phi = DistanceGenerator(diag)
-        return prox_step(q, lam, alpha, phi, config.regularizer, config.feasible), diag
+            _check_finite("adaptive diagonal", diag, t)
+        return prox_step(q, lam, alpha, diag, config.regularizer, config.feasible), diag
 
     return step
 
@@ -464,7 +472,7 @@ def run_single_level(stream: Stream, method: str, config: SingleLevelConfig) -> 
     m_state, v_state, ones = np.zeros(d1), np.zeros(d1), np.ones(d1)
     step_idx = 0
 
-    def step(q, lam):
+    def step(q, lam, t):
         nonlocal m_state, v_state, step_idx
         step_idx += 1
         if method == "adam":

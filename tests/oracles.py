@@ -61,21 +61,18 @@ def central_diff_grad(fun, x, base_step: float = 1e-6) -> np.ndarray:
     return g
 
 
-def prox_grid_oracle(q, u, alpha, phi, h, X, step: float = 1e-4) -> np.ndarray:
+def prox_grid_oracle(q, u, alpha, diag, h, X, step: float = 1e-4) -> np.ndarray:
     """Per-coordinate dense grid minimization of the prox objective.
 
-    The objective <q,x> + h(x) + D_phi(x,u)/alpha is separable for the
-    geometries under test, so each coordinate is minimized over a dense grid
-    wide enough to contain the minimizer (radius from the objective's own
-    coercivity, not from any closed form).
+    The objective <q,x> + h(x) + D_phi(x,u)/alpha, phi(x) = x' diag(diag) x / 2,
+    is separable for the geometries under test, so each coordinate is
+    minimized over a dense grid wide enough to contain the minimizer (radius
+    from the objective's own coercivity, not from any closed form).
     """
     q = np.asarray(q, dtype=float)
     u = np.asarray(u, dtype=float)
     d = q.size
-    if phi.diag is None:
-        scale = np.ones(d)
-    else:
-        scale = np.asarray(phi.diag, dtype=float)
+    scale = np.asarray(diag, dtype=float)
     weight = h.weight if h.kind == "l1" else 0.0
     out = np.empty(d)
     for i in range(d):

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obbo.geometry import (
-    DistanceGenerator,
     FeasibleSet,
     Regularizer,
     generalized_projection,
@@ -18,17 +17,17 @@ from obbo.problems.base import _all_finite
 
 from oracles import constant_gradient_instant, prox_grid_oracle
 
-EUCLID = DistanceGenerator.euclidean()
 ZERO = Regularizer.zero()
 FULL = FeasibleSet.full_space()
 
 
 def random_geometry(rng, d):
-    """Random (phi, h, X) triple covering every kind combination."""
+    """Random (diag, h, X) triple covering every kind combination; diag is the
+    generator's diagonal, ones for the Euclidean generator."""
     if rng.random() < 0.5:
-        phi = EUCLID
+        diag = np.ones(d)
     else:
-        phi = DistanceGenerator.diagonal(rng.uniform(0.5, 3.0, d))
+        diag = rng.uniform(0.5, 3.0, d)
     h = ZERO if rng.random() < 0.5 else Regularizer.l1(rng.uniform(0.0, 2.0))
     if rng.random() < 0.5:
         X = FULL
@@ -36,7 +35,7 @@ def random_geometry(rng, d):
         lo = rng.uniform(-2.0, -0.5, d)
         hi = rng.uniform(0.5, 2.0, d)
         X = FeasibleSet.box(lo, hi)
-    return phi, h, X
+    return diag, h, X
 
 
 def sample_point(rng, X, d):
@@ -48,30 +47,29 @@ def sample_point(rng, X, d):
 class TestProxStep:
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ValueError):
-            prox_step([1.0, 2.0], [1.0], 0.5, EUCLID, ZERO, FULL)
-        phi = DistanceGenerator.diagonal([1.0, 2.0])
+            prox_step([1.0, 2.0], [1.0], 0.5, np.ones(2), ZERO, FULL)
         with pytest.raises(ValueError):
-            prox_step([1.0], [0.0], 0.5, phi, ZERO, FULL)
+            prox_step([1.0], [0.0], 0.5, [1.0, 2.0], ZERO, FULL)
 
     def test_non_finite_raises(self):
         with pytest.raises(ValueError):
-            prox_step([np.nan, 0.0], [0.0, 0.0], 0.5, EUCLID, ZERO, FULL)
+            prox_step([np.nan, 0.0], [0.0, 0.0], 0.5, np.ones(2), ZERO, FULL)
 
     def test_euclidean_gradient_step(self):
-        out = prox_step([1.0, -2.0], [0.0, 0.0], 0.5, EUCLID, ZERO, FULL)
+        out = prox_step([1.0, -2.0], [0.0, 0.0], 0.5, np.ones(2), ZERO, FULL)
         np.testing.assert_array_equal(out, [-0.5, 1.0])
 
     def test_box_clamps_gradient_step(self):
         box = FeasibleSet.box([-0.3, -0.3], [0.3, 0.3])
-        out = prox_step([1.0, -2.0], [0.0, 0.0], 0.5, EUCLID, ZERO, box)
+        out = prox_step([1.0, -2.0], [0.0, 0.0], 0.5, np.ones(2), ZERO, box)
         np.testing.assert_allclose(out, [-0.3, 0.3])
 
     def test_l1_soft_threshold(self):
         # frozen from the grid oracle: soft-threshold of (-0.5, 1.5) at 0.5
-        out = prox_step([1.0, -3.0], [0.0, 0.0], 0.5, EUCLID, Regularizer.l1(1.0), FULL)
+        out = prox_step([1.0, -3.0], [0.0, 0.0], 0.5, np.ones(2), Regularizer.l1(1.0), FULL)
         np.testing.assert_allclose(out, [0.0, 1.0], atol=1e-12)
         grid = prox_grid_oracle(
-            [1.0, -3.0], [0.0, 0.0], 0.5, EUCLID, Regularizer.l1(1.0), FULL
+            [1.0, -3.0], [0.0, 0.0], 0.5, np.ones(2), Regularizer.l1(1.0), FULL
         )
         np.testing.assert_allclose(out, grid, atol=2e-4)
 
@@ -82,109 +80,109 @@ class TestProxStep:
             q = rng.standard_normal(d)
             u = rng.standard_normal(d)
             alpha = float(rng.uniform(0.01, 2.0))
-            out = prox_step(q, u, alpha, EUCLID, ZERO, FULL)
+            out = prox_step(q, u, alpha, np.ones(d), ZERO, FULL)
             np.testing.assert_array_equal(out, u - alpha * q)
 
     def test_output_always_feasible(self):
         rng = np.random.default_rng(3)
         for _ in range(300):
             d = int(rng.integers(1, 5))
-            phi, h, X = random_geometry(rng, d)
+            diag, h, X = random_geometry(rng, d)
             u = sample_point(rng, X, d)
             q = rng.standard_normal(d) * 3.0
             alpha = float(rng.uniform(0.01, 1.5))
-            out = prox_step(q, u, alpha, phi, h, X)
+            out = prox_step(q, u, alpha, diag, h, X)
             assert X.contains(out)
 
     def test_matches_grid_oracle_low_dim(self):
         rng = np.random.default_rng(4)
         for _ in range(40):
             d = int(rng.integers(1, 4))
-            phi, h, X = random_geometry(rng, d)
+            diag, h, X = random_geometry(rng, d)
             u = sample_point(rng, X, d)
             q = rng.uniform(-3.0, 3.0, d)
             alpha = float(rng.uniform(0.05, 1.0))
-            out = prox_step(q, u, alpha, phi, h, X)
-            grid = prox_grid_oracle(q, u, alpha, phi, h, X)
+            out = prox_step(q, u, alpha, diag, h, X)
+            grid = prox_grid_oracle(q, u, alpha, diag, h, X)
             np.testing.assert_allclose(out, grid, atol=2e-4)
 
     def test_u_outside_box_raises(self):
         box = FeasibleSet.box([-1.0], [1.0])
         with pytest.raises(ValueError):
-            prox_step([0.0], [2.0], 0.5, EUCLID, ZERO, box)
+            prox_step([0.0], [2.0], 0.5, np.ones(1), ZERO, box)
 
     def test_nonpositive_alpha_raises(self):
         with pytest.raises(ValueError):
-            prox_step([1.0], [0.0], 0.0, EUCLID, ZERO, FULL)
+            prox_step([1.0], [0.0], 0.0, np.ones(1), ZERO, FULL)
         with pytest.raises(ValueError):
-            prox_step([1.0], [0.0], -1.0, EUCLID, ZERO, FULL)
+            prox_step([1.0], [0.0], -1.0, np.ones(1), ZERO, FULL)
 
 
 class TestGeneralizedProjection:
     def test_unconstrained_euclidean_returns_q(self):
         rng = np.random.default_rng(5)
         q = rng.standard_normal(4)
-        out = generalized_projection(np.zeros(4), q, 0.7, EUCLID, ZERO, FULL)
+        out = generalized_projection(np.zeros(4), q, 0.7, np.ones(4), ZERO, FULL)
         np.testing.assert_array_equal(out, q)
 
     def test_zero_gradient_maps_to_zero(self):
         box = FeasibleSet.box([-1.0, -1.0], [1.0, 1.0])
         out = generalized_projection(
-            [0.2, -0.4], [0.0, 0.0], 0.5, EUCLID, ZERO, box
+            [0.2, -0.4], [0.0, 0.0], 0.5, np.ones(2), ZERO, box
         )
         np.testing.assert_array_equal(out, [0.0, 0.0])
 
     def test_box_case_from_prox(self):
         # frozen from the prox grid oracle: prox lands at (-0.3, 0.3)
         box = FeasibleSet.box([-0.3, -0.3], [0.3, 0.3])
-        out = generalized_projection([0.0, 0.0], [1.0, -2.0], 0.5, EUCLID, ZERO, box)
+        out = generalized_projection([0.0, 0.0], [1.0, -2.0], 0.5, np.ones(2), ZERO, box)
         np.testing.assert_allclose(out, [0.6, -0.6])
-        grid = prox_grid_oracle([1.0, -2.0], [0.0, 0.0], 0.5, EUCLID, ZERO, box)
+        grid = prox_grid_oracle([1.0, -2.0], [0.0, 0.0], 0.5, np.ones(2), ZERO, box)
         np.testing.assert_allclose(out, (np.zeros(2) - grid) / 0.5, atol=4e-4)
 
     def test_fast_path_matches_general_formula(self):
         rng = np.random.default_rng(6)
         for _ in range(100):
             d = int(rng.integers(1, 5))
-            phi = DistanceGenerator.diagonal(rng.uniform(0.5, 3.0, d))
+            diag = rng.uniform(0.5, 3.0, d)
             q = rng.standard_normal(d)
             u = rng.standard_normal(d)
             alpha = float(rng.uniform(0.05, 1.5))
-            fast = generalized_projection(u, q, alpha, phi, ZERO, FULL)
-            lam_plus = prox_step(q, u, alpha, phi, ZERO, FULL)
+            fast = generalized_projection(u, q, alpha, diag, ZERO, FULL)
+            lam_plus = prox_step(q, u, alpha, diag, ZERO, FULL)
             np.testing.assert_allclose(fast, (u - lam_plus) / alpha, rtol=1e-9, atol=1e-9)
 
     def test_ghadimi_lan_inequality(self):
         rng = np.random.default_rng(7)
         for _ in range(1000):
             d = int(rng.integers(1, 5))
-            phi, h, X = random_geometry(rng, d)
+            diag, h, X = random_geometry(rng, d)
             u = sample_point(rng, X, d)
             q = rng.standard_normal(d) * 2.0
             alpha = float(rng.uniform(0.05, 1.5))
-            g = generalized_projection(u, q, alpha, phi, h, X)
-            lam_plus = prox_step(q, u, alpha, phi, h, X)
+            g = generalized_projection(u, q, alpha, diag, h, X)
+            lam_plus = prox_step(q, u, alpha, diag, h, X)
             lhs = float(q @ g)
-            rhs = phi.rho * float(g @ g) + (h.value(lam_plus) - h.value(u)) / alpha
+            rhs = diag.min() * float(g @ g) + (h.value(lam_plus) - h.value(u)) / alpha
             assert lhs >= rhs - 1e-9
 
     def test_projection_lipschitz_bound(self):
         rng = np.random.default_rng(8)
         for _ in range(1000):
             d = int(rng.integers(1, 5))
-            phi, h, X = random_geometry(rng, d)
+            diag, h, X = random_geometry(rng, d)
             u = sample_point(rng, X, d)
             q1 = rng.standard_normal(d) * 2.0
             q2 = rng.standard_normal(d) * 2.0
             alpha = float(rng.uniform(0.05, 1.5))
-            g1 = generalized_projection(u, q1, alpha, phi, h, X)
-            g2 = generalized_projection(u, q2, alpha, phi, h, X)
-            assert np.linalg.norm(g1 - g2) <= np.linalg.norm(q1 - q2) / phi.rho + 1e-9
+            g1 = generalized_projection(u, q1, alpha, diag, h, X)
+            g2 = generalized_projection(u, q2, alpha, diag, h, X)
+            assert np.linalg.norm(g1 - g2) <= np.linalg.norm(q1 - q2) / diag.min() + 1e-9
 
 
 @st.composite
 def prox_problems(draw, n_q=1, zero=st.booleans(), full=st.booleans()):
-    """A random (phi, h, X), a point u in X, a step alpha and n_q gradients q,
+    """A random (diag, h, X), a point u in X, a step alpha and n_q gradients q,
     over the same kinds and ranges as ``random_geometry``. ``zero`` and
     ``full`` draw whether h is zero and whether X is the full space."""
     d = draw(st.integers(1, 4))
@@ -192,7 +190,7 @@ def prox_problems(draw, n_q=1, zero=st.booleans(), full=st.booleans()):
     def vector(lo, hi):
         return np.array(draw(st.lists(st.floats(lo, hi), min_size=d, max_size=d)))
 
-    phi = EUCLID if draw(st.booleans()) else DistanceGenerator.diagonal(vector(0.5, 3.0))
+    diag = np.ones(d) if draw(st.booleans()) else vector(0.5, 3.0)
     h = ZERO if draw(zero) else Regularizer.l1(draw(st.floats(0.0, 2.0)))
     if draw(full):
         X, u = FULL, vector(-2.0, 2.0)
@@ -201,7 +199,7 @@ def prox_problems(draw, n_q=1, zero=st.booleans(), full=st.booleans()):
         X = FeasibleSet.box(lo, lo + width)
         u = np.clip(lo + vector(0.0, 1.0) * width, X.lower, X.upper)
     alpha = draw(st.floats(0.05, 1.5))
-    return phi, h, X, u, alpha, [vector(-6.0, 6.0) for _ in range(n_q)]
+    return diag, h, X, u, alpha, [vector(-6.0, 6.0) for _ in range(n_q)]
 
 
 class TestProxProperties:
@@ -210,33 +208,43 @@ class TestProxProperties:
     @settings(derandomize=True, deadline=None, max_examples=25)
     @given(problem=prox_problems())
     def test_prox_step_lies_in_the_set(self, problem):
-        phi, h, X, u, alpha, (q,) = problem
-        assert X.contains(prox_step(q, u, alpha, phi, h, X))
+        diag, h, X, u, alpha, (q,) = problem
+        assert X.contains(prox_step(q, u, alpha, diag, h, X))
 
     @settings(derandomize=True, deadline=None, max_examples=25)
     @given(problem=prox_problems())
     def test_displacement_inequality(self, problem):
         # <q, G> >= rho ||G||^2 + (h(u+) - h(u)) / alpha for G the generalized
-        # projection and u+ the prox point (Ghadimi, Lan & Zhang 2016, Lemma 1).
-        phi, h, X, u, alpha, (q,) = problem
-        g = generalized_projection(u, q, alpha, phi, h, X)
-        u_plus = prox_step(q, u, alpha, phi, h, X)
-        rhs = phi.rho * float(g @ g) + (h.value(u_plus) - h.value(u)) / alpha
+        # projection, u+ the prox point and rho = min(diag) the generator's
+        # modulus (Ghadimi, Lan & Zhang 2016, Lemma 1).
+        diag, h, X, u, alpha, (q,) = problem
+        g = generalized_projection(u, q, alpha, diag, h, X)
+        u_plus = prox_step(q, u, alpha, diag, h, X)
+        rhs = diag.min() * float(g @ g) + (h.value(u_plus) - h.value(u)) / alpha
         assert float(q @ g) >= rhs - 1e-9
 
     @settings(derandomize=True, deadline=None, max_examples=25)
     @given(problem=prox_problems(n_q=2))
     def test_generalized_projection_is_lipschitz_in_q(self, problem):
-        phi, h, X, u, alpha, (q1, q2) = problem
-        g1 = generalized_projection(u, q1, alpha, phi, h, X)
-        g2 = generalized_projection(u, q2, alpha, phi, h, X)
-        assert np.linalg.norm(g1 - g2) <= np.linalg.norm(q1 - q2) / phi.rho + 1e-9
+        diag, h, X, u, alpha, (q1, q2) = problem
+        g1 = generalized_projection(u, q1, alpha, diag, h, X)
+        g2 = generalized_projection(u, q2, alpha, diag, h, X)
+        assert np.linalg.norm(g1 - g2) <= np.linalg.norm(q1 - q2) / diag.min() + 1e-9
+
+
+def scalar_euclidean_prox(q, u, alpha, h, X):
+    """The Euclidean prox point with each division by the generator's diagonal
+    a division by the scalar 1.0."""
+    z = u - alpha * q / 1.0
+    if h.weight > 0:
+        z = np.sign(z) * np.maximum(np.abs(z) - alpha * h.weight / 1.0, 0.0)
+    return np.clip(z, X.lower, X.upper) if X.kind == "box" else z
 
 
 class TestEuclideanIsOnesDiagonal:
-    """A step under ``DistanceGenerator.euclidean()`` gives the bits of the
-    same step under the all-ones diagonal, so a Euclidean run can take the
-    diagonal path of an adaptive one."""
+    """A step under the all-ones diagonal gives the bits of the same step in
+    scalar Euclidean arithmetic, so a Euclidean run takes the diagonal path of
+    an adaptive one at no cost in bits."""
 
     @pytest.mark.parametrize("zero", [True, False], ids=["zero", "l1"])
     @pytest.mark.parametrize("full", [True, False], ids=["full", "box"])
@@ -245,11 +253,10 @@ class TestEuclideanIsOnesDiagonal:
     def test_prox_and_projection_equal_bit_for_bit(self, zero, full, data):
         problem = data.draw(prox_problems(zero=st.just(zero), full=st.just(full)))
         _, h, X, u, alpha, (q,) = problem
-        ones = DistanceGenerator(np.ones(u.size))
-        assert np.array_equal(prox_step(q, u, alpha, EUCLID, h, X),
-                              prox_step(q, u, alpha, ones, h, X))
-        assert np.array_equal(generalized_projection(u, q, alpha, EUCLID, h, X),
-                              generalized_projection(u, q, alpha, ones, h, X))
+        ones, prox = np.ones(u.size), scalar_euclidean_prox(q, u, alpha, h, X)
+        assert np.array_equal(prox_step(q, u, alpha, ones, h, X), prox)
+        projection = q / 1.0 if full and h.weight == 0 else (u - prox) / alpha
+        assert np.array_equal(generalized_projection(u, q, alpha, ones, h, X), projection)
 
 
 def adaptive_diags(estimates, epsilon=1e-8):
@@ -356,21 +363,12 @@ class TestAllFinite:
 
 
 class TestInvariantsOfTypes:
-    def test_euclidean_rho_is_one(self):
-        assert EUCLID.rho == 1.0
-
-    def test_diagonal_rho_is_min(self):
-        gen = DistanceGenerator.diagonal([2.0, 0.7, 1.1])
-        assert gen.rho == pytest.approx(0.7)
-        assert np.all(gen.diag >= gen.rho)
-
-    def test_rho_is_derived_from_diag(self):
-        d = np.array([2.0, 0.7, 1.1])
-        assert DistanceGenerator(d).rho == d.min()
-
     def test_diagonal_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            DistanceGenerator.diagonal([1.0, 0.0])
+        for diag in ([1.0, 0.0], [1.0, -0.0], [-2.0, 1.0]):
+            with pytest.raises(ValueError, match="diag entries must be strictly positive"):
+                prox_step([1.0, 1.0], [0.0, 0.0], 0.5, diag, ZERO, FULL)
+            with pytest.raises(ValueError, match="diag entries must be strictly positive"):
+                generalized_projection([0.0, 0.0], [1.0, 1.0], 0.5, diag, ZERO, FULL)
 
     def test_l1_value(self):
         h = Regularizer.l1(2.0)
@@ -382,23 +380,56 @@ class TestInvariantsOfTypes:
             FeasibleSet.box([1.0], [1.0])
 
 
-# Each input check of the prox maps: a call, the exception it raises and
-# that exception's message.
+# A generator diagonal each prox map rejects for a q of size 2, with the
+# exception and its message: it must be a positive finite vector of q's size.
+BAD_DIAGS = {
+    "bool": ([True, True], TypeError, "diag must hold numbers, not bools, got [True, True]"),
+    "shape": ([1.0], ValueError, "diag must have shape (2,), got (1,)"),
+    "nan": ([1.0, np.nan], ValueError, "diag must have finite entries"),
+    "inf": ([1.0, np.inf], ValueError, "diag must have finite entries"),
+    "-inf": ([-np.inf, 1.0], ValueError, "diag must have finite entries"),
+    "zero": ([1.0, 0.0], ValueError, "diag entries must be strictly positive"),
+    "negative": ([1.0, -1.0], ValueError, "diag entries must be strictly positive"),
+}
+
+# Each input check of the prox maps and of the geometry types: a call, the
+# exception it raises and that exception's message.
 INPUT_CHECKS = {
     **{f"fast-path-alpha-{alpha}": (
-        lambda alpha=alpha: generalized_projection([0.0], [1.0], alpha, EUCLID, ZERO, FULL),
+        lambda alpha=alpha: generalized_projection([0.0], [1.0], alpha, np.ones(1), ZERO, FULL),
         ValueError, f"alpha must be positive and finite, got {alpha}")
        for alpha in (0.0, -1.0, float("nan"))},
-    "matrix-q": (lambda: prox_step(np.ones((2, 2)), [0.0, 0.0], 0.1, EUCLID, ZERO, FULL),
+    "matrix-q": (lambda: prox_step(np.ones((2, 2)), [0.0, 0.0], 0.1, np.ones(2), ZERO, FULL),
                  ValueError, "q must have shape (n,), got (2, 2)"),
-    "matrix-u": (lambda: generalized_projection(np.ones((1, 2)), [1.0, 1.0], 0.1, EUCLID,
+    "matrix-u": (lambda: generalized_projection(np.ones((1, 2)), [1.0, 1.0], 0.1, np.ones(2),
                                                 ZERO, FULL),
                  ValueError, "u must have shape (2,), got (1, 2)"),
     # A bool is a number to numpy: unchecked, True reads as 1.0.
     "box-bool": (lambda: FeasibleSet.box([True], [2.0]), TypeError,
                  "lower must hold numbers, not bools, got [True]"),
-    "diagonal-bool": (lambda: DistanceGenerator.diagonal([True]), TypeError,
+    "diagonal-bool": (lambda: prox_step([1.0], [0.0], 0.1, [True], ZERO, FULL), TypeError,
                       "diag must hold numbers, not bools, got [True]"),
+    **{f"prox-diag-{case}": (
+        lambda diag=diag: prox_step([1.0, 1.0], [0.0, 0.0], 0.1, diag, Regularizer.l1(1.0),
+                                    FULL), error, message)
+       for case, (diag, error, message) in BAD_DIAGS.items()},
+    **{f"projection-diag-{case}": (
+        lambda diag=diag: generalized_projection([0.0, 0.0], [1.0, 1.0], 0.1, diag, ZERO, FULL),
+        error, message)
+       for case, (diag, error, message) in BAD_DIAGS.items()},
+    # The types check what they are built from, however they are built.
+    "l1-weight-negative": (lambda: Regularizer("l1", -1.0), ValueError,
+                           "l1 weight must be nonnegative and finite, got -1.0"),
+    "l1-weight-nan": (lambda: Regularizer("l1", np.nan), ValueError,
+                      "l1 weight must be nonnegative and finite, got nan"),
+    "zero-weight": (lambda: Regularizer("zero", 5.0), ValueError,
+                    "the zero regularizer takes no weight, got 5.0"),
+    "box-order": (lambda: FeasibleSet("box", [1.0], [0.0]), ValueError,
+                  "box requires lower < upper coordinate-wise"),
+    "box-no-bounds": (lambda: FeasibleSet("box"), TypeError,
+                      "lower must hold real numbers, got None"),
+    "full-bounds": (lambda: FeasibleSet("full", lower=[0.0]), ValueError,
+                    "the full space takes no bounds"),
 }
 
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import obbo
-from obbo.geometry import DistanceGenerator, FeasibleSet, Regularizer, generalized_projection
+from obbo.geometry import FeasibleSet, Regularizer, generalized_projection
 from obbo.hypergrad import DivergenceError
 from obbo.metrics import (
     build_grid,
@@ -154,8 +154,7 @@ def per_window_series(stream, trace, window_sum):
     for t, (lam, diag) in enumerate(zip(trace.lambdas, trace.phi_diags)):
         smoothed = window_sum(grads[max(0, t - trace.config.w + 1) : t + 1]) / trace.config.w
         eucl.append(float(smoothed.dot(smoothed)))
-        phi = DistanceGenerator(diag)
-        g = generalized_projection(lam, smoothed, trace.config.alpha, phi, h, X)
+        g = generalized_projection(lam, smoothed, trace.config.alpha, diag, h, X)
         terms.append(float(g.dot(g)))
     return grads, np.array(terms), np.array(eucl)
 

@@ -94,6 +94,18 @@ class TestRunObbo:
         norms_sq = np.sum(trace.smoothed**2, axis=1)
         assert np.all(norms_sq <= 1000.0 + 1e-9)
 
+    def test_clipping_an_overflowing_square_keeps_the_direction(self):
+        # |g|^2 overflows at 1e200: the clipped step is still sqrt(1000) along
+        # g, as at 1e150 where the square is finite, not a zero step.
+        config = ObboConfig(alpha=0.1, eta=0.5, K=1, clip_threshold=1000.0)
+        for scale in (1e150, 1e200, np.finfo(float).max):
+            stream = [constant_gradient_instant(t, [scale, 0.0]) for t in (1, 2, 3)]
+            trace = run_obbo(stream, config)
+            step = np.array([np.sqrt(1000.0), 0.0])
+            np.testing.assert_allclose(trace.smoothed, [step] * 3, rtol=1e-15)
+            np.testing.assert_allclose(trace.lambdas, [0.0 * step, -0.1 * step, -0.2 * step],
+                                       rtol=1e-15)
+
     def test_reduction_chain_performs_plain_steps_exactly(self):
         stream = static_stream(T=10, amp=0.3)
         config = ObboConfig(alpha=0.05, eta=0.1, K=5, w=1, estimator="exact")
