@@ -190,9 +190,9 @@ def spec_args(part: str, spec: dict, where: str) -> dict:
     key are accepted and its kind's required keys are present.
 
     ``part`` names an entry of ``SPEC_KEYS``; the parts nested in ``spec``
-    (an experiment's stream, a stream's drift, ...) are checked too. Raises
-    ``ConfigError`` naming ``where`` and the unknown kind or keys, or the
-    missing ones.
+    (an experiment's stream, a stream's drift, ...) are checked too, and each
+    must be an object or null. Raises ``ConfigError`` naming ``where`` and the
+    unknown kind or keys, the missing ones, or a nested part of another type.
     """
     accepted, what, kind_key = SPEC_KEYS[part], part, _KIND_KEY.get(part, "kind")
     if part in CONSTRUCTORS:
@@ -212,7 +212,10 @@ def spec_args(part: str, spec: dict, where: str) -> dict:
     if missing:
         raise ConfigError(f"{where}: missing required {what} key(s) {missing}")
     for key, value in spec.items():
-        if key in SPEC_KEYS and isinstance(value, dict):
+        if key in SPEC_KEYS and value is not None:
+            if not isinstance(value, dict):
+                raise ConfigError(f"{where}: {what} '{key}' must be an object or null, "
+                                  f"got {value!r}")
             spec_args(key, value, where)
     return {key: value for key, value in spec.items() if key != kind_key}
 
@@ -223,7 +226,7 @@ def build(part: str, spec: dict | None, where: str):
     same way first, and a null one takes its part's default kind."""
     args = spec_args(part, spec or {}, where)
     for key, value in args.items():
-        if key in CONSTRUCTORS and (value is None or isinstance(value, dict)):
+        if key in CONSTRUCTORS:
             args[key] = build(key, value, where)
     return CONSTRUCTORS[part][spec_kind(part, spec)](**args)
 

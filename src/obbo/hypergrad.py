@@ -6,8 +6,8 @@ unrolled inner gradient-descent trajectory, and a randomized truncated
 Neumann-series estimate for stochastic oracles. ITD and the Neumann series
 take second-order information through Hessian-vector products; the implicit
 form solves with the instant's inner Hessian, a desk-scale direct solve. On
-an instant with ``quadratic`` data, inner GD, the ITD estimator and the
-Neumann estimator run that data's kernels instead of its oracle methods:
+an instant whose data is ``QuadraticData``, inner GD, the ITD estimator and
+the Neumann estimator run that data's kernels instead of its oracle methods:
 inner GD's closed form, the ITD reverse pass equal to the oracles' bit for
 bit, and one cached matrix per Neumann level (see ``QuadraticData``).
 """
@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .problems.base import ProblemInstant, _all_finite, check_count, check_number
+from .problems.quadratic import QuadraticData
 
 __all__ = [
     "DivergenceError",
@@ -54,40 +55,41 @@ class InnerSolveResult:
 
 
 def _descend(t: int, lam, beta0, eta: float, K: int, grad, *extra) -> InnerSolveResult:
-    """K steps omega - eta * grad(lam, omega, *extra) from beta0, via a scratch buffer."""
+    """K steps omega - eta * grad(lam, omega, *extra) from beta0, via a scratch buffer
+    and eta as a vector. A non-finite entry stays non-finite under the step, so a
+    finite last row proves every row."""
     check_number("inner step size", eta, open_low=True)
     check_count("inner iteration count", K)
     lam = np.asarray(lam, dtype=float)
     beta0 = np.asarray(beta0, dtype=float)
     traj = np.empty((K + 1, beta0.size))
     traj[0] = beta0
-    step, omega = np.empty(beta0.size), traj[0]
+    etas, step, omega = np.full(beta0.size, eta, dtype=float), np.empty(beta0.size), traj[0]
     with np.errstate(over="ignore", invalid="ignore"):
         for row in traj[1:]:
-            np.multiply(eta, grad(lam, omega, *extra), step)
+            np.multiply(etas, grad(lam, omega, *extra), step)
             np.subtract(omega, step, row)
             omega = row
-    return _checked(t, traj, eta)
+    if not _all_finite(traj[-1]):
+        raise _diverged(t, traj, eta)
+    return InnerSolveResult(traj[-1], eta, K, traj)
 
 
-def _checked(t: int, traj: np.ndarray, eta: float) -> InnerSolveResult:
-    """The solve of ``traj``, or a ``DivergenceError`` naming its first non-finite row."""
-    if not _all_finite(traj[1:].ravel()):
-        k = 1 + int(np.argmin(np.isfinite(traj[1:]).all(axis=1)))
-        raise DivergenceError(
-            f"inner iterate diverged at k={k} (t={t}); "
-            f"eta={eta} likely violates the step size condition"
-        )
-    return InnerSolveResult(traj[-1], eta, traj.shape[0] - 1, traj)
+def _diverged(t: int, traj: np.ndarray, eta: float) -> DivergenceError:
+    """The error naming the first non-finite row of ``traj``."""
+    k = 1 + int(np.argmin(np.isfinite(traj[1:]).all(axis=1)))
+    return DivergenceError(
+        f"inner iterate diverged at k={k} (t={t}); "
+        f"eta={eta} likely violates the step size condition"
+    )
 
 
 def inner_gd(instant: ProblemInstant, lam, beta0, eta: float, K: int) -> InnerSolveResult:
     """K gradient-descent steps on g_t(lam, .) from the warm start beta0; on
-    ``quadratic`` data, its closed form (``QuadraticData``), whose rows are
-    formed and scanned only when its bound cannot prove them finite. A
-    non-finite row raises either way."""
-    quad = instant.quadratic
-    if quad is None:
+    ``QuadraticData``, its closed form, whose rows are formed and scanned only
+    when its bound cannot prove them finite. A non-finite row raises either way."""
+    quad = instant.data
+    if not isinstance(quad, QuadraticData):
         return _descend(instant.t, lam, beta0, eta, K, instant.grad_g_beta)
     check_number("inner step size", eta, open_low=True)
     check_count("inner iteration count", K)
@@ -96,7 +98,9 @@ def inner_gd(instant: ProblemInstant, lam, beta0, eta: float, K: int) -> InnerSo
         return InnerSolveResult(final, eta, K, rows=(quad, x))
     with np.errstate(over="ignore", invalid="ignore"):
         traj = quad.inner_gd_rows(x, eta, K)
-    return _checked(instant.t, traj, eta)
+    if not _all_finite(traj[1:].ravel()):  # closed-form rows: one can overflow alone
+        raise _diverged(instant.t, traj, eta)
+    return InnerSolveResult(traj[-1], eta, K, traj)
 
 
 def inner_sgd(
@@ -142,15 +146,15 @@ def itd_hypergradient(
     Runs the reverse pass with HVPs on a single propagated vector; for each k
     the cross HVP at omega^k is accumulated, then the vector is multiplied by
     (I - eta * H_betabeta(lam, omega^k)). Algebraically identical to the
-    matrix-product form of the unrolled derivative. On an instant with
-    ``quadratic`` data its ``itd_correction`` kernel runs the reverse pass,
+    matrix-product form of the unrolled derivative. On ``QuadraticData``
+    its ``itd_correction`` kernel runs the reverse pass,
     one ``Q v`` per step shared by both HVPs, and the K cross HVPs stacked.
     """
     lam = np.asarray(lam, dtype=float)
     omega_K, eta, K = solve.final, solve.eta, solve.K
     v = instant.grad_f_beta(lam, omega_K)
-    if instant.quadratic is not None:
-        acc = instant.quadratic.itd_correction(v, eta, K)
+    if isinstance(instant.data, QuadraticData):
+        acc = instant.data.itd_correction(v, eta, K)
     else:
         traj, acc = solve.trajectory, np.zeros(instant.d1)
         for k in range(K - 1, -1, -1):
@@ -176,7 +180,7 @@ def stochastic_hypergradient(
     scales by m / l, and applies the mixed HVP. The empty product (level 0)
     is the identity. Only the gradients are sampled; the HVPs are exact.
 
-    On an instant with ``quadratic`` data the level's factors, scale and
+    On ``QuadraticData`` the level's factors, scale and
     mixed HVP are one product with a matrix its ``neumann_correction``
     kernel caches per (l, m); the HVP fields are not called. The draws
     are the same, in the same order.
@@ -187,8 +191,8 @@ def stochastic_hypergradient(
     ell = instant.l_g1
     m_trunc = rng.integers(m)
     v = instant.grad_f_beta_sampled(lam, beta, rng)
-    quad = instant.quadratic
-    if quad is not None:
+    quad = instant.data
+    if isinstance(quad, QuadraticData):
         correction = quad.neumann_correction(v, ell, m, m_trunc)
         return instant.grad_f_lambda_sampled(lam, beta, rng) - correction
     inv_ell = 1.0 / ell

@@ -2,8 +2,8 @@
 
 A stream is a sequence of per-round oracle bundles: the outer objective f_t,
 the first derivatives of f_t and of the strongly convex inner objective g_t,
-its Hessian-vector products and its inner Hessian. On every shipped stream
-they are the methods of one round's data object (``DataInstant``).
+its Hessian-vector products and its inner Hessian. They are the methods of
+one round's data object, which a ``ProblemInstant`` reads its fields from.
 The exact-solution oracles (``inner_opt`` and ``exact_hypergradient``) are
 required too, since every regret metric needs them, but only metrics, tests
 and the ``exact`` estimator call them; solvers call the others. Quadratic
@@ -15,18 +15,13 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, ClassVar, Sequence
+from typing import Any, Callable, ClassVar, Sequence
 
 import numpy as np
 
-if TYPE_CHECKING:
-    from .quadratic import QuadraticData
-
 __all__ = [
     "ProblemInstant",
-    "DataInstant",
     "DriftSpec",
     "Stream",
     "outer_grad_lipschitz",
@@ -36,42 +31,65 @@ Vector = np.ndarray
 Scalar = float
 
 
+# The oracle methods of a round's data that an instant's fields read.
+_ORACLES = ("f_value", "grad_f_lambda", "grad_f_beta", "grad_g_beta", "hvp_g_lambdabeta",
+            "hvp_g_betabeta", "hess_g_betabeta", "inner_opt", "exact_hypergradient")
+
+
 # ProblemInstant's sampled gradients, read through the class as methods. Each adds
-# noise to the deterministic oracle its instant was built with (``_built``); sigma
-# itself is tested, not the scale, so a subnormal sigma still draws.
+# noise to its data's deterministic oracle; sigma itself is tested, not the scale,
+# so a subnormal sigma still draws.
 def _sampled_g_beta(inst, lam, beta, s, rng):
     if inst.sigma_g_beta == 0.0:
-        return inst._built.grad_g_beta(lam, beta)
+        return inst.data.grad_g_beta(lam, beta)
     xi = rng.standard_normal(inst.d2) * (inst.sigma_g_beta / math.sqrt(inst.d2 * s))
-    return inst._built.grad_g_beta(lam, beta) + xi
+    return inst.data.grad_g_beta(lam, beta) + xi
 
 
 def _sampled_f_lambda(inst, lam, beta, rng):
-    g, sigma = inst._built.grad_f_lambda(lam, beta), inst.sigma_f
+    g, sigma = inst.data.grad_f_lambda(lam, beta), inst.sigma_f
     return g if sigma == 0.0 else g + rng.standard_normal(inst.d1) * (sigma / math.sqrt(inst.d1))
 
 
 def _sampled_f_beta(inst, lam, beta, rng):
-    g, sigma = inst._built.grad_f_beta(lam, beta), inst.sigma_f
+    g, sigma = inst.data.grad_f_beta(lam, beta), inst.sigma_f
     return g if sigma == 0.0 else g + rng.standard_normal(inst.d2) * (sigma / math.sqrt(inst.d2))
 
 
-# The three deterministic gradients a hand-built instant was given, for its sampled ones.
-_Built = namedtuple("_Built", "grad_g_beta grad_f_lambda grad_f_beta")
+class _DataOracle:
+    """An oracle field's class-level default: the same-named method of the
+    instant's ``data``. With no ``__set__``, an instance attribute shadows it."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instant, owner=None):
+        return self if instant is None else getattr(instant.data, self.name)
+
+
+def _oracle_field():
+    return field(default=_DataOracle(), init=False, repr=False)
+
+
+# The data classes whose every oracle has been found callable.
+_ORACLE_CLASSES: set[type] = set()
 
 
 @dataclass
 class ProblemInstant:
-    """Oracle bundle for one round.
+    """Oracle bundle for one round: its constants, and the nine oracle fields
+    read, on each access, off the same-named methods of its round's ``data``,
+    a keyword field, so the instant stores no callable. A data class lacking
+    one of them is a ``TypeError`` at the build of its first instant.
 
-    Gradient and HVP callables take (lam, beta) plus, for HVPs, the vector to
+    Gradient and HVP oracles take (lam, beta) plus, for HVPs, the vector to
     multiply. ``hvp_g_lambdabeta(lam, beta, v)`` maps a d2-vector through the
     mixed second derivative of g into a d1-vector; ``hvp_g_betabeta`` stays in
     d2. ``hess_g_betabeta(lam, beta)`` is its (d2, d2) matrix, which the
     implicit estimator solves with; callers must not write to it, since the
     quadratic and meta streams return the matrix they store. Every shipped
     stream's g is quadratic in beta, so its Hessian ignores ``beta``;
-    hand-built instants may use it. ``mu_g`` and ``l_g1`` bound the spectrum
+    hand-built data may use it. ``mu_g`` and ``l_g1`` bound the spectrum
     of the inner Hessian. They hold for every lam in ``lambda_box``, a pair
     (lower, upper) that bounds each coordinate, or everywhere when it is None:
     the spline stream declares its task's box, the quadratic and meta streams
@@ -93,37 +111,34 @@ class ProblemInstant:
     of s (``grad_g_beta_sampled(lam, beta, s, rng)``; the outer gradients take
     no batch, s = 1). A kind whose own sigma is 0.0, the default, returns the
     deterministic values bit for bit and draws nothing, so every stream runs
-    the stochastic solvers. They are the class's methods, and call the oracles
-    the instant was built with, kept by ``__post_init__`` as ``_built`` (the data
-    of a ``DataInstant``): wrapping or reassigning a deterministic field later
-    does not reach them, and wrapping a sampled field wraps it on that instance.
+    the stochastic solvers. They are the class's methods, and call the data's
+    oracles: wrapping or reassigning a deterministic field of an instant does
+    not reach them, and wrapping a sampled field wraps it on that instance.
     No HVP has a sampled form.
 
-    This class is the hand-built bundle; every shipped stream's instants are
-    ``DataInstant``s. ``quadratic`` is not a constructor argument: the quadratic
-    stream sets it to the instant's ``QuadraticData`` (the A, b, Q of
-    g_t = (beta - A lam - b)' Q (beta - A lam - b) / 2 and the c, amp, phases of
-    f_t), whose kernels inner GD, ITD and the Neumann estimator then run, as the
-    regret series of a ``QuadraticStream`` runs its ``regret_rows``; it is None on
-    every other instant. So wrapping or reassigning an instant's ``grad_g_beta``,
-    ``f_value``, ``exact_hypergradient`` or an HVP field does not reach them.
-    Noisy inner SGD, the implicit estimator and the other metrics call the fields.
+    On ``QuadraticData`` (the A, b, Q of g_t = (beta - A lam - b)' Q (beta - A
+    lam - b) / 2 and the c, amp, phases of f_t), inner GD, ITD and the Neumann
+    estimator run the data's kernels, as the regret series of a
+    ``QuadraticStream`` runs its ``regret_rows``; so wrapping or reassigning an
+    instant's ``grad_g_beta``, ``f_value``, ``exact_hypergradient`` or an HVP
+    field does not reach them. Noisy inner SGD, the implicit estimator and the
+    other metrics call the fields.
     """
 
     t: int
     d1: int
     d2: int
-    f_value: Callable[[Vector, Vector], Scalar]
-    grad_f_lambda: Callable[[Vector, Vector], Vector]
-    grad_f_beta: Callable[[Vector, Vector], Vector]
-    grad_g_beta: Callable[[Vector, Vector], Vector]
-    hvp_g_lambdabeta: Callable[[Vector, Vector, Vector], Vector]
-    hvp_g_betabeta: Callable[[Vector, Vector, Vector], Vector]
-    hess_g_betabeta: Callable[[Vector, Vector], np.ndarray]
+    f_value: Callable[[Vector, Vector], Scalar] = _oracle_field()
+    grad_f_lambda: Callable[[Vector, Vector], Vector] = _oracle_field()
+    grad_f_beta: Callable[[Vector, Vector], Vector] = _oracle_field()
+    grad_g_beta: Callable[[Vector, Vector], Vector] = _oracle_field()
+    hvp_g_lambdabeta: Callable[[Vector, Vector, Vector], Vector] = _oracle_field()
+    hvp_g_betabeta: Callable[[Vector, Vector, Vector], Vector] = _oracle_field()
+    hess_g_betabeta: Callable[[Vector, Vector], np.ndarray] = _oracle_field()
     mu_g: float
     l_g1: float
-    inner_opt: Callable[[Vector], Vector]
-    exact_hypergradient: Callable[[Vector], Vector]
+    inner_opt: Callable[[Vector], Vector] = _oracle_field()
+    exact_hypergradient: Callable[[Vector], Vector] = _oracle_field()
     l_f1: float | None = None
     sigma_g_beta: float = 0.0
     sigma_f: float = 0.0
@@ -131,9 +146,7 @@ class ProblemInstant:
     grad_g_beta_sampled: Callable = field(default=_sampled_g_beta, init=False, repr=False)
     grad_f_lambda_sampled: Callable = field(default=_sampled_f_lambda, init=False, repr=False)
     grad_f_beta_sampled: Callable = field(default=_sampled_f_beta, init=False, repr=False)
-    quadratic: QuadraticData | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    data: Any = field(kw_only=True, repr=False, compare=False)
 
     def __post_init__(self):
         check_count("time index t", self.t)
@@ -148,41 +161,12 @@ class ProblemInstant:
             check_number("lambda_box upper", high, low, open_low=True)
         check_number("noise sigma_g_beta", self.sigma_g_beta)
         check_number("noise sigma_f", self.sigma_f)
-        self._built = self._built_with()
-
-    def _built_with(self):
-        return _Built(self.grad_g_beta, self.grad_f_lambda, self.grad_f_beta)
-
-
-class _DataOracle:
-    """A ``DataInstant`` oracle field's class-level default: the same-named method of
-    the instant's ``data``. With no ``__set__``, an instance attribute shadows it."""
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, instant, owner=None):
-        return self if instant is None else getattr(instant.data, self.name)
-
-
-@dataclass
-class DataInstant(ProblemInstant):
-    """An instant whose 9 oracle fields read, on each access, the same-named methods
-    of its round's ``data``, a keyword field: it stores no callable."""
-
-    f_value: Callable = field(default=_DataOracle(), init=False)
-    grad_f_lambda: Callable = field(default=_DataOracle(), init=False)
-    grad_f_beta: Callable = field(default=_DataOracle(), init=False)
-    grad_g_beta: Callable = field(default=_DataOracle(), init=False)
-    hvp_g_lambdabeta: Callable = field(default=_DataOracle(), init=False)
-    hvp_g_betabeta: Callable = field(default=_DataOracle(), init=False)
-    hess_g_betabeta: Callable = field(default=_DataOracle(), init=False)
-    inner_opt: Callable = field(default=_DataOracle(), init=False)
-    exact_hypergradient: Callable = field(default=_DataOracle(), init=False)
-    data: Any = field(kw_only=True, repr=False, compare=False)
-
-    def _built_with(self):
-        return self.data
+        kind = type(self.data)
+        if kind not in _ORACLE_CLASSES:
+            for name in _ORACLES:
+                if not callable(getattr(kind, name, None)):
+                    raise TypeError(f"instant data {kind.__name__} has no oracle {name!r}")
+            _ORACLE_CLASSES.add(kind)
 
 
 # numpy's names looked up once
@@ -199,10 +183,11 @@ def check_count(what: str, value, least: int = 1) -> None:
 
 
 def check_number(what: str, value, low=0.0, high=math.inf, *, open_low=False) -> None:
-    """Raise ``TypeError`` for a bool, and ``ValueError`` unless
-    ``low <= value < high`` (``low < value < high`` with ``open_low``), which
-    NaN and +-inf fail (pass low -inf only with ``open_low``)."""
-    if type(value) in _BOOLS:
+    """Raise ``TypeError`` for a bool or a value that is not a real number, such
+    as a str or None, and ``ValueError`` unless ``low <= value < high``
+    (``low < value < high`` with ``open_low``), which NaN and +-inf fail (pass
+    low -inf only with ``open_low``). A Python float takes one type test."""
+    if type(value) is not float and (type(value) in _BOOLS or not isinstance(value, numbers.Real)):
         raise TypeError(f"{what} must be a number, got {value!r}")
     if not (low < value < high if open_low else low <= value < high):
         if low == 0 and high == math.inf:

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .base import DataInstant, DriftSpec, ProblemInstant, check_count, check_number
+from .base import DriftSpec, ProblemInstant, check_count, check_number
 
 __all__ = ["MetaData", "meta_toy_stream"]
 
@@ -108,7 +108,7 @@ def meta_toy_stream(
     for t in range(1, T + 1):
         if t == 1 or drift.kind != "static":
             data, mu_g, l_g1, l_f1 = draw_task(theta)
-        instants.append(DataInstant(t, d, d, mu_g, l_g1, l_f1, data=data))
+        instants.append(ProblemInstant(t, d, d, mu_g, l_g1, l_f1, data=data))
         if t < T:
             step = drift.step_size(t)
             if step > 0:

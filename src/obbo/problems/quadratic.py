@@ -20,14 +20,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .base import DataInstant, DriftSpec, ProblemInstant, check_array, check_count, check_number
+from .base import DriftSpec, ProblemInstant, check_array, check_count, check_number
 
 __all__ = ["QuadraticData", "QuadraticStream", "quadratic_instant", "quadratic_stream"]
 
 
 class QuadraticData(NamedTuple):
     """The whole data of one instant's g and f (as in the module docstring).
-    Its methods are the instant's oracles, which a ``DataInstant`` reads from it,
+    Its methods are the instant's oracles, which a ``ProblemInstant`` reads from it,
     and the kernels inner GD, ITD and the Neumann estimator run.
 
     ``neg_At`` is ``-A.T``, formed once: negation is exact, so products with it
@@ -193,7 +193,7 @@ class QuadraticStream(list):
         """``exact_hypergradient``, ``f_value`` and ``grad_g_beta``'s row dot at each
         (lambdas[t], betas[t]) of round t + 1, every oracle's operations in its order,
         stacked: ``matmul`` with a trailing unit axis and per-row sums."""
-        q = self[0].quadratic
+        q = self[0].data
         b, c = self.path[self.rows[: len(lambdas)]].transpose(1, 0, 2)
         A_lam = np.matmul(q.A, lambdas[:, :, None])[:, :, 0]
         grads = -q.amp * np.sin(lambdas + q.phases)
@@ -227,8 +227,8 @@ def quadratic_instant(
     phases = np.zeros(d1) if phases is None else check_array("phases", phases, (d1,))
     check_number("amp", amp)
     mu_g, l_g1 = _spectrum_bounds(Q)
-    data = QuadraticData(A, b, Q, -A.T, {}, c, amp, phases)
-    return _build_instant(t, data, noise, mu_g, l_g1)
+    return ProblemInstant(t, d1, d2, mu_g, l_g1, max(1.0, amp), noise[0], noise[1],
+                          data=QuadraticData(A, b, Q, -A.T, {}, c, amp, phases))
 
 
 def _spectrum_bounds(Q: np.ndarray) -> tuple[float, float]:
@@ -240,18 +240,6 @@ def _spectrum_bounds(Q: np.ndarray) -> tuple[float, float]:
     if mu_g <= 0:
         raise ValueError("Q must be positive definite")
     return mu_g, l_g1
-
-
-def _build_instant(
-    t: int, data: QuadraticData, noise: tuple[float, float], mu_g: float, l_g1: float
-) -> ProblemInstant:
-    """The instant of validated data and the spectrum bounds of its Q; ``data``
-    is also its ``quadratic`` field, so solvers run the data's kernels."""
-    d2, d1 = data.A.shape
-    instant = DataInstant(t, d1, d2, mu_g, l_g1, max(1.0, data.amp), noise[0], noise[1],
-                          data=data)
-    instant.quadratic = data
-    return instant
 
 
 def _orthonormal_columns(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -285,7 +273,7 @@ def quadratic_stream(
     for what, count, least in (("d1", d1, 1), ("d2", d2, 1), ("horizon", T, 1), ("seed", seed, 0)):
         check_count(what, count, least)
     check_number("kappa_target", kappa_target, 1.0)
-    if len(noise) != 2:  # each instant checks the two scales
+    if np.ndim(noise) != 1 or len(noise) != 2:  # each instant checks the two scales
         raise ValueError(f"noise must be a pair (sigma_g_beta, sigma_f), got {noise}")
     check_number("cos_amplitude", cos_amplitude)
     rng = np.random.default_rng(seed)
@@ -306,6 +294,7 @@ def quadratic_stream(
     phases = rng.uniform(0.0, 2.0 * np.pi, d1)
 
     mu_g, l_g1 = _spectrum_bounds(Q)
+    l_f1 = max(1.0, cos_amplitude)
     neg_At = -A.T
     cache: dict = {}
 
@@ -326,5 +315,5 @@ def quadratic_stream(
     for t, j in enumerate(rows.tolist(), 1):
         b, c = path[j]
         data = QuadraticData(A, b, Q, neg_At, cache, c, cos_amplitude, phases)
-        instants.append(_build_instant(t, data, noise, mu_g, l_g1))
+        instants.append(ProblemInstant(t, d1, d2, mu_g, l_g1, l_f1, *noise, data=data))
     return QuadraticStream(instants, path, rows)

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .base import DataInstant, ProblemInstant, check_array, check_count, check_number
+from .base import ProblemInstant, check_array, check_count, check_number
 
 __all__ = [
     "SplineData",
@@ -186,7 +186,7 @@ def spline_stream(task: SplineTask) -> list[ProblemInstant]:
     l_g1 = np.linalg.eigvalsh(stacked.hess_g_betabeta([task.lambda_upper], None))[:, -1]
     box = (task.lambda_lower, task.lambda_upper)
     return [
-        DataInstant(t, 1, k, mu, l, lambda_box=box, data=SplineData(*rows, omega, ridge))
+        ProblemInstant(t, 1, k, mu, l, lambda_box=box, data=SplineData(*rows, omega, ridge))
         for t, (*rows, mu, l) in enumerate(
             zip(BtB, Bty, B_val, task.y_val, mu_g.tolist(), l_g1.tolist()), 1)
     ]

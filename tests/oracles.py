@@ -5,10 +5,16 @@ central finite differences, prox solutions from dense 1-D grid minimization
 of the raw objective, and inner-loop sensitivities from re-running the
 forward recursion at perturbed inputs. ``constant_gradient_instant`` is a
 hand-built instant whose every hypergradient estimate is a chosen vector.
-``count_kernel_rows`` counts the rows of each call of the metrics' quadratic kernel.
+``without_kernels`` rebuilds an instant over data that forwards its nine
+oracles and nothing else, so the solvers and metrics call them where they
+would run a ``QuadraticData`` kernel. ``count_kernel_rows`` counts the rows of each call
+of the metrics' quadratic kernel.
 """
 
 from __future__ import annotations
+
+import dataclasses
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,30 +28,69 @@ ORACLE_FIELDS = (
 )
 
 
-def constant_gradient_instant(t, g):
-    """f has constant outer gradient g; the inner problem is a decoupled quadratic.
+class ConstantGradientData(NamedTuple):
+    """f has constant outer gradient g; the inner problem is a decoupled quadratic."""
 
-    The cross HVP is zero, so the ITD, implicit and exact estimates all
-    return g itself, bit for bit.
-    """
+    g: np.ndarray
+
+    def f_value(self, lam, beta):
+        return float(self.g @ lam)
+
+    def grad_f_lambda(self, lam, beta):
+        return self.g.copy()
+
+    def grad_f_beta(self, lam, beta):
+        return np.zeros(1)
+
+    def grad_g_beta(self, lam, beta):
+        return beta.copy()
+
+    def hvp_g_lambdabeta(self, lam, beta, v):
+        return np.zeros(self.g.size)
+
+    def hvp_g_betabeta(self, lam, beta, v):
+        return v.copy()
+
+    def hess_g_betabeta(self, lam, beta):
+        return np.eye(1)
+
+    def inner_opt(self, lam):
+        return np.zeros(1)
+
+    def exact_hypergradient(self, lam):
+        return self.g.copy()
+
+
+def constant_gradient_instant(t, g):
+    """An instant over ``ConstantGradientData``. The cross HVP is zero, so the
+    ITD, implicit and exact estimates all return g itself, bit for bit."""
     g = np.asarray(g, dtype=float)
-    d1 = g.size
-    return ProblemInstant(
-        t=t,
-        d1=d1,
-        d2=1,
-        f_value=lambda lam, beta: float(g @ lam),
-        grad_f_lambda=lambda lam, beta: g.copy(),
-        grad_f_beta=lambda lam, beta: np.zeros(1),
-        grad_g_beta=lambda lam, beta: beta.copy(),
-        hvp_g_lambdabeta=lambda lam, beta, v: np.zeros(d1),
-        hvp_g_betabeta=lambda lam, beta, v: v.copy(),
-        hess_g_betabeta=lambda lam, beta: np.eye(1),
-        mu_g=1.0,
-        l_g1=1.0,
-        inner_opt=lambda lam: np.zeros(1),
-        exact_hypergradient=lambda lam: g.copy(),
-    )
+    return ProblemInstant(t, g.size, 1, 1.0, 1.0, data=ConstantGradientData(g))
+
+
+class OracleOnly:
+    """Another data object's nine oracle methods, forwarded, and nothing else."""
+
+    def __init__(self, data):
+        self.data = data
+
+
+def _forwarded(name):
+    def oracle(self, *args):
+        return getattr(self.data, name)(*args)
+
+    oracle.__name__ = name
+    return oracle
+
+
+for _name in ORACLE_FIELDS:
+    setattr(OracleOnly, _name, _forwarded(_name))
+
+
+def without_kernels(instant):
+    """``instant`` rebuilt over an ``OracleOnly`` of its data: the same oracles,
+    and no kernel for the solvers or metrics to run instead."""
+    return dataclasses.replace(instant, data=OracleOnly(instant.data))
 
 
 def central_diff_grad(fun, x, base_step: float = 1e-6) -> np.ndarray:

@@ -422,6 +422,10 @@ INPUT_CHECKS = {
                            "l1 weight must be nonnegative and finite, got -1.0"),
     "l1-weight-nan": (lambda: Regularizer("l1", np.nan), ValueError,
                       "l1 weight must be nonnegative and finite, got nan"),
+    "l1-weight-str": (lambda: Regularizer("l1", "0.5"), TypeError,
+                      "l1 weight must be a number, got '0.5'"),
+    "prox-alpha-str": (lambda: prox_step([1.0], [0.0], "0.1", np.ones(1), ZERO, FULL), TypeError,
+                       "alpha must be a number, got '0.1'"),
     "zero-weight": (lambda: Regularizer("zero", 5.0), ValueError,
                     "the zero regularizer takes no weight, got 5.0"),
     "box-order": (lambda: FeasibleSet("box", [1.0], [0.0]), ValueError,

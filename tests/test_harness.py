@@ -323,6 +323,27 @@ def assert_cli_exits_2(tmp_path, capsys, command, path, named):
     assert not out.exists()
 
 
+# A nested part given as a string: unchecked, ``"regularizer": "zero"`` passed
+# validate and wrote 0 runs, ``"feasible": "full"`` exited 1 with a traceback,
+# and ``"drift": "decaying"`` exited 2 naming only an AttributeError.
+OBBO = {"kind": "obbo", "alpha": 0.05, "eta": 0.1, "K": 4, "w": 2}
+NOT_AN_OBJECT = [
+    ({"optimizer": {**OBBO, "regularizer": "zero"}},
+     "obbo optimizer 'regularizer' must be an object or null, got 'zero'"),
+    ({"optimizer": {**OBBO, "feasible": "full"}},
+     "obbo optimizer 'feasible' must be an object or null, got 'full'"),
+    ({"optimizer": {**OBBO, "phi": ["adaptive"]}},
+     "obbo optimizer 'phi' must be an object or null, got ['adaptive']"),
+    ({"stream": {**small_config().experiments[0].stream, "drift": "decaying"}},
+     "quadratic stream 'drift' must be an object or null, got 'decaying'"),
+    ({"stream": {**META, "drift": 1.0}},
+     "meta stream 'drift' must be an object or null, got 1.0"),
+]
+NOT_AN_OBJECT_IDS = [
+    "regularizer-str", "feasible-str", "phi-list", "drift-str", "meta-drift-number",
+]
+
+
 class TestRequiredKeys:
     @pytest.mark.parametrize("where, spec, named", MISSING_REQUIRED, ids=MISSING_IDS)
     def test_rejected_at_parse_time(self, where, spec, named):
@@ -552,6 +573,13 @@ class TestExperimentChecks:
         with pytest.raises(ConfigError, match=f"experiment 'tiny-obbo': '{part}' must be an object"):
             replace(exp, **{part: ["quadratic"]})
 
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("last, named", NOT_AN_OBJECT, ids=NOT_AN_OBJECT_IDS)
+    def test_nested_part_that_is_not_an_object_exits_2(self, tmp_path, capsys, command, last,
+                                                       named):
+        path = write_with_last(tmp_path, last)
+        assert_cli_exits_2(tmp_path, capsys, command, path, f"experiment 'last': {named}")
+
     def test_duplicate_name_rejected_in_code(self):
         exp = small_config().experiments[0]
         with pytest.raises(ConfigError, match="experiment 'tiny-obbo': duplicate experiment name"):
@@ -679,12 +707,29 @@ OUT_OF_RANGE = [
      "lower must hold real numbers, got ['-1']"),
     ({"stream": {**SPLINE_SHORT, "lambda_lower": True}},
      "stream cannot be built: TypeError: lambda_lower must be a number, got True"),
+    # A string number failed a range test, with Python's message naming no key;
+    # a bare noise scale failed with "object of type 'float' has no len()".
+    ({"optimizer": {"kind": "obbo", "regularizer": {"kind": "l1", "weight": "0.5"}}},
+     "l1 weight must be a number, got '0.5'"),
+    ({"optimizer": {"kind": "obbo", "alpha": "0.05"}}, "alpha must be a number, got '0.05'"),
+    ({"stream": {**small_config().experiments[0].stream, "kappa_target": "4"}},
+     "stream cannot be built: TypeError: kappa_target must be a number, got '4'"),
+    ({"stream": {**small_config().experiments[0].stream,
+                 "drift": {"kind": "decaying", "rate": "1"}}},
+     "stream cannot be built: TypeError: decaying drift rate must be a number, got '1'"),
+    ({"stream": {**META, "gamma": "1.0"}},
+     "stream cannot be built: TypeError: gamma must be a number, got '1.0'"),
+    ({"stream": {**small_config().experiments[0].stream, "noise": ["0.1", 0.0]}},
+     "stream cannot be built: TypeError: noise sigma_g_beta must be a number, got '0.1'"),
+    ({"stream": {**small_config().experiments[0].stream, "noise": 0.5}},
+     "stream cannot be built: ValueError: noise must be a pair (sigma_g_beta, sigma_f), got 0.5"),
 ]
 OUT_OF_RANGE_IDS = [
     "alpha-clip-true", "meta-task_noise--1", "meta-n_train-0", "spline-noise_std--1",
     "spline-n_train-0", "spline-n_val-0", "lambda0-true", "beta0-true", "box-lower-true",
     "lambda0-str", "box-lower-str",
-    "spline-lambda_lower-true",
+    "spline-lambda_lower-true", "l1-weight-str", "alpha-str", "kappa-str", "drift-rate-str",
+    "meta-gamma-str", "noise-entry-str", "noise-scalar",
 ]
 
 

@@ -32,11 +32,13 @@ from obbo.problems.quadratic import QuadraticData
 
 from oracles import (
     ORACLE_FIELDS,
+    OracleOnly,
     central_diff_grad,
     constant_gradient_instant,
     count_kernel_rows,
     induced_objective,
     unrolled_inner_objective,
+    without_kernels,
 )
 from referee import error_in_eps, inner_gd_reference
 
@@ -123,14 +125,33 @@ class TestInnerGd:
         def grad(lam, beta):
             return np.full_like(beta, bad if next(calls) == k else 0.0)
 
-        inst = dataclasses.replace(constant_gradient_instant(1, [0.0]), grad_g_beta=grad)
-        assert inst.quadratic is None
+        inst = constant_gradient_instant(1, [0.0])
+        inst.grad_g_beta = grad
         args = (inst, np.zeros(1), np.ones(1), 0.1, 12)
         with pytest.raises(DivergenceError, match=rf"diverged at k={k} \(t=1\)"):
             if sampled:
                 inner_sgd(*args, 2, np.random.default_rng(0))
             else:
                 inner_gd(*args)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("k", [1, 4, 7])
+    def test_oracle_loop_names_a_step_before_the_last(self, k, bad):
+        # One entry of three turns non-finite at step k < K = 8, and the gradient
+        # is the iterate, so the later steps form inf - inf or NaN arithmetic
+        # there; that entry stays non-finite, and the last row's check names k.
+        calls = iter(range(1, 9))
+
+        def grad(lam, beta):
+            g = beta.copy()
+            if next(calls) == k:
+                g[1] = bad
+            return g
+
+        inst = constant_gradient_instant(1, [0.0])
+        inst.grad_g_beta = grad
+        with pytest.raises(DivergenceError, match=rf"diverged at k={k} \(t=1\)"):
+            inner_gd(inst, np.zeros(1), np.ones(3), 0.5, 8)
 
 
 class TestInnerSgd:
@@ -317,21 +338,20 @@ def unused_oracle(*args):
 
 def both_paths(seed, d1, d2):
     """A random instant at zero noise as two copies: one whose
-    oracle fields fail if called, so only its ``quadratic`` kernels can
-    run, and one without ``quadratic`` data, which takes the oracle path."""
+    oracle fields fail if called, so only its ``QuadraticData`` kernels can
+    run, and one without kernels, which takes the oracle path."""
     rng = np.random.default_rng(seed)
     inst = random_instant(rng, d1, d2, kappa=float(rng.uniform(1.0, 20.0)))
-    matrix, oracles = copy.copy(inst), copy.copy(inst)
+    matrix, oracles = copy.copy(inst), without_kernels(inst)
     matrix.grad_g_beta = unused_oracle
     matrix.hvp_g_lambdabeta = unused_oracle
     matrix.hvp_g_betabeta = unused_oracle
-    oracles.quadratic = None
     return rng, matrix, oracles
 
 
 class TestQuadraticMatrixPath:
-    """Inner GD and ITD on an instant with ``quadratic`` data run its kernels;
-    a copy without the data takes the oracle (HVP) path. Inner GD's closed
+    """Inner GD and ITD on an instant over ``QuadraticData`` run its kernels;
+    a copy without kernels takes the oracle (HVP) path. Inner GD's closed
     form rounds each entry once, so its rows meet the 40-digit referee to
     within one epsilon; fed the same trajectory, the two ITD paths agree bit
     for bit, and a diverging step is reported at the same row."""
@@ -354,7 +374,7 @@ class TestQuadraticMatrixPath:
         eta = eta_factor / matrix.l_g1
         lam, beta0 = rng.standard_normal(d1), rng.standard_normal(d2)
         solve = inner_gd(matrix, lam, beta0, eta, K)
-        quad = matrix.quadratic
+        quad = matrix.data
         exact = inner_gd_reference(quad.A, quad.b, quad.Q, lam, beta0, eta, K)
         assert np.array_equal(solve.trajectory[0], beta0)
         for k in range(1, K + 1):
@@ -416,8 +436,8 @@ class TestInnerGdFastPath:
     def full_product(inst, lam, beta0, eta, K):
         """The trajectory as the full path forms it: beta0, then every row of
         the cached stack applied to [beta0; lam; b], rounded once."""
-        stack = inst.quadratic.descent(eta, K)[0]
-        x = np.concatenate((beta0, lam, inst.quadratic.b), dtype=np.longdouble)
+        stack = inst.data.descent(eta, K)[0]
+        x = np.concatenate((beta0, lam, inst.data.b), dtype=np.longdouble)
         return np.vstack((beta0, np.asarray(stack @ x, dtype=float).reshape(K, -1)))
 
     @staticmethod
@@ -500,7 +520,7 @@ class TestInnerGdFastPath:
             warnings.simplefilter("error")
             with pytest.raises(DivergenceError) as info:
                 inner_gd(inst, lam, beta0, eta, K)
-            stack, _, cap = inst.quadratic.descent(eta, K)
+            stack, _, cap = inst.data.descent(eta, K)
         assert str(info.value) == (
             f"inner iterate diverged at k={k} (t=1); "
             f"eta={eta} likely violates the step size condition"
@@ -512,7 +532,7 @@ class TestInnerGdFastPath:
 
 def quadratic_outputs(inst, lam, beta, v, eta, K, ell, m):
     """Every oracle and kernel of a quadratic instant, at one set of inputs."""
-    quad = inst.quadratic
+    quad = inst.data
     return {
         "grad_g_beta": inst.grad_g_beta(lam, beta),
         "hvp_g_lambdabeta": inst.hvp_g_lambdabeta(lam, beta, v),
@@ -567,14 +587,14 @@ class TestDotProducts:
         else:
             lam, beta, v = rng.standard_normal(d1), rng.standard_normal(d2), rng.standard_normal(d2)
         eta, ell = 0.5 / inst.l_g1, 1.5 * inst.l_g1
-        Q = inst.quadratic.Q
+        Q = inst.data.Q
         itd, w = np.zeros(d1), v
         for _ in range(K - 1):
             itd += -A.T @ (Q @ w)
             w = w - eta * (Q @ w)
         itd += -A.T @ (Q @ w)
         got = quadratic_outputs(inst, lam, beta, v, eta, K, ell, m)
-        levels = inst.quadratic.cache[ell, m]
+        levels = inst.data.cache[ell, m]
         want = {
             "grad_g_beta": Q @ ((beta - A @ lam) - b),
             "hvp_g_lambdabeta": -A.T @ (Q @ v),
@@ -739,8 +759,7 @@ class TestKernelBuffers:
     def test_inner_solve_leaves_beta0_unchanged(self, path):
         inst = meta_toy_stream(d=3, T=1, seed=2)[0] if path == "meta" else self.stream()[0]
         if path == "oracle":
-            inst = copy.copy(inst)
-            inst.quadratic = None
+            inst = without_kernels(inst)
         rng = np.random.default_rng(1)
         lam, beta0 = rng.standard_normal(inst.d1), rng.standard_normal(inst.d2)
         kept = beta0.copy()
@@ -756,8 +775,7 @@ class TestKernelBuffers:
     def test_oracle_loop_does_not_write_into_returned_gradients(self):
         # One oracle returns its own argument (a row of the trajectory), the
         # other an array it keeps; the steps must write into neither.
-        inst = copy.copy(self.stream()[0])
-        inst.quadratic = None
+        inst = without_kernels(self.stream()[0])
         kept = np.linspace(-1.0, 1.0, inst.d2)
         beta0, eta = np.linspace(0.5, -0.3, inst.d2), 0.25
         for grad in (lambda lam, beta: beta, lambda lam, beta: kept):
@@ -773,19 +791,19 @@ class TestKernelBuffers:
         inst = self.stream()[0]
         v = np.random.default_rng(2).standard_normal(inst.d2)
         kept = v.copy()
-        inst.quadratic.itd_correction(v, 0.5 / inst.l_g1, self.K)
+        inst.data.itd_correction(v, 0.5 / inst.l_g1, self.K)
         assert np.array_equal(v, kept)
 
     def test_a_second_solve_leaves_the_first_unchanged(self):
         first, second = self.stream()
-        assert first.quadratic.A is second.quadratic.A
+        assert first.data.A is second.data.A
         rng = np.random.default_rng(3)
         eta = 0.5 / first.l_g1
         outputs = []
         for inst in (first, second):
             lam, beta0, v = (rng.standard_normal(n) for n in (inst.d1, inst.d2, inst.d2))
             solve = inner_gd(inst, lam, beta0, eta, self.K)
-            correction = inst.quadratic.itd_correction(v, eta, self.K)
+            correction = inst.data.itd_correction(v, eta, self.K)
             estimate = itd_hypergradient(inst, lam, solve)
             outputs.append((solve.trajectory, correction, estimate))
             if inst is first:
@@ -800,16 +818,16 @@ class TestKernelBuffers:
         # key, which the call before it at that key wrote, on the other instant;
         # then A at (eta / 2, 6), a key that only eta tells from k1.
         a, b = self.stream()
-        cache = a.quadratic.cache
-        assert b.quadratic.cache is cache
+        cache = a.data.cache
+        assert b.data.cache is cache
         eta = 0.5 / a.l_g1
         k1, k2 = (eta, 6), (eta / 2, 12)
         rng = np.random.default_rng(4)
         results, entries = [], {}
         for inst, (step, K) in ((a, k1), (b, k2), (a, k2), (b, k1), (a, (eta / 2, 6))):
             v = rng.standard_normal(inst.d2)
-            got = inst.quadratic.itd_correction(v, step, K)
-            assert np.array_equal(got, itd_loop_reference(inst.quadratic, v, step, K))
+            got = inst.data.itd_correction(v, step, K)
+            assert np.array_equal(got, itd_loop_reference(inst.data, v, step, K))
             entry = cache["itd", step, K]
             assert entries.setdefault((step, K), entry) is entry
             results.append(got)
@@ -818,13 +836,13 @@ class TestKernelBuffers:
                 for x in (item if isinstance(item, list) else [item])]
         for i, got in enumerate(results):
             assert not any(np.shares_memory(got, x) for x in kept + results[i + 1:])
-        own = [quadratic_instant(1, a.quadratic.A, a.quadratic.b, a.quadratic.Q, a.quadratic.c)
+        own = [quadratic_instant(1, a.data.A, a.data.b, a.data.Q, a.data.c)
                for _ in range(2)]
         for inst in own:
-            inst.quadratic.itd_correction(np.ones(inst.d2), *k1)
-        assert own[0].quadratic.cache is not own[1].quadratic.cache
+            inst.data.itd_correction(np.ones(inst.d2), *k1)
+        assert own[0].data.cache is not own[1].data.cache
         key = ("itd", *k1)
-        assert own[0].quadratic.cache[key] is not own[1].quadratic.cache[key]
+        assert own[0].data.cache[key] is not own[1].data.cache[key]
         assert cache[key] is entries[k1]
 
 
@@ -926,8 +944,8 @@ class TestStochasticHypergradient:
 
 
 class TestNeumannMatrixPath:
-    """On an instant with ``quadratic`` data the Neumann estimator applies a
-    matrix cached per (l, m); a copy without the data takes the HVP path.
+    """On an instant over ``QuadraticData`` the Neumann estimator applies a
+    matrix cached per (l, m); a copy without kernels takes the HVP path.
     The two reassociate the same products, so they agree to rounding."""
 
     @staticmethod
@@ -969,21 +987,21 @@ class TestNeumannMatrixPath:
         check(ell)
         check(2.5 * ell)
         check(4.0 * ell)
-        assert list(matrix.quadratic.cache) == [(ell, 6), (2.5 * ell, 6), (4.0 * ell, 6)]
+        assert list(matrix.data.cache) == [(ell, 6), (2.5 * ell, 6), (4.0 * ell, 6)]
 
     def test_one_cache_entry_per_stream(self):
         stream = quadratic_stream(d1=2, d2=3, T=15, noise=(0.3, 0.2), seed=4)
         trace = run_sobbo(stream, SobboConfig(alpha=0.05, eta=0.1, K=3, w=4), np.random.default_rng(5))
-        first = stream[0].quadratic
+        first = stream[0].data
         cache = first.cache
         assert list(cache) == [(stream[0].l_g1, trace.config.m)]
         assert len(cache[stream[0].l_g1, trace.config.m]) == trace.config.m
         # Every instant shares the stream's fixed matrices and cache.
         for inst in stream:
             for name in ("A", "Q", "neg_At", "cache"):
-                assert getattr(inst.quadratic, name) is getattr(first, name), name
+                assert getattr(inst.data, name) is getattr(first, name), name
         # A separately built instant gets a cache of its own.
-        assert one_dim_instant().quadratic.cache is not one_dim_instant().quadratic.cache
+        assert one_dim_instant().data.cache is not one_dim_instant().data.cache
 
     def test_oracle_fields_are_methods_of_one_data_object(self):
         streams = {
@@ -992,13 +1010,12 @@ class TestNeumannMatrixPath:
             "meta-static": meta_toy_stream(3, 6, seed=4),
             "spline": spline_stream(make_drifting_spline_task(seed=4, T=6, n_knots=7)),
         }
-        # Only quadratic data is also the instant's ``quadratic`` field.
+        # Only quadratic data carries the kernels.
         for kind, stream in streams.items():
             for inst in stream:
                 owners = {id(getattr(inst, name).__self__) for name in ORACLE_FIELDS}
-                assert len(owners) == 1, kind
-                quad = inst.quadratic
-                assert owners == {id(quad)} if kind == "quadratic" else quad is None, kind
+                assert owners == {id(inst.data)}, kind
+                assert isinstance(inst.data, QuadraticData) == (kind == "quadratic"), kind
         # A static meta stream holds its one task's data in every instant, and
         # every spline round shares the stream's omega and ridge.
         static = {id(inst.f_value.__self__) for inst in streams["meta-static"]}
@@ -1023,7 +1040,7 @@ class TestNeumannMatrixPath:
         lam, beta = np.array([0.4]), np.array([0.8])
         stochastic_hypergradient(inst, lam, beta, 5, Level(3, 5))
         assert counts == {"hvp_g_betabeta": 0, "hvp_g_lambdabeta": 0}
-        inst.quadratic = None
+        inst.data = OracleOnly(inst.data)
         stochastic_hypergradient(inst, lam, beta, 5, Level(3, 5))
         assert counts == {"hvp_g_betabeta": 3, "hvp_g_lambdabeta": 1}
 

@@ -46,9 +46,10 @@ from obbo.geometry import FeasibleSet
 from obbo.metrics import compute_regret_series
 from obbo.optimizers import (Adaptive, ObboConfig, OagdConfig, SobboConfig, run_oagd, run_obbo,
                              run_sobbo)
-from obbo.problems import (DriftSpec, make_drifting_spline_task, meta_toy_stream,
+from obbo.problems import (DriftSpec, ProblemInstant, make_drifting_spline_task, meta_toy_stream,
                            quadratic_instant, quadratic_stream, spline_stream)
-from obbo.problems.base import DataInstant
+
+from oracles import without_kernels
 
 T, ETA, NOISY = 60, 0.02, (0.3, 0.2)
 # (run, noise): only SOBBO samples, so the others run on the noisy instants alone.
@@ -71,13 +72,11 @@ def scaled_streams(d1, d2, seed, noise, kernels):
     base, scaled = [], []
     for inst in quadratic_stream(d1, d2, T, kappa_target=8.0, drift=DriftSpec.decaying(),
                                  seed=seed):
-        q = inst.quadratic
+        q = inst.data
         for out, factor in ((base, 1.0), (scaled, 4.0)):
             made = quadratic_instant(inst.t, q.A, q.b, factor * q.Q, q.c, q.amp, q.phases,
                                      noise=(factor * noise[0], noise[1]))
-            if not kernels:
-                made.quadratic = None
-            out.append(made)
+            out.append(made if kernels else without_kernels(made))
     return base, scaled
 
 
@@ -152,11 +151,9 @@ def permuted_paths(kernels, d1, d2, seed, box=None):
         stream = []
         for inst in quadratic_stream(d1, d2, 120, kappa_target=8.0, drift=DriftSpec.decaying(),
                                      seed=seed):
-            q = inst.quadratic
+            q = inst.data
             made = quadratic_instant(inst.t, q.A[:, order], q.b, q.Q, q.c, q.amp, q.phases[order])
-            if not kernels:
-                made.quadratic = None
-            stream.append(made)
+            stream.append(made if kernels else without_kernels(made))
         X = FeasibleSet.full_space() if box is None else FeasibleSet.box(*(x[order] for x in box))
         runs.append(run_obbo(stream, ObboConfig(eta=ETA, w=3, phi=Adaptive(), feasible=X)).lambdas)
     return runs[0][:, perm], runs[1]
@@ -173,13 +170,11 @@ def test_rotating_beta_keeps_the_obbo_itd_path(kernels, d1, d2, seed):
         stream = []
         for inst in quadratic_stream(d1, d2, 120, kappa_target=8.0, drift=DriftSpec.decaying(),
                                      seed=seed):
-            q = inst.quadratic
+            q = inst.data
             Q = rotation @ q.Q @ rotation.T
             made = quadratic_instant(inst.t, rotation @ q.A, rotation @ q.b, (Q + Q.T) / 2,
                                      rotation @ q.c, q.amp, q.phases)
-            if not kernels:
-                made.quadratic = None
-            stream.append(made)
+            stream.append(made if kernels else without_kernels(made))
         runs.append(run_obbo(stream, ObboConfig(eta=ETA, w=3, phi=Adaptive())).lambdas)
     want, got = runs
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -195,7 +190,7 @@ def test_permuting_meta_features_permutes_the_obbo_itd_path(d, seed):
     stream = meta_toy_stream(d, 120, seed=seed, drift=DriftSpec.decaying())
     cross = np.ix_(perm, perm)
     permuted = [
-        DataInstant(i.t, d, d, i.mu_g, i.l_g1, i.l_f1, data=i.data._replace(
+        ProblemInstant(i.t, d, d, i.mu_g, i.l_g1, i.l_f1, data=i.data._replace(
             X_tr=i.data.X_tr[:, perm], X_val=i.data.X_val[:, perm], G=i.data.G[cross],
             Xty=i.data.Xty[perm], H=i.data.H[cross]))
         for i in stream

@@ -40,6 +40,7 @@ from obbo.problems import (
     quadratic_stream,
     spline_stream,
 )
+from obbo.problems.quadratic import QuadraticData
 
 from oracles import constant_gradient_instant, count_kernel_rows
 
@@ -267,7 +268,7 @@ class TestRunSobbo:
             ),
         ]
         for stream, config in runs:
-            assert stream[0].quadratic is None
+            assert not isinstance(stream[0].data, QuadraticData)
             t1 = run_sobbo(stream, config, np.random.default_rng(3))
             t2 = run_sobbo(stream, config, np.random.default_rng(3))
             assert t1.T == len(stream) and np.all(np.isfinite(t1.lambdas))
@@ -533,7 +534,7 @@ def test_solver_makes_no_f_value_call(kind, make_stream, monkeypatch):
     trace = SOLVES_WITHOUT_RECORDS[kind](stream)
     assert calls["f_value"] == 0
     compute_regret_series(stream, trace)
-    if stream[0].quadratic is None:
+    if not isinstance(stream[0].data, QuadraticData):
         assert calls["f_value"] == trace.T == len(stream) and kernel_rows == []
     else:
         assert calls["f_value"] == 0 and kernel_rows == [trace.T] == [len(stream)]
@@ -591,7 +592,7 @@ class TestMetricsHookedNames:
         T = trace.T
         assert proxy.indexed == Counter(range(T)) and proxy.iterations == 0
         assert projections["generalized_projection"] == T
-        assert kernel_rows == ([] if stream[0].quadratic is None else [T])
+        assert kernel_rows == ([T] if isinstance(stream[0].data, QuadraticData) else [])
 
 
 # Each solver's calls through the names of obbo.optimizers per round, as
@@ -707,6 +708,14 @@ INPUT_CHECKS = {
     "l1-weight-bool": (lambda: Regularizer.l1(True), TypeError,
                        "l1 weight must be a number, got True"),
     "alpha-bool": (lambda: ObboConfig(alpha=True), TypeError, "alpha must be a number, got True"),
+    # A string failed the range test first, with Python's message naming no key.
+    "alpha-str": (lambda: ObboConfig(alpha="0.5"), TypeError, "alpha must be a number, got '0.5'"),
+    "eta-bytes": (lambda: SobboConfig(eta=b"0.05"), TypeError,
+                  "eta must be a number, got b'0.05'"),
+    "l1-weight-str": (lambda: Regularizer.l1("0.5"), TypeError,
+                      "l1 weight must be a number, got '0.5'"),
+    "adaptive-beta-str": (lambda: Adaptive(beta="0.9"), TypeError,
+                          "adaptive beta must be a number, got '0.9'"),
     # Unchecked, a run starts from lambda = [1.0, 1.0] or a NaN beta.
     "lambda0-bool": (lambda: ObboConfig(lambda0=[True, True]), TypeError,
                      "lambda0 must hold numbers, not bools, got [True, True]"),

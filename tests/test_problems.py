@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from obbo.hypergrad import inner_gd, itd_hypergradient, stochastic_hypergradient
 from obbo.metrics import build_grid
 from obbo.problems import (
     DriftSpec,
@@ -25,7 +26,7 @@ from obbo.problems import (
     spline_stream,
 )
 
-from oracles import (ORACLE_FIELDS, central_diff_grad, constant_gradient_instant,
+from oracles import (ORACLE_FIELDS, OracleOnly, central_diff_grad, constant_gradient_instant,
                      induced_objective)
 
 
@@ -45,6 +46,49 @@ def drifting_config(**kwargs) -> dict:
 def stacked_hvps(inst, lam, beta):
     """The inner Hessian built column by column from HVPs with unit vectors."""
     return np.column_stack([inst.hvp_g_betabeta(lam, beta, e) for e in np.eye(inst.d2)])
+
+
+# A short stream of each shipped kind; the quadratic one is noisy.
+STREAMS = {
+    "quadratic": lambda: quadratic_stream(**drifting_config(T=4, noise=(0.3, 0.2))),
+    "meta": lambda: meta_toy_stream(3, 4, seed=2, drift=DriftSpec.decaying()),
+    "spline": lambda: spline_stream(make_drifting_spline_task(seed=0, T=4, n_knots=6)),
+}
+SAMPLED_FIELDS = ("grad_g_beta_sampled", "grad_f_lambda_sampled", "grad_f_beta_sampled")
+
+
+def traced_fields(inst) -> list:
+    """The fields perfbench's ``Tracer.count_oracles`` wraps: each one that
+    ``dataclasses.fields`` lists and whose value is callable."""
+    return [f.name for f in dataclasses.fields(inst) if callable(getattr(inst, f.name))]
+
+
+def count_oracles(instants, counts: Counter) -> None:
+    """Set on each instant a wrapper of each traced field that counts its calls."""
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for inst in instants:
+        for name in traced_fields(inst):
+            setattr(inst, name, counted(name, getattr(inst, name)))
+
+
+def call_every_field(inst) -> None:
+    """Call each oracle and sampled gradient of ``inst`` once."""
+    lam, beta = np.full(inst.d1, 0.5), np.linspace(-1.0, 1.0, inst.d2)
+    rng = np.random.default_rng(1)
+    for name in ORACLE_FIELDS:
+        if name in ("inner_opt", "exact_hypergradient"):
+            args = (lam,)
+        else:
+            args = (lam, beta, beta) if name.startswith("hvp") else (lam, beta)
+        getattr(inst, name)(*args)
+    inst.grad_g_beta_sampled(lam, beta, 2, rng)
+    inst.grad_f_lambda_sampled(lam, beta, rng)
+    inst.grad_f_beta_sampled(lam, beta, rng)
 
 
 # One instant of each shipped stream, past its first round.
@@ -326,20 +370,60 @@ class TestQuadraticStream:
         added = len(gc.get_objects()) - before
         assert added <= 2 * len(stream) + 8, f"{added / len(stream):.2f} per round"
 
-    @pytest.mark.parametrize("kind", ["quadratic", "meta", "spline"])
+    @pytest.mark.parametrize("kind", sorted(STREAMS))
     def test_instants_store_no_callable(self, kind):
         # A shipped stream's instants read each oracle off their round's data and
         # store none, while dataclasses.fields still lists all nine for wrapping.
-        stream = {
-            "quadratic": lambda: quadratic_stream(**drifting_config()),
-            "meta": lambda: meta_toy_stream(d=3, T=5, seed=2, drift=DriftSpec.decaying()),
-            "spline": lambda: spline_stream(make_drifting_spline_task(seed=0, T=5)),
-        }[kind]()
-        for inst in stream:
+        for inst in STREAMS[kind]():
             assert [k for k, v in vars(inst).items() if callable(v)] == []
             assert set(ORACLE_FIELDS) <= {f.name for f in dataclasses.fields(inst)}
             for name in ORACLE_FIELDS:
                 assert getattr(inst, name) == getattr(inst.data, name)
+
+    @pytest.mark.parametrize("kind", sorted(STREAMS))
+    def test_callable_fields_are_the_oracles_and_sampled_gradients(self, kind):
+        # perfbench's tracer wraps what ``dataclasses.fields`` lists and is callable.
+        for inst in STREAMS[kind]():
+            assert set(traced_fields(inst)) == set(ORACLE_FIELDS) | set(SAMPLED_FIELDS)
+
+    @pytest.mark.parametrize("kind", sorted(STREAMS))
+    def test_a_wrapper_is_seen_by_its_instant_only(self, kind):
+        first, second = STREAMS[kind]()[:2]
+        counts = Counter()
+        count_oracles([first], counts)
+        for inst, want in ((second, Counter()), (first, Counter(traced_fields(first)))):
+            call_every_field(inst)
+            assert counts == want
+
+    @pytest.mark.parametrize("kind", sorted(STREAMS))
+    def test_sampled_gradients_call_no_wrapped_field(self, kind):
+        stream = STREAMS[kind]()
+        counts = Counter()
+        count_oracles(stream, counts)
+        lam, beta = np.full(stream[1].d1, 0.5), np.linspace(-1.0, 1.0, stream[1].d2)
+        rng = np.random.default_rng(3)
+        stream[1].grad_g_beta_sampled(lam, beta, 2, rng)
+        stream[1].grad_f_lambda_sampled(lam, beta, rng)
+        stream[1].grad_f_beta_sampled(lam, beta, rng)
+        assert counts == Counter(SAMPLED_FIELDS)
+
+    def test_quadratic_kernels_call_no_wrapped_field(self):
+        # Per round: inner GD's closed form calls nothing; ITD calls the two outer
+        # gradients and the Neumann estimate their sampled forms, as the traced
+        # sweep-itd and sobbo-neumann workloads count them.
+        stream = STREAMS["quadratic"]()
+        counts = Counter()
+        count_oracles(stream, counts)
+        inst = stream[1]
+        lam, beta = np.full(inst.d1, 0.5), np.linspace(-1.0, 1.0, inst.d2)
+        solve = inner_gd(inst, lam, beta, 0.5 / inst.l_g1, 4)
+        assert solve.trajectory.shape == (5, inst.d2)
+        assert counts == Counter()
+        itd_hypergradient(inst, lam, solve)
+        assert counts == Counter(["grad_f_beta", "grad_f_lambda"])
+        counts.clear()
+        stochastic_hypergradient(inst, lam, beta, 5, np.random.default_rng(4))
+        assert counts == Counter(["grad_f_beta_sampled", "grad_f_lambda_sampled"])
 
     @pytest.mark.parametrize("drift", ["static", "decaying", "sublinear"])
     def test_instants_hold_views_of_the_drift_path(self, drift):
@@ -348,7 +432,7 @@ class TestQuadraticStream:
         path, rows = stream.path, stream.rows
         assert len(rows) == len(stream)
         for t, inst in enumerate(stream):
-            q = inst.quadratic
+            q = inst.data
             for got, want in ((q.b, path[rows[t], 0]), (q.c, path[rows[t], 1])):
                 assert np.shares_memory(got, path)
                 assert got.tobytes() == want.tobytes()
@@ -790,8 +874,8 @@ class TestDataOracleParity:
         rng.uniform(0.0, 2.0 * np.pi, d1)
         assert len(stream) == T
         for t, inst in enumerate(stream, 1):
-            assert inst.quadratic.b.tobytes() == b.tobytes(), t
-            assert inst.quadratic.c.tobytes() == c.tobytes(), t
+            assert inst.data.b.tobytes() == b.tobytes(), t
+            assert inst.data.c.tobytes() == c.tobytes(), t
             step = drift.step_size(t)
             if t < T and step > 0:
                 u = rng.standard_normal(d2)
@@ -809,11 +893,11 @@ def _task():
 
 
 def _instant_without(name):
-    """A ``ProblemInstant`` given every init field but ``name``, read off ``_instant()``."""
+    """``_instant()`` rebuilt over data whose class forwards every oracle but ``name``."""
+    methods = {n: getattr(OracleOnly, n) for n in ORACLE_FIELDS if n != name}
+    lacking = type("Lacking", (), {"__init__": OracleOnly.__init__, **methods})
     inst = _instant()
-    return ProblemInstant(**{f.name: getattr(inst, f.name)
-                             for f in dataclasses.fields(ProblemInstant)
-                             if f.init and f.name != name})
+    return dataclasses.replace(inst, data=lacking(inst.data))
 
 
 NAN = float("nan")
@@ -891,10 +975,30 @@ INPUT_CHECKS = {
                                 "decaying drift rate must be positive and finite"),
     # Metrics and the exact estimator call both exact-solution oracles unchecked.
     "instant-no-inner-opt": (lambda: _instant_without("inner_opt"), TypeError,
-                             "missing 1 required positional argument: 'inner_opt'"),
+                             "instant data Lacking has no oracle 'inner_opt'"),
     "instant-no-exact-hypergradient": (
         lambda: _instant_without("exact_hypergradient"), TypeError,
-        "missing 1 required positional argument: 'exact_hypergradient'"),
+        "instant data Lacking has no oracle 'exact_hypergradient'"),
+    # A string failed the range test first, with Python's message naming no key.
+    "stream-kappa-str": (lambda: quadratic_stream(1, 1, 2, kappa_target="10"), TypeError,
+                         "kappa_target must be a number, got '10'"),
+    "stream-noise-str": (lambda: quadratic_stream(1, 1, 2, noise=("0.1", 0.0)), TypeError,
+                         "noise sigma_g_beta must be a number, got '0.1'"),
+    "stream-noise-none": (lambda: quadratic_stream(1, 1, 2, noise=(0.0, None)), TypeError,
+                          "noise sigma_f must be a number, got None"),
+    # A bare scale once failed with "object of type 'float' has no len()".
+    "stream-noise-scalar": (lambda: quadratic_stream(1, 1, 2, noise=0.5), ValueError,
+                            "noise must be a pair (sigma_g_beta, sigma_f), got 0.5"),
+    "stream-noise-triple": (lambda: quadratic_stream(1, 1, 2, noise=(0.1, 0.2, 0.3)), ValueError,
+                            "noise must be a pair (sigma_g_beta, sigma_f), got (0.1, 0.2, 0.3)"),
+    "meta-gamma-str": (lambda: meta_toy_stream(2, 2, gamma="1.0"), TypeError,
+                       "gamma must be a number, got '1.0'"),
+    "drift-rate-str": (lambda: DriftSpec.decaying(rate="0.5"), TypeError,
+                       "decaying drift rate must be a number, got '0.5'"),
+    "drift-scale-complex": (lambda: DriftSpec.sublinear(scale=1j), TypeError,
+                            "drift scale must be a number, got 1j"),
+    "instant-mu-str": (lambda: dataclasses.replace(_instant(), mu_g="1"), TypeError,
+                       "mu_g must be a number, got '1'"),
     "instant-t": (lambda: dataclasses.replace(_instant(), t=0), ValueError,
                   "time index t must be at least 1"),
     "instant-t-float": (lambda: dataclasses.replace(_instant(), t=1.5), TypeError,

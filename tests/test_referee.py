@@ -8,13 +8,12 @@ must be no larger than the oracle loop's at the 99th percentile and at the
 maximum.
 """
 
-import copy
-
 import numpy as np
 
 from obbo.hypergrad import inner_gd, itd_hypergradient
 from obbo.problems import quadratic_stream
 
+from oracles import without_kernels
 from referee import error_in_eps, inner_gd_reference, itd_reference
 
 DRAWS, K = 300, 12
@@ -24,12 +23,11 @@ D1, D2, ETA_FACTORS = (1, 2, 3, 4), (1, 3, 6, 12, 6), (0.5, 1.0, 1.5)
 
 def draw(seed: int):
     """A kappa = 100 quadratic stream's first instant, a copy of it without
-    quadratic data (which runs the oracle loop), a random lam and warm start,
+    kernels (which runs the oracle loop), a random lam and warm start,
     and eta a fixed fraction of 2 / l_g1."""
     d1, d2 = D1[seed % len(D1)], D2[seed % len(D2)]
     kernel = quadratic_stream(d1, d2, T=1, kappa_target=100.0, seed=seed)[0]
-    loop = copy.copy(kernel)
-    loop.quadratic = None
+    loop = without_kernels(kernel)
     rng = np.random.default_rng(seed)
     lam, beta0 = rng.standard_normal(d1), rng.standard_normal(d2)
     return kernel, loop, lam, beta0, ETA_FACTORS[seed % len(ETA_FACTORS)] / kernel.l_g1
@@ -39,7 +37,7 @@ def inner_gd_errors(seed: int) -> tuple[float, float]:
     """The largest row error, in units of epsilon, of the inner-GD kernel and
     of the oracle loop on one draw."""
     kernel, loop, lam, beta0, eta = draw(seed)
-    quad = kernel.quadratic
+    quad = kernel.data
     exact = inner_gd_reference(quad.A, quad.b, quad.Q, lam, beta0, eta, K)
     errors = []
     for inst in (kernel, loop):
@@ -53,7 +51,7 @@ def itd_errors(seed: int) -> tuple[float, float]:
     and of the oracle loop on one draw, both from the kernel's inner solve."""
     kernel, loop, lam, beta0, eta = draw(seed)
     solve = inner_gd(kernel, lam, beta0, eta, K)
-    quad = kernel.quadratic
+    quad = kernel.data
     exact = itd_reference(quad.A, quad.Q, quad.c, quad.amp, quad.phases, lam, solve.final, eta, K)
     kernel_error, loop_error = (error_in_eps(itd_hypergradient(inst, lam, solve), exact)
                                 for inst in (kernel, loop))
