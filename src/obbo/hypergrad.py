@@ -6,8 +6,8 @@ unrolled inner gradient-descent trajectory, and a randomized truncated
 Neumann-series estimate for stochastic oracles. ITD and the Neumann series
 take second-order information through Hessian-vector products; the implicit
 form solves with the instant's inner Hessian, a desk-scale direct solve. On
-an instant whose data is ``QuadraticData``, inner GD, the ITD estimator and
-the Neumann estimator run that data's kernels instead of its oracle methods:
+a ``QuadraticData`` instant, inner GD, the ITD estimator and the Neumann
+estimator run its kernels instead of its oracle methods:
 inner GD's closed form, the ITD reverse pass equal to the oracles' bit for
 bit, and one cached matrix per Neumann level (see ``QuadraticData``).
 """
@@ -37,7 +37,7 @@ class DivergenceError(RuntimeError):
 
 class InnerSolveResult:
     """K inner steps of size eta: the last iterate ``final`` and the (K + 1, d2)
-    ``trajectory``, formed on first read from ``rows``, a ``(data, x)`` pair of
+    ``trajectory``, formed on first read from ``rows``, an ``(instant, x)`` pair of
     ``QuadraticData.inner_gd_final``, when its kernel formed only ``final``."""
 
     __slots__ = ("final", "eta", "K", "_trajectory", "_rows")
@@ -49,8 +49,8 @@ class InnerSolveResult:
     @property
     def trajectory(self) -> np.ndarray:
         if self._trajectory is None:
-            data, x = self._rows
-            self._trajectory, self._rows = data.inner_gd_rows(x, self.eta, self.K), None
+            quad, x = self._rows
+            self._trajectory, self._rows = quad.inner_gd_rows(x, self.eta, self.K), None
         return self._trajectory
 
 
@@ -88,16 +88,15 @@ def inner_gd(instant: ProblemInstant, lam, beta0, eta: float, K: int) -> InnerSo
     """K gradient-descent steps on g_t(lam, .) from the warm start beta0; on
     ``QuadraticData``, its closed form, whose rows are formed and scanned only
     when its bound cannot prove them finite. A non-finite row raises either way."""
-    quad = instant.data
-    if not isinstance(quad, QuadraticData):
+    if not isinstance(instant, QuadraticData):
         return _descend(instant.t, lam, beta0, eta, K, instant.grad_g_beta)
     check_number("inner step size", eta, open_low=True)
     check_count("inner iteration count", K)
-    final, x = quad.inner_gd_final(lam, beta0, eta, K)
+    final, x = instant.inner_gd_final(lam, beta0, eta, K)
     if final is not None:
-        return InnerSolveResult(final, eta, K, rows=(quad, x))
+        return InnerSolveResult(final, eta, K, rows=(instant, x))
     with np.errstate(over="ignore", invalid="ignore"):
-        traj = quad.inner_gd_rows(x, eta, K)
+        traj = instant.inner_gd_rows(x, eta, K)
     if not _all_finite(traj[1:].ravel()):  # closed-form rows: one can overflow alone
         raise _diverged(instant.t, traj, eta)
     return InnerSolveResult(traj[-1], eta, K, traj)
@@ -153,8 +152,8 @@ def itd_hypergradient(
     lam = np.asarray(lam, dtype=float)
     omega_K, eta, K = solve.final, solve.eta, solve.K
     v = instant.grad_f_beta(lam, omega_K)
-    if isinstance(instant.data, QuadraticData):
-        acc = instant.data.itd_correction(v, eta, K)
+    if isinstance(instant, QuadraticData):
+        acc = instant.itd_correction(v, eta, K)
     else:
         traj, acc = solve.trajectory, np.zeros(instant.d1)
         for k in range(K - 1, -1, -1):
@@ -191,9 +190,8 @@ def stochastic_hypergradient(
     ell = instant.l_g1
     m_trunc = rng.integers(m)
     v = instant.grad_f_beta_sampled(lam, beta, rng)
-    quad = instant.data
-    if isinstance(quad, QuadraticData):
-        correction = quad.neumann_correction(v, ell, m, m_trunc)
+    if isinstance(instant, QuadraticData):
+        correction = instant.neumann_correction(v, ell, m, m_trunc)
         return instant.grad_f_lambda_sampled(lam, beta, rng) - correction
     inv_ell = 1.0 / ell
     hvp_betabeta = instant.hvp_g_betabeta

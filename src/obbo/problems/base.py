@@ -2,13 +2,14 @@
 
 A stream is a sequence of per-round oracle bundles: the outer objective f_t,
 the first derivatives of f_t and of the strongly convex inner objective g_t,
-its Hessian-vector products and its inner Hessian. They are the methods of
-one round's data object, which a ``ProblemInstant`` reads its fields from.
-The exact-solution oracles (``inner_opt`` and ``exact_hypergradient``) are
-required too, since every regret metric needs them, but only metrics, tests
-and the ``exact`` estimator call them; solvers call the others. Quadratic
-data, the only data that carries kernels, runs inner GD, ITD and the Neumann
-estimator in them instead, and a quadratic stream forms its regret rows.
+its Hessian-vector products and its inner Hessian. Each round is one
+instance of a ``ProblemInstant`` subclass that holds the round's data and
+defines the oracles as its methods. The exact-solution oracles
+(``inner_opt`` and ``exact_hypergradient``) are required too, since every
+regret metric needs them, but only metrics, tests and the ``exact``
+estimator call them; solvers call the others. ``QuadraticData``, the only
+class that carries kernels, runs inner GD, ITD and the Neumann estimator in
+them instead, and a quadratic stream forms its regret rows.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Any, Callable, ClassVar, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -31,56 +32,42 @@ Vector = np.ndarray
 Scalar = float
 
 
-# The oracle methods of a round's data that an instant's fields read.
+# The oracles each ProblemInstant subclass defines as methods.
 _ORACLES = ("f_value", "grad_f_lambda", "grad_f_beta", "grad_g_beta", "hvp_g_lambdabeta",
             "hvp_g_betabeta", "hess_g_betabeta", "inner_opt", "exact_hypergradient")
 
 
 # ProblemInstant's sampled gradients, read through the class as methods. Each adds
-# noise to its data's deterministic oracle; sigma itself is tested, not the scale,
+# noise to its class's deterministic oracle; sigma itself is tested, not the scale,
 # so a subnormal sigma still draws.
 def _sampled_g_beta(inst, lam, beta, s, rng):
     if inst.sigma_g_beta == 0.0:
-        return inst.data.grad_g_beta(lam, beta)
+        return type(inst).grad_g_beta(inst, lam, beta)
     xi = rng.standard_normal(inst.d2) * (inst.sigma_g_beta / math.sqrt(inst.d2 * s))
-    return inst.data.grad_g_beta(lam, beta) + xi
+    return type(inst).grad_g_beta(inst, lam, beta) + xi
 
 
 def _sampled_f_lambda(inst, lam, beta, rng):
-    g, sigma = inst.data.grad_f_lambda(lam, beta), inst.sigma_f
+    g, sigma = type(inst).grad_f_lambda(inst, lam, beta), inst.sigma_f
     return g if sigma == 0.0 else g + rng.standard_normal(inst.d1) * (sigma / math.sqrt(inst.d1))
 
 
 def _sampled_f_beta(inst, lam, beta, rng):
-    g, sigma = inst.data.grad_f_beta(lam, beta), inst.sigma_f
+    g, sigma = type(inst).grad_f_beta(inst, lam, beta), inst.sigma_f
     return g if sigma == 0.0 else g + rng.standard_normal(inst.d2) * (sigma / math.sqrt(inst.d2))
 
 
-class _DataOracle:
-    """An oracle field's class-level default: the same-named method of the
-    instant's ``data``. With no ``__set__``, an instance attribute shadows it."""
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, instant, owner=None):
-        return self if instant is None else getattr(instant.data, self.name)
-
-
 def _oracle_field():
-    return field(default=_DataOracle(), init=False, repr=False)
-
-
-# The data classes whose every oracle has been found callable.
-_ORACLE_CLASSES: set[type] = set()
+    return field(default=None, init=False, repr=False)
 
 
 @dataclass
 class ProblemInstant:
-    """Oracle bundle for one round: its constants, and the nine oracle fields
-    read, on each access, off the same-named methods of its round's ``data``,
-    a keyword field, so the instant stores no callable. A data class lacking
-    one of them is a ``TypeError`` at the build of its first instant.
+    """Oracle bundle for one round: its constants, and nine oracle fields, None
+    here, that each subclass (``@dataclass(eq=False, repr=False, kw_only=True)``)
+    defines as methods over its round's data, its own fields, so an instant stores
+    no callable. A subclass lacking one, or a bare ``ProblemInstant``, is a
+    ``TypeError``; oracles call each other as ``type(self).<oracle>(self, ...)``.
 
     Gradient and HVP oracles take (lam, beta) plus, for HVPs, the vector to
     multiply. ``hvp_g_lambdabeta(lam, beta, v)`` maps a d2-vector through the
@@ -89,14 +76,14 @@ class ProblemInstant:
     implicit estimator solves with; callers must not write to it, since the
     quadratic and meta streams return the matrix they store. Every shipped
     stream's g is quadratic in beta, so its Hessian ignores ``beta``;
-    hand-built data may use it. ``mu_g`` and ``l_g1`` bound the spectrum
+    hand-built subclasses may use it. ``mu_g`` and ``l_g1`` bound the spectrum
     of the inner Hessian. They hold for every lam in ``lambda_box``, a pair
     (lower, upper) that bounds each coordinate, or everywhere when it is None:
     the spline stream declares its task's box, the quadratic and meta streams
     none, and a run's feasible set must lie inside it. ``inner_opt(lam)`` is
     the inner optimum and ``exact_hypergradient(lam)`` the true hypergradient.
     Ranges: integer (not bool) ``t >= 1``; finite ``0 < mu_g <= l_g1``,
-    ``l_f1 > 0``, noise scales ``>= 0`` and a box's upper above its lower.
+    ``l_f1 > 0``, noise scales ``>= 0`` and a box's finite lower below its upper.
 
     ``l_f1``, the smoothness constant of f, sets the default outer step
     through ``outer_grad_lipschitz``, whose bound holds only when g has
@@ -111,14 +98,14 @@ class ProblemInstant:
     of s (``grad_g_beta_sampled(lam, beta, s, rng)``; the outer gradients take
     no batch, s = 1). A kind whose own sigma is 0.0, the default, returns the
     deterministic values bit for bit and draws nothing, so every stream runs
-    the stochastic solvers. They are the class's methods, and call the data's
-    oracles: wrapping or reassigning a deterministic field of an instant does
-    not reach them, and wrapping a sampled field wraps it on that instance.
-    No HVP has a sampled form.
+    the stochastic solvers. They are the class's methods, and call its
+    oracles through the class: wrapping or reassigning an oracle field of an
+    instant does not reach them, nor another oracle, and wrapping a sampled
+    field wraps it on that instance. No HVP has a sampled form.
 
     On ``QuadraticData`` (the A, b, Q of g_t = (beta - A lam - b)' Q (beta - A
     lam - b) / 2 and the c, amp, phases of f_t), inner GD, ITD and the Neumann
-    estimator run the data's kernels, as the regret series of a
+    estimator run the instant's kernels, as the regret series of a
     ``QuadraticStream`` runs its ``regret_rows``; so wrapping or reassigning an
     instant's ``grad_g_beta``, ``f_value``, ``exact_hypergradient`` or an HVP
     field does not reach them. Noisy inner SGD, the implicit estimator and the
@@ -146,9 +133,16 @@ class ProblemInstant:
     grad_g_beta_sampled: Callable = field(default=_sampled_g_beta, init=False, repr=False)
     grad_f_lambda_sampled: Callable = field(default=_sampled_f_lambda, init=False, repr=False)
     grad_f_beta_sampled: Callable = field(default=_sampled_f_beta, init=False, repr=False)
-    data: Any = field(kw_only=True, repr=False, compare=False)
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        for name in _ORACLES:
+            if not callable(getattr(cls, name)):
+                raise TypeError(f"instant class {cls.__name__} has no oracle {name!r}")
 
     def __post_init__(self):
+        if type(self) is ProblemInstant:
+            raise TypeError("ProblemInstant has no oracles: build an instance of a subclass")
         check_count("time index t", self.t)
         check_number("mu_g", self.mu_g, open_low=True)
         check_number("l_g1", self.l_g1, open_low=True)
@@ -158,15 +152,10 @@ class ProblemInstant:
             check_number("l_f1", self.l_f1, open_low=True)
         if self.lambda_box is not None:
             low, high = self.lambda_box
+            check_number("lambda_box lower", low, -math.inf, open_low=True)
             check_number("lambda_box upper", high, low, open_low=True)
         check_number("noise sigma_g_beta", self.sigma_g_beta)
         check_number("noise sigma_f", self.sigma_f)
-        kind = type(self.data)
-        if kind not in _ORACLE_CLASSES:
-            for name in _ORACLES:
-                if not callable(getattr(kind, name, None)):
-                    raise TypeError(f"instant data {kind.__name__} has no oracle {name!r}")
-            _ORACLE_CLASSES.add(kind)
 
 
 # numpy's names looked up once

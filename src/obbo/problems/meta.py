@@ -7,13 +7,13 @@ adapts task parameters from the meta parameters under a proximal tie,
 
 and the outer problem scores the adapted parameters on the task's validation
 samples. The adaptation is a ridge-like solve, so the inner optimum and the
-hypergradient are closed form. Each drawn task is one ``MetaData`` whose
-methods are the instant's oracles; it carries no solver kernels.
+hypergradient are closed form. Each round is one ``MetaData`` instant over
+its drawn task's arrays; it carries no solver kernels.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,11 +22,12 @@ from .base import DriftSpec, ProblemInstant, check_count, check_number
 __all__ = ["MetaData", "meta_toy_stream"]
 
 
-class MetaData(NamedTuple):
-    """One task's samples, its gamma and the products formed once per task:
-    G = X_tr' X_tr, Xty = X_tr' y_tr and the inner Hessian H = G + gamma I.
-    Its methods are the instant's oracles; under static drift every instant
-    holds the one task's data."""
+@dataclass(eq=False, repr=False, kw_only=True)
+class MetaData(ProblemInstant):
+    """A meta instant: one task's samples, its gamma and the products formed
+    once per task: G = X_tr' X_tr, Xty = X_tr' y_tr and the inner Hessian
+    H = G + gamma I. Under static drift every instant holds the one task's
+    arrays."""
 
     X_tr: np.ndarray
     y_tr: np.ndarray
@@ -63,8 +64,8 @@ class MetaData(NamedTuple):
         return np.linalg.solve(self.H, self.Xty + self.gamma * lam)
 
     def exact_hypergradient(self, lam):
-        beta_hat = self.inner_opt(lam)
-        return self.gamma * np.linalg.solve(self.H, self.grad_f_beta(lam, beta_hat))
+        beta_hat = type(self).inner_opt(self, lam)
+        return self.gamma * np.linalg.solve(self.H, type(self).grad_f_beta(self, lam, beta_hat))
 
 
 def meta_toy_stream(
@@ -76,12 +77,12 @@ def meta_toy_stream(
     n_train: int = 16,
     n_val: int = 16,
     task_noise: float = 0.1,
-) -> list[ProblemInstant]:
+) -> list[MetaData]:
     """Generate the meta-learning task sequence: T rounds in dimension d.
 
     Static drift repeats one task verbatim every round; otherwise the task's
     true regression vector follows the drift path and fresh samples arrive
-    each round. A task's data and constants are formed once per drawn task.
+    each round. A task's arrays and constants are formed once per drawn task.
     Ranges: integer (not bool) ``d``, ``T``, ``n_train``, ``n_val >= 1`` and
     ``seed >= 0``; finite ``gamma > 0`` and ``task_noise >= 0``.
     """
@@ -100,15 +101,16 @@ def meta_toy_stream(
         y_val = X_val @ theta_t + task_noise * rng.standard_normal(n_val)
         G = X_tr.T @ X_tr
         evals = np.linalg.eigvalsh(G)
-        data = MetaData(X_tr, y_tr, X_val, y_val, gamma, G, X_tr.T @ y_tr, G + gamma * np.eye(d))
+        task = dict(X_tr=X_tr, y_tr=y_tr, X_val=X_val, y_val=y_val, gamma=gamma, G=G,
+                    Xty=X_tr.T @ y_tr, H=G + gamma * np.eye(d))
         l_f1 = float(np.linalg.norm(X_val.T @ X_val, 2))
-        return data, gamma + float(evals[0]), gamma + float(evals[-1]), l_f1
+        return task, gamma + float(evals[0]), gamma + float(evals[-1]), l_f1
 
     instants = []
     for t in range(1, T + 1):
         if t == 1 or drift.kind != "static":
-            data, mu_g, l_g1, l_f1 = draw_task(theta)
-        instants.append(ProblemInstant(t, d, d, mu_g, l_g1, l_f1, data=data))
+            task, mu_g, l_g1, l_f1 = draw_task(theta)
+        instants.append(MetaData(t, d, d, mu_g, l_g1, l_f1, **task))
         if t < T:
             step = drift.step_size(t)
             if step > 0:

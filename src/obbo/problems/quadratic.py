@@ -16,7 +16,7 @@ deterministic function of the seed.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,10 +25,11 @@ from .base import DriftSpec, ProblemInstant, check_array, check_count, check_num
 __all__ = ["QuadraticData", "QuadraticStream", "quadratic_instant", "quadratic_stream"]
 
 
-class QuadraticData(NamedTuple):
-    """The whole data of one instant's g and f (as in the module docstring).
-    Its methods are the instant's oracles, which a ``ProblemInstant`` reads from it,
-    and the kernels inner GD, ITD and the Neumann estimator run.
+@dataclass(eq=False, repr=False, kw_only=True)
+class QuadraticData(ProblemInstant):
+    """A quadratic instant: the whole data of its g and f (as in the module
+    docstring), its oracles and the kernels inner GD, ITD and the Neumann
+    estimator run.
 
     ``neg_At`` is ``-A.T``, formed once: negation is exact, so products with it
     match ``-(A.T.dot(x))`` bit for bit. Per-round products are ``M.dot(x)``:
@@ -97,7 +98,8 @@ class QuadraticData(NamedTuple):
         return self.A.dot(lam) + self.b
 
     def exact_hypergradient(self, lam):
-        return self.grad_f_lambda(lam, None) + self.A.T.dot(self.inner_opt(lam) - self.c)
+        cls = type(self)
+        return cls.grad_f_lambda(self, lam, None) + self.A.T.dot(cls.inner_opt(self, lam) - self.c)
 
     def inner_gd_final(self, lam, beta0, eta: float, K: int) -> tuple:
         """``(omega_K, x)`` of K inner GD steps from beta0, x = [beta0; lam; b] in
@@ -193,7 +195,7 @@ class QuadraticStream(list):
         """``exact_hypergradient``, ``f_value`` and ``grad_g_beta``'s row dot at each
         (lambdas[t], betas[t]) of round t + 1, every oracle's operations in its order,
         stacked: ``matmul`` with a trailing unit axis and per-row sums."""
-        q = self[0].data
+        q = self[0]
         b, c = self.path[self.rows[: len(lambdas)]].transpose(1, 0, 2)
         A_lam = np.matmul(q.A, lambdas[:, :, None])[:, :, 0]
         grads = -q.amp * np.sin(lambdas + q.phases)
@@ -213,12 +215,13 @@ def quadratic_instant(
     amp: float = 0.0,
     phases=None,
     noise: tuple[float, float] = (0.0, 0.0),
-) -> ProblemInstant:
+) -> QuadraticData:
     """Build a single quadratic bilevel instant from explicit data.
 
     Shapes: A is (d2, d1), Q is (d2, d2), b and c are (d2,) and phases
     (optional) is (d1,); no other shape is accepted. Every entry is finite, Q
-    is symmetric positive definite and ``amp`` is finite and >= 0.
+    is symmetric positive definite, ``amp`` is finite and >= 0 and ``noise`` is
+    a pair of finite scales >= 0.
     """
     A = np.ascontiguousarray(check_array("A", A, (None, None)))
     d2, d1 = A.shape
@@ -226,9 +229,15 @@ def quadratic_instant(
     b, c = check_array("b", b, (d2,)), check_array("c", c, (d2,))
     phases = np.zeros(d1) if phases is None else check_array("phases", phases, (d1,))
     check_number("amp", amp)
+    _check_noise_pair(noise)
     mu_g, l_g1 = _spectrum_bounds(Q)
-    return ProblemInstant(t, d1, d2, mu_g, l_g1, max(1.0, amp), noise[0], noise[1],
-                          data=QuadraticData(A, b, Q, -A.T, {}, c, amp, phases))
+    return QuadraticData(t, d1, d2, mu_g, l_g1, max(1.0, amp), *noise,
+                         A=A, b=b, Q=Q, neg_At=-A.T, cache={}, c=c, amp=amp, phases=phases)
+
+
+def _check_noise_pair(noise) -> None:
+    if np.ndim(noise) != 1 or len(noise) != 2:  # each instant checks the two scales
+        raise ValueError(f"noise must be a pair (sigma_g_beta, sigma_f), got {noise}")
 
 
 def _spectrum_bounds(Q: np.ndarray) -> tuple[float, float]:
@@ -273,8 +282,7 @@ def quadratic_stream(
     for what, count, least in (("d1", d1, 1), ("d2", d2, 1), ("horizon", T, 1), ("seed", seed, 0)):
         check_count(what, count, least)
     check_number("kappa_target", kappa_target, 1.0)
-    if np.ndim(noise) != 1 or len(noise) != 2:  # each instant checks the two scales
-        raise ValueError(f"noise must be a pair (sigma_g_beta, sigma_f), got {noise}")
+    _check_noise_pair(noise)
     check_number("cos_amplitude", cos_amplitude)
     rng = np.random.default_rng(seed)
 
@@ -311,9 +319,7 @@ def quadratic_stream(
     uv *= steps[moving, None, None]
     path = np.add.accumulate(np.concatenate(([[b, c]], uv)))
     rows = np.concatenate(([0], np.cumsum(moving)))
-    instants: list[ProblemInstant] = []
-    for t, j in enumerate(rows.tolist(), 1):
-        b, c = path[j]
-        data = QuadraticData(A, b, Q, neg_At, cache, c, cos_amplitude, phases)
-        instants.append(ProblemInstant(t, d1, d2, mu_g, l_g1, l_f1, *noise, data=data))
+    instants = [QuadraticData(t, d1, d2, mu_g, l_g1, l_f1, *noise, A=A, b=b, Q=Q, neg_At=neg_At,
+                              cache=cache, c=c, amp=cos_amplitude, phases=phases)
+                for t, (b, c) in enumerate(map(path.__getitem__, rows.tolist()), 1)]
     return QuadraticStream(instants, path, rows)

@@ -13,13 +13,12 @@ line. The fixed ridge r = 1e-8 keeps the inner problem strongly convex over
 the whole positive lam box; it sits outside the lam scaling so it does not
 distort the heavy-penalty limit. Both the inner solve and the hypergradient
 are available in closed form through the normal equations. Each round is one
-``SplineData`` whose methods are the instant's oracles; it carries no kernels.
+``SplineData`` instant over its round's arrays; it carries no kernels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -117,11 +116,16 @@ def _lam_scalar(lam) -> float:
     return float(check_array("spline hyperparameter lam", lam, (1,))[0])
 
 
-class SplineData(NamedTuple):
-    """One round's data: BtB = B'B and Bty = B'y of the training batch, the
-    validation batch, and the fixed ``omega`` and ``ridge`` = RIDGE_FLOOR * I
-    that every round of a stream shares. Its methods are the instant's oracles
-    (``spline_stream`` stacks all rounds' arrays in one to form their Hessians)."""
+def _hessian(BtB, lv: float, omega: np.ndarray, ridge: np.ndarray) -> np.ndarray:
+    """The inner Hessian at the scalar lam ``lv``; ``BtB`` may stack rounds."""
+    return 2.0 * (BtB + lv * omega + ridge)
+
+
+@dataclass(eq=False, repr=False, kw_only=True)
+class SplineData(ProblemInstant):
+    """A spline instant: BtB = B'B and Bty = B'y of its round's training batch,
+    the validation batch, and the fixed ``omega`` and ``ridge`` = RIDGE_FLOOR * I
+    that every round of a stream shares."""
 
     BtB: np.ndarray
     Bty: np.ndarray
@@ -154,26 +158,27 @@ class SplineData(NamedTuple):
         return 2.0 * (self.BtB.dot(v) + lv * self.omega.dot(v) + RIDGE_FLOOR * v)
 
     def hess_g_betabeta(self, lam, beta):
-        return 2.0 * (self.BtB + _lam_scalar(lam) * self.omega + self.ridge)
+        return _hessian(self.BtB, _lam_scalar(lam), self.omega, self.ridge)
 
     def inner_opt(self, lam):
         try:
-            return np.linalg.solve(self.hess_g_betabeta(lam, None), 2.0 * self.Bty)
+            return np.linalg.solve(type(self).hess_g_betabeta(self, lam, None), 2.0 * self.Bty)
         except np.linalg.LinAlgError as exc:
             raise np.linalg.LinAlgError(
                 f"singular spline normal equations at lam={_lam_scalar(lam)!r}"
             ) from exc
 
     def exact_hypergradient(self, lam):
-        beta_hat = self.inner_opt(lam)
-        x = np.linalg.solve(self.hess_g_betabeta(lam, beta_hat), self.grad_f_beta(lam, beta_hat))
+        beta_hat = type(self).inner_opt(self, lam)
+        x = np.linalg.solve(type(self).hess_g_betabeta(self, lam, beta_hat),
+                            type(self).grad_f_beta(self, lam, beta_hat))
         return np.array([-2.0 * float(beta_hat.dot(self.omega.dot(x)))])
 
 
-def spline_stream(task: SplineTask) -> list[ProblemInstant]:
-    """Materialize the per-round oracle bundles for a spline task in stacked passes:
-    one basis call per split on its raveled rows, stacked B'B and B'y, and one
-    batched ``eigvalsh`` per bound of the lam box on a stacked ``SplineData``'s Hessians."""
+def spline_stream(task: SplineTask) -> list[SplineData]:
+    """Materialize the per-round instants of a spline task in stacked passes: one
+    basis call per split on its raveled rows, stacked B'B and B'y, and one batched
+    ``eigvalsh`` per bound of the lam box on the stacked rounds' Hessians."""
     k, omega = task.knots.size, roughness_penalty(task.knots)
     ridge = RIDGE_FLOOR * np.eye(k)
     B_tr, B_val = (linear_spline_basis(x.ravel(), task.knots).reshape(*x.shape, k)
@@ -181,15 +186,13 @@ def spline_stream(task: SplineTask) -> list[ProblemInstant]:
     Bt_tr = B_tr.transpose(0, 2, 1)
     BtB = np.matmul(Bt_tr, B_tr)
     Bty = np.matmul(Bt_tr, task.y_train[:, :, None])[:, :, 0]
-    stacked = SplineData(BtB, Bty, B_val, task.y_val, omega, ridge)
-    mu_g = np.linalg.eigvalsh(stacked.hess_g_betabeta([task.lambda_lower], None))[:, 0]
-    l_g1 = np.linalg.eigvalsh(stacked.hess_g_betabeta([task.lambda_upper], None))[:, -1]
+    mu_g = np.linalg.eigvalsh(_hessian(BtB, _lam_scalar([task.lambda_lower]), omega, ridge))[:, 0]
+    l_g1 = np.linalg.eigvalsh(_hessian(BtB, _lam_scalar([task.lambda_upper]), omega, ridge))[:, -1]
     box = (task.lambda_lower, task.lambda_upper)
-    return [
-        ProblemInstant(t, 1, k, mu, l, lambda_box=box, data=SplineData(*rows, omega, ridge))
-        for t, (*rows, mu, l) in enumerate(
-            zip(BtB, Bty, B_val, task.y_val, mu_g.tolist(), l_g1.tolist()), 1)
-    ]
+    rounds = zip(BtB, Bty, B_val, task.y_val, mu_g.tolist(), l_g1.tolist())
+    return [SplineData(t, 1, k, mu, l, lambda_box=box, BtB=BtB_t, Bty=Bty_t, B_val=B_val_t,
+                       y_val=y_val_t, omega=omega, ridge=ridge)
+            for t, (BtB_t, Bty_t, B_val_t, y_val_t, mu, l) in enumerate(rounds, 1)]
 
 
 def make_drifting_spline_task(

@@ -5,30 +5,31 @@ central finite differences, prox solutions from dense 1-D grid minimization
 of the raw objective, and inner-loop sensitivities from re-running the
 forward recursion at perturbed inputs. ``constant_gradient_instant`` is a
 hand-built instant whose every hypergradient estimate is a chosen vector.
-``without_kernels`` rebuilds an instant over data that forwards its nine
-oracles and nothing else, so the solvers and metrics call them where they
-would run a ``QuadraticData`` kernel. ``count_kernel_rows`` counts the rows of each call
+``without_kernels`` wraps an instant in one that forwards its nine oracles
+and nothing else, so the solvers and metrics call them where they would run
+a ``QuadraticData`` kernel. ``count_kernel_rows`` counts the rows of each call
 of the metrics' quadratic kernel.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
 from obbo.problems import ProblemInstant
 from obbo.problems.quadratic import QuadraticStream
 
-# The oracle fields of an instant that a stream fills from its round's data.
+# The oracle fields each instant class defines as methods.
 ORACLE_FIELDS = (
     "f_value", "grad_f_lambda", "grad_f_beta", "grad_g_beta", "hvp_g_lambdabeta",
     "hvp_g_betabeta", "hess_g_betabeta", "inner_opt", "exact_hypergradient",
 )
 
 
-class ConstantGradientData(NamedTuple):
+@dataclass(eq=False, repr=False, kw_only=True)
+class ConstantGradientInstant(ProblemInstant):
     """f has constant outer gradient g; the inner problem is a decoupled quadratic."""
 
     g: np.ndarray
@@ -62,35 +63,41 @@ class ConstantGradientData(NamedTuple):
 
 
 def constant_gradient_instant(t, g):
-    """An instant over ``ConstantGradientData``. The cross HVP is zero, so the
-    ITD, implicit and exact estimates all return g itself, bit for bit."""
+    """A ``ConstantGradientInstant``. The cross HVP is zero, so the ITD, implicit
+    and exact estimates all return g itself, bit for bit."""
     g = np.asarray(g, dtype=float)
-    return ProblemInstant(t, g.size, 1, 1.0, 1.0, data=ConstantGradientData(g))
-
-
-class OracleOnly:
-    """Another data object's nine oracle methods, forwarded, and nothing else."""
-
-    def __init__(self, data):
-        self.data = data
+    return ConstantGradientInstant(t, g.size, 1, 1.0, 1.0, g=g)
 
 
 def _forwarded(name):
     def oracle(self, *args):
-        return getattr(self.data, name)(*args)
+        return getattr(type(self.wrapped), name)(self.wrapped, *args)
 
     oracle.__name__ = name
     return oracle
 
 
+class _Forwarding:
+    """The nine oracles, each calling the same-named method of ``wrapped``'s class."""
+
+
 for _name in ORACLE_FIELDS:
-    setattr(OracleOnly, _name, _forwarded(_name))
+    setattr(_Forwarding, _name, _forwarded(_name))
+
+
+@dataclass(eq=False, repr=False, kw_only=True)
+class OracleOnly(_Forwarding, ProblemInstant):
+    """Another instant's constants and nine oracles, forwarded, and nothing else."""
+
+    wrapped: ProblemInstant
 
 
 def without_kernels(instant):
-    """``instant`` rebuilt over an ``OracleOnly`` of its data: the same oracles,
-    and no kernel for the solvers or metrics to run instead."""
-    return dataclasses.replace(instant, data=OracleOnly(instant.data))
+    """An ``OracleOnly`` over ``instant``: the same constants and oracles, and no
+    kernel for the solvers or metrics to run instead."""
+    constants = {f.name: getattr(instant, f.name)
+                 for f in dataclasses.fields(ProblemInstant) if f.init}
+    return OracleOnly(**constants, wrapped=instant)
 
 
 def central_diff_grad(fun, x, base_step: float = 1e-6) -> np.ndarray:

@@ -1228,7 +1228,7 @@ class TestExactOracleCalls:
     A second evaluation of any row, on either path, fails the count."""
 
     @staticmethod
-    def counted_cell(tmp_path, monkeypatch, stream):
+    def counted_cell(tmp_path, monkeypatch, stream, optimizer=None):
         calls = {"exact_hypergradient": 0, "inner_opt": 0}
         kernel_rows = count_kernel_rows(monkeypatch)
 
@@ -1248,6 +1248,8 @@ class TestExactOracleCalls:
         monkeypatch.setattr(runner, "build_stream", counted_stream)
         exp = replace(small_config().experiments[0], stream=stream,
                       metrics={"variations": True, "grid_size": 8})
+        if optimizer is not None:
+            exp = replace(exp, optimizer=optimizer)
         entry = run_cell(exp, 1, str(tmp_path))
         assert entry["status"] == "ok" and "variations" in entry
         return calls, kernel_rows
@@ -1264,6 +1266,18 @@ class TestExactOracleCalls:
         stream = {"kind": "meta", "d": 2, "T": 20}
         calls, kernel_rows = self.counted_cell(tmp_path, monkeypatch, stream)
         T, d1 = stream["T"], stream["d"]
+        grid_rows = 8 + 2**d1 + T
+        assert calls == {"exact_hypergradient": T, "inner_opt": T * grid_rows}
+        assert kernel_rows == []
+
+    def test_each_exact_oracle_evaluated_once_on_spline(self, tmp_path, monkeypatch):
+        # A spline round's exact_hypergradient solves for its inner optimum
+        # through its class, so the counted inner_opt field sees only the grid's.
+        stream = {"kind": "spline_synthetic", "T": 6, "n_knots": 5, "n_train": 8, "n_val": 8}
+        optimizer = {"kind": "obbo", "alpha": 0.02, "K": 4, "w": 2, "lambda0": [0.5],
+                     "feasible": SPLINE_EXP["optimizer"]["feasible"]}
+        calls, kernel_rows = self.counted_cell(tmp_path, monkeypatch, stream, optimizer)
+        T, d1 = stream["T"], 1
         grid_rows = 8 + 2**d1 + T
         assert calls == {"exact_hypergradient": T, "inner_opt": T * grid_rows}
         assert kernel_rows == []

@@ -32,7 +32,6 @@ from obbo.problems.quadratic import QuadraticData
 
 from oracles import (
     ORACLE_FIELDS,
-    OracleOnly,
     central_diff_grad,
     constant_gradient_instant,
     count_kernel_rows,
@@ -374,8 +373,7 @@ class TestQuadraticMatrixPath:
         eta = eta_factor / matrix.l_g1
         lam, beta0 = rng.standard_normal(d1), rng.standard_normal(d2)
         solve = inner_gd(matrix, lam, beta0, eta, K)
-        quad = matrix.data
-        exact = inner_gd_reference(quad.A, quad.b, quad.Q, lam, beta0, eta, K)
+        exact = inner_gd_reference(matrix.A, matrix.b, matrix.Q, lam, beta0, eta, K)
         assert np.array_equal(solve.trajectory[0], beta0)
         for k in range(1, K + 1):
             assert error_in_eps(solve.trajectory[k], exact[k]) <= 1.0, k
@@ -436,8 +434,8 @@ class TestInnerGdFastPath:
     def full_product(inst, lam, beta0, eta, K):
         """The trajectory as the full path forms it: beta0, then every row of
         the cached stack applied to [beta0; lam; b], rounded once."""
-        stack = inst.data.descent(eta, K)[0]
-        x = np.concatenate((beta0, lam, inst.data.b), dtype=np.longdouble)
+        stack = inst.descent(eta, K)[0]
+        x = np.concatenate((beta0, lam, inst.b), dtype=np.longdouble)
         return np.vstack((beta0, np.asarray(stack @ x, dtype=float).reshape(K, -1)))
 
     @staticmethod
@@ -520,7 +518,7 @@ class TestInnerGdFastPath:
             warnings.simplefilter("error")
             with pytest.raises(DivergenceError) as info:
                 inner_gd(inst, lam, beta0, eta, K)
-            stack, _, cap = inst.data.descent(eta, K)
+            stack, _, cap = inst.descent(eta, K)
         assert str(info.value) == (
             f"inner iterate diverged at k={k} (t=1); "
             f"eta={eta} likely violates the step size condition"
@@ -532,7 +530,6 @@ class TestInnerGdFastPath:
 
 def quadratic_outputs(inst, lam, beta, v, eta, K, ell, m):
     """Every oracle and kernel of a quadratic instant, at one set of inputs."""
-    quad = inst.data
     return {
         "grad_g_beta": inst.grad_g_beta(lam, beta),
         "hvp_g_lambdabeta": inst.hvp_g_lambdabeta(lam, beta, v),
@@ -540,8 +537,8 @@ def quadratic_outputs(inst, lam, beta, v, eta, K, ell, m):
         "inner_opt": inst.inner_opt(lam),
         "exact_hypergradient": inst.exact_hypergradient(lam),
         "inner_gd": inner_gd(inst, lam, beta, eta, K).trajectory,
-        "itd_correction": quad.itd_correction(v, eta, K),
-        **{f"neumann_correction[{k}]": quad.neumann_correction(v, ell, m, k) for k in range(m)},
+        "itd_correction": inst.itd_correction(v, eta, K),
+        **{f"neumann_correction[{k}]": inst.neumann_correction(v, ell, m, k) for k in range(m)},
     }
 
 
@@ -587,14 +584,14 @@ class TestDotProducts:
         else:
             lam, beta, v = rng.standard_normal(d1), rng.standard_normal(d2), rng.standard_normal(d2)
         eta, ell = 0.5 / inst.l_g1, 1.5 * inst.l_g1
-        Q = inst.data.Q
+        Q = inst.Q
         itd, w = np.zeros(d1), v
         for _ in range(K - 1):
             itd += -A.T @ (Q @ w)
             w = w - eta * (Q @ w)
         itd += -A.T @ (Q @ w)
         got = quadratic_outputs(inst, lam, beta, v, eta, K, ell, m)
-        levels = inst.data.cache[ell, m]
+        levels = inst.cache[ell, m]
         want = {
             "grad_g_beta": Q @ ((beta - A @ lam) - b),
             "hvp_g_lambdabeta": -A.T @ (Q @ v),
@@ -791,19 +788,19 @@ class TestKernelBuffers:
         inst = self.stream()[0]
         v = np.random.default_rng(2).standard_normal(inst.d2)
         kept = v.copy()
-        inst.data.itd_correction(v, 0.5 / inst.l_g1, self.K)
+        inst.itd_correction(v, 0.5 / inst.l_g1, self.K)
         assert np.array_equal(v, kept)
 
     def test_a_second_solve_leaves_the_first_unchanged(self):
         first, second = self.stream()
-        assert first.data.A is second.data.A
+        assert first.A is second.A
         rng = np.random.default_rng(3)
         eta = 0.5 / first.l_g1
         outputs = []
         for inst in (first, second):
             lam, beta0, v = (rng.standard_normal(n) for n in (inst.d1, inst.d2, inst.d2))
             solve = inner_gd(inst, lam, beta0, eta, self.K)
-            correction = inst.data.itd_correction(v, eta, self.K)
+            correction = inst.itd_correction(v, eta, self.K)
             estimate = itd_hypergradient(inst, lam, solve)
             outputs.append((solve.trajectory, correction, estimate))
             if inst is first:
@@ -818,16 +815,16 @@ class TestKernelBuffers:
         # key, which the call before it at that key wrote, on the other instant;
         # then A at (eta / 2, 6), a key that only eta tells from k1.
         a, b = self.stream()
-        cache = a.data.cache
-        assert b.data.cache is cache
+        cache = a.cache
+        assert b.cache is cache
         eta = 0.5 / a.l_g1
         k1, k2 = (eta, 6), (eta / 2, 12)
         rng = np.random.default_rng(4)
         results, entries = [], {}
         for inst, (step, K) in ((a, k1), (b, k2), (a, k2), (b, k1), (a, (eta / 2, 6))):
             v = rng.standard_normal(inst.d2)
-            got = inst.data.itd_correction(v, step, K)
-            assert np.array_equal(got, itd_loop_reference(inst.data, v, step, K))
+            got = inst.itd_correction(v, step, K)
+            assert np.array_equal(got, itd_loop_reference(inst, v, step, K))
             entry = cache["itd", step, K]
             assert entries.setdefault((step, K), entry) is entry
             results.append(got)
@@ -836,13 +833,13 @@ class TestKernelBuffers:
                 for x in (item if isinstance(item, list) else [item])]
         for i, got in enumerate(results):
             assert not any(np.shares_memory(got, x) for x in kept + results[i + 1:])
-        own = [quadratic_instant(1, a.data.A, a.data.b, a.data.Q, a.data.c)
+        own = [quadratic_instant(1, a.A, a.b, a.Q, a.c)
                for _ in range(2)]
         for inst in own:
-            inst.data.itd_correction(np.ones(inst.d2), *k1)
-        assert own[0].data.cache is not own[1].data.cache
+            inst.itd_correction(np.ones(inst.d2), *k1)
+        assert own[0].cache is not own[1].cache
         key = ("itd", *k1)
-        assert own[0].data.cache[key] is not own[1].data.cache[key]
+        assert own[0].cache[key] is not own[1].cache[key]
         assert cache[key] is entries[k1]
 
 
@@ -987,21 +984,21 @@ class TestNeumannMatrixPath:
         check(ell)
         check(2.5 * ell)
         check(4.0 * ell)
-        assert list(matrix.data.cache) == [(ell, 6), (2.5 * ell, 6), (4.0 * ell, 6)]
+        assert list(matrix.cache) == [(ell, 6), (2.5 * ell, 6), (4.0 * ell, 6)]
 
     def test_one_cache_entry_per_stream(self):
         stream = quadratic_stream(d1=2, d2=3, T=15, noise=(0.3, 0.2), seed=4)
         trace = run_sobbo(stream, SobboConfig(alpha=0.05, eta=0.1, K=3, w=4), np.random.default_rng(5))
-        first = stream[0].data
+        first = stream[0]
         cache = first.cache
         assert list(cache) == [(stream[0].l_g1, trace.config.m)]
         assert len(cache[stream[0].l_g1, trace.config.m]) == trace.config.m
         # Every instant shares the stream's fixed matrices and cache.
         for inst in stream:
             for name in ("A", "Q", "neg_At", "cache"):
-                assert getattr(inst.data, name) is getattr(first, name), name
+                assert getattr(inst, name) is getattr(first, name), name
         # A separately built instant gets a cache of its own.
-        assert one_dim_instant().data.cache is not one_dim_instant().data.cache
+        assert one_dim_instant().cache is not one_dim_instant().cache
 
     def test_oracle_fields_are_methods_of_one_data_object(self):
         streams = {
@@ -1010,38 +1007,44 @@ class TestNeumannMatrixPath:
             "meta-static": meta_toy_stream(3, 6, seed=4),
             "spline": spline_stream(make_drifting_spline_task(seed=4, T=6, n_knots=7)),
         }
-        # Only quadratic data carries the kernels.
+        # Each oracle is a method of the instant itself; only quadratic instants
+        # carry the kernels.
         for kind, stream in streams.items():
             for inst in stream:
                 owners = {id(getattr(inst, name).__self__) for name in ORACLE_FIELDS}
-                assert owners == {id(inst.data)}, kind
-                assert isinstance(inst.data, QuadraticData) == (kind == "quadratic"), kind
-        # A static meta stream holds its one task's data in every instant, and
+                assert owners == {id(inst)}, kind
+                assert isinstance(inst, QuadraticData) == (kind == "quadratic"), kind
+        # A static meta stream holds its one task's arrays in every instant, and
         # every spline round shares the stream's omega and ridge.
-        static = {id(inst.f_value.__self__) for inst in streams["meta-static"]}
+        task = ("X_tr", "y_tr", "X_val", "y_val", "G", "Xty", "H")
+        static = {tuple(id(getattr(inst, name)) for name in task)
+                  for inst in streams["meta-static"]}
         assert len(static) == 1
-        drifting = {id(inst.f_value.__self__) for inst in streams["meta"]}
+        drifting = {id(inst.X_tr) for inst in streams["meta"]}
         assert len(drifting) == len(streams["meta"])
-        first = streams["spline"][0].f_value.__self__
+        first = streams["spline"][0]
         for inst in streams["spline"]:
-            assert inst.f_value.__self__.omega is first.omega
-            assert inst.f_value.__self__.ridge is first.ridge
+            assert inst.omega is first.omega
+            assert inst.ridge is first.ridge
 
     def test_hvp_fields_are_called_without_quadratic_data(self):
-        inst = one_dim_instant(q=0.5, a=2.0, l_g1=1.0)
         counts = {"hvp_g_betabeta": 0, "hvp_g_lambdabeta": 0}
-        for name in counts:
 
-            def counted(lam, beta, v, _name=name, _orig=getattr(inst, name)):
-                counts[_name] += 1
-                return _orig(lam, beta, v)
+        def counting(inst):
+            for name in counts:
 
-            setattr(inst, name, counted)
+                def counted(lam, beta, v, _name=name, _orig=getattr(inst, name)):
+                    counts[_name] += 1
+                    return _orig(lam, beta, v)
+
+                setattr(inst, name, counted)
+            return inst
+
+        inst = counting(one_dim_instant(q=0.5, a=2.0, l_g1=1.0))
         lam, beta = np.array([0.4]), np.array([0.8])
         stochastic_hypergradient(inst, lam, beta, 5, Level(3, 5))
         assert counts == {"hvp_g_betabeta": 0, "hvp_g_lambdabeta": 0}
-        inst.data = OracleOnly(inst.data)
-        stochastic_hypergradient(inst, lam, beta, 5, Level(3, 5))
+        stochastic_hypergradient(counting(without_kernels(inst)), lam, beta, 5, Level(3, 5))
         assert counts == {"hvp_g_betabeta": 3, "hvp_g_lambdabeta": 1}
 
 

@@ -46,7 +46,7 @@ from obbo.geometry import FeasibleSet
 from obbo.metrics import compute_regret_series
 from obbo.optimizers import (Adaptive, ObboConfig, OagdConfig, SobboConfig, run_oagd, run_obbo,
                              run_sobbo)
-from obbo.problems import (DriftSpec, ProblemInstant, make_drifting_spline_task, meta_toy_stream,
+from obbo.problems import (DriftSpec, make_drifting_spline_task, meta_toy_stream,
                            quadratic_instant, quadratic_stream, spline_stream)
 
 from oracles import without_kernels
@@ -72,10 +72,9 @@ def scaled_streams(d1, d2, seed, noise, kernels):
     base, scaled = [], []
     for inst in quadratic_stream(d1, d2, T, kappa_target=8.0, drift=DriftSpec.decaying(),
                                  seed=seed):
-        q = inst.data
         for out, factor in ((base, 1.0), (scaled, 4.0)):
-            made = quadratic_instant(inst.t, q.A, q.b, factor * q.Q, q.c, q.amp, q.phases,
-                                     noise=(factor * noise[0], noise[1]))
+            made = quadratic_instant(inst.t, inst.A, inst.b, factor * inst.Q, inst.c, inst.amp,
+                                     inst.phases, noise=(factor * noise[0], noise[1]))
             out.append(made if kernels else without_kernels(made))
     return base, scaled
 
@@ -151,8 +150,8 @@ def permuted_paths(kernels, d1, d2, seed, box=None):
         stream = []
         for inst in quadratic_stream(d1, d2, 120, kappa_target=8.0, drift=DriftSpec.decaying(),
                                      seed=seed):
-            q = inst.data
-            made = quadratic_instant(inst.t, q.A[:, order], q.b, q.Q, q.c, q.amp, q.phases[order])
+            made = quadratic_instant(inst.t, inst.A[:, order], inst.b, inst.Q, inst.c, inst.amp,
+                                     inst.phases[order])
             stream.append(made if kernels else without_kernels(made))
         X = FeasibleSet.full_space() if box is None else FeasibleSet.box(*(x[order] for x in box))
         runs.append(run_obbo(stream, ObboConfig(eta=ETA, w=3, phi=Adaptive(), feasible=X)).lambdas)
@@ -170,10 +169,9 @@ def test_rotating_beta_keeps_the_obbo_itd_path(kernels, d1, d2, seed):
         stream = []
         for inst in quadratic_stream(d1, d2, 120, kappa_target=8.0, drift=DriftSpec.decaying(),
                                      seed=seed):
-            q = inst.data
-            Q = rotation @ q.Q @ rotation.T
-            made = quadratic_instant(inst.t, rotation @ q.A, rotation @ q.b, (Q + Q.T) / 2,
-                                     rotation @ q.c, q.amp, q.phases)
+            Q = rotation @ inst.Q @ rotation.T
+            made = quadratic_instant(inst.t, rotation @ inst.A, rotation @ inst.b, (Q + Q.T) / 2,
+                                     rotation @ inst.c, inst.amp, inst.phases)
             stream.append(made if kernels else without_kernels(made))
         runs.append(run_obbo(stream, ObboConfig(eta=ETA, w=3, phi=Adaptive())).lambdas)
     want, got = runs
@@ -190,9 +188,8 @@ def test_permuting_meta_features_permutes_the_obbo_itd_path(d, seed):
     stream = meta_toy_stream(d, 120, seed=seed, drift=DriftSpec.decaying())
     cross = np.ix_(perm, perm)
     permuted = [
-        ProblemInstant(i.t, d, d, i.mu_g, i.l_g1, i.l_f1, data=i.data._replace(
-            X_tr=i.data.X_tr[:, perm], X_val=i.data.X_val[:, perm], G=i.data.G[cross],
-            Xty=i.data.Xty[perm], H=i.data.H[cross]))
+        dataclasses.replace(i, X_tr=i.X_tr[:, perm], X_val=i.X_val[:, perm], G=i.G[cross],
+                            Xty=i.Xty[perm], H=i.H[cross])
         for i in stream
     ]
     config = ObboConfig(alpha=0.05, w=3, phi=Adaptive())

@@ -136,8 +136,8 @@ class TestRegretSeries:
                        for T in (150, 1200))
         assert len(short) == 150
         for a, b in zip(short, long):
-            np.testing.assert_array_equal(a.data.b, b.data.b)
-            np.testing.assert_array_equal(a.data.c, b.data.c)
+            np.testing.assert_array_equal(a.b, b.b)
+            np.testing.assert_array_equal(a.c, b.c)
         config = ObboConfig(alpha=0.02, K=12, w=10, clip_threshold=1000.0)
         short_run, long_run = (compute_regret_series(s, run_obbo(s, config)) for s in (short, long))
         np.testing.assert_array_equal(short_run.cumulative, long_run.cumulative[:150])

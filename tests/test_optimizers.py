@@ -268,7 +268,7 @@ class TestRunSobbo:
             ),
         ]
         for stream, config in runs:
-            assert not isinstance(stream[0].data, QuadraticData)
+            assert not isinstance(stream[0], QuadraticData)
             t1 = run_sobbo(stream, config, np.random.default_rng(3))
             t2 = run_sobbo(stream, config, np.random.default_rng(3))
             assert t1.T == len(stream) and np.all(np.isfinite(t1.lambdas))
@@ -534,7 +534,7 @@ def test_solver_makes_no_f_value_call(kind, make_stream, monkeypatch):
     trace = SOLVES_WITHOUT_RECORDS[kind](stream)
     assert calls["f_value"] == 0
     compute_regret_series(stream, trace)
-    if not isinstance(stream[0].data, QuadraticData):
+    if not isinstance(stream[0], QuadraticData):
         assert calls["f_value"] == trace.T == len(stream) and kernel_rows == []
     else:
         assert calls["f_value"] == 0 and kernel_rows == [trace.T] == [len(stream)]
@@ -592,7 +592,7 @@ class TestMetricsHookedNames:
         T = trace.T
         assert proxy.indexed == Counter(range(T)) and proxy.iterations == 0
         assert projections["generalized_projection"] == T
-        assert kernel_rows == ([T] if isinstance(stream[0].data, QuadraticData) else [])
+        assert kernel_rows == ([T] if isinstance(stream[0], QuadraticData) else [])
 
 
 # Each solver's calls through the names of obbo.optimizers per round, as

@@ -25,6 +25,7 @@ from obbo.problems import (
     roughness_penalty,
     spline_stream,
 )
+from obbo.problems.quadratic import QuadraticData
 
 from oracles import (ORACLE_FIELDS, OracleOnly, central_diff_grad, constant_gradient_instant,
                      induced_objective)
@@ -63,8 +64,9 @@ def traced_fields(inst) -> list:
     return [f.name for f in dataclasses.fields(inst) if callable(getattr(inst, f.name))]
 
 
-def count_oracles(instants, counts: Counter) -> None:
-    """Set on each instant a wrapper of each traced field that counts its calls."""
+def count_oracles(instants, counts: Counter, names=None) -> None:
+    """Set on each instant a wrapper that counts its calls of each field in
+    ``names``, by default of each traced field."""
     def counted(name, fn):
         def wrapper(*args):
             counts[name] += 1
@@ -72,12 +74,13 @@ def count_oracles(instants, counts: Counter) -> None:
         return wrapper
 
     for inst in instants:
-        for name in traced_fields(inst):
+        for name in traced_fields(inst) if names is None else names:
             setattr(inst, name, counted(name, getattr(inst, name)))
 
 
-def call_every_field(inst) -> None:
-    """Call each oracle and sampled gradient of ``inst`` once."""
+def call_every_field(inst, through_class=False) -> None:
+    """Call each oracle and sampled gradient of ``inst`` once; with
+    ``through_class``, call each oracle as its class's method, not the field."""
     lam, beta = np.full(inst.d1, 0.5), np.linspace(-1.0, 1.0, inst.d2)
     rng = np.random.default_rng(1)
     for name in ORACLE_FIELDS:
@@ -85,7 +88,10 @@ def call_every_field(inst) -> None:
             args = (lam,)
         else:
             args = (lam, beta, beta) if name.startswith("hvp") else (lam, beta)
-        getattr(inst, name)(*args)
+        if through_class:
+            getattr(type(inst), name)(inst, *args)
+        else:
+            getattr(inst, name)(*args)
     inst.grad_g_beta_sampled(lam, beta, 2, rng)
     inst.grad_f_lambda_sampled(lam, beta, rng)
     inst.grad_f_beta_sampled(lam, beta, rng)
@@ -334,10 +340,11 @@ class TestQuadraticStream:
             assert (counts[name], counts[sampled]) == (0, 1)
 
     def test_quadratic_stream_allocation(self):
-        # A 600-round d1 4, d2 6 stream allocates about 380 KiB net (tracemalloc,
-        # CPython 3.11, numpy 2.4) now that its instants read their oracles off
-        # their data; holding nine bound methods of it each, they took about
-        # 800 KiB, and with sampled-oracle partials too about 1,170 KiB.
+        # A 600-round d1 4, d2 6 stream allocates about 340 KiB net (tracemalloc,
+        # CPython 3.11, numpy 2.4) now that each instant is its round's data; as
+        # instants over separate data objects they took about 370 KiB, holding
+        # nine bound methods of it each about 800 KiB, and with sampled-oracle
+        # partials too about 1,170 KiB.
         def build(seed):
             return quadratic_stream(d1=4, d2=6, T=600, kappa_target=100.0,
                                     drift=DriftSpec.decaying(), seed=seed)
@@ -356,8 +363,9 @@ class TestQuadraticStream:
         assert net < 590 * 1024, f"{net / 1024:.1f} KiB"
 
     def test_quadratic_instants_add_two_gc_objects_each(self):
-        # Each round adds its instant and its QuadraticData, plus a few objects
-        # for the stream; nine bound methods and a tuple per instant made it 12.
+        # Each round adds one object, its instant, plus a few for the stream; an
+        # instant over a separate QuadraticData made it two, and nine bound
+        # methods and a tuple per instant 12.
         def build(seed):
             return quadratic_stream(d1=4, d2=6, T=600, kappa_target=100.0,
                                     drift=DriftSpec.decaying(), seed=seed)
@@ -372,13 +380,14 @@ class TestQuadraticStream:
 
     @pytest.mark.parametrize("kind", sorted(STREAMS))
     def test_instants_store_no_callable(self, kind):
-        # A shipped stream's instants read each oracle off their round's data and
-        # store none, while dataclasses.fields still lists all nine for wrapping.
+        # A shipped stream's instants are their round's data, with each oracle a
+        # method of their class, while dataclasses.fields still lists all nine
+        # for wrapping.
         for inst in STREAMS[kind]():
             assert [k for k, v in vars(inst).items() if callable(v)] == []
             assert set(ORACLE_FIELDS) <= {f.name for f in dataclasses.fields(inst)}
             for name in ORACLE_FIELDS:
-                assert getattr(inst, name) == getattr(inst.data, name)
+                assert getattr(inst, name).__func__ is getattr(type(inst), name), name
 
     @pytest.mark.parametrize("kind", sorted(STREAMS))
     def test_callable_fields_are_the_oracles_and_sampled_gradients(self, kind):
@@ -407,6 +416,26 @@ class TestQuadraticStream:
         stream[1].grad_f_beta_sampled(lam, beta, rng)
         assert counts == Counter(SAMPLED_FIELDS)
 
+    @pytest.mark.parametrize("kind", sorted(STREAMS))
+    def test_oracles_call_no_wrapped_field(self, kind):
+        # Inside its class an oracle calls another through the class, as each
+        # exact_hypergradient calls inner_opt, and so do the sampled gradients and
+        # the quadratic kernels: wrappers on the instance count none of their calls.
+        stream = STREAMS[kind]()
+        inst = stream[1]
+        counts = Counter()
+        count_oracles([inst], counts, ORACLE_FIELDS)
+        call_every_field(inst, through_class=True)
+        if isinstance(inst, QuadraticData):
+            lam, beta = np.full(inst.d1, 0.5), np.linspace(-1.0, 1.0, inst.d2)
+            eta = 0.5 / inst.l_g1
+            _, x = inst.inner_gd_final(lam, beta, eta, 4)
+            inst.inner_gd_rows(x, eta, 4)
+            inst.itd_correction(beta, eta, 4)
+            inst.neumann_correction(beta, inst.l_g1, 3, 2)
+            stream.regret_rows(np.array([lam, lam]), np.array([beta, beta]))
+        assert counts == Counter()
+
     def test_quadratic_kernels_call_no_wrapped_field(self):
         # Per round: inner GD's closed form calls nothing; ITD calls the two outer
         # gradients and the Neumann estimate their sampled forms, as the traced
@@ -432,8 +461,7 @@ class TestQuadraticStream:
         path, rows = stream.path, stream.rows
         assert len(rows) == len(stream)
         for t, inst in enumerate(stream):
-            q = inst.data
-            for got, want in ((q.b, path[rows[t], 0]), (q.c, path[rows[t], 1])):
+            for got, want in ((inst.b, path[rows[t], 0]), (inst.c, path[rows[t], 1])):
                 assert np.shares_memory(got, path)
                 assert got.tobytes() == want.tobytes()
 
@@ -592,9 +620,8 @@ class TestSplineStream:
         # Outside the lam box the normal equations can be singular; the runner
         # records a LinAlgError as an aborted cell, like a divergence.
         _, stream = self.make_stream()
-        data = stream[0].inner_opt.__self__
-        zero = np.zeros_like(data.BtB)
-        singular = data._replace(BtB=zero, omega=zero, ridge=zero)
+        zero = np.zeros_like(stream[0].BtB)
+        singular = dataclasses.replace(stream[0], BtB=zero, omega=zero, ridge=zero)
         with pytest.raises(np.linalg.LinAlgError,
                            match=re.escape("singular spline normal equations at lam=0.5")):
             singular.inner_opt(np.array([0.5]))
@@ -839,10 +866,9 @@ class TestDataOracleParity:
             BtB, Bty = B_tr.T @ B_tr, B_tr.T @ y_tr
             fields = dict(BtB=BtB, Bty=Bty, B_val=B_val, y_val=y_val, omega=omega,
                           ridge=1e-8 * np.eye(n_knots))
-            data = inst.inner_opt.__self__
-            assert data._fields == tuple(fields)
+            assert [f.name for f in dataclasses.fields(inst)][-len(fields):] == list(fields)
             for name, want in fields.items():
-                assert np.array_equal(getattr(data, name), want), name
+                assert np.array_equal(getattr(inst, name), want), name
             reference = spline_reference(BtB, Bty, B_val, y_val, omega, task)
             draws = [
                 (np.array([10.0 ** draw.uniform(-4, 1)]), *draw.standard_normal((2, n_knots)))
@@ -874,8 +900,8 @@ class TestDataOracleParity:
         rng.uniform(0.0, 2.0 * np.pi, d1)
         assert len(stream) == T
         for t, inst in enumerate(stream, 1):
-            assert inst.data.b.tobytes() == b.tobytes(), t
-            assert inst.data.c.tobytes() == c.tobytes(), t
+            assert inst.b.tobytes() == b.tobytes(), t
+            assert inst.c.tobytes() == c.tobytes(), t
             step = drift.step_size(t)
             if t < T and step > 0:
                 u = rng.standard_normal(d2)
@@ -892,12 +918,9 @@ def _task():
     return make_drifting_spline_task(seed=0, T=3)
 
 
-def _instant_without(name):
-    """``_instant()`` rebuilt over data whose class forwards every oracle but ``name``."""
-    methods = {n: getattr(OracleOnly, n) for n in ORACLE_FIELDS if n != name}
-    lacking = type("Lacking", (), {"__init__": OracleOnly.__init__, **methods})
-    inst = _instant()
-    return dataclasses.replace(inst, data=lacking(inst.data))
+def _oracles_but(name) -> dict:
+    """``OracleOnly``'s oracle methods, bar ``name``'s."""
+    return {n: getattr(OracleOnly, n) for n in ORACLE_FIELDS if n != name}
 
 
 NAN = float("nan")
@@ -974,11 +997,14 @@ INPUT_CHECKS = {
     "drift-decaying-rate-nan": (lambda: DriftSpec.decaying(rate=float("nan")), ValueError,
                                 "decaying drift rate must be positive and finite"),
     # Metrics and the exact estimator call both exact-solution oracles unchecked.
-    "instant-no-inner-opt": (lambda: _instant_without("inner_opt"), TypeError,
-                             "instant data Lacking has no oracle 'inner_opt'"),
+    "instant-no-inner-opt": (
+        lambda: type("Lacking", (ProblemInstant,), _oracles_but("inner_opt")), TypeError,
+        "instant class Lacking has no oracle 'inner_opt'"),
     "instant-no-exact-hypergradient": (
-        lambda: _instant_without("exact_hypergradient"), TypeError,
-        "instant data Lacking has no oracle 'exact_hypergradient'"),
+        lambda: type("Lacking", (ProblemInstant,), _oracles_but("exact_hypergradient")),
+        TypeError, "instant class Lacking has no oracle 'exact_hypergradient'"),
+    "instant-base-class": (lambda: ProblemInstant(1, 1, 1, 1.0, 1.0), TypeError,
+                           "ProblemInstant has no oracles: build an instance of a subclass"),
     # A string failed the range test first, with Python's message naming no key.
     "stream-kappa-str": (lambda: quadratic_stream(1, 1, 2, kappa_target="10"), TypeError,
                          "kappa_target must be a number, got '10'"),
@@ -991,6 +1017,24 @@ INPUT_CHECKS = {
                             "noise must be a pair (sigma_g_beta, sigma_f), got 0.5"),
     "stream-noise-triple": (lambda: quadratic_stream(1, 1, 2, noise=(0.1, 0.2, 0.3)), ValueError,
                             "noise must be a pair (sigma_g_beta, sigma_f), got (0.1, 0.2, 0.3)"),
+    # Unchecked, a triple built an instant that dropped its third entry, a scalar
+    # failed with "'float' object is not subscriptable" and a single entry with an
+    # IndexError.
+    **{f"instant-noise-{name}": (
+        lambda noise=noise: quadratic_instant(1, [[1.0]], [0.0], [[1.0]], [0.0], noise=noise),
+        ValueError, f"noise must be a pair (sigma_g_beta, sigma_f), got {noise}")
+       for name, noise in (("triple", (0.1, 0.2, 0.3)), ("scalar", 0.5), ("single", [0.1]))},
+    # The lower bound was unchecked: a str failed with Python's "'<' not supported",
+    # NaN or inf was reported as a bad upper bound, and a bool or -inf built.
+    **{f"instant-box-lower-{name}": (
+        lambda low=low: dataclasses.replace(_instant(), lambda_box=(low, 1.0)), error,
+        f"lambda_box lower must {message}, got {low!r}")
+       for name, low, error, message in (
+           ("str", "a", TypeError, "be a number"),
+           ("bool", True, TypeError, "be a number"),
+           ("nan", NAN, ValueError, "lie in (-inf, inf)"),
+           ("inf", math.inf, ValueError, "lie in (-inf, inf)"),
+           ("minus-inf", -math.inf, ValueError, "lie in (-inf, inf)"))},
     "meta-gamma-str": (lambda: meta_toy_stream(2, 2, gamma="1.0"), TypeError,
                        "gamma must be a number, got '1.0'"),
     "drift-rate-str": (lambda: DriftSpec.decaying(rate="0.5"), TypeError,

@@ -37,8 +37,7 @@ def inner_gd_errors(seed: int) -> tuple[float, float]:
     """The largest row error, in units of epsilon, of the inner-GD kernel and
     of the oracle loop on one draw."""
     kernel, loop, lam, beta0, eta = draw(seed)
-    quad = kernel.data
-    exact = inner_gd_reference(quad.A, quad.b, quad.Q, lam, beta0, eta, K)
+    exact = inner_gd_reference(kernel.A, kernel.b, kernel.Q, lam, beta0, eta, K)
     errors = []
     for inst in (kernel, loop):
         traj = inner_gd(inst, lam, beta0, eta, K).trajectory
@@ -51,8 +50,8 @@ def itd_errors(seed: int) -> tuple[float, float]:
     and of the oracle loop on one draw, both from the kernel's inner solve."""
     kernel, loop, lam, beta0, eta = draw(seed)
     solve = inner_gd(kernel, lam, beta0, eta, K)
-    quad = kernel.data
-    exact = itd_reference(quad.A, quad.Q, quad.c, quad.amp, quad.phases, lam, solve.final, eta, K)
+    exact = itd_reference(kernel.A, kernel.Q, kernel.c, kernel.amp, kernel.phases, lam,
+                          solve.final, eta, K)
     kernel_error, loop_error = (error_in_eps(itd_hypergradient(inst, lam, solve), exact)
                                 for inst in (kernel, loop))
     return kernel_error, loop_error
