@@ -9,7 +9,7 @@ form solves with the instant's inner Hessian, a desk-scale direct solve. On
 a ``QuadraticData`` instant, inner GD, the ITD estimator and the Neumann
 estimator run its kernels instead of its oracle methods:
 inner GD's closed form, the ITD reverse pass equal to the oracles' bit for
-bit, and one cached matrix per Neumann level (see ``QuadraticData``).
+bit, and one cached matrix per Neumann level (see ``InnerQuadratic``).
 """
 
 from __future__ import annotations
@@ -146,14 +146,14 @@ def itd_hypergradient(
     the cross HVP at omega^k is accumulated, then the vector is multiplied by
     (I - eta * H_betabeta(lam, omega^k)). Algebraically identical to the
     matrix-product form of the unrolled derivative. On ``QuadraticData``
-    its ``itd_correction`` kernel runs the reverse pass,
+    the ``itd_correction`` kernel of its ``inner`` runs the reverse pass,
     one ``Q v`` per step shared by both HVPs, and the K cross HVPs stacked.
     """
     lam = np.asarray(lam, dtype=float)
     omega_K, eta, K = solve.final, solve.eta, solve.K
     v = instant.grad_f_beta(lam, omega_K)
     if isinstance(instant, QuadraticData):
-        acc = instant.itd_correction(v, eta, K)
+        acc = instant.inner.itd_correction(v, eta, K)
     else:
         traj, acc = solve.trajectory, np.zeros(instant.d1)
         for k in range(K - 1, -1, -1):
@@ -180,8 +180,8 @@ def stochastic_hypergradient(
     is the identity. Only the gradients are sampled; the HVPs are exact.
 
     On ``QuadraticData`` the level's factors, scale and
-    mixed HVP are one product with a matrix its ``neumann_correction``
-    kernel caches per (l, m); the HVP fields are not called. The draws
+    mixed HVP are one product with a matrix the ``neumann_correction``
+    kernel of its ``inner`` caches per (l, m); the HVP fields are not called. The draws
     are the same, in the same order.
     """
     lam = np.asarray(lam, dtype=float)
@@ -191,7 +191,7 @@ def stochastic_hypergradient(
     m_trunc = rng.integers(m)
     v = instant.grad_f_beta_sampled(lam, beta, rng)
     if isinstance(instant, QuadraticData):
-        correction = instant.neumann_correction(v, ell, m, m_trunc)
+        correction = instant.inner.neumann_correction(v, ell, m, m_trunc)
         return instant.grad_f_lambda_sampled(lam, beta, rng) - correction
     inv_ell = 1.0 / ell
     hvp_betabeta = instant.hvp_g_betabeta

@@ -7,9 +7,9 @@ instance of a ``ProblemInstant`` subclass that holds the round's data and
 defines the oracles as its methods. The exact-solution oracles
 (``inner_opt`` and ``exact_hypergradient``) are required too, since every
 regret metric needs them, but only metrics, tests and the ``exact``
-estimator call them; solvers call the others. ``QuadraticData``, the only
-class that carries kernels, runs inner GD, ITD and the Neumann estimator in
-them instead, and a quadratic stream forms its regret rows.
+estimator call them; solvers call the others. On ``QuadraticData`` inner GD,
+ITD and the Neumann estimator run kernels instead, those of its stream's
+``InnerQuadratic``, and a quadratic stream forms its regret rows.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ class ProblemInstant:
     mixed second derivative of g into a d1-vector; ``hvp_g_betabeta`` stays in
     d2. ``hess_g_betabeta(lam, beta)`` is its (d2, d2) matrix, which the
     implicit estimator solves with; callers must not write to it, since the
-    quadratic and meta streams return the matrix they store. Every shipped
+    meta stream returns the matrix it stores (the quadratic's is read-only). Every shipped
     stream's g is quadratic in beta, so its Hessian ignores ``beta``;
     hand-built subclasses may use it. ``mu_g`` and ``l_g1`` bound the spectrum
     of the inner Hessian. They hold for every lam in ``lambda_box``, a pair
@@ -103,10 +103,10 @@ class ProblemInstant:
     instant does not reach them, nor another oracle, and wrapping a sampled
     field wraps it on that instance. No HVP has a sampled form.
 
-    On ``QuadraticData`` (the A, b, Q of g_t = (beta - A lam - b)' Q (beta - A
-    lam - b) / 2 and the c, amp, phases of f_t), inner GD, ITD and the Neumann
-    estimator run the instant's kernels, as the regret series of a
-    ``QuadraticStream`` runs its ``regret_rows``; so wrapping or reassigning an
+    On ``QuadraticData`` (b, c, amp, phases and ``inner``, the stream's record
+    of A and Q that sets d1, d2, mu_g and l_g1), inner GD, ITD and the Neumann
+    estimator run the kernels of the instant and its ``inner``, as the regret
+    series of a ``QuadraticStream`` runs its ``regret_rows``; so wrapping or reassigning an
     instant's ``grad_g_beta``, ``f_value``, ``exact_hypergradient`` or an HVP
     field does not reach them. Noisy inner SGD, the implicit estimator and the
     other metrics call the fields.

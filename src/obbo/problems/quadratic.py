@@ -16,29 +16,30 @@ deterministic function of the seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .base import DriftSpec, ProblemInstant, check_array, check_count, check_number
 
-__all__ = ["QuadraticData", "QuadraticStream", "quadratic_instant", "quadratic_stream"]
+__all__ = ["InnerQuadratic", "QuadraticData", "QuadraticStream", "quadratic_instant",
+           "quadratic_stream"]
 
 
-@dataclass(eq=False, repr=False, kw_only=True)
-class QuadraticData(ProblemInstant):
-    """A quadratic instant: the whole data of its g and f (as in the module
-    docstring), its oracles and the kernels inner GD, ITD and the Neumann
-    estimator run.
+class InnerQuadratic:
+    """A quadratic stream's fixed A and Q, what derives from them, and the kernels
+    inner GD, ITD and the Neumann estimator run on them.
 
-    ``neg_At`` is ``-A.T``, formed once: negation is exact, so products with it
-    match ``-(A.T.dot(x))`` bit for bit. Per-round products are ``M.dot(x)``:
-    the BLAS call of ``M @ x`` at half the call overhead, with the same bits
-    while M is contiguous (``quadratic_instant`` copies A and Q). ITD stacks its
-    K cross HVPs in one ``matmul`` and sums them in order (``np.add.accumulate``).
-    The ITD kernel repeats the oracles' operations in order (eta Qv as a product
-    with an eta vector) in its cached workspace, so it equals the oracle path bit
-    for bit, and returns a fresh array. The Neumann kernel reassociates.
+    ``InnerQuadratic(A, Q)`` checks a finite A (d2, d1) and a symmetric positive
+    definite Q (d2, d2) and keeps read-only C-ordered copies, so no write reaches
+    them. ``mu_g`` and ``l_g1`` bound Q's spectrum; ``neg_At`` is ``-A.T``, formed
+    once: negation is exact, so products with it match ``-(A.T.dot(x))`` bit for bit.
+    Per-round products are ``M.dot(x)``: the BLAS call of ``M @ x`` at half the call
+    overhead, with the same bits while M is contiguous. ITD stacks its K cross HVPs
+    in one ``matmul`` and sums them in order (``np.add.accumulate``). The ITD kernel
+    repeats the oracles' operations in order (eta Qv as a product with an eta vector)
+    in its cached workspace, so it equals the oracle path bit for bit, and returns a
+    fresh array. The Neumann kernel reassociates.
 
     Inner GD runs in closed form: K steps of omega <- M omega + eta Q (A lam + b),
     M = I - eta Q, give row k = P_k omega_0 + (R_k A) lam + R_k b, with P_k = M^k
@@ -46,78 +47,33 @@ class QuadraticData(ProblemInstant):
     as one ``longdouble`` stack for x = [omega_0; lam; b], its last block, and
     cap = (1e300 / S)^2, S the stack's largest absolute row sum: every entry is at
     most S ||x||, so x.x < cap proves every row finite (a non-finite S gives a cap
-    no x passes). ``inner_gd_final`` forms x and, when x passes, omega_K from the
-    last block; ``inner_gd_rows`` forms every row, rounded once (row 0 exactly).
-    Against a 40-digit reference its error per call stayed below half an epsilon
-    on every draw, where the step loop's error reaches several (``tests/test_referee.py``).
+    no x passes). ``QuadraticData.inner_gd_final`` forms x and, when x passes,
+    omega_K from the last block; ``inner_gd_rows`` forms every row, rounded once
+    (row 0 exactly). Against a 40-digit reference its error per call stayed below
+    half an epsilon on every draw, where the step loop's error reaches several
+    (``tests/test_referee.py``).
 
-    ``cache`` holds the stream's cached arrays: the Neumann kernel's matrices per
-    (l, m), inner GD's stack and bound per ("descend", eta, K), and ITD's workspace
-    per ("itd", eta, K): the (K, d2) Qv rows, the zero-headed (K + 1, d1, 1) terms,
-    and step, v and eta vectors. Every instant of a stream shares A, Q, ``neg_At``
-    and this dict, so each is formed once per stream (``quadratic_instant`` gives
-    each instant its own), and a stream's kernels run on one thread at a time: no
+    ``cache`` holds the kernels' arrays: the Neumann kernel's matrices per (l, m),
+    inner GD's stack and bound per ("descend", eta, K), and ITD's workspace per
+    ("itd", eta, K): the (K, d2) Qv rows, the zero-headed (K + 1, d1, 1) terms, and
+    step, v and eta vectors. Every instant of a stream shares one record, so each
+    is formed once per stream, and its kernels run on one thread at a time: no
     obbo code shares a stream across threads (``obbo run --jobs`` uses processes).
-    ``amp`` is kept as given: an integer 0 keeps the signed zeros of
-    ``-amp * sin``.
     """
 
-    A: np.ndarray
-    b: np.ndarray
-    Q: np.ndarray
-    neg_At: np.ndarray
-    cache: dict
-    c: np.ndarray
-    amp: float
-    phases: np.ndarray
+    __slots__ = ("A", "Q", "neg_At", "mu_g", "l_g1", "cache")
 
-    def f_value(self, lam, beta):
-        return 0.5 * float(((beta - self.c) ** 2).sum()) + self.amp * float(
-            np.cos(lam + self.phases).sum()
-        )
-
-    def grad_f_lambda(self, lam, beta):
-        return -self.amp * np.sin(lam + self.phases)
-
-    def grad_f_beta(self, lam, beta):
-        return beta - self.c
-
-    def grad_g_beta(self, lam, beta):
-        return self.Q.dot((beta - self.A.dot(lam)) - self.b)
-
-    def hvp_g_lambdabeta(self, lam, beta, v):
-        return self.neg_At.dot(self.Q.dot(v))
-
-    def hvp_g_betabeta(self, lam, beta, v):
-        return self.Q.dot(v)
-
-    def hess_g_betabeta(self, lam, beta):
-        return self.Q
-
-    def inner_opt(self, lam):
-        return self.A.dot(lam) + self.b
-
-    def exact_hypergradient(self, lam):
-        cls = type(self)
-        return cls.grad_f_lambda(self, lam, None) + self.A.T.dot(cls.inner_opt(self, lam) - self.c)
-
-    def inner_gd_final(self, lam, beta0, eta: float, K: int) -> tuple:
-        """``(omega_K, x)`` of K inner GD steps from beta0, x = [beta0; lam; b] in
-        ``longdouble``; omega_K is None when the bound cannot prove every row finite."""
-        _, last, cap = self.descent(eta, K)
-        beta0, lam = np.asarray(beta0, dtype=float), np.asarray(lam, dtype=float)
-        x = np.concatenate((beta0, lam, self.b), axis=None, dtype=np.longdouble)
-        if x.dot(x) < cap:  # fails for a NaN or +-inf entry
-            return last.dot(x).astype(float), x
-        return None, x
-
-    def inner_gd_rows(self, x: np.ndarray, eta: float, K: int) -> np.ndarray:
-        """The (K + 1, d2) rows of inner GD from x of ``inner_gd_final``: omega_0
-        (x's head, exact), then the K blocks of ``stack @ x``, rounded once."""
-        traj = np.empty((K + 1, self.Q.shape[0]))
-        traj[0] = x[: traj.shape[1]]
-        traj[1:] = self.descent(eta, K)[0].dot(x).reshape(K, -1)
-        return traj
+    def __init__(self, A, Q):
+        A = check_array("A", A, (None, None)).copy()
+        Q = check_array("Q", Q, (A.shape[0], A.shape[0])).copy()
+        if not np.allclose(Q, Q.T):
+            raise ValueError("Q must be symmetric")
+        evals = np.linalg.eigvalsh(Q)
+        self.mu_g, self.l_g1 = float(evals[0]), float(evals[-1])
+        if self.mu_g <= 0:
+            raise ValueError("Q must be positive definite")
+        self.A, self.Q, self.neg_At, self.cache = A, Q, -A.T, {}
+        A.flags.writeable = Q.flags.writeable = self.neg_At.flags.writeable = False
 
     def descent(self, eta: float, K: int) -> tuple[np.ndarray, np.ndarray, np.longdouble]:
         """Inner GD's cache entry for (eta, K): ``(stack, last, cap)``, as in the
@@ -181,10 +137,89 @@ class QuadraticData(ProblemInstant):
         return levels
 
 
+@dataclass(eq=False, repr=False, kw_only=True)
+class QuadraticData(ProblemInstant):
+    """A quadratic instant: the b, c, amp and phases of its round's g and f (as in the
+    module docstring) and ``inner``, its stream's ``InnerQuadratic``, which gives d1,
+    d2, ``mu_g``, ``l_g1`` and the read-only ``A`` and ``Q``; ``l_f1`` is max(1, amp). So a
+    copy (``dataclasses.replace``) with another ``inner`` or ``amp`` derives them anew.
+    ``amp`` is kept as given: an integer 0 keeps the signed zeros of ``-amp * sin``."""
+
+    d1: int = field(init=False)
+    d2: int = field(init=False)
+    mu_g: float = field(init=False)
+    l_g1: float = field(init=False)
+    l_f1: float = field(init=False)
+    inner: InnerQuadratic
+    b: np.ndarray
+    c: np.ndarray
+    amp: float
+    phases: np.ndarray
+
+    A = property(lambda self: self.inner.A)
+    Q = property(lambda self: self.inner.Q)
+
+    def __post_init__(self):
+        check_number("amp", self.amp)
+        self.d2, self.d1 = self.inner.A.shape
+        self.mu_g, self.l_g1, self.l_f1 = self.inner.mu_g, self.inner.l_g1, max(1.0, self.amp)
+        super().__post_init__()
+
+    def f_value(self, lam, beta):
+        return 0.5 * float(((beta - self.c) ** 2).sum()) + self.amp * float(
+            np.cos(lam + self.phases).sum()
+        )
+
+    def grad_f_lambda(self, lam, beta):
+        return -self.amp * np.sin(lam + self.phases)
+
+    def grad_f_beta(self, lam, beta):
+        return beta - self.c
+
+    def grad_g_beta(self, lam, beta):
+        inner = self.inner
+        return inner.Q.dot((beta - inner.A.dot(lam)) - self.b)
+
+    def hvp_g_lambdabeta(self, lam, beta, v):
+        inner = self.inner
+        return inner.neg_At.dot(inner.Q.dot(v))
+
+    def hvp_g_betabeta(self, lam, beta, v):
+        return self.inner.Q.dot(v)
+
+    def hess_g_betabeta(self, lam, beta):
+        return self.inner.Q
+
+    def inner_opt(self, lam):
+        return self.inner.A.dot(lam) + self.b
+
+    def exact_hypergradient(self, lam):
+        cls = type(self)
+        return cls.grad_f_lambda(self, lam, None) + self.A.T.dot(cls.inner_opt(self, lam) - self.c)
+
+    def inner_gd_final(self, lam, beta0, eta: float, K: int) -> tuple:
+        """``(omega_K, x)`` of K inner GD steps from beta0, x = [beta0; lam; b] in
+        ``longdouble``; omega_K is None when the bound cannot prove every row finite."""
+        _, last, cap = self.inner.descent(eta, K)
+        beta0, lam = np.asarray(beta0, dtype=float), np.asarray(lam, dtype=float)
+        x = np.concatenate((beta0, lam, self.b), axis=None, dtype=np.longdouble)
+        if x.dot(x) < cap:  # fails for a NaN or +-inf entry
+            return last.dot(x).astype(float), x
+        return None, x
+
+    def inner_gd_rows(self, x: np.ndarray, eta: float, K: int) -> np.ndarray:
+        """The (K + 1, d2) rows of inner GD from x of ``inner_gd_final``: omega_0
+        (x's head, exact), then the K blocks of ``stack @ x``, rounded once."""
+        traj = np.empty((K + 1, self.d2))
+        traj[0] = x[: self.d2]
+        traj[1:] = self.inner.descent(eta, K)[0].dot(x).reshape(K, -1)
+        return traj
+
+
 class QuadraticStream(list):
     """The instants of one ``quadratic_stream``, its drift ``path`` of (b, c) pairs
     and each round's row of it, ``rows``: instant t's b and c are views of
-    ``path[rows[t]]`` and all share one A, Q, amp and phases, so ``regret_rows``
+    ``path[rows[t]]`` and all share one ``inner``, amp and phases, so ``regret_rows``
     forms a run's rows from these. A slice or ``list`` of it is a plain list."""
 
     def __init__(self, instants, path: np.ndarray, rows: np.ndarray):
@@ -221,34 +256,19 @@ def quadratic_instant(
     Shapes: A is (d2, d1), Q is (d2, d2), b and c are (d2,) and phases
     (optional) is (d1,); no other shape is accepted. Every entry is finite, Q
     is symmetric positive definite, ``amp`` is finite and >= 0 and ``noise`` is
-    a pair of finite scales >= 0.
+    a pair of finite scales >= 0. The instant keeps copies of the arrays.
     """
-    A = np.ascontiguousarray(check_array("A", A, (None, None)))
-    d2, d1 = A.shape
-    Q = np.ascontiguousarray(check_array("Q", Q, (d2, d2)))
-    b, c = check_array("b", b, (d2,)), check_array("c", c, (d2,))
-    phases = np.zeros(d1) if phases is None else check_array("phases", phases, (d1,))
-    check_number("amp", amp)
+    inner = InnerQuadratic(A, Q)
+    d2, d1 = inner.A.shape
+    b, c = check_array("b", b, (d2,)).copy(), check_array("c", c, (d2,)).copy()
+    phases = np.zeros(d1) if phases is None else check_array("phases", phases, (d1,)).copy()
     _check_noise_pair(noise)
-    mu_g, l_g1 = _spectrum_bounds(Q)
-    return QuadraticData(t, d1, d2, mu_g, l_g1, max(1.0, amp), *noise,
-                         A=A, b=b, Q=Q, neg_At=-A.T, cache={}, c=c, amp=amp, phases=phases)
+    return QuadraticData(t, *noise, inner=inner, b=b, c=c, amp=amp, phases=phases)
 
 
 def _check_noise_pair(noise) -> None:
     if np.ndim(noise) != 1 or len(noise) != 2:  # each instant checks the two scales
         raise ValueError(f"noise must be a pair (sigma_g_beta, sigma_f), got {noise}")
-
-
-def _spectrum_bounds(Q: np.ndarray) -> tuple[float, float]:
-    """(mu_g, l_g1) of a symmetric positive definite Q; rejects any other Q."""
-    if not np.allclose(Q, Q.T):
-        raise ValueError("Q must be symmetric")
-    evals = np.linalg.eigvalsh(Q)
-    mu_g, l_g1 = float(evals[0]), float(evals[-1])
-    if mu_g <= 0:
-        raise ValueError("Q must be positive definite")
-    return mu_g, l_g1
 
 
 def _orthonormal_columns(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -301,17 +321,13 @@ def quadratic_stream(
     c = rng.standard_normal(d2)
     phases = rng.uniform(0.0, 2.0 * np.pi, d1)
 
-    mu_g, l_g1 = _spectrum_bounds(Q)
-    l_f1 = max(1.0, cos_amplitude)
-    neg_At = -A.T
-    cache: dict = {}
+    inner = InnerQuadratic(A, Q)
 
     # The drift in one pass, with the bits of drawing u, then v, per moving
     # transition and moving b by step * (u / ||u||), then c by v: one (k, 2, d2)
     # draw keeps that order, the row dot is ``np.linalg.norm``'s, and the moves
-    # add in round order. Q is fixed, so it is checked once above rather than
-    # per instant. Instants share -A', one cache and the drift path,
-    # which nothing writes in place.
+    # add in round order. Instants share ``inner``, checked once above, and the
+    # drift path, which nothing writes in place.
     steps = np.array([drift.step_size(t) for t in range(1, T)])
     moving = steps > 0
     uv = rng.standard_normal((np.count_nonzero(moving), 2, d2))
@@ -319,7 +335,6 @@ def quadratic_stream(
     uv *= steps[moving, None, None]
     path = np.add.accumulate(np.concatenate(([[b, c]], uv)))
     rows = np.concatenate(([0], np.cumsum(moving)))
-    instants = [QuadraticData(t, d1, d2, mu_g, l_g1, l_f1, *noise, A=A, b=b, Q=Q, neg_At=neg_At,
-                              cache=cache, c=c, amp=cos_amplitude, phases=phases)
+    instants = [QuadraticData(t, *noise, inner=inner, b=b, c=c, amp=cos_amplitude, phases=phases)
                 for t, (b, c) in enumerate(map(path.__getitem__, rows.tolist()), 1)]
     return QuadraticStream(instants, path, rows)

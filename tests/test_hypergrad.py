@@ -28,7 +28,7 @@ from obbo.problems import (
     quadratic_stream,
     spline_stream,
 )
-from obbo.problems.quadratic import QuadraticData
+from obbo.problems.quadratic import InnerQuadratic, QuadraticData
 
 from oracles import (
     ORACLE_FIELDS,
@@ -434,7 +434,7 @@ class TestInnerGdFastPath:
     def full_product(inst, lam, beta0, eta, K):
         """The trajectory as the full path forms it: beta0, then every row of
         the cached stack applied to [beta0; lam; b], rounded once."""
-        stack = inst.descent(eta, K)[0]
+        stack = inst.inner.descent(eta, K)[0]
         x = np.concatenate((beta0, lam, inst.b), dtype=np.longdouble)
         return np.vstack((beta0, np.asarray(stack @ x, dtype=float).reshape(K, -1)))
 
@@ -518,7 +518,7 @@ class TestInnerGdFastPath:
             warnings.simplefilter("error")
             with pytest.raises(DivergenceError) as info:
                 inner_gd(inst, lam, beta0, eta, K)
-            stack, _, cap = inst.descent(eta, K)
+            stack, _, cap = inst.inner.descent(eta, K)
         assert str(info.value) == (
             f"inner iterate diverged at k={k} (t=1); "
             f"eta={eta} likely violates the step size condition"
@@ -537,8 +537,8 @@ def quadratic_outputs(inst, lam, beta, v, eta, K, ell, m):
         "inner_opt": inst.inner_opt(lam),
         "exact_hypergradient": inst.exact_hypergradient(lam),
         "inner_gd": inner_gd(inst, lam, beta, eta, K).trajectory,
-        "itd_correction": inst.itd_correction(v, eta, K),
-        **{f"neumann_correction[{k}]": inst.neumann_correction(v, ell, m, k) for k in range(m)},
+        "itd_correction": inst.inner.itd_correction(v, eta, K),
+        **{f"neumann_correction[{k}]": inst.inner.neumann_correction(v, ell, m, k) for k in range(m)},
     }
 
 
@@ -591,7 +591,7 @@ class TestDotProducts:
             w = w - eta * (Q @ w)
         itd += -A.T @ (Q @ w)
         got = quadratic_outputs(inst, lam, beta, v, eta, K, ell, m)
-        levels = inst.cache[ell, m]
+        levels = inst.inner.cache[ell, m]
         want = {
             "grad_g_beta": Q @ ((beta - A @ lam) - b),
             "hvp_g_lambdabeta": -A.T @ (Q @ v),
@@ -735,8 +735,8 @@ def itd_loop_reference(quad, v, eta, K):
     for row in Qvs[1:]:
         v = v - eta * Qv
         Qv = quad.Q.dot(v, row)
-    terms = np.zeros((K + 1, quad.neg_At.shape[0], 1))
-    np.matmul(quad.neg_At, Qvs[:, :, None], terms[1:])
+    terms = np.zeros((K + 1, quad.inner.neg_At.shape[0], 1))
+    np.matmul(quad.inner.neg_At, Qvs[:, :, None], terms[1:])
     return np.add.accumulate(terms)[-1, :, 0]
 
 
@@ -788,7 +788,7 @@ class TestKernelBuffers:
         inst = self.stream()[0]
         v = np.random.default_rng(2).standard_normal(inst.d2)
         kept = v.copy()
-        inst.itd_correction(v, 0.5 / inst.l_g1, self.K)
+        inst.inner.itd_correction(v, 0.5 / inst.l_g1, self.K)
         assert np.array_equal(v, kept)
 
     def test_a_second_solve_leaves_the_first_unchanged(self):
@@ -800,7 +800,7 @@ class TestKernelBuffers:
         for inst in (first, second):
             lam, beta0, v = (rng.standard_normal(n) for n in (inst.d1, inst.d2, inst.d2))
             solve = inner_gd(inst, lam, beta0, eta, self.K)
-            correction = inst.itd_correction(v, eta, self.K)
+            correction = inst.inner.itd_correction(v, eta, self.K)
             estimate = itd_hypergradient(inst, lam, solve)
             outputs.append((solve.trajectory, correction, estimate))
             if inst is first:
@@ -815,15 +815,15 @@ class TestKernelBuffers:
         # key, which the call before it at that key wrote, on the other instant;
         # then A at (eta / 2, 6), a key that only eta tells from k1.
         a, b = self.stream()
-        cache = a.cache
-        assert b.cache is cache
+        cache = a.inner.cache
+        assert b.inner.cache is cache
         eta = 0.5 / a.l_g1
         k1, k2 = (eta, 6), (eta / 2, 12)
         rng = np.random.default_rng(4)
         results, entries = [], {}
         for inst, (step, K) in ((a, k1), (b, k2), (a, k2), (b, k1), (a, (eta / 2, 6))):
             v = rng.standard_normal(inst.d2)
-            got = inst.itd_correction(v, step, K)
+            got = inst.inner.itd_correction(v, step, K)
             assert np.array_equal(got, itd_loop_reference(inst, v, step, K))
             entry = cache["itd", step, K]
             assert entries.setdefault((step, K), entry) is entry
@@ -836,11 +836,68 @@ class TestKernelBuffers:
         own = [quadratic_instant(1, a.A, a.b, a.Q, a.c)
                for _ in range(2)]
         for inst in own:
-            inst.itd_correction(np.ones(inst.d2), *k1)
-        assert own[0].cache is not own[1].cache
+            inst.inner.itd_correction(np.ones(inst.d2), *k1)
+        assert own[0].inner.cache is not own[1].inner.cache
         key = ("itd", *k1)
-        assert own[0].cache[key] is not own[1].cache[key]
+        assert own[0].inner.cache[key] is not own[1].inner.cache[key]
         assert cache[key] is entries[k1]
+
+
+class TestInnerRecord:
+    """A quadratic stream's A and Q, and all that derives from them (-A', mu_g,
+    l_g1 and the kernels' cache), are one ``InnerQuadratic`` its instants share
+    as ``inner``. A copy with another record derives its bounds anew and caches
+    its own kernels, and no write to the caller's arrays reaches an instant."""
+
+    @staticmethod
+    def inputs(d1, d2, seed):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal(d1), rng.standard_normal(d2), rng.standard_normal(d2)
+
+    @staticmethod
+    def assert_same_bits(got, want):
+        for name, value in want.items():
+            assert np.asarray(got[name]).tobytes() == np.asarray(value).tobytes(), name
+
+    def test_copy_with_another_record_equals_a_fresh_build(self):
+        # Formerly the copy kept the source's mu_g, l_g1 and cache, so inner GD
+        # at the source's (eta, K) returned the source's iterate bit for bit.
+        q = quadratic_stream(d1=2, d2=3, T=3, seed=5)[0]
+        lam, beta, v = self.inputs(2, 3, 7)
+        eta, K, ell, m = 0.2 / q.l_g1, 6, 2.0 * q.l_g1, 4
+        source = quadratic_outputs(q, lam, beta, v, eta, K, ell, m)
+        copy = dataclasses.replace(q, inner=InnerQuadratic(q.A, 2 * q.Q))
+        fresh = quadratic_instant(1, q.A, q.b, 2 * q.Q, q.c, q.amp, q.phases)
+        evals = np.linalg.eigvalsh(2 * q.Q)
+        assert (copy.mu_g, copy.l_g1) == (fresh.mu_g, fresh.l_g1) == (evals[0], evals[-1])
+        assert (copy.d1, copy.d2, copy.l_f1) == (fresh.d1, fresh.d2, fresh.l_f1)
+        assert copy.inner.cache == {} and q.inner.cache
+        got = quadratic_outputs(copy, lam, beta, v, eta, K, ell, m)
+        self.assert_same_bits(got, quadratic_outputs(fresh, lam, beta, v, eta, K, ell, m))
+        for name in ("inner_gd", "itd_correction", "neumann_correction[3]"):
+            assert not np.array_equal(got[name], source[name]), name
+        assert dataclasses.replace(q, amp=2.5).l_f1 == 2.5
+
+    def test_writing_the_callers_arrays_changes_no_output(self):
+        rng = np.random.default_rng(9)
+        A, b, Q, c, phases = (rng.standard_normal(shape) for shape in ((3, 2), 3, (3, 3), 3, 2))
+        Q = Q @ Q.T + np.eye(3)
+        inst = quadratic_instant(1, A, b, Q, c, 0.3, phases)
+        kept = quadratic_instant(1, A.copy(), b.copy(), Q.copy(), c.copy(), 0.3, phases.copy())
+        for array in (A, b, Q, c, phases):
+            array *= 3.0
+        lam, beta, v = self.inputs(2, 3, 10)
+        args = (lam, beta, v, 0.5 / kept.l_g1, 5, kept.l_g1, 3)
+        self.assert_same_bits(quadratic_outputs(inst, *args), quadratic_outputs(kept, *args))
+        assert (inst.mu_g, inst.l_g1) == (kept.mu_g, kept.l_g1)
+        assert np.array_equal(inst.inner.neg_At, -inst.A.T)
+        assert inst.f_value(lam, beta) == kept.f_value(lam, beta)
+
+    def test_the_records_arrays_are_read_only(self):
+        q = quadratic_stream(d1=2, d2=3, T=2, seed=5)[0]
+        for array in (q.A, q.Q, q.inner.neg_At, q.hess_g_betabeta(np.zeros(2), np.zeros(3))):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1.0
 
 
 class Level:
@@ -984,21 +1041,20 @@ class TestNeumannMatrixPath:
         check(ell)
         check(2.5 * ell)
         check(4.0 * ell)
-        assert list(matrix.cache) == [(ell, 6), (2.5 * ell, 6), (4.0 * ell, 6)]
+        assert list(matrix.inner.cache) == [(ell, 6), (2.5 * ell, 6), (4.0 * ell, 6)]
 
     def test_one_cache_entry_per_stream(self):
         stream = quadratic_stream(d1=2, d2=3, T=15, noise=(0.3, 0.2), seed=4)
         trace = run_sobbo(stream, SobboConfig(alpha=0.05, eta=0.1, K=3, w=4), np.random.default_rng(5))
         first = stream[0]
-        cache = first.cache
+        cache = first.inner.cache
         assert list(cache) == [(stream[0].l_g1, trace.config.m)]
         assert len(cache[stream[0].l_g1, trace.config.m]) == trace.config.m
-        # Every instant shares the stream's fixed matrices and cache.
+        # Every instant shares the stream's one record of A, Q, -A' and the cache.
         for inst in stream:
-            for name in ("A", "Q", "neg_At", "cache"):
-                assert getattr(inst, name) is getattr(first, name), name
+            assert inst.inner is first.inner
         # A separately built instant gets a cache of its own.
-        assert one_dim_instant().cache is not one_dim_instant().cache
+        assert one_dim_instant().inner.cache is not one_dim_instant().inner.cache
 
     def test_oracle_fields_are_methods_of_one_data_object(self):
         streams = {

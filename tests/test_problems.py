@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import inspect
 import math
 import re
 import tracemalloc
@@ -431,8 +432,8 @@ class TestQuadraticStream:
             eta = 0.5 / inst.l_g1
             _, x = inst.inner_gd_final(lam, beta, eta, 4)
             inst.inner_gd_rows(x, eta, 4)
-            inst.itd_correction(beta, eta, 4)
-            inst.neumann_correction(beta, inst.l_g1, 3, 2)
+            inst.inner.itd_correction(beta, eta, 4)
+            inst.inner.neumann_correction(beta, inst.l_g1, 3, 2)
             stream.regret_rows(np.array([lam, lam]), np.array([beta, beta]))
         assert counts == Counter()
 
@@ -914,6 +915,17 @@ def _instant():
     return quadratic_instant(1, np.ones((2, 1)), np.ones(2), np.eye(2), np.ones(2))
 
 
+def _meta():
+    """A meta instant: its bounds are init fields, unlike a quadratic instant's."""
+    return meta_toy_stream(2, 1)[0]
+
+
+def _stream_copy(**factors):
+    """A copy of a quadratic stream's first instant with each named array scaled."""
+    q = quadratic_stream(2, 3, 2)[0]
+    return dataclasses.replace(q, **{name: f * getattr(q, name) for name, f in factors.items()})
+
+
 def _task():
     return make_drifting_spline_task(seed=0, T=3)
 
@@ -1041,7 +1053,7 @@ INPUT_CHECKS = {
                        "decaying drift rate must be a number, got '0.5'"),
     "drift-scale-complex": (lambda: DriftSpec.sublinear(scale=1j), TypeError,
                             "drift scale must be a number, got 1j"),
-    "instant-mu-str": (lambda: dataclasses.replace(_instant(), mu_g="1"), TypeError,
+    "instant-mu-str": (lambda: dataclasses.replace(_meta(), mu_g="1"), TypeError,
                        "mu_g must be a number, got '1'"),
     "instant-t": (lambda: dataclasses.replace(_instant(), t=0), ValueError,
                   "time index t must be at least 1"),
@@ -1049,16 +1061,29 @@ INPUT_CHECKS = {
                         "time index t must be an integer, got 1.5"),
     "instant-t-bool": (lambda: dataclasses.replace(_instant(), t=True), TypeError,
                        "time index t must be an integer, got True"),
-    "instant-mu": (lambda: dataclasses.replace(_instant(), mu_g=0.0), ValueError,
+    "instant-mu": (lambda: dataclasses.replace(_meta(), mu_g=0.0), ValueError,
                    "mu_g must be positive"),
-    "instant-mu-nan": (lambda: dataclasses.replace(_instant(), mu_g=NAN), ValueError,
+    "instant-mu-nan": (lambda: dataclasses.replace(_meta(), mu_g=NAN), ValueError,
                        "mu_g must be positive and finite, got nan"),
-    "instant-l-zero": (lambda: dataclasses.replace(_instant(), l_g1=0.0), ValueError,
+    "instant-l-zero": (lambda: dataclasses.replace(_meta(), l_g1=0.0), ValueError,
                        "l_g1 must be positive and finite, got 0.0"),
-    "instant-l-nan": (lambda: dataclasses.replace(_instant(), l_g1=NAN), ValueError,
+    "instant-l-nan": (lambda: dataclasses.replace(_meta(), l_g1=NAN), ValueError,
                       "l_g1 must be positive and finite, got nan"),
-    "instant-l": (lambda: dataclasses.replace(_instant(), l_g1=0.5), ValueError,
+    "instant-l": (lambda: dataclasses.replace(_meta(), l_g1=0.5), ValueError,
                   "l_g1 must be at least mu_g"),
+    # A copy once kept the values derived from the arrays it replaced: a new Q
+    # kept mu_g, l_g1 and the kernels' cache, a new A kept -A'. The arrays are
+    # the stream's ``inner`` record now, and no derived value is an init field.
+    **{f"instant-copy-{name}": (lambda name=name: _stream_copy(**{name: 2.0}), TypeError,
+                                f"got an unexpected keyword argument '{name}'")
+       for name in ("A", "Q")},
+    **{f"instant-copy-{name}": (
+        lambda name=name: dataclasses.replace(_instant(), **{name: 2}), ValueError,
+        f"field {name} is declared with init=False, it cannot be specified with replace()")
+       for name in ("mu_g", "l_g1", "d1")},
+    # amp sets l_f1, so a copy checks it.
+    "instant-copy-amp-nan": (lambda: dataclasses.replace(_instant(), amp=NAN), ValueError,
+                             "amp must be nonnegative and finite, got nan"),
     "spline-knots": (lambda: dataclasses.replace(_task(), knots=np.array([0.0, 1.0])),
                      ValueError, "need at least three strictly increasing knots"),
     "spline-box": (lambda: dataclasses.replace(_task(), lambda_lower=0.0), ValueError,
@@ -1090,4 +1115,13 @@ def test_input_check(make, error, message):
     with pytest.raises(error, match=re.escape(message)) as info:
         make()
     assert type(info.value) is error
+
+
+def test_quadratic_instant_takes_only_its_rounds_data():
+    # d1, d2, mu_g, l_g1 and l_f1 derive from ``inner`` and amp, so a copy cannot
+    # set one stale; the arrays A and Q are ``inner``'s.
+    assert list(inspect.signature(QuadraticData).parameters) == [
+        "t", "sigma_g_beta", "sigma_f", "lambda_box", "inner", "b", "c", "amp", "phases"]
+    stream = quadratic_stream(2, 3, 4)
+    assert all(inst.inner is stream[0].inner for inst in stream)
 
