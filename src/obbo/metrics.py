@@ -269,6 +269,6 @@ def build_grid(lower, upper, n: int, extra: np.ndarray | None = None) -> np.ndar
         ).reshape(d, -1).T
         parts.append(corners)
     if extra is not None:
-        extra = np.atleast_2d(np.asarray(extra, dtype=float))
+        extra = check_array("grid extra", np.atleast_2d(extra), (None, d))
         parts.append(np.clip(extra, lower, upper))
     return np.vstack(parts)

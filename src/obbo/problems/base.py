@@ -73,9 +73,8 @@ class ProblemInstant:
     multiply. ``hvp_g_lambdabeta(lam, beta, v)`` maps a d2-vector through the
     mixed second derivative of g into a d1-vector; ``hvp_g_betabeta`` stays in
     d2. ``hess_g_betabeta(lam, beta)`` is its (d2, d2) matrix, which the
-    implicit estimator solves with; callers must not write to it, since the
-    meta stream returns the matrix it stores (the quadratic's is read-only). Every shipped
-    stream's g is quadratic in beta, so its Hessian ignores ``beta``;
+    implicit estimator solves with; the quadratic and meta streams' is read-only.
+    Every shipped stream's g is quadratic in beta, so its Hessian ignores ``beta``;
     hand-built subclasses may use it. ``mu_g`` and ``l_g1`` bound the spectrum
     of the inner Hessian. They hold for every lam in ``lambda_box``, a pair
     (lower, upper) that bounds each coordinate, or everywhere when it is None:

@@ -125,7 +125,9 @@ def _hessian(BtB, lv: float, omega: np.ndarray, ridge: np.ndarray) -> np.ndarray
 class SplineData(ProblemInstant):
     """A spline instant: BtB = B'B and Bty = B'y of its round's training batch,
     the validation batch, and the fixed ``omega`` and ``ridge`` = RIDGE_FLOOR * I
-    that every round of a stream shares."""
+    that every round of a stream shares. Its ``mu_g`` and ``l_g1`` are init fields,
+    the stream's batched bounds over the box, so a copy with another BtB must come
+    from ``spline_stream``."""
 
     BtB: np.ndarray
     Bty: np.ndarray

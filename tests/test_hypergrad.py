@@ -1070,14 +1070,11 @@ class TestNeumannMatrixPath:
                 owners = {id(getattr(inst, name).__self__) for name in ORACLE_FIELDS}
                 assert owners == {id(inst)}, kind
                 assert isinstance(inst, QuadraticData) == (kind == "quadratic"), kind
-        # A static meta stream holds its one task's arrays in every instant, and
-        # every spline round shares the stream's omega and ridge.
-        task = ("X_tr", "y_tr", "X_val", "y_val", "G", "Xty", "H")
-        static = {tuple(id(getattr(inst, name)) for name in task)
-                  for inst in streams["meta-static"]}
-        assert len(static) == 1
-        drifting = {id(inst.X_tr) for inst in streams["meta"]}
-        assert len(drifting) == len(streams["meta"])
+        # A static meta stream's instants share its one task, a drifting one's
+        # draw a task per round, and every spline round shares the stream's omega
+        # and ridge.
+        assert len({id(inst.task) for inst in streams["meta-static"]}) == 1
+        assert len({id(inst.task) for inst in streams["meta"]}) == len(streams["meta"])
         first = streams["spline"][0]
         for inst in streams["spline"]:
             assert inst.omega is first.omega

@@ -26,11 +26,11 @@ path of adaptive OBBO-ITD must stay the same. R Q R' and the products with R
 round, so the paths agree to within the same rtol 1e-12, over 120 rounds.
 
 Permuting the feature coordinates of every meta task by one permutation P (the
-columns of X_tr and X_val, the rows and columns of G and H, the entries of
-X'y) maps beta to beta' = P'beta with X' beta' = X beta and
-||lam' - beta'|| = ||lam - beta||, and leaves mu_g, l_g1 and l_f1 as they are,
-so it must permute the lam path of adaptive OBBO-ITD within the same rtol
-1e-12, over 120 rounds.
+columns of X_tr and X_val, from which a new ``MetaTask`` forms G, H and X'y
+and the bounds) maps beta to beta' = P'beta with X' beta' = X beta and
+||lam' - beta'|| = ||lam - beta||, and leaves mu_g, l_g1 and l_f1 as they are
+up to rounding, so it must permute the lam path of adaptive OBBO-ITD within the
+same rtol 1e-12, over 120 rounds.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from obbo.optimizers import (Adaptive, ObboConfig, OagdConfig, SobboConfig, run_
                              run_sobbo)
 from obbo.problems import (DriftSpec, make_drifting_spline_task, meta_toy_stream,
                            quadratic_instant, quadratic_stream, spline_stream)
+from obbo.problems.meta import MetaTask
 
 from oracles import without_kernels
 
@@ -186,10 +187,9 @@ def test_permuting_meta_features_permutes_the_obbo_itd_path(d, seed):
     if np.array_equal(perm, np.arange(d)):
         perm = perm[::-1]
     stream = meta_toy_stream(d, 120, seed=seed, drift=DriftSpec.decaying())
-    cross = np.ix_(perm, perm)
     permuted = [
-        dataclasses.replace(i, X_tr=i.X_tr[:, perm], X_val=i.X_val[:, perm], G=i.G[cross],
-                            Xty=i.Xty[perm], H=i.H[cross])
+        dataclasses.replace(i, task=MetaTask(i.task.X_tr[:, perm], i.task.y_tr,
+                                             i.task.X_val[:, perm], i.task.y_val, i.task.gamma))
         for i in stream
     ]
     config = ObboConfig(alpha=0.05, w=3, phi=Adaptive())

@@ -465,6 +465,13 @@ INPUT_CHECKS = {
 # NaN fails the ``lower >= upper`` check, so unchecked it gives a NaN grid.
 INPUT_CHECKS["grid-lower-nan"] = (lambda: build_grid([float("nan")], [1.0], 4), ValueError,
                                   "grid lower must have finite entries")
+# Unchecked, a wrong-width extra failed in numpy's broadcast, and a NaN row entered
+# the grid, where ``variation_report`` blamed the stream ("variation h1 is not finite").
+INPUT_CHECKS["grid-extra-shape"] = (lambda: build_grid([0, 0], [1, 1], 4, extra=np.ones((3, 3))),
+                                    ValueError, "grid extra must have shape (n, 2), got (3, 3)")
+INPUT_CHECKS["grid-extra-nan"] = (
+    lambda: build_grid([0, 0], [1, 1], 4, extra=[[0.5, float("nan")]]), ValueError,
+    "grid extra must have finite entries")
 
 
 @pytest.mark.parametrize("make, error, message", INPUT_CHECKS.values(), ids=INPUT_CHECKS)

@@ -26,7 +26,9 @@ from obbo.problems import (
     roughness_penalty,
     spline_stream,
 )
+from obbo.problems.meta import MetaData, MetaTask
 from obbo.problems.quadratic import QuadraticData
+from obbo.problems.spline import SplineData
 
 from oracles import (ORACLE_FIELDS, OracleOnly, central_diff_grad, constant_gradient_instant,
                      induced_objective)
@@ -718,6 +720,60 @@ class TestMetaStream:
             meta_toy_stream(2, 1, seed=17, n_val=0)
 
 
+class TestMetaTask:
+    """A meta instant's samples and gamma, and all that derives from them (G, Xty,
+    H, mu_g, l_g1 and l_f1), are one ``MetaTask`` per drawn task. A copy with
+    another task derives its bounds anew, and no write reaches a task's arrays."""
+
+    @staticmethod
+    def outputs(inst, seed):
+        rng = np.random.default_rng(seed)
+        lam, beta, v = (rng.standard_normal(inst.d1) for _ in range(3))
+        return [inst.f_value(lam, beta), inst.grad_f_lambda(lam, beta),
+                inst.grad_f_beta(lam, beta), inst.grad_g_beta(lam, beta),
+                inst.hvp_g_lambdabeta(lam, beta, v), inst.hvp_g_betabeta(lam, beta, v),
+                inst.hess_g_betabeta(lam, beta), inst.inner_opt(lam),
+                inst.exact_hypergradient(lam), inst.mu_g, inst.l_g1, inst.l_f1]
+
+    def assert_same_bits(self, got, want):
+        for k, (a, b) in enumerate(zip(self.outputs(got, 3), self.outputs(want, 3))):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), k
+
+    def test_copy_with_another_task_equals_a_fresh_build(self):
+        # Formerly ``replace(inst, X_tr=3 * X_tr, gamma=5.0)`` kept the source's H
+        # and bounds: l_g1 stayed 17.07.
+        inst = meta_toy_stream(2, 1, seed=0)[0]
+        task = inst.task
+        arrays = (3 * task.X_tr, task.y_tr, task.X_val, task.y_val)
+        copy = dataclasses.replace(inst, task=MetaTask(*arrays, 5.0))
+        G = arrays[0].T @ arrays[0]
+        assert copy.l_g1 == 5.0 + float(np.linalg.eigvalsh(G)[-1])
+        assert copy.l_g1 == pytest.approx(149.597, abs=1e-3)
+        self.assert_same_bits(copy, MetaData(1, task=MetaTask(*arrays, 5.0)))
+        v = np.array([1.0, -2.0])
+        np.testing.assert_allclose(copy.hvp_g_betabeta(None, None, v), G @ v + 5.0 * v)
+        assert not np.array_equal(copy.hvp_g_betabeta(None, None, v),
+                                  inst.hvp_g_betabeta(None, None, v))
+
+    def test_writing_the_callers_arrays_changes_no_output(self):
+        rng = np.random.default_rng(9)
+        arrays = [rng.standard_normal(shape) for shape in ((5, 3), 5, (4, 3), 4)]
+        inst = MetaData(1, task=MetaTask(*arrays, 0.7))
+        kept = MetaData(1, task=MetaTask(*[a.copy() for a in arrays], 0.7))
+        for array in arrays:
+            array *= 3.0
+        self.assert_same_bits(inst, kept)
+
+    def test_the_tasks_arrays_are_read_only(self):
+        # Formerly a write into the static stream's Hessian moved every round's inner_opt.
+        inst = meta_toy_stream(2, 3, seed=1)[0]
+        task = inst.task
+        for array in (inst.hess_g_betabeta(None, None), task.X_tr, task.y_tr, task.X_val,
+                      task.y_val, task.G, task.Xty):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+
 def meta_reference(X_tr, y_tr, X_val, y_val, gamma):
     """A meta round's oracles and (mu_g, l_g1, l_f1), written from its raw task arrays."""
     d = X_tr.shape[1]
@@ -916,8 +972,12 @@ def _instant():
 
 
 def _meta():
-    """A meta instant: its bounds are init fields, unlike a quadratic instant's."""
     return meta_toy_stream(2, 1)[0]
+
+
+def _spline():
+    """A spline instant: its bounds are init fields, unlike a quadratic or meta one's."""
+    return spline_stream(_task())[0]
 
 
 def _stream_copy(**factors):
@@ -1053,7 +1113,7 @@ INPUT_CHECKS = {
                        "decaying drift rate must be a number, got '0.5'"),
     "drift-scale-complex": (lambda: DriftSpec.sublinear(scale=1j), TypeError,
                             "drift scale must be a number, got 1j"),
-    "instant-mu-str": (lambda: dataclasses.replace(_meta(), mu_g="1"), TypeError,
+    "instant-mu-str": (lambda: dataclasses.replace(_spline(), mu_g="1"), TypeError,
                        "mu_g must be a number, got '1'"),
     "instant-t": (lambda: dataclasses.replace(_instant(), t=0), ValueError,
                   "time index t must be at least 1"),
@@ -1061,15 +1121,15 @@ INPUT_CHECKS = {
                         "time index t must be an integer, got 1.5"),
     "instant-t-bool": (lambda: dataclasses.replace(_instant(), t=True), TypeError,
                        "time index t must be an integer, got True"),
-    "instant-mu": (lambda: dataclasses.replace(_meta(), mu_g=0.0), ValueError,
+    "instant-mu": (lambda: dataclasses.replace(_spline(), mu_g=0.0), ValueError,
                    "mu_g must be positive"),
-    "instant-mu-nan": (lambda: dataclasses.replace(_meta(), mu_g=NAN), ValueError,
+    "instant-mu-nan": (lambda: dataclasses.replace(_spline(), mu_g=NAN), ValueError,
                        "mu_g must be positive and finite, got nan"),
-    "instant-l-zero": (lambda: dataclasses.replace(_meta(), l_g1=0.0), ValueError,
+    "instant-l-zero": (lambda: dataclasses.replace(_spline(), l_g1=0.0), ValueError,
                        "l_g1 must be positive and finite, got 0.0"),
-    "instant-l-nan": (lambda: dataclasses.replace(_meta(), l_g1=NAN), ValueError,
+    "instant-l-nan": (lambda: dataclasses.replace(_spline(), l_g1=NAN), ValueError,
                       "l_g1 must be positive and finite, got nan"),
-    "instant-l": (lambda: dataclasses.replace(_meta(), l_g1=0.5), ValueError,
+    "instant-l": (lambda: dataclasses.replace(_spline(), l_g1=0.5), ValueError,
                   "l_g1 must be at least mu_g"),
     # A copy once kept the values derived from the arrays it replaced: a new Q
     # kept mu_g, l_g1 and the kernels' cache, a new A kept -A'. The arrays are
@@ -1081,6 +1141,17 @@ INPUT_CHECKS = {
         lambda name=name: dataclasses.replace(_instant(), **{name: 2}), ValueError,
         f"field {name} is declared with init=False, it cannot be specified with replace()")
        for name in ("mu_g", "l_g1", "d1")},
+    # A meta copy once kept G, Xty, H and the bounds of the samples it replaced.
+    # The samples and gamma are the round's ``task`` now, and nothing derived from
+    # them is an init field.
+    **{f"meta-copy-{name}": (
+        lambda name=name: dataclasses.replace(_meta(), **{name: np.eye(2)}), TypeError,
+        f"got an unexpected keyword argument '{name}'")
+       for name in ("X_tr", "G", "Xty", "H")},
+    **{f"meta-copy-{name}": (
+        lambda name=name: dataclasses.replace(_meta(), **{name: 2}), ValueError,
+        f"field {name} is declared with init=False, it cannot be specified with replace()")
+       for name in ("mu_g", "l_g1", "l_f1", "d1")},
     # amp sets l_f1, so a copy checks it.
     "instant-copy-amp-nan": (lambda: dataclasses.replace(_instant(), amp=NAN), ValueError,
                              "amp must be nonnegative and finite, got nan"),
@@ -1117,11 +1188,18 @@ def test_input_check(make, error, message):
     assert type(info.value) is error
 
 
-def test_quadratic_instant_takes_only_its_rounds_data():
-    # d1, d2, mu_g, l_g1 and l_f1 derive from ``inner`` and amp, so a copy cannot
-    # set one stale; the arrays A and Q are ``inner``'s.
+def test_each_instant_class_takes_only_its_rounds_data():
+    # A quadratic instant's d1, d2, mu_g, l_g1 and l_f1 derive from ``inner`` and
+    # amp, a meta instant's from ``task``, so a copy cannot set one stale; the
+    # arrays A and Q are ``inner``'s. A spline instant keeps its stream's batched
+    # bounds as init fields.
+    head = ["t", "sigma_g_beta", "sigma_f", "lambda_box"]
     assert list(inspect.signature(QuadraticData).parameters) == [
-        "t", "sigma_g_beta", "sigma_f", "lambda_box", "inner", "b", "c", "amp", "phases"]
+        *head, "inner", "b", "c", "amp", "phases"]
+    assert list(inspect.signature(MetaData).parameters) == [*head, "task"]
+    assert list(inspect.signature(SplineData).parameters) == [
+        "t", "d1", "d2", "mu_g", "l_g1", "l_f1", *head[1:], "BtB", "Bty", "B_val", "y_val",
+        "omega", "ridge"]
     stream = quadratic_stream(2, 3, 4)
     assert all(inst.inner is stream[0].inner for inst in stream)
 
