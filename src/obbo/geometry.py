@@ -9,11 +9,12 @@ every prox problem is coordinate-separable, so each has a closed form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .problems.base import _all_finite, check_array, check_number
+from .problems.base import _FLOAT64, _all_finite, check_array, check_number
 
 __all__ = ["Regularizer", "FeasibleSet", "prox_step", "generalized_projection"]
 
@@ -96,7 +97,16 @@ class FeasibleSet:
 
 
 def _prox_inputs(q, u, alpha, diag) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The input guard ``prox_step`` and ``generalized_projection`` share."""
+    """The input guard ``prox_step`` and ``generalized_projection`` share. Float64
+    vectors of one shape and a positive finite float alpha are proved by one scan;
+    other inputs, and any the scan fails, take the checks that name the fault."""
+    if (type(alpha) is float and 0 < alpha < math.inf
+            and type(q) is type(u) is type(diag) is np.ndarray
+            and q.dtype is u.dtype is diag.dtype is _FLOAT64
+            and len(q.shape) == 1 and q.shape == u.shape == diag.shape):
+        d = diag.tolist()
+        if all(map(math.isfinite, q.tolist() + u.tolist() + d)) and d and min(d) > 0:
+            return q, u, diag
     q = check_array("q", q, (None,))
     u = check_array("u", u, q.shape)
     check_number("alpha", alpha, open_low=True)

@@ -56,18 +56,21 @@ class InnerSolveResult:
 
 def _descend(t: int, lam, beta0, eta: float, K: int, grad, *extra) -> InnerSolveResult:
     """K steps omega - eta * grad(lam, omega, *extra) from beta0, via a scratch buffer
-    and eta as a vector. A non-finite entry stays non-finite under the step, so a
-    finite last row proves every row."""
+    that holds eta as a vector and the step. A non-finite entry stays non-finite
+    under the step, so a finite last row proves every row."""
     check_number("inner step size", eta, open_low=True)
     check_count("inner iteration count", K)
     lam = np.asarray(lam, dtype=float)
     beta0 = np.asarray(beta0, dtype=float)
-    traj = np.empty((K + 1, beta0.size))
+    n = beta0.size
+    traj, scratch = np.empty((K + 1, n)), np.empty(2 * n)
     traj[0] = beta0
-    etas, step, omega = np.full(beta0.size, eta, dtype=float), np.empty(beta0.size), traj[0]
+    etas, step, omega = scratch[:n], scratch[n:], traj[0]
+    etas.fill(eta)
     with np.errstate(over="ignore", invalid="ignore"):
-        for row in traj[1:]:
+        for k in range(1, K + 1):
             np.multiply(etas, grad(lam, omega, *extra), step)
+            row = traj[k]
             np.subtract(omega, step, row)
             omega = row
     if not _all_finite(traj[-1]):

@@ -367,18 +367,23 @@ def _bregman_step(config: StepConfig, d1: int) -> Callable:
 
     The adaptive diagonal is sqrt(avg) + eps, where avg is the running average
     of the squared steps q. It is positive, and only an overflowing average
-    makes it non-finite, which aborts the run before its prox step. The
-    Euclidean diagonal is ones.
+    makes it non-finite, which aborts the run before its prox step. Both are
+    updated in place, with beta, 1 - beta and eps as vectors, so the diagonal
+    returned is the same buffer every round. The Euclidean diagonal is ones.
     """
     diag, avg = np.ones(d1), np.zeros(d1)
     gen, alpha = config.phi, config.alpha
     adaptive = isinstance(gen, Adaptive)
+    if adaptive:
+        past, new, eps = (np.full(d1, x) for x in (gen.beta, 1.0 - gen.beta, gen.epsilon))
+        sq = np.empty(d1)
 
     def step(q, lam, t):
-        nonlocal diag, avg
         if adaptive:
-            avg = gen.beta * avg + (1.0 - gen.beta) * q**2
-            diag = np.sqrt(avg) + gen.epsilon
+            np.multiply(past, avg, avg)
+            np.multiply(new, np.square(q, sq), sq)
+            np.add(avg, sq, avg)
+            np.add(np.sqrt(avg, diag), eps, diag)
             _check_finite("adaptive diagonal", diag, t)
         return prox_step(q, lam, alpha, diag, config.regularizer, config.feasible), diag
 

@@ -39,22 +39,32 @@ _ORACLES = ("f_value", "grad_f_lambda", "grad_f_beta", "grad_g_beta", "hvp_g_lam
 
 # ProblemInstant's sampled gradients, read through the class as methods. Each adds
 # noise to its class's deterministic oracle; sigma itself is tested, not the scale,
-# so a subnormal sigma still draws.
+# so a subnormal sigma still draws. The noise is scaled and summed in the array
+# drawn; addition commutes, so the bits are those of g + xi.
 def _sampled_g_beta(inst, lam, beta, s, rng):
     if inst.sigma_g_beta == 0.0:
         return type(inst).grad_g_beta(inst, lam, beta)
-    xi = rng.standard_normal(inst.d2) * (inst.sigma_g_beta / math.sqrt(inst.d2 * s))
-    return type(inst).grad_g_beta(inst, lam, beta) + xi
+    xi = rng.standard_normal(inst.d2)
+    xi *= inst.sigma_g_beta / math.sqrt(inst.d2 * s)
+    xi += type(inst).grad_g_beta(inst, lam, beta)
+    return xi
+
+
+def _noisy(g, rng, n, sigma):
+    if sigma == 0.0:
+        return g
+    xi = rng.standard_normal(n)
+    xi *= sigma / math.sqrt(n)
+    xi += g
+    return xi
 
 
 def _sampled_f_lambda(inst, lam, beta, rng):
-    g, sigma = type(inst).grad_f_lambda(inst, lam, beta), inst.sigma_f
-    return g if sigma == 0.0 else g + rng.standard_normal(inst.d1) * (sigma / math.sqrt(inst.d1))
+    return _noisy(type(inst).grad_f_lambda(inst, lam, beta), rng, inst.d1, inst.sigma_f)
 
 
 def _sampled_f_beta(inst, lam, beta, rng):
-    g, sigma = type(inst).grad_f_beta(inst, lam, beta), inst.sigma_f
-    return g if sigma == 0.0 else g + rng.standard_normal(inst.d2) * (sigma / math.sqrt(inst.d2))
+    return _noisy(type(inst).grad_f_beta(inst, lam, beta), rng, inst.d2, inst.sigma_f)
 
 
 def _oracle_field():

@@ -17,22 +17,27 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .base import DriftSpec, ProblemInstant, check_count, check_number
+from .base import DriftSpec, ProblemInstant, check_array, check_count, check_number
 
 __all__ = ["MetaData", "MetaTask", "meta_toy_stream"]
 
 
 class MetaTask:
-    """One drawn task: read-only float64 copies of its samples X_tr, y_tr, X_val and
-    y_val, its gamma (finite, > 0) and what derives from them, formed once and
-    read-only: G = X_tr' X_tr, Xty = X_tr' y_tr, the inner Hessian H = G + gamma I,
+    """One drawn task: read-only float64 copies of its samples X_tr (n, d), y_tr (n,),
+    X_val (m, d) and y_val (m,), each checked by ``check_array``, its gamma (finite,
+    > 0) and what derives from them, formed once and read-only: G = X_tr' X_tr,
+    Xty = X_tr' y_tr, the inner Hessian H = G + gamma I,
     ``mu_g`` and ``l_g1`` (gamma plus G's extreme eigenvalues) and ``l_f1`` = ||X_val' X_val||_2."""
 
     __slots__ = "X_tr", "y_tr", "X_val", "y_val", "gamma", "G", "Xty", "H", "mu_g", "l_g1", "l_f1"
 
     def __init__(self, X_tr, y_tr, X_val, y_val, gamma: float):
         check_number("gamma", gamma, open_low=True)
-        X_tr, y_tr, X_val, y_val = arrays = [np.array(x, float) for x in (X_tr, y_tr, X_val, y_val)]
+        X_tr = check_array("X_tr", X_tr, (None, None))
+        y_tr = check_array("y_tr", y_tr, X_tr.shape[:1])
+        X_val = check_array("X_val", X_val, (None, X_tr.shape[1]))
+        y_val = check_array("y_val", y_val, X_val.shape[:1])
+        X_tr, y_tr, X_val, y_val = arrays = [np.array(x) for x in (X_tr, y_tr, X_val, y_val)]
         self.X_tr, self.y_tr, self.X_val, self.y_val = arrays
         G = X_tr.T @ X_tr
         evals = np.linalg.eigvalsh(G)

@@ -392,9 +392,39 @@ BAD_DIAGS = {
     "negative": ([1.0, -1.0], ValueError, "diag entries must be strictly positive"),
 }
 
+def _vec(*x):
+    return np.array(x, dtype=float)
+
+
+# Float64 vectors of one shape, the inputs the prox guard's one scan proves, each
+# with its faults: (q, u, diag), the exception and its message. The two-fault
+# rows keep the order of the full checks: q, then u, then diag.
+SCANNED_FAULTS = {
+    "q-nan": ((_vec(np.nan, 1.0), _vec(0.0, 0.0), _vec(1.0, 1.0)), ValueError,
+              "q must have finite entries"),
+    "u-inf": ((_vec(1.0, 1.0), _vec(0.0, np.inf), _vec(1.0, 1.0)), ValueError,
+              "u must have finite entries"),
+    "diag-zero": ((_vec(1.0, 1.0), _vec(0.0, 0.0), _vec(1.0, 0.0)), ValueError,
+                  "diag entries must be strictly positive"),
+    "diag-negative": ((_vec(1.0, 1.0), _vec(0.0, 0.0), _vec(-1.0, 1.0)), ValueError,
+                      "diag entries must be strictly positive"),
+    "u-length": ((_vec(1.0, 1.0), _vec(0.0, 0.0, 0.0), _vec(1.0, 1.0)), ValueError,
+                 "u must have shape (2,), got (3,)"),
+    "q-nan-u-length": ((_vec(np.nan, 1.0), _vec(0.0, 0.0, 0.0), _vec(1.0, 1.0)), ValueError,
+                       "q must have finite entries"),
+    "u-nan-diag-zero": ((_vec(1.0, 1.0), _vec(np.nan, 0.0), _vec(0.0, 1.0)), ValueError,
+                        "u must have finite entries"),
+}
+# Both prox maps on (q, u, diag), at alpha 0.1 with no regularizer on the full space.
+PROX_MAPS = {"prox": lambda q, u, diag: prox_step(q, u, 0.1, diag, ZERO, FULL),
+             "projection": lambda q, u, diag: generalized_projection(u, q, 0.1, diag, ZERO, FULL)}
+
 # Each input check of the prox maps and of the geometry types: a call, the
 # exception it raises and that exception's message.
 INPUT_CHECKS = {
+    **{f"scanned-{name}-{case}": (lambda f=f, args=args: f(*args), error, message)
+       for name, f in PROX_MAPS.items()
+       for case, (args, error, message) in SCANNED_FAULTS.items()},
     **{f"fast-path-alpha-{alpha}": (
         lambda alpha=alpha: generalized_projection([0.0], [1.0], alpha, np.ones(1), ZERO, FULL),
         ValueError, f"alpha must be positive and finite, got {alpha}")
@@ -442,3 +472,14 @@ def test_input_check(make, error, message):
     with pytest.raises(error, match=re.escape(message)) as info:
         make()
     assert type(info.value) is error
+
+
+@pytest.mark.parametrize("alpha", [np.float64(0.5), 1], ids=["np-float64", "int"])
+@pytest.mark.parametrize("h, X", [(ZERO, FULL), (Regularizer.l1(0.3),
+                                                 FeasibleSet.box([-1, -1], [1, 1]))],
+                         ids=["full", "l1-box"])
+def test_alpha_of_another_type_takes_the_full_checks_to_the_same_result(alpha, h, X):
+    q, u, diag = np.array([0.7, -0.4]), np.array([0.2, 0.1]), np.array([1.5, 0.5])
+    for f in (lambda a: prox_step(q, u, a, diag, h, X),
+              lambda a: generalized_projection(u, q, a, diag, h, X)):
+        np.testing.assert_array_equal(f(alpha), f(float(alpha)))

@@ -810,6 +810,20 @@ class TestKernelBuffers:
         for got, other in zip(outputs[0], outputs[1]):
             assert not np.shares_memory(got, other)
 
+    def test_a_second_noisy_solve_leaves_the_first_unchanged(self):
+        # inner SGD steps through a scratch buffer that holds eta and the step;
+        # neither may be, or back, what a result returns.
+        inst = quadratic_stream(d1=3, d2=5, T=1, noise=(0.4, 0.0), seed=6)[0]
+        rng = np.random.default_rng(4)
+        lam, beta0, eta = rng.standard_normal(3), rng.standard_normal(5), 0.5 / inst.l_g1
+        first = inner_sgd(inst, lam, beta0, eta, self.K, 2, rng)
+        kept = first.final.copy(), first.trajectory.copy()
+        second = inner_sgd(inst, lam, beta0, eta, self.K, 2, rng)
+        assert not np.array_equal(second.final, kept[0])
+        assert np.array_equal(first.final, kept[0])
+        assert np.array_equal(first.trajectory, kept[1])
+        assert not np.shares_memory(first.trajectory, second.trajectory)
+
     def test_interleaved_itd_keys_and_instants_keep_their_results(self):
         # A(k1), B(k2), A(k2), B(k1): each call reuses the stream's entry for its
         # key, which the call before it at that key wrote, on the other instant;

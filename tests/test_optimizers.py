@@ -672,6 +672,25 @@ def test_oracle_calls_per_round_by_kind():
     }
 
 
+@pytest.mark.parametrize("kind", ["obbo", "sobbo"])
+def test_each_adaptive_diagonal_follows_the_recursion_from_its_rounds_step(kind):
+    # The step updates one buffer in place; each phi_diags row must be its own
+    # round's diagonal sqrt(avg_t) + eps, avg_t = beta avg_{t-1} + (1 - beta) q_t^2
+    # over the stored steps q_t, not a later round's.
+    gen, T = Adaptive(beta=0.8, epsilon=1e-3), 30
+    stream = quadratic_stream(3, 5, T, drift=DriftSpec.decaying(), noise=(0.3, 0.2), seed=4)
+    if kind == "obbo":
+        trace = run_obbo(stream, ObboConfig(alpha=0.05, K=4, w=3, phi=gen))
+    else:
+        trace = run_sobbo(stream, SobboConfig(alpha=0.05, K=4, w=3, phi=gen),
+                          np.random.default_rng(5))
+    avg = np.zeros(3)
+    for q, diag in zip(trace.smoothed, trace.phi_diags):
+        avg = gen.beta * avg + (1.0 - gen.beta) * q**2
+        np.testing.assert_array_equal(diag, np.sqrt(avg) + gen.epsilon)
+    assert len(np.unique(trace.phi_diags, axis=0)) == T
+
+
 # Each input check of the configs and runs: a call, the exception it raises
 # and that exception's message.
 INPUT_CHECKS = {

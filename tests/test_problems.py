@@ -1152,6 +1152,20 @@ INPUT_CHECKS = {
         lambda name=name: dataclasses.replace(_meta(), **{name: 2}), ValueError,
         f"field {name} is declared with init=False, it cannot be specified with replace()")
        for name in ("mu_g", "l_g1", "l_f1", "d1")},
+    # A task checks its four sample arrays, so a mismatched y or a NaN sample names
+    # its array instead of failing in numpy's matmul or blaming the derived mu_g.
+    "meta-task-y_tr-length": (
+        lambda: MetaTask(np.ones((3, 2)), np.ones(4), np.ones((3, 2)), np.ones(3), 1.0),
+        ValueError, "y_tr must have shape (3,), got (4,)"),
+    "meta-task-X_val-d": (
+        lambda: MetaTask(np.ones((3, 2)), np.ones(3), np.ones((3, 4)), np.ones(3), 1.0),
+        ValueError, "X_val must have shape (n, 2), got (3, 4)"),
+    "meta-task-X_tr-nan": (
+        lambda: MetaTask([[1.0, NAN], [0.0, 1.0]], np.ones(2), np.ones((3, 2)), np.ones(3), 1.0),
+        ValueError, "X_tr must have finite entries"),
+    "meta-task-y_val-bool": (
+        lambda: MetaTask(np.ones((3, 2)), np.ones(3), np.ones((2, 2)), [True, 1.0], 1.0),
+        TypeError, "y_val must hold numbers, not bools, got [True, 1.0]"),
     # amp sets l_f1, so a copy checks it.
     "instant-copy-amp-nan": (lambda: dataclasses.replace(_instant(), amp=NAN), ValueError,
                              "amp must be nonnegative and finite, got nan"),
