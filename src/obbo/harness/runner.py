@@ -53,7 +53,6 @@ __all__ = [
 
 RESULTS_SCHEMA = "obbo-results-v1"
 MANIFEST_SCHEMA = "obbo-manifest-v1"
-MAX_LAMBDA_COLUMNS = 8
 
 
 def build_stream(spec: dict, run_seed: int):
@@ -89,12 +88,7 @@ def execute_run(exp: ExperimentSpec, seed: int) -> tuple[RunTrace, list]:
 def write_trace_csv(
     path: Path, run_id: str, trace: RunTrace, regret: RegretSeries, hg_error: np.ndarray
 ) -> None:
-    d1 = trace.lambdas.shape[1]
-    if d1 <= MAX_LAMBDA_COLUMNS:
-        columns = [(f"lambda_{i}", trace.lambdas[:, i]) for i in range(d1)]
-    else:
-        lams = trace.lambdas  # sqrt of each row dot, the bits of ``np.linalg.norm``
-        columns = [("lambda_norm", np.sqrt(np.matmul(lams[:, None, :], lams[:, :, None]))[:, 0, 0])]
+    columns = [(f"lambda_{i}", lams) for i, lams in enumerate(trace.lambdas.T)]
     columns += [
         ("outer_loss", regret.outer_loss),
         ("inner_residual", regret.inner_residual),

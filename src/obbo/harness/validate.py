@@ -75,19 +75,18 @@ def validate_experiment(exp) -> list[str]:
     if violated:
         notes.append(f"{prefix} inner step eta={eta:g} violates {rule} = {bound:g}")
 
-    if inst.l_f1 is not None:  # without it the run needs a set alpha
-        bound = alpha_bound(mu, ell, inst.l_f1)
-        if config.alpha > bound:
-            suffix = ""
-            if isinstance(config.phi, Adaptive):
-                suffix = (
-                    " (bound assumes modulus 1; the adaptive generator's "
-                    "per-round modulus is only known at run time)"
-                )
-            notes.append(
-                f"{prefix} outer step alpha={config.alpha:g} exceeds "
-                f"3*rho/(4*l_F1) = {bound:g}{suffix}"
+    bound = alpha_bound(inst)  # None: the run needed a set alpha
+    if bound is not None and config.alpha > bound:
+        suffix = ""
+        if isinstance(config.phi, Adaptive):
+            suffix = (
+                " (bound assumes modulus 1; the adaptive generator's "
+                "per-round modulus is only known at run time)"
             )
+        notes.append(
+            f"{prefix} outer step alpha={config.alpha:g} exceeds "
+            f"3*rho/(4*l_F1) = {bound:g}{suffix}"
+        )
 
     # The exact estimator replaces the inner loop by the closed-form solve.
     if kind in ("obbo", "sobow") and config.estimator != "exact":

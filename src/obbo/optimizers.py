@@ -30,7 +30,7 @@ from .hypergrad import (
     stochastic_hypergradient,
 )
 from .problems.base import (ProblemInstant, Stream, _all_finite, check_array, check_count,
-                            check_number, outer_grad_lipschitz)
+                            check_number)
 
 __all__ = [
     "CONFIGS",
@@ -227,10 +227,17 @@ def eta_bound(mu_g: float, l_g1: float) -> float:
     return 2.0 / (l_g1 + mu_g)
 
 
-def alpha_bound(mu_g: float, l_g1: float, l_f1: float) -> float:
+def alpha_bound(instant: ProblemInstant) -> float | None:
     """The largest outer step the regret guarantee allows at modulus rho = 1,
-    3 / (4 l_F1); an unset alpha takes half of it."""
-    return 3.0 / (4.0 * outer_grad_lipschitz(mu_g, l_g1, l_f1))
+    3 / (4 l_F1), or None when ``instant`` declares no ``l_f1``; an unset
+    alpha takes half of it. l_F1 = l_f1 (1 + kappa)^2, kappa = l_g1 / mu_g,
+    bounds the smoothness of the reparameterized outer objective when g has
+    constant second derivatives."""
+    if instant.l_f1 is None:
+        return None
+    kappa = instant.l_g1 / instant.mu_g
+    m_f = instant.l_f1 * (1.0 + kappa)
+    return 3.0 / (4.0 * (m_f + m_f * kappa))
 
 
 def _resolve_steps(stream: Stream, config: StepConfig, kind: str) -> StepConfig:
@@ -254,9 +261,10 @@ def _resolve_steps(stream: Stream, config: StepConfig, kind: str) -> StepConfig:
         eta = eta_bound(mu_g, l_g1) if kind == "oagd" else 1.0 / (2.0 * l_g1)
     alpha = config.alpha
     if alpha is None:
-        if instant.l_f1 is None:
+        bound = alpha_bound(instant)
+        if bound is None:
             raise ValueError("stream declares no outer smoothness constants; set alpha explicitly")
-        alpha = alpha_bound(mu_g, l_g1, instant.l_f1) / 2
+        alpha = bound / 2
     K = config.K
     if K is None:
         K = 1 if kind == "oagd" else 10

@@ -1,11 +1,6 @@
 """Online bilevel problem streams and their oracle contracts."""
 
-from .base import (
-    DriftSpec,
-    ProblemInstant,
-    Stream,
-    outer_grad_lipschitz,
-)
+from .base import DriftSpec, ProblemInstant, Stream
 from .meta import meta_toy_stream
 from .quadratic import quadratic_instant, quadratic_stream
 from .spline import (
@@ -20,7 +15,6 @@ __all__ = [
     "DriftSpec",
     "ProblemInstant",
     "Stream",
-    "outer_grad_lipschitz",
     "meta_toy_stream",
     "quadratic_instant",
     "quadratic_stream",

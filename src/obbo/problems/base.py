@@ -25,7 +25,6 @@ __all__ = [
     "ProblemInstant",
     "DriftSpec",
     "Stream",
-    "outer_grad_lipschitz",
 ]
 
 Vector = np.ndarray
@@ -95,7 +94,7 @@ class ProblemInstant:
     ``l_f1 > 0``, noise scales ``>= 0`` and a box's finite lower below its upper.
 
     ``l_f1``, the smoothness constant of f, sets the default outer step
-    through ``outer_grad_lipschitz``, whose bound holds only when g has
+    through ``optimizers.alpha_bound``, whose bound holds only when g has
     constant second derivatives. A stream declares ``l_f1`` only then: the
     quadratic and meta streams do; the spline stream does not, because its
     cross Hessian 2 Omega beta depends on beta, so a spline run needs an
@@ -276,14 +275,3 @@ class DriftSpec:
         if self.kind == "decaying":
             return self.scale * t ** (-self.rate)
         return self.scale * t ** (self.rate - 1.0)
-
-
-def outer_grad_lipschitz(mu_g: float, l_g1: float, l_f1: float) -> float:
-    """Smoothness constant of the reparameterized outer objective.
-
-    Combines the declared constants of f and g through the implicit solution
-    map of an inner problem with constant second derivatives.
-    """
-    kappa = l_g1 / mu_g
-    m_f = l_f1 * (1.0 + kappa)
-    return m_f + m_f * kappa

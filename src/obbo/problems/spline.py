@@ -63,10 +63,6 @@ class SplineTask:
         if len(self.x_train) != len(self.x_val):
             raise ValueError("train and validation round counts differ")
 
-    @property
-    def T(self) -> int:
-        return len(self.x_train)
-
 
 def linear_spline_basis(x, knots) -> np.ndarray:
     """Dense design matrix of linear B-splines (hat functions) at the knots.

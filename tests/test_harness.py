@@ -1159,12 +1159,12 @@ class TestCsvSchema:
             i = header.index(column)
             np.testing.assert_array_equal([float(row[i]) for row in rows], values)
 
-    def test_lambda_norm_for_wide_problems(self, tmp_path):
+    def test_wide_problems_list_every_coordinate(self, tmp_path):
         path = tmp_path / "wide.csv"
         self.write(path, d1=9)
-        header = path.read_text().splitlines()[1]
-        assert "lambda_norm" in header
-        assert "lambda_0" not in header
+        header = path.read_text().splitlines()[1].split(",")
+        assert header[2:11] == [f"lambda_{i}" for i in range(9)]
+        assert header[11] == "outer_loss" and "lambda_norm" not in header
 
 
 EDGE_VALUES = [
@@ -1178,11 +1178,7 @@ class TestCsvBytes:
 
     @staticmethod
     def reference_rows(run_id, trace, regret, hg_error):
-        d1 = trace.lambdas.shape[1]
-        if d1 <= 8:
-            columns = [trace.lambdas[:, i] for i in range(d1)]
-        else:
-            columns = [[np.linalg.norm(lam) for lam in trace.lambdas]]
+        columns = [trace.lambdas[:, i] for i in range(trace.lambdas.shape[1])]
         columns += [
             regret.outer_loss, regret.inner_residual, regret.gen_proj_norm_sq,
             regret.smoothed_norm_sq,
@@ -1212,9 +1208,8 @@ class TestCsvBytes:
         )
         hg_error = column(8)
         path = tmp_path / "run.csv"
-        with np.errstate(over="ignore"):  # the d1 = 9 norm of rows holding 1e308
-            write_trace_csv(path, run_id, trace, regret, hg_error)
-            expected = self.reference_rows(run_id, trace, regret, hg_error)
+        write_trace_csv(path, run_id, trace, regret, hg_error)
+        expected = self.reference_rows(run_id, trace, regret, hg_error)
         lines = path.read_bytes().split(b"\n")
         assert lines[-1] == b"" and lines[0] == b"# schema=obbo-results-v1"
         assert lines[2:-1] == [row.encode() for row in expected]

@@ -31,6 +31,13 @@ and the bounds) maps beta to beta' = P'beta with X' beta' = X beta and
 ||lam' - beta'|| = ||lam - beta||, and leaves mu_g, l_g1 and l_f1 as they are
 up to rounding, so it must permute the lam path of adaptive OBBO-ITD within the
 same rtol 1e-12, over 120 rounds.
+
+Doubling X_val and y_val in every meta task leaves g, and so every inner
+iterate, as it is, and multiplies f, grad_f_beta and every hypergradient
+estimate by 4. With the outer step alpha -> alpha / 4, the lam and beta paths
+of Euclidean OBBO (ITD, implicit and exact), SOBOW, OAGD, SGDM and SOBBO must
+then be bit-equal, and every estimate and f must scale by 4 bit for bit, on
+decaying and static streams.
 """
 
 from __future__ import annotations
@@ -44,8 +51,9 @@ from hypothesis import strategies as st
 
 from obbo.geometry import FeasibleSet
 from obbo.metrics import compute_regret_series
-from obbo.optimizers import (Adaptive, ObboConfig, OagdConfig, SobboConfig, run_oagd, run_obbo,
-                             run_sobbo)
+from obbo.optimizers import (Adaptive, ObboConfig, OagdConfig, SingleLevelConfig, SobboConfig,
+                             SobowConfig, run_oagd, run_obbo, run_single_level, run_sobbo,
+                             run_sobow)
 from obbo.problems import (DriftSpec, make_drifting_spline_task, meta_toy_stream,
                            quadratic_instant, quadratic_stream, spline_stream)
 from obbo.problems.meta import MetaTask
@@ -196,3 +204,49 @@ def test_permuting_meta_features_permutes_the_obbo_itd_path(d, seed):
     want = run_obbo(stream, config).lambdas[:, perm]
     got = run_obbo(permuted, config).lambdas
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def val_doubled(stream):
+    """``stream`` with X_val and y_val doubled: one new ``MetaTask`` per distinct
+    task, so the instants of a static stream still share one."""
+    tasks = {}
+    for inst in stream:
+        task = inst.task
+        if id(task) not in tasks:
+            tasks[id(task)] = MetaTask(task.X_tr, task.y_tr, 2.0 * task.X_val,
+                                       2.0 * task.y_val, task.gamma)
+    return [dataclasses.replace(inst, task=tasks[id(inst.task)]) for inst in stream]
+
+
+# Meta streams are noise-free, so SOBBO draws nothing from its generator.
+META_RUNS = {
+    "obbo-itd": lambda stream, alpha: run_obbo(stream, ObboConfig(alpha=alpha, w=3)),
+    "obbo-implicit": lambda stream, alpha: run_obbo(
+        stream, ObboConfig(alpha=alpha, w=3, estimator="implicit")),
+    "obbo-exact": lambda stream, alpha: run_obbo(
+        stream, ObboConfig(alpha=alpha, w=3, estimator="exact")),
+    "sobow": lambda stream, alpha: run_sobow(stream, SobowConfig(alpha=alpha, w=3)),
+    "oagd": lambda stream, alpha: run_oagd(stream, OagdConfig(alpha=alpha, w=3)),
+    "sgdm": lambda stream, alpha: run_single_level(
+        stream, "sgdm", SingleLevelConfig(alpha=alpha, w=3)),
+    "sobbo": lambda stream, alpha: run_sobbo(
+        stream, SobboConfig(alpha=alpha, w=3), np.random.default_rng(5)),
+}
+
+
+@pytest.mark.parametrize("drift", ["decaying", "static"])
+@pytest.mark.parametrize("run", sorted(META_RUNS))
+@settings(derandomize=True, database=None, max_examples=2, deadline=None)
+@given(d=st.integers(1, 4), seed=st.integers(0, 2**16))
+@example(d=3, seed=1)
+def test_meta_val_times_2_with_alpha_over_4_keeps_every_bit(run, drift, d, seed):
+    stream = meta_toy_stream(d, T, seed=seed, drift=getattr(DriftSpec, drift)())
+    doubled = val_doubled(stream)
+    if drift == "static":
+        assert len({id(inst.task) for inst in doubled}) == 1
+    trace, trace4 = META_RUNS[run](stream, 0.05), META_RUNS[run](doubled, 0.05 / 4)
+    assert trace.lambdas.tobytes() == trace4.lambdas.tobytes()
+    assert trace.betas.tobytes() == trace4.betas.tobytes()
+    assert (4.0 * trace.estimates).tobytes() == trace4.estimates.tobytes()
+    f = compute_regret_series(stream, trace).outer_loss
+    assert (4.0 * f).tobytes() == compute_regret_series(doubled, trace4).outer_loss.tobytes()

@@ -1,9 +1,12 @@
 import collections.abc
 import dataclasses
+import json
 import math
 import re
+import types
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +15,8 @@ from hypothesis import strategies as st
 
 from obbo import metrics, optimizers
 from obbo.geometry import FeasibleSet, Regularizer
+from obbo.harness.config import ConfigError, ExperimentSpec
+from obbo.harness.validate import probe_experiment, validate_experiment
 from obbo.hypergrad import (
     DivergenceError,
     WindowBuffer,
@@ -43,6 +48,8 @@ from obbo.problems import (
 from obbo.problems.quadratic import QuadraticData
 
 from oracles import constant_gradient_instant, count_kernel_rows
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def static_stream(T=60, d1=2, d2=3, kappa=4.0, amp=0.0, seed=0, **kw):
@@ -443,6 +450,72 @@ class TestConfigValidation:
         assert trace.config.w == 2
         assert trace.T == 5
         assert isinstance(dataclasses.asdict(trace.config), dict)
+
+
+def reference_alpha_bound(mu_g, l_g1, l_f1):
+    """The outer-step bound as first written: l_F1 = l_f1 (1 + kappa)^2 formed
+    as m_f + m_f kappa, then 3 / (4 l_F1)."""
+    kappa = l_g1 / mu_g
+    m_f = l_f1 * (1.0 + kappa)
+    return 3.0 / (4.0 * (m_f + m_f * kappa))
+
+
+NO_ALPHA = "stream declares no outer smoothness constants; set alpha explicitly"
+PROBE_STREAMS = {
+    "quadratic": {"kind": "quadratic", "d1": 2, "d2": 3, "T": 20, "kappa_target": 4.0,
+                  "cos_amplitude": 0.3, "seed": 5},
+    "meta": {"kind": "meta", "d": 3, "T": 20, "seed": 1},
+}
+
+
+class TestAlphaBound:
+    """``alpha_bound(instant)`` is the one outer-step rule: an unset alpha is
+    half of it, ``obbo validate`` compares alpha against it, and a stream that
+    declares no ``l_f1`` has none."""
+
+    def test_matches_the_reference_bit_for_bit(self):
+        rng = np.random.default_rng(54)
+        for _ in range(2000):
+            mu_g = 10.0 ** rng.uniform(-4.0, 2.0)
+            l_g1 = mu_g * 10.0 ** rng.uniform(0.0, 5.0)
+            l_f1 = 10.0 ** rng.uniform(-3.0, 3.0)
+            inst = types.SimpleNamespace(mu_g=mu_g, l_g1=l_g1, l_f1=l_f1)
+            assert optimizers.alpha_bound(inst) == reference_alpha_bound(mu_g, l_g1, l_f1)
+        for inst in (static_stream(T=2, kappa=7.0)[0], meta_toy_stream(d=3, T=2, seed=1)[0]):
+            expected = reference_alpha_bound(inst.mu_g, inst.l_g1, inst.l_f1)
+            assert optimizers.alpha_bound(inst) == expected
+
+    def test_a_spline_instant_has_no_bound(self):
+        inst = spline_stream(make_drifting_spline_task(seed=0, T=2))[0]
+        assert inst.l_f1 is None and optimizers.alpha_bound(inst) is None
+
+    @pytest.mark.parametrize("name", sorted(PROBE_STREAMS))
+    def test_default_alpha_is_half_the_bound_validate_checks(self, name):
+        def spec(**steps):
+            return ExperimentSpec(name="probe", seeds=[1], stream=PROBE_STREAMS[name],
+                                  optimizer={"kind": "obbo", "eta": 0.05, "K": 40, "w": 2, **steps})
+
+        def alpha_notes(exp):
+            return [note for note in validate_experiment(exp) if "outer step alpha" in note]
+
+        stream, config = probe_experiment(spec())
+        assert config.alpha == optimizers.alpha_bound(stream[0]) / 2
+        assert alpha_notes(spec()) == []
+        bound = 2 * config.alpha  # exact: doubling a float only moves its exponent
+        assert alpha_notes(spec(alpha=bound)) == []
+        assert len(alpha_notes(spec(alpha=math.nextafter(bound, math.inf)))) == 1
+
+    def test_spline_needs_a_set_alpha_and_validate_checks_none(self):
+        stream = spline_stream(make_drifting_spline_task(seed=0, T=2))
+        config = ObboConfig(estimator="exact", feasible=SPLINE_BOX, lambda0=[0.5])
+        with pytest.raises(ValueError, match=f"^{re.escape(NO_ALPHA)}$"):
+            optimizers._resolve_steps(stream, config, "obbo")
+        spline = json.loads((CONFIG_DIR / "spline.json").read_text())["experiments"][0]
+        unset = {key: value for key, value in spline["optimizer"].items() if key != "alpha"}
+        with pytest.raises(ConfigError, match=re.escape(f"experiment 'spline-obbo': {NO_ALPHA}")):
+            probe_experiment(ExperimentSpec(**{**spline, "optimizer": unset}))
+        huge = ExperimentSpec(**{**spline, "optimizer": {**spline["optimizer"], "alpha": 1e6}})
+        assert not any("alpha" in note for note in validate_experiment(huge))
 
 
 def records_by_round(stream, trace):
