@@ -38,8 +38,8 @@ def probe_experiment(exp):
     """The probe stream of ``exp`` and the optimizer config the run resolves
     on it (``_resolve_steps``). Raises ``ConfigError`` naming the experiment
     when the stream cannot be built, when the run's steps or first iterates
-    cannot be formed on it (no ``alpha`` without ``l_f1``, a ``lambda0`` or
-    ``beta0`` that does not fit), or when ``variations`` is on and d1 exceeds
+    cannot be formed on it (no ``alpha`` without ``l_f1``, a ``lambda0``
+    that does not fit), or when ``variations`` is on and d1 exceeds
     ``SOBOL_MAX_DIM``."""
     where = f"experiment {exp.name!r}"
     try:
@@ -70,7 +70,7 @@ def validate_experiment(exp) -> list[str]:
         bound, rule = eta_bound(mu, ell), "eta <= 2/(l_g1 + mu_g)"
         violated = eta > bound
     else:
-        bound, rule = min(1.0 / ell, 1.0 / mu), "eta < min(1/l_g1, 1/mu_g)"
+        bound, rule = 1.0 / ell, "eta < 1/l_g1"
         violated = eta >= bound
     if violated:
         notes.append(f"{prefix} inner step eta={eta:g} violates {rule} = {bound:g}")

@@ -76,7 +76,8 @@ class StepConfig:
     """The fields every optimizer reads. An unset ``alpha`` or ``eta`` is
     derived from the stream's declared smoothness constants. Ranges: integer
     (not bool) ``w`` and ``K >= 1``; finite ``alpha``, ``eta``, ``clip_threshold > 0``;
-    finite vectors ``lambda0`` and ``beta0``, whose lengths the run checks.
+    a finite vector ``lambda0``, whose length the run checks. The first inner
+    iterate is zero.
 
     Each kind's config adds the fields its run reads. What a kind fixes is a
     class constant, read like a field: the Euclidean generator, no
@@ -89,7 +90,6 @@ class StepConfig:
     w: int = 1
     clip_threshold: float | None = None
     lambda0: np.ndarray | None = None
-    beta0: np.ndarray | None = None
 
     phi: ClassVar[Euclidean | Adaptive] = Euclidean()
     regularizer: ClassVar[Regularizer] = Regularizer.zero()
@@ -103,9 +103,8 @@ class StepConfig:
                             ("clip threshold", self.clip_threshold)):
             if value is not None:
                 check_number(what, value, open_low=True)
-        for what, value in (("lambda0", self.lambda0), ("beta0", self.beta0)):
-            if value is not None:
-                check_array(what, value, (None,))
+        if self.lambda0 is not None:
+            check_array("lambda0", self.lambda0, (None,))
         if not isinstance(self.phi, (Euclidean, Adaptive)):
             raise TypeError(f"phi must be Euclidean() or Adaptive(...), got {self.phi!r}")
         # Only the kinds that read an estimator have the field.
@@ -288,8 +287,7 @@ def _initial_iterates(stream: Stream, config: StepConfig) -> tuple[np.ndarray, n
     lam = np.zeros(d1) if lam is None else check_array("lambda0", lam, (d1,)).copy()
     if not X.contains(lam):
         raise ValueError("lambda0 lies outside the feasible set")
-    beta = config.beta0
-    return lam, np.zeros(d2) if beta is None else check_array("beta0", beta, (d2,)).copy()
+    return lam, np.zeros(d2)
 
 
 def _clip(q: np.ndarray, threshold: float | None) -> np.ndarray:

@@ -228,50 +228,46 @@ Stream = Sequence[ProblemInstant]
 class DriftSpec:
     """How inner minimizers move over time.
 
-    ``static`` keeps the round-t data fixed and takes no rate or scale.
-    ``decaying`` moves it by scale * t^(-rate) at the transition from round t
-    to t+1. ``sublinear`` moves it by scale * t^(rate-1) for rate < 1, so the
-    cumulative path grows like T^rate: unbounded but slower than T. An unset
-    rate takes its kind's entry in ``RATES`` and an unset scale is 1.
+    ``static`` keeps the round-t data fixed and takes no rate. ``decaying``
+    moves it by t^(-rate) at the transition from round t to t+1.
+    ``sublinear`` moves it by t^(rate-1) for rate < 1, so the cumulative path
+    grows like T^rate: unbounded but slower than T. An unset rate takes its
+    kind's entry in ``RATES``.
     """
 
     RATES: ClassVar[dict] = {"static": None, "decaying": 1.0, "sublinear": 0.5}
 
     kind: str = "static"
     rate: float | None = None
-    scale: float | None = None
 
     def __post_init__(self):
         if self.kind not in self.RATES:
             raise ValueError(f"unknown drift kind {self.kind!r}")
         if self.kind == "static":
-            if self.rate is not None or self.scale is not None:
-                raise ValueError("static drift takes no rate or scale")
+            if self.rate is not None:
+                raise ValueError("static drift takes no rate")
             return
         if self.rate is None:
             object.__setattr__(self, "rate", self.RATES[self.kind])
-        if self.scale is None:
-            object.__setattr__(self, "scale", 1.0)
         high = 1.0 if self.kind == "sublinear" else math.inf
         check_number(f"{self.kind} drift rate", self.rate, high=high, open_low=True)
-        check_number("drift scale", self.scale)
 
     @staticmethod
     def static() -> "DriftSpec":
         return DriftSpec()
 
     @staticmethod
-    def decaying(rate=None, scale=None) -> "DriftSpec":
-        return DriftSpec("decaying", rate, scale)
+    def decaying(rate=None) -> "DriftSpec":
+        return DriftSpec("decaying", rate)
 
     @staticmethod
-    def sublinear(rate=None, scale=None) -> "DriftSpec":
-        return DriftSpec("sublinear", rate, scale)
+    def sublinear(rate=None) -> "DriftSpec":
+        return DriftSpec("sublinear", rate)
 
     def step_size(self, t: int) -> float:
         """Drift step magnitude applied between rounds t and t+1 (t >= 1)."""
         if self.kind == "static":
             return 0.0
         if self.kind == "decaying":
-            return self.scale * t ** (-self.rate)
-        return self.scale * t ** (self.rate - 1.0)
+            return t ** (-self.rate)
+        return t ** (self.rate - 1.0)

@@ -21,6 +21,9 @@ from .base import DriftSpec, ProblemInstant, check_array, check_count, check_num
 
 __all__ = ["MetaData", "MetaTask", "meta_toy_stream"]
 
+# A drawn task's training and validation sample counts and its targets' noise scale.
+N_TRAIN, N_VAL, TASK_NOISE = 16, 16, 0.1
+
 
 class MetaTask:
     """One drawn task: read-only float64 copies of its samples X_tr (n, d), y_tr (n,),
@@ -103,31 +106,26 @@ def meta_toy_stream(
     seed: int = 0,
     drift: DriftSpec = DriftSpec(),
     gamma: float = 1.0,
-    n_train: int = 16,
-    n_val: int = 16,
-    task_noise: float = 0.1,
 ) -> list[MetaData]:
     """Generate the meta-learning task sequence: T rounds in dimension d.
 
     Static drift repeats one task verbatim every round: its instants share one
     ``MetaTask``. Otherwise the task's true regression vector follows the drift
     path and fresh samples arrive each round, one ``MetaTask`` per round.
-    Ranges: integer (not bool) ``d``, ``T``, ``n_train``, ``n_val >= 1`` and
-    ``seed >= 0``; finite ``gamma > 0`` and ``task_noise >= 0``.
+    Ranges: integer (not bool) ``d``, ``T >= 1`` and ``seed >= 0``; finite
+    ``gamma > 0``.
     """
-    for what, count, least in (("d", d, 1), ("horizon", T, 1), ("seed", seed, 0),
-                               ("n_train", n_train, 1), ("n_val", n_val, 1)):
+    for what, count, least in (("d", d, 1), ("horizon", T, 1), ("seed", seed, 0)):
         check_count(what, count, least)
-    check_number("task_noise", task_noise)
     rng = np.random.default_rng(seed)
     theta = rng.standard_normal(d)
     instants = []
     for t in range(1, T + 1):
         if t == 1 or drift.kind != "static":
-            X_tr = rng.standard_normal((n_train, d))
-            y_tr = X_tr @ theta + task_noise * rng.standard_normal(n_train)
-            X_val = rng.standard_normal((n_val, d))
-            y_val = X_val @ theta + task_noise * rng.standard_normal(n_val)
+            X_tr = rng.standard_normal((N_TRAIN, d))
+            y_tr = X_tr @ theta + TASK_NOISE * rng.standard_normal(N_TRAIN)
+            X_val = rng.standard_normal((N_VAL, d))
+            y_val = X_val @ theta + TASK_NOISE * rng.standard_normal(N_VAL)
             task = MetaTask(X_tr, y_tr, X_val, y_val, gamma)
         instants.append(MetaData(t, task=task))
         if t < T:

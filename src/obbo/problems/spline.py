@@ -34,6 +34,8 @@ __all__ = [
 ]
 
 RIDGE_FLOOR = 1e-8
+# The drifting task's ground truth at its first round: frequency and amplitude.
+FREQ_START, AMP_START = 0.5, 0.2
 
 
 @dataclass(frozen=True)
@@ -202,9 +204,7 @@ def make_drifting_spline_task(
     noise_std: float = 0.25,
     lambda_lower: float = 1e-4,
     lambda_upper: float = 10.0,
-    freq_start: float = 0.5,
     freq_end: float = 4.0,
-    amp_start: float = 0.2,
     amp_end: float = 1.5,
 ) -> SplineTask:
     """Synthetic nonstationary regression stream on [0, 1].
@@ -213,22 +213,21 @@ def make_drifting_spline_task(
     high-frequency one, so the optimal smoothing weight drifts downward over
     the stream; a fixed hyperparameter cannot track it. Ranges: integer (not
     bool) ``seed >= 0``, ``T``, ``n_train``, ``n_val >= 1`` and ``n_knots >= 3``;
-    finite ``noise_std >= 0`` and finite ``freq_*``, ``amp_*``.
+    finite ``noise_std >= 0`` and finite ``freq_end``, ``amp_end``.
     """
     for what, count, least in (("seed", seed, 0), ("horizon", T, 1), ("n_knots", n_knots, 3),
                                ("n_train", n_train, 1), ("n_val", n_val, 1)):
         check_count(what, count, least)
     check_number("noise_std", noise_std)
-    for what, value in (("freq_start", freq_start), ("freq_end", freq_end),
-                        ("amp_start", amp_start), ("amp_end", amp_end)):
+    for what, value in (("freq_end", freq_end), ("amp_end", amp_end)):
         check_number(what, value, -np.inf, open_low=True)
     rng = np.random.default_rng(seed)
     x_train, y_train = np.empty((T, n_train)), np.empty((T, n_train))
     x_val, y_val = np.empty((T, n_val)), np.empty((T, n_val))
     for t in range(T):
         frac = t / max(T - 1, 1)
-        freq = freq_start + (freq_end - freq_start) * frac
-        amp = amp_start + (amp_end - amp_start) * frac
+        freq = FREQ_START + (freq_end - FREQ_START) * frac
+        amp = AMP_START + (amp_end - AMP_START) * frac
         for x, y in ((x_train[t], y_train[t]), (x_val[t], y_val[t])):
             x[:] = rng.uniform(0.0, 1.0, x.size)
             truth = amp * np.sin(2.0 * np.pi * freq * x) + 0.5 * x

@@ -13,7 +13,9 @@ import pytest
 
 from obbo.harness.cli import main as cli_main
 from obbo.harness.config import (
+    CONSTRUCTORS,
     SPEC_KEYS,
+    _KIND_KEY,
     ConfigError,
     ExperimentSpec,
     HarnessConfig,
@@ -40,6 +42,8 @@ from obbo.problems import quadratic_stream
 from oracles import count_kernel_rows
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+COMMITTED_CONFIGS = [*sorted(CONFIG_DIR.glob("*.json")),
+                     Path(__file__).resolve().parent / "golden" / "paths.config.json"]
 SPLINE_EXP = json.loads((CONFIG_DIR / "spline.json").read_text())["experiments"][0]
 
 
@@ -140,8 +144,41 @@ class TestConfigRoundTrip:
             )
 
 
+def _set_keys(part: str, spec: dict):
+    """The keys ``spec`` sets, nested parts included: a stream key with its
+    kind, any other key with its part only."""
+    kind_key = _KIND_KEY.get(part, "kind")
+    for key, value in spec.items():
+        if key != kind_key:
+            yield (part, spec[kind_key], key) if part == "stream" else (part, key)
+        if key in CONSTRUCTORS and value is not None:
+            yield from _set_keys(key, value)
+
+
+def test_every_accepted_key_is_set_by_a_committed_config():
+    """A key that no committed config sets is a setting no run exercises, so
+    it is a constant instead. Each stream kind is its own generator, so its
+    keys are checked per kind; the kinds of every other part share one config
+    field per key name. A stream's seed is exempt, as the run seed fills it,
+    and so are SOBBO's s and m, whose defaults ROADMAP item 38 settles."""
+    accepted = {("stream", kind, key) for kind, keys in SPEC_KEYS["stream"].items()
+                for key in keys if key != "seed"}
+    accepted |= {(part, key) for part in CONSTRUCTORS.keys() - {"stream"}
+                 for keys in SPEC_KEYS[part].values() for key in keys}
+    accepted |= {("metrics", key) for key in SPEC_KEYS["metrics"]}
+    accepted -= {("optimizer", "s"), ("optimizer", "m")}
+    set_anywhere = set()
+    for path in COMMITTED_CONFIGS:
+        for exp in parse_config(path).experiments:
+            for part in ("stream", "optimizer", "metrics"):
+                set_anywhere.update(_set_keys(part, getattr(exp, part)))
+    unset = sorted(accepted - set_anywhere)
+    assert not unset, f"accepted keys that no committed config sets: {unset}"
+
+
 def set_key(doc: dict, where: str, key: str, value) -> None:
-    """Set ``key`` in the part of a config document that ``where`` names."""
+    """Set ``key`` in the part of a config document that ``where`` names; a
+    stream kind replaces the stream with a short one of that kind."""
     exp = doc["experiments"][0]
     target = {
         "top-level": doc,
@@ -149,6 +186,9 @@ def set_key(doc: dict, where: str, key: str, value) -> None:
         "stream": exp["stream"],
         "optimizer": exp["optimizer"],
     }.get(where)
+    streams = {"meta": META, "spline_synthetic": {"kind": "spline_synthetic", "T": 3}}
+    if where in streams:
+        target = exp["stream"] = dict(streams[where])
     if target is None:
         section = "stream" if where == "drift" else "optimizer"
         nested = {
@@ -175,9 +215,16 @@ class TestUnknownKeys:
             ("phi", "mod"),
             ("regularizer", "wieght"),
             ("feasible", "lowr"),
+            # Keys that became constants, each holding the value every run used.
+            ("drift", "scale"),
+            ("optimizer", "beta0"),
+            ("meta", "task_noise"),
+            ("meta", "n_train"),
+            ("spline_synthetic", "freq_start"),
         ],
         ids=["top-level", "experiment", "stream", "stream-stochastic", "optimizer",
-             "optimizer-kind", "drift", "phi", "regularizer", "feasible"],
+             "optimizer-kind", "drift", "phi", "regularizer", "feasible", "drift-scale",
+             "optimizer-beta0", "meta-task_noise", "meta-n_train", "spline-freq_start"],
     )
     def test_rejected_at_parse_time(self, where, key):
         doc = json.loads(serialize_config(small_config()))
@@ -259,13 +306,16 @@ class TestUnknownKeys:
             ({"kind": "obbo"}, {"kind": "static", "rate": 0.5},
              "unknown static drift key(s) ['rate']"),
             ({"kind": "obbo"}, {"scale": 2.0}, "unknown static drift key(s) ['scale']"),
+            ({"kind": "obbo"}, {"kind": "decaying", "scale": 2.0},
+             "unknown decaying drift key(s) ['scale']"),
             ({"kind": "obbo", "phi": {"mode": "euclidean", "beta": 0.8}}, None,
              "unknown euclidean phi key(s) ['beta']"),
             ({"kind": "obbo", "phi": {"mode": "adaptiv"}}, None,
              "unknown phi mode 'adaptiv'; accepted modes are ['adaptive', 'euclidean']"),
         ],
         ids=["phi-oagd", "phi-sobow", "phi-adam", "phi-sgdm", "regularizer-sobow",
-             "feasible-sobow", "rate-static", "scale-static", "beta-euclidean", "mode-typo"],
+             "feasible-sobow", "rate-static", "scale-static", "scale-decaying", "beta-euclidean",
+             "mode-typo"],
     )
     def test_values_no_run_reads_exit_2_before_any_cell(
         self, tmp_path, capsys, command, optimizer, drift, named
@@ -439,7 +489,8 @@ class TestBadOptimizerValues:
 
 # A non-finite number in each place where one used to parse and then run
 # quietly: a drift that never moves, a clip that never clips, an L1 term
-# that never acts. "@" marks where the literal goes.
+# that never acts. "@" marks where the literal goes. A drift's ``scale`` is no
+# longer a key, but the file's literal fails before any key is read.
 NON_FINITE_LITERALS = ["NaN", "Infinity", "-Infinity", "1e999"]
 NON_FINITE_PLACES = {
     "drift-scale": {"stream": {**small_config().experiments[0].stream,
@@ -607,8 +658,6 @@ class TestExperimentChecks:
 UNRUNNABLE = [
     ({"stream": {**META, "gamma": 0.0}},
      "stream cannot be built: ValueError: gamma must be positive"),
-    ({"stream": {**META, "n_val": 0}},
-     "stream cannot be built: ValueError: n_val must be at least 1, got 0"),
     ({"stream": {**small_config().experiments[0].stream, "d1": 9},
       "metrics": {"variations": True}},
      "variations need d1 <= 8 (Sobol grid), got 9"),
@@ -616,7 +665,6 @@ UNRUNNABLE = [
       "optimizer": {k: v for k, v in SPLINE_EXP["optimizer"].items() if k != "alpha"}},
      "stream declares no outer smoothness constants; set alpha explicitly"),
     ({"optimizer": {"kind": "obbo", "lambda0": [0.0] * 7}}, "lambda0 must have shape (2,)"),
-    ({"optimizer": {"kind": "obbo", "beta0": [0.0] * 7}}, "beta0 must have shape (2,)"),
     ({"optimizer": {"kind": "obbo", "lambda0": [2.0, 0.0],
                     "feasible": {"kind": "box", "lower": [-1.0, -1.0], "upper": [1.0, 1.0]}}},
      "lambda0 lies outside the feasible set"),
@@ -649,8 +697,8 @@ UNRUNNABLE = [
      "where the stream's mu_g and l_g1 hold"),
 ]
 UNRUNNABLE_IDS = [
-    "meta-gamma-0", "meta-n_val-0", "d1-9-variations", "spline-no-alpha",
-    "lambda0-length-7", "beta0-length-7", "lambda0-outside-box", "quadratic-T-float",
+    "meta-gamma-0", "d1-9-variations", "spline-no-alpha",
+    "lambda0-length-7", "lambda0-outside-box", "quadratic-T-float",
     "meta-T-float", "quadratic-T-bool", "meta-T-bool", "spline-T-bool",
     "sobbo-near-singular-m", "sobbo-kappa-5e16-default-m", "box-length-2-no-lambda0", "box-length-1-lambda0",
     "spline-full-space",
@@ -685,17 +733,12 @@ ONE_D = {**small_config().experiments[0].stream, "d1": 1}
 OUT_OF_RANGE = [
     ({"optimizer": {"kind": "obbo", "alpha": True, "clip_threshold": True}},
      "alpha must be a number, got True"),
-    ({"stream": {**META, "task_noise": -1}},
-     BUILT + "task_noise must be nonnegative and finite, got -1"),
-    ({"stream": {**META, "n_train": 0}}, BUILT + "n_train must be at least 1, got 0"),
     ({"stream": {**SPLINE_SHORT, "noise_std": -1}},
      BUILT + "noise_std must be nonnegative and finite, got -1"),
     ({"stream": {**SPLINE_SHORT, "n_train": 0}}, BUILT + "n_train must be at least 1, got 0"),
     ({"stream": {**SPLINE_SHORT, "n_val": 0}}, BUILT + "n_val must be at least 1, got 0"),
     ({"stream": ONE_D, "optimizer": {"kind": "obbo", "lambda0": [True]}},
      "lambda0 must hold numbers, not bools, got [True]"),
-    ({"optimizer": {"kind": "obbo", "beta0": [True, True]}},
-     "beta0 must hold numbers, not bools, got [True, True]"),
     ({"stream": ONE_D,
       "optimizer": {"kind": "obbo", "feasible": {"kind": "box", "lower": [True], "upper": [2.0]}}},
      "lower must hold numbers, not bools, got [True]"),
@@ -725,8 +768,8 @@ OUT_OF_RANGE = [
      "stream cannot be built: ValueError: noise must be a pair (sigma_g_beta, sigma_f), got 0.5"),
 ]
 OUT_OF_RANGE_IDS = [
-    "alpha-clip-true", "meta-task_noise--1", "meta-n_train-0", "spline-noise_std--1",
-    "spline-n_train-0", "spline-n_val-0", "lambda0-true", "beta0-true", "box-lower-true",
+    "alpha-clip-true", "spline-noise_std--1",
+    "spline-n_train-0", "spline-n_val-0", "lambda0-true", "box-lower-true",
     "lambda0-str", "box-lower-str",
     "spline-lambda_lower-true", "l1-weight-str", "alpha-str", "kappa-str", "drift-rate-str",
     "meta-gamma-str", "noise-entry-str", "noise-scalar",
@@ -753,7 +796,6 @@ EFFECTIVE_VALUES = {
     "regularizer": {"kind": "l1", "weight": 0.5},
     "feasible": {"kind": "box", "lower": [-0.01, -0.01], "upper": [0.01, 0.01]},
     "lambda0": [0.3, -0.2],
-    "beta0": [0.5, -0.5, 0.2],
     "estimator": "implicit",
     "s": 5,
     "m": 4,
@@ -1100,20 +1142,20 @@ class TestBuildStreamDefaults:
             ),
             (
                 {"kind": "quadratic", "d1": 2, "d2": 3, "T": 3, "drift": {"kind": "decaying"}},
-                {"drift": {"kind": "decaying", "rate": 1.0, "scale": 1.0}},
+                {"drift": {"kind": "decaying", "rate": 1.0}},
             ),
             ({"kind": "quadratic", "d1": 2, "d2": 3, "T": 3}, {"drift": None}),
             (
                 {"kind": "spline_synthetic", "T": 2},
                 {
                     "n_knots": 12, "n_train": 60, "n_val": 30, "noise_std": 0.25,
-                    "lambda_lower": 1e-4, "lambda_upper": 10.0, "freq_start": 0.5,
-                    "freq_end": 4.0, "amp_start": 0.2, "amp_end": 1.5,
+                    "lambda_lower": 1e-4, "lambda_upper": 10.0, "freq_end": 4.0,
+                    "amp_end": 1.5,
                 },
             ),
             (
                 {"kind": "meta", "d": 2, "T": 3, "drift": {"kind": "decaying"}},
-                {"gamma": 1.0, "n_train": 16, "n_val": 16, "task_noise": 0.1},
+                {"gamma": 1.0},
             ),
             (
                 {"kind": "meta", "d": 2, "T": 3},
@@ -1453,12 +1495,12 @@ class TestCliValidate:
         )
 
     def test_oversized_eta_warns_with_condition(self):
-        # mu_g = 1 for the quadratic stream, so eta = 2/mu_g = 2.0
+        # kappa 4: mu_g = 1 and l_g1 = 4, so eta = 2.0 is 8 times the bound 1/l_g1.
         cfg = self.base_experiment(
             {"kind": "obbo", "alpha": 1e-3, "eta": 2.0, "K": 50, "w": 1}
         )
         notes = cli_validate(cfg)
-        assert any("min(1/l_g1, 1/mu_g)" in n for n in notes)
+        assert any("inner step eta=2 violates eta < 1/l_g1 = 0.25" in n for n in notes)
 
     def test_conformant_config_is_silent(self):
         cfg = self.base_experiment(
@@ -1497,7 +1539,7 @@ class TestCliValidate:
     @pytest.mark.parametrize("eta, warns", [(None, False), (0.3, False), (0.45, True)])
     def test_oagd_eta_rule(self, eta, warns):
         # kappa 4: the default eta = 2/(l_g1 + mu_g) = 0.4 lies on OAGD's bound,
-        # and 0.3 is inside it but above min(1/l_g1, 1/mu_g) = 0.25.
+        # and 0.3 is inside it but above the GD kinds' bound 1/l_g1 = 0.25.
         optimizer = {"kind": "oagd", "alpha": 1e-3, "K": 60, "w": 1}
         if eta is not None:
             optimizer["eta"] = eta

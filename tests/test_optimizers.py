@@ -808,16 +808,12 @@ INPUT_CHECKS = {
                       "l1 weight must be a number, got '0.5'"),
     "adaptive-beta-str": (lambda: Adaptive(beta="0.9"), TypeError,
                           "adaptive beta must be a number, got '0.9'"),
-    # Unchecked, a run starts from lambda = [1.0, 1.0] or a NaN beta.
+    # Unchecked, a run starts from lambda = [1.0, 1.0].
     "lambda0-bool": (lambda: ObboConfig(lambda0=[True, True]), TypeError,
                      "lambda0 must hold numbers, not bools, got [True, True]"),
     # Unchecked, ``float`` parses a string: a run starts from lambda = [0.5, 1.0].
     "lambda0-str": (lambda: ObboConfig(lambda0=["0.5", 1.0]), TypeError,
                     "lambda0 must hold real numbers, got ['0.5', 1.0]"),
-    "beta0-none": (lambda: ObboConfig(beta0=[None, 0.0]), TypeError,
-                   "beta0 must hold real numbers, got [None, 0.0]"),
-    "beta0-nan": (lambda: ObboConfig(beta0=[math.nan] * 3), ValueError,
-                  "beta0 must have finite entries"),
     "w-float": (lambda: ObboConfig(w=2.0), TypeError, "window size must be an integer, got 2.0"),
     "w-bool": (lambda: SobowConfig(w=True), TypeError, "window size must be an integer, got True"),
     "K-float": (lambda: OagdConfig(K=2.5), TypeError,

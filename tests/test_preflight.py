@@ -34,14 +34,14 @@ VALID = {
     "d1": [1, 2], "d2": [1, 3], "d": [1, 2], "T": [2, 5], "seed": [0, 7],
     "kappa_target": [1.0, 4.0], "noise": [[0.0, 0.0], [0.1, 0.2]], "cos_amplitude": [0.0, 0.3],
     "n_knots": [3, 8], "n_train": [1, 12], "n_val": [1, 6], "noise_std": [0.0, 0.25],
-    "lambda_lower": [1e-4], "lambda_upper": [10.0], "freq_start": [0.5], "freq_end": [4.0],
-    "amp_start": [0.2], "amp_end": [1.5], "gamma": [1.0], "task_noise": [0.1],
+    "lambda_lower": [1e-4], "lambda_upper": [10.0], "freq_end": [4.0], "amp_end": [1.5],
+    "gamma": [1.0],
     # drift, phi, regularizer, feasible
-    "rate": [0.5], "scale": [1.0], "beta": [0.9], "epsilon": [1e-8], "weight": [0.1],
+    "rate": [0.5], "beta": [0.9], "epsilon": [1e-8], "weight": [0.1],
     "lower": [[1e-4]], "upper": [[1.0]],  # inside the spline task's lambda box
     # optimizers
     "alpha": [0.05], "eta": [0.05], "K": [1, 3], "w": [1, 3], "clip_threshold": [1.0],
-    "lambda0": [[0.5]], "beta0": [[0.0], [0.0, 0.0, 0.0]],
+    "lambda0": [[0.5]],
     "estimator": ["itd", "implicit", "exact"], "s": [1, 2], "m": [1, 3],
     # metrics
     "variations": [False, True], "grid_size": [0, 4],

@@ -534,9 +534,8 @@ class TestQuadraticStream:
             quadratic_stream(d1=1, d2=1, T=5, kappa_target=0.5)
         with pytest.raises(ValueError):
             DriftSpec.sublinear(rate=1.5)
-        for extra in ({"rate": 0.5}, {"scale": 2.0}):
-            with pytest.raises(ValueError, match="static drift takes no rate or scale"):
-                DriftSpec("static", **extra)
+        with pytest.raises(ValueError, match="static drift takes no rate"):
+            DriftSpec("static", rate=0.5)
 
     @pytest.mark.parametrize(
         "noise",
@@ -550,8 +549,8 @@ class TestQuadraticStream:
             quadratic_instant(t=1, A=[[1.0]], b=[0.0], Q=[[1.0]], c=[0.0], noise=noise)
 
     def test_each_drift_kind_has_one_default_rate(self):
-        assert DriftSpec("sublinear") == DriftSpec.sublinear() == DriftSpec.sublinear(0.5, 1.0)
-        assert DriftSpec("decaying") == DriftSpec.decaying() == DriftSpec.decaying(1.0, 1.0)
+        assert DriftSpec("sublinear") == DriftSpec.sublinear() == DriftSpec.sublinear(0.5)
+        assert DriftSpec("decaying") == DriftSpec.decaying() == DriftSpec.decaying(1.0)
         assert DriftSpec() == DriftSpec.static()
         assert DriftSpec.static().step_size(1) == 0.0
 
@@ -715,9 +714,11 @@ class TestMetaStream:
             meta_toy_stream(2, 1, seed=17, gamma=0.0)
 
     def test_empty_validation_set_rejected(self):
-        # n_val = 0 would declare l_f1 = 0, and the default outer step divides by it.
-        with pytest.raises(ValueError, match="n_val"):
-            meta_toy_stream(2, 1, seed=17, n_val=0)
+        # No validation samples would declare l_f1 = 0, and the default outer step
+        # divides by it.
+        task = MetaTask(np.ones((3, 2)), np.ones(3), np.empty((0, 2)), np.empty(0), 1.0)
+        with pytest.raises(ValueError, match="l_f1 must be positive"):
+            MetaData(1, task=task)
 
 
 class TestMetaTask:
@@ -937,7 +938,7 @@ class TestDataOracleParity:
     @given(
         drift=st.sampled_from([
             DriftSpec(), DriftSpec.decaying(), DriftSpec.sublinear(),
-            DriftSpec.decaying(800.0), DriftSpec.decaying(1.0, 0.0), DriftSpec.sublinear(0.3, 2.5),
+            DriftSpec.decaying(800.0), DriftSpec.sublinear(0.3),
         ]),
         d1=st.integers(1, 4),
         d2=st.integers(1, 6),
@@ -1055,17 +1056,11 @@ INPUT_CHECKS = {
                          "kappa_target must lie in [1, inf), got nan"),
     "meta-gamma-nan": (lambda: meta_toy_stream(2, 2, gamma=NAN), ValueError,
                        "gamma must be positive and finite, got nan"),
-    "meta-task-noise-nan": (lambda: meta_toy_stream(2, 2, task_noise=NAN), ValueError,
-                            "task_noise must be nonnegative and finite, got nan"),
     "spline-noise-std-nan": (lambda: make_drifting_spline_task(seed=0, T=2, noise_std=NAN),
                              ValueError, "noise_std must be nonnegative and finite, got nan"),
     "drift-kind": (lambda: DriftSpec("linear"), ValueError, "unknown drift kind 'linear'"),
     "drift-decaying-rate": (lambda: DriftSpec.decaying(rate=0.0), ValueError,
                             "decaying drift rate must be positive and finite"),
-    "drift-scale": (lambda: DriftSpec.sublinear(scale=-1.0), ValueError,
-                    "drift scale must be nonnegative"),
-    "drift-scale-nan": (lambda: DriftSpec.decaying(scale=float("nan")), ValueError,
-                        "drift scale must be nonnegative and finite"),
     "drift-decaying-rate-nan": (lambda: DriftSpec.decaying(rate=float("nan")), ValueError,
                                 "decaying drift rate must be positive and finite"),
     # Metrics and the exact estimator call both exact-solution oracles unchecked.
@@ -1111,8 +1106,6 @@ INPUT_CHECKS = {
                        "gamma must be a number, got '1.0'"),
     "drift-rate-str": (lambda: DriftSpec.decaying(rate="0.5"), TypeError,
                        "decaying drift rate must be a number, got '0.5'"),
-    "drift-scale-complex": (lambda: DriftSpec.sublinear(scale=1j), TypeError,
-                            "drift scale must be a number, got 1j"),
     "instant-mu-str": (lambda: dataclasses.replace(_spline(), mu_g="1"), TypeError,
                        "mu_g must be a number, got '1'"),
     "instant-t": (lambda: dataclasses.replace(_instant(), t=0), ValueError,
